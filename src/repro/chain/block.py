@@ -32,16 +32,25 @@ class BlockHeader:
     consensus_meta: tuple[tuple[str, str], ...] = ()
 
     def block_hash(self) -> Hash:
-        """Cryptographic identity: the hash over every header field."""
-        return hash_items(
-            self.height.to_bytes(8, "big"),
-            self.parent_hash,
-            self.tx_root,
-            self.state_root,
-            self.proposer.encode(),
-            repr(self.timestamp).encode(),
-            repr(self.consensus_meta).encode(),
-        )
+        """Cryptographic identity: the hash over every header field.
+
+        Computed once: the header is frozen, and every replica asks for
+        it many times per block.
+        """
+        try:
+            return self._block_hash
+        except AttributeError:
+            digest = hash_items(
+                self.height.to_bytes(8, "big"),
+                self.parent_hash,
+                self.tx_root,
+                self.state_root,
+                self.proposer.encode(),
+                repr(self.timestamp).encode(),
+                repr(self.consensus_meta).encode(),
+            )
+            object.__setattr__(self, "_block_hash", digest)
+            return digest
 
     def meta(self, key: str, default: str = "") -> str:
         """Read one consensus_meta entry (PoW nonce, PBFT view, ...)."""
@@ -94,8 +103,14 @@ class Block:
         return self.header.height
 
     def size_bytes(self) -> int:
-        """Wire size estimate: fixed header cost plus transaction bodies."""
-        return 320 + sum(tx.size_bytes() for tx in self.transactions)
+        """Wire size estimate: fixed header cost plus transaction bodies.
+        Computed once — a block's body is never edited after it is built."""
+        try:
+            return self._size_bytes
+        except AttributeError:
+            size = 320 + sum(tx.size_bytes() for tx in self.transactions)
+            self._size_bytes = size
+            return size
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

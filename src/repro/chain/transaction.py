@@ -79,15 +79,22 @@ class Transaction:
         return self.tx_id.encode()
 
     def size_bytes(self) -> int:
-        """Approximate wire size (fields + signature)."""
-        return (
-            110  # fixed header: ids, nonce, value, framing
-            + len(self.sender)
-            + len(self.contract)
-            + len(self.function)
-            + len(_encode_args(self.args))
-            + (self.signature.size_bytes() if self.signature else 0)
-        )
+        """Approximate wire size (fields + signature).
+
+        The unsigned part is computed once: ``tx_id`` is derived from
+        those fields, so they never change after :meth:`create`.
+        """
+        try:
+            unsigned = self._unsigned_size
+        except AttributeError:
+            unsigned = self._unsigned_size = (
+                110  # fixed header: ids, nonce, value, framing
+                + len(self.sender)
+                + len(self.contract)
+                + len(self.function)
+                + len(_encode_args(self.args))
+            )
+        return unsigned + (self.signature.size_bytes() if self.signature else 0)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Tx {self.tx_id[:8]} {self.contract}.{self.function}>"

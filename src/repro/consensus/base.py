@@ -34,6 +34,11 @@ class ConsensusHost(Protocol):
         event handle (cancellable)."""
         ...
 
+    def set_timer_at(self, when: float, fn: Any, *args: Any) -> Event:
+        """:meth:`set_timer` at the absolute simulated time ``when`` —
+        for a deadline that must be hit to the exact float."""
+        ...
+
     def send_to(
         self, recipient: str, kind: str, payload: Any, size_bytes: int
     ) -> None:

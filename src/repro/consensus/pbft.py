@@ -363,27 +363,34 @@ class PBFT(ConsensusProtocol):
     # View changes
     # ------------------------------------------------------------------
     def _arm_progress_timer(self) -> None:
-        """(Re)arm the no-progress watchdog while work is outstanding."""
+        """Push the no-progress deadline out while work is outstanding.
+
+        One watchdog timer per replica chases the deadline: arming only
+        moves ``_progress_deadline``, and a timer is set just when none
+        is pending (none yet, fired, or cancelled by a crash).
+        """
+        if not self._running or not self._has_work():
+            return
+        self._progress_deadline = self.host.now + self.config.view_timeout
+        timer = self._progress_timer
+        if timer is None or timer.cancelled:
+            self._progress_timer = self.host.set_timer(
+                self.config.view_timeout, self._progress_check
+            )
+
+    def _progress_check(self) -> None:
+        self._progress_timer = None
         if not self._running:
             return
-        has_work = self.host.pending_count() > 0 or any(
-            not e.executed for e in self.log.values()
-        )
-        if not has_work:
+        if self._progress_deadline > self.host.now:
+            # Progress since this timer was set. Follow the deadline to
+            # its exact instant: now + (deadline - now) can be another
+            # float, and a view change's time flows into latencies.
+            self._progress_timer = self.host.set_timer_at(
+                self._progress_deadline, self._progress_check
+            )
             return
-        deadline = self.host.now + self.config.view_timeout
-        self._progress_deadline = deadline
-        self.host.set_timer(self.config.view_timeout, self._progress_check, deadline)
-
-    def _progress_check(self, deadline: float) -> None:
-        if not self._running or self._view_changing:
-            return
-        if self._progress_deadline > deadline:
-            return  # progress happened; a newer timer is armed
-        has_work = self.host.pending_count() > 0 or any(
-            not e.executed for e in self.log.values()
-        )
-        if has_work:
+        if not self._view_changing and self._has_work():
             self._start_view_change(self.view + 1)
 
     def _start_view_change(self, new_view: int) -> None:

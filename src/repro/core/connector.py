@@ -36,7 +36,7 @@ from typing import Callable, TYPE_CHECKING
 
 from ..chain import Transaction
 from ..errors import ConnectorError
-from ..sim import Message, SimFuture, SimNode
+from ..sim import Event, Message, SimFuture, SimNode
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..platforms.cluster import Cluster
@@ -185,6 +185,9 @@ class RPCClient(SimNode):
         super().__init__(node_id, scheduler, network)
         self._next_req = 0
         self._callbacks: dict[int, Callable[[dict], None]] = {}
+        # Pending timeout timer per request, cancelled when the reply
+        # arrives so it does not sit in the scheduler to fire as a no-op.
+        self._timeouts: dict[int, Event] = {}
         # Persistent callbacks for push-based subscriptions; unlike
         # request callbacks these survive across events. The server a
         # subscription went to is kept so unsubscribe() can tear down
@@ -209,7 +212,7 @@ class RPCClient(SimNode):
         payload["req_id"] = req_id
         self.send(server, kind, payload, size_bytes)
         if timeout_s is not None:
-            self.set_timer(timeout_s, self._expire, req_id)
+            self._timeouts[req_id] = self.set_timer(timeout_s, self._expire, req_id)
         return req_id
 
     def call(
@@ -236,6 +239,7 @@ class RPCClient(SimNode):
     def _expire(self, req_id: int) -> None:
         """Fire a timeout reply if the server never answered (e.g. the
         request was dropped at a full inbox)."""
+        self._timeouts.pop(req_id, None)
         callback = self._callbacks.pop(req_id, None)
         if callback is not None:
             callback({"accepted": False, "timeout": True, "req_id": req_id})
@@ -283,6 +287,9 @@ class RPCClient(SimNode):
         if message.kind != "rpc/reply":
             return
         req_id = message.payload.get("req_id")
+        timeout = self._timeouts.pop(req_id, None)
+        if timeout is not None:
+            self.cancel_timer(timeout)
         callback = self._callbacks.pop(req_id, None)
         if callback is not None:
             callback(message.payload)

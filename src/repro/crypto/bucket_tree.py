@@ -12,10 +12,14 @@ Figure 12c is an order of magnitude below Ethereum/Parity's.
 
 from __future__ import annotations
 
+import hashlib
 from typing import Iterable
 
 from ..errors import StorageError
 from .hashing import EMPTY_HASH, Hash, hash_items, sha256
+
+#: ``hash_items``' encoding of the leading ``b"bucket"`` tag.
+_BUCKET_PREFIX = (6).to_bytes(4, "big") + b"bucket"
 
 
 class BucketTree:
@@ -106,11 +110,17 @@ class BucketTree:
         bucket = self._buckets[index]
         if not bucket:
             return EMPTY_HASH
-        hasher_parts: list[bytes] = []
+        # hash_items(b"bucket", k1, v1, k2, v2, ...) fed straight to the
+        # hasher: no intermediate list of parts, no argument tuple.
+        hasher = hashlib.sha256(_BUCKET_PREFIX)
+        update = hasher.update
         for key in sorted(bucket):
-            hasher_parts.append(key)
-            hasher_parts.append(bucket[key])
-        return hash_items(b"bucket", *hasher_parts)
+            value = bucket[key]
+            update(len(key).to_bytes(4, "big"))
+            update(key)
+            update(len(value).to_bytes(4, "big"))
+            update(value)
+        return hasher.digest()
 
     def root_hash(self) -> Hash:
         """Flush dirty buckets and return the current root digest.

@@ -7,18 +7,29 @@ guaranteed by breaking time ties with a monotonically increasing
 sequence number, so two runs with the same seed replay the exact same
 event order.
 
-Two fast paths keep the dispatch rate high enough that the scheduler is
-never the layer being measured (the ISSUE 6 scale work):
+Three things keep the scheduler from being the layer that is measured:
 
-* Events scheduled at *exactly the current instant* — the ``0.0``-delay
-  hand-offs every simulated node uses to yield between messages — go to
-  a FIFO run queue instead of the heap. Dispatch order is unchanged
-  (the run queue is consumed in sequence order, interleaved with any
-  same-timestamp heap entries by their sequence numbers); only the
+* Events scheduled at *exactly the current instant* go to a FIFO run
+  queue instead of the heap. Dispatch order is unchanged (the run queue
+  is consumed in sequence order, interleaved with any same-timestamp
+  heap entries by their sequence numbers); only the
   ``heappush``/``heappop`` pair is skipped.
 * :meth:`Scheduler.push_many` bulk-schedules a batch of timers with one
   ``heapify`` instead of N ``heappush`` calls — the entry point the
   open-loop arrival pump uses to pre-schedule a chunk of arrivals.
+* :meth:`Scheduler.idle_now` lets a caller skip a zero-delay event
+  altogether. It holds when the run queue is empty and the heap head is
+  strictly later than ``now``; a zero-delay event scheduled at that
+  moment would be the very next one dispatched, with nothing able to
+  run in between, so doing its work inline yields the same ``(time,
+  seq)`` order of everything else — every later event just carries a
+  sequence number one smaller, and only their relative order is ever
+  compared. ``SimNode`` uses it to serve a message with two events
+  (delivery, finish) instead of three or four.
+
+Cancelled events stay buried until popped; when they outnumber the live
+ones the containers are compacted *in place*, because ``run`` and
+``run_until`` dispatch from local aliases of them.
 """
 
 from __future__ import annotations
@@ -43,7 +54,8 @@ from .futures import SimCoroutine, SimFuture, spawn
 class Event:
     """Handle for a scheduled callback; supports cancellation."""
 
-    __slots__ = ("fn", "args", "cancelled", "_scheduler")
+    #: ``timer_id`` is set only on timers a ``SimNode`` tracks.
+    __slots__ = ("fn", "args", "cancelled", "_scheduler", "timer_id")
 
     def __init__(
         self,
@@ -171,15 +183,25 @@ class Scheduler:
             self._cancelled >= self.COMPACT_FLOOR
             and self._cancelled > (len(self._queue) + len(self._runq)) // 2
         ):
-            self._queue = [
+            # In place: run()/run_until() dispatch from local aliases of
+            # both containers, so rebinding them mid-run would hide every
+            # event scheduled afterwards.
+            self._queue[:] = [
                 entry for entry in self._queue if not entry[2].cancelled
             ]
             heapq.heapify(self._queue)
-            if self._runq:
-                self._runq = deque(
-                    entry for entry in self._runq if not entry[1].cancelled
-                )
+            live = [entry for entry in self._runq if not entry[1].cancelled]
+            self._runq.clear()
+            self._runq.extend(live)
             self._cancelled = 0
+
+    def idle_now(self) -> bool:
+        """True when nothing else is due at the current instant, so a
+        zero-delay event scheduled now would be dispatched next (see the
+        module docstring). O(1): a cancelled head at ``now`` counts as
+        busy — falling back to scheduling is always safe."""
+        queue = self._queue
+        return not self._runq and (not queue or queue[0][0] > self.now)
 
     def peek_time(self) -> SimTime:
         """Time of the next pending event, or ``NEVER`` if queue is empty."""

@@ -40,7 +40,7 @@ _message_counter = itertools.count()
 SendFilter = Callable[[str, str, Any, int], "tuple[Any, int, float] | None"]
 
 
-@dataclass
+@dataclass(slots=True)
 class Message:
     """A unit of network traffic between two simulated nodes."""
 
@@ -51,7 +51,7 @@ class Message:
     size_bytes: int = 256
     corrupted: bool = False
     sent_at: SimTime = 0.0
-    msg_id: int = field(default_factory=lambda: next(_message_counter))
+    msg_id: int = field(default_factory=_message_counter.__next__)
 
 
 @dataclass
@@ -66,14 +66,6 @@ class NetworkStats:
     dropped_byzantine: int = 0
     bytes_sent: dict[str, int] = field(default_factory=dict)
     bytes_received: dict[str, int] = field(default_factory=dict)
-
-    def record_send(self, node_id: str, size: int) -> None:
-        self.messages_sent += 1
-        self.bytes_sent[node_id] = self.bytes_sent.get(node_id, 0) + size
-
-    def record_delivery(self, node_id: str, size: int) -> None:
-        self.messages_delivered += 1
-        self.bytes_received[node_id] = self.bytes_received.get(node_id, 0) + size
 
 
 class Network:
@@ -239,39 +231,35 @@ class Network:
         """Send one message; returns it (useful for tests and tracing)."""
         if recipient not in self.nodes:
             raise NetworkError(f"unknown recipient {recipient!r}")
+        now = self.scheduler.now
         filter_delay = 0.0
-        filter_fn = self._send_filters.get(sender)
-        if filter_fn is not None:
-            rewritten = filter_fn(recipient, kind, payload, size_bytes)
-            if rewritten is None:
-                # The byzantine node chose not to transmit: nothing hits
-                # the wire, so no send is recorded.
-                self.stats.dropped_byzantine += 1
-                return Message(
-                    sender=sender,
-                    recipient=recipient,
-                    kind=kind,
-                    payload=payload,
-                    size_bytes=size_bytes,
-                    sent_at=self.scheduler.now,
-                )
-            payload, size_bytes, filter_delay = rewritten
-        message = Message(
-            sender=sender,
-            recipient=recipient,
-            kind=kind,
-            payload=payload,
-            size_bytes=size_bytes,
-            sent_at=self.scheduler.now,
-        )
-        self.stats.record_send(sender, size_bytes)
-        if self.partitioned(sender, recipient):
-            self.stats.dropped_partition += 1
+        # Fault state is empty on almost every send: each lookup below
+        # is skipped unless its fault is active. The RNG draws (one for
+        # jitter, then delay window, then corruption) keep their order.
+        if self._send_filters:
+            filter_fn = self._send_filters.get(sender)
+            if filter_fn is not None:
+                rewritten = filter_fn(recipient, kind, payload, size_bytes)
+                if rewritten is None:
+                    # The byzantine node chose not to transmit: nothing
+                    # hits the wire, so no send is recorded.
+                    self.stats.dropped_byzantine += 1
+                    return Message(
+                        sender, recipient, kind, payload, size_bytes, sent_at=now
+                    )
+                payload, size_bytes, filter_delay = rewritten
+        message = Message(sender, recipient, kind, payload, size_bytes, sent_at=now)
+        stats = self.stats
+        stats.messages_sent += 1
+        stats.bytes_sent[sender] = stats.bytes_sent.get(sender, 0) + size_bytes
+        if self._partition_groups is not None and self.partitioned(sender, recipient):
+            stats.dropped_partition += 1
             return message
         delay = self._delivery_delay(sender, recipient, size_bytes) + filter_delay
-        rate = self.active_corruption_rate()
-        if rate and self._rng.random() < rate:
-            message.corrupted = True
+        if self._corruption_windows:
+            rate = self.active_corruption_rate()
+            if rate and self._rng.random() < rate:
+                message.corrupted = True
         self.scheduler.schedule(delay, self._deliver, message)
         return message
 
@@ -295,6 +283,8 @@ class Network:
     def _delivery_delay(self, sender: str, recipient: str, size: int) -> SimTime:
         latency = self.base_latency + self._rng.random() * self.jitter
         serialization = size * 8 / self.bandwidth_bps
+        if not self._delay_windows:
+            return latency + serialization
         extra = self.active_delay_extra(sender, recipient)
         if extra:
             # One jitter draw regardless of how many windows stack, so a
@@ -306,12 +296,19 @@ class Network:
     def _deliver(self, message: Message) -> None:
         # Partitions that began while the message was in flight still drop it:
         # the paper's attack drops traffic for the whole partition window.
-        if self.partitioned(message.sender, message.recipient):
-            self.stats.dropped_partition += 1
+        stats = self.stats
+        recipient = message.recipient
+        if self._partition_groups is not None and self.partitioned(
+            message.sender, recipient
+        ):
+            stats.dropped_partition += 1
             return
-        node = self.nodes.get(message.recipient)
+        node = self.nodes.get(recipient)
         if node is None or node.crashed:
-            self.stats.dropped_crash += 1
+            stats.dropped_crash += 1
             return
-        self.stats.record_delivery(message.recipient, message.size_bytes)
+        stats.messages_delivered += 1
+        stats.bytes_received[recipient] = (
+            stats.bytes_received.get(recipient, 0) + message.size_bytes
+        )
         node.deliver(message)

@@ -8,6 +8,15 @@ is not a convenience — it is the mechanism behind the paper's headline
 negative result (Hyperledger v0.6 failing past 16 nodes because
 "consensus messages are rejected ... on account of the message channel
 being full", Section 4.1.2).
+
+A message costs two scheduler events: the network's delivery and the
+finish ``message_cost`` seconds later, when the handler runs. The
+hand-offs around them — idle node picks up an arrival, busy node moves
+on to the next queued message — are zero-delay events only when
+something else is due at that very instant; when
+``Scheduler.idle_now()`` says the hand-off would be the next event
+dispatched anyway, it is done inline. Same ``(time, seq)`` order either
+way, so simulated output is byte-identical; see ``sim/events.py``.
 """
 
 from __future__ import annotations
@@ -39,7 +48,10 @@ class SimNode:
         self._processing = False
         self.cpu_time: SimTime = 0.0
         self.dropped_messages = 0
-        self._timers: list[Event] = []
+        #: Pending timers by arming order; a handle leaves when its timer
+        #: fires or is cancelled, so crash() cancels exactly the live ones.
+        self._timers: dict[int, Event] = {}
+        self._timer_seq = 0
         self._deferred_cost: SimTime = 0.0
         network.register(self)
 
@@ -68,46 +80,53 @@ class SimNode:
         self.inbox.append(message)
         if not self._processing:
             self._processing = True
-            self.scheduler.schedule(0.0, self._process_next)
+            if self.scheduler.idle_now():
+                self._process_next()
+            else:
+                self.scheduler.schedule(0.0, self._process_next)
 
     def _process_next(self) -> None:
-        if self.crashed or not self.inbox:
-            self._processing = False
-            return
-        message = self.inbox.popleft()
-        cost = self.message_cost(message)
-        self.consume_cpu(cost)
-        if cost > 0:
-            self.scheduler.schedule(cost, self._finish_message, message)
-        else:
-            self._finish_message(message)
+        """Start on the inbox head: charge its cost, schedule its finish.
+
+        Zero-cost messages finish on the spot, so they are drained by
+        this loop (never by recursion) for as long as the scheduler has
+        nothing else due at this instant.
+        """
+        while self.inbox and not self.crashed:
+            message = self.inbox.popleft()
+            cost = self.message_cost(message)
+            if cost > 0:
+                self.consume_cpu(cost)
+                self.scheduler.schedule(cost, self._finish_message, message)
+                return
+            if not self._complete(message):
+                return
+        self._processing = False
 
     def _finish_message(self, message: Message) -> None:
+        if self._complete(message):
+            self._process_next()
+
+    def _complete(self, message: Message) -> bool:
+        """Run the handler; True when the caller may start the next
+        message inline, False when a hand-off event was scheduled."""
         if not self.crashed:
             self.handle_message(message)
         # Handlers may discover extra work mid-flight (e.g. executing a
         # block's transactions) via defer_cost(); it extends the busy
         # window before the next message is served.
         extra = self._deferred_cost
-        self._deferred_cost = 0.0
         if extra > 0:
+            self._deferred_cost = 0.0
             self.consume_cpu(extra)
-        if self.inbox and not self.crashed:
             self.scheduler.schedule(extra, self._process_next)
-        else:
-            if extra > 0:
-                self.scheduler.schedule(extra, self._resume_after_busy)
-            else:
-                self._processing = False
-
-    def _resume_after_busy(self) -> None:
-        if self.crashed:
-            self._processing = False
-            return
-        if self.inbox:
-            self._process_next()
-        else:
-            self._processing = False
+            return False
+        if self.inbox and not self.crashed and not self.scheduler.idle_now():
+            # Something else is due at this instant (say a zero-delay
+            # event the handler just scheduled): it goes first.
+            self.scheduler.schedule(0.0, self._process_next)
+            return False
+        return True
 
     # ------------------------------------------------------------------
     # Hooks for subclasses
@@ -124,14 +143,32 @@ class SimNode:
     # ------------------------------------------------------------------
     def set_timer(self, delay: SimTime, fn: Callable[..., Any], *args: Any) -> Event:
         """Schedule a callback that is suppressed if the node has crashed."""
+        return self._arm(self.scheduler.schedule, delay, fn, args)
 
-        def fire() -> None:
-            if not self.crashed:
-                fn(*args)
+    def set_timer_at(self, when: SimTime, fn: Callable[..., Any], *args: Any) -> Event:
+        """:meth:`set_timer` at an absolute instant. Not the same as a
+        delay of ``when - now``: in floats ``now + (when - now)`` need
+        not equal ``when``, and a re-armed deadline must not drift."""
+        return self._arm(self.scheduler.schedule_at, when, fn, args)
 
-        event = self.scheduler.schedule(delay, fire)
-        self._timers.append(event)
+    def _arm(
+        self, schedule: Callable[..., Event], when: SimTime, fn: Any, args: tuple
+    ) -> Event:
+        self._timer_seq = timer_id = self._timer_seq + 1
+        event = schedule(when, self._fire_timer, timer_id, fn, args)
+        event.timer_id = timer_id
+        self._timers[timer_id] = event
         return event
+
+    def _fire_timer(self, timer_id: int, fn: Any, args: tuple) -> None:
+        del self._timers[timer_id]
+        if not self.crashed:
+            fn(*args)
+
+    def cancel_timer(self, timer: Event) -> None:
+        """Cancel a timer armed on this node and forget its handle."""
+        timer.cancel()
+        self._timers.pop(timer.timer_id, None)
 
     # ------------------------------------------------------------------
     # CPU accounting / fault injection
@@ -161,7 +198,7 @@ class SimNode:
         # recovered later must not charge the interrupted handler's
         # deferred CPU to its first post-recovery message.
         self._deferred_cost = 0.0
-        for timer in self._timers:
+        for timer in self._timers.values():
             timer.cancel()
         self._timers.clear()
 

@@ -1,5 +1,7 @@
 """Unit tests for blocks and headers."""
 
+import dataclasses
+
 from repro.chain import Block, Transaction, genesis_block
 from repro.crypto import EMPTY_HASH
 
@@ -60,3 +62,30 @@ def test_size_grows_with_transactions():
     empty = Block.build(1, g.hash, [], EMPTY_HASH, "m", 1.0)
     full = Block.build(1, g.hash, [_tx(i) for i in range(10)], EMPTY_HASH, "m", 1.0)
     assert full.size_bytes() > empty.size_bytes()
+
+
+def test_block_hash_is_memoized_and_equals_a_fresh_header():
+    block = Block.build(
+        height=3, parent_hash=genesis_block().hash, transactions=[_tx(i) for i in range(4)],
+        state_root=EMPTY_HASH, proposer="n1", timestamp=1.25,
+        consensus_meta={"view": 2},
+    )
+    first = block.hash
+    assert block.hash is first  # the same bytes object: computed once
+    fresh = dataclasses.replace(block.header)
+    assert "_block_hash" not in vars(fresh)
+    assert fresh.block_hash() == first
+    assert fresh == block.header  # the cache is not part of identity
+    changed = dataclasses.replace(block.header, timestamp=1.5)
+    assert changed.block_hash() != first
+
+
+def test_block_size_is_memoized_and_equals_a_fresh_block():
+    block = Block.build(
+        height=1, parent_hash=genesis_block().hash, transactions=[_tx(i) for i in range(5)],
+        state_root=EMPTY_HASH, proposer="n1", timestamp=0.5,
+    )
+    size = block.size_bytes()
+    assert size == 320 + sum(tx.size_bytes() for tx in block.transactions)
+    assert block.size_bytes() == size
+    assert Block(block.header, list(block.transactions)).size_bytes() == size

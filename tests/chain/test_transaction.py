@@ -1,6 +1,9 @@
 """Unit tests for transactions and receipts."""
 
+import dataclasses
+
 from repro.chain import Transaction, TxStatus
+from repro.crypto.signatures import KeyPair
 
 
 def test_create_assigns_content_derived_id():
@@ -42,3 +45,20 @@ def test_tx_status_latency():
     assert status.latency is None
     status.confirmed_at = 12.5
     assert status.latency == 2.5
+
+
+def test_size_is_memoized_but_still_sees_a_late_signature():
+    tx = Transaction.create("alice", "kv", "write", ("k" * 40, "v" * 90))
+    unsigned = tx.size_bytes()
+    assert unsigned == 110 + len("alice") + len("kv") + len("write") + len(
+        repr(tx.args).encode()
+    )
+    assert tx.size_bytes() == unsigned
+    tx.signature = KeyPair.from_seed("alice").sign(tx.signing_payload())
+    assert tx.size_bytes() == unsigned + 65
+    # A fresh object with the same fields agrees: the cache holds only
+    # what tx_id already freezes.
+    twin = dataclasses.replace(tx)
+    assert "_unsigned_size" not in vars(twin)
+    assert twin.size_bytes() == tx.size_bytes()
+    assert twin == tx

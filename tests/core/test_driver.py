@@ -92,6 +92,42 @@ def test_rpc_client_timeout():
     cluster.close()
 
 
+def test_rpc_timeout_is_cancelled_when_the_reply_arrives(cluster):
+    client = RPCClient("c0", cluster.scheduler, cluster.network)
+    replies = []
+    idle = cluster.scheduler.pending()
+    for _ in range(100):
+        client.request(
+            "server-0", "rpc/get_blocks", {"from_height": 0}, replies.append,
+            timeout_s=5.0,
+        )
+    assert len(client._timeouts) == len(client._timers) == 100
+    cluster.run_until(1.0)
+    assert len(replies) == 100 and not any(r.get("timeout") for r in replies)
+    # Answered: no timeout handle is kept and none waits in the scheduler
+    # to fire as a no-op four seconds from now.
+    assert client._timeouts == {} and client._timers == {}
+    assert cluster.scheduler.pending() == idle
+    cluster.run_until(10.0)
+    assert len(replies) == 100
+
+
+def test_rpc_timeout_handle_is_forgotten_when_it_fires():
+    cluster = build_cluster("hyperledger", 2, seed=9)
+    client = RPCClient("c0", cluster.scheduler, cluster.network)
+    cluster.nodes[0].crash()
+    replies = []
+    client.request(
+        "server-0", "rpc/get_blocks", {"from_height": 0}, replies.append,
+        timeout_s=2.0,
+    )
+    cluster.run_until(5.0)
+    assert [r["timeout"] for r in replies] == [True]
+    assert client._timeouts == {} and client._timers == {}
+    assert client.outstanding_requests() == 0
+    cluster.close()
+
+
 def test_connector_rejects_unknown_server():
     cluster = build_cluster("hyperledger", 2, seed=9)
     client = RPCClient("c0", cluster.scheduler, cluster.network)

@@ -188,3 +188,92 @@ def test_mass_cancellation_compacts_heap_and_keeps_order():
     sched.run()
     assert fired == keepers
     assert sched.pending() == 0
+
+
+def _cancel_most_of_the_heap_mid_run(drive):
+    """Schedule 200 far events; at t=1 cancel them all (forcing a
+    compaction while the dispatch loop is running) and schedule one
+    more. The late event must still fire and pending() must be exact."""
+    sched = Scheduler()
+    fired = []
+    doomed = [sched.schedule(10.0 + i, fired.append, i) for i in range(200)]
+
+    def cancel_and_reschedule():
+        for event in doomed:
+            event.cancel()
+        sched.schedule(1.0, fired.append, "late")
+        sched.schedule(0.0, fired.append, "same-instant")
+
+    sched.schedule(1.0, cancel_and_reschedule)
+    drive(sched)
+    assert fired == ["same-instant", "late"]
+    assert sched.pending() == 0
+
+
+def test_compaction_during_run_until_keeps_later_events():
+    _cancel_most_of_the_heap_mid_run(lambda sched: sched.run_until(5.0))
+
+
+def test_compaction_during_run_keeps_later_events():
+    _cancel_most_of_the_heap_mid_run(lambda sched: sched.run())
+
+
+def test_compaction_during_step_keeps_later_events():
+    def drive(sched):
+        while sched.step():
+            pass
+
+    _cancel_most_of_the_heap_mid_run(drive)
+
+
+def test_compaction_purges_cancelled_run_queue_entries_in_place():
+    sched = Scheduler()
+    fired = []
+
+    def burst():
+        events = [sched.schedule(0.0, fired.append, i) for i in range(200)]
+        for event in events[:150]:
+            event.cancel()
+
+    sched.schedule(1.0, burst)
+    sched.run_until(2.0)
+    assert fired == list(range(150, 200))
+    assert sched.pending() == 0
+
+
+def test_idle_now_tracks_run_queue_and_heap_head():
+    sched = Scheduler()
+    assert sched.idle_now()
+    later = sched.schedule(1.0, lambda: None)
+    assert sched.idle_now()  # heap head strictly later than now
+    sched.schedule(0.0, lambda: None)
+    assert not sched.idle_now()  # run queue non-empty
+    sched.run_until(0.5)
+    assert sched.idle_now()
+    later.cancel()
+    assert sched.idle_now()
+
+
+def test_idle_now_counts_a_cancelled_head_at_now_as_busy():
+    """Falling back to scheduling is always safe; looking past
+    tombstones would not be O(1)."""
+    sched = Scheduler()
+    seen = []
+
+    def first():
+        second.cancel()
+        seen.append(sched.idle_now())
+
+    sched.schedule(1.0, first)
+    second = sched.schedule(1.0, seen.append, "never")
+    sched.run()
+    assert seen == [False]
+
+
+def test_idle_now_false_for_heap_event_at_the_current_instant():
+    sched = Scheduler()
+    seen = []
+    sched.schedule(1.0, lambda: seen.append(sched.idle_now()))
+    sched.schedule(1.0, lambda: seen.append(sched.idle_now()))
+    sched.run()
+    assert seen == [False, True]

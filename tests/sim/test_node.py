@@ -135,3 +135,63 @@ def test_recover_allows_new_work():
     sender.send("dst", "m", "after")
     sched.run()
     assert node.handled[0][1] == "after"
+
+
+def test_fired_timers_are_forgotten():
+    sched, net, sender, node = build()
+    fired = []
+    for i in range(50):
+        node.set_timer(1.0 + i, fired.append, i)
+    assert len(node._timers) == 50
+    sched.run_until(25.5)
+    assert len(node._timers) == 25
+    sched.run()
+    assert fired == list(range(50))
+    assert node._timers == {}
+
+
+def test_cancel_timer_forgets_the_handle_and_suppresses_the_callback():
+    sched, net, sender, node = build()
+    fired = []
+    keep = node.set_timer(1.0, fired.append, "keep")
+    drop = node.set_timer(1.0, fired.append, "drop")
+    node.cancel_timer(drop)
+    assert list(node._timers.values()) == [keep]
+    sched.run()
+    assert fired == ["keep"]
+    assert node._timers == {}
+
+
+def test_crash_cancels_exactly_the_pending_timers():
+    sched, net, sender, node = build()
+    fired = []
+    for i in range(10):
+        node.set_timer(1.0 + i, fired.append, i)
+    sched.run_until(4.5)  # four fired, six pending
+    before = sched.pending()
+    node.crash()
+    assert before - sched.pending() == 6
+    assert node._timers == {}
+    node.recover()
+    sched.run()
+    assert fired == [0, 1, 2, 3]  # none of the six survives the restart
+
+
+def test_set_timer_at_hits_the_absolute_instant():
+    sched, net, sender, node = build()
+    sched.run_until(0.3)
+    when = 0.9
+    assert sched.now + (when - sched.now) != when  # why a delay won't do
+    fired = []
+    node.set_timer_at(when, lambda: fired.append(sched.now))
+    sched.run()
+    assert fired == [when]
+
+
+def test_set_timer_at_is_suppressed_after_crash():
+    sched, net, sender, node = build()
+    fired = []
+    node.set_timer_at(2.0, fired.append, "tick")
+    node.crash()
+    sched.run()
+    assert fired == []
