@@ -199,20 +199,23 @@ def bench_replica_execute(quick: bool = False) -> BenchResult:
     for real (contract dispatch, gas metering, overlay writes), the
     :class:`~repro.platforms.base.ExecutionCache` records the net
     write-set, and replicas 2..N replay it into their own overlays and
-    commit — the cross-replica memoization fast path. ops counts every
-    (transaction, replica) application; equal roots on all replicas
-    are asserted each block.
+    commit by installing the first replica's commit record — the
+    cross-replica memoization fast path as ``build_cluster`` wires it.
+    ops counts every (transaction, replica) application; equal roots on
+    all replicas are asserted each block.
     """
     from ..contracts import create_contract, TxContext
-    from ..platforms.base import _NamespacedState
+    from ..platforms.base import ExecutionCache, _NamespacedState
     from ..platforms.ethereum import EthereumState
 
     replicas = 4
     blocks = 6 if quick else 20
     txs_per_block = 100
+    cache = ExecutionCache()
     states = [EthereumState() for _ in range(replicas)]
     contract = create_contract("smallbank")
     for state in states:
+        state.commit_memo = cache.commits
         facade = _NamespacedState(state, "smallbank")
         for account in range(32):
             contract.invoke(

@@ -202,8 +202,9 @@ def preload_state(cluster: "Cluster", contract: str, items) -> int:
     count = 0
     prefix = contract.encode() + b"/"
     for key, value in items:
+        key = prefix + key  # one object for all N replicas' logs and trees
         for node in cluster.nodes:
-            node.bootstrap_put(prefix + key, value)
+            node.bootstrap_put(key, value)
         count += 1
     for node in cluster.nodes:
         node.bootstrap_commit()

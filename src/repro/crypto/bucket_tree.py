@@ -13,7 +13,7 @@ Figure 12c is an order of magnitude below Ethereum/Parity's.
 from __future__ import annotations
 
 import hashlib
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from ..errors import StorageError
 from .hashing import EMPTY_HASH, Hash, hash_items, sha256
@@ -123,26 +123,60 @@ class BucketTree:
         return hasher.digest()
 
     def root_hash(self) -> Hash:
-        """Flush dirty buckets and return the current root digest.
+        """Flush dirty buckets and return the current root digest (a
+        lookup when nothing is dirty, e.g. after :meth:`install`)."""
+        if self._dirty:
+            self.flush()
+        return self._levels[-1][0]
+
+    def flush(self, recorded: Sequence[Hash] | None = None) -> tuple[Hash, ...]:
+        """Refresh every digest above a dirty bucket; returns them as
+        one flat tuple in (level, ascending index) order.
 
         Propagates level by level: every dirty leaf digest is computed
         once, then each *distinct* dirty parent at each interior level
         is hashed once — K dirty buckets under a shared ancestor cost
         one ancestor rehash for the whole batch instead of K (the
         digests themselves are unchanged, so the root stays
-        byte-identical to per-bucket recomputation).
+        byte-identical to per-bucket recomputation). With ``recorded``
+        the same walk stores recorded digests instead (:meth:`install`).
         """
-        if self._dirty:
-            for index in self._dirty:
-                self._levels[0][index] = self._bucket_digest(index)
-            dirty = {index // 2 for index in self._dirty}
-            for depth in range(1, len(self._levels)):
-                level = self._levels[depth]
+        fresh: list[Hash] = []
+        walked = 0
+        dirty = sorted(self._dirty)
+        for depth, level in enumerate(self._levels):
+            if recorded is not None:
+                digests = recorded[walked : walked + len(dirty)]
+            elif depth == 0:
+                digests = [self._bucket_digest(index) for index in dirty]
+            else:
                 below = self._levels[depth - 1]
-                for index in dirty:
-                    level[index] = hash_items(
-                        b"bnode", below[index * 2], below[index * 2 + 1]
-                    )
-                dirty = {index // 2 for index in dirty}
-            self._dirty.clear()
-        return self._levels[-1][0]
+                digests = [
+                    hash_items(b"bnode", below[index * 2], below[index * 2 + 1])
+                    for index in dirty
+                ]
+            for index, digest in zip(dirty, digests):
+                level[index] = digest
+            fresh += digests
+            walked += len(dirty)
+            dirty = sorted({index // 2 for index in dirty})
+        if recorded is not None and walked != len(recorded):
+            # The buckets stay dirty: the next flush re-hashes them.
+            raise StorageError(
+                f"bucket-tree commit record holds {len(recorded)} digests, "
+                f"the write-set dirtied {walked} nodes"
+            )
+        self._dirty.clear()
+        return tuple(fresh)
+
+    def install(
+        self, items: Iterable[tuple[bytes, bytes | None]], digests: Sequence[Hash]
+    ) -> None:
+        """:meth:`update` and flush without hashing: ``digests`` is what
+        :meth:`flush` returned on a tree that held the same buckets and
+        had just applied the same ``items``, so the walk visits the same
+        nodes in the same order. The record must be consumed exactly:
+        one digest short or long raises, never a silently stale digest.
+        """
+        self.update(items)
+        self.flush(digests)

@@ -201,6 +201,8 @@ class PatriciaTrie:
         self._node_cache: LRUCache[bytes, _Node] | None = (
             LRUCache(node_cache_entries) if node_cache_entries > 0 else None
         )
+        #: While a list, ``_save`` appends each ``(digest, blob)`` to it.
+        self.journal: list[tuple[Hash, bytes]] | None = None
 
     # ------------------------------------------------------------------
     # Node persistence
@@ -213,6 +215,8 @@ class PatriciaTrie:
         self.store.put(digest, blob)
         self.node_writes += 1
         self.bytes_written += len(blob) + 32
+        if self.journal is not None:
+            self.journal.append((digest, blob))
         if self._node_cache is not None:
             self._node_cache.put(digest, node)
         return digest
@@ -659,9 +663,35 @@ class StateTrie:
     def delete(self, key: bytes) -> None:
         self.root = self.trie.delete(self.root, key)
 
-    def update(self, items: Iterable[tuple[bytes, bytes | None]]) -> None:
-        """Apply a net write-set in one batched pass (None = delete)."""
-        self.root = self.trie.update(self.root, items)
+    def update(
+        self, items: Iterable[tuple[bytes, bytes | None]], journal: bool = False
+    ) -> tuple[Hash | None, tuple[tuple[Hash, bytes], ...]] | None:
+        """Apply a net write-set in one batched pass (None = delete).
+        With ``journal``, returns the commit record :meth:`adopt` takes:
+        ``(post_root, ((digest, blob), ...))``, every node saved, in
+        save order."""
+        trie = self.trie
+        trie.journal = [] if journal else None
+        try:
+            self.root = trie.update(self.root, items)
+            return (self.root, tuple(trie.journal)) if journal else None
+        finally:
+            trie.journal = None
+
+    def adopt(self, root: Hash | None, saves: Iterable[tuple[Hash, bytes]]) -> None:
+        """Install the record of an update another trie ran on the same
+        root with the same write-set. An update saves the same nodes in
+        the same order whoever runs it, so these are exactly the store
+        writes (and counts) a local :meth:`update` would make, with no
+        traversal, encoding or hashing. The decoded-node cache is left
+        alone (measured: no gain)."""
+        trie = self.trie
+        put = trie.store.put
+        for digest, blob in saves:
+            put(digest, blob)
+            trie.node_writes += 1
+            trie.bytes_written += len(blob) + 32
+        self.root = root
 
     def snapshot(self) -> int:
         """Record the current root; returns its snapshot index."""

@@ -67,9 +67,19 @@ RECOVERY_MODES = ("warm", "cold")
 #: One net write per key: ``(key, value)`` with ``value=None`` a delete.
 WriteSet = tuple[tuple[bytes, "bytes | None"], ...]
 
+#: Commit records a cluster keeps: sized for replica skew, not history
+#: (a record pins its block's digests or node blobs). A replica further
+#: behind — recovery replaying a long chain — recomputes.
+COMMIT_MEMO_ENTRIES = 64
+
 
 class PlatformState(ABC):
     """State layer: key-value facade plus per-block commitment."""
+
+    #: The cluster's :attr:`ExecutionCache.commits` (set by
+    #: ``attach_execution_cache``); None for a stand-alone state or with
+    #: the knob off. States that do not journal writes ignore it.
+    commit_memo: "LRUCache[tuple[Hash | None, WriteSet], Any] | None" = None
 
     @abstractmethod
     def get(self, key: bytes) -> bytes | None:
@@ -132,9 +142,19 @@ class JournaledState(PlatformState):
     observable, so the state roots (and every stat derived from them)
     are byte-identical to unbuffered writes.
 
-    Subclasses implement the three hooks: ``_backing_get`` (committed
-    read), ``_flush`` (apply one sorted net write-set to the tree), and
-    ``_seal`` (record the per-height root and return it).
+    With a :attr:`commit_memo` the flush is computed once per cluster:
+    the post-state is a pure function of (sealed root, write-set), so
+    the first replica to commit a pair flushes and records what that
+    produced, and the others install the record — the same tree and
+    store writes in the same order, nothing sorted, traversed, encoded
+    or hashed. A miss (no memo, or a replica outside its window) is the
+    compute path, with the same result.
+
+    Subclasses implement four hooks — ``_backing_get`` (committed
+    read), ``_flush`` (apply one sorted net write-set to the tree),
+    ``_install`` (apply it from another replica's record) and ``_seal``
+    (record the per-height root and return it) — and set
+    ``_sealed_root`` to the empty tree's root when constructed.
     """
 
     def __init__(self) -> None:
@@ -143,6 +163,8 @@ class JournaledState(PlatformState):
         #: Memoized sorted write-set; invalidated by every write so
         #: the cache-store path and commit_block share one sort.
         self._pending: WriteSet | None = None
+        #: What ``_seal`` last returned: the committed state's name.
+        self._sealed_root: Hash | None = None
 
     def get(self, key: bytes) -> bytes | None:
         overlay = self._overlay
@@ -158,6 +180,9 @@ class JournaledState(PlatformState):
         self._overlay[key] = None
         self._pending = None
 
+    def pre_state_root(self) -> Hash | None:
+        return self._sealed_root
+
     def pending_writes(self) -> WriteSet:
         """The net uncommitted write-set, sorted by key."""
         if self._pending is None:
@@ -168,28 +193,49 @@ class JournaledState(PlatformState):
         """Install a recorded write-set into the overlay (replica
         replay path of :class:`ExecutionCache`). Routed through
         ``put``/``delete`` so subclass accounting (Parity's memory cap)
-        sees every write."""
+        sees every write. Into an empty overlay ``items`` (recorded net
+        and sorted) *is* the pending write-set and is kept: no re-sort,
+        and the commit memo matches it by identity."""
+        whole = not self._overlay
         for key, value in items:
             if value is None:
                 self.delete(key)
             else:
                 self.put(key, value)
+        if whole:
+            self._pending = items
 
     def commit_block(self, height: int) -> Hash:
         items = self.pending_writes()
         if items:
-            self._flush(items)
+            memo = self.commit_memo
+            if memo is None:
+                self._flush(items)
+            else:
+                key = (self._sealed_root, items)
+                record = memo.get(key)
+                if record is None:
+                    memo.put(key, self._flush(items, journal=True))
+                else:
+                    self._install(items, record)
             self._overlay.clear()
             self._pending = None
-        return self._seal(height)
+        self._sealed_root = self._seal(height)
+        return self._sealed_root
 
     @abstractmethod
     def _backing_get(self, key: bytes) -> bytes | None:
         """Read one key from the committed backing state."""
 
     @abstractmethod
-    def _flush(self, items: WriteSet) -> None:
-        """Apply one sorted net write-set to the backing tree."""
+    def _flush(self, items: WriteSet, journal: bool = False) -> Any:
+        """Apply one sorted net write-set to the backing tree. With
+        ``journal``, return the commit record ``_install`` takes."""
+
+    @abstractmethod
+    def _install(self, items: WriteSet, record: Any) -> None:
+        """Apply ``items`` from the record ``_flush`` returned for the
+        same write-set on the same sealed root."""
 
     @abstractmethod
     def _seal(self, height: int) -> Hash:
@@ -259,12 +305,23 @@ class ExecutionCache:
     blocks at one height and hit different keys, so divergent branches
     can never cross-contaminate. Toggleable via the platform config's
     ``execution_cache`` knob (default on).
+
+    The same object and knob carry the cluster's commit memo:
+    :attr:`commits` maps ``(pre_state_root, write_set)`` to the record
+    of the first replica's state commit, which every other
+    :class:`JournaledState` installs instead of re-hashing. Forks and
+    stale executions commit other write-sets or start from other
+    roots, hence other keys; keying on the write-set rather than the
+    block also covers the commits no block carries (preload, cold
+    recovery's re-seed). ``hits`` / ``misses`` count execution lookups
+    only; ``commits`` keeps its own.
     """
 
     def __init__(self, capacity: int = 4096) -> None:
         self._entries: LRUCache[tuple[Hash, Hash], CachedExecution] = (
             LRUCache(capacity)
         )
+        self.commits: LRUCache = LRUCache(COMMIT_MEMO_ENTRIES)
 
     @property
     def hits(self) -> int:
@@ -375,8 +432,10 @@ class PlatformNode(SimNode):
             self.contracts[contract_name] = create_contract(contract_name)
 
     def attach_execution_cache(self, cache: ExecutionCache | None) -> None:
-        """Share one cluster-wide :class:`ExecutionCache` with this node."""
+        """Share one cluster-wide :class:`ExecutionCache` with this node
+        (and its commit memo with the node's state)."""
         self.execution_cache = cache
+        self.state.commit_memo = cache.commits if cache is not None else None
 
     def attach_auditor(self, auditor) -> None:
         """Subscribe a cluster-wide safety auditor to this node's commits."""
@@ -910,6 +969,7 @@ class PlatformNode(SimNode):
         if mode == "cold":
             self.state.close()
             self.state = self._fresh_state()
+            self.attach_execution_cache(self.execution_cache)
             self.executed_height = 0
             self._height_roots = {}
             self.executed_block_hashes = {}

@@ -77,18 +77,19 @@ class EthereumState(JournaledState):
         else:
             self.trie = StateTrie()
         self._snapshots: dict[int, int] = {}
+        self._sealed_root = self.trie.root_hash()
 
     def _backing_get(self, key: bytes) -> bytes | None:
         return self.trie.get(key)
 
-    def _flush(self, items) -> None:
-        self.trie.update(items)
+    def _flush(self, items, journal: bool = False):
+        return self.trie.update(items, journal)
+
+    def _install(self, items, record) -> None:
+        self.trie.adopt(*record)
 
     def _seal(self, height: int) -> Hash:
         self._snapshots[height] = self.trie.snapshot()
-        return self.trie.root_hash()
-
-    def pre_state_root(self) -> Hash:
         return self.trie.root_hash()
 
     def get_at(self, height: int, key: bytes) -> bytes | None:

@@ -50,14 +50,24 @@ class HyperledgerState(JournaledState):
         self._store: LSMStore | None = None
         if storage_dir is not None:
             self._store = LSMStore(Path(storage_dir), rocksdb_config())
+        self._sealed_root = self.tree.root_hash()
 
     def _backing_get(self, key: bytes) -> bytes | None:
         if self._store is not None:
             return self._store.get(key)
         return self.tree.get(key)
 
-    def _flush(self, items) -> None:
+    def _flush(self, items, journal: bool = False):
         self.tree.update(items)
+        record = self.tree.flush()  # the digests it recomputes anyway
+        self._write_store(items)
+        return record
+
+    def _install(self, items, record) -> None:
+        self.tree.install(items, record)
+        self._write_store(items)
+
+    def _write_store(self, items) -> None:
         if self._store is not None:
             for key, value in items:
                 if value is None:
@@ -66,9 +76,6 @@ class HyperledgerState(JournaledState):
                     self._store.put(key, value)
 
     def _seal(self, height: int) -> Hash:
-        return self.tree.root_hash()
-
-    def pre_state_root(self) -> Hash:
         return self.tree.root_hash()
 
     def disk_usage_bytes(self) -> int:

@@ -59,6 +59,7 @@ class ParityState(JournaledState):
         self.trie = StateTrie(self._store)
         self._snapshots: dict[int, int] = {}
         self._overlay_bytes = 0
+        self._sealed_root = self.trie.root_hash()
 
     def put(self, key: bytes, value: bytes) -> None:
         # Net accounting: an overwrite of a journaled key replaces its
@@ -88,15 +89,18 @@ class ParityState(JournaledState):
     def _backing_get(self, key: bytes) -> bytes | None:
         return self.trie.get(key)
 
-    def _flush(self, items) -> None:
-        self.trie.update(items)
+    def _flush(self, items, journal: bool = False):
+        record = self.trie.update(items, journal)
+        self._overlay_bytes = 0
+        return record
+
+    def _install(self, items, record) -> None:
+        # Same store puts, same order: the cap trips at the same put.
+        self.trie.adopt(*record)
         self._overlay_bytes = 0
 
     def _seal(self, height: int) -> Hash:
         self._snapshots[height] = self.trie.snapshot()
-        return self.trie.root_hash()
-
-    def pre_state_root(self) -> Hash:
         return self.trie.root_hash()
 
     def get_at(self, height: int, key: bytes) -> bytes | None:

@@ -9,15 +9,26 @@ cache off are byte-identical** — same StatsSummary, same chain height,
 same per-node state roots — on all four platforms.
 """
 
+import itertools
 from dataclasses import asdict
 
 import pytest
 
-from repro.core import Driver, DriverConfig
+from repro.chain.transaction import Transaction
+from repro.core import (
+    CrashFault,
+    Driver,
+    DriverConfig,
+    FaultSchedule,
+    PartitionFault,
+)
 from repro.core.runner import ExperimentSpec, run_experiment
+from repro.core.workload import Workload, preload_state
+from repro.errors import StorageError
 from repro.platforms import ExecutionCache, build_cluster
+from repro.platforms import base as platform_base
 from repro.platforms.base import CachedExecution
-from repro.workloads import YCSBConfig, YCSBWorkload
+from repro.workloads import YCSBConfig, YCSBWorkload, make_workload
 
 #: Kept small: the differential runs every platform twice.
 DURATION_S = {
@@ -262,3 +273,253 @@ def test_parallel_replayer_charges_the_shared_schedule():
     assert node_b.cpu_time == node_a.cpu_time
     a_cluster.close()
     b_cluster.close()
+
+
+# ---------------------------------------------------------------------------
+# Commit once per cluster (PR 17): replicas install the first replica's
+# state commit. The knob that turns the execution memo off turns this
+# off too, so cache-off is the differential oracle for both.
+# ---------------------------------------------------------------------------
+PLATFORMS = ["hyperledger", "ethereum", "parity", "erisdb"]
+DEFAULT_WINDOW = platform_base.COMMIT_MEMO_ENTRIES
+
+
+class ChurnWorkload(Workload):
+    """Delete-heavy kvstore mix over 32 keys, 24 of them preloaded:
+    deletes of live and of missing keys, overwrites, and (four distinct
+    values) same-value rewrites."""
+
+    name = "churn"
+    required_contracts = ("kvstore",)
+
+    def preload(self, cluster):
+        preload_state(
+            cluster, "kvstore", ((b"k%d" % i, b"seed") for i in range(24))
+        )
+
+    def next_transaction(self, client_id, rng, now):
+        key = f"k{rng.randrange(32)}"
+        roll = rng.random()
+        if roll < 0.5:
+            function, args = "delete", (key,)
+        elif roll < 0.9:
+            function, args = "write", (key, f"v{rng.randrange(4)}")
+        else:
+            function, args = "read", (key,)
+        return Transaction.create(
+            sender=client_id, contract="kvstore", function=function,
+            args=args, submitted_at=now,
+        )
+
+
+def _drive(monkeypatch, platform, workload, cache_on, *, n=4, duration=None,
+           overrides=None, faults=None, window=None, probe=None):
+    """One driver run; returns the cluster (caller closes it).
+
+    The process-global tx counter is reset so the on and the off run
+    see the same transaction ids, hence the same timeline."""
+    monkeypatch.setattr(
+        "repro.chain.transaction._tx_counter", itertools.count()
+    )
+    monkeypatch.setattr(
+        platform_base, "COMMIT_MEMO_ENTRIES", window or DEFAULT_WINDOW
+    )
+    cluster = build_cluster(
+        platform, n, seed=5,
+        config_overrides={"execution_cache": cache_on, **(overrides or {})},
+    )
+    if probe is not None:
+        probe(cluster)
+    workload = (
+        ChurnWorkload() if workload == "churn" else make_workload(workload)
+    )
+    driver = Driver(
+        cluster, workload,
+        DriverConfig(
+            n_clients=2, request_rate_tx_s=40,
+            duration_s=duration or DURATION_S[platform],
+        ),
+    )
+    driver.prepare()
+    if faults is not None:
+        faults.arm(cluster)
+    driver.run()
+    return cluster
+
+
+def _roots(cluster):
+    return [dict(node._height_roots) for node in cluster.nodes]
+
+
+@pytest.mark.parametrize("workload", ["smallbank", "churn"])
+@pytest.mark.parametrize("platform", PLATFORMS)
+def test_installed_commits_match_computed_roots(monkeypatch, platform, workload):
+    on = _drive(monkeypatch, platform, workload, True)
+    off = _drive(monkeypatch, platform, workload, False)
+    assert _roots(on) == _roots(off)
+    assert all(_roots(on))
+    memo = on.nodes[0].execution_cache.commits
+    assert memo.hits > 0 and memo.misses > 0
+    assert all(node.state.commit_memo is memo for node in on.nodes)
+    assert all(node.state.commit_memo is None for node in off.nodes)
+    # The installed state answers reads like the computed one.
+    probe = b"kvstore/k3" if workload == "churn" else b"smallbank/chk:acct3"
+    assert [n.state.get(probe) for n in on.nodes] == [
+        n.state.get(probe) for n in off.nodes
+    ]
+    on.close()
+    off.close()
+
+
+def test_lock_step_replicas_install_every_commit_but_the_first():
+    """N replicas, every commit with writes: one computes, N-1 install.
+    The memo is per cluster, bounded, and separate from the execution
+    counters hostbench reads."""
+    cluster = build_cluster("hyperledger", 4, seed=5)
+    other = build_cluster("hyperledger", 4, seed=5)
+    cache = cluster.nodes[0].execution_cache
+    assert cache.commits is not other.nodes[0].execution_cache.commits
+    other.close()
+    Driver(
+        cluster,
+        YCSBWorkload(YCSBConfig(record_count=50)),
+        DriverConfig(n_clients=2, request_rate_tx_s=40, duration_s=12.0),
+    ).run()
+    memo = cache.commits
+    assert memo.misses > 1  # the preload and at least one block
+    assert memo.hits == 3 * memo.misses
+    assert len(memo) <= memo.capacity == DEFAULT_WINDOW
+    assert cache.hits == 3 * cache.misses  # execution lookups, unchanged
+    # One record per block with writes (read-only blocks commit nothing)
+    # plus the preload, which no block carries.
+    assert memo.misses <= cache.misses + 1
+    cluster.close()
+
+
+def test_preload_builds_each_key_once_for_all_replicas():
+    """N equal-but-distinct key objects per record would live on in
+    every node's genesis log, overlay and tree (an RSS bug, not a
+    correctness one): the replicas share one object per key."""
+    cluster = build_cluster("hyperledger", 3, seed=1)
+    count = preload_state(
+        cluster, "kvstore", ((b"k%d" % i, b"v%d" % i) for i in range(5))
+    )
+    assert count == 5
+    logs = [node._genesis_writes for node in cluster.nodes]
+    assert logs[0] == [(b"kvstore/k%d" % i, b"v%d" % i) for i in range(5)]
+    for log in logs[1:]:
+        assert all(a[0] is b[0] and a[1] is b[1] for a, b in zip(log, logs[0]))
+    memo = cluster.nodes[0].execution_cache.commits
+    assert (memo.hits, memo.misses) == (2, 1)  # the preload is memoized too
+    assert len({node.state.pre_state_root() for node in cluster.nodes}) == 1
+    cluster.close()
+
+
+def test_memo_never_exceeds_its_capacity(monkeypatch):
+    cluster = _drive(monkeypatch, "erisdb", "churn", True, window=3)
+    memo = cluster.nodes[0].execution_cache.commits
+    assert memo.capacity == 3 and len(memo) == 3
+    assert memo.misses > 3
+    cluster.close()
+
+
+def test_pow_forks_and_stale_executions_unchanged(monkeypatch):
+    """Depth-1 confirmation under a partition: replicas execute blocks a
+    reorg later replaces. Fork blocks commit other write-sets from other
+    roots — other memo keys — so nothing crosses branches."""
+    def run(cache_on):
+        return _drive(
+            monkeypatch, "ethereum", "churn", cache_on, duration=60.0,
+            overrides={"pow": {"confirmation_depth": 1}},
+            faults=FaultSchedule(
+                partitions=[PartitionFault(at_time=5.0, until_time=45.0)]
+            ),
+        )
+
+    on, off = run(True), run(False)
+    assert on.stale_executions() == off.stale_executions() > 0
+    assert _roots(on) == _roots(off)
+    assert [dict(n.executed_block_hashes) for n in on.nodes] == [
+        dict(n.executed_block_hashes) for n in off.nodes
+    ]
+    assert on.nodes[0].execution_cache.commits.hits > 0
+    on.close()
+    off.close()
+
+
+@pytest.mark.parametrize("mode", ["warm", "cold"])
+@pytest.mark.parametrize("platform", ["hyperledger", "parity"])
+def test_recovery_inside_and_outside_the_window(monkeypatch, platform, mode):
+    """A recovering replica replays far behind the cluster. With a
+    one-entry window every commit it replays misses and is recomputed
+    (the fallback path); at the default some are installed. Same roots
+    either way, and the same as with the knob off."""
+    def run(cache_on, window=None):
+        return _drive(
+            monkeypatch, platform, "smallbank", cache_on, duration=20.0,
+            window=window,
+            faults=FaultSchedule(crashes=[CrashFault(
+                at_time=8.0, count=1, include_leader=False,
+                recover_at=12.0, recovery_mode=mode,
+            )]),
+        )
+
+    narrow, default, off = run(True, 1), run(True), run(False)
+    for on in (narrow, default):
+        assert on.nodes[-1].recovery_times == off.nodes[-1].recovery_times != []
+        assert _roots(on) == _roots(off)
+        # Cold recovery swapped the state; the replacement rejoined.
+        memo = on.nodes[0].execution_cache.commits
+        assert on.nodes[-1].state.commit_memo is memo
+    narrow_memo = narrow.nodes[0].execution_cache.commits
+    assert narrow_memo.capacity == 1
+    assert narrow_memo.misses > memo.misses  # the replay fell back
+    assert narrow_memo.hits + narrow_memo.misses == memo.hits + memo.misses
+    for cluster in (narrow, default, off):
+        cluster.close()
+
+
+def test_parity_memory_cap_trips_at_the_same_put(monkeypatch):
+    """Installs are real store puts: per-replica memory accounting is
+    what it was, and a cap too small for the run kills the same node
+    at the same block with the same byte count."""
+    def run(cache_on, cap):
+        memory: dict[tuple[int, int], int] = {}
+
+        def probe(cluster):
+            for index, node in enumerate(cluster.nodes):
+                state = node.state
+                commit = state.commit_block
+
+                def commit_block(height, _commit=commit, _state=state,
+                                 _index=index):
+                    root = _commit(height)
+                    memory[_index, height] = _state.memory_bytes()
+                    return root
+
+                state.commit_block = commit_block
+
+        error = None
+        try:
+            cluster = _drive(
+                monkeypatch, "parity", "smallbank", cache_on,
+                overrides={"memory_cap_bytes": cap}, probe=probe,
+            )
+            cluster.close()
+        except StorageError as exc:
+            error = str(exc)
+        return memory, error
+
+    roomy_on, no_error = run(True, 50_000_000)
+    roomy_off, _ = run(False, 50_000_000)
+    assert no_error is None
+    assert roomy_on == roomy_off
+    heights = {height for _, height in roomy_on}
+    assert len(heights) > 5 and {index for index, _ in roomy_on} == {0, 1, 2, 3}
+    # A cap the run outgrows half-way.
+    cap = sorted(roomy_on.values())[len(roomy_on) // 2]
+    tight_on, error_on = run(True, cap)
+    tight_off, error_off = run(False, cap)
+    assert error_on is not None and "out of memory" in error_on
+    assert error_on == error_off  # same byte count at the failing put
+    assert tight_on == tight_off and 0 < len(tight_on) < len(roomy_on)

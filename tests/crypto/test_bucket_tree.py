@@ -225,3 +225,91 @@ def test_property_roots_match_the_hash_items_reference(ops, n_buckets):
     fresh = BucketTree(n_buckets)
     fresh.update(sorted(model.items()))
     assert fresh.root_hash() == tree.root_hash()
+
+
+# ---------------------------------------------------------------------------
+# Commit once per cluster: install(items, digests) ≡ update(items) + flush()
+# ---------------------------------------------------------------------------
+# Few distinct keys, so sequences hit overwrites, same-value rewrites,
+# deletes of live keys and deletes of missing ones.
+_write_sets = st.lists(
+    st.lists(
+        st.tuples(
+            st.binary(min_size=1, max_size=2),
+            st.one_of(st.none(), st.binary(max_size=3)),
+        ),
+        max_size=12,
+    ),
+    min_size=1,
+    max_size=8,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([1, 3, 16, 1024]), _write_sets)
+def test_property_install_equals_compute(n_buckets, write_sets):
+    computing, installing = BucketTree(n_buckets), BucketTree(n_buckets)
+    for items in write_sets:
+        computing.update(items)
+        digests = computing.flush()
+        installing.install(items, digests)
+        assert installing._levels == computing._levels
+        assert installing.items() == computing.items()
+        assert installing.key_count == computing.key_count
+        assert not installing._dirty
+        assert installing.root_hash() == computing.root_hash()
+    content = dict(computing.items())
+    assert installing.root_hash() == reference_root(content, n_buckets)
+
+
+def test_install_after_hashing_locally_and_back():
+    """A tree may alternate between the two (a replica that falls out
+    of the memo's window computes, then installs again)."""
+    a, b = BucketTree(16), BucketTree(16)
+    for step in range(6):
+        items = [(b"k%d" % (step * 3 + i), b"v%d" % step) for i in range(5)]
+        items.append((b"k%d" % step, None))
+        a.update(items)
+        digests = a.flush()
+        if step % 2:
+            b.install(items, digests)
+        else:
+            b.update(items)
+            assert b.flush() == digests
+        assert b._levels == a._levels
+
+
+def test_flush_returns_level_then_index_order():
+    tree = BucketTree(4)
+    tree.update([(b"k%d" % i, b"v") for i in range(40)])  # every bucket dirty
+    digests = tree.flush()
+    assert list(digests) == [d for level in tree._levels for d in level]
+    assert tree.flush() == ()  # nothing dirty, nothing recomputed
+
+
+@pytest.mark.parametrize("n_buckets", [1, 3, 16, 1024])
+def test_install_record_must_be_consumed_exactly(n_buckets):
+    items = [(b"k%d" % i, b"v%d" % i) for i in range(9)] + [(b"gone", None)]
+    source = BucketTree(n_buckets)
+    source.update(items)
+    digests = source.flush()
+    assert digests[-1] == source.root_hash()
+    for bad in (digests[:-1], digests + (digests[-1],), digests * 2, ()):
+        with pytest.raises(StorageError, match="commit record"):
+            BucketTree(n_buckets).install(items, bad)
+    # A write-set that dirties nothing takes the empty record only.
+    with pytest.raises(StorageError, match="commit record"):
+        BucketTree(n_buckets).install([(b"missing", None)], digests[-1:])
+    BucketTree(n_buckets).install([(b"missing", None)], ())
+
+
+def test_refused_record_leaves_the_buckets_dirty():
+    """Nothing stale survives a refusal: the next root_hash re-hashes."""
+    items = [(b"a", b"1"), (b"b", b"2")]
+    good = BucketTree(16)
+    good.update(items)
+    digests = good.flush()
+    tree = BucketTree(16)
+    with pytest.raises(StorageError):
+        tree.install(items, digests[:-1])
+    assert tree.root_hash() == good.root_hash()

@@ -4,7 +4,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.crypto import DictNodeStore, PatriciaTrie, StateTrie, from_nibbles, to_nibbles
+from repro.crypto import (
+    DictNodeStore,
+    PatriciaTrie,
+    StateTrie,
+    from_nibbles,
+    sha256,
+    to_nibbles,
+)
 from repro.errors import CorruptionError
 
 
@@ -275,3 +282,100 @@ def test_property_root_is_content_deterministic(mapping):
 
     keys = list(mapping)
     assert build(keys) == build(list(reversed(keys)))
+
+
+# ---------------------------------------------------------------------------
+# Commit once per cluster: adopt(*update(items, journal=True)) ≡ update(items)
+# ---------------------------------------------------------------------------
+_journal_write_sets = st.lists(
+    st.lists(
+        st.tuples(
+            st.binary(min_size=1, max_size=2),
+            st.one_of(st.none(), st.binary(max_size=3)),
+        ),
+        max_size=12,
+    ),
+    min_size=1,
+    max_size=8,
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_journal_write_sets)
+def test_property_adopt_equals_update(write_sets):
+    """Puts, overwrites, same-value rewrites, deletes and deletes of
+    missing keys: the adopting trie ends every step with the computing
+    trie's store (same puts, same order, same byte count), counters,
+    root and history — and a plain, unjournalled trie agrees."""
+    from repro.storage import MemKVStore
+
+    computing, adopting, plain = (StateTrie(MemKVStore()) for _ in range(3))
+    for height, items in enumerate(write_sets):
+        assert plain.update(items) is None
+        record = computing.update(items, journal=True)
+        assert computing.trie.journal is None  # journalling ended
+        root, saves = record
+        assert root == computing.root == plain.root
+        assert [d for d, _ in saves] == [sha256(blob) for _, blob in saves]
+        adopting.adopt(*record)
+        for trie in (computing, adopting, plain):
+            trie.snapshot()
+        assert adopting.root_hash() == computing.root_hash()
+        # dict equality plus order: same puts in the same order.
+        assert list(adopting.trie.store._data.items()) == list(
+            computing.trie.store._data.items()
+        )
+        for counter in ("node_writes", "bytes_written"):
+            assert (
+                getattr(adopting.trie, counter)
+                == getattr(computing.trie, counter)
+                == getattr(plain.trie, counter)
+            )
+        a_store, c_store = adopting.trie.store, computing.trie.store
+        assert a_store.approx_bytes() == c_store.approx_bytes()
+        assert a_store.write_ops == c_store.write_ops == plain.trie.store.write_ops
+        assert dict(adopting.items()) == dict(computing.items())
+    assert adopting.history == computing.history
+    keys = {key for items in write_sets for key, _ in items}
+    for height in range(len(write_sets)):
+        for key in keys:
+            assert adopting.get_at(height, key) == computing.get_at(height, key)
+
+
+def test_adopt_then_update_locally_and_back():
+    """A trie may alternate between adopting and computing."""
+    a, b = StateTrie(), StateTrie()
+    for step in range(6):
+        items = [(b"k%d" % (step * 3 + i), b"v%d" % step) for i in range(5)]
+        items.append((b"k%d" % step, None))
+        record = a.update(items, journal=True)
+        if step % 2:
+            b.adopt(*record)
+        else:
+            assert b.update(items, journal=True) == record
+        assert b.root == a.root
+        assert b.trie.node_writes == a.trie.node_writes
+    assert dict(b.items()) == dict(a.items())
+
+
+def test_adopt_leaves_the_decoded_node_cache_alone():
+    source, target = StateTrie(), StateTrie()
+    record = source.update([(b"ab", b"1"), (b"ac", b"2")], journal=True)
+    target.adopt(*record)
+    assert len(target.trie._node_cache) == 0
+    assert target.get(b"ab") == b"1"  # read through the store instead
+
+
+def test_journal_is_dropped_when_the_store_refuses_a_put():
+    """Parity's cap raises from ``store.put`` mid-update: no record is
+    made, and the journal does not leak into the next update."""
+    from repro.errors import StorageError
+    from repro.storage import MemKVStore
+
+    state = StateTrie(MemKVStore(memory_cap_bytes=400))
+    with pytest.raises(StorageError, match="out of memory"):
+        state.update(
+            [(b"key%02d" % i, b"x" * 40) for i in range(30)], journal=True
+        )
+    assert state.trie.journal is None
+    assert state.root is None  # the root swap never happened

@@ -207,3 +207,111 @@ def test_parity_memory_bytes_includes_overlay():
     assert state.memory_bytes() >= 101
     state.commit_block(1)
     assert state.memory_bytes() > 0  # now held as trie nodes
+
+
+# ---------------------------------------------------------------------------
+# Commit memo (PR 17): a state that installs another's commit record
+# ---------------------------------------------------------------------------
+def _memo_pair(factory):
+    """Two states sharing one commit memo, as replicas of a cluster do."""
+    from repro.platforms.base import ExecutionCache
+
+    memo = ExecutionCache().commits
+    first, second = factory(), factory()
+    first.commit_memo = second.commit_memo = memo
+    return memo, first, second
+
+
+@pytest.mark.parametrize(
+    "state_factory,reference",
+    [
+        (EthereumState, _trie_reference),
+        (ParityState, _trie_reference),
+        (ErisDBState, _trie_reference),
+        (HyperledgerState, _bucket_reference),
+    ],
+    ids=["ethereum", "parity", "erisdb", "hyperledger"],
+)
+def test_installed_commits_match_unbuffered_roots(state_factory, reference):
+    memo, first, second = _memo_pair(state_factory)
+    assert _apply_through_overlay(first) == reference()
+    assert (memo.hits, memo.misses) == (0, len(BLOCKS))
+    assert _apply_through_overlay(second) == reference()
+    assert (memo.hits, memo.misses) == (len(BLOCKS), len(BLOCKS))
+    for key in {key for block in BLOCKS for key, _ in block}:
+        assert second.get(key) == first.get(key)
+    if state_factory is not HyperledgerState:
+        assert second.get_at(1, b"kvstore/a") == first.get_at(1, b"kvstore/a")
+        assert second.trie.trie.node_writes == first.trie.trie.node_writes
+    if state_factory is ParityState:
+        assert second.memory_bytes() == first.memory_bytes()
+        assert second._store.write_ops == first._store.write_ops
+
+
+@pytest.mark.parametrize(
+    "state_class,reference",
+    [(EthereumState, _trie_reference), (HyperledgerState, _bucket_reference)],
+    ids=["ethereum", "hyperledger"],
+)
+def test_disk_backed_states_install_too(tmp_path, state_class, reference):
+    """No storage mode is left out of the memo: an install issues the
+    same LSM writes a computed commit does."""
+    paths = iter((tmp_path / "a", tmp_path / "b"))
+    memo, first, second = _memo_pair(lambda: state_class(next(paths)))
+    assert _apply_through_overlay(first) == reference()
+    assert _apply_through_overlay(second) == reference()
+    assert memo.hits == len(BLOCKS)
+    assert second._store.write_ops == first._store.write_ops > 0
+    assert second.get(b"kvstore/b") == first.get(b"kvstore/b") == b"2b"
+    assert second.get(b"kvstore/a") is None
+    first.close()
+    second.close()
+
+
+def test_memo_is_keyed_on_the_sealed_root():
+    """The same write-set on another pre-state is another commit."""
+    memo, first, second = _memo_pair(HyperledgerState)
+    second.put(b"extra", b"1")
+    second.commit_block(0)
+    for state in (first, second):
+        state.put(b"k", b"v")
+        state.commit_block(1)
+    assert memo.hits == 0
+    assert first.pre_state_root() != second.pre_state_root()
+
+
+@pytest.mark.parametrize(
+    "state_factory",
+    [EthereumState, ParityState, ErisDBState, HyperledgerState],
+    ids=["ethereum", "parity", "erisdb", "hyperledger"],
+)
+def test_pre_state_root_is_the_sealed_root(state_factory):
+    state = state_factory()
+    tree = state.tree if state_factory is HyperledgerState else state.trie
+    assert state.pre_state_root() == tree.root_hash()  # the empty root
+    roots = _apply_through_overlay(state)
+    assert state.pre_state_root() == roots[-1] == tree.root_hash()
+    state.put(b"uncommitted", b"1")
+    assert state.pre_state_root() == roots[-1]
+
+    def no_tree_call():
+        raise AssertionError("pre_state_root called into the tree")
+
+    tree.root_hash = no_tree_call
+    assert state.pre_state_root() == roots[-1]
+
+
+def test_apply_write_set_into_an_empty_overlay_keeps_the_tuple():
+    primary, replica, dirty = EthereumState(), EthereumState(), EthereumState()
+    primary.put(b"b", b"2")
+    primary.put(b"a", b"1")
+    primary.delete(b"c")
+    write_set = primary.pending_writes()
+    replica.apply_write_set(write_set)
+    assert replica.pending_writes() is write_set  # no re-sort
+    dirty.put(b"zz", b"0")
+    dirty.apply_write_set(write_set)
+    assert dirty.pending_writes() == write_set + ((b"zz", b"0"),)
+    replica.put(b"later", b"3")  # a later write still invalidates it
+    assert replica.pending_writes() is not write_set
+    assert (b"later", b"3") in replica.pending_writes()
