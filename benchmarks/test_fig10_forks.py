@@ -26,8 +26,7 @@ def _attack(platform):
         DriverConfig(n_clients=8, request_rate_tx_s=20, duration_s=TOTAL),
     )
     driver.prepare()
-    for client in driver.clients:
-        client.start(TOTAL)
+    driver.start(TOTAL)
     report = run_partition_attack(
         cluster,
         attack_start=ATTACK_START,

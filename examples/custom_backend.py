@@ -7,8 +7,8 @@ This example wires up *InstantChain*, a toy centralized ledger that
 commits every transaction immediately — useful as an idealized no-
 consensus upper bound.
 
-Under the v2 API every connector method returns a SimFuture, and
-client code is a straight-line generator-coroutine: ``reply = yield
+Every connector method returns a SimFuture, and client code is a
+straight-line generator-coroutine: ``reply = yield
 connector.send_transaction(tx)``. InstantChain resolves its futures
 immediately (there is no network), which the coroutine trampoline
 handles without growing the stack.
@@ -44,36 +44,26 @@ class InstantChain(IBlockchainConnector):
     def deploy_application(self, contract_name: str) -> None:
         self.contracts[contract_name] = create_contract(contract_name)
 
-    def send_transaction(self, tx: Transaction, on_reply=None) -> SimFuture:
+    def send_transaction(self, tx: Transaction) -> SimFuture:
         contract = self.contracts[tx.contract]
         contract.invoke(self.state, tx.function, tx.args)
         self._pending.append(tx.tx_id)
         if len(self._pending) >= 100:
             self.blocks.append(self._pending)
             self._pending = []
-        future = _resolved({"accepted": True, "tx_id": tx.tx_id})
-        if on_reply is not None:  # legacy callback compat
-            on_reply(future.result())
-        return future
+        return _resolved({"accepted": True, "tx_id": tx.tx_id})
 
-    def get_latest_block(self, from_height: int, on_reply=None) -> SimFuture:
+    def get_latest_block(self, from_height: int) -> SimFuture:
         summaries = [
             {"height": h + 1, "tx_ids": txs}
             for h, txs in enumerate(self.blocks)
             if h + 1 > from_height
         ]
-        future = _resolved({"blocks": summaries, "tip": len(self.blocks)})
-        if on_reply is not None:
-            on_reply(future.result())
-        return future
+        return _resolved({"blocks": summaries, "tip": len(self.blocks)})
 
-    def query(self, contract: str, function: str, args: tuple,
-              on_reply=None) -> SimFuture:
+    def query(self, contract: str, function: str, args: tuple) -> SimFuture:
         result = self.contracts[contract].invoke(self.state, function, args)
-        future = _resolved({"output": result.output})
-        if on_reply is not None:
-            on_reply(future.result())
-        return future
+        return _resolved({"output": result.output})
 
 
 def main() -> None:
@@ -98,12 +88,12 @@ def main() -> None:
         format_table(
             ["backend", "txs executed", "blocks", "sample read"],
             [["InstantChain", executed, len(confirmed), repr(sample_read)[:24]]],
-            title="Custom backend through IBlockchainConnector v2",
+            title="Custom backend through IBlockchainConnector",
         )
     )
     print("\nThe same Driver/Workload stack runs against any backend that"
           "\nimplements deploy/send/get_latest_block/query (paper Fig. 4);"
-          "\nclients await each call instead of nesting on_reply closures.")
+          "\nclients await each call.")
 
 
 if __name__ == "__main__":

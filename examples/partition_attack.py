@@ -24,8 +24,7 @@ def attack(platform: str) -> list:
         DriverConfig(n_clients=8, request_rate_tx_s=20, duration_s=200),
     )
     driver.prepare()
-    for client in driver.clients:
-        client.start(200.0)
+    driver.start(200.0)
     report = run_partition_attack(
         cluster,
         attack_start=50.0,

@@ -63,7 +63,6 @@ from typing import Sequence
 from .core import (
     ARRIVAL_PROCESSES,
     BYZANTINE_BEHAVIORS,
-    CLIENT_MODES,
     ExperimentSpec,
     FaultSchedule,
     ByzantineFault,
@@ -128,11 +127,6 @@ def _build_parser() -> argparse.ArgumentParser:
         default=DriverConfig.retry_interval_s,
         help="backoff before a rejected submission is retried "
              f"(default {DriverConfig.retry_interval_s:g}s)",
-    )
-    run.add_argument(
-        "--client-mode", choices=CLIENT_MODES, default="coroutine",
-        help="client implementation: the awaitable coroutine API or the "
-             "legacy callback adapter (timelines are identical)",
     )
     run.add_argument(
         "--blocking", action="store_true",
@@ -423,7 +417,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
             poll_interval_s=args.poll_interval,
             threads_per_client=args.threads,
             retry_interval_s=args.retry_interval,
-            client_mode=args.client_mode,
             blocking=args.blocking,
             subscribe=args.subscribe,
             failover=args.failover,
@@ -631,8 +624,7 @@ def _cmd_attack(args: argparse.Namespace) -> int:
         ),
     )
     driver.prepare()
-    for client in driver.clients:
-        client.start(total)
+    driver.start(total)
     report = run_partition_attack(
         cluster,
         attack_start=args.start,

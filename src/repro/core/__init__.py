@@ -11,15 +11,7 @@ from .connector import (
     RPCClient,
     SimChainConnector,
 )
-from .driver import (
-    CLIENT_MODES,
-    BatchClient,
-    BenchClient,
-    CallbackBenchClient,
-    Driver,
-    DriverConfig,
-    OpenLoopDriver,
-)
+from .driver import Driver, DriverConfig, OpenLoopDriver
 from .export import (
     export_commit_series,
     export_latency_cdf,
@@ -78,10 +70,6 @@ __all__ = [
     "IBlockchainConnector",
     "RPCClient",
     "SimChainConnector",
-    "BatchClient",
-    "BenchClient",
-    "CallbackBenchClient",
-    "CLIENT_MODES",
     "Driver",
     "DriverConfig",
     "OpenLoopDriver",

@@ -6,9 +6,9 @@ it by sending a transaction, and for querying the blockchain's states"
 message protocol from a client-side SimNode; a new backend integrates
 by implementing this interface, exactly as in Figure 4.
 
-**v2 — the awaitable surface.** Every RPC-shaped method returns a
-:class:`~repro.sim.SimFuture`, so measurement clients are written as
-straight-line generator-coroutines over the simulated scheduler::
+Every RPC-shaped method returns a :class:`~repro.sim.SimFuture`, so
+measurement clients are straight-line generator-coroutines over the
+simulated scheduler::
 
     def client(connector):
         reply = yield connector.send_transaction(tx)
@@ -19,13 +19,9 @@ straight-line generator-coroutines over the simulated scheduler::
 
     spawn(client(connector))
 
-The old callback signatures still work: every method accepts an
-optional trailing ``on_reply`` callable, which is chained onto the
-returned future and fires inline at resolution — the same scheduler
-event, the same event order, so callback-style and coroutine-style
-clients replay bit-identical timelines (pinned by
-``tests/core/test_client_modes.py``). The callback form is a compat
-shim for existing integrations; new code should await the future.
+A future resolves inline, in the scheduler event that delivered the
+reply, so awaiting it (or ``future.add_done_callback(fn)``, which is
+what the benchmark driver does) adds no event of its own.
 """
 
 from __future__ import annotations
@@ -41,58 +37,32 @@ from ..sim import Event, Message, SimFuture, SimNode
 if TYPE_CHECKING:  # pragma: no cover
     from ..platforms.cluster import Cluster
 
-#: Optional compat callback: receives the reply payload dict.
-ReplyCallback = Callable[[dict], None]
-
-
-def _chain_callback(future: SimFuture, on_reply: ReplyCallback | None) -> SimFuture:
-    """Attach a legacy ``on_reply`` callback to an RPC future.
-
-    The callback sees exactly the payload dict it saw under the v1 API,
-    at exactly the same point in the event order (resolution runs
-    continuations inline).
-    """
-    if on_reply is not None:
-        future.add_done_callback(lambda fut: on_reply(fut.result()))
-    return future
-
-
 class IBlockchainConnector(ABC):
-    """Backend-facing operations BLOCKBENCH needs (awaitable, v2)."""
+    """Backend-facing operations BLOCKBENCH needs (awaitable)."""
 
     @abstractmethod
     def deploy_application(self, contract_name: str) -> None:
         """Install a smart contract on the backend."""
 
     @abstractmethod
-    def send_transaction(
-        self, tx: Transaction, on_reply: ReplyCallback | None = None
-    ) -> SimFuture:
+    def send_transaction(self, tx: Transaction) -> SimFuture:
         """Submit asynchronously; resolves to ``{accepted, tx_id}``."""
 
     @abstractmethod
-    def get_latest_block(
-        self, from_height: int, on_reply: ReplyCallback | None = None
-    ) -> SimFuture:
+    def get_latest_block(self, from_height: int) -> SimFuture:
         """Confirmed blocks in (from_height, tip] — the polling call."""
 
     @abstractmethod
-    def query(
-        self, contract: str, function: str, args: tuple,
-        on_reply: ReplyCallback | None = None,
-    ) -> SimFuture:
+    def query(self, contract: str, function: str, args: tuple) -> SimFuture:
         """Read-only contract query (no consensus round)."""
 
-    def subscribe_new_blocks(
-        self, from_height: int, on_block: Callable[[dict], None] | None = None
-    ) -> "BlockSubscription":
+    def subscribe_new_blocks(self, from_height: int) -> "BlockSubscription":
         """Push-based alternative to :meth:`get_latest_block`.
 
         Returns a :class:`BlockSubscription` whose ``next_block()``
-        futures yield one block summary each; the legacy ``on_block``
-        callback form delivers the same summaries inline instead. Only
-        backends with a publish/subscribe interface (ErisDB, Section
-        3.2) implement this; the default refuses.
+        futures yield one block summary each. Only backends with a
+        publish/subscribe interface (ErisDB, Section 3.2) implement
+        this; the default refuses.
         """
         raise ConnectorError(
             f"{type(self).__name__} backend does not support block subscriptions"
@@ -104,29 +74,20 @@ class BlockSubscription:
 
     Blocks that arrive while the consumer is not awaiting are buffered
     in arrival order, so a coroutine doing ``block = yield
-    sub.next_block()`` in a loop sees every event exactly once. In
-    legacy mode (an ``on_block`` callback was given) events bypass the
-    buffer and fire the callback inline at arrival — the v1 behavior.
+    sub.next_block()`` in a loop sees every event exactly once; a
+    consumer that is awaiting is resumed inline at arrival.
     """
 
-    def __init__(
-        self,
-        client: "RPCClient",
-        on_block: Callable[[dict], None] | None = None,
-    ) -> None:
+    def __init__(self, client: "RPCClient") -> None:
         self.client = client
         self.sub_id: int | None = None  # set by the connector
         self.active = True
-        self._on_block = on_block
         self._buffer: deque[dict] = deque()
         self._waiter: SimFuture | None = None
 
     def _deliver(self, event: dict) -> None:
-        """Fan one ``rpc/event`` payload into the buffer/waiter/callback."""
+        """Hand one ``rpc/event`` payload to the waiter, else buffer it."""
         block = event["block"]
-        if self._on_block is not None:
-            self._on_block(block)
-            return
         if self._waiter is not None:
             waiter, self._waiter = self._waiter, None
             waiter.set_result(block)
@@ -135,11 +96,6 @@ class BlockSubscription:
 
     def next_block(self) -> SimFuture:
         """A future for the next block summary (FIFO over the feed)."""
-        if self._on_block is not None:
-            raise ConnectorError(
-                "subscription was opened with a legacy on_block callback; "
-                "events are delivered there, not via next_block()"
-            )
         future = SimFuture()
         if self._buffer:
             future.set_result(self._buffer.popleft())
@@ -227,7 +183,7 @@ class RPCClient(SimNode):
 
         A request dropped at a saturated server resolves (not raises)
         with ``{"accepted": False, "timeout": True}`` when the timeout
-        fires, mirroring the v1 timeout callback.
+        fires.
         """
         future = SimFuture()
         self.request(
@@ -337,24 +293,18 @@ class SimChainConnector(IBlockchainConnector):
                 break
         return self.server_id
 
-    def send_transaction(
-        self, tx: Transaction, on_reply: ReplyCallback | None = None
-    ) -> SimFuture:
+    def send_transaction(self, tx: Transaction) -> SimFuture:
         """Submit one transaction to this connector's server."""
-        future = self.client.call(
+        return self.client.call(
             self.server_id,
             "rpc/send_tx",
             {"tx": tx},
             size_bytes=tx.size_bytes() + 48,
             timeout_s=self.SUBMIT_TIMEOUT_S,
         )
-        return _chain_callback(future, on_reply)
 
     def get_latest_block(
-        self,
-        from_height: int,
-        on_reply: ReplyCallback | None = None,
-        timeout_s: float | None = None,
+        self, from_height: int, timeout_s: float | None = None
     ) -> SimFuture:
         """The paper's getLatestBlock(h): confirmed blocks in (h, t].
 
@@ -362,56 +312,42 @@ class SimChainConnector(IBlockchainConnector):
         crashed endpoint resolves with ``{"timeout": True}`` instead of
         hanging the polling loop forever.
         """
-        future = self.client.call(
+        return self.client.call(
             self.server_id,
             "rpc/get_blocks",
             {"from_height": from_height},
             size_bytes=96,
             timeout_s=timeout_s,
         )
-        return _chain_callback(future, on_reply)
 
-    def get_block_transactions(
-        self, height: int, on_reply: ReplyCallback | None = None
-    ) -> SimFuture:
+    def get_block_transactions(self, height: int) -> SimFuture:
         """Fetch one block's transaction bodies (analytics Q1)."""
-        future = self.client.call(
+        return self.client.call(
             self.server_id,
             "rpc/get_block_txs",
             {"height": height},
             size_bytes=96,
         )
-        return _chain_callback(future, on_reply)
 
-    def get_balance(
-        self, contract: str, key: bytes, height: int,
-        on_reply: ReplyCallback | None = None,
-    ) -> SimFuture:
+    def get_balance(self, contract: str, key: bytes, height: int) -> SimFuture:
         """Historical state read at a block height (analytics Q2)."""
-        future = self.client.call(
+        return self.client.call(
             self.server_id,
             "rpc/get_balance",
             {"contract": contract, "key": key, "height": height},
             size_bytes=128,
         )
-        return _chain_callback(future, on_reply)
 
-    def query(
-        self, contract: str, function: str, args: tuple,
-        on_reply: ReplyCallback | None = None,
-    ) -> SimFuture:
+    def query(self, contract: str, function: str, args: tuple) -> SimFuture:
         """Read-only contract invocation (no consensus round)."""
-        future = self.client.call(
+        return self.client.call(
             self.server_id,
             "rpc/query",
             {"contract": contract, "function": function, "args": args},
             size_bytes=192,
         )
-        return _chain_callback(future, on_reply)
 
-    def subscribe_new_blocks(
-        self, from_height: int, on_block: Callable[[dict], None] | None = None
-    ) -> BlockSubscription:
+    def subscribe_new_blocks(self, from_height: int) -> BlockSubscription:
         """ErisDB-style push feed: one event per executed block."""
         server = next(
             node for node in self.cluster.nodes if node.node_id == self.server_id
@@ -421,7 +357,7 @@ class SimChainConnector(IBlockchainConnector):
                 f"platform {self.cluster.platform!r} has no "
                 "publish/subscribe interface; use get_latest_block polling"
             )
-        subscription = BlockSubscription(self.client, on_block)
+        subscription = BlockSubscription(self.client)
         subscription.sub_id = self.client.subscribe(
             self.server_id,
             "rpc/subscribe",

@@ -1,44 +1,50 @@
 """The asynchronous BLOCKBENCH driver (Section 3.2).
 
-One :class:`BenchClient` is a WorkloadClient: it submits transactions
-to its assigned server at a configured request rate, keeps "a queue of
-outstanding transactions that have not been confirmed", and a polling
-loop "periodically invokes getLatestBlock(h) ... extracts transaction
-lists from the confirmed blocks' content and removes matching ones in
-the local queue" — exactly the paper's driver architecture.
+The paper's Driver submits transactions at a configured rate, keeps "a
+queue of outstanding transactions that have not been confirmed", and a
+polling loop "periodically invokes getLatestBlock(h) ... extracts
+transaction lists from the confirmed blocks' content and removes
+matching ones in the local queue". That state machine is written once,
+in :class:`_LoadDriver`, over *slots*: parallel arrays holding, per
+slot, one RPC endpoint + connector, the outstanding-transaction map,
+the poll height, the failover backoff and the collector. One submit →
+reply handler, one confirmation matcher, one poll tick and one sample
+tick sweep the slots; a run costs a handful of recurring scheduler
+events however many slots it has.
 
-Rejected submissions (Parity's intake throttle and signing-queue
-overflow) stay in the client's local backlog and are retried, so the
-queue-length series reproduces Figure 6's growth curves.
+Two pacing front-ends decide *when* a transaction is offered and what
+happens to one the backend refuses:
 
-The client is written as generator-coroutines over the awaitable
-connector API: the offered-load pump, each submission (with its retry
-backoff), the getLatestBlock polling loop, the pub/sub consumption
-loop, and the queue sampler are each one straight-line coroutine. The
-pre-redesign callback implementation is retained verbatim as
-:class:`CallbackBenchClient` — it exercises the compat ``on_reply``
-adapter and serves as the differential oracle: both client modes must
-replay bit-identical event timelines (``DriverConfig.client_mode``,
-pinned by ``tests/core/test_client_modes.py``).
+* :class:`Driver` — closed loop. Slots are the paper's WorkloadClients:
+  a shared rate tick appends one new transaction to every client's
+  backlog, ``threads_per_client`` caps the submission RPCs each client
+  has in flight, a refused transaction goes back to the backlog (so the
+  queue-length series reproduces Figure 6's growth curves), ``blocking``
+  sends the next transaction only when the previous one confirmed, and
+  ``subscribe`` swaps the poll tick for the backend's push feed.
+* :class:`OpenLoopDriver` — open loop. Slots are servers: an
+  :class:`ArrivalGenerator` emits transactions at an aggregate rate
+  whatever the backend does, with no in-flight cap; a refused
+  transaction is itself retried while the window is open.
+
+The driver is a plain user of the awaitable connector API: RPC replies
+arrive through ``future.add_done_callback`` and the push feed through a
+coroutine over ``BlockSubscription.next_block()``. Futures resolve
+inline, so neither adds a scheduler event.
 """
 
 from __future__ import annotations
 
-import random
 from collections import deque
 from dataclasses import dataclass
+from functools import partial
 
 from ..chain import Transaction
 from ..errors import BenchmarkError
-from ..sim import Scheduler, SimCoroutine, spawn
+from ..sim import Scheduler, SimCoroutine, SimFuture, spawn
 from .connector import RPCClient, SimChainConnector
 from .stats import StatsCollector, merge_collectors
 from .workload import ArrivalGenerator, ArrivalSpec, Workload
-
-#: Valid DriverConfig.client_mode values: the coroutine-native client,
-#: the legacy callback client running through the compat adapter, and
-#: the vectorized batch client (N homogeneous clients, shared ticks).
-CLIENT_MODES = ("coroutine", "callback", "batch")
 
 
 @dataclass
@@ -63,12 +69,6 @@ class DriverConfig:
     #: getLatestBlock polling (ErisDB only — Section 3.2). Confirmation
     #: events arrive pushed, saving one RPC round trip per poll.
     subscribe: bool = False
-    #: Client implementation: "coroutine" (the awaitable API, default),
-    #: "callback" (the legacy client through the compat adapter), or
-    #: "batch" (one BatchClient drives all N clients from shared tick
-    #: events). All replay identical timelines; the knobs exist so the
-    #: equivalences are continuously testable.
-    client_mode: str = "coroutine"
     #: Open-loop mode: when set, the run is driven by an aggregate
     #: arrival process (OpenLoopDriver) instead of N closed-loop
     #: clients; n_clients / request_rate_tx_s / threads_per_client are
@@ -78,9 +78,9 @@ class DriverConfig:
     #: keep every sample). See StatsCollector for the accuracy tradeoff.
     stats_reservoir: int = 0
     #: Fail over to the next live server when an RPC times out (the
-    #: client side of crash recovery). Off by default: the legacy
-    #: client pins its endpoint and retries it forever, so runs without
-    #: the knob replay unchanged.
+    #: client side of crash recovery). Off by default: a client then
+    #: pins its endpoint and retries it forever, so runs without the
+    #: knob replay unchanged.
     failover: bool = False
     #: Cap on the exponential backoff between failover attempts. The
     #: backoff starts at ``retry_interval_s`` and doubles per
@@ -91,9 +91,9 @@ class DriverConfig:
     def __post_init__(self) -> None:
         """Reject knob values that would hang or starve the run.
 
-        These knobs are now reachable from the CLI and scenario JSON,
-        so bad values arrive from outside the codebase: a non-positive
-        poll interval reschedules the polling loop at the same
+        These knobs are reachable from the CLI and scenario JSON, so
+        bad values arrive from outside the codebase: a non-positive
+        poll or sample interval reschedules its tick at the same
         simulated instant forever (time never advances), zero threads
         can never submit, and a negative backoff is an invalid timer.
         """
@@ -105,6 +105,11 @@ class DriverConfig:
             raise BenchmarkError(
                 f"poll_interval_s must be positive, got {self.poll_interval_s}"
             )
+        if self.queue_sample_interval_s <= 0:
+            raise BenchmarkError(
+                "queue_sample_interval_s must be positive, "
+                f"got {self.queue_sample_interval_s}"
+            )
         if self.retry_interval_s < 0:
             raise BenchmarkError(
                 f"retry_interval_s must be >= 0, got {self.retry_interval_s}"
@@ -112,11 +117,6 @@ class DriverConfig:
         if self.threads_per_client < 1:
             raise BenchmarkError(
                 f"threads_per_client must be >= 1, got {self.threads_per_client}"
-            )
-        if self.client_mode not in CLIENT_MODES:
-            raise BenchmarkError(
-                f"unknown client_mode {self.client_mode!r}; "
-                f"expected one of {CLIENT_MODES}"
             )
         if self.stats_reservoir < 0:
             raise BenchmarkError(
@@ -128,511 +128,83 @@ class DriverConfig:
             )
 
 
-class _BenchClientBase:
-    """State shared by both client implementations.
+class _LoadDriver:
+    """The transaction state machine both pacings share.
 
-    Everything here is mode-independent: connector wiring, the
-    outstanding/backlog queues, stats, and confirmed-block matching.
-    Only the control flow (coroutines vs callbacks) differs in the
-    subclasses.
+    Position ``s`` of every per-slot array belongs to slot ``s``. A
+    transaction is only ever confirmed through the slot it was
+    submitted on, so matching never looks across slots. Subclasses add
+    slots in construction order — RPC endpoints register with the
+    network as they are built, and that order, the rng stream names and
+    the order of the ``schedule`` calls in :meth:`start` fix the
+    ``(time, seq)`` of everything the driver does.
     """
 
-    def __init__(
-        self,
-        index: int,
-        cluster,
-        workload: Workload,
-        config: DriverConfig,
-        rng: random.Random,
-    ) -> None:
-        self.index = index
+    def __init__(self, cluster, workload: Workload, config: DriverConfig) -> None:
         self.cluster = cluster
         self.workload = workload
         self.config = config
-        self.rng = rng
         self.scheduler: Scheduler = cluster.scheduler
         #: Cluster lifecycle tracer (None when trace_stages is off).
         self.tracer = getattr(cluster, "tracer", None)
-        server_ids = cluster.node_ids()
-        self.server_id = server_ids[index % len(server_ids)]
-        self.rpc = RPCClient(f"client-{index}", cluster.scheduler, cluster.network)
-        self.connector = SimChainConnector(cluster, self.rpc, self.server_id)
-        self.stats = StatsCollector(
-            cluster.platform,
-            workload.name,
-            reservoir=config.stats_reservoir,
-            reservoir_seed=index,
-        )
-        # Outstanding = submitted, awaiting confirmation.
-        self.outstanding: dict[str, float] = {}
-        # Backlog = generated/rejected, awaiting (re)submission.
-        self.backlog: deque[Transaction] = deque()
-        self._poll_height = 0
-        self._running = False
-        self._deadline = 0.0
-        # Submission RPCs currently awaiting a server reply (one per
-        # simulated worker thread).
-        self._inflight_submissions = 0
-        # Failover backoff: starts at the retry interval, doubles per
-        # consecutive timeout, reset on the first accepted reply.
-        self._backoff_s = config.retry_interval_s
-
-    def _stop(self) -> None:
-        self._running = False
-        self.stats.finish(self.scheduler.now)
-
-    def _poll_timeout_s(self) -> float | None:
-        """Bound poll RPCs only in failover mode: a poll at a crashed
-        endpoint must resolve so the loop can repoint itself."""
-        if self.config.failover:
-            return SimChainConnector.SUBMIT_TIMEOUT_S
-        return None
-
-    def _next_backoff(self) -> float:
-        delay = min(self._backoff_s, self.config.max_backoff_s)
-        self._backoff_s = min(self._backoff_s * 2.0, self.config.max_backoff_s)
-        return delay
-
-    def _reset_backoff(self) -> None:
-        self._backoff_s = self.config.retry_interval_s
-
-    def queue_length(self) -> int:
-        return len(self.outstanding) + len(self.backlog)
-
-    def _next_tx(self) -> Transaction:
-        return self.workload.next_transaction(
-            f"client-{self.index}", self.rng, self.scheduler.now
-        )
-
-    def _process_block_summary(self, block: dict) -> None:
-        """Match one confirmed block's transactions against outstanding."""
-        self._poll_height = max(self._poll_height, block["height"])
-        for tx_id in block["tx_ids"]:
-            submitted_at = self.outstanding.pop(tx_id, None)
-            if submitted_at is not None:
-                confirmed_at = self.scheduler.now
-                if submitted_at <= self._deadline:
-                    self.stats.record_confirmation(submitted_at, confirmed_at)
-                    if self.tracer is not None:
-                        self.tracer.record_notify(tx_id, confirmed_at)
-                if self.config.blocking and self._running:
-                    self._submit_next_blocking()
-
-    def _submit_next_blocking(self) -> None:  # pragma: no cover - overridden
-        raise NotImplementedError
-
-    def start(self, duration_s: float) -> None:  # pragma: no cover - overridden
-        raise NotImplementedError
-
-    def stat_collectors(self) -> list[StatsCollector]:
-        """Per-client collectors in client order (one here; the batch
-        client returns one per slot so merges stay order-identical)."""
-        return [self.stats]
-
-
-class BenchClient(_BenchClientBase):
-    """One workload client bound to one server (coroutine-native).
-
-    Four long-lived coroutines per client: the offered-load pump, the
-    confirmation loop (polling or pub/sub), and the queue sampler; plus
-    one short-lived submission coroutine per in-flight transaction.
-    """
-
-    def start(self, duration_s: float) -> None:
-        now = self.scheduler.now
-        self._running = True
-        self._deadline = now + duration_s
-        self.stats.begin(now)
-        if self.config.blocking:
-            self._submit_next_blocking()
-        else:
-            spawn(self._submit_pump())
-        if self.config.subscribe:
-            spawn(self._subscribe_pump())
-        else:
-            spawn(self._poll_pump())
-        spawn(self._sample_pump())
-        self.scheduler.schedule(duration_s, self._stop)
-
-    # ------------------------------------------------------------------
-    # Submission path
-    # ------------------------------------------------------------------
-    def _submit_pump(self) -> SimCoroutine:
-        """Offered load: one new transaction per rate tick.
-
-        The tick enqueues regardless of whether a worker thread is
-        free; when all threads are blocked on submission RPCs the
-        backlog grows — Figure 6's curves.
-        """
-        interval = 1.0 / self.config.request_rate_tx_s
-        yield self.scheduler.sleep(0.0)
-        while self._running:
-            self.backlog.append(self._next_tx())
-            if self._inflight_submissions < self.config.threads_per_client:
-                spawn(self._submit_one(self.backlog.popleft()))
-            yield self.scheduler.sleep(interval)
-
-    def _submit_next_blocking(self) -> None:
-        if self._running:
-            spawn(self._submit_one(self._next_tx()))
-
-    def _submit_one(self, tx: Transaction) -> SimCoroutine:
-        """Submit one transaction and see its reply through.
-
-        Occupies one worker thread for the round trip; on rejection
-        (throttle/full queue) the transaction goes back to the backlog
-        and a freed thread retries after a backoff, like a real client
-        facing HTTP 429-style pushback.
-        """
-        submit_time = self.scheduler.now
-        self.stats.record_submission()
-        self._inflight_submissions += 1
-        reply = yield self.connector.send_transaction(tx)
-        self._inflight_submissions -= 1
-        failover = self.config.failover
-        if reply.get("accepted") or (failover and reply.get("dup")):
-            # A "dup" reply after failover means the transaction is
-            # already pooled (or committed) cluster-side — it counts as
-            # submitted and the poller will confirm it.
-            self._reset_backoff()
-            self.outstanding[tx.tx_id] = submit_time
-            if self.tracer is not None:
-                self.tracer.record_submit(tx.tx_id, submit_time)
-            # A freed worker thread immediately drains the backlog.
-            if (
-                not self.config.blocking
-                and self._running
-                and self.backlog
-                and self._inflight_submissions < self.config.threads_per_client
-            ):
-                spawn(self._submit_one(self.backlog.popleft()))
-        elif failover and reply.get("timeout"):
-            # Dead endpoint: exponential backoff, repoint at the next
-            # live server, resubmit the same transaction (mempool dedup
-            # makes the resubmission safe).
-            self.stats.record_rejection()
-            yield self.scheduler.sleep(self._next_backoff())
-            self.connector.fail_over()
-            spawn(self._submit_one(tx))
-        else:
-            self.stats.record_rejection()
-            self.backlog.append(tx)
-            yield self.scheduler.sleep(self.config.retry_interval_s)
-            if (
-                self._running
-                and self.backlog
-                and self._inflight_submissions < self.config.threads_per_client
-            ):
-                spawn(self._submit_one(self.backlog.popleft()))
-
-    # ------------------------------------------------------------------
-    # Confirmation paths (getLatestBlock polling / pub-sub feed)
-    # ------------------------------------------------------------------
-    def _poll_pump(self) -> SimCoroutine:
-        """Fire one getLatestBlock round per poll interval.
-
-        Rounds overlap the interval (the next tick is not gated on the
-        previous reply), so each round is its own small coroutine.
-        Polling keeps going briefly past the deadline to drain
-        confirmations of transactions submitted inside the window.
-        """
-        poll = self.config.poll_interval_s
-        yield self.scheduler.sleep(poll)
-        while self.scheduler.now <= self._deadline + 10 * poll:
-            spawn(self._poll_once())
-            yield self.scheduler.sleep(poll)
-
-    def _poll_once(self) -> SimCoroutine:
-        reply = yield self.connector.get_latest_block(
-            self._poll_height, timeout_s=self._poll_timeout_s()
-        )
-        if reply.get("timeout"):
-            # Dead endpoint: repoint; the next poll tick covers the gap.
-            self.connector.fail_over()
-            return
-        for block in reply.get("blocks", []):
-            self._process_block_summary(block)
-
-    def _subscribe_pump(self) -> SimCoroutine:
-        """Consume the pub/sub block feed (ErisDB, Section 3.2)."""
-        subscription = self.connector.subscribe_new_blocks(0)
-        while True:
-            block = yield subscription.next_block()
-            self._process_block_summary(block)
-
-    # ------------------------------------------------------------------
-    # Queue sampling
-    # ------------------------------------------------------------------
-    def _sample_pump(self) -> SimCoroutine:
-        interval = self.config.queue_sample_interval_s
-        yield self.scheduler.sleep(interval)
-        while self._running:
-            # Stage-depth gauges are cluster-global; exactly one client
-            # (index 0) samples them so merges don't multiply the series.
-            depths = (
-                self.tracer.queue_depths()
-                if self.index == 0 and self.tracer is not None
-                else None
-            )
-            self.stats.record_queue_length(
-                self.scheduler.now, self.queue_length(), stage_depths=depths
-            )
-            yield self.scheduler.sleep(interval)
-
-
-class CallbackBenchClient(_BenchClientBase):
-    """The pre-redesign callback client, kept as the adapter oracle.
-
-    Runs entirely through the compat ``on_reply`` signatures of the v2
-    connector. Its event timeline must stay bit-identical to
-    :class:`BenchClient`'s — that equivalence is what certifies the
-    coroutine rewrite changed no measured behavior.
-    """
-
-    def start(self, duration_s: float) -> None:
-        now = self.scheduler.now
-        self._running = True
-        self._deadline = now + duration_s
-        self.stats.begin(now)
-        if self.config.blocking:
-            self._submit_next_blocking()
-        else:
-            self.scheduler.schedule(0.0, self._tick_submit)
-        if self.config.subscribe:
-            self.connector.subscribe_new_blocks(0, self._on_block_event)
-        else:
-            self.scheduler.schedule(self.config.poll_interval_s, self._tick_poll)
-        self.scheduler.schedule(
-            self.config.queue_sample_interval_s, self._tick_sample
-        )
-        self.scheduler.schedule(duration_s, self._stop)
-
-    # ------------------------------------------------------------------
-    # Submission paths
-    # ------------------------------------------------------------------
-    def _tick_submit(self) -> None:
-        if not self._running:
-            return
-        self.backlog.append(self._next_tx())
-        if self._inflight_submissions < self.config.threads_per_client:
-            self._submit(self.backlog.popleft())
-        interval = 1.0 / self.config.request_rate_tx_s
-        self.scheduler.schedule(interval, self._tick_submit)
-
-    def _submit_next_blocking(self) -> None:
-        if not self._running:
-            return
-        self._submit(self._next_tx())
-
-    def _submit(self, tx: Transaction) -> None:
-        submit_time = self.scheduler.now
-        self.stats.record_submission()
-        self._inflight_submissions += 1
-
-        def on_reply(reply: dict) -> None:
-            self._inflight_submissions -= 1
-            failover = self.config.failover
-            if reply.get("accepted") or (failover and reply.get("dup")):
-                self._reset_backoff()
-                self.outstanding[tx.tx_id] = submit_time
-                if self.tracer is not None:
-                    self.tracer.record_submit(tx.tx_id, submit_time)
-                if (
-                    not self.config.blocking
-                    and self._running
-                    and self.backlog
-                    and self._inflight_submissions < self.config.threads_per_client
-                ):
-                    self._submit(self.backlog.popleft())
-            elif failover and reply.get("timeout"):
-                self.stats.record_rejection()
-                self.scheduler.schedule(
-                    self._next_backoff(), self._failover_resubmit, tx
-                )
-            else:
-                self.stats.record_rejection()
-                self.backlog.append(tx)
-                self.scheduler.schedule(
-                    self.config.retry_interval_s, self._retry_backlog
-                )
-
-        self.connector.send_transaction(tx, on_reply)
-
-    def _failover_resubmit(self, tx: Transaction) -> None:
-        self.connector.fail_over()
-        self._submit(tx)
-
-    def _retry_backlog(self) -> None:
-        if (
-            self._running
-            and self.backlog
-            and self._inflight_submissions < self.config.threads_per_client
-        ):
-            self._submit(self.backlog.popleft())
-
-    # ------------------------------------------------------------------
-    # Polling loop (getLatestBlock)
-    # ------------------------------------------------------------------
-    def _tick_poll(self) -> None:
-        if self.scheduler.now > self._deadline + 10 * self.config.poll_interval_s:
-            return
-
-        def on_reply(reply: dict) -> None:
-            if reply.get("timeout"):
-                self.connector.fail_over()
-                return
-            for block in reply.get("blocks", []):
-                self._process_block_summary(block)
-
-        self.connector.get_latest_block(
-            self._poll_height, on_reply, timeout_s=self._poll_timeout_s()
-        )
-        self.scheduler.schedule(self.config.poll_interval_s, self._tick_poll)
-
-    def _on_block_event(self, block: dict) -> None:
-        """Push-based confirmation path (subscribe mode)."""
-        self._process_block_summary(block)
-
-    def _tick_sample(self) -> None:
-        if not self._running:
-            return
-        depths = (
-            self.tracer.queue_depths()
-            if self.index == 0 and self.tracer is not None
-            else None
-        )
-        self.stats.record_queue_length(
-            self.scheduler.now, self.queue_length(), stage_depths=depths
-        )
-        self.scheduler.schedule(
-            self.config.queue_sample_interval_s, self._tick_sample
-        )
-
-
-class BatchClient:
-    """N homogeneous closed-loop clients driven from shared tick events.
-
-    Where N individual clients schedule 3 recurring heap events each
-    (submit, poll, sample — plus one stop timer apiece), the batch
-    schedules 4 *total* and sweeps all client slots inside each tick.
-    Per-slot state lives in parallel arrays indexed by slot; each slot
-    keeps its own RPC endpoint, connector, rng stream, and collector —
-    the exact objects the individual clients would own — so every
-    network send and rng draw happens in the same global order.
-
-    Why the timeline is bit-identical to N :class:`CallbackBenchClient`
-    objects (pinned by ``tests/core/test_batch_client.py``): with a
-    homogeneous config, the N clients' same-kind tick events carry the
-    same timestamp and consecutive-in-client-order heap positions, and
-    no foreign event can sort between them — message deliveries and
-    retry timers sit at jitter-perturbed times that never collide with
-    the tick grid. Collapsing N adjacent firings into one event that
-    loops slots in client order therefore reorders nothing, and the
-    callback client is itself pinned bit-identical to the coroutine
-    client, so the equivalence composes across all three modes.
-    """
-
-    def __init__(
-        self,
-        indices: list[int],
-        cluster,
-        workload: Workload,
-        config: DriverConfig,
-        rngs: list[random.Random],
-    ) -> None:
-        if len(indices) != len(rngs):
-            raise BenchmarkError("one rng stream per client slot required")
-        self.indices = list(indices)
-        self.cluster = cluster
-        self.workload = workload
-        self.config = config
-        self.scheduler: Scheduler = cluster.scheduler
-        self.tracer = getattr(cluster, "tracer", None)
-        server_ids = cluster.node_ids()
-        # Per-slot strided state: position s in every array belongs to
-        # client indices[s]. Same construction order as N individual
-        # clients so RPC node registration order is preserved.
-        self.rngs = list(rngs)
-        self.rpcs: list[RPCClient] = []
         self.connectors: list[SimChainConnector] = []
         self.stats_slots: list[StatsCollector] = []
+        # Outstanding = submitted, awaiting confirmation.
         self.outstanding: list[dict[str, float]] = []
-        self.backlogs: list[deque[Transaction]] = []
         self.poll_heights: list[int] = []
-        self.inflight: list[int] = []
-        for index in self.indices:
-            rpc = RPCClient(f"client-{index}", cluster.scheduler, cluster.network)
-            self.rpcs.append(rpc)
-            self.connectors.append(
-                SimChainConnector(cluster, rpc, server_ids[index % len(server_ids)])
-            )
-            self.stats_slots.append(
-                StatsCollector(
-                    cluster.platform,
-                    workload.name,
-                    reservoir=config.stats_reservoir,
-                    reservoir_seed=index,
-                )
-            )
-            self.outstanding.append({})
-            self.backlogs.append(deque())
-            self.poll_heights.append(0)
-            self.inflight.append(0)
-        # Per-slot failover backoff (mirrors _BenchClientBase).
-        self.backoffs = [config.retry_interval_s] * len(self.indices)
+        # Failover backoff: starts at the retry interval, doubles per
+        # consecutive timeout, reset by the first accepted reply.
+        self.backoffs: list[float] = []
+        # Poll RPCs are bounded only in failover mode: a poll at a
+        # crashed endpoint must resolve so the slot can repoint itself.
+        self._poll_timeout_s = (
+            SimChainConnector.SUBMIT_TIMEOUT_S if config.failover else None
+        )
+        # Confirmations come from the poll tick unless a front-end
+        # replaces it (closed loop with ``subscribe``).
+        self._polls = True
+        self._prepared = False
         self._running = False
         self._deadline = 0.0
+        #: Run-wide statistics; see :meth:`run`.
+        self.stats: StatsCollector | None = None
 
-    def _poll_timeout_s(self) -> float | None:
-        if self.config.failover:
-            return SimChainConnector.SUBMIT_TIMEOUT_S
-        return None
+    def _add_slot(self, rpc_name: str, server_id: str, stats: StatsCollector) -> None:
+        rpc = RPCClient(rpc_name, self.scheduler, self.cluster.network)
+        self.connectors.append(SimChainConnector(self.cluster, rpc, server_id))
+        self.stats_slots.append(stats)
+        self.outstanding.append({})
+        self.poll_heights.append(0)
+        self.backoffs.append(self.config.retry_interval_s)
 
-    def _next_backoff(self, slot: int) -> float:
-        delay = min(self.backoffs[slot], self.config.max_backoff_s)
-        self.backoffs[slot] = min(self.backoffs[slot] * 2.0, self.config.max_backoff_s)
-        return delay
-
-    # Compatibility with the single-client surface Driver exposes.
-    @property
-    def stats(self) -> StatsCollector:
-        return merge_collectors(self.stats_slots)
-
-    def stat_collectors(self) -> list[StatsCollector]:
-        return self.stats_slots
-
-    def queue_length(self, slot: int) -> int:
-        return len(self.outstanding[slot]) + len(self.backlogs[slot])
-
-    def _next_tx(self, slot: int) -> Transaction:
-        return self.workload.next_transaction(
-            f"client-{self.indices[slot]}", self.rngs[slot], self.scheduler.now
-        )
+    # ------------------------------------------------------------------
+    # Lifecycle
+    # ------------------------------------------------------------------
+    def prepare(self) -> None:
+        """Deploy contracts and preload state."""
+        for contract in self.workload.required_contracts:
+            for node in self.cluster.nodes:
+                node.deploy(contract)
+        self.workload.preload(self.cluster)
+        self._prepared = True
 
     def start(self, duration_s: float) -> None:
+        """Open the measurement window and start offering load.
+
+        For callers that advance the simulation themselves (attack and
+        fault harnesses); :meth:`run` is start + run to completion.
+        """
         now = self.scheduler.now
         self._running = True
         self._deadline = now + duration_s
         for stats in self.stats_slots:
             stats.begin(now)
-        # Per-slot startup actions run in slot order before the shared
-        # ticks are armed — the same interleaving (submit, subscribe
-        # per client, in client order) the individual clients produce.
-        for slot in range(len(self.indices)):
-            if self.config.blocking:
-                self._submit_next_blocking(slot)
-            if self.config.subscribe:
-                self.connectors[slot].subscribe_new_blocks(
-                    0, lambda block, s=slot: self._process_block_summary(s, block)
-                )
-        if not self.config.blocking:
-            self.scheduler.schedule(0.0, self._tick_submit)
-        if not self.config.subscribe:
-            self.scheduler.schedule(self.config.poll_interval_s, self._tick_poll)
-        self.scheduler.schedule(
-            self.config.queue_sample_interval_s, self._tick_sample
-        )
-        self.scheduler.schedule(duration_s, self._stop)
+        self._begin_load()
+        schedule = self.scheduler.schedule
+        if self._polls:
+            schedule(self.config.poll_interval_s, self._tick_poll)
+        schedule(self.config.queue_sample_interval_s, self._tick_sample)
+        schedule(duration_s, self._stop)
 
     def _stop(self) -> None:
         self._running = False
@@ -640,65 +212,208 @@ class BatchClient:
         for stats in self.stats_slots:
             stats.finish(now)
 
+    def run(self, extra_drain_s: float = 5.0) -> StatsCollector:
+        """Run the configured duration; returns the run-wide statistics."""
+        if not self._prepared:
+            self.prepare()
+        self.start(self.config.duration_s)
+        self.cluster.run_until(
+            self.scheduler.now + self.config.duration_s + extra_drain_s
+        )
+        self.stats = self._collect()
+        return self.stats
+
+    def queue_series(self) -> list[tuple[float, int]]:
+        """Summed queue lengths over time (Figures 6 and 18), after :meth:`run`."""
+        return self.stats.queue_samples
+
     # ------------------------------------------------------------------
-    # Submission paths (one tick sweeps every slot)
+    # Submission: one RPC, one reply handler
     # ------------------------------------------------------------------
+    def _submit(self, slot: int, tx: Transaction) -> None:
+        self.stats_slots[slot].record_submission()
+        self.connectors[slot].send_transaction(tx).add_done_callback(
+            partial(self._on_reply, slot, tx, self.scheduler.now)
+        )
+
+    def _on_reply(
+        self, slot: int, tx: Transaction, submit_time: float, future: SimFuture
+    ) -> None:
+        reply = future.result()
+        failover = self.config.failover
+        if reply.get("accepted") or (failover and reply.get("dup")):
+            # A "dup" reply after failover means the transaction is
+            # already pooled (or committed) cluster-side — it counts as
+            # submitted and the poller will confirm it.
+            self.backoffs[slot] = self.config.retry_interval_s
+            self.outstanding[slot][tx.tx_id] = submit_time
+            if self.tracer is not None:
+                self.tracer.record_submit(tx.tx_id, submit_time)
+            self._accepted(slot)
+        else:
+            self.stats_slots[slot].record_rejection()
+            self._refused(slot, tx, bool(failover and reply.get("timeout")))
+
+    def _next_backoff(self, slot: int) -> float:
+        cap = self.config.max_backoff_s
+        delay = min(self.backoffs[slot], cap)
+        self.backoffs[slot] = min(self.backoffs[slot] * 2.0, cap)
+        return delay
+
+    # ------------------------------------------------------------------
+    # Confirmation: getLatestBlock polling, one round per slot per tick
+    # ------------------------------------------------------------------
+    def _tick_poll(self) -> None:
+        """Rounds overlap the interval (the next tick is not gated on
+        the previous reply), and polling keeps going briefly past the
+        deadline to drain confirmations of transactions submitted
+        inside the window."""
+        poll = self.config.poll_interval_s
+        if self.scheduler.now > self._deadline + 10 * poll:
+            return
+        for slot, connector in enumerate(self.connectors):
+            connector.get_latest_block(
+                self.poll_heights[slot], timeout_s=self._poll_timeout_s
+            ).add_done_callback(partial(self._on_poll_reply, slot))
+        self.scheduler.schedule(poll, self._tick_poll)
+
+    def _on_poll_reply(self, slot: int, future: SimFuture) -> None:
+        reply = future.result()
+        if reply.get("timeout"):
+            # Dead endpoint: repoint; the next poll tick covers the gap.
+            self.connectors[slot].fail_over()
+            return
+        for block in reply.get("blocks", ()):
+            self._confirm(slot, block)
+
+    def _confirm(self, slot: int, block: dict) -> None:
+        """Match one confirmed block's transactions against outstanding."""
+        if block["height"] > self.poll_heights[slot]:
+            self.poll_heights[slot] = block["height"]
+        outstanding = self.outstanding[slot]
+        stats = self.stats_slots[slot]
+        for tx_id in block["tx_ids"]:
+            submitted_at = outstanding.pop(tx_id, None)
+            if submitted_at is not None:
+                if submitted_at <= self._deadline:
+                    confirmed_at = self.scheduler.now
+                    stats.record_confirmation(submitted_at, confirmed_at)
+                    if self.tracer is not None:
+                        self.tracer.record_notify(tx_id, confirmed_at)
+                self._confirmed(slot)
+
+    def _tick_sample(self) -> None:
+        if not self._running:
+            return
+        self._sample(self.scheduler.now)
+        self.scheduler.schedule(
+            self.config.queue_sample_interval_s, self._tick_sample
+        )
+
+    # ------------------------------------------------------------------
+    # What a pacing front-end decides
+    # ------------------------------------------------------------------
+    def _begin_load(self) -> None:
+        """Start offering transactions (called once, by :meth:`start`)."""
+        raise NotImplementedError
+
+    def _accepted(self, slot: int) -> None:
+        """The backend took a submission on ``slot``."""
+
+    def _refused(self, slot: int, tx: Transaction, timed_out: bool) -> None:
+        """The backend refused ``tx``, or (failover mode) never answered."""
+        raise NotImplementedError
+
+    def _confirmed(self, slot: int) -> None:
+        """One of ``slot``'s outstanding transactions confirmed."""
+
+    def _sample(self, now: float) -> None:
+        """Record the queue-length sample(s) for this instant."""
+        raise NotImplementedError
+
+    def _collect(self) -> StatsCollector:
+        """The run-wide view of the slot collectors."""
+        raise NotImplementedError
+
+
+class Driver(_LoadDriver):
+    """Closed loop: N WorkloadClients, each bound to one server.
+
+    Client ``i`` talks to server ``i mod n_servers`` and draws from rng
+    stream ``client-i``. Every client shares the config, so their rate
+    ticks would fire at the same instant in client order with nothing
+    able to sort between them; one tick sweeping the slots in client
+    order is that timeline with N× fewer scheduler events.
+    """
+
+    def __init__(self, cluster, workload: Workload, config: DriverConfig) -> None:
+        super().__init__(cluster, workload, config)
+        self._polls = not config.subscribe
+        server_ids = cluster.node_ids()
+        self.rngs = [
+            cluster.rng.stream(f"client-{i}") for i in range(config.n_clients)
+        ]
+        for index in range(config.n_clients):
+            self._add_slot(
+                f"client-{index}",
+                server_ids[index % len(server_ids)],
+                StatsCollector(
+                    cluster.platform,
+                    workload.name,
+                    reservoir=config.stats_reservoir,
+                    reservoir_seed=index,
+                ),
+            )
+        # Backlog = generated/refused, awaiting (re)submission.
+        self.backlogs: list[deque[Transaction]] = [deque() for _ in self.rngs]
+        # Submission RPCs awaiting a reply (one per busy worker thread).
+        self.inflight = [0] * len(self.rngs)
+
+    def _next_tx(self, slot: int) -> Transaction:
+        return self.workload.next_transaction(
+            f"client-{slot}", self.rngs[slot], self.scheduler.now
+        )
+
+    def _begin_load(self) -> None:
+        for slot in range(len(self.connectors)):
+            if self.config.blocking:
+                self._submit(slot, self._next_tx(slot))
+            if self.config.subscribe:
+                spawn(self._subscribe_pump(slot))
+        if not self.config.blocking:
+            self.scheduler.schedule(0.0, self._tick_submit)
+
     def _tick_submit(self) -> None:
+        """Offered load: one new transaction per client per rate tick.
+
+        The tick enqueues regardless of whether a worker thread is
+        free; when all threads are blocked on submission RPCs the
+        backlog grows — Figure 6's curves.
+        """
         if not self._running:
             return
         threads = self.config.threads_per_client
-        for slot in range(len(self.indices)):
-            self.backlogs[slot].append(self._next_tx(slot))
+        for slot, backlog in enumerate(self.backlogs):
+            backlog.append(self._next_tx(slot))
             if self.inflight[slot] < threads:
-                self._submit(slot, self.backlogs[slot].popleft())
+                self._submit(slot, backlog.popleft())
         self.scheduler.schedule(
             1.0 / self.config.request_rate_tx_s, self._tick_submit
         )
 
-    def _submit_next_blocking(self, slot: int) -> None:
-        if not self._running:
-            return
-        self._submit(slot, self._next_tx(slot))
-
     def _submit(self, slot: int, tx: Transaction) -> None:
-        submit_time = self.scheduler.now
-        self.stats_slots[slot].record_submission()
+        """Occupies one of the client's worker threads for the round trip."""
         self.inflight[slot] += 1
+        super()._submit(slot, tx)
 
-        def on_reply(reply: dict) -> None:
-            self.inflight[slot] -= 1
-            failover = self.config.failover
-            if reply.get("accepted") or (failover and reply.get("dup")):
-                self.backoffs[slot] = self.config.retry_interval_s
-                self.outstanding[slot][tx.tx_id] = submit_time
-                if self.tracer is not None:
-                    self.tracer.record_submit(tx.tx_id, submit_time)
-                if (
-                    not self.config.blocking
-                    and self._running
-                    and self.backlogs[slot]
-                    and self.inflight[slot] < self.config.threads_per_client
-                ):
-                    self._submit(slot, self.backlogs[slot].popleft())
-            elif failover and reply.get("timeout"):
-                self.stats_slots[slot].record_rejection()
-                self.scheduler.schedule(
-                    self._next_backoff(slot), self._failover_resubmit, slot, tx
-                )
-            else:
-                self.stats_slots[slot].record_rejection()
-                self.backlogs[slot].append(tx)
-                self.scheduler.schedule(
-                    self.config.retry_interval_s, self._retry_backlog, slot
-                )
+    def _on_reply(
+        self, slot: int, tx: Transaction, submit_time: float, future: SimFuture
+    ) -> None:
+        self.inflight[slot] -= 1
+        super()._on_reply(slot, tx, submit_time, future)
 
-        self.connectors[slot].send_transaction(tx, on_reply)
-
-    def _failover_resubmit(self, slot: int, tx: Transaction) -> None:
-        self.connectors[slot].fail_over()
-        self._submit(slot, tx)
-
-    def _retry_backlog(self, slot: int) -> None:
+    def _drain(self, slot: int) -> None:
+        """A free worker thread takes the head of the backlog."""
         if (
             self._running
             and self.backlogs[slot]
@@ -706,143 +421,80 @@ class BatchClient:
         ):
             self._submit(slot, self.backlogs[slot].popleft())
 
-    # ------------------------------------------------------------------
-    # Confirmation paths
-    # ------------------------------------------------------------------
-    def _tick_poll(self) -> None:
-        if self.scheduler.now > self._deadline + 10 * self.config.poll_interval_s:
-            return
-        for slot in range(len(self.indices)):
-            self.connectors[slot].get_latest_block(
-                self.poll_heights[slot],
-                lambda reply, s=slot: self._on_poll_reply(s, reply),
-                timeout_s=self._poll_timeout_s(),
+    def _accepted(self, slot: int) -> None:
+        if not self.config.blocking:
+            self._drain(slot)
+
+    def _refused(self, slot: int, tx: Transaction, timed_out: bool) -> None:
+        if timed_out:
+            # Dead endpoint: back off, repoint at the next live server
+            # and resubmit the same transaction (mempool dedup makes
+            # that safe) — past the deadline too, so nothing is lost.
+            self.scheduler.schedule(
+                self._next_backoff(slot), self._failover_resubmit, slot, tx
             )
-        self.scheduler.schedule(self.config.poll_interval_s, self._tick_poll)
+        else:
+            # Throttle / full queue: back to the backlog, and a freed
+            # thread retries after a backoff, like a real client facing
+            # HTTP 429-style pushback.
+            self.backlogs[slot].append(tx)
+            self.scheduler.schedule(
+                self.config.retry_interval_s, self._drain, slot
+            )
 
-    def _on_poll_reply(self, slot: int, reply: dict) -> None:
-        if reply.get("timeout"):
-            self.connectors[slot].fail_over()
-            return
-        for block in reply.get("blocks", []):
-            self._process_block_summary(slot, block)
+    def _failover_resubmit(self, slot: int, tx: Transaction) -> None:
+        self.connectors[slot].fail_over()
+        self._submit(slot, tx)
 
-    def _process_block_summary(self, slot: int, block: dict) -> None:
-        self.poll_heights[slot] = max(self.poll_heights[slot], block["height"])
-        outstanding = self.outstanding[slot]
-        for tx_id in block["tx_ids"]:
-            submitted_at = outstanding.pop(tx_id, None)
-            if submitted_at is not None:
-                confirmed_at = self.scheduler.now
-                if submitted_at <= self._deadline:
-                    self.stats_slots[slot].record_confirmation(
-                        submitted_at, confirmed_at
-                    )
-                    if self.tracer is not None:
-                        self.tracer.record_notify(tx_id, confirmed_at)
-                if self.config.blocking and self._running:
-                    self._submit_next_blocking(slot)
+    def _confirmed(self, slot: int) -> None:
+        if self.config.blocking and self._running:
+            self._submit(slot, self._next_tx(slot))
 
-    # ------------------------------------------------------------------
-    # Queue sampling
-    # ------------------------------------------------------------------
-    def _tick_sample(self) -> None:
-        if not self._running:
-            return
-        now = self.scheduler.now
-        for slot in range(len(self.indices)):
+    def _subscribe_pump(self, slot: int) -> SimCoroutine:
+        """Consume the pub/sub block feed (ErisDB, Section 3.2)."""
+        subscription = self.connectors[slot].subscribe_new_blocks(0)
+        while True:
+            block = yield subscription.next_block()
+            self._confirm(slot, block)
+
+    def _sample(self, now: float) -> None:
+        for slot, stats in enumerate(self.stats_slots):
+            # Stage-depth gauges are cluster-global; exactly one client
+            # samples them so the merge doesn't multiply the series.
             depths = (
                 self.tracer.queue_depths()
                 if slot == 0 and self.tracer is not None
                 else None
             )
-            self.stats_slots[slot].record_queue_length(
-                now, self.queue_length(slot), stage_depths=depths
-            )
-        self.scheduler.schedule(
-            self.config.queue_sample_interval_s, self._tick_sample
-        )
-
-
-def _client_class(mode: str) -> type[_BenchClientBase]:
-    if mode == "coroutine":
-        return BenchClient
-    if mode == "callback":
-        return CallbackBenchClient
-    raise BenchmarkError(
-        f"unknown client_mode {mode!r}; expected one of {CLIENT_MODES}"
-    )
-
-
-class Driver:
-    """The paper's Driver: spawns clients, runs, aggregates statistics."""
-
-    def __init__(self, cluster, workload: Workload, config: DriverConfig) -> None:
-        self.cluster = cluster
-        self.workload = workload
-        self.config = config
-        self.clients: list[_BenchClientBase] = []
-
-    def prepare(self) -> None:
-        """Deploy contracts and preload state."""
-        for contract in self.workload.required_contracts:
-            for node in self.cluster.nodes:
-                node.deploy(contract)
-        self.workload.preload(self.cluster)
-        indices = list(range(self.config.n_clients))
-        rngs = [self.cluster.rng.stream(f"client-{i}") for i in indices]
-        if self.config.client_mode == "batch":
-            # One vectorized client drives every slot.
-            self.clients.append(
-                BatchClient(indices, self.cluster, self.workload, self.config, rngs)
-            )
-            return
-        client_cls = _client_class(self.config.client_mode)
-        for index, rng in zip(indices, rngs):
-            self.clients.append(
-                client_cls(index, self.cluster, self.workload, self.config, rng)
+            stats.record_queue_length(
+                now,
+                len(self.outstanding[slot]) + len(self.backlogs[slot]),
+                stage_depths=depths,
             )
 
-    def _collectors(self) -> list[StatsCollector]:
-        return [s for client in self.clients for s in client.stat_collectors()]
-
-    def run(self, extra_drain_s: float = 5.0) -> StatsCollector:
-        """Run the configured duration; returns merged statistics."""
-        if not self.clients:
-            self.prepare()
-        for client in self.clients:
-            client.start(self.config.duration_s)
-        self.cluster.run_until(
-            self.cluster.scheduler.now + self.config.duration_s + extra_drain_s
-        )
-        return merge_collectors(self._collectors())
-
-    def queue_series(self) -> list[tuple[float, int]]:
-        """Summed client queue lengths over time (Figures 6 and 18)."""
-        return merge_collectors(self._collectors()).queue_samples
+    def _collect(self) -> StatsCollector:
+        return merge_collectors(self.stats_slots)
 
 
-class OpenLoopDriver:
-    """Open-loop load harness: an aggregate arrival process, no clients.
+class OpenLoopDriver(_LoadDriver):
+    """Open loop: an aggregate arrival process, no clients.
 
-    Closed-loop clients (:class:`BenchClient` and friends) are coupled
-    to the system under test — a saturated server back-pressures them
-    through their in-flight caps, so offered load sags exactly when the
-    measurement is most interesting. The open-loop harness severs that
-    coupling: an :class:`ArrivalGenerator` emits transactions at the
-    configured aggregate rate regardless of how the backend responds,
-    which is both the BlockMeter recipe for "make sure the harness is
-    not the bottleneck" and the only shape that scales to 100k–1M
-    simulated senders (state is one dict entry per outstanding tx, not
-    one coroutine per client).
+    Closed-loop clients are coupled to the system under test — a
+    saturated server back-pressures them through their in-flight caps,
+    so offered load sags exactly when the measurement is most
+    interesting. The open loop severs that coupling: an
+    :class:`ArrivalGenerator` emits transactions at the configured
+    aggregate rate regardless of how the backend responds, which is
+    both the BlockMeter recipe for "make sure the harness is not the
+    bottleneck" and the only shape that scales to 100k–1M simulated
+    senders (state is one dict entry per outstanding tx, not one object
+    per client).
 
-    Mechanics: arrivals are pre-scheduled a chunk at a time through the
-    scheduler's ``push_many`` bulk insert; each arrival draws a sender
-    account from the arrival spec (uniform or Zipf-skewed), builds a
-    transaction, and fires it at the sender's home server (``account %
-    n_servers``) with no in-flight cap. Rejected submissions retry
-    after the configured backoff. One poller per server matches
-    confirmed blocks against that server's outstanding set.
+    Arrivals are pre-scheduled a chunk at a time through the
+    scheduler's ``push_many`` bulk insert; each draws a sender account
+    from the arrival spec (uniform or Zipf-skewed) and fires at the
+    sender's home server (``account % n_servers``). One slot per
+    server, all feeding one collector.
     """
 
     #: Arrivals pre-scheduled per push_many batch. Bounds generator
@@ -852,83 +504,27 @@ class OpenLoopDriver:
     def __init__(self, cluster, workload: Workload, config: DriverConfig) -> None:
         if config.arrival is None:
             raise BenchmarkError("OpenLoopDriver requires DriverConfig.arrival")
-        self.cluster = cluster
-        self.workload = workload
-        self.config = config
-        self.arrival: ArrivalSpec = config.arrival
-        self.scheduler: Scheduler = cluster.scheduler
-        self.tracer = getattr(cluster, "tracer", None)
+        super().__init__(cluster, workload, config)
         self.generator = ArrivalGenerator(
-            self.arrival, cluster.rng.stream("arrivals")
+            config.arrival, cluster.rng.stream("arrivals")
         )
         self.txgen_rng = cluster.rng.stream("openloop-txgen")
-        self.server_ids = cluster.node_ids()
-        self.rpcs = [
-            RPCClient(f"openloop-{sid}", cluster.scheduler, cluster.network)
-            for sid in self.server_ids
-        ]
-        self.connectors = [
-            SimChainConnector(cluster, rpc, sid)
-            for rpc, sid in zip(self.rpcs, self.server_ids)
-        ]
         self.stats = StatsCollector(
             cluster.platform,
             workload.name,
             reservoir=config.stats_reservoir,
             reservoir_seed=cluster.rng.master_seed,
         )
-        # Per-server outstanding sets: a tx is only ever confirmed by
-        # the poller of the server it was submitted to.
-        self.outstanding: list[dict[str, float]] = [{} for _ in self.server_ids]
-        self.poll_heights = [0] * len(self.server_ids)
-        # Per-endpoint failover backoff (mirrors _BenchClientBase).
-        self.backoffs = [config.retry_interval_s] * len(self.server_ids)
+        for server_id in cluster.node_ids():
+            self._add_slot(f"openloop-{server_id}", server_id, self.stats)
+        # Refused submissions waiting out their backoff.
         self._retries_pending = 0
-        self._running = False
-        self._deadline = 0.0
         self._arrival_clock = 0.0
 
-    def prepare(self) -> None:
-        """Deploy contracts and preload state."""
-        for contract in self.workload.required_contracts:
-            for node in self.cluster.nodes:
-                node.deploy(contract)
-        self.workload.preload(self.cluster)
-
-    def start(self, duration_s: float) -> None:
-        now = self.scheduler.now
-        self._running = True
-        self._deadline = now + duration_s
-        self._arrival_clock = now
-        self.stats.begin(now)
+    def _begin_load(self) -> None:
+        self._arrival_clock = self.scheduler.now
         self._schedule_chunk()
-        self.scheduler.schedule(self.config.poll_interval_s, self._tick_poll)
-        self.scheduler.schedule(
-            self.config.queue_sample_interval_s, self._tick_sample
-        )
-        self.scheduler.schedule(duration_s, self._stop)
 
-    def run(self, extra_drain_s: float = 5.0) -> StatsCollector:
-        """Run the configured duration; returns the collector."""
-        self.start(self.config.duration_s)
-        self.cluster.run_until(
-            self.cluster.scheduler.now + self.config.duration_s + extra_drain_s
-        )
-        return self.stats
-
-    def queue_series(self) -> list[tuple[float, int]]:
-        return self.stats.queue_samples
-
-    def queue_length(self) -> int:
-        return sum(len(o) for o in self.outstanding) + self._retries_pending
-
-    def _stop(self) -> None:
-        self._running = False
-        self.stats.finish(self.scheduler.now)
-
-    # ------------------------------------------------------------------
-    # Arrival pump
-    # ------------------------------------------------------------------
     def _schedule_chunk(self) -> None:
         """Pre-schedule the next chunk of arrivals in one bulk insert."""
         now = self.scheduler.now
@@ -954,98 +550,34 @@ class OpenLoopDriver:
         tx = self.workload.next_transaction(
             f"account-{sender}", self.txgen_rng, self.scheduler.now
         )
-        self._submit(sender % len(self.server_ids), tx)
+        self._submit(sender % len(self.connectors), tx)
 
-    def _submit(self, server_index: int, tx: Transaction) -> None:
-        submit_time = self.scheduler.now
-        self.stats.record_submission()
+    def _refused(self, slot: int, tx: Transaction, timed_out: bool) -> None:
+        """The same transaction retries, only while the window is open."""
+        if self._running:
+            self._retries_pending += 1
+            delay = (
+                self._next_backoff(slot)
+                if timed_out
+                else self.config.retry_interval_s
+            )
+            self.scheduler.schedule(delay, self._retry, slot, tx, timed_out)
 
-        def on_reply(reply: dict) -> None:
-            failover = self.config.failover
-            if reply.get("accepted") or (failover and reply.get("dup")):
-                self.backoffs[server_index] = self.config.retry_interval_s
-                self.outstanding[server_index][tx.tx_id] = submit_time
-                if self.tracer is not None:
-                    self.tracer.record_submit(tx.tx_id, submit_time)
-            elif failover and reply.get("timeout"):
-                self.stats.record_rejection()
-                if self._running:
-                    self._retries_pending += 1
-                    delay = min(
-                        self.backoffs[server_index], self.config.max_backoff_s
-                    )
-                    self.backoffs[server_index] = min(
-                        self.backoffs[server_index] * 2.0, self.config.max_backoff_s
-                    )
-                    self.scheduler.schedule(
-                        delay, self._failover_retry, server_index, tx
-                    )
-            else:
-                self.stats.record_rejection()
-                if self._running:
-                    self._retries_pending += 1
-                    self.scheduler.schedule(
-                        self.config.retry_interval_s, self._retry, server_index, tx
-                    )
-
-        self.connectors[server_index].send_transaction(tx, on_reply)
-
-    def _retry(self, server_index: int, tx: Transaction) -> None:
+    def _retry(self, slot: int, tx: Transaction, fail_over: bool) -> None:
         self._retries_pending -= 1
         if self._running:
-            self._submit(server_index, tx)
+            if fail_over:
+                self.connectors[slot].fail_over()
+            self._submit(slot, tx)
 
-    def _failover_retry(self, server_index: int, tx: Transaction) -> None:
-        self._retries_pending -= 1
-        if self._running:
-            self.connectors[server_index].fail_over()
-            self._submit(server_index, tx)
+    def queue_length(self) -> int:
+        return sum(len(o) for o in self.outstanding) + self._retries_pending
 
-    # ------------------------------------------------------------------
-    # Confirmation polling (one round per server per tick)
-    # ------------------------------------------------------------------
-    def _tick_poll(self) -> None:
-        if self.scheduler.now > self._deadline + 10 * self.config.poll_interval_s:
-            return
-        for server_index in range(len(self.server_ids)):
-            self.connectors[server_index].get_latest_block(
-                self.poll_heights[server_index],
-                lambda reply, s=server_index: self._on_poll_reply(s, reply),
-                timeout_s=(
-                    SimChainConnector.SUBMIT_TIMEOUT_S
-                    if self.config.failover
-                    else None
-                ),
-            )
-        self.scheduler.schedule(self.config.poll_interval_s, self._tick_poll)
-
-    def _on_poll_reply(self, server_index: int, reply: dict) -> None:
-        if reply.get("timeout"):
-            self.connectors[server_index].fail_over()
-            return
-        outstanding = self.outstanding[server_index]
-        for block in reply.get("blocks", []):
-            self.poll_heights[server_index] = max(
-                self.poll_heights[server_index], block["height"]
-            )
-            for tx_id in block["tx_ids"]:
-                submitted_at = outstanding.pop(tx_id, None)
-                if submitted_at is not None and submitted_at <= self._deadline:
-                    self.stats.record_confirmation(
-                        submitted_at, self.scheduler.now
-                    )
-                    if self.tracer is not None:
-                        self.tracer.record_notify(tx_id, self.scheduler.now)
-
-    def _tick_sample(self) -> None:
-        if not self._running:
-            return
-        depths = (
-            self.tracer.queue_depths() if self.tracer is not None else None
-        )
+    def _sample(self, now: float) -> None:
+        depths = self.tracer.queue_depths() if self.tracer is not None else None
         self.stats.record_queue_length(
-            self.scheduler.now, self.queue_length(), stage_depths=depths
+            now, self.queue_length(), stage_depths=depths
         )
-        self.scheduler.schedule(
-            self.config.queue_sample_interval_s, self._tick_sample
-        )
+
+    def _collect(self) -> StatsCollector:
+        return self.stats

@@ -390,16 +390,17 @@ def bench_trace_overhead(quick: bool = False) -> BenchResult:
     )
 
 
-#: Coroutine-path reference for ``driver_tx_100k``, memoized per
-#: process: the reference exists to scale the headline number, costs
-#: ~30s of wall time at the 100k-client population, and is fully
+#: Closed-loop reference for ``driver_tx_100k``, memoized per process:
+#: the reference exists to scale the headline number, costs tens of
+#: seconds of wall time at the 100k-client population, and is fully
 #: deterministic — re-measuring it on every best-of-N repeat would
-#: triple the harness runtime without changing the answer.
+#: triple the harness runtime without changing the answer. Its meta
+#: keys say ``coroutine`` because BENCH_pr*.json files compare on them.
 _COROUTINE_REF: dict | None = None
 
 
 def _coroutine_reference() -> dict:
-    """Measure the per-coroutine path at the full 100k-client scale.
+    """Measure the closed-loop driver at the full 100k-client scale.
 
     One sim second, zero drain: long enough to pay the population's
     real costs (construction, 100k submission RPCs, the polling fleet)
@@ -420,7 +421,6 @@ def _coroutine_reference() -> dict:
             request_rate_tx_s=0.02,  # x 100k clients = 2000 tx/s aggregate
             duration_s=sim_s,
             seed=7,
-            client_mode="coroutine",
             stats_reservoir=10_000,
             drain_s=0.0,
         )
@@ -441,12 +441,12 @@ def bench_driver_100k(quick: bool = False) -> BenchResult:
 
     The tentpole measurement: a Poisson arrival process over a 100k
     Zipf-skewed sender population (one simulated client each) drives a
-    4-server Hyperledger cluster at 2000 tx/s aggregate — a population
-    the per-coroutine closed-loop path cannot hold (100k poll loops on
-    the heap). ops/s is confirmed transactions per wall second; meta
+    4-server Hyperledger cluster at 2000 tx/s aggregate, where the
+    closed loop needs 100k RPC endpoints, collectors and poll RPCs per
+    tick. ops/s is confirmed transactions per wall second; meta
     carries the cross-path comparison as *simulated seconds per wall
     second* at equal population and offered load, measured against a
-    real coroutine run (skipped in quick mode — it costs ~30s).
+    real closed-loop run (skipped in quick mode — it is slow).
     """
     from .runner import ExperimentSpec, run_experiment
 

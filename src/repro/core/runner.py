@@ -44,10 +44,6 @@ class ExperimentSpec:
     poll_interval_s: float = DriverConfig.poll_interval_s
     threads_per_client: int = DriverConfig.threads_per_client
     retry_interval_s: float = DriverConfig.retry_interval_s
-    #: Client implementation: "coroutine" (awaitable API), "callback"
-    #: (legacy adapter path), or "batch" (vectorized BatchClient).
-    #: Timelines are bit-identical across all three; see driver.py.
-    client_mode: str = "coroutine"
     #: Client-side crash tolerance: fail over to the next live server
     #: when an RPC times out, with exponential backoff capped at
     #: ``max_backoff_s``. See DriverConfig.
@@ -56,7 +52,7 @@ class ExperimentSpec:
     #: Open-loop arrival process (JSON shape, see ArrivalSpec): when
     #: set, the run uses the OpenLoopDriver instead of closed-loop
     #: clients and ignores n_clients / request_rate_tx_s /
-    #: threads_per_client / blocking / subscribe / client_mode.
+    #: threads_per_client / blocking / subscribe.
     arrival: dict[str, Any] | None = None
     #: Bound the latency sample set in memory (reservoir size; 0 keeps
     #: every sample). See StatsCollector for the accuracy tradeoff.
@@ -160,7 +156,6 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
         retry_interval_s=spec.retry_interval_s,
         blocking=spec.blocking,
         subscribe=spec.subscribe,
-        client_mode=spec.client_mode,
         failover=spec.failover,
         max_backoff_s=spec.max_backoff_s,
         arrival=(

@@ -63,7 +63,7 @@ from .faults import (
     FaultSchedule,
     PartitionFault,
 )
-from .driver import CLIENT_MODES, DriverConfig
+from .driver import DriverConfig
 from .workload import ArrivalSpec
 from .report import format_table
 from .runner import ExperimentResult, ExperimentSpec, run_experiment
@@ -290,10 +290,6 @@ class ScenarioSpec:
     workload_params: dict[str, Any] = field(default_factory=dict)
     blocking: bool = False
     subscribe: bool = False
-    #: Client implementation ("coroutine" or "callback"); not an axis —
-    #: both modes replay identical timelines, so sweeping it would
-    #: duplicate grid points.
-    client_mode: str = "coroutine"
     #: Client-side failover on RPC timeout (crash-recovery scenarios);
     #: a scalar knob, not an axis. See DriverConfig.failover.
     failover: bool = False
@@ -357,11 +353,6 @@ class ScenarioSpec:
             PLATFORMS.get(platform)  # raises with available names
         for workload in _axis(self.workloads, "workloads"):
             WORKLOADS.get(workload)
-        if self.client_mode not in CLIENT_MODES:
-            raise BenchmarkError(
-                f"unknown client_mode {self.client_mode!r}; "
-                f"expected one of {CLIENT_MODES}"
-            )
 
         configs = list(self.configs) if self.configs is not None else [("", None)]
         overrides_axis = _overrides_axis(self.overrides)
@@ -431,7 +422,6 @@ class ScenarioSpec:
                     poll_interval_s=float(poll_interval),
                     threads_per_client=int(threads),
                     retry_interval_s=float(retry_interval),
-                    client_mode=self.client_mode,
                     failover=self.failover,
                     max_backoff_s=self.max_backoff_s,
                     blocking=self.blocking,

@@ -157,6 +157,11 @@ def spec_to_dict(spec: ExperimentSpec) -> dict[str, Any]:
         ):
             continue
         data[field_.name] = value
+        if field_.name == "retry_interval_s":
+            # Run-file schema/1 constant (there is one client
+            # implementation): every spec hash, committed baseline and
+            # pinned digest includes this pair, at this position.
+            data["client_mode"] = "coroutine"
     return data
 
 

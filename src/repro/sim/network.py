@@ -148,13 +148,6 @@ class Network:
         """Close one delay window (idempotent)."""
         self._delay_windows.pop(window_id, None)
 
-    def inject_delay(self, extra: SimTime, nodes: Iterable[str] | None = None) -> None:
-        """Replace every delay window with a single one (legacy API;
-        ``extra=0`` clears all delay)."""
-        self._delay_windows.clear()
-        if extra:
-            self.add_delay(extra, nodes)
-
     # -- corruption windows ---------------------------------------------
     def add_corruption(self, rate: float) -> int:
         """Open a corruption window; the effective rate is the max of
@@ -168,15 +161,6 @@ class Network:
     def remove_corruption(self, window_id: int) -> None:
         """Close one corruption window (idempotent)."""
         self._corruption_windows.pop(window_id, None)
-
-    def inject_corruption(self, rate: float) -> None:
-        """Replace every corruption window with a single one (legacy
-        API; ``rate=0`` clears all corruption)."""
-        if not 0.0 <= rate <= 1.0:
-            raise NetworkError(f"corruption rate {rate} outside [0, 1]")
-        self._corruption_windows.clear()
-        if rate:
-            self.add_corruption(rate)
 
     def active_corruption_rate(self) -> float:
         """The corruption probability currently applied to deliveries."""

@@ -133,7 +133,7 @@ def test_view_change_escalates_without_quorum():
 
 def test_corrupted_messages_ignored():
     sched, net, nodes = build_cluster(4, pbft_factory())
-    net.inject_corruption(1.0)
+    net.add_corruption(1.0)
     submit_everywhere(nodes, [make_tx(i) for i in range(5)])
     sched.run_until(10.0)
     # All consensus traffic corrupted -> no commits anywhere.
@@ -142,10 +142,10 @@ def test_corrupted_messages_ignored():
 
 def test_recovers_after_corruption_clears():
     sched, net, nodes = build_cluster(4, pbft_factory())
-    net.inject_corruption(1.0)
+    window = net.add_corruption(1.0)
     submit_everywhere(nodes, [make_tx(i) for i in range(5)])
     sched.run_until(10.0)
-    net.inject_corruption(0.0)  # heal() is partition-only
+    net.remove_corruption(window)  # heal() is partition-only
     sched.run_until(40.0)
     assert all(node.chain().height >= 1 for node in nodes)
 

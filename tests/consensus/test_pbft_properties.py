@@ -120,8 +120,8 @@ def test_safety_under_message_corruption(drop_window, corruption_rate, seed):
     fail verification and are dropped; safety holds throughout."""
     sched, net, nodes = build_cluster(4, pbft_factory, seed=seed)
     submit_everywhere(nodes, [make_tx(i) for i in range(20)])
-    net.inject_corruption(corruption_rate)
-    sched.schedule_at(drop_window, net.inject_corruption, 0.0)
+    window = net.add_corruption(corruption_rate)
+    sched.schedule_at(drop_window, net.remove_corruption, window)
     sched.run_until(40.0)
     assert chains_are_prefixes(nodes)
     for node in nodes:
@@ -139,8 +139,8 @@ def test_safety_under_network_delay(extra_delay, seed):
     forks the log."""
     sched, net, nodes = build_cluster(4, pbft_factory, seed=seed)
     submit_everywhere(nodes, [make_tx(i) for i in range(20)])
-    net.inject_delay(extra_delay, None)
-    sched.schedule_at(10.0, net.inject_delay, 0.0, None)
+    window = net.add_delay(extra_delay)
+    sched.schedule_at(10.0, net.remove_delay, window)
     sched.run_until(40.0)
     assert chains_are_prefixes(nodes)
     for node in nodes:

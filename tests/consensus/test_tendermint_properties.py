@@ -114,8 +114,8 @@ def test_safety_under_message_corruption(drop_window, corruption_rate, seed):
     """Corrupted (dropped-at-verification) messages never cause forks."""
     sched, net, nodes = build_cluster(4, tm_factory, seed=seed)
     submit_everywhere(nodes, [make_tx(i) for i in range(20)])
-    net.inject_corruption(corruption_rate)
-    sched.schedule_at(drop_window, net.inject_corruption, 0.0)
+    window = net.add_corruption(corruption_rate)
+    sched.schedule_at(drop_window, net.remove_corruption, window)
     sched.run_until(40.0)
     assert chains_are_prefixes(nodes)
     for node in nodes:

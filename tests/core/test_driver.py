@@ -2,10 +2,24 @@
 
 import pytest
 
-from repro.core import Driver, DriverConfig, RPCClient, SimChainConnector
-from repro.errors import ConnectorError
+from repro.core import (
+    ArrivalSpec,
+    Driver,
+    DriverConfig,
+    ExperimentSpec,
+    OpenLoopDriver,
+    RPCClient,
+    SimChainConnector,
+    run_experiment,
+)
+from repro.errors import BenchmarkError, ConnectorError
 from repro.platforms import build_cluster
-from repro.workloads import DoNothingWorkload, YCSBConfig, YCSBWorkload
+from repro.workloads import (
+    DoNothingWorkload,
+    YCSBConfig,
+    YCSBWorkload,
+    make_workload,
+)
 
 
 @pytest.fixture
@@ -58,8 +72,7 @@ def test_clients_spread_across_servers(cluster):
         DoNothingWorkload(),
         DriverConfig(n_clients=8, request_rate_tx_s=5, duration_s=5),
     )
-    driver.prepare()
-    servers = {client.server_id for client in driver.clients}
+    servers = {connector.server_id for connector in driver.connectors}
     assert len(servers) == 4  # 8 clients round-robin onto 4 servers
 
 
@@ -72,11 +85,10 @@ def test_thread_flow_control_limits_inflight(cluster):
         ),
     )
     driver.prepare()
-    client = driver.clients[0]
-    client.start(5.0)
+    driver.start(5.0)
     cluster.run_until(2.0)
-    assert client._inflight_submissions <= 4
-    assert len(client.backlog) > 0  # overload queues locally
+    assert driver.inflight[0] <= 4
+    assert len(driver.backlogs[0]) > 0  # overload queues locally
 
 
 def test_rpc_client_timeout():
@@ -139,19 +151,17 @@ def test_connector_rejects_unknown_server():
 def test_connector_query_roundtrip(cluster):
     client = RPCClient("c0", cluster.scheduler, cluster.network)
     connector = SimChainConnector(cluster, client, "server-0")
-    replies = []
-    connector.query("donothing", "nop", (), replies.append)
+    reply = connector.query("donothing", "nop", ())
     cluster.run_until(1.0)
-    assert replies and replies[0]["output"] is True
+    assert reply.result()["output"] is True
 
 
 def test_connector_query_unknown_contract(cluster):
     client = RPCClient("c0", cluster.scheduler, cluster.network)
     connector = SimChainConnector(cluster, client, "server-0")
-    replies = []
-    connector.query("nope", "nop", (), replies.append)
+    reply = connector.query("nope", "nop", ())
     cluster.run_until(1.0)
-    assert "error" in replies[0]
+    assert "error" in reply.result()
 
 
 def test_get_latest_block_returns_confirmed_only(cluster):
@@ -161,7 +171,94 @@ def test_get_latest_block_returns_confirmed_only(cluster):
         DriverConfig(n_clients=1, request_rate_tx_s=50, duration_s=10),
     )
     stats = driver.run()
-    client = driver.clients[0]
     # Polling height advanced and matches confirmations.
-    assert client._poll_height > 0
+    assert driver.poll_heights[0] > 0
     assert stats.confirmed > 0
+
+
+def test_closed_loop_is_self_deterministic():
+    """Two runs with one seed replay the same timeline."""
+    spec = ExperimentSpec(
+        platform="hyperledger", workload="ycsb", n_servers=4, n_clients=2,
+        request_rate_tx_s=80.0, duration_s=12.0, seed=9,
+    )
+    first = run_experiment(spec)
+    second = run_experiment(spec)
+    assert first.summary == second.summary
+    assert first.chain_height == second.chain_height
+
+
+def test_driver_knobs_flow_from_spec_to_clients():
+    cluster = build_cluster("hyperledger", 4, seed=9)
+    driver = Driver(
+        cluster,
+        DoNothingWorkload(),
+        DriverConfig(
+            n_clients=1,
+            poll_interval_s=0.2,
+            threads_per_client=7,
+            retry_interval_s=0.05,
+        ),
+    )
+    assert driver.config.threads_per_client == 7
+    assert driver.config.poll_interval_s == 0.2
+    assert driver.backoffs == [0.05]
+    cluster.close()
+
+
+def test_driver_keeps_one_collector_per_client():
+    """The merged view is derived, not the storage, so per-client
+    breakdowns remain possible."""
+    cluster = build_cluster("hyperledger", 2, seed=3)
+    driver = Driver(
+        cluster,
+        make_workload("ycsb"),
+        DriverConfig(n_clients=5, request_rate_tx_s=20.0, duration_s=4.0),
+    )
+    merged = driver.run()
+    assert len(driver.stats_slots) == 5
+    assert len(set(map(id, driver.stats_slots))) == 5
+    assert sum(s.confirmed for s in driver.stats_slots) == merged.confirmed > 0
+    assert driver.stats is merged  # queue_series() reads it, no second merge
+    cluster.close()
+
+
+@pytest.mark.parametrize("open_loop", [False, True])
+@pytest.mark.parametrize("prepare_first", [False, True])
+def test_run_prepares_exactly_once(cluster, open_loop, prepare_first):
+    """run() deploys and preloads unless prepare() already did — on both
+    drivers (the open loop used to skip the preload silently)."""
+    preloads = []
+
+    class Counting(DoNothingWorkload):
+        def preload(self, cluster):
+            preloads.append(cluster)
+            super().preload(cluster)
+
+    config = DriverConfig(n_clients=1, request_rate_tx_s=10, duration_s=1)
+    if open_loop:
+        config.arrival = ArrivalSpec(process="poisson", rate_tx_s=10.0, accounts=10)
+    driver = (OpenLoopDriver if open_loop else Driver)(cluster, Counting(), config)
+    if prepare_first:
+        driver.prepare()
+    assert driver.run(extra_drain_s=0.0).submitted > 0
+    assert len(preloads) == 1
+
+
+@pytest.mark.parametrize(
+    "bad_knobs",
+    [
+        {"poll_interval_s": 0.0},  # polling at the same instant forever
+        {"poll_interval_s": -1.0},
+        {"threads_per_client": 0},  # nothing could ever submit
+        {"retry_interval_s": -0.1},  # invalid timer
+        {"request_rate_tx_s": 0.0},
+        {"queue_sample_interval_s": 0.0},  # sampling at the same instant forever
+        {"queue_sample_interval_s": -1.0},
+    ],
+)
+def test_driver_config_rejects_degenerate_knobs(bad_knobs):
+    """Knob values reachable from the CLI / scenario JSON that would
+    hang or starve a run must fail at construction, not mid-suite."""
+    with pytest.raises(BenchmarkError):
+        DriverConfig(**bad_knobs)

@@ -165,8 +165,7 @@ def test_figure10_pow_forks_pbft_does_not():
             DriverConfig(n_clients=4, request_rate_tx_s=20, duration_s=90),
         )
         driver.prepare()
-        for client in driver.clients:
-            client.start(90.0)
+        driver.start(90.0)
         report = run_partition_attack(
             cluster,
             attack_start=20.0,

@@ -160,7 +160,6 @@ def test_driver_knob_axes_expand_and_flow_into_specs():
     points = {(s.poll_interval_s, s.threads_per_client) for s in specs}
     assert points == {(0.25, 8), (0.25, 32), (0.5, 8), (0.5, 32)}
     assert all(s.retry_interval_s == 0.1 for s in specs)
-    assert all(s.client_mode == "coroutine" for s in specs)
 
 
 def test_driver_knob_axes_accepted_from_json():
@@ -173,18 +172,18 @@ def test_driver_knob_axes_accepted_from_json():
             "poll_intervals": [0.1, 1.0],
             "threads_per_client": 16,
             "retry_intervals": [0.05, 0.25],
-            "client_mode": "callback",
         }
     )
     specs = spec.expand()
     assert len(specs) == 4
     assert all(s.threads_per_client == 16 for s in specs)
-    assert all(s.client_mode == "callback" for s in specs)
 
 
-def test_unknown_client_mode_rejected_at_expand():
-    with pytest.raises(BenchmarkError, match="unknown client_mode"):
-        ScenarioSpec(client_mode="corotine").expand()
+def test_client_mode_key_is_refused():
+    """The knob is gone; a scenario file still carrying it fails like
+    any other unknown key instead of being silently ignored."""
+    with pytest.raises(BenchmarkError, match=r"unknown scenario keys \['client_mode'"):
+        ScenarioSpec.from_dict({"platforms": "hyperledger", "client_mode": "batch"})
 
 
 def test_unknown_platform_rejected_at_expand():

@@ -109,7 +109,7 @@ def test_empty_tracer_breakdown_has_no_dominant_stage():
 # ---------------------------------------------------------------------------
 # End-to-end invariants across platforms and driver shapes
 # ---------------------------------------------------------------------------
-def _drive(platform: str, client_mode: str = "coroutine", open_loop: bool = False):
+def _drive(platform: str, open_loop: bool = False):
     """Run a short experiment keeping the cluster (and tracer) alive."""
     cluster = build_cluster(platform, 2, seed=3)
     workload = make_workload("ycsb")
@@ -117,7 +117,6 @@ def _drive(platform: str, client_mode: str = "coroutine", open_loop: bool = Fals
         n_clients=2,
         request_rate_tx_s=20.0,
         duration_s=5.0,
-        client_mode=client_mode,
         arrival=None,
     )
     if open_loop:
@@ -162,9 +161,8 @@ def _assert_monotone(stamps: dict) -> int:
 
 
 @pytest.mark.parametrize("platform", PLATFORMS)
-@pytest.mark.parametrize("client_mode", ["coroutine", "batch"])
-def test_closed_loop_stamps_are_monotone(platform, client_mode):
-    stamps, breakdown, summary = _drive(platform, client_mode=client_mode)
+def test_closed_loop_stamps_are_monotone(platform):
+    stamps, breakdown, summary = _drive(platform)
     complete = _assert_monotone(stamps)
     assert complete == breakdown.traced
     if platform == "ethereum":

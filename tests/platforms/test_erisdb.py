@@ -11,6 +11,21 @@ from repro.platforms.erisdb import ErisDBState
 from repro.workloads import YCSBConfig, YCSBWorkload
 
 
+def collect_blocks(cluster, subscription) -> list[dict]:
+    """Consume a push feed into a list (filled as the simulation runs)."""
+    events: list[dict] = []
+
+    def consume():
+        try:
+            while True:
+                events.append((yield subscription.next_block()))
+        except ConnectorError:
+            pass  # cancelled: the feed is over
+
+    cluster.scheduler.spawn(consume())
+    return events
+
+
 def small_driver(cluster, rate=40, duration=20, clients=2, **kwargs):
     workload = YCSBWorkload(YCSBConfig(record_count=100))
     return Driver(
@@ -79,8 +94,7 @@ def test_subscription_pushes_block_events():
     cluster = build_cluster("erisdb", 4, seed=5)
     client = RPCClient("watcher", cluster.scheduler, cluster.network)
     connector = SimChainConnector(cluster, client, cluster.node_ids()[0])
-    events: list[dict] = []
-    connector.subscribe_new_blocks(0, events.append)
+    events = collect_blocks(cluster, connector.subscribe_new_blocks(0))
     driver = small_driver(cluster, duration=15)
     stats = driver.run()
     assert events, "no block events pushed"
@@ -99,8 +113,7 @@ def test_subscription_replays_missed_blocks():
     assert height_before > 0
     client = RPCClient("late-watcher", cluster.scheduler, cluster.network)
     connector = SimChainConnector(cluster, client, cluster.node_ids()[0])
-    events: list[dict] = []
-    connector.subscribe_new_blocks(0, events.append)
+    events = collect_blocks(cluster, connector.subscribe_new_blocks(0))
     cluster.run_until(cluster.scheduler.now + 2.0)
     assert [e["height"] for e in events[:height_before]] == list(
         range(1, height_before + 1)
@@ -113,7 +126,7 @@ def test_subscription_refused_on_polling_platforms():
     client = RPCClient("watcher", cluster.scheduler, cluster.network)
     connector = SimChainConnector(cluster, client, cluster.node_ids()[0])
     with pytest.raises(ConnectorError):
-        connector.subscribe_new_blocks(0, lambda b: None)
+        connector.subscribe_new_blocks(0)
     cluster.close()
 
 
@@ -142,12 +155,11 @@ def test_unsubscribe_tears_down_server_side_subscription():
     client = RPCClient("watcher", cluster.scheduler, cluster.network)
     connector = SimChainConnector(cluster, client, cluster.node_ids()[0])
     server = cluster.nodes[0]
-    events: list[dict] = []
-    subscription = connector.subscribe_new_blocks(0, events.append)
+    subscription = connector.subscribe_new_blocks(0)
+    events = collect_blocks(cluster, subscription)
     driver = small_driver(cluster, duration=10)
     driver.prepare()
-    for bench_client in driver.clients:
-        bench_client.start(10)
+    driver.start(10)
     cluster.run_until(8.0)
     assert events, "subscription never delivered"
     assert "watcher" in server._subscribers
@@ -169,7 +181,7 @@ def test_subscription_cancel_is_idempotent():
     cluster = build_cluster("erisdb", 2, seed=5)
     client = RPCClient("watcher", cluster.scheduler, cluster.network)
     connector = SimChainConnector(cluster, client, cluster.node_ids()[0])
-    subscription = connector.subscribe_new_blocks(0, lambda b: None)
+    subscription = connector.subscribe_new_blocks(0)
     subscription.cancel()
     subscription.cancel()
     assert not subscription.active

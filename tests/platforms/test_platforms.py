@@ -81,11 +81,11 @@ def test_parity_throughput_capped_by_signing():
     stats = driver.run()
     assert 25 <= stats.throughput() <= 70
     # Offered 400 tx/s >> ~45 signed: the client queues grow (Figure 6).
-    assert sum(len(c.backlog) for c in driver.clients) > 1000
+    assert sum(len(backlog) for backlog in driver.backlogs) > 1000
     # Every confirmed tx went through the signer; the remainder is bounded
     # by the in-flight window (txs signed but still inside the 5 s
     # confirmation lag when the run stops).
-    in_flight_cap = len(driver.clients) * driver.config.threads_per_client
+    in_flight_cap = len(driver.connectors) * driver.config.threads_per_client
     gap = cluster.nodes[0].signed_count - stats.confirmed
     assert 0 <= gap <= in_flight_cap
     cluster.close()

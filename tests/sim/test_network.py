@@ -117,7 +117,7 @@ def test_crashed_node_drops_messages():
 
 def test_corruption_marks_messages():
     sched, net, nodes = make_net(n=2)
-    net.inject_corruption(1.0)
+    net.add_corruption(1.0)
     net.send("n0", "n1", "x", None)
     sched.run()
     assert nodes[1].received[0].corrupted
@@ -126,21 +126,21 @@ def test_corruption_marks_messages():
 def test_corruption_rate_validation():
     _, net, _ = make_net()
     with pytest.raises(NetworkError):
-        net.inject_corruption(1.5)
+        net.add_corruption(1.5)
 
 
 def test_injected_delay_slows_delivery():
     sched1, net1, _ = make_net(seed=3)
     base = net1._delivery_delay("n0", "n1", 100)
     sched2, net2, _ = make_net(seed=3)
-    net2.inject_delay(0.5)
+    net2.add_delay(0.5)
     slowed = net2._delivery_delay("n0", "n1", 100)
     assert slowed > base + 0.2
 
 
 def test_delay_targets_specific_nodes():
     _, net, _ = make_net(n=3, jitter=0.0)
-    net.inject_delay(1.0, nodes=["n2"])
+    net.add_delay(1.0, nodes=["n2"])
     unaffected = net._delivery_delay("n0", "n1", 100)
     affected = net._delivery_delay("n0", "n2", 100)
     assert affected > unaffected + 0.4

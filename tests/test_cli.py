@@ -391,7 +391,7 @@ def test_suite_threshold_outside_compare_rejected(tmp_path, capsys):
     assert "--threshold only applies to --compare" in capsys.readouterr().err
 
 
-def test_run_accepts_driver_knobs_and_client_mode(capsys):
+def test_run_accepts_driver_knobs(capsys):
     code = main(
         [
             "run",
@@ -404,7 +404,6 @@ def test_run_accepts_driver_knobs_and_client_mode(capsys):
             "--poll-interval", "0.25",
             "--threads", "8",
             "--retry-interval", "0.1",
-            "--client-mode", "callback",
             "--json",
         ]
     )

@@ -1,8 +1,9 @@
 """Analytics Q1/Q2: the coroutine clients vs the v1 callback chains.
 
 The reference implementations below are the pre-redesign callback
-clients, verbatim, running through the compat ``on_reply`` signatures
-of the v2 connector. The coroutine rewrites must return the same
+clients, verbatim; their ``on_reply`` closures are attached to the
+connector's futures with ``add_done_callback``, which fires them inline
+at resolution. The coroutine rewrites must return the same
 answer, the same RPC count, and the same latency — the paper's Figure
 13a/13b numbers may not move because the client API changed.
 """
@@ -21,8 +22,12 @@ SCAN_FROM = 20
 
 
 # ---------------------------------------------------------------------------
-# v1 reference: the callback-chain client (pre-redesign, via compat API)
+# v1 reference: the callback-chain client (pre-redesign)
 # ---------------------------------------------------------------------------
+def _then(future, on_reply):
+    future.add_done_callback(lambda fut: on_reply(fut.result()))
+
+
 class _CallbackQuery:
     def __init__(self, cluster, client_name):
         self.cluster = cluster
@@ -69,7 +74,7 @@ class _CallbackQ1(_CallbackQuery):
             self.total += sum(tx["value"] for tx in reply.get("txs", []))
             self._next()
 
-        self.connector.get_block_transactions(height, on_reply)
+        _then(self.connector.get_block_transactions(height), on_reply)
 
 
 class _CallbackQ2Ethereum(_CallbackQuery):
@@ -94,8 +99,11 @@ class _CallbackQ2Ethereum(_CallbackQuery):
             self.previous = balance
             self._next()
 
-        self.connector.get_balance(
-            "smallbank", b"chk:" + self.account.encode(), height, on_reply
+        _then(
+            self.connector.get_balance(
+                "smallbank", b"chk:" + self.account.encode(), height
+            ),
+            on_reply,
         )
 
 
@@ -119,10 +127,12 @@ class _CallbackQ2Hyperledger(_CallbackQuery):
                 previous = record["balance"]
             self._finish(largest)
 
-        self.connector.query(
-            "versionkv",
-            "account_block_range",
-            (self.account, self.start_block, self.end_block + 1),
+        _then(
+            self.connector.query(
+                "versionkv",
+                "account_block_range",
+                (self.account, self.start_block, self.end_block + 1),
+            ),
             on_reply,
         )
 
