@@ -102,6 +102,16 @@ class Block:
         """Convenience accessor for the header height."""
         return self.header.height
 
+    @property
+    def tx_ids(self) -> tuple[str, ...]:
+        """The body's transaction ids, built once: every replica hands
+        this tuple to its mempool, the tracer and its clients."""
+        try:
+            return self._tx_ids
+        except AttributeError:
+            ids = self._tx_ids = tuple([tx.tx_id for tx in self.transactions])
+            return ids
+
     def size_bytes(self) -> int:
         """Wire size estimate: fixed header cost plus transaction bodies.
         Computed once — a block's body is never edited after it is built."""

@@ -23,6 +23,11 @@ def _encode_args(args: tuple[Any, ...]) -> bytes:
     return repr(args).encode()
 
 
+def _unsigned_size(sender: str, contract: str, function: str, args: bytes) -> int:
+    # 110: fixed header (ids, nonce, value, framing).
+    return 110 + len(sender) + len(contract) + len(function) + len(args)
+
+
 @dataclass
 class Transaction:
     """One signed state transition request."""
@@ -51,15 +56,16 @@ class Transaction:
         """Build a transaction with a content-derived id."""
         if nonce is None:
             nonce = next(_tx_counter)
+        encoded_args = _encode_args(args)
         digest = hash_items(
             sender.encode(),
             contract.encode(),
             function.encode(),
-            _encode_args(args),
+            encoded_args,
             value.to_bytes(16, "big", signed=True),
             nonce.to_bytes(16, "big"),
         )
-        return cls(
+        tx = cls(
             tx_id=digest.hex(),
             sender=sender,
             contract=contract,
@@ -69,6 +75,11 @@ class Transaction:
             nonce=nonce,
             submitted_at=submitted_at,
         )
+        # The args are encoded once, for the id and for the wire size.
+        tx._unsigned_size = _unsigned_size(
+            sender, contract, function, encoded_args
+        )
+        return tx
 
     def signing_payload(self) -> bytes:
         """Bytes covered by the sender's signature."""
@@ -81,18 +92,16 @@ class Transaction:
     def size_bytes(self) -> int:
         """Approximate wire size (fields + signature).
 
-        The unsigned part is computed once: ``tx_id`` is derived from
-        those fields, so they never change after :meth:`create`.
+        The unsigned part is computed once (by :meth:`create`, or here
+        for a directly constructed object): ``tx_id`` is derived from
+        those fields, so they never change.
         """
         try:
             unsigned = self._unsigned_size
         except AttributeError:
-            unsigned = self._unsigned_size = (
-                110  # fixed header: ids, nonce, value, framing
-                + len(self.sender)
-                + len(self.contract)
-                + len(self.function)
-                + len(_encode_args(self.args))
+            unsigned = self._unsigned_size = _unsigned_size(
+                self.sender, self.contract, self.function,
+                _encode_args(self.args),
             )
         return unsigned + (self.signature.size_bytes() if self.signature else 0)
 
@@ -100,9 +109,14 @@ class Transaction:
         return f"<Tx {self.tx_id[:8]} {self.contract}.{self.function}>"
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class Receipt:
-    """Outcome of executing one transaction inside a committed block."""
+    """Outcome of executing one transaction inside a committed block.
+
+    A pure function of (pre-state, block), hence immutable: with the
+    execution cache on, every replica's ``receipts`` map holds the first
+    executor's objects.
+    """
 
     tx_id: str
     block_height: int
@@ -110,7 +124,6 @@ class Receipt:
     gas_used: int = 0
     output: Any = None
     error: str = ""
-    committed_at: float = 0.0
 
 
 @dataclass

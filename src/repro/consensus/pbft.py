@@ -187,8 +187,10 @@ class PBFT(ConsensusProtocol):
         self._arm_progress_timer()
 
     def on_new_pending_tx(self) -> None:
-        """Arm the no-progress watchdog; batching happens on the tick."""
-        self._arm_progress_timer()
+        """Arm the no-progress watchdog; batching happens on the tick.
+        The mempool has just grown, so there is work by construction."""
+        if self._running:
+            self._push_progress_deadline()
 
     # ------------------------------------------------------------------
     # Leader: batching and proposal
@@ -369,8 +371,10 @@ class PBFT(ConsensusProtocol):
         moves ``_progress_deadline``, and a timer is set just when none
         is pending (none yet, fired, or cancelled by a crash).
         """
-        if not self._running or not self._has_work():
-            return
+        if self._running and self._has_work():
+            self._push_progress_deadline()
+
+    def _push_progress_deadline(self) -> None:
         self._progress_deadline = self.host.now + self.config.view_timeout
         timer = self._progress_timer
         if timer is None or timer.cancelled:

@@ -173,11 +173,13 @@ class StageTracer:
     """Cluster-wide lifecycle recorder (one per cluster, like the
     ChainAuditor). Hot-path methods are dict/list operations only."""
 
-    __slots__ = ("_stamps", "_depths")
+    __slots__ = ("_stamps", "_depths", "_block_stages")
 
     def __init__(self) -> None:
         #: tx_id -> 7 stamp slots (None until recorded) + running max.
         self._stamps: dict[str, list[float | None]] = {}
+        #: (stage, tx ids) pairs ``record_block`` has stamped.
+        self._block_stages: set[tuple[int, tuple[str, ...]]] = set()
         #: Live backlog gauges, pipeline order (QUEUE_GAUGES).
         self._depths = [0, 0, 0]
 
@@ -217,9 +219,17 @@ class StageTracer:
                 self._depths[2] -= 1
 
     def record_block(self, tx_ids, stage: int, now: float) -> None:
-        """Stamp every tx in a block at once (propose/decide/commit)."""
+        """Stamp every tx in a block at once (propose/decide/commit) —
+        once per cluster: after the first call for a (stage, ids) pair
+        each of those slots is taken, so the replicas that follow would
+        be first-wins no-ops tx by tx. A fork block sharing transactions
+        is another pair and is walked."""
+        key = (stage, tuple(tx_ids))  # a Block.tx_ids tuple is not copied
+        if key in self._block_stages:
+            return
+        self._block_stages.add(key)
         record = self.record
-        for tx_id in tx_ids:
+        for tx_id in key[1]:
             record(tx_id, stage, now)
 
     # Named hook-site helpers: the chain and platform layers sit below

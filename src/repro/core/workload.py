@@ -195,17 +195,15 @@ def preload_state(cluster: "Cluster", contract: str, items) -> int:
     """Helper: write (key, value) byte pairs into a contract's namespace
     on every node. Returns the number of records written per node.
 
-    Writes go through ``PlatformNode.bootstrap_put`` so each node
-    remembers them: cold crash-recovery wipes the state store and must
-    re-seed these consensus-bypassing records before chain replay.
+    The records become one sorted net write-set (a repeated key keeps
+    its last value), built once and shared: every node applies the same
+    tuple through ``PlatformNode.bootstrap_apply`` and keeps it — cold
+    crash-recovery wipes the state store and must re-seed these
+    consensus-bypassing records before chain replay.
     """
-    count = 0
     prefix = contract.encode() + b"/"
-    for key, value in items:
-        key = prefix + key  # one object for all N replicas' logs and trees
-        for node in cluster.nodes:
-            node.bootstrap_put(key, value)
-        count += 1
+    write_set = tuple(sorted({prefix + key: value for key, value in items}.items()))
     for node in cluster.nodes:
+        node.bootstrap_apply(write_set)
         node.bootstrap_commit()
-    return count
+    return len(write_set)

@@ -13,13 +13,27 @@ Figure 12c is an order of magnitude below Ethereum/Parity's.
 from __future__ import annotations
 
 import hashlib
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from ..errors import StorageError
-from .hashing import EMPTY_HASH, Hash, hash_items, sha256
+from .hashing import EMPTY_HASH, Hash, sha256
 
-#: ``hash_items``' encoding of the leading ``b"bucket"`` tag.
-_BUCKET_PREFIX = (6).to_bytes(4, "big") + b"bucket"
+#: ``hash_items``' 4-byte length prefixes as a table (longer parts fall
+#: back to ``to_bytes``) and its fixed framing: of a bucket up to the
+#: first key, of an interior node up to the left (32-byte) child.
+_LEN4 = tuple(n.to_bytes(4, "big") for n in range(256))
+_BUCKET_PREFIX = _LEN4[6] + b"bucket"
+_NODE_PREFIX = _LEN4[5] + b"bnode" + _LEN4[32]
+
+#: One write per item: ``(key, value)`` with ``value=None`` a delete.
+Items = Sequence[tuple[bytes, "bytes | None"]]
+#: Per level, leaves first: ascending node indexes and their digests.
+LevelRecord = tuple[tuple[tuple[int, ...], tuple[Hash, ...]], ...]
+
+
+def _node_digest(left: Hash, right: Hash) -> Hash:
+    """``hash_items(b"bnode", left, right)`` as one pre-framed buffer."""
+    return sha256(_NODE_PREFIX + left + _LEN4[32] + right)
 
 
 class BucketTree:
@@ -50,7 +64,7 @@ class BucketTree:
         self._levels.append(level)
         while len(level) > 1:
             level = [
-                hash_items(b"bnode", level[i], level[i + 1])
+                _node_digest(level[i], level[i + 1])
                 for i in range(0, len(level), 2)
             ]
             self._levels.append(level)
@@ -67,34 +81,39 @@ class BucketTree:
         return self._buckets[self._bucket_index(key)].get(key)
 
     def put(self, key: bytes, value: bytes) -> None:
-        index = self._bucket_index(key)
-        bucket = self._buckets[index]
-        if key not in bucket:
-            self.key_count += 1
-        bucket[key] = value
-        self._dirty.add(index)
+        self._store(((key, value),), (self._bucket_index(key),))
 
     def delete(self, key: bytes) -> None:
-        index = self._bucket_index(key)
-        bucket = self._buckets[index]
-        if key in bucket:
-            del bucket[key]
-            self.key_count -= 1
-            self._dirty.add(index)
+        self._store(((key, None),), (self._bucket_index(key),))
 
-    def update(self, items: Iterable[tuple[bytes, bytes | None]]) -> None:
-        """Apply a net write-set in one pass (``value=None`` deletes).
+    def update(self, items: Items) -> tuple[int, ...]:
+        """Apply a net write-set in one pass (``value=None`` deletes);
+        returns each item's bucket index, for :meth:`install`.
 
         Buckets are only marked dirty here; the Merkle work happens at
         the next :meth:`root_hash`, which recomputes each dirty leaf
         and every shared interior node exactly once for the whole batch
         — the bucket-tree analogue of the trie's batched update.
         """
-        for key, value in items:
+        positions = tuple([self._bucket_index(key) for key, _ in items])
+        self._store(items, positions)
+        return positions
+
+    def _store(self, items: Items, positions: Sequence[int]) -> None:
+        """Write each item into its bucket, marking the ones that change."""
+        buckets, dirty = self._buckets, self._dirty
+        for (key, value), index in zip(items, positions):
+            bucket = buckets[index]
             if value is None:
-                self.delete(key)
+                if key not in bucket:
+                    continue
+                del bucket[key]
+                self.key_count -= 1
             else:
-                self.put(key, value)
+                if key not in bucket:
+                    self.key_count += 1
+                bucket[key] = value
+            dirty.add(index)
 
     def items(self) -> list[tuple[bytes, bytes]]:
         """All (key, value) pairs, bucket order then key order."""
@@ -110,17 +129,16 @@ class BucketTree:
         bucket = self._buckets[index]
         if not bucket:
             return EMPTY_HASH
-        # hash_items(b"bucket", k1, v1, k2, v2, ...) fed straight to the
-        # hasher: no intermediate list of parts, no argument tuple.
-        hasher = hashlib.sha256(_BUCKET_PREFIX)
-        update = hasher.update
+        # hash_items(b"bucket", k1, v1, k2, v2, ...) as one buffer.
+        parts = [_BUCKET_PREFIX]
         for key in sorted(bucket):
             value = bucket[key]
-            update(len(key).to_bytes(4, "big"))
-            update(key)
-            update(len(value).to_bytes(4, "big"))
-            update(value)
-        return hasher.digest()
+            n, m = len(key), len(value)
+            parts += (
+                _LEN4[n] if n < 256 else n.to_bytes(4, "big"), key,
+                _LEN4[m] if m < 256 else m.to_bytes(4, "big"), value,
+            )
+        return hashlib.sha256(b"".join(parts)).digest()
 
     def root_hash(self) -> Hash:
         """Flush dirty buckets and return the current root digest (a
@@ -129,54 +147,62 @@ class BucketTree:
             self.flush()
         return self._levels[-1][0]
 
-    def flush(self, recorded: Sequence[Hash] | None = None) -> tuple[Hash, ...]:
-        """Refresh every digest above a dirty bucket; returns them as
-        one flat tuple in (level, ascending index) order.
+    def flush(self) -> LevelRecord:
+        """Refresh every digest above a dirty bucket; returns what it
+        refreshed (empty when nothing was dirty).
 
         Propagates level by level: every dirty leaf digest is computed
         once, then each *distinct* dirty parent at each interior level
         is hashed once — K dirty buckets under a shared ancestor cost
         one ancestor rehash for the whole batch instead of K (the
         digests themselves are unchanged, so the root stays
-        byte-identical to per-bucket recomputation). With ``recorded``
-        the same walk stores recorded digests instead (:meth:`install`).
+        byte-identical to per-bucket recomputation).
         """
-        fresh: list[Hash] = []
-        walked = 0
-        dirty = sorted(self._dirty)
-        for depth, level in enumerate(self._levels):
-            if recorded is not None:
-                digests = recorded[walked : walked + len(dirty)]
-            elif depth == 0:
-                digests = [self._bucket_digest(index) for index in dirty]
+        if not self._dirty:
+            return ()
+        record = []
+        indexes = sorted(self._dirty)
+        below: list[Hash] | None = None
+        for level in self._levels:
+            if below is None:
+                digests = [self._bucket_digest(index) for index in indexes]
             else:
-                below = self._levels[depth - 1]
                 digests = [
-                    hash_items(b"bnode", below[index * 2], below[index * 2 + 1])
-                    for index in dirty
+                    _node_digest(below[index * 2], below[index * 2 + 1])
+                    for index in indexes
                 ]
-            for index, digest in zip(dirty, digests):
+            for index, digest in zip(indexes, digests):
                 level[index] = digest
-            fresh += digests
-            walked += len(dirty)
-            dirty = sorted({index // 2 for index in dirty})
-        if recorded is not None and walked != len(recorded):
-            # The buckets stay dirty: the next flush re-hashes them.
-            raise StorageError(
-                f"bucket-tree commit record holds {len(recorded)} digests, "
-                f"the write-set dirtied {walked} nodes"
-            )
+            record.append((tuple(indexes), tuple(digests)))
+            below = level
+            indexes = sorted({index // 2 for index in indexes})
         self._dirty.clear()
-        return tuple(fresh)
+        return tuple(record)
 
     def install(
-        self, items: Iterable[tuple[bytes, bytes | None]], digests: Sequence[Hash]
+        self, items: Items, positions: Sequence[int], levels: LevelRecord
     ) -> None:
-        """:meth:`update` and flush without hashing: ``digests`` is what
-        :meth:`flush` returned on a tree that held the same buckets and
-        had just applied the same ``items``, so the walk visits the same
-        nodes in the same order. The record must be consumed exactly:
-        one digest short or long raises, never a silently stale digest.
+        """:meth:`update` and :meth:`flush` without hashing or sorting:
+        ``positions`` and ``levels`` are what the two returned on a tree
+        that held the same buckets and applied the same ``items``, so
+        this is dict and list stores only. A record that does not fit —
+        another item count, or other leaves than the writes dirtied
+        here — is refused with the buckets left dirty: the next flush
+        re-hashes them, never a silently stale digest.
         """
-        self.update(items)
-        self.flush(digests)
+        placed = len(positions) == len(items)
+        if placed:
+            self._store(items, positions)
+        else:
+            self.update(items)
+        leaves = levels[0][0] if levels else ()
+        if not placed or self._dirty != set(leaves):
+            raise StorageError(
+                f"bucket-tree commit record places {len(positions)} items "
+                f"and refreshes {len(leaves)} buckets; the write-set holds "
+                f"{len(items)} and dirtied {len(self._dirty)}"
+            )
+        for level, (indexes, digests) in zip(self._levels, levels):
+            for index, digest in zip(indexes, digests):
+                level[index] = digest
+        self._dirty.clear()

@@ -271,12 +271,12 @@ class _NamespacedState:
 class CachedExecution:
     """Time-independent outcome of executing one block once.
 
-    ``receipts`` holds ``(tx_id, success, gas_used, output, error)``
-    per transaction, in block order; the replica replaying the entry
-    stamps its own ``committed_at`` (local simulated time) when it
-    materializes real :class:`~repro.chain.Receipt` objects, so the
-    simulated timeline is untouched — only the redundant Python-level
-    contract execution is skipped.
+    ``receipts`` holds the first executor's (immutable)
+    :class:`~repro.chain.Receipt` objects, in block order; a replica
+    replaying the entry files the same objects and charges its own
+    simulated CPU from them, so the simulated timeline is untouched —
+    only the redundant Python-level contract execution and receipt
+    building is skipped.
 
     ``levels`` is the dependency-level schedule captured by the
     parallel execution path (``exec_workers > 1``), or ``None`` when
@@ -289,7 +289,7 @@ class CachedExecution:
     """
 
     write_set: WriteSet
-    receipts: tuple[tuple[str, bool, int, Any, str], ...]
+    receipts: tuple[Receipt, ...]
     levels: tuple[int, ...] | None = None
 
 
@@ -405,9 +405,10 @@ class PlatformNode(SimNode):
         #: One entry per completed crash/recover cycle: simulated
         #: seconds from restart to caught-up-and-voting.
         self.recovery_times: list[float] = []
-        # Pre-run (genesis) writes, re-applied by cold recovery: they
-        # live in no block, so a wiped state cannot replay them.
-        self._genesis_writes: list[tuple[bytes, bytes]] = []
+        # Pre-run (genesis) write-sets, re-applied by cold recovery: they
+        # live in no block, so a wiped state cannot replay them. Each is
+        # the cluster's one tuple (see ``preload_state``), not a copy.
+        self._genesis_writes: list[WriteSet] = []
         self._genesis_sealed = False
         self.sync_requests_sent = 0
         self.sync_blocks_received = 0
@@ -500,9 +501,7 @@ class PlatformNode(SimNode):
             gas_budget=gas_limit,
             gas_estimate=self.gas_estimate if gas_limit else None,
         )
-        if self.tracer is not None and txs:
-            self.tracer.record_propose([tx.tx_id for tx in txs], self.now)
-        return Block.build(
+        block = Block.build(
             height=parent.height + 1,
             parent_hash=parent.hash,
             transactions=txs,
@@ -511,13 +510,16 @@ class PlatformNode(SimNode):
             timestamp=self.now,
             consensus_meta=consensus_meta,
         )
+        if self.tracer is not None and txs:
+            self.tracer.record_propose(block.tx_ids, self.now)
+        return block
 
     def deliver_block(self, block: Block, execute: bool = True) -> bool:
         """Append a decided block; executes it once confirmed."""
         known = self._chain.contains(block.hash)
         changed = self._chain.add_block(block)
         if not known and self._chain.contains(block.hash):
-            self.mempool.remove(tx.tx_id for tx in block.transactions)
+            self.mempool.remove(block.tx_ids)
         if execute:
             self._advance_execution()
         return changed
@@ -545,13 +547,11 @@ class PlatformNode(SimNode):
             self.executed_height = block.height
 
     def _execute_block(self, block: Block) -> None:
-        tracer = self.tracer
-        tx_ids = None
-        if tracer is not None and block.transactions:
+        tracer = self.tracer if block.transactions else None
+        if tracer is not None:
             # The first replica to reach this point stamps the decide
             # time for the whole cluster (later replicas are no-ops).
-            tx_ids = [tx.tx_id for tx in block.transactions]
-            tracer.record_decide(tx_ids, self.now)
+            tracer.record_decide(block.tx_ids, self.now)
         cache = self.execution_cache
         pre_root: Hash | None = None
         entry: CachedExecution | None = None
@@ -564,23 +564,11 @@ class PlatformNode(SimNode):
         if entry is not None:
             # Another replica already executed this exact block from
             # this exact pre-state: replay its net write-set into our
-            # overlay and materialize receipts from the recorded
-            # time-independent fields. Simulated CPU is still charged
-            # below — only the redundant Python work is skipped.
+            # overlay and file its receipts. Simulated CPU is still
+            # charged below — only the redundant Python work is skipped.
             self.state.apply_write_set(entry.write_set)
             levels = entry.levels
-            receipts = [
-                Receipt(
-                    tx_id=tx_id,
-                    block_height=block.height,
-                    success=success,
-                    gas_used=gas_used,
-                    output=output,
-                    error=error,
-                    committed_at=self.now,
-                )
-                for tx_id, success, gas_used, output, error in entry.receipts
-            ]
+            receipts = entry.receipts
         else:
             if workers > 1:
                 receipts, levels = self._execute_block_parallel(block)
@@ -591,19 +579,8 @@ class PlatformNode(SimNode):
             if cache is not None and pre_root is not None:
                 write_set = self.state.pending_writes()
                 if write_set is not None:
-                    cache.store(
-                        pre_root,
-                        block.hash,
-                        CachedExecution(
-                            write_set=write_set,
-                            receipts=tuple(
-                                (r.tx_id, r.success, r.gas_used, r.output,
-                                 r.error)
-                                for r in receipts
-                            ),
-                            levels=levels,
-                        ),
-                    )
+                    entry = CachedExecution(write_set, tuple(receipts), levels)
+                    cache.store(pre_root, block.hash, entry)
         seconds = 0.0
         costs = self.config.execution
         durations = [] if workers > 1 and levels is not None else None
@@ -634,15 +611,15 @@ class PlatformNode(SimNode):
         self.executed_block_hashes[block.height] = block.hash
         if self.auditor is not None:
             self.auditor.record_commit(self.node_id, block, self.now)
-        if tx_ids is not None:
+        if tracer is not None:
             # Execution completes once the charged CPU below has been
             # paid; stamping at now + seconds attributes that cost to
             # the execution interval instead of hiding it in result
             # propagation. The state commit itself carries no separate
             # charge in the cost model, so commit == execute.
             done = self.now + seconds
-            tracer.record_execute(tx_ids, done)
-            tracer.record_commit(tx_ids, done)
+            tracer.record_execute(block.tx_ids, done)
+            tracer.record_commit(block.tx_ids, done)
         self._charge(seconds)
 
     def _execute_block_parallel(self, block: Block):
@@ -691,7 +668,6 @@ class PlatformNode(SimNode):
                 block_height=height,
                 success=False,
                 error=f"contract {tx.contract!r} not deployed",
-                committed_at=self.now,
             )
         facade = _NamespacedState(
             self.state if state is None else state, tx.contract
@@ -716,7 +692,6 @@ class PlatformNode(SimNode):
                 success=False,
                 gas_used=21_000,
                 error=str(exc),
-                committed_at=self.now,
             )
         return Receipt(
             tx_id=tx.tx_id,
@@ -724,7 +699,6 @@ class PlatformNode(SimNode):
             success=True,
             gas_used=result.gas_used,
             output=result.output,
-            committed_at=self.now,
         )
 
     def _charge(self, seconds: float) -> None:
@@ -850,7 +824,7 @@ class PlatformNode(SimNode):
             {
                 "height": b.height,
                 "timestamp": b.header.timestamp,
-                "tx_ids": [tx.tx_id for tx in b.transactions],
+                "tx_ids": b.tx_ids,
             }
             for b in blocks
         ]
@@ -924,12 +898,16 @@ class PlatformNode(SimNode):
             "(no _fresh_state implementation)"
         )
 
-    def bootstrap_put(self, key: bytes, value: bytes) -> None:
-        """Write one pre-run (genesis) record, remembering it so cold
-        recovery can re-seed a wiped state before chain replay —
+    def bootstrap_apply(self, write_set: WriteSet) -> None:
+        """Write pre-run (genesis) records, remembering the write-set so
+        cold recovery can re-seed a wiped state before chain replay —
         preloading bypasses consensus, so no block carries these."""
-        self._genesis_writes.append((key, value))
-        self.state.put(key, value)
+        self._genesis_writes.append(write_set)
+        self.state.apply_write_set(write_set)
+
+    def bootstrap_put(self, key: bytes, value: bytes) -> None:
+        """:meth:`bootstrap_apply` for one record."""
+        self.bootstrap_apply(((key, value),))
 
     def bootstrap_commit(self) -> None:
         """Seal the pre-run writes as the height-0 state commit."""
@@ -976,8 +954,8 @@ class PlatformNode(SimNode):
             self.receipts = {}
             # Re-seed the consensus-bypassing genesis writes; without
             # them every replayed root diverges from the live replicas.
-            for key, value in self._genesis_writes:
-                self.state.put(key, value)
+            for write_set in self._genesis_writes:
+                self.state.apply_write_set(write_set)
             if self._genesis_sealed:
                 self.state.commit_block(0)
         # Replay whatever the local chain already holds (the full chain
@@ -1079,7 +1057,7 @@ class PlatformNode(SimNode):
         )
         for block in blocks:
             self._chain.add_block(block)
-            self.mempool.remove(tx.tx_id for tx in block.transactions)
+            self.mempool.remove(block.tx_ids)
         self._advance_execution()
         if self._chain.height >= payload["tip"]:
             self._finish_recovery()

@@ -148,7 +148,7 @@ class ErisDBNode(PlatformNode):
         summary = {
             "height": block.height,
             "timestamp": block.header.timestamp,
-            "tx_ids": [tx.tx_id for tx in block.transactions],
+            "tx_ids": block.tx_ids,
         }
         self.events_published += 1
         self.send(

@@ -58,13 +58,13 @@ class HyperledgerState(JournaledState):
         return self.tree.get(key)
 
     def _flush(self, items, journal: bool = False):
-        self.tree.update(items)
-        record = self.tree.flush()  # the digests it recomputes anyway
+        # The record: where each item went and what the flush refreshed.
+        record = (self.tree.update(items), self.tree.flush())
         self._write_store(items)
         return record
 
     def _install(self, items, record) -> None:
-        self.tree.install(items, record)
+        self.tree.install(items, *record)
         self._write_store(items)
 
     def _write_store(self, items) -> None:

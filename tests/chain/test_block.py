@@ -89,3 +89,16 @@ def test_block_size_is_memoized_and_equals_a_fresh_block():
     assert size == 320 + sum(tx.size_bytes() for tx in block.transactions)
     assert block.size_bytes() == size
     assert Block(block.header, list(block.transactions)).size_bytes() == size
+
+
+def test_tx_ids_is_one_tuple_in_block_order():
+    txs = [_tx(i) for i in range(5)]
+    block = Block.build(
+        height=1, parent_hash=genesis_block().hash, transactions=txs,
+        state_root=EMPTY_HASH, proposer="n1", timestamp=0.5,
+    )
+    assert block.tx_ids == tuple(tx.tx_id for tx in txs)
+    assert block.tx_ids is block.tx_ids  # built once, shared by every replica
+    twin = Block(block.header, list(txs))
+    assert twin.tx_ids == block.tx_ids and twin == block
+    assert genesis_block().tx_ids == ()

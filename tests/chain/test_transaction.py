@@ -2,7 +2,7 @@
 
 import dataclasses
 
-from repro.chain import Transaction, TxStatus
+from repro.chain import Transaction, TxStatus, transaction
 from repro.crypto.signatures import KeyPair
 
 
@@ -62,3 +62,18 @@ def test_size_is_memoized_but_still_sees_a_late_signature():
     assert "_unsigned_size" not in vars(twin)
     assert twin.size_bytes() == tx.size_bytes()
     assert twin == tx
+
+
+def test_create_encodes_the_args_once(monkeypatch):
+    """The id and the wire size share one encoding of the args."""
+    encoded = []
+    encode = transaction._encode_args
+    monkeypatch.setattr(
+        transaction, "_encode_args", lambda args: encoded.append(args) or encode(args)
+    )
+    tx = Transaction.create("alice", "kv", "write", ("k" * 40, "v" * 90), nonce=1)
+    size = tx.size_bytes()
+    assert encoded == [tx.args]
+    # A directly constructed twin measures itself, and agrees.
+    assert dataclasses.replace(tx).size_bytes() == size
+    assert encoded == [tx.args, tx.args]

@@ -105,6 +105,32 @@ def test_watchdog_fires_at_exactly_last_arm_plus_view_timeout(monkeypatch):
     assert started == [(0.3 + 2.0, follower.node_id, 1)]
 
 
+def test_an_admitted_tx_moves_the_deadline_without_scanning_for_work(monkeypatch):
+    """The mempool has just grown, so that arm site skips ``_has_work``
+    (a log scan per admitted transaction); every other site still asks."""
+    scans = []
+    has_work = PBFT._has_work
+    monkeypatch.setattr(
+        PBFT, "_has_work", lambda self: scans.append(self.host.now) or has_work(self)
+    )
+    sched, net, nodes = build_cluster(4, pbft_factory)
+    node = nodes[1]
+    for i, when in enumerate((0.01, 0.02, 0.03)):
+        sched.schedule_at(when, node.submit_tx, make_tx(i))
+    sched.run_until(0.05)  # before the first batch tick
+    assert scans == []
+    assert node.protocol._progress_deadline == 0.03 + 2.0
+    assert len(live_watchdogs(node)) == 1
+    node.protocol.stop()
+    node.submit_tx(make_tx(9))
+    assert node.protocol._progress_deadline == 0.03 + 2.0  # stopped: not armed
+    node.protocol.start()
+    submit_everywhere(nodes, [make_tx(20)])
+    assert scans == []
+    sched.run_until(0.5)
+    assert scans  # proposing and committing arm through the scan
+
+
 def test_watchdog_stands_down_without_work():
     sched, net, nodes = build_cluster(4, pbft_factory)
     submit_everywhere(nodes, [make_tx(i) for i in range(10)])

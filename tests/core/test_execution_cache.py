@@ -10,11 +10,11 @@ same per-node state roots — on all four platforms.
 """
 
 import itertools
-from dataclasses import asdict
+from dataclasses import FrozenInstanceError, asdict
 
 import pytest
 
-from repro.chain.transaction import Transaction
+from repro.chain.transaction import Receipt, Transaction
 from repro.core import (
     CrashFault,
     Driver,
@@ -137,7 +137,7 @@ def test_execution_cache_lookup_and_counters():
     cache = ExecutionCache(capacity=2)
     entry = CachedExecution(
         write_set=((b"k", b"v"),),
-        receipts=(("tx1", True, 21_000, None, ""),),
+        receipts=(Receipt("tx1", 1, True, 21_000),),
     )
     assert cache.lookup(b"root", b"block") is None
     cache.store(b"root", b"block", entry)
@@ -275,6 +275,30 @@ def test_parallel_replayer_charges_the_shared_schedule():
     b_cluster.close()
 
 
+def test_replayed_receipts_are_the_first_executors_objects():
+    """A receipt is a pure function of (pre-state, block): replicas on a
+    shared cache file the same immutable objects; without one (the knob
+    off) each builds its own, equal field for field."""
+    shared = ExecutionCache()
+    a_cluster, node_a = _cached_node(1, shared)
+    b_cluster, node_b = _cached_node(4, shared)
+    c_cluster, node_c = _cached_node(1, None)
+    block = _mixed_block(node_a)
+    for node in (node_a, node_b, node_c):
+        node._execute_block(block)
+    assert list(node_a.receipts) == list(block.tx_ids)
+    assert all(node_b.receipts[t] is r for t, r in node_a.receipts.items())
+    assert node_c.receipts == node_a.receipts
+    assert all(node_c.receipts[t] is not r for t, r in node_a.receipts.items())
+    receipt = node_a.receipts[block.tx_ids[0]]
+    assert not hasattr(receipt, "committed_at")
+    for field in ("tx_id", "success", "gas_used", "output"):
+        with pytest.raises(FrozenInstanceError):
+            setattr(receipt, field, None)
+    for cluster in (a_cluster, b_cluster, c_cluster):
+        cluster.close()
+
+
 # ---------------------------------------------------------------------------
 # Commit once per cluster (PR 17): replicas install the first replica's
 # state commit. The knob that turns the execution memo off turns this
@@ -358,6 +382,8 @@ def test_installed_commits_match_computed_roots(monkeypatch, platform, workload)
     off = _drive(monkeypatch, platform, workload, False)
     assert _roots(on) == _roots(off)
     assert all(_roots(on))
+    # Shared receipts read like the ones each replica builds for itself.
+    assert [n.receipts for n in on.nodes] == [n.receipts for n in off.nodes]
     memo = on.nodes[0].execution_cache.commits
     assert memo.hits > 0 and memo.misses > 0
     assert all(node.state.commit_memo is memo for node in on.nodes)
@@ -397,21 +423,92 @@ def test_lock_step_replicas_install_every_commit_but_the_first():
 
 
 def test_preload_builds_each_key_once_for_all_replicas():
-    """N equal-but-distinct key objects per record would live on in
-    every node's genesis log, overlay and tree (an RSS bug, not a
-    correctness one): the replicas share one object per key."""
+    """One sorted net write-set per cluster: every node applies the same
+    tuple and keeps that object — not a copy — as its genesis record
+    (N copies of a 20k-record preload were an RSS bug, not a
+    correctness one)."""
     cluster = build_cluster("hyperledger", 3, seed=1)
     count = preload_state(
-        cluster, "kvstore", ((b"k%d" % i, b"v%d" % i) for i in range(5))
+        cluster, "kvstore", ((b"k%d" % i, b"v%d" % i) for i in reversed(range(5)))
     )
     assert count == 5
     logs = [node._genesis_writes for node in cluster.nodes]
-    assert logs[0] == [(b"kvstore/k%d" % i, b"v%d" % i) for i in range(5)]
-    for log in logs[1:]:
-        assert all(a[0] is b[0] and a[1] is b[1] for a, b in zip(log, logs[0]))
+    assert logs[0] == [tuple((b"kvstore/k%d" % i, b"v%d" % i) for i in range(5))]
+    assert all(len(log) == 1 and log[0] is logs[0][0] for log in logs)
     memo = cluster.nodes[0].execution_cache.commits
     assert (memo.hits, memo.misses) == (2, 1)  # the preload is memoized too
     assert len({node.state.pre_state_root() for node in cluster.nodes}) == 1
+    cluster.close()
+
+
+@pytest.mark.parametrize("platform", PLATFORMS)
+def test_preload_with_duplicate_keys_is_last_write_wins(platform):
+    gross = build_cluster(platform, 2, seed=1)
+    net = build_cluster(platform, 2, seed=1)
+    records = [(b"k", b"old"), (b"j", b"1"), (b"k", b"newer"), (b"k", b"new")]
+    assert preload_state(gross, "kvstore", records) == 2
+    assert preload_state(net, "kvstore", [(b"k", b"new"), (b"j", b"1")]) == 2
+    for node in gross.nodes:
+        assert node.state.get(b"kvstore/k") == b"new"
+        assert node.state.pre_state_root() == net.nodes[0].state.pre_state_root()
+    # bootstrap_put is the one-record form of the same call.
+    single = build_cluster(platform, 1, seed=1)
+    one = single.nodes[0]
+    one.bootstrap_put(b"kvstore/j", b"1")
+    one.bootstrap_put(b"kvstore/k", b"new")
+    one.bootstrap_commit()
+    assert one._genesis_writes == [
+        ((b"kvstore/j", b"1"),), ((b"kvstore/k", b"new"),)
+    ]
+    assert one.state.pre_state_root() == net.nodes[0].state.pre_state_root()
+    for cluster in (gross, net, single):
+        cluster.close()
+
+
+@pytest.mark.parametrize("cache_on", [True, False])
+def test_parity_memory_cap_trips_on_an_oversized_preload(cache_on):
+    """Fig. 12's 'X': the shared write-set goes through every replica's
+    own put accounting, so a preload the cap cannot hold still dies —
+    and rewrites of one key still count net, not gross."""
+    def cluster():
+        return build_cluster(
+            "parity", 2, seed=1,
+            config_overrides={
+                "memory_cap_bytes": 20_000, "execution_cache": cache_on,
+            },
+        )
+
+    records = [(b"key%04d" % i, b"x" * 50) for i in range(2_000)]
+    with pytest.raises(StorageError, match="out of memory"):
+        preload_state(cluster(), "kvstore", records)
+    fits = cluster()
+    assert preload_state(fits, "kvstore", records[:100]) == 100
+    hot = [(b"hot", b"%050d" % i) for i in range(2_000)]  # 100 KB gross
+    assert preload_state(fits, "kvstore", hot) == 1
+    assert all(n.state.get(b"kvstore/hot") == hot[-1][1] for n in fits.nodes)
+    fits.close()
+
+
+@pytest.mark.parametrize("platform", PLATFORMS)
+def test_cold_recovery_reseeds_from_the_shared_write_sets(platform):
+    """Two preloads, the second overwriting a key of the first: a wiped
+    replica re-applies the cluster's write-sets in order and seals the
+    same genesis root, still holding the shared objects."""
+    cluster = build_cluster(platform, 4, seed=3)
+    preload_state(cluster, "kvstore", [(b"a", b"1"), (b"b", b"2")])
+    preload_state(cluster, "kvstore", [(b"c", b"4"), (b"b", b"3")])
+    witness, victim = cluster.nodes[0], cluster.nodes[-1]
+    shared = list(witness._genesis_writes)
+    assert len(shared) == 2
+    sealed = witness.state.pre_state_root()
+    wiped = victim.state
+    victim.crash()
+    victim.recover("cold")
+    assert victim.state is not wiped
+    assert victim.state.pre_state_root() == sealed
+    assert victim.state.get(b"kvstore/b") == b"3"
+    assert all(a is b for a, b in zip(victim._genesis_writes, shared))
+    assert len(victim._genesis_writes) == 2
     cluster.close()
 
 

@@ -12,6 +12,8 @@ matches the StatsCollector's latency figure exactly.
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import ExperimentSpec, StageBreakdown, StageTracer, run_experiment
 from repro.core.driver import Driver, DriverConfig, OpenLoopDriver
@@ -104,6 +106,71 @@ def test_empty_tracer_breakdown_has_no_dominant_stage():
     assert breakdown.traced == 0
     assert breakdown.dominant_stage() is None
     assert breakdown.end_to_end_avg_s == 0.0
+
+
+# ---------------------------------------------------------------------------
+# record_block stamps a (stage, block) pair once per cluster. The oracle
+# is the plain per-transaction loop every replica used to run.
+# ---------------------------------------------------------------------------
+class PerTxLoopTracer(StageTracer):
+    __slots__ = ()
+
+    def record_block(self, tx_ids, stage, now):
+        for tx_id in tx_ids:
+            self.record(tx_id, stage, now)
+
+
+_TXS = [f"tx{i}" for i in range(6)]
+#: Blocks as their tx-id tuples: overlapping ones are fork blocks that
+#: share transactions; equal ones are the same body proposed twice.
+_blocks = st.lists(
+    st.lists(st.sampled_from(_TXS), unique=True, max_size=4).map(tuple),
+    min_size=1, max_size=5,
+)
+_times = st.floats(min_value=0.0, max_value=50.0, allow_nan=False)
+_block_stage_names = st.sampled_from(["propose", "decide", "execute", "commit"])
+_tx_stage_names = st.sampled_from(["submit", "admit", "notify"])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    blocks=_blocks,
+    ops=st.lists(
+        st.one_of(
+            # A replica reaching a block's stage at its own local time.
+            st.tuples(st.just("block"), st.integers(0, 4), _block_stage_names, _times),
+            st.tuples(st.just("tx"), st.sampled_from(_TXS), _tx_stage_names, _times),
+        ),
+        max_size=60,
+    ),
+)
+def test_property_record_block_once_equals_the_per_tx_loop(blocks, ops):
+    memoized, plain = StageTracer(), PerTxLoopTracer()
+    for kind, target, stage, now in ops:
+        for tracer in (memoized, plain):
+            if kind == "block":
+                tx_ids = blocks[target % len(blocks)]
+                getattr(tracer, f"record_{stage}")(tx_ids, now)
+            else:
+                getattr(tracer, f"record_{stage}")(target, now)
+        assert memoized._stamps == plain._stamps
+        assert memoized.queue_depths() == plain.queue_depths()
+    assert memoized.breakdown() == plain.breakdown()
+
+
+def test_record_block_takes_any_iterable_and_walks_fork_blocks():
+    tracer = StageTracer()
+    decide = STAGES.index("decide")
+    tracer.record_decide(["a", "b"], 1.0)  # a list: copied, never aliased
+    tracer.record_decide(("a", "b"), 2.0)  # equal ids: already stamped
+    tracer.record_decide(iter(["b", "c"]), 3.0)  # a fork block sharing b
+    assert [tracer._stamps[tx][decide] for tx in "abc"] == [1.0, 1.0, 3.0]
+    assert tracer.queue_depths() == (0, 0, 3)
+    body = ["d"]
+    tracer.record_decide(body, 4.0)
+    body.append("e")  # the caller's list grew: not the pair stamped before
+    tracer.record_decide(body, 5.0)
+    assert [tracer._stamps[tx][decide] for tx in "de"] == [4.0, 5.0]
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """Unit and property tests for the Bucket-Merkle tree."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.crypto import EMPTY_HASH, BucketTree, hash_items
@@ -173,10 +173,12 @@ def test_property_update_root_matches_sequential(batch):
 
 # ---------------------------------------------------------------------------
 # The bucket digest is hash_items(b"bucket", k1, v1, k2, v2, ...) in key
-# order — the tree feeds the hasher directly, so this reference, written
-# with hash_items alone, pins the digests bit for bit.
+# order and an interior node hash_items(b"bnode", left, right) — the tree
+# frames both itself (a length-prefix table, one buffer per digest), so
+# this reference, written with hash_items alone, pins every digest of
+# every level bit for bit.
 # ---------------------------------------------------------------------------
-def reference_root(content: dict[bytes, bytes], n_buckets: int) -> bytes:
+def reference_levels(content: dict[bytes, bytes], n_buckets: int) -> list[list[bytes]]:
     probe = BucketTree(n_buckets)
     buckets: list[dict[bytes, bytes]] = [{} for _ in range(n_buckets)]
     for key, value in content.items():
@@ -188,12 +190,18 @@ def reference_root(content: dict[bytes, bytes], n_buckets: int) -> bytes:
     ]
     while len(level) & (len(level) - 1):
         level.append(EMPTY_HASH)  # pad to the static power-of-two shape
+    levels = [level]
     while len(level) > 1:
         level = [
             hash_items(b"bnode", level[i], level[i + 1])
             for i in range(0, len(level), 2)
         ]
-    return level[0]
+        levels.append(level)
+    return levels
+
+
+def reference_root(content: dict[bytes, bytes], n_buckets: int) -> bytes:
+    return reference_levels(content, n_buckets)[-1][0]
 
 
 @settings(max_examples=80, deadline=None)
@@ -221,17 +229,36 @@ def test_property_roots_match_the_hash_items_reference(ops, n_buckets):
         else:  # flush mid-sequence: dirty tracking must not skew a digest
             assert tree.root_hash() == reference_root(model, n_buckets)
     assert tree.root_hash() == reference_root(model, n_buckets)
+    assert tree._levels == reference_levels(model, n_buckets)
     # Any interleaving that ends in the same content ends in the same root.
     fresh = BucketTree(n_buckets)
     fresh.update(sorted(model.items()))
     assert fresh.root_hash() == tree.root_hash()
 
 
+@pytest.mark.parametrize("n_buckets", [1, 3, 16])
+def test_digests_equal_hash_items_for_long_keys_and_values(n_buckets):
+    """The length-prefix table stops at 255 bytes; parts at and past the
+    edge take the fallback and must frame identically — in one bucket
+    next to short parts, and on an empty value."""
+    sizes = [0, 1, 31, 32, 255, 256, 257, 300, 65_536, 70_000]
+    content = {b"k%d:" % n + b"x" * n: b"v" * n for n in sizes}
+    content[b"short"] = b"y" * 256
+    content[b"z" * 256] = b""
+    tree = BucketTree(n_buckets)
+    tree.update(sorted(content.items()))
+    tree.flush()
+    assert tree._levels == reference_levels(content, n_buckets)
+    assert BucketTree(n_buckets)._levels == reference_levels({}, n_buckets)
+
+
 # ---------------------------------------------------------------------------
-# Commit once per cluster: install(items, digests) ≡ update(items) + flush()
+# Commit once per cluster: install(items, positions, levels) ≡
+# positions = update(items); levels = flush() — on buckets and on every
+# level, not only on the root.
 # ---------------------------------------------------------------------------
 # Few distinct keys, so sequences hit overwrites, same-value rewrites,
-# deletes of live keys and deletes of missing ones.
+# deletes of live keys, deletes of missing ones and delete-then-put.
 _write_sets = st.lists(
     st.lists(
         st.tuples(
@@ -245,71 +272,133 @@ _write_sets = st.lists(
 )
 
 
+def assert_same_tree(installing: BucketTree, computing: BucketTree, keys) -> None:
+    assert installing._buckets == computing._buckets
+    assert installing.items() == computing.items()
+    assert installing.key_count == computing.key_count
+    assert [installing.get(key) for key in keys] == [
+        computing.get(key) for key in keys
+    ]
+    assert installing._levels == computing._levels
+    assert not installing._dirty
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from([1, 3, 16, 1024]), _write_sets)
+@example(1024, [[(b"a", None)]])  # delete of a missing key: nothing dirtied
+@example(3, [[(b"a", b"1")], [(b"a", None), (b"b", None)], [(b"a", b"2")]])
+@example(16, [[(b"a", b"1")], [(b"a", None), (b"a", b"2")]])  # delete, then put
+@example(16, [[(b"a", b"1"), (b"a", None)]])  # put, then delete: dirty, empty
 def test_property_install_equals_compute(n_buckets, write_sets):
     computing, installing = BucketTree(n_buckets), BucketTree(n_buckets)
+    keys = {key for items in write_sets for key, _ in items} | {b"never"}
     for items in write_sets:
-        computing.update(items)
-        digests = computing.flush()
-        installing.install(items, digests)
-        assert installing._levels == computing._levels
-        assert installing.items() == computing.items()
-        assert installing.key_count == computing.key_count
-        assert not installing._dirty
+        positions = computing.update(items)
+        levels = computing.flush()
+        assert positions == tuple(computing._bucket_index(k) for k, _ in items)
+        installing.install(items, positions, levels)
+        assert_same_tree(installing, computing, keys)
         assert installing.root_hash() == computing.root_hash()
     content = dict(computing.items())
-    assert installing.root_hash() == reference_root(content, n_buckets)
+    assert installing._levels == reference_levels(content, n_buckets)
 
 
 def test_install_after_hashing_locally_and_back():
     """A tree may alternate between the two (a replica that falls out
     of the memo's window computes, then installs again)."""
     a, b = BucketTree(16), BucketTree(16)
+    keys = [b"k%d" % i for i in range(24)]
     for step in range(6):
         items = [(b"k%d" % (step * 3 + i), b"v%d" % step) for i in range(5)]
         items.append((b"k%d" % step, None))
-        a.update(items)
-        digests = a.flush()
+        positions = a.update(items)
+        levels = a.flush()
         if step % 2:
-            b.install(items, digests)
+            b.install(items, positions, levels)
         else:
-            b.update(items)
-            assert b.flush() == digests
-        assert b._levels == a._levels
+            assert b.update(items) == positions
+            assert b.flush() == levels
+        assert_same_tree(b, a, keys)
 
 
 def test_flush_returns_level_then_index_order():
+    """Leaves first; per level the ascending indexes it refreshed and
+    their digests, as tuples (the record is shared, never edited)."""
     tree = BucketTree(4)
     tree.update([(b"k%d" % i, b"v") for i in range(40)])  # every bucket dirty
-    digests = tree.flush()
-    assert list(digests) == [d for level in tree._levels for d in level]
+    levels = tree.flush()
+    assert levels == tuple(
+        (tuple(range(len(level))), tuple(level)) for level in tree._levels
+    )
     assert tree.flush() == ()  # nothing dirty, nothing recomputed
+    # One dirty bucket: one node per level, the path to the root.
+    sparse = BucketTree(1024)
+    (leaf,) = sparse.update([(b"k", b"v")])
+    levels = sparse.flush()
+    assert [indexes for indexes, _ in levels] == [
+        (leaf >> depth,) for depth in range(11)
+    ]
+    assert levels[-1][1] == (sparse.root_hash(),)
+    assert all(
+        type(part) is tuple for level in levels for part in (level, *level)
+    )
 
 
 @pytest.mark.parametrize("n_buckets", [1, 3, 16, 1024])
 def test_install_record_must_be_consumed_exactly(n_buckets):
+    """A record that places another number of items, or refreshes other
+    leaves than the write-set dirtied, is refused — and whatever the
+    refusal left behind, the next root is the computed one."""
     items = [(b"k%d" % i, b"v%d" % i) for i in range(9)] + [(b"gone", None)]
     source = BucketTree(n_buckets)
-    source.update(items)
-    digests = source.flush()
-    assert digests[-1] == source.root_hash()
-    for bad in (digests[:-1], digests + (digests[-1],), digests * 2, ()):
+    positions = source.update(items)
+    levels = source.flush()
+    assert levels[-1][1] == (source.root_hash(),)
+    assert len(positions) == len(items)
+
+    other = BucketTree(n_buckets)
+    other.update([(b"elsewhere", b"v"), (b"k0", b"v0")])
+    other_levels = other.flush()
+    shifted = ((tuple(i + 1 for i in levels[0][0]), levels[0][1]),) + levels[1:]
+    bad_records = [
+        (positions[:-1], levels),  # a short index list
+        (positions + positions[-1:], levels),
+        ((), levels),
+        (positions, ()),  # no leaves, but the write-set dirtied some
+        (positions, ((levels[0][0][:-1], levels[0][1][:-1]),) + levels[1:]),
+        (positions, shifted),  # the same number of other leaves
+    ]
+    if other_levels[0][0] != levels[0][0]:
+        bad_records.append((positions, other_levels))
+    for bad_positions, bad_levels in bad_records:
+        tree = BucketTree(n_buckets)
         with pytest.raises(StorageError, match="commit record"):
-            BucketTree(n_buckets).install(items, bad)
-    # A write-set that dirties nothing takes the empty record only.
+            tree.install(items, bad_positions, bad_levels)
+        assert tree.root_hash() == source.root_hash()
+        assert tree.items() == source.items()
+    # A write-set that dirties nothing takes the record without leaves only.
+    missing = [(b"missing", None)]
+    nothing = BucketTree(n_buckets).update(missing)
     with pytest.raises(StorageError, match="commit record"):
-        BucketTree(n_buckets).install([(b"missing", None)], digests[-1:])
-    BucketTree(n_buckets).install([(b"missing", None)], ())
+        BucketTree(n_buckets).install(missing, nothing, levels)
+    with pytest.raises(StorageError, match="commit record"):
+        BucketTree(n_buckets).install(missing, (), ())
+    BucketTree(n_buckets).install(missing, nothing, ())
 
 
 def test_refused_record_leaves_the_buckets_dirty():
-    """Nothing stale survives a refusal: the next root_hash re-hashes."""
-    items = [(b"a", b"1"), (b"b", b"2")]
-    good = BucketTree(16)
-    good.update(items)
-    digests = good.flush()
-    tree = BucketTree(16)
+    """Nothing stale survives a refusal: the next root_hash re-hashes,
+    on top of earlier content too."""
+    good, tree = BucketTree(16), BucketTree(16)
+    for t in (good, tree):
+        t.update([(b"old", b"0"), (b"a", b"0")])
+        t.flush()
+    items = [(b"a", b"1"), (b"b", b"2"), (b"old", None)]
+    positions = good.update(items)
+    levels = good.flush()
     with pytest.raises(StorageError):
-        tree.install(items, digests[:-1])
+        tree.install(items, positions[:-1], levels)
+    assert tree._dirty == set(positions)
     assert tree.root_hash() == good.root_hash()
+    assert tree._levels == good._levels and not tree._dirty
+    assert tree.items() == good.items() and tree.key_count == good.key_count
