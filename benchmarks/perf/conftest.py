@@ -1,8 +1,9 @@
-"""Path setup so the perf microbenchmarks run standalone.
+"""Path setup for ``python -m pytest benchmarks/perf``.
 
-``python -m pytest benchmarks/perf`` from the repo root works via the
-``pythonpath = ["src"]`` pytest setting; this conftest additionally
-makes ``src`` importable when a single file is executed as a script.
+pytest puts this directory on ``sys.path`` itself (rootdir-relative
+imports of ``kernels``); ``src`` comes from the ``pythonpath = ["src"]``
+pytest setting, and from here when that setting is not in effect (an
+older pytest, or a different ``-c`` file).
 """
 
 import sys

@@ -1,6 +1,6 @@
 """Command-line interface to the BLOCKBENCH framework.
 
-Six subcommands cover the framework's day-to-day entry points:
+Five subcommands cover the framework's day-to-day entry points:
 
 ``blockbench run``
     One macro-benchmark experiment (the Driver pipeline of Figure 4):
@@ -23,12 +23,6 @@ Six subcommands cover the framework's day-to-day entry points:
     (submit → admit → propose → decide → execute → commit → notify,
     see ``repro.core.trace``) and names the dominant stage.
 
-``blockbench perf``
-    The framework's own performance trajectory: microbenchmarks for the
-    EVM, trie, scheduler, and end-to-end driver hot paths, written to a
-    machine-readable ``BENCH_*.json`` file so gains (and regressions)
-    across PRs are measured, not asserted.
-
 ``blockbench list``
     The registered platforms, workloads, consensus protocols, and
     byzantine behaviors, each with a one-line description.
@@ -42,7 +36,6 @@ Examples
     blockbench suite examples/scenarios/peak_sweep.json --processes 4
     blockbench attack --platform ethereum --start 100 --length 150
     blockbench report results/ --bottleneck
-    blockbench perf --quick --out BENCH_local.json
     blockbench list
 
 Platform and workload names come from the plugin registries
@@ -81,13 +74,6 @@ from .registry import CONSENSUS, PLATFORMS, WORKLOADS
 from . import consensus as _consensus  # noqa: F401
 from . import platforms as _platforms  # noqa: F401
 from . import workloads as _workloads  # noqa: F401
-
-#: Platform names accepted by ``repro.platforms.build_cluster``
-#: (registry-derived; kept as a tuple for backwards compatibility).
-PLATFORM_NAMES = tuple(PLATFORMS.names())
-
-#: Workload names accepted by ``repro.workloads.make_workload``.
-WORKLOAD_NAMES = tuple(WORKLOADS.names())
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -303,44 +289,6 @@ def _build_parser() -> argparse.ArgumentParser:
     report.add_argument(
         "--json", action="store_true", help="machine-readable output"
     )
-
-    perf = sub.add_parser(
-        "perf", help="run the framework's hot-path microbenchmarks"
-    )
-    perf.add_argument(
-        "--quick", action="store_true",
-        help="smaller problem sizes (CI smoke mode)",
-    )
-    perf.add_argument(
-        "--only", action="append", default=[], metavar="NAME",
-        help="run only the named benchmark (repeatable); "
-             "see repro.core.perf.BENCHMARKS",
-    )
-    perf.add_argument(
-        "--repeats", type=int, default=3, metavar="N",
-        help="take the best of N runs per benchmark (default 3)",
-    )
-    perf.add_argument(
-        "--out", default="BENCH_local.json", metavar="PATH",
-        help="trajectory file to write (default BENCH_local.json; the "
-             "committed BENCH_pr*.json baselines are overwritten only "
-             "when named explicitly)",
-    )
-    perf.add_argument(
-        "--no-write", action="store_true",
-        help="print results without writing the trajectory file",
-    )
-    perf.add_argument(
-        "--baseline", metavar="PATH",
-        help="embed PATH's results as the baseline and print speedups",
-    )
-    perf.add_argument(
-        "--fail-below", action="append", default=[], metavar="NAME=RATIO",
-        help="exit non-zero if NAME's ops/s falls below RATIO x the "
-             "--baseline figure (repeatable), e.g. driver_tx=0.5 — the "
-             "CI guard against silent hot-path regressions",
-    )
-    perf.add_argument("--json", action="store_true", help="machine-readable output")
 
     sub.add_parser("list", help="list platforms and workloads")
     return parser
@@ -841,95 +789,6 @@ def _cmd_suite(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_perf(args: argparse.Namespace) -> int:
-    # Imported lazily: the harness pulls in every layer it measures.
-    from .core import perf
-
-    def progress(name: str, attempt: int, total: int) -> None:
-        print(f"bench {name} [{attempt}/{total}]", file=sys.stderr)
-
-    try:
-        gates = dict(perf.parse_gate(raw) for raw in args.fail_below)
-        if gates and not args.baseline:
-            raise ValueError("--fail-below requires --baseline")
-        # Loaded before the (minutes-long) benchmark run so a missing,
-        # corrupt, or wrong-shaped baseline file fails fast and cleanly.
-        baseline = None
-        if args.baseline:
-            try:
-                baseline = perf.load_trajectory(args.baseline)
-            except (OSError, json.JSONDecodeError) as exc:
-                raise ValueError(
-                    f"cannot load baseline {args.baseline!r}: {exc}"
-                ) from None
-        if gates:
-            # A gate that cannot be evaluated must fail before the run,
-            # not after: check every gated name against both the
-            # baseline's measurements and the --only selection.
-            missing = sorted(set(gates) - perf.baseline_names(baseline))
-            if missing:
-                raise ValueError(
-                    f"baseline {args.baseline!r} has no measurement for "
-                    f"gated benchmark(s): {', '.join(missing)}"
-                )
-            if args.only:
-                skipped = sorted(set(gates) - set(args.only))
-                if skipped:
-                    raise ValueError(
-                        f"gated benchmark(s) {', '.join(skipped)} are "
-                        "excluded by --only and would never be measured"
-                    )
-        results = perf.run_perf(
-            names=args.only or None,
-            quick=args.quick,
-            repeats=args.repeats,
-            progress=progress,
-        )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    payload = perf.trajectory_dict(results, quick=args.quick, baseline=baseline)
-    gate_failures = (
-        perf.check_gates(results, baseline, gates) if baseline is not None else []
-    )
-    if not args.no_write:
-        path = perf.write_trajectory(args.out, results, payload=payload)
-        print(f"wrote trajectory to {path}", file=sys.stderr)
-    if args.json:
-        print(json.dumps(payload))
-        for failure in gate_failures:
-            print(f"perf gate FAILED: {failure}", file=sys.stderr)
-        return 1 if gate_failures else 0
-    rows = [
-        [r.name, f"{r.ops_per_s:,.0f} {r.unit}/s", f"{r.wall_time_s:.3f}s"]
-        for r in results
-    ]
-    print(
-        format_table(
-            ["benchmark", "throughput", "wall time"],
-            rows,
-            title=f"blockbench perf @ {payload['git_rev']}"
-            + (" (quick)" if args.quick else ""),
-        )
-    )
-    if baseline is not None:
-        comparison = perf.compare(results, baseline)
-        if comparison:
-            print(
-                format_table(
-                    ["benchmark", "baseline", "current", "speedup"],
-                    [
-                        [name, f"{base:,.0f}", f"{cur:,.0f}", f"{speedup:.2f}x"]
-                        for name, base, cur, speedup in comparison
-                    ],
-                    title=f"vs baseline @ {baseline.get('git_rev', '?')}",
-                )
-            )
-    for failure in gate_failures:
-        print(f"perf gate FAILED: {failure}", file=sys.stderr)
-    return 1 if gate_failures else 0
-
-
 def _cmd_list(_args: argparse.Namespace) -> int:
     print("platforms:")
     for name, spec in PLATFORMS.items():
@@ -965,7 +824,6 @@ _COMMANDS = {
     "suite": _cmd_suite,
     "attack": _cmd_attack,
     "report": _cmd_report,
-    "perf": _cmd_perf,
     "list": _cmd_list,
 }
 

@@ -1,22 +1,24 @@
 """CLI tests: drive ``blockbench`` in-process through ``main``."""
 
+import importlib.util
 import json
 
 import pytest
 
-from repro.cli import PLATFORM_NAMES, WORKLOAD_NAMES, main
+from repro.cli import main
+from repro.registry import PLATFORMS, WORKLOADS
 
 
 def test_list_names_every_platform_and_workload(capsys):
     assert main(["list"]) == 0
     out = capsys.readouterr().out
-    for name in PLATFORM_NAMES + WORKLOAD_NAMES:
+    for name in PLATFORMS.names() + WORKLOADS.names():
         assert name in out
 
 
 def test_list_output_is_registry_driven(capsys):
     """A platform registered at runtime shows up in ``list``."""
-    from repro.registry import PLATFORMS, register_platform
+    from repro.registry import register_platform
 
     @register_platform("listedchain")
     def build_listed(node_id, scheduler, network, rng, config, ids, storage):
@@ -412,120 +414,11 @@ def test_run_accepts_driver_knobs(capsys):
     assert payload["confirmed"] > 0
 
 
-def _fake_baseline(tmp_path, ops_per_s):
-    path = tmp_path / "baseline.json"
-    path.write_text(
-        json.dumps(
-            {
-                "schema": "blockbench-perf/1",
-                "git_rev": "test",
-                "results": [
-                    {
-                        "name": "scheduler_events",
-                        "ops": 1,
-                        "unit": "events",
-                        "wall_time_s": 1.0,
-                        "ops_per_s": ops_per_s,
-                    }
-                ],
-            }
-        )
-    )
-    return str(path)
-
-
-def test_perf_gate_fails_on_regression(tmp_path, capsys):
-    baseline = _fake_baseline(tmp_path, ops_per_s=1e15)  # unbeatable
-    code = main(
-        [
-            "perf", "--quick", "--repeats", "1", "--no-write",
-            "--only", "scheduler_events",
-            "--baseline", baseline,
-            "--fail-below", "scheduler_events=0.9",
-        ]
-    )
-    assert code == 1
-    assert "perf gate FAILED" in capsys.readouterr().err
-
-
-def test_perf_gate_passes_against_modest_baseline(tmp_path, capsys):
-    baseline = _fake_baseline(tmp_path, ops_per_s=1.0)  # trivially beaten
-    code = main(
-        [
-            "perf", "--quick", "--repeats", "1", "--no-write",
-            "--only", "scheduler_events",
-            "--baseline", baseline,
-            "--fail-below", "scheduler_events=0.9",
-        ]
-    )
-    assert code == 0
-    assert "speedup" in capsys.readouterr().out
-
-
-def test_perf_gate_requires_baseline(capsys):
-    code = main(
-        ["perf", "--quick", "--no-write", "--fail-below", "driver_tx=0.5"]
-    )
-    assert code == 2
-    assert "--fail-below requires --baseline" in capsys.readouterr().err
-
-
-def test_perf_gate_rejects_malformed_spec(capsys):
-    code = main(
-        ["perf", "--quick", "--no-write", "--fail-below", "nonsense"]
-    )
-    assert code == 2
-    assert "expected NAME=RATIO" in capsys.readouterr().err
-
-
-def test_perf_rejects_non_object_baseline(tmp_path, capsys):
-    """A baseline that parses as JSON but isn't a trajectory must fail
-    with a message, not an AttributeError traceback."""
-    bad = tmp_path / "list.json"
-    bad.write_text("[1, 2, 3]")
-    code = main(
-        ["perf", "--quick", "--repeats", "1", "--no-write",
-         "--only", "scheduler_events",
-         "--baseline", str(bad), "--fail-below", "scheduler_events=0.5"]
-    )
-    assert code == 2
-    assert "not a perf trajectory" in capsys.readouterr().err
-
-
-def test_perf_rejects_baseline_missing_results_shape(tmp_path, capsys):
-    bad = tmp_path / "shape.json"
-    bad.write_text(json.dumps({"results": ["nameless"]}))
-    code = main(
-        ["perf", "--quick", "--no-write", "--baseline", str(bad)]
-    )
-    assert code == 2
-    assert "not a perf trajectory" in capsys.readouterr().err
-
-
-def test_perf_gate_fails_fast_when_baseline_lacks_benchmark(tmp_path, capsys):
-    """The gated name is checked against the baseline BEFORE the
-    (potentially minutes-long) benchmarks run."""
-    baseline = _fake_baseline(tmp_path, ops_per_s=1.0)  # has scheduler_events
-    code = main(
-        ["perf", "--quick", "--repeats", "1", "--no-write",
-         "--only", "trie_puts",
-         "--baseline", baseline, "--fail-below", "trie_puts=0.5"]
-    )
-    assert code == 2
-    err = capsys.readouterr().err
-    assert "no measurement for gated benchmark" in err
-    assert "trie_puts" in err
-
-
-def test_perf_gate_fails_fast_when_only_excludes_gate(tmp_path, capsys):
-    baseline = _fake_baseline(tmp_path, ops_per_s=1.0)
-    code = main(
-        ["perf", "--quick", "--repeats", "1", "--no-write",
-         "--only", "trie_puts",
-         "--baseline", baseline, "--fail-below", "scheduler_events=0.5"]
-    )
-    assert code == 2
-    assert "excluded by --only" in capsys.readouterr().err
+def test_package_ships_no_benchmark_harness():
+    """The kernels and their runner live in benchmarks/perf, outside src."""
+    with pytest.raises(SystemExit):
+        main(["perf"])
+    assert importlib.util.find_spec("repro.core.perf") is None
 
 
 def test_rejects_unknown_platform():
