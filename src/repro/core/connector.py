@@ -26,13 +26,14 @@ what the benchmark driver does) adds no event of its own.
 
 from __future__ import annotations
 
+import heapq
 from collections import deque
 from abc import ABC, abstractmethod
 from typing import Callable, TYPE_CHECKING
 
 from ..chain import Transaction
 from ..errors import ConnectorError
-from ..sim import Event, Message, SimFuture, SimNode
+from ..sim import Message, SimFuture, SimNode
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..platforms.cluster import Cluster
@@ -135,15 +136,32 @@ class RPCClient(SimNode):
     the simulated network so every interaction pays real round trips —
     the effect that decides the analytics Q2 result (one RPC per block
     vs one RPC total, Figure 13b).
+
+    Timeouts cost no event per request. Each request sent with a
+    timeout reserves the scheduler sequence number its timer would have
+    taken and queues ``(deadline, seq, req_id)``; one watchdog per
+    client is scheduled into the earliest such slot, drops the answered
+    heads when it fires, expires the head whose slot it is, and re-arms
+    at the next unanswered deadline. An expiry thus dispatches at the
+    exact ``(time, seq)`` of the timer it replaces, and a reply does no
+    scheduler work at all.
     """
+
+    #: Compact the deadline heap once it holds at least this many
+    #: entries and answered ones are the majority.
+    COMPACT_FLOOR = 64
 
     def __init__(self, node_id, scheduler, network) -> None:
         super().__init__(node_id, scheduler, network)
         self._next_req = 0
         self._callbacks: dict[int, Callable[[dict], None]] = {}
-        # Pending timeout timer per request, cancelled when the reply
-        # arrives so it does not sit in the scheduler to fire as a no-op.
-        self._timeouts: dict[int, Event] = {}
+        # Heap of (deadline, seq, req_id) per request sent with a
+        # timeout. Answered entries leave lazily: when the watchdog
+        # finds them at the head, or when they fill half the heap.
+        self._deadlines: list[tuple[float, int, int]] = []
+        # (deadline, seq) slots the watchdog is scheduled in, as a heap:
+        # its head is the next to fire. Never two in the same slot.
+        self._watchdogs: list[tuple[float, int]] = []
         # Persistent callbacks for push-based subscriptions; unlike
         # request callbacks these survive across events. The server a
         # subscription went to is kept so unsubscribe() can tear down
@@ -168,7 +186,7 @@ class RPCClient(SimNode):
         payload["req_id"] = req_id
         self.send(server, kind, payload, size_bytes)
         if timeout_s is not None:
-            self._timeouts[req_id] = self.set_timer(timeout_s, self._expire, req_id)
+            self._add_deadline(self.scheduler.now + timeout_s, req_id)
         return req_id
 
     def call(
@@ -192,13 +210,53 @@ class RPCClient(SimNode):
         )
         return future
 
-    def _expire(self, req_id: int) -> None:
-        """Fire a timeout reply if the server never answered (e.g. the
-        request was dropped at a full inbox)."""
-        self._timeouts.pop(req_id, None)
-        callback = self._callbacks.pop(req_id, None)
-        if callback is not None:
-            callback({"accepted": False, "timeout": True, "req_id": req_id})
+    def _add_deadline(self, deadline: float, req_id: int) -> None:
+        """Queue ``req_id``'s deadline under the sequence number its
+        timer would have taken; arm the watchdog if it is the earliest."""
+        slot = (deadline, self.scheduler.reserve())
+        deadlines = self._deadlines
+        heapq.heappush(deadlines, (*slot, req_id))
+        if not self._watchdogs or slot < self._watchdogs[0]:
+            self._arm_watchdog(slot)
+        callbacks = self._callbacks
+        if len(deadlines) >= self.COMPACT_FLOOR and len(deadlines) > 2 * len(callbacks):
+            # One slow request at the head keeps every answered one
+            # behind it; purge them in place (_on_deadline may hold an
+            # alias), as the scheduler does its dead entries.
+            deadlines[:] = [entry for entry in deadlines if entry[2] in callbacks]
+            heapq.heapify(deadlines)
+
+    def _arm_watchdog(self, slot: tuple[float, int]) -> None:
+        heapq.heappush(self._watchdogs, slot)
+        self.scheduler.schedule_reserved(*slot, self._on_deadline)
+
+    def _drop_answered(self) -> None:
+        deadlines = self._deadlines
+        while deadlines and deadlines[0][2] not in self._callbacks:
+            heapq.heappop(deadlines)
+
+    def _on_deadline(self) -> None:
+        """Watchdog: fire a timeout reply if the request owning this
+        slot was never answered (e.g. it was dropped at a full inbox),
+        then re-arm at the earliest unanswered deadline."""
+        slot = heapq.heappop(self._watchdogs)
+        deadlines = self._deadlines
+        self._drop_answered()
+        if deadlines and deadlines[0][:2] == slot:
+            req_id = heapq.heappop(deadlines)[2]
+            if not self.crashed:
+                callback = self._callbacks.pop(req_id)
+                callback({"accepted": False, "timeout": True, "req_id": req_id})
+            self._drop_answered()
+        if deadlines:
+            head = deadlines[0][:2]
+            if not self._watchdogs or head < self._watchdogs[0]:
+                self._arm_watchdog(head)
+
+    def crash(self) -> None:
+        """Pending deadlines die with the process, like node timers."""
+        super().crash()
+        self._deadlines.clear()
 
     def subscribe(
         self,
@@ -242,11 +300,7 @@ class RPCClient(SimNode):
             return
         if message.kind != "rpc/reply":
             return
-        req_id = message.payload.get("req_id")
-        timeout = self._timeouts.pop(req_id, None)
-        if timeout is not None:
-            self.cancel_timer(timeout)
-        callback = self._callbacks.pop(req_id, None)
+        callback = self._callbacks.pop(message.payload.get("req_id"), None)
         if callback is not None:
             callback(message.payload)
 

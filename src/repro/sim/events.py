@@ -7,8 +7,15 @@ guaranteed by breaking time ties with a monotonically increasing
 sequence number, so two runs with the same seed replay the exact same
 event order.
 
-Three things keep the scheduler from being the layer that is measured:
+Several things keep the scheduler from being the layer that is measured:
 
+* Entries are handle-free: a heap entry is the tuple ``(time, seq, fn,
+  args)`` and a run-queue entry ``(seq, fn, args)``, so scheduling
+  allocates nothing but the tuple. Only a caller that may cancel asks
+  for a handle — :meth:`Scheduler.timer` and :meth:`Scheduler.timer_at`
+  return an :class:`Event`. Cancelling puts the entry's sequence number
+  in a dead set that the dispatch loop consults only while it is
+  non-empty.
 * Events scheduled at *exactly the current instant* go to a FIFO run
   queue instead of the heap. Dispatch order is unchanged (the run queue
   is consumed in sequence order, interleaved with any same-timestamp
@@ -26,10 +33,18 @@ Three things keep the scheduler from being the layer that is measured:
   sequence number one smaller, and only their relative order is ever
   compared. ``SimNode`` uses it to serve a message with two events
   (delivery, finish) instead of three or four.
+* :meth:`Scheduler.reserve` takes the next sequence number without
+  scheduling anything, and :meth:`Scheduler.schedule_reserved` later
+  puts a callback on the heap under it. A deadline that is usually met
+  (an RPC timeout) reserves its slot when it is set, and one lazily
+  re-armed watchdog is scheduled into the earliest slot still needed.
+  A deadline that does expire fires at exactly the ``(time, seq)`` a
+  timer set at the same moment would have had, and every other event
+  keeps its number — without an event per deadline.
 
-Cancelled events stay buried until popped; when they outnumber the live
-ones the containers are compacted *in place*, because ``run`` and
-``run_until`` dispatch from local aliases of them.
+Cancelled entries stay buried until popped; when they outnumber the
+live ones the containers are compacted *in place*, because the
+dispatch loop works on local aliases of them.
 """
 
 from __future__ import annotations
@@ -42,31 +57,34 @@ from ..errors import SimulationError
 from .clock import NEVER, SimTime
 from .futures import SimCoroutine, SimFuture, spawn
 
-# Heap entries are plain ``(time, seq, event)`` tuples. The unique,
-# monotonically increasing ``seq`` breaks time ties before comparison
-# ever reaches the (non-comparable) event, and tuple comparison in C is
-# several times faster than a dataclass __lt__ — this queue is pushed
-# and popped for every simulated message, timer, and client tick.
-# Run-queue entries are ``(seq, event)`` — their time is always the
-# scheduler's current instant.
+# The unique, monotonically increasing ``seq`` breaks time ties before
+# comparison ever reaches the (non-comparable) callback, and tuple
+# comparison in C is several times faster than a dataclass __lt__ —
+# this queue is pushed and popped for every simulated message, timer,
+# and client tick.
+HeapEntry = tuple[SimTime, int, Callable[..., Any], tuple[Any, ...]]
+RunEntry = tuple[int, Callable[..., Any], tuple[Any, ...]]
 
 
 class Event:
-    """Handle for a scheduled callback; supports cancellation."""
+    """Handle for a cancellable callback (:meth:`Scheduler.timer`)."""
 
     #: ``timer_id`` is set only on timers a ``SimNode`` tracks.
-    __slots__ = ("fn", "args", "cancelled", "_scheduler", "timer_id")
+    __slots__ = ("fn", "args", "seq", "cancelled", "_scheduler", "timer_id")
 
     def __init__(
-        self,
-        fn: Callable[..., Any],
-        args: tuple[Any, ...],
-        scheduler: "Scheduler | None" = None,
+        self, fn: Callable[..., Any], args: tuple[Any, ...], scheduler: "Scheduler"
     ) -> None:
         self.fn = fn
         self.args = args
+        self.seq = 0
         self.cancelled = False
-        self._scheduler = scheduler
+        self._scheduler: Scheduler | None = scheduler
+
+    def _fire(self) -> None:
+        # Detach before firing so a later cancel() is a no-op.
+        self._scheduler = None
+        self.fn(*self.args)
 
     def cancel(self) -> None:
         """Prevent the callback from firing. Idempotent; cancelling an
@@ -74,9 +92,10 @@ class Event:
         if self.cancelled:
             return
         self.cancelled = True
-        if self._scheduler is not None:
-            self._scheduler._on_cancel()
+        scheduler = self._scheduler
+        if scheduler is not None:
             self._scheduler = None
+            scheduler._bury(self.seq)
 
 
 class Scheduler:
@@ -84,8 +103,8 @@ class Scheduler:
 
     >>> sched = Scheduler()
     >>> fired = []
-    >>> _ = sched.schedule(2.0, fired.append, "b")
-    >>> _ = sched.schedule(1.0, fired.append, "a")
+    >>> sched.schedule(2.0, fired.append, "b")
+    >>> sched.schedule(1.0, fired.append, "a")
     >>> sched.run()
     >>> fired
     ['a', 'b']
@@ -97,53 +116,87 @@ class Scheduler:
     COMPACT_FLOOR = 64
 
     def __init__(self) -> None:
-        self._queue: list[tuple[SimTime, int, Event]] = []
+        self._queue: list[HeapEntry] = []
         # Events scheduled at exactly ``now`` while the clock already
         # stands there: consumed FIFO (== seq order) without touching
         # the heap. Invariant: every entry's time is the current
         # instant, so the queue always drains before the clock moves.
-        self._runq: deque[tuple[int, Event]] = deque()
+        self._runq: deque[RunEntry] = deque()
         self._seq = 0
         self.now: SimTime = 0.0
         self.events_processed = 0
-        # Tombstones (cancelled events) still buried in the heap or run
-        # queue. pending() derives the live count from the container
-        # sizes minus this, so the hot dispatch path maintains no
-        # separate live counter.
-        self._cancelled = 0
+        # Sequence numbers of cancelled entries still buried in the heap
+        # or run queue. pending() is the container sizes minus its size.
+        self._dead: set[int] = set()
 
-    def schedule(self, delay: SimTime, fn: Callable[..., Any], *args: Any) -> Event:
+    def schedule(self, delay: SimTime, fn: Callable[..., Any], *args: Any) -> None:
         """Schedule ``fn(*args)`` to run ``delay`` seconds from now."""
         if delay < 0:
             raise SimulationError(f"cannot schedule {delay:.6f}s in the past")
-        event = Event(fn, args, self)
         self._seq = seq = self._seq + 1
         if delay == 0.0:
-            self._runq.append((seq, event))
+            self._runq.append((seq, fn, args))
         else:
-            heapq.heappush(self._queue, (self.now + delay, seq, event))
-        return event
+            heapq.heappush(self._queue, (self.now + delay, seq, fn, args))
 
-    def schedule_at(self, when: SimTime, fn: Callable[..., Any], *args: Any) -> Event:
+    def schedule_at(self, when: SimTime, fn: Callable[..., Any], *args: Any) -> None:
         """Schedule ``fn(*args)`` at absolute simulated time ``when``."""
         now = self.now
         if when < now:
             raise SimulationError(
                 f"cannot schedule at {when:.6f}s; current time is {now:.6f}s"
             )
-        event = Event(fn, args, self)
         self._seq = seq = self._seq + 1
         if when == now:
-            self._runq.append((seq, event))
+            self._runq.append((seq, fn, args))
         else:
-            heapq.heappush(self._queue, (when, seq, event))
+            heapq.heappush(self._queue, (when, seq, fn, args))
+
+    def timer(self, delay: SimTime, fn: Callable[..., Any], *args: Any) -> Event:
+        """:meth:`schedule` that returns a handle able to cancel it."""
+        event = Event(fn, args, self)
+        self.schedule(delay, event._fire)
+        event.seq = self._seq
         return event
+
+    def timer_at(self, when: SimTime, fn: Callable[..., Any], *args: Any) -> Event:
+        """:meth:`schedule_at` that returns a handle able to cancel it."""
+        event = Event(fn, args, self)
+        self.schedule_at(when, event._fire)
+        event.seq = self._seq
+        return event
+
+    def reserve(self) -> int:
+        """Take the next sequence number without scheduling anything.
+
+        Event numbering is exactly what a :meth:`schedule` call at this
+        point would have produced; :meth:`schedule_reserved` may later
+        claim the slot (see the module docstring).
+        """
+        self._seq = seq = self._seq + 1
+        return seq
+
+    def schedule_reserved(
+        self, when: SimTime, seq: int, fn: Callable[..., Any], *args: Any
+    ) -> None:
+        """Schedule ``fn(*args)`` at ``(when, seq)``, ``seq`` from
+        :meth:`reserve` and claimed at most once.
+
+        Always the heap, even at the current instant: the run queue is
+        FIFO by arrival, and a reserved ``seq`` may be older than
+        entries already in it.
+        """
+        if when < self.now:
+            raise SimulationError(
+                f"cannot schedule at {when:.6f}s; current time is {self.now:.6f}s"
+            )
+        heapq.heappush(self._queue, (when, seq, fn, args))
 
     def push_many(
         self,
         items: Iterable[tuple[SimTime, Callable[..., Any], tuple[Any, ...]]],
-    ) -> list[Event]:
-        """Bulk-schedule ``(delay, fn, args)`` entries; returns their Events.
+    ) -> None:
+        """Bulk-schedule ``(delay, fn, args)`` entries.
 
         One ``heapify`` over the merged heap replaces N ``heappush``
         sift-ups when the batch is large relative to the pending queue
@@ -155,17 +208,14 @@ class Scheduler:
         now = self.now
         queue = self._queue
         seq = self._seq
-        events: list[Event] = []
-        entries: list[tuple[SimTime, int, Event]] = []
+        entries: list[HeapEntry] = []
         for delay, fn, args in items:
             if delay < 0:
                 raise SimulationError(
                     f"cannot schedule {delay:.6f}s in the past"
                 )
             seq += 1
-            event = Event(fn, args, self)
-            events.append(event)
-            entries.append((now + delay, seq, event))
+            entries.append((now + delay, seq, fn, args))
         self._seq = seq
         # Crossover: k pushes cost O(k log n); extend+heapify O(n + k).
         if len(entries) * 4 >= len(queue):
@@ -174,26 +224,24 @@ class Scheduler:
         else:
             for entry in entries:
                 heapq.heappush(queue, entry)
-        return events
 
-    def _on_cancel(self) -> None:
-        """Bookkeeping for Event.cancel(); compacts tombstones lazily."""
-        self._cancelled += 1
-        if (
-            self._cancelled >= self.COMPACT_FLOOR
-            and self._cancelled > (len(self._queue) + len(self._runq)) // 2
-        ):
-            # In place: run()/run_until() dispatch from local aliases of
-            # both containers, so rebinding them mid-run would hide every
-            # event scheduled afterwards.
-            self._queue[:] = [
-                entry for entry in self._queue if not entry[2].cancelled
-            ]
-            heapq.heapify(self._queue)
-            live = [entry for entry in self._runq if not entry[1].cancelled]
-            self._runq.clear()
-            self._runq.extend(live)
-            self._cancelled = 0
+    def _bury(self, seq: int) -> None:
+        """Bookkeeping for Event.cancel(): mark the still-queued entry
+        ``seq`` dead; compacts tombstones lazily."""
+        dead = self._dead
+        dead.add(seq)
+        queue = self._queue
+        runq = self._runq
+        if len(dead) >= self.COMPACT_FLOOR and len(dead) > (len(queue) + len(runq)) // 2:
+            # In place: the dispatch loop holds local aliases of all
+            # three containers, so rebinding them mid-run would hide
+            # every event scheduled afterwards.
+            queue[:] = [entry for entry in queue if entry[1] not in dead]
+            heapq.heapify(queue)
+            live = [entry for entry in runq if entry[0] not in dead]
+            runq.clear()
+            runq.extend(live)
+            dead.clear()
 
     def idle_now(self) -> bool:
         """True when nothing else is due at the current instant, so a
@@ -205,85 +253,62 @@ class Scheduler:
 
     def peek_time(self) -> SimTime:
         """Time of the next pending event, or ``NEVER`` if queue is empty."""
+        dead = self._dead
         runq = self._runq
-        while runq and runq[0][1].cancelled:
-            runq.popleft()
-            self._cancelled -= 1
+        while runq and runq[0][0] in dead:
+            dead.remove(runq.popleft()[0])
         queue = self._queue
-        while queue and queue[0][2].cancelled:
-            heapq.heappop(queue)
-            self._cancelled -= 1
+        while queue and queue[0][1] in dead:
+            dead.remove(heapq.heappop(queue)[1])
         if runq:
             return self.now  # run-queue entries live at the current instant
         return queue[0][0] if queue else NEVER
 
-    def _pop_next(self) -> tuple[SimTime, Event] | None:
-        """Pop the next live event honoring (time, seq) order, or None."""
+    def _dispatch(self, deadline: SimTime, budget: int) -> None:
+        """The dispatch loop: fire live events in ``(time, seq)`` order
+        while their time is <= ``deadline``, at most ``budget`` of them
+        (a negative budget never runs out)."""
         queue = self._queue
         runq = self._runq
+        dead = self._dead
         pop = heapq.heappop
-        while True:
+        popleft = runq.popleft
+        while budget:
             if runq:
-                # A heap entry at the same instant with a smaller seq
-                # was scheduled earlier and goes first.
-                head = queue[0] if queue else None
-                if head is not None and head[0] == self.now and head[1] < runq[0][0]:
-                    when, _seq, event = pop(queue)
+                # Run-queue entries live at the current instant, which
+                # is always <= deadline. A heap entry at the same
+                # instant with a smaller seq was scheduled earlier and
+                # goes first.
+                if queue and queue[0][0] == self.now and queue[0][1] < runq[0][0]:
+                    when, seq, fn, args = pop(queue)
                 else:
-                    when, event = self.now, runq.popleft()[1]
+                    seq, fn, args = popleft()
+                    when = self.now
             elif queue:
-                when, _seq, event = pop(queue)
-            else:
-                return None
-            if event.cancelled:
-                self._cancelled -= 1
-                continue
-            return when, event
-
-    def step(self) -> bool:
-        """Run the single next event. Returns False when nothing is left."""
-        nxt = self._pop_next()
-        if nxt is None:
-            return False
-        when, event = nxt
-        self.now = when
-        self.events_processed += 1
-        # Detach before firing so a later cancel() of this handle
-        # cannot corrupt the tombstone counter.
-        event._scheduler = None
-        event.fn(*event.args)
-        return True
-
-    def run(self, max_events: int | None = None) -> None:
-        """Drain the queue, optionally stopping after ``max_events``."""
-        queue = self._queue
-        runq = self._runq
-        pop = heapq.heappop
-        remaining = -1 if max_events is None else max_events
-        # Inlined _pop_next: this loop is the simulator's innermost
-        # hot path, so it avoids a Python call per dispatched event.
-        while True:
-            if runq:
-                head = queue[0] if queue else None
-                if head is not None and head[0] == self.now and head[1] < runq[0][0]:
-                    when, _seq, event = pop(queue)
-                else:
-                    when, event = self.now, runq.popleft()[1]
-            elif queue:
-                when, _seq, event = pop(queue)
+                when, seq, fn, args = pop(queue)
+                if when > deadline:
+                    # Past the horizon: put it back (once per call).
+                    heapq.heappush(queue, (when, seq, fn, args))
+                    return
             else:
                 return
-            if event.cancelled:
-                self._cancelled -= 1
+            if dead and seq in dead:
+                dead.remove(seq)
                 continue
             self.now = when
             self.events_processed += 1
-            event._scheduler = None
-            event.fn(*event.args)
-            if remaining != -1:
-                remaining -= 1
-                if remaining <= 0:
-                    return
+            fn(*args)
+            budget -= 1
+
+    def step(self) -> bool:
+        """Run the single next event. Returns False when nothing is left."""
+        before = self.events_processed
+        self._dispatch(NEVER, 1)
+        return self.events_processed != before
+
+    def run(self, max_events: int | None = None) -> None:
+        """Drain the queue, optionally stopping after ``max_events``."""
+        self._dispatch(NEVER, -1 if max_events is None else max_events)
 
     def run_until(self, deadline: SimTime) -> None:
         """Run all events with time <= ``deadline`` and advance the clock.
@@ -295,42 +320,13 @@ class Scheduler:
             raise SimulationError(
                 f"deadline {deadline:.6f}s is before current time {self.now:.6f}s"
             )
-        queue = self._queue
-        runq = self._runq
-        pop = heapq.heappop
-        while True:
-            if runq:
-                # Run-queue entries live at the current instant, which
-                # is always <= deadline.
-                head = queue[0] if queue else None
-                if head is not None and head[0] == self.now and head[1] < runq[0][0]:
-                    when, _seq, event = pop(queue)
-                else:
-                    when, event = self.now, runq.popleft()[1]
-            elif queue:
-                head = queue[0]
-                if head[2].cancelled:
-                    pop(queue)
-                    self._cancelled -= 1
-                    continue
-                if head[0] > deadline:
-                    break
-                when, _seq, event = pop(queue)
-            else:
-                break
-            if event.cancelled:
-                self._cancelled -= 1
-                continue
-            self.now = when
-            self.events_processed += 1
-            event._scheduler = None
-            event.fn(*event.args)
+        self._dispatch(deadline, -1)
         self.now = deadline
 
     def pending(self) -> int:
         """Number of live (non-cancelled) events still queued. O(1):
         derived from the container sizes minus buried tombstones."""
-        return len(self._queue) + len(self._runq) - self._cancelled
+        return len(self._queue) + len(self._runq) - len(self._dead)
 
     # ------------------------------------------------------------------
     # Coroutine support (see repro.sim.futures)

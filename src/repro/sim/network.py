@@ -30,8 +30,6 @@ DEFAULT_BANDWIDTH_BPS = 1_000_000_000
 DEFAULT_LATENCY = 0.0003
 DEFAULT_JITTER = 0.0002
 
-_message_counter = itertools.count()
-
 #: Per-sender send interceptor: ``fn(recipient, kind, payload, size_bytes)``
 #: returns ``None`` to drop the send, or a rewritten
 #: ``(payload, size_bytes, extra_delay_s)`` triple. The hook point for
@@ -51,7 +49,6 @@ class Message:
     size_bytes: int = 256
     corrupted: bool = False
     sent_at: SimTime = 0.0
-    msg_id: int = field(default_factory=_message_counter.__next__)
 
 
 @dataclass

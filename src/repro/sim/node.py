@@ -143,13 +143,13 @@ class SimNode:
     # ------------------------------------------------------------------
     def set_timer(self, delay: SimTime, fn: Callable[..., Any], *args: Any) -> Event:
         """Schedule a callback that is suppressed if the node has crashed."""
-        return self._arm(self.scheduler.schedule, delay, fn, args)
+        return self._arm(self.scheduler.timer, delay, fn, args)
 
     def set_timer_at(self, when: SimTime, fn: Callable[..., Any], *args: Any) -> Event:
         """:meth:`set_timer` at an absolute instant. Not the same as a
         delay of ``when - now``: in floats ``now + (when - now)`` need
         not equal ``when``, and a re-armed deadline must not drift."""
-        return self._arm(self.scheduler.schedule_at, when, fn, args)
+        return self._arm(self.scheduler.timer_at, when, fn, args)
 
     def _arm(
         self, schedule: Callable[..., Event], when: SimTime, fn: Any, args: tuple

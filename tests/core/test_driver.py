@@ -104,7 +104,7 @@ def test_rpc_client_timeout():
     cluster.close()
 
 
-def test_rpc_timeout_is_cancelled_when_the_reply_arrives(cluster):
+def test_answered_rpcs_leave_at_most_one_watchdog_and_no_timers(cluster):
     client = RPCClient("c0", cluster.scheduler, cluster.network)
     replies = []
     idle = cluster.scheduler.pending()
@@ -113,31 +113,90 @@ def test_rpc_timeout_is_cancelled_when_the_reply_arrives(cluster):
             "server-0", "rpc/get_blocks", {"from_height": 0}, replies.append,
             timeout_s=5.0,
         )
-    assert len(client._timeouts) == len(client._timers) == 100
+    # No timer per request: 100 requests in flight, one watchdog event.
+    assert client._timers == {}
     cluster.run_until(1.0)
     assert len(replies) == 100 and not any(r.get("timeout") for r in replies)
-    # Answered: no timeout handle is kept and none waits in the scheduler
-    # to fire as a no-op four seconds from now.
-    assert client._timeouts == {} and client._timers == {}
-    assert cluster.scheduler.pending() == idle
+    assert client._timers == {}
+    assert cluster.scheduler.pending() - idle <= 1
     cluster.run_until(10.0)
+    # The watchdog fired on answered requests only: nothing re-armed.
     assert len(replies) == 100
+    assert cluster.scheduler.pending() == idle
+    assert client.outstanding_requests() == 0
 
 
-def test_rpc_timeout_handle_is_forgotten_when_it_fires():
+def test_a_request_that_never_returns_does_not_pin_answered_deadlines():
     cluster = build_cluster("hyperledger", 2, seed=9)
     client = RPCClient("c0", cluster.scheduler, cluster.network)
-    cluster.nodes[0].crash()
+    cluster.nodes[1].crash()
     replies = []
-    client.request(
-        "server-0", "rpc/get_blocks", {"from_height": 0}, replies.append,
-        timeout_s=2.0,
-    )
-    cluster.run_until(5.0)
-    assert [r["timeout"] for r in replies] == [True]
-    assert client._timeouts == {} and client._timers == {}
+
+    def send(server):
+        client.request(
+            server, "rpc/get_blocks", {"from_height": 0}, replies.append,
+            timeout_s=5.0,
+        )
+
+    send("server-1")  # the head: unanswered for the whole timeout
+    for i in range(500):
+        cluster.scheduler.schedule_at(0.005 * (i + 1), send, "server-0")
+    cluster.run_until(4.9)
+    assert len(replies) == 500
+    assert len(client._deadlines) < 2 * RPCClient.COMPACT_FLOOR
+    cluster.run_until(10.0)
+    assert [r["timeout"] for r in replies if "timeout" in r] == [True]
     assert client.outstanding_requests() == 0
     cluster.close()
+
+
+def _tied_timeouts(with_rpc: bool) -> list[str]:
+    """Two bursts at t=0.5, each sending one RPC that is answered and one
+    to a crashed server, between plain events due at their 2 s deadline.
+    Without RPCs, each expiring request is a plain ``schedule`` call made
+    where its request was sent: the order a timer per request gives."""
+    cluster = build_cluster("hyperledger", 2, seed=9)
+    sched = cluster.scheduler
+    client = RPCClient("c0", sched, cluster.network)
+    cluster.nodes[1].crash()
+    order = []
+
+    def rpc(server, label):
+        if with_rpc:
+            client.request(
+                server, "rpc/get_blocks", {"from_height": 0},
+                lambda reply: order.append(label if reply.get("timeout") else "reply"),
+                timeout_s=2.0,
+            )
+        elif server == "server-1":
+            sched.schedule(2.0, order.append, label)
+
+    def before(tag):
+        # A same-instant event: it must not overtake the expiries.
+        order.append(f"{tag}-before")
+        sched.schedule(0.0, order.append, f"{tag}-now")
+
+    def burst(tag):
+        sched.schedule(2.0, before, tag)
+        rpc("server-0", f"{tag}-answered")
+        rpc("server-1", f"{tag}-timeout")
+        sched.schedule(2.0, order.append, f"{tag}-after")
+
+    sched.schedule_at(0.5, burst, "a")
+    sched.schedule_at(0.5, burst, "b")
+    cluster.run_until(5.0)
+    assert client._timers == {} and client.outstanding_requests() == 0
+    cluster.close()
+    return order
+
+
+def test_rpc_timeout_fires_in_its_original_time_seq_slot():
+    order = _tied_timeouts(with_rpc=True)
+    assert order[:2] == ["reply", "reply"]
+    assert order[2:] == _tied_timeouts(with_rpc=False) == [
+        "a-before", "a-timeout", "a-after",
+        "b-before", "b-timeout", "b-after", "a-now", "b-now",
+    ]
 
 
 def test_connector_rejects_unknown_server():

@@ -37,7 +37,7 @@ def test_clock_advances_to_event_time():
 def test_cancelled_events_do_not_fire():
     sched = Scheduler()
     fired = []
-    event = sched.schedule(1.0, fired.append, "x")
+    event = sched.timer(1.0, fired.append, "x")
     sched.schedule(2.0, fired.append, "y")
     event.cancel()
     sched.run()
@@ -106,7 +106,7 @@ def test_peek_time_empty_queue():
 
 def test_peek_time_skips_cancelled():
     sched = Scheduler()
-    event = sched.schedule(1.0, lambda: None)
+    event = sched.timer(1.0, lambda: None)
     sched.schedule(2.0, lambda: None)
     event.cancel()
     assert sched.peek_time() == 2.0
@@ -114,7 +114,7 @@ def test_peek_time_skips_cancelled():
 
 def test_pending_counts_live_events():
     sched = Scheduler()
-    e1 = sched.schedule(1.0, lambda: None)
+    e1 = sched.timer(1.0, lambda: None)
     sched.schedule(2.0, lambda: None)
     assert sched.pending() == 2
     e1.cancel()
@@ -140,7 +140,7 @@ def test_events_processed_counter():
 
 def test_pending_counter_tracks_schedule_fire_cancel():
     sched = Scheduler()
-    events = [sched.schedule(float(i + 1), lambda: None) for i in range(4)]
+    events = [sched.timer(float(i + 1), lambda: None) for i in range(4)]
     assert sched.pending() == 4
     events[0].cancel()
     assert sched.pending() == 3
@@ -152,8 +152,8 @@ def test_pending_counter_tracks_schedule_fire_cancel():
 
 def test_cancel_after_fire_does_not_corrupt_pending():
     sched = Scheduler()
-    fired = sched.schedule(1.0, lambda: None)
-    keeper = sched.schedule(2.0, lambda: None)
+    fired = sched.timer(1.0, lambda: None)
+    keeper = sched.timer(2.0, lambda: None)
     sched.step()
     assert sched.pending() == 1
     fired.cancel()  # no-op: already fired
@@ -165,7 +165,7 @@ def test_cancel_after_fire_does_not_corrupt_pending():
 
 def test_double_cancel_decrements_once():
     sched = Scheduler()
-    event = sched.schedule(1.0, lambda: None)
+    event = sched.timer(1.0, lambda: None)
     sched.schedule(2.0, lambda: None)
     event.cancel()
     event.cancel()
@@ -177,7 +177,7 @@ def test_mass_cancellation_compacts_heap_and_keeps_order():
     fired = []
     keepers = []
     for i in range(500):
-        event = sched.schedule(float(i), fired.append, i)
+        event = sched.timer(float(i), fired.append, i)
         if i % 10 == 0:
             keepers.append(i)
         else:
@@ -196,7 +196,7 @@ def _cancel_most_of_the_heap_mid_run(drive):
     more. The late event must still fire and pending() must be exact."""
     sched = Scheduler()
     fired = []
-    doomed = [sched.schedule(10.0 + i, fired.append, i) for i in range(200)]
+    doomed = [sched.timer(10.0 + i, fired.append, i) for i in range(200)]
 
     def cancel_and_reschedule():
         for event in doomed:
@@ -231,7 +231,7 @@ def test_compaction_purges_cancelled_run_queue_entries_in_place():
     fired = []
 
     def burst():
-        events = [sched.schedule(0.0, fired.append, i) for i in range(200)]
+        events = [sched.timer(0.0, fired.append, i) for i in range(200)]
         for event in events[:150]:
             event.cancel()
 
@@ -244,7 +244,7 @@ def test_compaction_purges_cancelled_run_queue_entries_in_place():
 def test_idle_now_tracks_run_queue_and_heap_head():
     sched = Scheduler()
     assert sched.idle_now()
-    later = sched.schedule(1.0, lambda: None)
+    later = sched.timer(1.0, lambda: None)
     assert sched.idle_now()  # heap head strictly later than now
     sched.schedule(0.0, lambda: None)
     assert not sched.idle_now()  # run queue non-empty
@@ -265,7 +265,7 @@ def test_idle_now_counts_a_cancelled_head_at_now_as_busy():
         seen.append(sched.idle_now())
 
     sched.schedule(1.0, first)
-    second = sched.schedule(1.0, seen.append, "never")
+    second = sched.timer(1.0, seen.append, "never")
     sched.run()
     assert seen == [False]
 

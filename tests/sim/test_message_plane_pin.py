@@ -19,6 +19,11 @@ reservoirs, eight (platform, n_clients, rate, seed) points that stand in
 for the old hypothesis sweep, and the open loop's refusal and failover
 retries.
 
+``hl_failover_timeouts`` was captured on the commit before RPC
+timeouts stopped arming a timer per request: a leader crash with no
+recovery, so submit and poll timeouts both fire and drive the clients'
+failover.
+
 A drifting digest means an elided event was *not* the next one the
 scheduler would have dispatched anyway (or an RNG draw moved): a model
 change, not an optimisation. Recapture only for a change that
@@ -154,6 +159,11 @@ PINNED = {
              failover=True, duration_s=8, faults=COLD_CRASH),
         "41190dc933a43102338a33fe836395a0a7d3a28d5ad5e4ae2524e433381ab983",
     ),
+    "hl_failover_timeouts": (
+        dict(HL, request_rate_tx_s=40, failover=True, duration_s=12,
+             faults={"crashes": [{"at_time": 2.0, "count": 1}]}),
+        "eb92bf8cbb4b5f5bba334e0e4c14263f2fa03cfac65bf46c2240a85a19371e62",
+    ),
     "drawn_hyp_1c_30_s0": (
         dict(HL, n_clients=1, request_rate_tx_s=30, duration_s=8, seed=0),
         "32625b4ab225bcd3cf08828df24530b215ae06881ef1d9b13666b337d64e7e05",
@@ -190,7 +200,8 @@ PINNED = {
 
 #: Rows that exist to drive a refusal path: their run must refuse something.
 REFUSING = {"parity_smallbank_overload", "parity_backlog_retry",
-            "openloop_parity_refusal", "openloop_hl_failover"}
+            "openloop_parity_refusal", "openloop_hl_failover",
+            "hl_failover_timeouts"}
 
 
 def run_digest(kwargs: dict) -> tuple[str, dict]:
