@@ -9,14 +9,11 @@ charge CPU for signature work where their real counterparts do.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Any
 
 from ..crypto.hashing import hash_items
 from ..crypto.signatures import Signature
-
-_tx_counter = itertools.count()
 
 
 def _encode_args(args: tuple[Any, ...]) -> bytes:
@@ -50,12 +47,13 @@ class Transaction:
         function: str,
         args: tuple[Any, ...] = (),
         value: int = 0,
-        nonce: int | None = None,
+        *,
+        nonce: int,
         submitted_at: float = 0.0,
     ) -> "Transaction":
-        """Build a transaction with a content-derived id."""
-        if nonce is None:
-            nonce = next(_tx_counter)
+        """Build a transaction with a content-derived id. The caller
+        numbers its transactions (a workload draws ``nonce`` from its
+        own counter), so two identical calls get one id."""
         encoded_args = _encode_args(args)
         digest = hash_items(
             sender.encode(),

@@ -20,6 +20,7 @@ require.
 
 from __future__ import annotations
 
+import itertools
 import random
 from abc import ABC, abstractmethod
 from bisect import bisect_left
@@ -162,6 +163,16 @@ class Workload(ABC):
     #: Contract(s) this workload requires deployed.
     required_contracts: tuple[str, ...] = ()
 
+    def __init__(self) -> None:
+        # Each instance numbers its own transactions from 0, so a run's
+        # tx ids (and geth's gossip targets, picked from them) depend on
+        # nothing outside the run.
+        self._nonces = itertools.count()
+
+    def next_nonce(self) -> int:
+        """Nonce for this workload's next transaction: 0, 1, 2, ..."""
+        return next(self._nonces)
+
     def preload(self, cluster: "Cluster") -> None:
         """Populate state before measurement begins.
 
@@ -188,7 +199,8 @@ class Workload(ABC):
     def next_transaction(
         self, client_id: str, rng: random.Random, now: float
     ) -> Transaction:
-        """The next transaction for ``client_id`` (getNextTransaction)."""
+        """The next transaction for ``client_id`` (getNextTransaction),
+        numbered with :meth:`next_nonce`."""
 
 
 def preload_state(cluster: "Cluster", contract: str, items) -> int:

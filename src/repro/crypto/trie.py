@@ -9,43 +9,61 @@ produces the order-of-magnitude disk-usage gap against Hyperledger in
 the IOHeavy experiment (Figure 12c) — so we implement it for real, with
 nodes persisted through an abstract node store.
 
-Writes are copy-on-write: ``put`` returns a *new* root hash and leaves
-old nodes in place, which is also how the real MPT retains historical
-state roots (used by ``getBalance(account, block)`` in the analytics
-workload).
+Writes are copy-on-write: ``update`` returns a *new* root hash and
+leaves old nodes in place, which is also how the real MPT retains
+historical state roots (used by ``getBalance(account, block)`` in the
+analytics workload). An update short-circuits where a subtree is
+unchanged (same value written twice), returning the existing hash
+instead of re-encoding and re-hashing the whole leaf-to-root path —
+exactly what a real MPT does, since identical content hashes to the
+identical node.
 
-Two fast paths (PR 2) keep the write amplification honest without
-paying it twice:
+A node *is* its stored bytes; nothing is decoded into objects. Paths
+are nibble ``bytes`` (one byte, 0..15, per nibble), and the three node
+kinds are::
 
-* a decoded-node LRU sits in front of the store, so the hot upper
-  levels of the tree skip both the store read and the blob decode —
-  content addressing makes the cache trivially coherent;
-* the put path short-circuits when a subtree is unchanged (same value
-  written twice), returning the existing hash instead of re-encoding
-  and re-hashing the whole leaf-to-root path — exactly what a real MPT
-  does, since identical content hashes to the identical node.
+    leaf       00 | len | path | value
+    extension  01 | len | path | child hash (32 bytes)
+    branch     02 | 16 child hashes (32 zero bytes when empty) | 00
+    branch     02 | 16 child hashes | 01 | value
+
+A read walks the blobs (slicing only the one child hash it follows);
+a write builds blobs straight from a sorted write-set, addressed by
+index ranges and a nibble depth rather than re-sliced paths.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from bisect import bisect_left
+from hashlib import sha256 as _sha256
 from typing import Iterable, Iterator, Protocol
 
-from hashlib import sha256 as _sha256
-
 from ..errors import CorruptionError
-from ..util.lru import LRUCache
 from .hashing import Hash, sha256
 
-#: Decoded-node LRU sizing: roughly the working set of a few hundred
-#: thousand accounts' upper tree levels, while leaves churn through.
-NODE_CACHE_ENTRIES = 16_384
-
-Nibbles = tuple[int, ...]
+#: A key as nibbles: one byte (0..15) per nibble, high nibble first.
+Nibbles = bytes
+#: Sorted, distinct ``(path, value)`` puts, addressed by index ranges.
+_Puts = list[tuple[Nibbles, bytes]]
 
 _LEAF = 0
 _EXTENSION = 1
 _BRANCH = 2
+
+#: ``tag | len`` headers, one per path length.
+_LEAF_HEAD = tuple(bytes((_LEAF, n)) for n in range(256))
+_EXTENSION_HEAD = tuple(bytes((_EXTENSION, n)) for n in range(256))
+_NIBBLE = tuple(bytes((n,)) for n in range(17))
+
+_EMPTY_CHILD = b"\x00" * 32
+_BRANCH_TAG = bytes((_BRANCH,))
+#: Offset of a branch's value flag; its value (if any) follows.
+_FLAG = 1 + 16 * 32
+_NO_VALUE = b"\x00"
+_HAS_VALUE = b"\x01"
+
+_HEX_TO_NIBBLE = bytes.maketrans(b"0123456789abcdef", bytes(range(16)))
+_NIBBLE_TO_HEX = bytes.maketrans(bytes(range(16)), b"0123456789abcdef")
 
 
 class NodeStore(Protocol):
@@ -72,106 +90,58 @@ class DictNodeStore:
         return len(self._data)
 
 
-#: Per-byte nibble pairs, precomputed once (to_nibbles runs per get/put).
-_BYTE_NIBBLES: tuple[tuple[int, int], ...] = tuple(
-    (b >> 4, b & 0x0F) for b in range(256)
-)
-
-
 def to_nibbles(key: bytes) -> Nibbles:
     """Split a byte key into 4-bit nibbles (two per byte, high first)."""
-    out: list[int] = []
-    extend = out.extend
-    pairs = _BYTE_NIBBLES
-    for byte in key:
-        extend(pairs[byte])
-    return tuple(out)
+    return key.hex().encode().translate(_HEX_TO_NIBBLE)
 
 
-def from_nibbles(nibbles: Nibbles) -> bytes:
+def from_nibbles(nibbles: Iterable[int]) -> bytes:
     """Inverse of :func:`to_nibbles` for even-length nibble runs."""
-    if len(nibbles) % 2:
+    run = bytes(nibbles)
+    if len(run) % 2:
         raise CorruptionError("odd nibble run cannot map back to bytes")
-    return bytes(
-        (nibbles[i] << 4) | nibbles[i + 1] for i in range(0, len(nibbles), 2)
+    return bytes.fromhex(run.translate(_NIBBLE_TO_HEX).decode())
+
+
+def _common_prefix_len(a: bytes, a_at: int, b: bytes, b_at: int) -> int:
+    """Length of the common prefix of ``a[a_at:]`` and ``b[b_at:]``."""
+    n = min(len(a) - a_at, len(b) - b_at)
+    diff = int.from_bytes(a[a_at : a_at + n], "big") ^ int.from_bytes(
+        b[b_at : b_at + n], "big"
     )
+    return n - (diff.bit_length() + 7) // 8
 
 
-def _common_prefix_len(a: Nibbles, b: Nibbles) -> int:
-    n = min(len(a), len(b))
-    for i in range(n):
-        if a[i] != b[i]:
-            return i
-    return n
+def _branch(children: list[bytes], value: bytes | None) -> bytes:
+    tail = _NO_VALUE if value is None else _HAS_VALUE + value
+    return _BRANCH_TAG + b"".join(children) + tail
 
 
-@dataclass(frozen=True)
-class _Leaf:
-    path: Nibbles
-    value: bytes
-
-
-@dataclass(frozen=True)
-class _Extension:
-    path: Nibbles
-    child: Hash
-
-
-@dataclass(frozen=True)
-class _Branch:
-    children: tuple[Hash | None, ...]  # exactly 16 entries
-    value: bytes | None
-
-
-_Node = _Leaf | _Extension | _Branch
-
-_EMPTY_CHILD = b"\x00" * 32
-
-
-_BRANCH_PREFIX = bytes([_BRANCH])
-
-
-def _encode_node(node: _Node) -> bytes:
-    if isinstance(node, _Leaf):
-        return bytes((_LEAF, len(node.path))) + bytes(node.path) + node.value
-    if isinstance(node, _Extension):
-        return (
-            bytes((_EXTENSION, len(node.path))) + bytes(node.path) + node.child
-        )
-    body = b"".join(
-        [c if c is not None else _EMPTY_CHILD for c in node.children]
-    )
-    if node.value is not None:
-        return _BRANCH_PREFIX + body + b"\x01" + node.value
-    return _BRANCH_PREFIX + body + b"\x00"
-
-
-def _decode_node(blob: bytes) -> _Node:
-    if not blob:
-        raise CorruptionError("empty trie node blob")
-    tag = blob[0]
-    if tag == _LEAF:
-        path_len = blob[1]
-        path = tuple(blob[2 : 2 + path_len])
-        return _Leaf(path=path, value=blob[2 + path_len :])
-    if tag == _EXTENSION:
-        path_len = blob[1]
-        path = tuple(blob[2 : 2 + path_len])
-        child = blob[2 + path_len :]
-        if len(child) != 32:
-            raise CorruptionError("extension child must be a 32-byte hash")
-        return _Extension(path=path, child=child)
-    if tag == _BRANCH:
-        offset = 1
-        children: list[Hash | None] = []
-        for _ in range(16):
-            raw = blob[offset : offset + 32]
-            children.append(None if raw == _EMPTY_CHILD else raw)
-            offset += 32
-        flag = blob[offset]
-        value = blob[offset + 1 :] if flag == 1 else None
-        return _Branch(children=tuple(children), value=value)
-    raise CorruptionError(f"unknown trie node tag {tag}")
+def _split(
+    items: _Puts, lo: int, hi: int, depth: int
+) -> tuple[bytes | None, list[tuple[int, int, int]]]:
+    """A branch's view of the sorted, distinct ``items[lo:hi]``, which
+    share their first ``depth`` nibbles: the value of the one item that
+    ends there (it sorts first), and ``(nibble, lo, hi)`` per child in
+    ascending nibble order."""
+    value = None
+    if len(items[lo][0]) == depth:
+        value = items[lo][1]
+        lo += 1
+    groups = []
+    while lo < hi:
+        path = items[lo][0]
+        nibble = path[depth]
+        end = lo + 1
+        if end < hi and items[end][0][depth] == nibble:
+            # The first path past this child's: the prefix, nibble + 1
+            # (16 sorts after every nibble).
+            end = bisect_left(
+                items, (path[:depth] + _NIBBLE[nibble + 1],), end, hi
+            )
+        groups.append((nibble, lo, end))
+        lo = end
+    return value, groups
 
 
 class PatriciaTrie:
@@ -186,55 +156,34 @@ class PatriciaTrie:
     True
     """
 
-    def __init__(
-        self, store: NodeStore, node_cache_entries: int = NODE_CACHE_ENTRIES
-    ) -> None:
+    def __init__(self, store: NodeStore) -> None:
         self.store = store
         self.node_writes = 0
         self.node_reads = 0
         self.bytes_written = 0
-        #: Decoded nodes keyed by digest. Content-addressed storage
-        #: means an entry can never go stale — a digest always names
-        #: the same node bytes. Pass ``node_cache_entries=0`` to
-        #: disable, e.g. when the store's own read counters *model*
-        #: a platform cache and must see every logical read.
-        self._node_cache: LRUCache[bytes, _Node] | None = (
-            LRUCache(node_cache_entries) if node_cache_entries > 0 else None
-        )
         #: While a list, ``_save`` appends each ``(digest, blob)`` to it.
         self.journal: list[tuple[Hash, bytes]] | None = None
 
     # ------------------------------------------------------------------
     # Node persistence
     # ------------------------------------------------------------------
-    def _save(self, node: _Node) -> Hash:
-        blob = _encode_node(node)
+    def _save(self, blob: bytes) -> Hash:
         # hashlib called directly: the wrapper costs a Python frame per
-        # saved node, and every put saves the whole leaf-to-root path.
+        # saved node, and every write saves the whole leaf-to-root path.
         digest = _sha256(blob).digest()
         self.store.put(digest, blob)
         self.node_writes += 1
         self.bytes_written += len(blob) + 32
         if self.journal is not None:
             self.journal.append((digest, blob))
-        if self._node_cache is not None:
-            self._node_cache.put(digest, node)
         return digest
 
-    def _load(self, digest: Hash) -> _Node:
+    def _load(self, digest: Hash) -> bytes:
         self.node_reads += 1
-        cache = self._node_cache
-        if cache is not None:
-            node = cache.get(digest)
-            if node is not None:
-                return node
         blob = self.store.get(digest)
         if blob is None:
             raise CorruptionError(f"missing trie node {digest.hex()[:12]}")
-        node = _decode_node(blob)
-        if cache is not None:
-            cache.put(digest, node)
-        return node
+        return blob
 
     # ------------------------------------------------------------------
     # Read path
@@ -243,368 +192,270 @@ class PatriciaTrie:
         """Value for ``key`` under ``root``, or None when absent."""
         if root is None:
             return None
-        return self._get(root, to_nibbles(key))
-
-    def _get(self, node_hash: Hash, path: Nibbles) -> bytes | None:
-        node = self._load(node_hash)
-        if isinstance(node, _Leaf):
-            return node.value if node.path == path else None
-        if isinstance(node, _Extension):
-            prefix_len = len(node.path)
-            if path[:prefix_len] != node.path:
+        path = to_nibbles(key)
+        end = len(path)
+        depth = 0
+        node = root
+        load = self._load
+        while True:
+            blob = load(node)
+            tag = blob[0]
+            if tag == _BRANCH:
+                if depth == end:
+                    return blob[_FLAG + 1 :] if blob[_FLAG] else None
+                at = 1 + 32 * path[depth]
+                node = blob[at : at + 32]
+                if node == _EMPTY_CHILD:
+                    return None
+                depth += 1
+            elif tag == _LEAF:
+                n = blob[1]
+                if end - depth == n and path.endswith(blob[2 : 2 + n]):
+                    return blob[2 + n :]
                 return None
-            return self._get(node.child, path[prefix_len:])
-        if not path:
-            return node.value
-        child = node.children[path[0]]
-        if child is None:
-            return None
-        return self._get(child, path[1:])
+            elif tag == _EXTENSION:
+                n = blob[1]
+                if not path.startswith(blob[2 : 2 + n], depth):
+                    return None
+                depth += n
+                node = blob[2 + n :]
+            else:
+                raise CorruptionError(f"unknown trie node tag {tag}")
 
     # ------------------------------------------------------------------
     # Write path
     # ------------------------------------------------------------------
     def put(self, root: Hash | None, key: bytes, value: bytes) -> Hash:
-        """Insert/overwrite ``key``; returns the new root hash."""
-        if root is None:
-            return self._save(_Leaf(path=to_nibbles(key), value=value))
-        return self._put(root, to_nibbles(key), value)
+        """Insert/overwrite ``key``; returns the new root hash. A
+        one-item :meth:`update`."""
+        return self.update(root, ((key, value),))
 
-    def _put(self, node_hash: Hash, path: Nibbles, value: bytes) -> Hash:
-        node = self._load(node_hash)
-        if isinstance(node, _Leaf):
-            return self._put_into_leaf(node, node_hash, path, value)
-        if isinstance(node, _Extension):
-            return self._put_into_extension(node, node_hash, path, value)
-        return self._put_into_branch(node, node_hash, path, value)
+    def delete(self, root: Hash | None, key: bytes) -> Hash | None:
+        """Remove ``key``; returns the new root (None for an empty
+        trie). A one-item :meth:`update`."""
+        return self.update(root, ((key, None),))
 
-    def _put_into_leaf(
-        self, node: _Leaf, node_hash: Hash, path: Nibbles, value: bytes
-    ) -> Hash:
-        if node.path == path:
-            if node.value == value:
-                # Identical content hashes to the identical node: skip
-                # the re-encode/re-hash and let the whole path above
-                # reuse its existing nodes.
-                return node_hash
-            return self._save(_Leaf(path=path, value=value))
-        common = _common_prefix_len(node.path, path)
-        branch_children: list[Hash | None] = [None] * 16
-        branch_value: bytes | None = None
-        for leaf_path, leaf_value in ((node.path, node.value), (path, value)):
-            rest = leaf_path[common:]
-            if not rest:
-                branch_value = leaf_value
-            else:
-                branch_children[rest[0]] = self._save(
-                    _Leaf(path=rest[1:], value=leaf_value)
-                )
-        branch_hash = self._save(
-            _Branch(children=tuple(branch_children), value=branch_value)
-        )
-        if common:
-            return self._save(_Extension(path=path[:common], child=branch_hash))
-        return branch_hash
-
-    def _put_into_extension(
-        self, node: _Extension, node_hash: Hash, path: Nibbles, value: bytes
-    ) -> Hash:
-        common = _common_prefix_len(node.path, path)
-        if common == len(node.path):
-            new_child = self._put(node.child, path[common:], value)
-            if new_child == node.child:
-                return node_hash  # unchanged subtree: no path rewrite
-            return self._save(_Extension(path=node.path, child=new_child))
-        # Split the extension at the divergence point.
-        branch_children: list[Hash | None] = [None] * 16
-        branch_value: bytes | None = None
-        ext_rest = node.path[common:]
-        if len(ext_rest) == 1:
-            branch_children[ext_rest[0]] = node.child
-        else:
-            branch_children[ext_rest[0]] = self._save(
-                _Extension(path=ext_rest[1:], child=node.child)
-            )
-        key_rest = path[common:]
-        if not key_rest:
-            branch_value = value
-        else:
-            branch_children[key_rest[0]] = self._save(
-                _Leaf(path=key_rest[1:], value=value)
-            )
-        branch_hash = self._save(
-            _Branch(children=tuple(branch_children), value=branch_value)
-        )
-        if common:
-            return self._save(_Extension(path=path[:common], child=branch_hash))
-        return branch_hash
-
-    def _put_into_branch(
-        self, node: _Branch, node_hash: Hash, path: Nibbles, value: bytes
-    ) -> Hash:
-        if not path:
-            if node.value == value:
-                return node_hash
-            return self._save(_Branch(children=node.children, value=value))
-        index = path[0]
-        child = node.children[index]
-        if child is None:
-            new_child = self._save(_Leaf(path=path[1:], value=value))
-        else:
-            new_child = self._put(child, path[1:], value)
-            if new_child == child:
-                return node_hash  # unchanged subtree: no path rewrite
-        children = list(node.children)
-        children[index] = new_child
-        return self._save(_Branch(children=tuple(children), value=node.value))
-
-    # ------------------------------------------------------------------
-    # Batched write path (PR 5)
-    # ------------------------------------------------------------------
     def update(
         self, root: Hash | None, items: Iterable[tuple[bytes, bytes | None]]
     ) -> Hash | None:
         """Apply a whole write-set in one pass; returns the new root.
 
         ``items`` are ``(key, value)`` pairs applied last-write-wins
-        (``value=None`` deletes the key). The root of a Patricia trie
-        is canonical for the final key-to-value map, so this produces a
-        hash byte-identical to applying the same net writes through
-        :meth:`put`/:meth:`delete` one at a time — but each shared path
-        segment is encoded and hashed **once** for the batch instead of
-        once per write, which is where the block-commit fast path's
-        speedup comes from (K writes under a common prefix collapse
-        into a single path rewrite).
+        (``value=None`` deletes the key). Deletes go first, one at a
+        time in key order; then the puts merge into the tree in one
+        sorted pass, so each shared path segment is encoded and hashed
+        **once** for the batch instead of once per write (K writes
+        under a common prefix collapse into a single path rewrite). The
+        root of a Patricia trie is canonical for the final key-to-value
+        map, so the order of the batch never changes it.
         """
-        net: dict[bytes, bytes | None] = {}
-        for key, value in items:
-            net[key] = value
-        for key in sorted(k for k, v in net.items() if v is None):
-            if root is None:
-                break
-            root = self._delete(root, to_nibbles(key))
-        puts = sorted(
-            (to_nibbles(key), value)
-            for key, value in net.items()
-            if value is not None
-        )
+        puts: _Puts = []
+        for key, value in sorted(dict(items).items()):
+            path = to_nibbles(key)
+            if value is not None:
+                puts.append((path, value))
+            elif root is not None:
+                root = self._delete(root, path, 0)
         if not puts:
             return root
         if root is None:
-            return self._build(puts)
-        return self._batch_put(root, puts)
+            return self._build(puts, 0, len(puts), 0)
+        return self._merge(root, puts, 0, len(puts), 0)
 
-    def _build(self, items: list[tuple[Nibbles, bytes]]) -> Hash:
-        """Construct a subtree from scratch for sorted, distinct items."""
-        if len(items) == 1:
-            path, value = items[0]
-            return self._save(_Leaf(path=path, value=value))
+    def _build(self, items: _Puts, lo: int, hi: int, depth: int) -> Hash:
+        """A new subtree for the sorted, distinct ``items[lo:hi]``, whose
+        first ``depth`` nibbles are already consumed."""
+        if hi - lo == 1:
+            path, value = items[lo]
+            return self._save(_LEAF_HEAD[len(path) - depth] + path[depth:] + value)
         # Sorted paths: the common prefix of all items is the common
         # prefix of the first and last.
-        common = _common_prefix_len(items[0][0], items[-1][0])
-        if common:
-            prefix = items[0][0][:common]
-            stripped = [(path[common:], value) for path, value in items]
-            branch_hash = self._build_branch(stripped)
-            return self._save(_Extension(path=prefix, child=branch_hash))
-        return self._build_branch(items)
-
-    def _build_branch(self, items: list[tuple[Nibbles, bytes]]) -> Hash:
-        """Branch node over items whose common prefix is already consumed."""
-        branch_value: bytes | None = None
-        groups: dict[int, list[tuple[Nibbles, bytes]]] = {}
-        for path, value in items:
-            if not path:
-                branch_value = value
-            else:
-                groups.setdefault(path[0], []).append((path[1:], value))
-        children: list[Hash | None] = [None] * 16
-        for nibble, group in groups.items():
-            children[nibble] = self._build(group)
+        first = items[lo][0]
+        common = _common_prefix_len(first, depth, items[hi - 1][0], depth)
+        if not common:
+            return self._build_branch(items, lo, hi, depth)
+        branch = self._build_branch(items, lo, hi, depth + common)
         return self._save(
-            _Branch(children=tuple(children), value=branch_value)
+            _EXTENSION_HEAD[common] + first[depth : depth + common] + branch
         )
 
-    def _batch_put(
-        self, node_hash: Hash, items: list[tuple[Nibbles, bytes]]
+    def _build_branch(self, items: _Puts, lo: int, hi: int, depth: int) -> Hash:
+        value, groups = _split(items, lo, hi, depth)
+        children = [_EMPTY_CHILD] * 16
+        for nibble, start, stop in groups:
+            children[nibble] = self._build(items, start, stop, depth + 1)
+        return self._save(_branch(children, value))
+
+    def _merge(
+        self, node_hash: Hash, items: _Puts, lo: int, hi: int, depth: int
     ) -> Hash:
         """Merge sorted, distinct put items into an existing subtree."""
-        node = self._load(node_hash)
-        if isinstance(node, _Leaf):
-            if len(items) == 1 and items[0][0] == node.path:
-                path, value = items[0]
-                if value == node.value:
+        blob = self._load(node_hash)
+        tag = blob[0]
+        if tag == _LEAF:
+            n = blob[1]
+            first, value = items[lo]
+            if hi - lo == 1 and len(first) - depth == n and first.endswith(
+                blob[2 : 2 + n]
+            ):
+                if value == blob[2 + n :]:
                     return node_hash  # unchanged subtree: no rewrite
-                return self._save(_Leaf(path=path, value=value))
-            if not any(path == node.path for path, _ in items):
-                items = sorted(items + [(node.path, node.value)])
-            return self._build(items)
-        if isinstance(node, _Extension):
-            return self._batch_into_extension(
-                node.path, node.child, items, node_hash=node_hash
+                return self._save(blob[: 2 + n] + value)
+            leaf_path = first[:depth] + blob[2 : 2 + n]
+            at = bisect_left(items, (leaf_path,), lo, hi)
+            if at < hi and items[at][0] == leaf_path:
+                return self._build(items, lo, hi, depth)  # value replaced
+            merged = items[lo:hi]
+            merged.insert(at - lo, (leaf_path, blob[2 + n :]))
+            return self._build(merged, 0, len(merged), depth)
+        if tag == _EXTENSION:
+            n = blob[1]
+            return self._merge_extension(
+                blob[2 : 2 + n], blob[2 + n :], items, lo, hi, depth, node_hash
             )
-        # Branch node.
-        branch_value = node.value
-        groups: dict[int, list[tuple[Nibbles, bytes]]] = {}
-        for path, value in items:
-            if not path:
-                branch_value = value
-            else:
-                groups.setdefault(path[0], []).append((path[1:], value))
-        children = list(node.children)
-        changed = branch_value != node.value
-        for nibble, group in groups.items():
-            child = children[nibble]
+        old_value = blob[_FLAG + 1 :] if blob[_FLAG] else None
+        value, groups = _split(items, lo, hi, depth)
+        if value is None:
+            value = old_value
+        edited = None
+        for nibble, start, stop in groups:
+            at = 1 + 32 * nibble
+            child = blob[at : at + 32]
             new_child = (
-                self._batch_put(child, group)
-                if child is not None
-                else self._build(group)
+                self._build(items, start, stop, depth + 1)
+                if child == _EMPTY_CHILD
+                else self._merge(child, items, start, stop, depth + 1)
             )
             if new_child != child:
-                children[nibble] = new_child
-                changed = True
-        if not changed:
+                if edited is None:
+                    edited = bytearray(blob)
+                edited[at : at + 32] = new_child
+        if value != old_value:
+            if edited is None:
+                edited = bytearray(blob)
+            edited[_FLAG:] = _HAS_VALUE + value
+        elif edited is None:
             return node_hash  # every write was a same-value overwrite
-        return self._save(
-            _Branch(children=tuple(children), value=branch_value)
-        )
+        return self._save(bytes(edited))
 
-    def _batch_into_extension(
+    def _merge_extension(
         self,
         ext_path: Nibbles,
         ext_child: Hash,
-        items: list[tuple[Nibbles, bytes]],
+        items: _Puts,
+        lo: int,
+        hi: int,
+        depth: int,
         node_hash: Hash | None = None,
     ) -> Hash:
         """Merge items into an extension segment over ``ext_child``.
 
-        ``node_hash`` is the stored hash of ``Extension(ext_path,
-        ext_child)`` when that node exists (enables the unchanged
-        short-circuit); None when the segment is the virtual remainder
-        of a longer extension that is being split.
+        ``node_hash`` is the stored hash of that extension when the
+        node exists (enables the unchanged short-circuit); None when
+        the segment is the virtual remainder of a longer extension that
+        is being split.
         """
-        prefix_len = len(ext_path)
+        n = len(ext_path)
+        # Sorted items: the one sharing the least with the segment is
+        # the first or the last.
         divergence = min(
-            _common_prefix_len(ext_path, path) for path, _ in items
+            _common_prefix_len(ext_path, 0, items[lo][0], depth),
+            _common_prefix_len(ext_path, 0, items[hi - 1][0], depth),
         )
-        if divergence == prefix_len:
+        if divergence == n:
             # Every item lives under the extension: one recursive merge.
-            new_child = self._batch_put(
-                ext_child, [(path[prefix_len:], v) for path, v in items]
-            )
+            new_child = self._merge(ext_child, items, lo, hi, depth + n)
             if new_child == ext_child and node_hash is not None:
                 return node_hash  # unchanged subtree: no path rewrite
-            return self._save(_Extension(path=ext_path, child=new_child))
-        # Split at the first nibble where some item leaves the segment.
-        branch_value: bytes | None = None
-        groups: dict[int, list[tuple[Nibbles, bytes]]] = {}
-        for path, value in items:
-            rest = path[divergence:]
-            if not rest:
-                branch_value = value
-            else:
-                groups.setdefault(rest[0], []).append((rest[1:], value))
-        children: list[Hash | None] = [None] * 16
+            return self._save(_EXTENSION_HEAD[n] + ext_path + new_child)
+        # Split at the first nibble where some item leaves the segment;
+        # the segment's own child slot is filled first.
+        at = depth + divergence
+        value, groups = _split(items, lo, hi, at)
+        children = [_EMPTY_CHILD] * 16
         ext_nibble = ext_path[divergence]
         ext_rest = ext_path[divergence + 1 :]
-        under_ext = groups.pop(ext_nibble, None)
-        if under_ext is not None:
-            if ext_rest:
-                children[ext_nibble] = self._batch_into_extension(
-                    ext_rest, ext_child, sorted(under_ext)
+        for nibble, start, stop in groups:
+            if nibble == ext_nibble:
+                children[nibble] = (
+                    self._merge_extension(
+                        ext_rest, ext_child, items, start, stop, at + 1
+                    )
+                    if ext_rest
+                    else self._merge(ext_child, items, start, stop, at + 1)
                 )
-            else:
-                children[ext_nibble] = self._batch_put(
-                    ext_child, sorted(under_ext)
-                )
-        elif ext_rest:
-            children[ext_nibble] = self._save(
-                _Extension(path=ext_rest, child=ext_child)
-            )
+                break
         else:
-            children[ext_nibble] = ext_child
-        for nibble, group in groups.items():
-            children[nibble] = self._build(sorted(group))
-        branch_hash = self._save(
-            _Branch(children=tuple(children), value=branch_value)
-        )
+            children[ext_nibble] = (
+                self._save(_EXTENSION_HEAD[len(ext_rest)] + ext_rest + ext_child)
+                if ext_rest
+                else ext_child
+            )
+        for nibble, start, stop in groups:
+            if nibble != ext_nibble:
+                children[nibble] = self._build(items, start, stop, at + 1)
+        branch = self._save(_branch(children, value))
         if divergence:
             return self._save(
-                _Extension(path=ext_path[:divergence], child=branch_hash)
+                _EXTENSION_HEAD[divergence] + ext_path[:divergence] + branch
             )
-        return branch_hash
+        return branch
 
     # ------------------------------------------------------------------
     # Delete path
     # ------------------------------------------------------------------
-    def delete(self, root: Hash | None, key: bytes) -> Hash | None:
-        """Remove ``key``; returns the new root (None for an empty trie)."""
-        if root is None:
-            return None
-        return self._delete(root, to_nibbles(key))
-
-    def _delete(self, node_hash: Hash, path: Nibbles) -> Hash | None:
-        node = self._load(node_hash)
-        if isinstance(node, _Leaf):
-            return None if node.path == path else node_hash
-        if isinstance(node, _Extension):
-            prefix_len = len(node.path)
-            if path[:prefix_len] != node.path:
+    def _delete(self, node_hash: Hash, path: Nibbles, depth: int) -> Hash | None:
+        blob = self._load(node_hash)
+        tag = blob[0]
+        if tag == _LEAF:
+            n = blob[1]
+            if len(path) - depth == n and path.endswith(blob[2 : 2 + n]):
+                return None
+            return node_hash
+        if tag == _EXTENSION:
+            n = blob[1]
+            ext_path = blob[2 : 2 + n]
+            if not path.startswith(ext_path, depth):
                 return node_hash
-            new_child = self._delete(node.child, path[prefix_len:])
+            child = blob[2 + n :]
+            new_child = self._delete(child, path, depth + n)
             if new_child is None:
                 return None
-            if new_child == node.child:
+            if new_child == child:
                 return node_hash
-            return self._merge_extension(node.path, new_child)
-        return self._delete_from_branch(node, node_hash, path)
-
-    def _delete_from_branch(
-        self, node: _Branch, node_hash: Hash, path: Nibbles
-    ) -> Hash | None:
-        children = list(node.children)
-        value = node.value
-        if not path:
+            return self._prefixed(ext_path, new_child)
+        children = [blob[at : at + 32] for at in range(1, _FLAG, 32)]
+        value = blob[_FLAG + 1 :] if blob[_FLAG] else None
+        if depth == len(path):
             if value is None:
                 return node_hash  # key absent
             value = None
         else:
-            child = children[path[0]]
-            if child is None:
+            nibble = path[depth]
+            child = children[nibble]
+            if child == _EMPTY_CHILD:
                 return node_hash  # key absent
-            new_child = self._delete(child, path[1:])
+            new_child = self._delete(child, path, depth + 1)
             if new_child == child:
                 return node_hash
-            children[path[0]] = new_child
-        live = [(i, c) for i, c in enumerate(children) if c is not None]
-        if value is None and not live:
-            return None
-        if value is not None and not live:
-            return self._save(_Leaf(path=(), value=value))
+            children[nibble] = new_child or _EMPTY_CHILD
+        live = [i for i, c in enumerate(children) if c != _EMPTY_CHILD]
+        if not live:
+            return None if value is None else self._save(_LEAF_HEAD[0] + value)
         if value is None and len(live) == 1:
-            index, child_hash = live[0]
-            return self._collapse_single_child(index, child_hash)
-        return self._save(_Branch(children=tuple(children), value=value))
+            index = live[0]
+            return self._prefixed(_NIBBLE[index], children[index])
+        return self._save(_branch(children, value))
 
-    def _collapse_single_child(self, index: int, child_hash: Hash) -> Hash:
+    def _prefixed(self, prefix: Nibbles, child_hash: Hash) -> Hash:
+        """``prefix`` in front of a subtree: absorbed by a leaf or an
+        extension child, or a new extension over a branch."""
         child = self._load(child_hash)
-        if isinstance(child, _Leaf):
-            return self._save(_Leaf(path=(index,) + child.path, value=child.value))
-        if isinstance(child, _Extension):
-            return self._save(
-                _Extension(path=(index,) + child.path, child=child.child)
-            )
-        return self._save(_Extension(path=(index,), child=child_hash))
-
-    def _merge_extension(self, prefix: Nibbles, child_hash: Hash) -> Hash:
-        child = self._load(child_hash)
-        if isinstance(child, _Leaf):
-            return self._save(_Leaf(path=prefix + child.path, value=child.value))
-        if isinstance(child, _Extension):
-            return self._save(
-                _Extension(path=prefix + child.path, child=child.child)
-            )
-        return self._save(_Extension(path=prefix, child=child_hash))
+        tag = child[0]
+        if tag == _BRANCH:
+            return self._save(_EXTENSION_HEAD[len(prefix)] + prefix + child_hash)
+        head = _LEAF_HEAD if tag == _LEAF else _EXTENSION_HEAD
+        return self._save(head[len(prefix) + child[1]] + prefix + child[2:])
 
     # ------------------------------------------------------------------
     # Iteration (used by analytics and tests)
@@ -613,21 +464,25 @@ class PatriciaTrie:
         """Yield (key, value) pairs under ``root`` in nibble order."""
         if root is None:
             return
-        yield from self._walk(root, ())
+        yield from self._walk(root, b"")
 
     def _walk(self, node_hash: Hash, prefix: Nibbles) -> Iterator[tuple[bytes, bytes]]:
-        node = self._load(node_hash)
-        if isinstance(node, _Leaf):
-            yield from_nibbles(prefix + node.path), node.value
+        blob = self._load(node_hash)
+        tag = blob[0]
+        if tag == _BRANCH:
+            if blob[_FLAG]:
+                yield from_nibbles(prefix), blob[_FLAG + 1 :]
+            for nibble in range(16):
+                at = 1 + 32 * nibble
+                child = blob[at : at + 32]
+                if child != _EMPTY_CHILD:
+                    yield from self._walk(child, prefix + _NIBBLE[nibble])
             return
-        if isinstance(node, _Extension):
-            yield from self._walk(node.child, prefix + node.path)
-            return
-        if node.value is not None:
-            yield from_nibbles(prefix), node.value
-        for index, child in enumerate(node.children):
-            if child is not None:
-                yield from self._walk(child, prefix + (index,))
+        n = blob[1]
+        if tag == _LEAF:
+            yield from_nibbles(prefix + blob[2 : 2 + n]), blob[2 + n :]
+        else:
+            yield from self._walk(blob[2 + n :], prefix + blob[2 : 2 + n])
 
 
 class StateTrie:
@@ -638,15 +493,8 @@ class StateTrie:
     past state — the mechanism behind the analytics workload.
     """
 
-    def __init__(
-        self,
-        store: NodeStore | None = None,
-        node_cache_entries: int = NODE_CACHE_ENTRIES,
-    ) -> None:
-        self.trie = PatriciaTrie(
-            store if store is not None else DictNodeStore(),
-            node_cache_entries=node_cache_entries,
-        )
+    def __init__(self, store: NodeStore | None = None) -> None:
+        self.trie = PatriciaTrie(store if store is not None else DictNodeStore())
         self.root: Hash | None = None
         self.history: list[Hash | None] = []
 
@@ -683,8 +531,7 @@ class StateTrie:
         root with the same write-set. An update saves the same nodes in
         the same order whoever runs it, so these are exactly the store
         writes (and counts) a local :meth:`update` would make, with no
-        traversal, encoding or hashing. The decoded-node cache is left
-        alone (measured: no gain)."""
+        traversal, encoding or hashing."""
         trie = self.trie
         put = trie.store.put
         for digest, blob in saves:

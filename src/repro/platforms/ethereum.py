@@ -67,13 +67,11 @@ class EthereumState(JournaledState):
         self._store: LSMStore | None = None
         if storage_dir is not None:
             self._store = LSMStore(Path(storage_dir), leveldb_config())
-            # The trie's own decoded-node cache is disabled here: in
-            # disk-backed mode _CachedNodeStore *models* geth's state
-            # cache and the LSM read counters feed the IOHeavy figures,
-            # so every logical node read must reach that layer.
-            self.trie = StateTrie(
-                _CachedNodeStore(self._store), node_cache_entries=0
-            )
+            # The trie keeps no cache of its own, so every logical node
+            # read reaches _CachedNodeStore, which *models* geth's state
+            # cache; its misses reach the LSM read counters that feed
+            # the IOHeavy figures.
+            self.trie = StateTrie(_CachedNodeStore(self._store))
         else:
             self.trie = StateTrie()
         self._snapshots: dict[int, int] = {}

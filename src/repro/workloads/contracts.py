@@ -31,6 +31,7 @@ class EtherIdWorkload(Workload):
     required_contracts = ("etherid",)
 
     def __init__(self, config: EtherIdConfig | None = None) -> None:
+        super().__init__()
         self.config = config or EtherIdConfig()
         self._domain_counter = self.config.n_seed_domains
 
@@ -73,6 +74,7 @@ class EtherIdWorkload(Workload):
             contract="etherid",
             function=function,
             args=args,
+            nonce=self.next_nonce(),
             submitted_at=now,
         )
 
@@ -93,6 +95,7 @@ class DoublerWorkload(Workload):
             function="enter",
             args=(),
             value=rng.randrange(10, 1000),
+            nonce=self.next_nonce(),
             submitted_at=now,
         )
 
@@ -105,6 +108,7 @@ class WavesPresaleWorkload(Workload):
     required_contracts = ("wavespresale",)
 
     def __init__(self) -> None:
+        super().__init__()
         self._sales: list[tuple[int, str]] = []  # (sale_id, owner)
         self._next_sale_id = 0
 
@@ -122,6 +126,7 @@ class WavesPresaleWorkload(Workload):
                 contract="wavespresale",
                 function="new_sale",
                 args=(rng.randrange(1, 10_000),),
+                nonce=self.next_nonce(),
                 submitted_at=now,
             )
         if roll < 0.8:
@@ -134,6 +139,7 @@ class WavesPresaleWorkload(Workload):
                 contract="wavespresale",
                 function="transfer_sale",
                 args=(sale_id, new_owner),
+                nonce=self.next_nonce(),
                 submitted_at=now,
             )
         sale_id, _ = self._sales[rng.randrange(len(self._sales))]
@@ -142,6 +148,7 @@ class WavesPresaleWorkload(Workload):
             contract="wavespresale",
             function="get_sale",
             args=(sale_id,),
+            nonce=self.next_nonce(),
             submitted_at=now,
         )
 
@@ -161,5 +168,6 @@ class DoNothingWorkload(Workload):
             contract="donothing",
             function="nop",
             args=(),
+            nonce=self.next_nonce(),
             submitted_at=now,
         )

@@ -51,6 +51,7 @@ class SmallbankWorkload(Workload):
     required_contracts = ("smallbank",)
 
     def __init__(self, config: SmallbankConfig | None = None) -> None:
+        super().__init__()
         self.config = config or SmallbankConfig()
         read_fraction = self.config.read_fraction
         if read_fraction is None:
@@ -136,5 +137,6 @@ class SmallbankWorkload(Workload):
             function=operation,
             args=args,
             value=value,
+            nonce=self.next_nonce(),
             submitted_at=now,
         )

@@ -84,6 +84,7 @@ class YCSBWorkload(Workload):
     required_contracts = ("kvstore",)
 
     def __init__(self, config: YCSBConfig | None = None) -> None:
+        super().__init__()
         self.config = config or YCSBConfig()
         self.config.validate()
         self._zipf = ZipfianGenerator(self.config.record_count)
@@ -146,5 +147,6 @@ class YCSBWorkload(Workload):
             contract="kvstore",
             function=function,
             args=args,
+            nonce=self.next_nonce(),
             submitted_at=now,
         )

@@ -22,25 +22,19 @@ def test_id_binds_every_field():
     assert base.tx_id != Transaction.create("a", "c", "f", (1,), value=0, nonce=2).tx_id
 
 
-def test_auto_nonce_distinguishes_identical_calls():
-    tx1 = Transaction.create("alice", "kv", "write", (b"k", b"v"))
-    tx2 = Transaction.create("alice", "kv", "write", (b"k", b"v"))
-    assert tx1.tx_id != tx2.tx_id
-
-
 def test_size_accounts_for_payload():
-    small = Transaction.create("a", "c", "f", ())
-    big = Transaction.create("a", "c", "f", ("x" * 500,))
+    small = Transaction.create("a", "c", "f", (), nonce=1)
+    big = Transaction.create("a", "c", "f", ("x" * 500,), nonce=1)
     assert big.size_bytes() > small.size_bytes() + 400
 
 
 def test_negative_value_supported():
-    tx = Transaction.create("a", "c", "f", (), value=-5)
+    tx = Transaction.create("a", "c", "f", (), value=-5, nonce=1)
     assert tx.value == -5
 
 
 def test_tx_status_latency():
-    tx = Transaction.create("a", "c", "f", ())
+    tx = Transaction.create("a", "c", "f", (), nonce=1)
     status = TxStatus(tx=tx, submitted_at=10.0)
     assert status.latency is None
     status.confirmed_at = 12.5
@@ -48,7 +42,7 @@ def test_tx_status_latency():
 
 
 def test_size_is_memoized_but_still_sees_a_late_signature():
-    tx = Transaction.create("alice", "kv", "write", ("k" * 40, "v" * 90))
+    tx = Transaction.create("alice", "kv", "write", ("k" * 40, "v" * 90), nonce=1)
     unsigned = tx.size_bytes()
     assert unsigned == 110 + len("alice") + len("kv") + len("write") + len(
         repr(tx.args).encode()

@@ -8,12 +8,10 @@ the bottom were captured on the commit before the change.
 """
 
 import hashlib
-import itertools
 import json
 
 import pytest
 
-from repro.chain import transaction
 from repro.consensus import PBFT, PBFTConfig
 from repro.core import (
     CrashFault,
@@ -201,7 +199,6 @@ def test_one_watchdog_per_replica_through_a_crash_cycle(mode):
 # Pinned against the timer-per-arm implementation
 # ----------------------------------------------------------------------
 def _run(monkeypatch, **kwargs):
-    monkeypatch.setattr(transaction, "_tx_counter", itertools.count())
     started = record_view_changes(monkeypatch)
     kwargs["faults"] = build_fault_schedule(kwargs["faults"])
     result = run_experiment(ExperimentSpec(

@@ -9,7 +9,6 @@ cache off are byte-identical** — same StatsSummary, same chain height,
 same per-node state roots — on all four platforms.
 """
 
-import itertools
 from dataclasses import FrozenInstanceError, asdict
 
 import pytest
@@ -332,19 +331,13 @@ class ChurnWorkload(Workload):
             function, args = "read", (key,)
         return Transaction.create(
             sender=client_id, contract="kvstore", function=function,
-            args=args, submitted_at=now,
+            args=args, nonce=self.next_nonce(), submitted_at=now,
         )
 
 
 def _drive(monkeypatch, platform, workload, cache_on, *, n=4, duration=None,
            overrides=None, faults=None, window=None, probe=None):
-    """One driver run; returns the cluster (caller closes it).
-
-    The process-global tx counter is reset so the on and the off run
-    see the same transaction ids, hence the same timeline."""
-    monkeypatch.setattr(
-        "repro.chain.transaction._tx_counter", itertools.count()
-    )
+    """One driver run; returns the cluster (caller closes it)."""
     monkeypatch.setattr(
         platform_base, "COMMIT_MEMO_ENTRIES", window or DEFAULT_WINDOW
     )

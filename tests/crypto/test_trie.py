@@ -1,5 +1,8 @@
 """Unit and property tests for the Patricia-Merkle trie."""
 
+import hashlib
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -358,14 +361,6 @@ def test_adopt_then_update_locally_and_back():
     assert dict(b.items()) == dict(a.items())
 
 
-def test_adopt_leaves_the_decoded_node_cache_alone():
-    source, target = StateTrie(), StateTrie()
-    record = source.update([(b"ab", b"1"), (b"ac", b"2")], journal=True)
-    target.adopt(*record)
-    assert len(target.trie._node_cache) == 0
-    assert target.get(b"ab") == b"1"  # read through the store instead
-
-
 def test_journal_is_dropped_when_the_store_refuses_a_put():
     """Parity's cap raises from ``store.put`` mid-update: no record is
     made, and the journal does not leak into the next update."""
@@ -379,3 +374,104 @@ def test_journal_is_dropped_when_the_store_refuses_a_put():
         )
     assert state.trie.journal is None
     assert state.root is None  # the root swap never happened
+
+
+# ---------------------------------------------------------------------------
+# Golden pin: save order and read counts, not only roots
+# ---------------------------------------------------------------------------
+#: Bytes whose nibbles are mostly 0, 1 and f: random keys over them share
+#: long nibble runs, so the script keeps splitting and merging extensions.
+_GOLDEN_ALPHABET = b"\x00\x01\x10\x11\xf0"
+
+
+def _golden_batches():
+    """A fixed script of update batches: a build from empty, extension
+    splits, branch values (keys that are prefixes of other keys),
+    deletes that collapse branches and merge extensions, same-value
+    overwrites and deletes of missing keys. Only ``Random.random`` is
+    drawn: its sequence for an int seed is stable across Python
+    versions."""
+    batches = [
+        # Build from empty; "do" < "dog" < "doge" put values on branches.
+        [(b"do", b"verb"), (b"dog", b"puppy"), (b"doge", b"coin"),
+         (b"horse", b"stallion"), (b"dogs", b"pack")],
+        # Split the shared "do" extension, and the leaf under "h".
+        [(b"dx", b"1"), (b"doe", b"reindeer"), (b"hoof", b"2")],
+        # Same-value overwrites only: nothing is saved.
+        [(b"dog", b"puppy"), (b"horse", b"stallion")],
+        # A branch loses its value but keeps "doge" and "dogs".
+        [(b"dog", None)],
+        # Missing keys: one ending on that value-less branch, one on an
+        # empty child slot. Then collapse the branches and merge the
+        # extensions back.
+        [(b"dog", None), (b"e", None), (b"dx", None), (b"doe", None),
+         (b"do", None), (b"hoof", None)],
+        [(b"dogs", None), (b"doge", None), (b"nope", None)],
+        # Empty the trie, with deletes left over once it is empty.
+        [(b"horse", None), (b"zebra", None)],
+    ]
+    rng = random.Random(22)
+
+    def pick(n):
+        return int(rng.random() * n)
+
+    live: dict[bytes, bytes] = {}
+    for _ in range(14):
+        batch = []
+        for _ in range(1 + pick(24)):
+            roll = rng.random()
+            if live and roll < 0.3:
+                batch.append((sorted(live)[pick(len(live))], None))
+            elif live and roll < 0.45:
+                key = sorted(live)[pick(len(live))]
+                batch.append((key, live[key]))
+            elif roll < 0.5:
+                batch.append((b"\xff" + bytes([pick(256)]), None))
+            else:
+                key = bytes(_GOLDEN_ALPHABET[pick(5)] for _ in range(1 + pick(4)))
+                batch.append((key, bytes([pick(4)]) * (1 + pick(3))))
+            key, value = batch[-1]
+            if value is None:
+                live.pop(key, None)
+            else:
+                live[key] = value
+        batches.append(batch)
+    return batches
+
+
+def _golden_run(store):
+    """Every saved ``(digest, blob)`` in order, every root, and the
+    counters after the script plus reads at every height."""
+    state = StateTrie(store)
+    batches = _golden_batches()
+    keys = sorted({key for batch in batches for key, _ in batch})
+    h = hashlib.sha256()
+    for items in batches:
+        root, saves = state.update(items, journal=True)
+        h.update(root or b"-")
+        for digest, blob in saves:
+            h.update(digest + len(blob).to_bytes(4, "big") + blob)
+        state.snapshot()
+    for height in range(len(batches)):
+        for key in keys:
+            h.update(state.get_at(height, key) or b"-")
+    for key, value in state.items():
+        h.update(key + b"=" + value)
+    trie = state.trie
+    return h.hexdigest(), trie.node_writes, trie.node_reads, trie.bytes_written
+
+
+def test_golden_script_pins_save_order_and_counts():
+    """Captured before nodes became their encoded bytes: the same nodes
+    saved in the same order (Parity's cap trips at the same put, and
+    ``adopt`` replays the record), one read per node visited."""
+    from repro.storage import MemKVStore
+
+    expected = (
+        "1b093a8c55443853c2ef6241027104fa895a06477c2c0a48a5b227239d8148a1",
+        357,  # node_writes
+        4708,  # node_reads
+        115615,  # bytes_written
+    )
+    assert _golden_run(DictNodeStore()) == expected
+    assert _golden_run(MemKVStore()) == expected

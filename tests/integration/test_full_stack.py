@@ -7,6 +7,9 @@ byte-for-byte, money is conserved through Smallbank, faults injected at
 the network layer surface as the right application-level behaviour.
 """
 
+import hashlib
+import json
+
 import pytest
 
 from repro.core import Driver, DriverConfig, ExperimentSpec, run_experiment
@@ -16,6 +19,7 @@ from repro.core.faults import (
     DelayFault,
     FaultSchedule,
 )
+from repro.core.suitestore import result_to_dict
 from repro.platforms import build_cluster
 from repro.workloads import SmallbankConfig, SmallbankWorkload, make_workload
 
@@ -93,6 +97,7 @@ class _PaymentsOnly(SmallbankWorkload):
             "send_payment",
             (sender, recipient, amount),
             value=amount,
+            nonce=self.next_nonce(),
         )
 
 
@@ -225,6 +230,23 @@ def test_runner_covers_macro_workloads(workload):
     assert result.summary.confirmed > 0
     assert result.throughput > 0
     assert result.chain_height > 0
+
+
+def test_ethereum_run_repeats_in_one_interpreter():
+    """Tx ids pick geth's gossip targets (8 servers > the fan-out of 3),
+    and each run's workload numbers its own transactions: a second run
+    of the same spec in this interpreter is byte-identical to the first."""
+    spec = ExperimentSpec(
+        platform="ethereum", workload="ycsb", n_servers=8, n_clients=4,
+        request_rate_tx_s=20, duration_s=12.0, seed=9,
+    )
+
+    def digest():
+        data = result_to_dict(run_experiment(spec))
+        canonical = json.dumps(data, sort_keys=True, separators=(",", ":"))
+        return hashlib.sha256(canonical.encode()).hexdigest()
+
+    assert digest() == digest()
 
 
 def test_monitor_integration_reports_utilization():

@@ -31,12 +31,10 @@ deliberately alters simulated output.
 """
 
 import hashlib
-import itertools
 import json
 
 import pytest
 
-from repro.chain import transaction
 from repro.core import ExperimentSpec, run_experiment
 from repro.core.scenario import build_fault_schedule
 from repro.core.suitestore import result_to_dict
@@ -215,11 +213,7 @@ def run_digest(kwargs: dict) -> tuple[str, dict]:
 
 
 @pytest.mark.parametrize("name", sorted(PINNED))
-def test_run_digest_is_the_pre_elision_digest(name, monkeypatch):
-    # tx ids derive from a process-global counter and pick geth's gossip
-    # targets; start it at zero so the digest does not depend on which
-    # tests ran earlier in this interpreter.
-    monkeypatch.setattr(transaction, "_tx_counter", itertools.count())
+def test_run_digest_is_the_pre_elision_digest(name):
     kwargs, expected = PINNED[name]
     digest, summary = run_digest(kwargs)
     assert digest == expected

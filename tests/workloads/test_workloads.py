@@ -153,3 +153,21 @@ def test_donothing_generates_nops(rng):
     workload = DoNothingWorkload()
     tx = workload.next_transaction("c0", rng, 0.0)
     assert (tx.contract, tx.function) == ("donothing", "nop")
+
+
+@pytest.mark.parametrize(
+    "workload_type",
+    [YCSBWorkload, SmallbankWorkload, EtherIdWorkload, DoublerWorkload,
+     WavesPresaleWorkload, DoNothingWorkload],
+    ids=lambda workload_type: workload_type.name,
+)
+def test_workload_nonces_distinguish_identical_calls(workload_type):
+    """Each instance numbers its own transactions from 0: identical
+    calls get distinct ids, and a second instance replays the first's
+    stream id for id, whatever ran before it in this interpreter."""
+    first, second = workload_type(), workload_type()
+    nops = [first.next_transaction("c0", random.Random(3), 0.0) for _ in range(3)]
+    assert [tx.nonce for tx in nops] == [0, 1, 2]
+    assert len({tx.tx_id for tx in nops}) == 3
+    replay = [second.next_transaction("c0", random.Random(3), 0.0) for _ in range(3)]
+    assert [tx.tx_id for tx in replay] == [tx.tx_id for tx in nops]
