@@ -152,10 +152,14 @@ class Blockchain:
             cursor = self._blocks.get(cursor.header.parent_hash)
         if cursor is None:
             raise InvalidBlock("branch does not connect to the main chain")
+        # Only the abandoned and the adopted suffix change membership
+        # (an extension of the tip abandons nothing): O(reorg depth).
         fork_height = cursor.height
+        self._main_set.difference_update(self._main[fork_height + 1 :])
         del self._main[fork_height + 1 :]
-        self._main.extend(reversed(suffix))
-        self._main_set = set(self._main)
+        suffix.reverse()
+        self._main.extend(suffix)
+        self._main_set.update(suffix)
         return True
 
     def orphan_count(self) -> int:

@@ -8,6 +8,12 @@ tree above — so a write updates exactly one bucket digest plus
 ``log2(n_buckets)`` interior digests, and storage stays close to the
 raw key-value payload. That is why Hyperledger's disk usage in
 Figure 12c is an order of magnitude below Ethereum/Parity's.
+
+Buckets are copy-on-write: a tree copies a bucket the first time a
+commit writes to it, and a flush hands the refreshed buckets out in its
+record, never to be written again. Replicas that install one record
+therefore hold the same bucket objects — one copy of the state per
+cluster, not one per replica.
 """
 
 from __future__ import annotations
@@ -29,6 +35,9 @@ _NODE_PREFIX = _LEN4[5] + b"bnode" + _LEN4[32]
 Items = Sequence[tuple[bytes, "bytes | None"]]
 #: Per level, leaves first: ascending node indexes and their digests.
 LevelRecord = tuple[tuple[tuple[int, ...], tuple[Hash, ...]], ...]
+#: What one flush refreshed: its levels, the leaf buckets themselves (in
+#: leaf-index order, shared from then on) and the key count after it.
+FlushRecord = tuple[LevelRecord, tuple[dict[bytes, bytes], ...], int]
 
 
 def _node_digest(left: Hash, right: Hash) -> Hash:
@@ -53,7 +62,9 @@ class BucketTree:
         if n_buckets < 1:
             raise StorageError("bucket tree needs at least one bucket")
         self.n_buckets = n_buckets
-        self._buckets: list[dict[bytes, bytes]] = [{} for _ in range(n_buckets)]
+        # One empty dict in every slot: a bucket is copied before its
+        # first write, so none of them is ever written in place.
+        self._buckets: list[dict[bytes, bytes]] = [{}] * n_buckets
         # Leaf level padded to a power of two so the tree shape is static.
         leaf_count = 1
         while leaf_count < n_buckets:
@@ -68,6 +79,8 @@ class BucketTree:
                 for i in range(0, len(level), 2)
             ]
             self._levels.append(level)
+        #: Buckets written since the last flush — this tree's own
+        #: copies, the only ones it writes in place.
         self._dirty: set[int] = set()
         self.key_count = 0
 
@@ -81,10 +94,10 @@ class BucketTree:
         return self._buckets[self._bucket_index(key)].get(key)
 
     def put(self, key: bytes, value: bytes) -> None:
-        self._store(((key, value),), (self._bucket_index(key),))
+        self.update(((key, value),))
 
     def delete(self, key: bytes) -> None:
-        self._store(((key, None),), (self._bucket_index(key),))
+        self.update(((key, None),))
 
     def update(self, items: Items) -> tuple[int, ...]:
         """Apply a net write-set in one pass (``value=None`` deletes);
@@ -93,27 +106,30 @@ class BucketTree:
         Buckets are only marked dirty here; the Merkle work happens at
         the next :meth:`root_hash`, which recomputes each dirty leaf
         and every shared interior node exactly once for the whole batch
-        — the bucket-tree analogue of the trie's batched update.
+        — the bucket-tree analogue of the trie's batched update. A
+        bucket's first write since the last flush copies it (another
+        tree, or a commit record, may hold it); later ones write the
+        copy. A delete of an absent key copies nothing.
         """
         positions = tuple([self._bucket_index(key) for key, _ in items])
-        self._store(items, positions)
-        return positions
-
-    def _store(self, items: Items, positions: Sequence[int]) -> None:
-        """Write each item into its bucket, marking the ones that change."""
         buckets, dirty = self._buckets, self._dirty
+        count = self.key_count
         for (key, value), index in zip(items, positions):
             bucket = buckets[index]
+            if value is None and key not in bucket:
+                continue
+            if index not in dirty:
+                bucket = buckets[index] = bucket.copy()
+                dirty.add(index)
             if value is None:
-                if key not in bucket:
-                    continue
                 del bucket[key]
-                self.key_count -= 1
+                count -= 1
             else:
                 if key not in bucket:
-                    self.key_count += 1
+                    count += 1
                 bucket[key] = value
-            dirty.add(index)
+        self.key_count = count
+        return positions
 
     def items(self) -> list[tuple[bytes, bytes]]:
         """All (key, value) pairs, bucket order then key order."""
@@ -147,21 +163,24 @@ class BucketTree:
             self.flush()
         return self._levels[-1][0]
 
-    def flush(self) -> LevelRecord:
+    def flush(self) -> FlushRecord:
         """Refresh every digest above a dirty bucket; returns what it
-        refreshed (empty when nothing was dirty).
+        refreshed (no levels and no buckets when nothing was dirty).
 
         Propagates level by level: every dirty leaf digest is computed
         once, then each *distinct* dirty parent at each interior level
         is hashed once — K dirty buckets under a shared ancestor cost
         one ancestor rehash for the whole batch instead of K (the
         digests themselves are unchanged, so the root stays
-        byte-identical to per-bucket recomputation).
+        byte-identical to per-bucket recomputation). The refreshed
+        buckets go out in the record and are not written again: the
+        next write to one copies it.
         """
         if not self._dirty:
-            return ()
+            return (), (), self.key_count
         record = []
         indexes = sorted(self._dirty)
+        buckets = tuple([self._buckets[index] for index in indexes])
         below: list[Hash] | None = None
         for level in self._levels:
             if below is None:
@@ -177,32 +196,43 @@ class BucketTree:
             below = level
             indexes = sorted({index // 2 for index in indexes})
         self._dirty.clear()
-        return tuple(record)
+        return tuple(record), buckets, self.key_count
 
     def install(
-        self, items: Items, positions: Sequence[int], levels: LevelRecord
+        self, items: Items, positions: Sequence[int], record: FlushRecord
     ) -> None:
-        """:meth:`update` and :meth:`flush` without hashing or sorting:
-        ``positions`` and ``levels`` are what the two returned on a tree
-        that held the same buckets and applied the same ``items``, so
-        this is dict and list stores only. A record that does not fit —
-        another item count, or other leaves than the writes dirtied
-        here — is refused with the buckets left dirty: the next flush
+        """:meth:`update` and :meth:`flush` without hashing, sorting or
+        writing a bucket: ``positions`` and ``record`` are what the two
+        returned on a tree that held the same buckets and applied the
+        same ``items``, so this swaps in the record's bucket objects and
+        digests — O(refreshed buckets), shared with that tree.
+
+        The fit is checked first, without writing: one position per
+        item, and the refreshed leaves must be exactly the buckets the
+        items touch here (a delete of an absent key touches none). A
+        record that does not fit is refused with the items written
+        through :meth:`update` and their buckets dirty: the next flush
         re-hashes them, never a silently stale digest.
         """
-        placed = len(positions) == len(items)
-        if placed:
-            self._store(items, positions)
-        else:
-            self.update(items)
+        levels, buckets, key_count = record
         leaves = levels[0][0] if levels else ()
-        if not placed or self._dirty != set(leaves):
+        current = self._buckets
+        fits = len(positions) == len(items) and self._dirty | {
+            index
+            for (key, value), index in zip(items, positions)
+            if value is not None or key in current[index]
+        } == set(leaves)
+        if not fits:
+            self.update(items)
             raise StorageError(
                 f"bucket-tree commit record places {len(positions)} items "
                 f"and refreshes {len(leaves)} buckets; the write-set holds "
                 f"{len(items)} and dirtied {len(self._dirty)}"
             )
+        for index, bucket in zip(leaves, buckets):
+            current[index] = bucket
         for level, (indexes, digests) in zip(self._levels, levels):
             for index, digest in zip(indexes, digests):
                 level[index] = digest
+        self.key_count = key_count
         self._dirty.clear()

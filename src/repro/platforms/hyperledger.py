@@ -58,7 +58,8 @@ class HyperledgerState(JournaledState):
         return self.tree.get(key)
 
     def _flush(self, items, journal: bool = False):
-        # The record: where each item went and what the flush refreshed.
+        # The record: where each item went and what the flush refreshed
+        # — digests and the buckets themselves, which installers share.
         record = (self.tree.update(items), self.tree.flush())
         self._write_store(items)
         return record

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from repro.chain import Block, Blockchain
 from repro.crypto import EMPTY_HASH
+from repro.errors import InvalidBlock
 
 
 def make_tree(branching_choices):
@@ -127,3 +128,52 @@ def test_duplicate_insertion_is_idempotent(shape):
     for block in blocks:
         chain.add_block(block)
     assert (chain.total_blocks, chain.height, chain.main_branch_blocks) == census
+
+
+class RebuildReference(Blockchain):
+    """The main-branch set rebuilt from the whole branch after every
+    change — O(height) per block, obviously right."""
+
+    def _maybe_reorg(self, block: Block) -> bool:
+        if block.height <= self.height:
+            return False
+        suffix = []
+        cursor = block
+        while cursor is not None and cursor.hash not in self._main_set:
+            suffix.append(cursor.hash)
+            cursor = self._blocks.get(cursor.header.parent_hash)
+        if cursor is None:
+            raise InvalidBlock("branch does not connect to the main chain")
+        del self._main[cursor.height + 1 :]
+        self._main.extend(reversed(suffix))
+        self._main_set = set(self._main)
+        return True
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    shape=tree_shapes,
+    order_seed=st.randoms(use_true_random=False),
+    in_order=st.booleans(),
+)
+def test_main_set_tracks_the_branch_through_forks_and_extensions(
+    shape, order_seed, in_order
+):
+    """Block by block — extensions of the tip, side branches, reorgs of
+    any depth, orphans connecting later — the incrementally kept set is
+    exactly the main branch, and the branch is the rebuilt reference's."""
+    chain, blocks = make_tree(shape)
+    reference = RebuildReference()
+    if not in_order:
+        blocks = list(blocks)
+        order_seed.shuffle(blocks)
+    for _ in range(2):  # a second pass re-offers every block: no-ops
+        for block in blocks:
+            assert chain.add_block(block) == reference.add_block(block)
+            assert chain._main_set == set(chain._main)
+            assert chain._main == reference._main
+            assert chain.orphan_count() == reference.orphan_count()
+    assert all(
+        chain.on_main_branch(b.hash) == (b.hash in reference._main_set)
+        for b in blocks
+    )

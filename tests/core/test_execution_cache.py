@@ -390,6 +390,39 @@ def test_installed_commits_match_computed_roots(monkeypatch, platform, workload)
     off.close()
 
 
+def test_replicas_share_bucket_objects_only_with_the_cache_on(monkeypatch):
+    """Build once, reference N-1 times, applied to the bucket tree: with
+    the cache on, replicas at one sealed root hold the very same bucket
+    objects — one copy of the state per cluster; with it off each holds
+    its own copy, equal bucket for bucket. Per-height roots are the same
+    either way."""
+    on = _drive(monkeypatch, "hyperledger", "smallbank", True)
+    off = _drive(monkeypatch, "hyperledger", "smallbank", False)
+    assert _roots(on) == _roots(off)
+
+    def in_step(cluster):
+        """The bucket lists of the largest group of replicas at one root."""
+        groups: dict[bytes, list] = {}
+        for node in cluster.nodes:
+            state = node.state
+            groups.setdefault(state.pre_state_root(), []).append(
+                state.tree._buckets
+            )
+        first, *rest = max(groups.values(), key=len)
+        assert len(rest) >= 2 and sum(map(bool, first)) > 512
+        return first, rest
+
+    first, rest = in_step(on)
+    for buckets in rest:
+        assert all(a is b for a, b in zip(first, buckets) if a)
+    first, rest = in_step(off)
+    for buckets in rest:
+        assert buckets == first
+        assert not any(a is b for a, b in zip(first, buckets) if a)
+    on.close()
+    off.close()
+
+
 def test_lock_step_replicas_install_every_commit_but_the_first():
     """N replicas, every commit with writes: one computes, N-1 install.
     The memo is per cluster, bounded, and separate from the execution
@@ -480,6 +513,25 @@ def test_parity_memory_cap_trips_on_an_oversized_preload(cache_on):
     assert preload_state(fits, "kvstore", hot) == 1
     assert all(n.state.get(b"kvstore/hot") == hot[-1][1] for n in fits.nodes)
     fits.close()
+
+    # A replica replaying a recorded write-set is charged write by write:
+    # the cap trips at the same key, with the same message, as the puts
+    # of the replica that executed it.
+    write_set = tuple(sorted((b"kvstore/" + k, v) for k, v in records))
+
+    def trip(apply):
+        state = cluster().nodes[1].state
+        with pytest.raises(StorageError, match="out of memory") as failure:
+            apply(state)
+        return str(failure.value), next(reversed(state._overlay))
+
+    def put_each(state):
+        for key, value in write_set:
+            state.put(key, value)
+
+    replayed = trip(lambda state: state.apply_write_set(write_set))
+    assert replayed == trip(put_each)
+    assert replayed[1] not in (write_set[0][0], write_set[-1][0])
 
 
 @pytest.mark.parametrize("platform", PLATFORMS)

@@ -253,23 +253,20 @@ def test_digests_equal_hash_items_for_long_keys_and_values(n_buckets):
 
 
 # ---------------------------------------------------------------------------
-# Commit once per cluster: install(items, positions, levels) ≡
-# positions = update(items); levels = flush() — on buckets and on every
+# Commit once per cluster: install(items, positions, record) ≡
+# positions = update(items); record = flush() — on buckets and on every
 # level, not only on the root.
 # ---------------------------------------------------------------------------
 # Few distinct keys, so sequences hit overwrites, same-value rewrites,
 # deletes of live keys, deletes of missing ones and delete-then-put.
-_write_sets = st.lists(
-    st.lists(
-        st.tuples(
-            st.binary(min_size=1, max_size=2),
-            st.one_of(st.none(), st.binary(max_size=3)),
-        ),
-        max_size=12,
+_write_set = st.lists(
+    st.tuples(
+        st.binary(min_size=1, max_size=2),
+        st.one_of(st.none(), st.binary(max_size=3)),
     ),
-    min_size=1,
-    max_size=8,
+    max_size=12,
 )
+_write_sets = st.lists(_write_set, min_size=1, max_size=8)
 
 
 def assert_same_tree(installing: BucketTree, computing: BucketTree, keys) -> None:
@@ -294,9 +291,9 @@ def test_property_install_equals_compute(n_buckets, write_sets):
     keys = {key for items in write_sets for key, _ in items} | {b"never"}
     for items in write_sets:
         positions = computing.update(items)
-        levels = computing.flush()
+        record = computing.flush()
         assert positions == tuple(computing._bucket_index(k) for k, _ in items)
-        installing.install(items, positions, levels)
+        installing.install(items, positions, record)
         assert_same_tree(installing, computing, keys)
         assert installing.root_hash() == computing.root_hash()
     content = dict(computing.items())
@@ -312,34 +309,40 @@ def test_install_after_hashing_locally_and_back():
         items = [(b"k%d" % (step * 3 + i), b"v%d" % step) for i in range(5)]
         items.append((b"k%d" % step, None))
         positions = a.update(items)
-        levels = a.flush()
+        record = a.flush()
         if step % 2:
-            b.install(items, positions, levels)
+            b.install(items, positions, record)
         else:
             assert b.update(items) == positions
-            assert b.flush() == levels
+            assert b.flush() == record
         assert_same_tree(b, a, keys)
 
 
 def test_flush_returns_level_then_index_order():
     """Leaves first; per level the ascending indexes it refreshed and
-    their digests, as tuples (the record is shared, never edited)."""
+    their digests, as tuples (the record is shared, never edited); then
+    the refreshed leaf buckets themselves, in leaf order, and the key
+    count after the flush."""
     tree = BucketTree(4)
     tree.update([(b"k%d" % i, b"v") for i in range(40)])  # every bucket dirty
-    levels = tree.flush()
+    levels, buckets, key_count = tree.flush()
     assert levels == tuple(
         (tuple(range(len(level))), tuple(level)) for level in tree._levels
     )
-    assert tree.flush() == ()  # nothing dirty, nothing recomputed
+    assert all(a is b for a, b in zip(buckets, tree._buckets, strict=True))
+    assert key_count == tree.key_count == 40
+    assert tree.flush() == ((), (), 40)  # nothing dirty, nothing recomputed
     # One dirty bucket: one node per level, the path to the root.
     sparse = BucketTree(1024)
     (leaf,) = sparse.update([(b"k", b"v")])
-    levels = sparse.flush()
+    levels, buckets, key_count = sparse.flush()
     assert [indexes for indexes, _ in levels] == [
         (leaf >> depth,) for depth in range(11)
     ]
     assert levels[-1][1] == (sparse.root_hash(),)
-    assert all(
+    assert buckets == ({b"k": b"v"},) and buckets[0] is sparse._buckets[leaf]
+    assert key_count == 1
+    assert type(buckets) is tuple and all(
         type(part) is tuple for level in levels for part in (level, *level)
     )
 
@@ -352,38 +355,48 @@ def test_install_record_must_be_consumed_exactly(n_buckets):
     items = [(b"k%d" % i, b"v%d" % i) for i in range(9)] + [(b"gone", None)]
     source = BucketTree(n_buckets)
     positions = source.update(items)
-    levels = source.flush()
+    record = source.flush()
+    levels, buckets, key_count = record
     assert levels[-1][1] == (source.root_hash(),)
     assert len(positions) == len(items)
 
     other = BucketTree(n_buckets)
     other.update([(b"elsewhere", b"v"), (b"k0", b"v0")])
-    other_levels = other.flush()
+    other_record = other.flush()
     shifted = ((tuple(i + 1 for i in levels[0][0]), levels[0][1]),) + levels[1:]
+    short = ((levels[0][0][:-1], levels[0][1][:-1]),) + levels[1:]
     bad_records = [
-        (positions[:-1], levels),  # a short index list
-        (positions + positions[-1:], levels),
-        ((), levels),
-        (positions, ()),  # no leaves, but the write-set dirtied some
-        (positions, ((levels[0][0][:-1], levels[0][1][:-1]),) + levels[1:]),
-        (positions, shifted),  # the same number of other leaves
+        (positions[:-1], record),  # a short index list
+        (positions + positions[-1:], record),
+        ((), record),
+        (positions, ((), (), key_count)),  # no leaves, but items touch some
+        (positions, (short, buckets[:-1], key_count)),
+        (positions, (shifted, buckets, key_count)),  # as many other leaves
     ]
-    if other_levels[0][0] != levels[0][0]:
-        bad_records.append((positions, other_levels))
-    for bad_positions, bad_levels in bad_records:
+    if other_record[0][0][0] != levels[0][0]:
+        bad_records.append((positions, other_record))
+    for bad_positions, bad_record in bad_records:
         tree = BucketTree(n_buckets)
         with pytest.raises(StorageError, match="commit record"):
-            tree.install(items, bad_positions, bad_levels)
+            tree.install(items, bad_positions, bad_record)
+        # Nothing of the record was swapped in; the writes were made.
+        assert not any(b is r for b in tree._buckets for r in bad_record[1])
         assert tree.root_hash() == source.root_hash()
         assert tree.items() == source.items()
-    # A write-set that dirties nothing takes the record without leaves only.
+        assert tree.key_count == source.key_count
+    # The record that fits is taken by reference.
+    taker = BucketTree(n_buckets)
+    taker.install(items, positions, record)
+    assert all(taker._buckets[i] is source._buckets[i] for i in levels[0][0])
+    assert taker._levels == source._levels and taker.key_count == 9
+    # A write-set that touches nothing takes the record without leaves only.
     missing = [(b"missing", None)]
     nothing = BucketTree(n_buckets).update(missing)
     with pytest.raises(StorageError, match="commit record"):
-        BucketTree(n_buckets).install(missing, nothing, levels)
+        BucketTree(n_buckets).install(missing, nothing, record)
     with pytest.raises(StorageError, match="commit record"):
-        BucketTree(n_buckets).install(missing, (), ())
-    BucketTree(n_buckets).install(missing, nothing, ())
+        BucketTree(n_buckets).install(missing, (), ((), (), 0))
+    BucketTree(n_buckets).install(missing, nothing, ((), (), 0))
 
 
 def test_refused_record_leaves_the_buckets_dirty():
@@ -395,10 +408,79 @@ def test_refused_record_leaves_the_buckets_dirty():
         t.flush()
     items = [(b"a", b"1"), (b"b", b"2"), (b"old", None)]
     positions = good.update(items)
-    levels = good.flush()
+    record = good.flush()
     with pytest.raises(StorageError):
-        tree.install(items, positions[:-1], levels)
+        tree.install(items, positions[:-1], record)
     assert tree._dirty == set(positions)
     assert tree.root_hash() == good.root_hash()
     assert tree._levels == good._levels and not tree._dirty
     assert tree.items() == good.items() and tree.key_count == good.key_count
+
+
+# ---------------------------------------------------------------------------
+# Replicas share buckets: a tree copies a bucket before its first write
+# since the last flush, so a bucket another tree installed (or a record
+# holds) is never written in place.
+# ---------------------------------------------------------------------------
+def _snapshot(tree: BucketTree):
+    """A tree's content by value: what no other tree's write may change."""
+    return (
+        [dict(bucket) for bucket in tree._buckets],
+        [list(level) for level in tree._levels],
+        tree.root_hash(),
+        tree.key_count,
+    )
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.sampled_from([1, 3, 16]),
+    st.lists(
+        st.tuples(
+            _write_set,
+            st.lists(
+                st.sampled_from(["compute", "install", "install", "skip"]),
+                min_size=3, max_size=3,
+            ),
+        ),
+        min_size=1,
+        max_size=10,
+    ),
+)
+@example(1, [([(b"a", b"1")], ["compute", "install", "install"]),
+             ([(b"a", None)], ["install", "compute", "skip"])])  # empties it
+@example(3, [([(b"a", b"1"), (b"b", b"2")], ["compute", "install", "install"]),
+             ([(b"zz", None)], ["compute", "install", "compute"]),  # absent
+             ([(b"a", b"3")], ["skip", "compute", "install"]),
+             ([(b"b", None), (b"a", None)], ["compute", "install", "skip"])])
+def test_property_a_write_never_reaches_another_trees_buckets(n_buckets, steps):
+    """Three trees commit the same write-sets, each one computing, taking
+    a record another tree computed from the same pre-state (falling back
+    to computing when there is none) or sitting the step out — so trees
+    share some buckets and diverge on others. Every write leaves the
+    other two trees' buckets, levels, root and key count untouched, and
+    each tree ends at the reference digests of its own content."""
+    trees = [BucketTree(n_buckets) for _ in range(3)]
+    models: list[dict[bytes, bytes]] = [{}, {}, {}]
+    for items, actions in steps:
+        records = {}  # pre-state root -> (positions, record)
+        for tree, model, action in zip(trees, models, actions):
+            if action == "skip":
+                continue
+            others = [t for t in trees if t is not tree]
+            before = [_snapshot(t) for t in others]
+            pre = tree.root_hash()
+            if action == "install" and pre in records:
+                tree.install(items, *records[pre])
+            else:
+                positions = tree.update(items)
+                records.setdefault(pre, (positions, tree.flush()))
+            assert [_snapshot(t) for t in others] == before
+            for key, value in items:
+                if value is None:
+                    model.pop(key, None)
+                else:
+                    model[key] = value
+            assert dict(tree.items()) == model
+            assert tree.key_count == len(model)
+            assert tree._levels == reference_levels(model, n_buckets)
