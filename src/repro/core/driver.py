@@ -42,6 +42,7 @@ from functools import partial
 from ..chain import Transaction
 from ..errors import BenchmarkError
 from ..sim import Scheduler, SimCoroutine, SimFuture, spawn
+from ..util.names import IndexedNames
 from .connector import RPCClient, SimChainConnector
 from .stats import StatsCollector, merge_collectors
 from .workload import ArrivalGenerator, ArrivalSpec, Workload
@@ -350,12 +351,12 @@ class Driver(_LoadDriver):
         super().__init__(cluster, workload, config)
         self._polls = not config.subscribe
         server_ids = cluster.node_ids()
-        self.rngs = [
-            cluster.rng.stream(f"client-{i}") for i in range(config.n_clients)
-        ]
-        for index in range(config.n_clients):
+        #: One name per client: every transaction it sends carries it.
+        self.client_names = [f"client-{i}" for i in range(config.n_clients)]
+        self.rngs = [cluster.rng.stream(name) for name in self.client_names]
+        for index, name in enumerate(self.client_names):
             self._add_slot(
-                f"client-{index}",
+                name,
                 server_ids[index % len(server_ids)],
                 StatsCollector(
                     cluster.platform,
@@ -371,7 +372,7 @@ class Driver(_LoadDriver):
 
     def _next_tx(self, slot: int) -> Transaction:
         return self.workload.next_transaction(
-            f"client-{slot}", self.rngs[slot], self.scheduler.now
+            self.client_names[slot], self.rngs[slot], self.scheduler.now
         )
 
     def _begin_load(self) -> None:
@@ -509,6 +510,7 @@ class OpenLoopDriver(_LoadDriver):
             config.arrival, cluster.rng.stream("arrivals")
         )
         self.txgen_rng = cluster.rng.stream("openloop-txgen")
+        self._senders = IndexedNames("account-")
         self.stats = StatsCollector(
             cluster.platform,
             workload.name,
@@ -548,7 +550,7 @@ class OpenLoopDriver(_LoadDriver):
 
     def _arrive(self, sender: int) -> None:
         tx = self.workload.next_transaction(
-            f"account-{sender}", self.txgen_rng, self.scheduler.now
+            self._senders[sender], self.txgen_rng, self.scheduler.now
         )
         self._submit(sender % len(self.connectors), tx)
 

@@ -25,6 +25,7 @@ the shallow reorgs PoW naturally produces.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from collections.abc import Mapping
 from typing import Any
 
 from dataclasses import dataclass
@@ -267,16 +268,34 @@ class _NamespacedState:
         self._state.delete(self._prefix + key)
 
 
+def tally_receipts(
+    receipts: tuple[Receipt, ...], seconds_per_gas: float
+) -> tuple[int, int, float]:
+    """``(committed, failed, serial CPU seconds)`` of one block's
+    receipts. The seconds are summed in receipt order, so every replica
+    that adds a shared tally charges the float it would have summed."""
+    committed = 0
+    seconds = 0.0
+    for receipt in receipts:
+        # Signature verification was already charged when the block
+        # arrived (message_cost); only execution is charged here.
+        seconds += receipt.gas_used * seconds_per_gas
+        if receipt.success:
+            committed += 1
+    return committed, len(receipts) - committed, seconds
+
+
 @dataclass(frozen=True)
 class CachedExecution:
     """Time-independent outcome of executing one block once.
 
     ``receipts`` holds the first executor's (immutable)
     :class:`~repro.chain.Receipt` objects, in block order; a replica
-    replaying the entry files the same objects and charges its own
-    simulated CPU from them, so the simulated timeline is untouched —
-    only the redundant Python-level contract execution and receipt
-    building is skipped.
+    replaying the entry files that tuple and charges its own simulated
+    CPU from ``tally`` — the executor's :func:`tally_receipts`, at the
+    ``seconds_per_gas`` every node of the cache's one cluster shares —
+    so the simulated timeline is untouched and a replayed block is
+    filed without looking at its receipts.
 
     ``levels`` is the dependency-level schedule captured by the
     parallel execution path (``exec_workers > 1``), or ``None`` when
@@ -290,7 +309,117 @@ class CachedExecution:
 
     write_set: WriteSet
     receipts: tuple[Receipt, ...]
+    #: ``(committed, failed, serial CPU seconds)`` of ``receipts``.
+    tally: tuple[int, int, float]
     levels: tuple[int, ...] | None = None
+
+
+class TxIndex(dict):
+    """``tx id → hash`` of the executed block holding it, or a tuple of
+    hashes for a transaction that forks put in several blocks.
+
+    Filled once per block, by the first replica to file it. With the
+    execution cache on one index serves the cluster (it hangs on the
+    :class:`ExecutionCache`); with it off every replica keeps its own.
+    """
+
+    __slots__ = ("_indexed",)
+
+    def __init__(self) -> None:
+        super().__init__()
+        self._indexed: set[Hash] = set()
+
+    def add(self, block_hash: Hash, receipts: tuple[Receipt, ...]) -> None:
+        if block_hash in self._indexed:
+            return
+        self._indexed.add(block_hash)
+        for receipt in receipts:
+            tx_id = receipt.tx_id
+            held = self.setdefault(tx_id, block_hash)
+            if held is not block_hash:
+                self[tx_id] = (
+                    held + (block_hash,)
+                    if type(held) is tuple
+                    else (held, block_hash)
+                )
+
+    def blocks_of(self, tx_id: str) -> tuple[Hash, ...]:
+        held = self.get(tx_id)
+        if held is None:
+            return ()
+        return held if type(held) is tuple else (held,)
+
+
+class ExecutedReceipts(Mapping):
+    """One replica's receipts, read as ``tx id → receipt``.
+
+    Stored as ``block hash → receipts tuple`` for the blocks the replica
+    executed — with the execution cache on, a replayed block's tuple is
+    the :class:`CachedExecution`'s own — and looked up through a
+    :class:`TxIndex`. Reads like the dict it replaces: iteration in
+    first-filing order, the value from the latest filing.
+    """
+
+    __slots__ = ("index", "_blocks", "_latest")
+
+    def __init__(self, index: TxIndex) -> None:
+        self.index = index
+        #: block hash -> its receipts, in first-filing order.
+        self._blocks: dict[Hash, tuple[Receipt, ...]] = {}
+        #: The same hashes in latest-filing order.
+        self._latest: dict[Hash, None] = {}
+
+    def file(self, block_hash: Hash, receipts: tuple[Receipt, ...]) -> None:
+        """Record that this replica executed ``block_hash``."""
+        self.index.add(block_hash, receipts)
+        self._blocks[block_hash] = receipts
+        latest = self._latest
+        latest.pop(block_hash, None)
+        latest[block_hash] = None
+
+    def __contains__(self, tx_id: object) -> bool:
+        held = self.index.get(tx_id)
+        if held is None:
+            return False
+        if type(held) is tuple:
+            return any(block_hash in self._blocks for block_hash in held)
+        return held in self._blocks
+
+    def __getitem__(self, tx_id: str) -> Receipt:
+        held = self.index.blocks_of(tx_id)
+        # One candidate (the common case) or the latest filing of many.
+        for block_hash in held if len(held) < 2 else reversed(self._latest):
+            if block_hash in held and block_hash in self._blocks:
+                for receipt in reversed(self._blocks[block_hash]):
+                    if receipt.tx_id == tx_id:
+                        return receipt
+        raise KeyError(tx_id)
+
+    def _as_dict(self) -> dict[str, Receipt]:
+        merged: dict[str, Receipt] = dict.fromkeys(
+            receipt.tx_id
+            for receipts in self._blocks.values()
+            for receipt in receipts
+        )
+        for block_hash in self._latest:
+            for receipt in self._blocks[block_hash]:
+                merged[receipt.tx_id] = receipt
+        return merged
+
+    def __iter__(self):
+        return iter(self._as_dict())
+
+    def __len__(self) -> int:
+        return len(self._as_dict())
+
+    def items(self):
+        return self._as_dict().items()
+
+    def values(self):
+        return self._as_dict().values()
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self._as_dict()!r})"
 
 
 class ExecutionCache:
@@ -315,6 +444,10 @@ class ExecutionCache:
     block also covers the commits no block carries (preload, cold
     recovery's re-seed). ``hits`` / ``misses`` count execution lookups
     only; ``commits`` keeps its own.
+
+    :attr:`tx_index` is the cluster's one :class:`TxIndex`: every
+    replica's :class:`ExecutedReceipts` looks transactions up in it, so
+    a replica stores one entry per executed block, not per transaction.
     """
 
     def __init__(self, capacity: int = 4096) -> None:
@@ -322,6 +455,7 @@ class ExecutionCache:
             LRUCache(capacity)
         )
         self.commits: LRUCache = LRUCache(COMMIT_MEMO_ENTRIES)
+        self.tx_index = TxIndex()
 
     @property
     def hits(self) -> int:
@@ -377,7 +511,8 @@ class PlatformNode(SimNode):
         self.protocol: ConsensusProtocol | None = None
         self.peers: list[str] = []
         self.contracts: dict[str, Contract] = {}
-        self.receipts: dict[str, Receipt] = {}
+        #: Read-only ``tx id → receipt`` view of the executed blocks.
+        self.receipts = ExecutedReceipts(TxIndex())
         self.executed_height = 0
         self._height_roots: dict[int, Hash] = {}
         #: Which block this node executed at each height. On PoW a deep
@@ -434,9 +569,13 @@ class PlatformNode(SimNode):
 
     def attach_execution_cache(self, cache: ExecutionCache | None) -> None:
         """Share one cluster-wide :class:`ExecutionCache` with this node
-        (and its commit memo with the node's state)."""
+        (its commit memo with the node's state, its tx index with a new,
+        empty receipt map): at build time, or on a cold restart."""
         self.execution_cache = cache
         self.state.commit_memo = cache.commits if cache is not None else None
+        self.receipts = ExecutedReceipts(
+            cache.tx_index if cache is not None else TxIndex()
+        )
 
     def attach_auditor(self, auditor) -> None:
         """Subscribe a cluster-wide safety auditor to this node's commits."""
@@ -560,6 +699,7 @@ class PlatformNode(SimNode):
             if pre_root is not None:
                 entry = cache.lookup(pre_root, block.hash)
         workers = self.config.exec_workers
+        seconds_per_gas = self.config.execution.seconds_per_gas
         levels: tuple[int, ...] | None = None
         if entry is not None:
             # Another replica already executed this exact block from
@@ -569,34 +709,30 @@ class PlatformNode(SimNode):
             self.state.apply_write_set(entry.write_set)
             levels = entry.levels
             receipts = entry.receipts
+            committed, failed, seconds = entry.tally
         else:
             if workers > 1:
-                receipts, levels = self._execute_block_parallel(block)
+                executed, levels = self._execute_block_parallel(block)
             else:
-                receipts = [
+                executed = [
                     self._execute_tx(tx, block) for tx in block.transactions
                 ]
+            receipts = tuple(executed)
+            committed, failed, seconds = tally_receipts(
+                receipts, seconds_per_gas
+            )
             if cache is not None and pre_root is not None:
                 write_set = self.state.pending_writes()
                 if write_set is not None:
-                    entry = CachedExecution(write_set, tuple(receipts), levels)
+                    entry = CachedExecution(
+                        write_set, receipts, (committed, failed, seconds),
+                        levels,
+                    )
                     cache.store(pre_root, block.hash, entry)
-        seconds = 0.0
-        costs = self.config.execution
-        durations = [] if workers > 1 and levels is not None else None
-        for receipt in receipts:
-            self.receipts[receipt.tx_id] = receipt
-            # Signature verification was already charged when the block
-            # arrived (message_cost); only execution is charged here.
-            cost = receipt.gas_used * costs.seconds_per_gas
-            seconds += cost
-            if durations is not None:
-                durations.append(cost)
-            if receipt.success:
-                self.committed_tx_count += 1
-            else:
-                self.failed_tx_count += 1
-        if durations is not None:
+        self.receipts.file(block.hash, receipts)
+        self.committed_tx_count += committed
+        self.failed_tx_count += failed
+        if workers > 1 and levels is not None:
             # Charge the dependency-schedule makespan instead of the
             # serial sum: non-conflicting transactions overlap on the
             # modeled execution workers. Replays of a serially-executed
@@ -605,7 +741,11 @@ class PlatformNode(SimNode):
             # configured cluster.
             from ..core.txsched import level_makespan
 
-            seconds = level_makespan(durations, levels, workers)
+            seconds = level_makespan(
+                [receipt.gas_used * seconds_per_gas for receipt in receipts],
+                levels,
+                workers,
+            )
         root = self.state.commit_block(block.height)
         self._height_roots[block.height] = root
         self.executed_block_hashes[block.height] = block.hash
@@ -773,6 +913,10 @@ class PlatformNode(SimNode):
         if self.mempool.add(tx, self.now) and self.protocol is not None:
             self.protocol.on_new_pending_tx()
 
+    def has_receipt(self, tx_id: str) -> bool:
+        """Whether this replica has filed a block holding ``tx_id``."""
+        return tx_id in self.receipts
+
     def _dup_reply(self, message: Message, tx: Transaction) -> bool:
         """Answer a resubmission of an already-known transaction.
 
@@ -784,7 +928,7 @@ class PlatformNode(SimNode):
         client treat the reply as "already in flight" rather than a
         rejection to retry.
         """
-        if tx.tx_id in self.receipts or tx.tx_id in self.mempool:
+        if self.has_receipt(tx.tx_id) or tx.tx_id in self.mempool:
             self._reply(
                 message, {"accepted": False, "tx_id": tx.tx_id, "dup": True}
             )
@@ -947,11 +1091,14 @@ class PlatformNode(SimNode):
         if mode == "cold":
             self.state.close()
             self.state = self._fresh_state()
+            # Wires the fresh state and starts an empty receipt map; the
+            # chain replay below files and counts every block again.
             self.attach_execution_cache(self.execution_cache)
             self.executed_height = 0
             self._height_roots = {}
             self.executed_block_hashes = {}
-            self.receipts = {}
+            self.committed_tx_count = 0
+            self.failed_tx_count = 0
             # Re-seed the consensus-bypassing genesis writes; without
             # them every replayed root diverges from the live replicas.
             for write_set in self._genesis_writes:

@@ -256,7 +256,7 @@ class ParityNode(PlatformNode):
             if self.protocol is not None:
                 self.protocol.on_new_pending_tx()
         reply = {"accepted": accepted, "tx_id": tx.tx_id, "req_id": item["req_id"]}
-        if not accepted and (tx.tx_id in self.receipts or tx.tx_id in self.mempool):
+        if not accepted and (self.has_receipt(tx.tx_id) or tx.tx_id in self.mempool):
             reply["dup"] = True
         self.send(item["client"], "rpc/reply", reply, 128)
         self._sign_next()

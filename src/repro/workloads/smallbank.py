@@ -16,6 +16,7 @@ from ..contracts.base import encode_int
 from ..errors import BenchmarkError
 from ..core.workload import Workload, preload_state
 from ..registry import register_workload
+from ..util.names import IndexedNames
 
 #: Standard Smallbank operation mix.
 _OPERATIONS = (
@@ -53,6 +54,7 @@ class SmallbankWorkload(Workload):
     def __init__(self, config: SmallbankConfig | None = None) -> None:
         super().__init__()
         self.config = config or SmallbankConfig()
+        self._accounts = IndexedNames("acct")
         read_fraction = self.config.read_fraction
         if read_fraction is None:
             # Standard mix, untouched: rescaling 0.15 through floats
@@ -94,8 +96,10 @@ class SmallbankWorkload(Workload):
     def _account(self, rng: random.Random) -> str:
         cfg = self.config
         if rng.random() < cfg.hot_fraction:
-            return f"acct{rng.randrange(min(cfg.hot_accounts, cfg.n_accounts))}"
-        return f"acct{rng.randrange(cfg.n_accounts)}"
+            return self._accounts[
+                rng.randrange(min(cfg.hot_accounts, cfg.n_accounts))
+            ]
+        return self._accounts[rng.randrange(cfg.n_accounts)]
 
     def next_transaction(
         self, client_id: str, rng: random.Random, now: float

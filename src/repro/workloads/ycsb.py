@@ -19,6 +19,7 @@ from ..chain import Transaction
 from ..errors import BenchmarkError
 from ..core.workload import Workload, preload_state
 from ..registry import register_workload
+from ..util.names import IndexedNames
 
 ZIPFIAN_CONSTANT = 0.99
 
@@ -89,6 +90,7 @@ class YCSBWorkload(Workload):
         self.config.validate()
         self._zipf = ZipfianGenerator(self.config.record_count)
         self._insert_counter = self.config.record_count
+        self._keys = IndexedNames("user")
 
     @classmethod
     def read_ratio_params(cls, ratio: float) -> dict:
@@ -114,7 +116,7 @@ class YCSBWorkload(Workload):
             index = max(0, self._insert_counter - 1 - self._zipf.next(rng))
         else:
             index = self._zipf.next(rng)
-        return f"user{min(index, cfg.record_count - 1)}"
+        return self._keys[min(index, cfg.record_count - 1)]
 
     def next_transaction(
         self, client_id: str, rng: random.Random, now: float

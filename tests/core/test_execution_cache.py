@@ -12,6 +12,8 @@ same per-node state roots — on all four platforms.
 from dataclasses import FrozenInstanceError, asdict
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.chain.transaction import Receipt, Transaction
 from repro.core import (
@@ -137,6 +139,7 @@ def test_execution_cache_lookup_and_counters():
     entry = CachedExecution(
         write_set=((b"k", b"v"),),
         receipts=(Receipt("tx1", 1, True, 21_000),),
+        tally=(1, 0, 0.0),
     )
     assert cache.lookup(b"root", b"block") is None
     cache.store(b"root", b"block", entry)
@@ -148,7 +151,7 @@ def test_execution_cache_lookup_and_counters():
 
 def test_execution_cache_evicts_beyond_capacity():
     cache = ExecutionCache(capacity=2)
-    entry = CachedExecution(write_set=(), receipts=())
+    entry = CachedExecution(write_set=(), receipts=(), tally=(0, 0, 0.0))
     for i in range(3):
         cache.store(b"root%d" % i, b"block", entry)
     assert cache.lookup(b"root0", b"block") is None  # evicted (LRU)
@@ -665,3 +668,112 @@ def test_parity_memory_cap_trips_at_the_same_put(monkeypatch):
     assert error_on is not None and "out of memory" in error_on
     assert error_on == error_off  # same byte count at the failing put
     assert tight_on == tight_off and 0 < len(tight_on) < len(roomy_on)
+
+
+# ---------------------------------------------------------------------------
+# Receipts by reference: a replica stores one receipts tuple per executed
+# block and finds transactions through a tx -> block index, one per
+# cluster with the cache on. node.receipts still reads like the dict it
+# replaced.
+# ---------------------------------------------------------------------------
+_TX_IDS = [f"t{i}" for i in range(6)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    cache_on=st.booleans(),
+    blocks=st.lists(
+        st.lists(st.sampled_from(_TX_IDS), max_size=4), min_size=1, max_size=5
+    ),
+    ops=st.lists(
+        st.tuples(
+            st.sampled_from(["file", "replay", "reset"]),
+            st.integers(0, 1),
+            st.integers(0, 4),
+            st.integers(0, 3),
+        ),
+        max_size=30,
+    ),
+)
+def test_receipt_map_matches_a_dict(cache_on, blocks, ops):
+    """Two replicas file, replay, re-file (another block holding the same
+    tx; the same block again) and cold-reset; each one's ``receipts``
+    and ``has_receipt`` answer exactly like a dict filed tx by tx."""
+    cluster = build_cluster(
+        "hyperledger", 2, seed=1,
+        config_overrides={"execution_cache": cache_on},
+    )
+    nodes = cluster.nodes
+    reference: list[dict] = [{}, {}]
+    cached: dict[int, tuple] = {}  # block -> the tuple a replay would take
+    for op, who, block, variant in ops:
+        node, block = nodes[who], block % len(blocks)
+        if op == "reset":
+            node.attach_execution_cache(node.execution_cache)
+            reference[who] = {}
+            continue
+        receipts = cached.get(block) if op == "replay" else None
+        if receipts is None:
+            receipts = cached[block] = tuple(
+                Receipt(tx_id, block, variant % 2 == 0, variant)
+                for tx_id in blocks[block]
+            )
+        node.receipts.file(b"block%d" % block, receipts)
+        for receipt in receipts:
+            reference[who][receipt.tx_id] = receipt
+    for node, expected in zip(nodes, reference):
+        receipts = node.receipts
+        assert receipts == expected and expected == receipts
+        assert list(receipts) == list(expected)
+        assert list(receipts.items()) == list(expected.items())
+        assert len(receipts) == len(expected)
+        for tx_id in _TX_IDS:
+            assert node.has_receipt(tx_id) == (tx_id in expected)
+            assert receipts.get(tx_id) is expected.get(tx_id)
+    cluster.close()
+
+
+def test_replicas_share_receipt_tuples_only_with_the_cache_on(monkeypatch):
+    """One receipts tuple per executed block, taken by reference: with the
+    cache on every replica holds the first executor's tuple and looks
+    transactions up in the cluster's one index; with it off each holds
+    its own tuple (equal) and its own index."""
+    on = _drive(monkeypatch, "hyperledger", "smallbank", True)
+    off = _drive(monkeypatch, "hyperledger", "smallbank", False)
+    for cluster, shared in ((on, True), (off, False)):
+        first = cluster.nodes[0].receipts
+        for node in cluster.nodes:
+            executed = node.receipts._blocks
+            assert list(executed) == list(node.executed_block_hashes.values())
+        for node in cluster.nodes[1:]:
+            mine = node.receipts
+            common = first._blocks.keys() & mine._blocks.keys()
+            assert sum(len(first._blocks[h]) for h in common) > 100
+            for block_hash in common:
+                theirs, ours = first._blocks[block_hash], mine._blocks[block_hash]
+                assert (theirs is ours) == shared and theirs == ours
+            assert (mine.index is first.index) == shared
+        if shared:
+            assert first.index is cluster.nodes[0].execution_cache.tx_index
+    on.close()
+    off.close()
+
+
+@pytest.mark.parametrize("cache_on", [True, False])
+def test_cold_recovery_recounts_from_an_empty_map(monkeypatch, cache_on):
+    """A cold restart replays the chain from scratch: the replica's
+    commit counters restart with its receipt map, so every replica's
+    counters equal its successful and failed receipts."""
+    cluster = _drive(
+        monkeypatch, "hyperledger", "ycsb", cache_on, duration=12.0,
+        faults=FaultSchedule(crashes=[CrashFault(
+            at_time=4.0, count=1, include_leader=False,
+            recover_at=8.0, recovery_mode="cold",
+        )]),
+    )
+    assert cluster.nodes[-1].recovery_times
+    for node in cluster.nodes:
+        receipts = list(node.receipts.values())
+        assert node.committed_tx_count == sum(r.success for r in receipts) > 0
+        assert node.failed_tx_count == sum(not r.success for r in receipts)
+    cluster.close()

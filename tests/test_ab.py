@@ -1,0 +1,112 @@
+"""The alternating-pairs runner's bookkeeping (benchmarks/ab.py).
+
+Only the pure parts: which side runs first, how pairs fold into
+medians, wins and the ``clear`` verdict, and what a tree snapshot
+copies. Running children is hostbench's own business.
+"""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+_PATH = Path(__file__).resolve().parents[1] / "benchmarks" / "ab.py"
+_spec = importlib.util.spec_from_file_location("ab", _PATH)
+ab = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(ab)
+
+METRICS = [
+    {"name": "peak_rss_mb", "better": "lower"},
+    {"name": "sim_s_per_loop", "better": "higher"},
+]
+
+
+def _run(digest, rss, speed):
+    return {
+        "sim_digest": digest,
+        "end_to_end": {"peak_rss_mb": rss, "sim_s_per_loop": speed},
+    }
+
+
+def _pairs(base_rss, change_rss, digests=None):
+    digests = digests or ["d"] * len(base_rss)
+    return [
+        {"seed": 600 + i, "base": _run("d", b, 1.0), "change": _run(d, c, 1.0)}
+        for i, (b, c, d) in enumerate(zip(base_rss, change_rss, digests))
+    ]
+
+
+def test_seeds_parse_ranges_and_lists():
+    assert ab.parse_seeds("601-603,610") == [601, 602, 603, 610]
+    assert ab.parse_seeds("7") == [7]
+    with pytest.raises(ValueError):
+        ab.parse_seeds("x")
+
+
+def test_sides_alternate_which_runs_first():
+    orders = [ab.pair_order(i) for i in range(4)]
+    assert orders == [("base", "change"), ("change", "base")] * 2
+
+
+def test_quartile_spread():
+    assert ab.quartile_spread([5.0]) == 0.0
+    assert ab.quartile_spread([1.0, 2.0, 3.0, 4.0, 5.0]) == 2.0
+    assert ab.quartile_spread([3.0, 3.0, 3.0]) == 0.0
+
+
+def test_wins_follow_the_metric_direction():
+    assert ab.change_wins(74.0, 65.0, "lower")
+    assert not ab.change_wins(74.0, 65.0, "higher")
+    assert not ab.change_wins(1.0, 1.0, "lower")  # a tie is no win
+
+
+def test_a_consistent_drop_is_clear():
+    base = [74.0, 75.0, 73.5, 74.4, 74.1, 76.0, 73.9, 74.8, 74.2, 75.2]
+    change = [b - 9.0 for b in base]
+    change[3] = 80.0  # one lost pair of ten still clears
+    summary = ab.summarize(_pairs(base, change), METRICS)
+    rss = summary["metrics"]["peak_rss_mb"]
+    assert rss["wins"] == 9 and rss["pairs"] == 10
+    assert rss["base_median"] == pytest.approx(74.3)
+    assert rss["change_median"] == pytest.approx(65.5)
+    assert rss["ratio"] == pytest.approx(65.5 / 74.3)
+    assert rss["clear"]
+    assert summary["digest_mismatches"] == []
+    # Equal values on every pair: no wins, nothing clear.
+    speed = summary["metrics"]["sim_s_per_loop"]
+    assert speed["wins"] == 0 and not speed["clear"]
+
+
+def test_a_move_inside_the_base_spread_is_not_clear():
+    base = [70.0, 80.0, 72.0, 78.0, 74.0, 76.0, 71.0, 79.0, 73.0, 77.0]
+    change = [b - 1.0 for b in base]  # 10/10 wins, but 1 MB < the IQR
+    rss = ab.summarize(_pairs(base, change), METRICS)["metrics"]["peak_rss_mb"]
+    assert rss["wins"] == 10 and not rss["clear"]
+    eight = [b - 9.0 for b in base[:8]] + base[8:]  # 8/10 wins
+    rss = ab.summarize(_pairs(base, eight), METRICS)["metrics"]["peak_rss_mb"]
+    assert rss["wins"] == 8 and not rss["clear"]
+
+
+def test_digest_mismatches_name_their_seeds():
+    pairs = _pairs([1.0] * 3, [1.0] * 3, digests=["d", "e", "d"])
+    assert ab.summarize(pairs, METRICS)["digest_mismatches"] == [601]
+
+
+def test_snapshot_copies_what_a_child_needs(tmp_path):
+    tree = tmp_path / "tree"
+    (tree / "src" / "repro" / "__pycache__").mkdir(parents=True)
+    (tree / "src" / "repro" / "__init__.py").write_text("")
+    (tree / "src" / "repro" / "__pycache__" / "x.pyc").write_text("")
+    (tree / "benchmarks" / "hostbench").mkdir(parents=True)
+    (tree / "benchmarks" / "hostbench" / "child.py").write_text("")
+    (tree / "tests").mkdir()
+    copy = ab.snapshot(str(tree), tmp_path / "copy")
+    assert (copy / "src" / "repro" / "__init__.py").is_file()
+    assert (copy / ab.CHILD).is_file()
+    assert not (copy / "src" / "repro" / "__pycache__").exists()
+    assert not (copy / "tests").exists()
+
+
+def test_metrics_come_from_the_benchmark_of_record():
+    names = [m["name"] for m in ab.end_to_end_metrics()]
+    assert names == ["setup_s", "sim_s_per_loop", "peak_rss_mb"]
