@@ -21,9 +21,6 @@ Hyperledger forking never and Ethereum forking for the whole partition
 window.
 """
 
-import dataclasses
-
-from repro.config import ethereum_config
 from repro.core import ExperimentSpec, format_table, run_experiment
 from repro.core.faults import FaultSchedule, PartitionFault
 
@@ -38,10 +35,6 @@ ATTACK_DURATION = 20.0 * (BASE_DURATION / 35.0)
 
 
 def _run(depth):
-    base = ethereum_config()
-    config = ethereum_config(
-        pow=dataclasses.replace(base.pow, confirmation_depth=depth)
-    )
     faults = FaultSchedule(
         partitions=[
             PartitionFault(
@@ -57,7 +50,7 @@ def _run(depth):
             n_clients=8,
             request_rate_tx_s=64,
             duration_s=BASE_DURATION + 15.0,
-            config=config,
+            config_overrides={"pow": {"confirmation_depth": depth}},
             faults=faults,
             seed=5,
         )

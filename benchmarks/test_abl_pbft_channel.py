@@ -20,7 +20,6 @@ state-transfer path, so even heavy drop rates degrade rather than
 permanently diverge.)
 """
 
-from repro.config import hyperledger_config
 from repro.core import ExperimentSpec, format_table, run_experiment
 
 from _common import BASE_DURATION, emit, once
@@ -34,7 +33,6 @@ RATE_PER_CLIENT = 80
 
 
 def _run(capacity):
-    config = hyperledger_config(inbox_capacity=capacity)
     return run_experiment(
         ExperimentSpec(
             platform="hyperledger",
@@ -43,7 +41,7 @@ def _run(capacity):
             n_clients=N_NODES,
             request_rate_tx_s=RATE_PER_CLIENT,
             duration_s=BASE_DURATION,
-            config=config,
+            config_overrides={"inbox_capacity": capacity},
             seed=5,
         )
     )

@@ -5,30 +5,18 @@ generation rate on every platform, so overall throughput does not
 improve. Knobs per platform (as in Appendix B): Hyperledger's
 ``batchSize``, Ethereum's ``gasLimit``, Parity's ``stepDuration``.
 
-Each platform's knob sweep is a ScenarioSpec ``configs`` axis:
-(label, platform config) pairs expanded by the scenario engine, with
-the label carried through to the merged result for lookup.
+Each platform's knob sweep is a ScenarioSpec ``overrides`` axis: one
+JSON knob dict per grid point, labelled from its flattened key path
+(``pbft.batch_size=250``) and carried through to the merged result for
+lookup.
 """
 
-from dataclasses import replace
-
-from repro.config import ethereum_config, hyperledger_config, parity_config
 from repro.core import ScenarioSpec, ScenarioSuite, format_table
 
 from _common import BASE_DURATION, emit, once
 
 
-def _hlf_config(batch):
-    config = hyperledger_config()
-    return replace(config, pbft=replace(config.pbft, batch_size=batch))
-
-
-def _parity_config(step):
-    config = parity_config()
-    return replace(config, poa=replace(config.poa, step_duration=step))
-
-
-def _scenario(platform, configs):
+def _scenario(platform, overrides):
     return ScenarioSpec(
         name=platform,
         platforms=platform,
@@ -38,36 +26,35 @@ def _scenario(platform, configs):
         rates=256,
         durations=BASE_DURATION,
         seeds=15,
-        configs=configs,
+        overrides=overrides,
     )
 
 
-# Labels double as the table's knob column, small to large; the
-# config axis is the single source of truth for the sweep values.
+# Sweep values small to large; the overrides axis is the single source
+# of truth for them, and its labels double as the table's knob column.
 SUITE = ScenarioSuite(
     name="fig15",
     scenarios=[
         _scenario(
             "hyperledger",
-            [(f"batch={batch}", _hlf_config(batch)) for batch in (250, 500, 1000)],
+            [{"pbft": {"batch_size": batch}} for batch in (250, 500, 1000)],
         ),
         _scenario(
             "ethereum",
             [
-                (f"gasLimit={factor:.1f}x",
-                 ethereum_config(block_gas_limit=int(20_000_000 * factor)))
+                {"block_gas_limit": int(20_000_000 * factor)}
                 for factor in (0.5, 1.0, 2.0)
             ],
         ),
         _scenario(
             "parity",
-            [(f"step={step}s", _parity_config(step)) for step in (0.5, 1.0, 2.0)],
+            [{"poa": {"step_duration": step}} for step in (0.5, 1.0, 2.0)],
         ),
     ],
 )
 
-#: Knob labels per platform, small to large (from the configs axis).
-LABELS = {s.name: [label for label, _ in s.configs] for s in SUITE.scenarios}
+#: Knob labels per platform, small to large (from the overrides axis).
+LABELS = {s.name: [spec.label for spec in s.expand()] for s in SUITE.scenarios}
 
 
 def test_fig15_block_size(benchmark):

@@ -8,23 +8,21 @@ exposes the knob differently, exactly as the paper describes:
 Hyperledger's ``batchSize``, Ethereum's ``gasLimit`` and Parity's
 ``stepDuration``.
 
-Per-run config overrides ride the ScenarioSpec ``configs`` axis:
-(label, platform config) pairs that the scenario engine expands into
-the grid, carrying the label into the merged result.
+Each platform's knob rides a ScenarioSpec ``overrides`` axis: one
+JSON knob dict per grid point, which the scenario engine expands into
+the grid and labels from its key path (``pbft.batch_size=250``),
+carrying the label into the merged result.
 
 Run:  python examples/blocksize_sweep.py
 """
 
-from dataclasses import replace
-
-from repro.config import ethereum_config, hyperledger_config, parity_config
 from repro.core import ScenarioSpec, ScenarioSuite, format_table
 
 DURATION = 30.0
 
 
-def knob_scenario(platform, configs):
-    """One platform's block-size sweep as a config-axis scenario."""
+def knob_scenario(platform, overrides):
+    """One platform's block-size sweep as an overrides-axis scenario."""
     return ScenarioSpec(
         name=platform,
         platforms=platform,
@@ -34,39 +32,28 @@ def knob_scenario(platform, configs):
         rates=256,
         durations=DURATION,
         seeds=15,
-        configs=configs,
+        overrides=overrides,
     )
 
 
 def main() -> None:
-    hlf = hyperledger_config()
-    par = parity_config()
     suite = ScenarioSuite(
         name="blocksize-sweep",
         scenarios=[
             knob_scenario(
                 "hyperledger",
-                [
-                    (f"batchSize={batch}",
-                     replace(hlf, pbft=replace(hlf.pbft, batch_size=batch)))
-                    for batch in (250, 500, 1000)
-                ],
+                [{"pbft": {"batch_size": batch}} for batch in (250, 500, 1000)],
             ),
             knob_scenario(
                 "ethereum",
                 [
-                    (f"gasLimit={factor:.1f}x",
-                     ethereum_config(block_gas_limit=int(20_000_000 * factor)))
+                    {"block_gas_limit": int(20_000_000 * factor)}
                     for factor in (0.5, 1.0, 2.0)
                 ],
             ),
             knob_scenario(
                 "parity",
-                [
-                    (f"stepDuration={step}s",
-                     replace(par, poa=replace(par.poa, step_duration=step)))
-                    for step in (0.5, 1.0, 2.0)
-                ],
+                [{"poa": {"step_duration": step}} for step in (0.5, 1.0, 2.0)],
             ),
         ],
     )

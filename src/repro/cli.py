@@ -51,6 +51,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 from typing import Sequence
 
 from .core import (
@@ -83,33 +84,43 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # Every option that sets an ExperimentSpec field has that field as
+    # its dest: _cmd_run hands them to the spec by name.
     run = sub.add_parser("run", help="run one macro-benchmark experiment")
     run.add_argument(
         "--platform", choices=PLATFORMS.names(), default="hyperledger"
     )
     run.add_argument("--workload", choices=WORKLOADS.names(), default="ycsb")
-    run.add_argument("--servers", type=int, default=8)
-    run.add_argument("--clients", type=int, default=8)
+    run.add_argument(
+        "--servers", type=int, default=8, dest="n_servers", metavar="SERVERS"
+    )
+    run.add_argument(
+        "--clients", type=int, default=8, dest="n_clients", metavar="CLIENTS"
+    )
     run.add_argument(
         "--rate", type=float, default=100.0,
+        dest="request_rate_tx_s", metavar="RATE",
         help="request rate per client (tx/s)",
     )
-    run.add_argument("--duration", type=float, default=30.0, help="seconds")
+    run.add_argument(
+        "--duration", type=float, default=30.0,
+        dest="duration_s", metavar="DURATION", help="seconds",
+    )
     run.add_argument("--seed", type=int, default=42)
     run.add_argument(
-        "--poll-interval", type=float, metavar="S",
+        "--poll-interval", type=float, metavar="S", dest="poll_interval_s",
         default=DriverConfig.poll_interval_s,
         help="getLatestBlock polling period per client "
              f"(default {DriverConfig.poll_interval_s:g}s)",
     )
     run.add_argument(
-        "--threads", type=int, metavar="N",
+        "--threads", type=int, metavar="N", dest="threads_per_client",
         default=DriverConfig.threads_per_client,
         help="worker threads per client, one submission RPC in flight "
              f"each (default {DriverConfig.threads_per_client})",
     )
     run.add_argument(
-        "--retry-interval", type=float, metavar="S",
+        "--retry-interval", type=float, metavar="S", dest="retry_interval_s",
         default=DriverConfig.retry_interval_s,
         help="backoff before a rejected submission is retried "
              f"(default {DriverConfig.retry_interval_s:g}s)",
@@ -187,7 +198,7 @@ def _build_parser() -> argparse.ArgumentParser:
              "byte-identical across W, only execution time shrinks)",
     )
     run.add_argument(
-        "--no-trace-stages", action="store_true",
+        "--no-trace-stages", action="store_false", dest="trace_stages",
         help="disable per-transaction lifecycle stage tracing (drops "
              "the stage breakdown from the output; the simulated "
              "timeline is identical either way)",
@@ -312,7 +323,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
             crashes.append(
                 CrashFault(
                     at_time=(
-                        args.duration / 2
+                        args.duration_s / 2
                         if args.crash_at is None
                         else args.crash_at
                     ),
@@ -326,8 +337,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
             # lead-in and recovery phases on either side.
             byzantines.append(
                 ByzantineFault(
-                    at_time=args.duration / 4,
-                    until_time=args.duration * 3 / 4,
+                    at_time=args.duration_s / 4,
+                    until_time=args.duration_s * 3 / 4,
                     behavior=args.byzantine_behavior,
                     count=args.byzantine,
                 )
@@ -353,32 +364,17 @@ def _cmd_run(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    result = run_experiment(
-        ExperimentSpec(
-            platform=args.platform,
-            workload=args.workload,
-            n_servers=args.servers,
-            n_clients=args.clients,
-            request_rate_tx_s=args.rate,
-            duration_s=args.duration,
-            seed=args.seed,
-            poll_interval_s=args.poll_interval,
-            threads_per_client=args.threads,
-            retry_interval_s=args.retry_interval,
-            blocking=args.blocking,
-            subscribe=args.subscribe,
-            failover=args.failover,
-            faults=faults,
-            arrival=arrival,
-            stats_reservoir=args.stats_reservoir,
-            read_ratio=args.read_ratio,
-            trace_stages=not args.no_trace_stages,
-            config_overrides=(
-                {"exec_workers": args.exec_workers}
-                if args.exec_workers != 1 else {}
-            ),
-        )
+    knobs = {f.name for f in fields(ExperimentSpec)}
+    spec = ExperimentSpec(
+        **{name: value for name, value in vars(args).items() if name in knobs},
+        faults=faults,
+        arrival=arrival,
+        config_overrides=(
+            {"exec_workers": args.exec_workers}
+            if args.exec_workers != 1 else {}
+        ),
     )
+    result = run_experiment(spec)
     summary = result.summary
     if args.export_dir:
         from pathlib import Path
@@ -400,19 +396,19 @@ def _cmd_run(args: argparse.Namespace) -> int:
             out / "run.csv",
             ["platform", "workload", "servers", "clients", "rate_tx_s",
              "duration_s", "seed"],
-            [[args.platform, args.workload, args.servers, args.clients,
-              args.rate, args.duration, args.seed]],
+            [[spec.platform, spec.workload, spec.n_servers, spec.n_clients,
+              spec.request_rate_tx_s, spec.duration_s, spec.seed]],
         )
         print(f"wrote CSV series to {out}/", file=sys.stderr)
     breakdown = summary.stage_breakdown
     if args.json:
         payload = {
-            "platform": args.platform,
-            "workload": args.workload,
-            "servers": args.servers,
-            "clients": args.clients,
-            "rate_tx_s": args.rate,
-            "duration_s": args.duration,
+            "platform": spec.platform,
+            "workload": spec.workload,
+            "servers": spec.n_servers,
+            "clients": spec.n_clients,
+            "rate_tx_s": spec.request_rate_tx_s,
+            "duration_s": spec.duration_s,
             "throughput_tx_s": summary.throughput_tx_s,
             "latency_avg_s": summary.latency_avg_s,
             "latency_p50_s": summary.latency_p50_s,
@@ -482,9 +478,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
             ["metric", "value"],
             rows,
             title=(
-                f"{args.platform} / {args.workload}: {args.servers} servers, "
-                f"{args.clients} clients @ {args.rate:g} tx/s for "
-                f"{args.duration:g}s"
+                f"{spec.platform} / {spec.workload}: {spec.n_servers} servers, "
+                f"{spec.n_clients} clients @ {spec.request_rate_tx_s:g} tx/s "
+                f"for {spec.duration_s:g}s"
             ),
         )
     )

@@ -20,6 +20,8 @@ from the protocol implementations; these constants only set scale.
 
 from __future__ import annotations
 
+import types
+import typing
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 
 from .consensus.pbft import PBFTConfig
@@ -257,20 +259,48 @@ PLATFORM_PRESETS = {
 }
 
 
-def apply_overrides(config, overrides: dict):
+def _fits(value, hint) -> bool:
+    origin = typing.get_origin(hint)
+    if origin in (typing.Union, types.UnionType):
+        return any(_fits(value, arg) for arg in typing.get_args(hint))
+    if origin is list:
+        (item,) = typing.get_args(hint)
+        return isinstance(value, list) and all(_fits(v, item) for v in value)
+    if isinstance(value, bool):
+        return hint is bool
+    if hint is float:
+        return isinstance(value, (int, float))
+    return isinstance(value, hint)
+
+
+def check_value(value, hint, where: str) -> None:
+    """Raise unless a JSON-decoded ``value`` fits the annotation ``hint``.
+
+    Covers what the config and fault dataclasses declare: classes,
+    ``X | None`` and ``list[X]``. An int fits ``float`` (JSON has one
+    number type); a bool fits only ``bool``. ``where`` is the value's
+    dotted path in the scenario file, e.g. ``overrides.pbft.batch_size``.
+    """
+    if not _fits(value, hint):
+        name = hint.__name__ if isinstance(hint, type) else str(hint)
+        raise BenchmarkError(f"{where}: expected {name}, got {value!r}")
+
+
+def apply_overrides(config, overrides: dict, path: str = "overrides"):
     """Apply a JSON-shaped override dict to a platform config dataclass.
 
     Scenario files tune platform knobs without Python code:
     ``{"pbft": {"batch_size": 250}}`` replaces one field of the nested
     consensus config, ``{"inbox_capacity": 1300}`` a top-level one. A
     dict value whose target field is itself a dataclass recurses, so
-    any depth of the preset tree is addressable; everything else is
-    assigned verbatim. The input config is never mutated — presets are
-    frozen dataclasses, so each override produces a fresh object via
-    :func:`dataclasses.replace`.
+    any depth of the preset tree is addressable; everything else must
+    fit the field's declared type (see :func:`check_value`). The input
+    config is never mutated — presets are frozen dataclasses, so each
+    override produces a fresh object via :func:`dataclasses.replace`.
 
     Unknown field names are an error listing the fields that exist:
     a silently ignored knob would make a sweep measure the default.
+    Errors name the knob by its dotted ``path``.
     """
     if not overrides:
         return config
@@ -280,16 +310,20 @@ def apply_overrides(config, overrides: dict):
             "platform config must be a dataclass instance"
         )
     known = {f.name for f in fields(config)}
+    hints = typing.get_type_hints(type(config))
     changes = {}
     for key, value in overrides.items():
+        where = f"{path}.{key}"
         if key not in known:
             raise BenchmarkError(
-                f"unknown config field {key!r} for "
+                f"{where}: unknown config field {key!r} for "
                 f"{type(config).__name__}; available: {sorted(known)}"
             )
         current = getattr(config, key)
         if isinstance(value, dict) and is_dataclass(current) \
                 and not isinstance(current, type):
-            value = apply_overrides(current, value)
+            value = apply_overrides(current, value, where)
+        else:
+            check_value(value, hints[key], where)
         changes[key] = value
     return replace(config, **changes)

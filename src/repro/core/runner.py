@@ -7,7 +7,7 @@ benchmark harnesses need — the whole Figure 4 pipeline in one function.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Any
 
 from ..platforms.cluster import build_cluster
@@ -17,9 +17,24 @@ from .stats import StatsCollector, StatsSummary
 from .workload import ArrivalSpec
 
 
+def _since_schema(default: Any) -> Any:
+    """A field added after run-file schema/1: at ``default`` it is
+    omitted from the canonical spec dict (``suitestore.spec_to_dict``),
+    so every spec hash computed before it existed stays valid; any other
+    value enters the dict and hashes the run apart, as a real axis must."""
+    return field(default=default, metadata={"omit_at_default": True})
+
+
 @dataclass
 class ExperimentSpec:
-    """Everything defining one benchmark run."""
+    """Everything defining one benchmark run.
+
+    The one declaration of every run knob. A field named like a
+    :class:`DriverConfig` field is a driver knob: ``run_experiment``
+    hands it over by name, and its default is read from DriverConfig.
+    Platform knobs are not fields: they travel as JSON in
+    ``config_overrides``.
+    """
 
     platform: str = "hyperledger"
     workload: str = "ycsb"
@@ -28,54 +43,59 @@ class ExperimentSpec:
     #: (0.0 = all writes, 1.0 = all reads). None keeps the workload's
     #: native mix. Translated per-workload via
     #: ``Workload.read_ratio_params`` — not every workload supports it.
-    read_ratio: float | None = None
+    read_ratio: float | None = _since_schema(None)
     n_servers: int = 8
-    n_clients: int = 8
-    request_rate_tx_s: float = 100.0
-    duration_s: float = 60.0
+    n_clients: int = DriverConfig.n_clients
+    request_rate_tx_s: float = DriverConfig.request_rate_tx_s
+    duration_s: float = DriverConfig.duration_s
     seed: int = 42
-    blocking: bool = False
+    blocking: bool = DriverConfig.blocking
     #: Confirm via the backend's push feed instead of polling (ErisDB).
-    subscribe: bool = False
-    #: Driver knobs (DriverConfig pass-throughs), sweepable as scenario
-    #: axes: the getLatestBlock poll period, worker threads per client,
-    #: and the backoff before a rejected submission is retried.
-    #: Defaults come from DriverConfig — the single source of truth.
+    subscribe: bool = DriverConfig.subscribe
+    #: The getLatestBlock poll period, worker threads per client, and
+    #: the backoff before a rejected submission is retried.
     poll_interval_s: float = DriverConfig.poll_interval_s
     threads_per_client: int = DriverConfig.threads_per_client
     retry_interval_s: float = DriverConfig.retry_interval_s
     #: Client-side crash tolerance: fail over to the next live server
     #: when an RPC times out, with exponential backoff capped at
     #: ``max_backoff_s``. See DriverConfig.
-    failover: bool = False
-    max_backoff_s: float = DriverConfig.max_backoff_s
+    failover: bool = _since_schema(DriverConfig.failover)
+    max_backoff_s: float = _since_schema(DriverConfig.max_backoff_s)
     #: Open-loop arrival process (JSON shape, see ArrivalSpec): when
     #: set, the run uses the OpenLoopDriver instead of closed-loop
     #: clients and ignores n_clients / request_rate_tx_s /
     #: threads_per_client / blocking / subscribe.
-    arrival: dict[str, Any] | None = None
+    arrival: dict[str, Any] | None = _since_schema(None)
     #: Bound the latency sample set in memory (reservoir size; 0 keeps
     #: every sample). See StatsCollector for the accuracy tradeoff.
-    stats_reservoir: int = 0
+    stats_reservoir: int = _since_schema(DriverConfig.stats_reservoir)
     #: Record per-transaction lifecycle stage timestamps
     #: (repro.core.trace) and attach a StageBreakdown to the summary.
     #: Off produces byte-identical output to a build without tracing.
-    trace_stages: bool = True
+    trace_stages: bool = _since_schema(True)
     with_monitor: bool = False
     faults: FaultSchedule | None = None
-    config: Any = None  # platform config override (Python object)
     #: JSON-shaped platform-knob overrides (scenario-file ``overrides``)
-    #: applied on top of ``config`` or the platform default by
-    #: ``build_cluster`` — e.g. ``{"pbft": {"batch_size": 250}}``.
-    #: Unlike ``config``, this survives serialization, so it is part of
-    #: the content-addressed spec hash resumable suites key on.
+    #: applied on top of the platform default by ``build_cluster`` —
+    #: e.g. ``{"pbft": {"batch_size": 250}}``. Part of the
+    #: content-addressed spec hash resumable suites key on.
     config_overrides: dict[str, Any] = field(default_factory=dict)
     drain_s: float = 5.0
     #: Scenario bookkeeping, set by the scenario engine: which
     #: ScenarioSpec expanded into this run, and a human label for the
-    #: grid point (e.g. a config-axis knob like ``batch=500``).
+    #: grid point (e.g. an overrides-axis knob like
+    #: ``pbft.batch_size=500``).
     scenario: str = ""
     label: str = ""
+
+
+#: The driver knobs: DriverConfig fields the spec declares by the same
+#: name (``queue_sample_interval_s`` is not one).
+_DRIVER_KNOBS = tuple(
+    f.name for f in fields(DriverConfig)
+    if f.name in {g.name for g in fields(ExperimentSpec)}
+)
 
 
 @dataclass
@@ -147,29 +167,14 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
 
     # Built first: DriverConfig validates the driver knobs, so a bad
     # spec fails before the (comparatively expensive) cluster build.
-    config = DriverConfig(
-        n_clients=spec.n_clients,
-        request_rate_tx_s=spec.request_rate_tx_s,
-        duration_s=spec.duration_s,
-        poll_interval_s=spec.poll_interval_s,
-        threads_per_client=spec.threads_per_client,
-        retry_interval_s=spec.retry_interval_s,
-        blocking=spec.blocking,
-        subscribe=spec.subscribe,
-        failover=spec.failover,
-        max_backoff_s=spec.max_backoff_s,
-        arrival=(
-            ArrivalSpec.from_dict(spec.arrival)
-            if spec.arrival is not None
-            else None
-        ),
-        stats_reservoir=spec.stats_reservoir,
-    )
+    knobs = {name: getattr(spec, name) for name in _DRIVER_KNOBS}
+    if spec.arrival is not None:
+        knobs["arrival"] = ArrivalSpec.from_dict(spec.arrival)
+    config = DriverConfig(**knobs)
     cluster = build_cluster(
         spec.platform,
         spec.n_servers,
         seed=spec.seed,
-        config=spec.config,
         config_overrides=spec.config_overrides or None,
         with_monitor=spec.with_monitor,
         trace_stages=spec.trace_stages,

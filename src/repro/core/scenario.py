@@ -45,14 +45,17 @@ scenario files can sweep third-party backends too.
 
 from __future__ import annotations
 
-import dataclasses
+import copy
 import itertools
 import json
-from dataclasses import dataclass, field, fields
+import typing
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Any, Callable, Sequence
 
+from ..config import check_value
 from ..errors import BenchmarkError
+from ..registry import PLATFORMS, WORKLOADS
 from .export import export_summary, write_csv
 from .faults import (
     BYZANTINE_BEHAVIORS,
@@ -63,7 +66,6 @@ from .faults import (
     FaultSchedule,
     PartitionFault,
 )
-from .driver import DriverConfig
 from .workload import ArrivalSpec
 from .report import format_table
 from .runner import ExperimentResult, ExperimentSpec, run_experiment
@@ -89,9 +91,10 @@ _FAULT_TYPES = {
 def build_fault_schedule(spec: dict[str, Any]) -> FaultSchedule:
     """Turn a JSON-shaped fault dict into a fresh :class:`FaultSchedule`.
 
-    ``{"crashes": [{"at_time": 15, "count": 2}]}`` and friends; a fresh
-    schedule per run keeps the armed state from leaking across grid
-    points.
+    ``{"crashes": [{"at_time": 15, "count": 2}]}`` and friends. Every
+    entry value must fit its fault field's declared type; an error
+    names it by path (``faults.crashes[0].at_time``), so a mistyped
+    schedule fails here instead of inside the scheduler.
     """
     unknown = set(spec) - set(_FAULT_TYPES)
     if unknown:
@@ -99,13 +102,22 @@ def build_fault_schedule(spec: dict[str, Any]) -> FaultSchedule:
             f"unknown fault kinds {sorted(unknown)}; "
             f"expected {sorted(_FAULT_TYPES)}"
         )
-    kwargs = {}
+    kwargs: dict[str, list] = {}
     for key, fault_type in _FAULT_TYPES.items():
         entries = spec.get(key, [])
-        try:
-            kwargs[key] = [fault_type(**entry) for entry in entries]
-        except TypeError as exc:
-            raise BenchmarkError(f"bad {key} entry: {exc}") from None
+        check_value(entries, list, f"faults.{key}")
+        hints = typing.get_type_hints(fault_type)
+        kwargs[key] = []
+        for index, entry in enumerate(entries):
+            where = f"faults.{key}[{index}]"
+            check_value(entry, dict, where)
+            for name, value in entry.items():
+                if name in hints:
+                    check_value(value, hints[name], f"{where}.{name}")
+            try:
+                kwargs[key].append(fault_type(**entry))
+            except TypeError as exc:
+                raise BenchmarkError(f"{where}: bad {key} entry: {exc}") from None
     for byzantine in kwargs["byzantines"]:
         if byzantine.behavior not in BYZANTINE_BEHAVIORS:
             raise BenchmarkError(
@@ -113,16 +125,6 @@ def build_fault_schedule(spec: dict[str, Any]) -> FaultSchedule:
                 f"expected one of {sorted(BYZANTINE_BEHAVIORS)}"
             )
     return FaultSchedule(**kwargs)
-
-
-def _axis(value: Any, name: str) -> list:
-    """Normalize a grid axis: scalar -> one-point axis, list -> list."""
-    if isinstance(value, (list, tuple)):
-        points = list(value)
-        if not points:
-            raise BenchmarkError(f"scenario axis {name!r} is empty")
-        return points
-    return [value]
 
 
 def _overrides_label(overrides: dict[str, Any]) -> str:
@@ -145,106 +147,115 @@ def _overrides_label(overrides: dict[str, Any]) -> str:
     return ",".join(parts)
 
 
-def _overrides_axis(
-    overrides: dict[str, Any] | Sequence[dict[str, Any]] | None,
-) -> list[dict[str, Any]]:
-    """Normalize the ``overrides`` field to a one-dict-per-point axis."""
-    if overrides is None:
-        return [{}]
-    if isinstance(overrides, dict):
-        return [overrides]
-    points = list(overrides)
-    if not points:
-        raise BenchmarkError("scenario axis 'overrides' is empty")
-    for point in points:
-        if not isinstance(point, dict):
-            raise BenchmarkError(
-                "each 'overrides' axis point must be an object of config "
-                f"knobs; got {type(point).__name__}"
-            )
-    return points
+def _victims(fault: CrashFault | ByzantineFault) -> int:
+    return fault.count if fault.count is not None else len(fault.nodes or []) or 1
 
 
-def _faults_label(faults: dict[str, Any]) -> str:
+def _faults_label(faults: FaultSchedule) -> str:
     """Compact grid-point label for one faults-axis point.
 
-    ``{"byzantines": [{..., "count": 2}]}`` -> ``"byz=equivocate:2"``;
-    an empty dict (the healthy control point of a sweep) labels as
+    Two equivocating replicas -> ``"byz=equivocate:2"``; an empty
+    schedule (the healthy control point of a sweep) labels as
     ``"no-faults"`` so f=0 rows stay distinguishable.
     """
     parts: list[str] = []
-    for crash in faults.get("crashes", []):
-        count = crash.get("count")
-        if count is None:
-            count = len(crash.get("nodes") or []) or 1
-        label = f"crash={count}"
-        if crash.get("recover_at") is not None:
+    for crash in faults.crashes:
+        label = f"crash={_victims(crash)}"
+        if crash.recover_at is not None:
             # The crash time disambiguates recovery-vs-chain-height
             # sweeps, where only at_time/recover_at vary across points.
-            label += (
-                f"@{crash.get('at_time'):g}"
-                f",recover={crash.get('recovery_mode', 'warm')}"
-            )
+            label += f"@{crash.at_time:g},recover={crash.recovery_mode}"
         parts.append(label)
-    for delay in faults.get("delays", []):
-        parts.append(f"delay={delay.get('extra_s')}s")
-    for corruption in faults.get("corruptions", []):
-        parts.append(f"corrupt={corruption.get('rate')}")
-    for _ in faults.get("partitions", []):
-        parts.append("partition")
-    for byzantine in faults.get("byzantines", []):
-        count = byzantine.get("count")
-        if count is None:
-            count = len(byzantine.get("nodes") or []) or 1
-        behavior = byzantine.get("behavior", "equivocate")
-        parts.append(f"byz={behavior}:{count}")
+    parts += [f"delay={delay.extra_s}s" for delay in faults.delays]
+    parts += [f"corrupt={corruption.rate}" for corruption in faults.corruptions]
+    parts += ["partition" for _ in faults.partitions]
+    parts += [f"byz={b.behavior}:{_victims(b)}" for b in faults.byzantines]
     return ",".join(parts) or "no-faults"
 
 
-def _faults_axis(
-    faults: dict[str, Any] | Sequence[dict[str, Any]] | None,
-) -> list[dict[str, Any] | None]:
-    """Normalize the ``faults`` field to a one-dict-per-point axis.
+# ---------------------------------------------------------------------------
+# The axis table
+# ---------------------------------------------------------------------------
+def _typed(hint: type) -> Callable[[Any, str], Any]:
+    """Axis points of one JSON scalar type (an int is a float)."""
 
-    A single dict applies to every grid point (the historical shape); a
-    list of dicts is an axis — one grid point per schedule, which is
-    how "throughput vs number of byzantine nodes" sweeps are written.
-    Each point is validated eagerly so a typo'd fault kind or behavior
-    fails at expand time, not mid-campaign.
-    """
-    if faults is None:
-        return [None]
-    points: list[Any] = [faults] if isinstance(faults, dict) else list(faults)
-    if not points:
-        raise BenchmarkError("scenario axis 'faults' is empty")
-    for point in points:
-        if not isinstance(point, dict):
-            raise BenchmarkError(
-                "each 'faults' axis point must be a fault-schedule object; "
-                f"got {type(point).__name__}"
-            )
-        build_fault_schedule(point)  # raises on bad shape/values
-    return points
+    def point(value: Any, key: str) -> Any:
+        check_value(value, hint, f"scenario axis {key!r}")
+        return hint(value)
+
+    return point
 
 
-def _arrival_axis(
-    arrival: dict[str, Any] | Sequence[dict[str, Any]] | None,
-) -> list[dict[str, Any] | None]:
-    """Normalize the ``arrival`` field to a one-spec-per-point axis.
+def _registered(registry: Any) -> Callable[[Any, str], Any]:
+    """Axis points naming a registry entry."""
 
-    Each point is validated eagerly through ArrivalSpec so a typo'd
-    process name fails at expand time, not mid-campaign.
-    """
-    if arrival is None:
-        return [None]
-    points: list[Any] = (
-        [arrival] if isinstance(arrival, dict) else list(arrival)
-    )
-    if not points:
-        raise BenchmarkError("scenario axis 'arrival' is empty")
-    for point in points:
-        ArrivalSpec.from_dict(point)  # raises on bad shape/values
-    return points
+    def point(value: Any, key: str) -> Any:
+        check_value(value, str, f"scenario axis {key!r}")
+        registry.get(value)  # raises with the available names
+        return value
+
+    return point
+
+
+def _object(value: Any, key: str) -> dict[str, Any]:
+    if not isinstance(value, dict):
+        raise BenchmarkError(
+            f"each {key!r} axis point must be an object; got {value!r}"
+        )
+    return value
+
+
+def _arrival(value: Any, key: str) -> dict[str, Any]:
+    ArrivalSpec.from_dict(value)  # raises on bad shape/values
+    return value
+
+
+def _faults(value: Any, key: str) -> FaultSchedule:
+    return build_fault_schedule(_object(value, key))
+
+
+@dataclass(frozen=True)
+class _Axis:
+    """One sweep axis of :class:`ScenarioSpec`."""
+
+    #: ScenarioSpec field, and the scenario-JSON key.
+    key: str
+    #: The ExperimentSpec field each point sets.
+    field: str
+    #: Validates and coerces one point, naming the axis on error.
+    point: Callable[[Any, str], Any]
+    #: Grid-point label, used when the axis has more than one point.
+    label: Callable[[Any], str] | None = None
+    #: The name SuiteResult.lookup()/one() accept for ``field``.
+    lookup: str | None = None
+
+
+#: Every axis, in grid order: ``expand`` takes the cartesian product in
+#: this order, so it fixes the order of the expanded specs.
+_AXES = (
+    _Axis("platforms", "platform", _registered(PLATFORMS)),
+    _Axis("workloads", "workload", _registered(WORKLOADS)),
+    _Axis("overrides", "config_overrides", _object, _overrides_label),
+    _Axis("arrival", "arrival", _arrival,
+          lambda arrival: _overrides_label({"arrival": arrival})),
+    _Axis("faults", "faults", _faults, _faults_label),
+    _Axis("servers", "n_servers", _typed(int), lookup="servers"),
+    _Axis("clients", "n_clients", _typed(int), lookup="clients"),
+    _Axis("rates", "request_rate_tx_s", _typed(float), lookup="rate"),
+    _Axis("durations", "duration_s", _typed(float), lookup="duration"),
+    _Axis("seeds", "seed", _typed(int)),
+    _Axis("poll_intervals", "poll_interval_s", _typed(float),
+          lookup="poll_interval"),
+    _Axis("threads_per_client", "threads_per_client", _typed(int),
+          lookup="threads"),
+    _Axis("retry_intervals", "retry_interval_s", _typed(float),
+          lookup="retry_interval"),
+    _Axis("read_ratios", "read_ratio", _typed(float),
+          lambda ratio: f"rr={ratio:g}"),
+)
+
+#: SuiteResult.lookup() names that differ from the ExperimentSpec field.
+_LOOKUP = {axis.lookup: axis.field for axis in _AXES if axis.lookup}
 
 
 @dataclass
@@ -252,62 +263,58 @@ class ScenarioSpec:
     """One named experiment grid over the paper's sweep axes.
 
     Every axis accepts either a scalar or a list of values; the grid is
-    the cartesian product of all axes. ``clients=None`` (the default)
-    pins clients to the servers axis point-by-point — the paper's
-    "clients = servers" scalability setup (Figure 7).
+    the cartesian product of all axes (see ``_AXES``). ``clients=None``
+    (the default) pins clients to the servers axis point-by-point — the
+    paper's "clients = servers" scalability setup (Figure 7).
 
-    ``configs`` is a Python-API-only axis of ``(label, platform
-    config)`` pairs for block-size-style knob sweeps (Figure 15);
-    ``overrides`` is its JSON-expressible sibling — a platform-knob
-    dict (or a list of them, making it an axis) applied on top of the
-    platform's config per grid point, e.g.
-    ``{"pbft": {"batch_size": 250}}``; ``faults`` is a JSON-shaped
+    ``overrides`` is a platform-knob dict (or a list of them, making it
+    an axis) applied on top of the platform's config per grid point,
+    e.g. ``{"pbft": {"batch_size": 250}}``; ``faults`` is a JSON-shaped
     dict (see :func:`build_fault_schedule`) instantiated freshly for
-    every grid point.
+    every grid point. The non-axis fields that share a name with an
+    ExperimentSpec field are copied into every grid point.
     """
 
     name: str = "scenario"
-    platforms: Sequence[str] | str = ("hyperledger",)
-    workloads: Sequence[str] | str = ("ycsb",)
-    servers: Sequence[int] | int = (8,)
+    platforms: Sequence[str] | str = (ExperimentSpec.platform,)
+    workloads: Sequence[str] | str = (ExperimentSpec.workload,)
+    servers: Sequence[int] | int = (ExperimentSpec.n_servers,)
     clients: Sequence[int] | int | None = None
-    rates: Sequence[float] | float = (100.0,)
+    rates: Sequence[float] | float = (ExperimentSpec.request_rate_tx_s,)
     durations: Sequence[float] | float = (30.0,)
-    seeds: Sequence[int] | int = (42,)
-    #: Driver-knob axes (scalar or list, like every other axis): the
-    #: getLatestBlock poll period, worker threads per client, and the
-    #: rejected-submission retry backoff. Sweeping them turns client
-    #: tuning (Section 3.3's "threads per client") into grid points.
-    #: Defaults come from DriverConfig — the single source of truth.
-    poll_intervals: Sequence[float] | float = (DriverConfig.poll_interval_s,)
-    threads_per_client: Sequence[int] | int = (DriverConfig.threads_per_client,)
-    retry_intervals: Sequence[float] | float = (DriverConfig.retry_interval_s,)
-    #: Read-fraction axis (scalar or list): each point maps onto the
-    #: workload's native mix knobs via ``Workload.read_ratio_params``
-    #: (YCSB read/update proportions, Smallbank balance weight). None
-    #: keeps each workload's native mix.
+    seeds: Sequence[int] | int = (ExperimentSpec.seed,)
+    #: Driver-knob axes: the getLatestBlock poll period, worker threads
+    #: per client, and the rejected-submission retry backoff. Sweeping
+    #: them turns client tuning (Section 3.3's "threads per client")
+    #: into grid points.
+    poll_intervals: Sequence[float] | float = (ExperimentSpec.poll_interval_s,)
+    threads_per_client: Sequence[int] | int = (ExperimentSpec.threads_per_client,)
+    retry_intervals: Sequence[float] | float = (ExperimentSpec.retry_interval_s,)
+    #: Read-fraction axis: each point maps onto the workload's native
+    #: mix knobs via ``Workload.read_ratio_params`` (YCSB read/update
+    #: proportions, Smallbank balance weight). None keeps each
+    #: workload's native mix.
     read_ratios: Sequence[float] | float | None = None
     workload_params: dict[str, Any] = field(default_factory=dict)
-    blocking: bool = False
-    subscribe: bool = False
+    blocking: bool = ExperimentSpec.blocking
+    subscribe: bool = ExperimentSpec.subscribe
     #: Client-side failover on RPC timeout (crash-recovery scenarios);
     #: a scalar knob, not an axis. See DriverConfig.failover.
-    failover: bool = False
-    max_backoff_s: float = DriverConfig.max_backoff_s
-    with_monitor: bool = False
-    drain_s: float = 5.0
+    failover: bool = ExperimentSpec.failover
+    max_backoff_s: float = ExperimentSpec.max_backoff_s
+    with_monitor: bool = ExperimentSpec.with_monitor
+    drain_s: float = ExperimentSpec.drain_s
     #: JSON-shaped fault schedule (see :func:`build_fault_schedule`):
     #: one dict applies to every grid point; a list of dicts is an axis
     #: — one grid point per schedule, labelled compactly (e.g.
     #: ``byz=equivocate:2``) — which is how fault-tolerance sweeps like
     #: "throughput vs number of byzantine nodes" are expressed.
     faults: dict[str, Any] | Sequence[dict[str, Any]] | None = None
-    configs: Sequence[tuple[str, Any]] | None = None
-    #: Platform-config knob overrides, JSON-expressible: one dict
-    #: applies to every grid point; a list of dicts is an axis (one
-    #: grid point per dict, labelled from its flattened keys). Nested
-    #: dicts address nested config dataclasses; see
-    #: :func:`repro.config.apply_overrides`.
+    #: Platform-config knob overrides: one dict applies to every grid
+    #: point; a list of dicts is an axis (one grid point per dict,
+    #: labelled from its flattened keys). Nested dicts address nested
+    #: config dataclasses; see :func:`repro.config.apply_overrides`.
+    #: Checked against every platform of the grid at expand time.
     overrides: dict[str, Any] | Sequence[dict[str, Any]] | None = None
     #: Open-loop arrival process: ``{"process": "poisson", "rate":
     #: 5000, "accounts": 100000, "zipf_s": 1.1}`` switches every grid
@@ -316,147 +323,80 @@ class ScenarioSpec:
     arrival: dict[str, Any] | Sequence[dict[str, Any]] | None = None
     #: Latency-sample reservoir bound for every grid point (0 = keep
     #: every sample). See StatsCollector.
-    stats_reservoir: int = 0
+    stats_reservoir: int = ExperimentSpec.stats_reservoir
     #: Record lifecycle stage timestamps (repro.core.trace) and attach
     #: a StageBreakdown to every grid point's summary. Not an axis: the
     #: timeline is identical either way, so sweeping it would duplicate
     #: grid points.
-    trace_stages: bool = True
+    trace_stages: bool = ExperimentSpec.trace_stages
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "ScenarioSpec":
         """Build a spec from JSON data, rejecting unknown keys."""
-        known = {f.name for f in fields(cls)} - {"configs"}
+        known = {f.name for f in fields(cls)}
         unknown = set(data) - known
         if unknown:
             raise BenchmarkError(
                 f"unknown scenario keys {sorted(unknown)}; "
                 f"expected a subset of {sorted(known)}"
-                + (
-                    " (the 'configs' axis holds platform config objects "
-                    "and is only available from the Python API)"
-                    if "configs" in unknown
-                    else ""
-                )
             )
         return cls(**data)
 
+    def _points(self, axis: _Axis) -> list:
+        """The validated points of one axis: a scalar is a one-point
+        axis, a list is the axis; ``[None]`` when unset."""
+        value = getattr(self, axis.key)
+        if value is None:
+            return [None]
+        points = list(value) if isinstance(value, (list, tuple)) else [value]
+        if not points:
+            raise BenchmarkError(f"scenario axis {axis.key!r} is empty")
+        return [axis.point(point, axis.key) for point in points]
+
     def expand(self) -> list[ExperimentSpec]:
         """Cartesian product of all axes, one ExperimentSpec per point."""
-        # Imported here to trigger registration of the built-ins; the
-        # registry itself is a leaf module.
-        from ..registry import PLATFORMS, WORKLOADS
+        # Imported here to trigger registration of the built-ins.
         from .. import platforms as _platforms  # noqa: F401
         from .. import workloads as _workloads  # noqa: F401
 
-        for platform in _axis(self.platforms, "platforms"):
-            PLATFORMS.get(platform)  # raises with available names
-        for workload in _axis(self.workloads, "workloads"):
-            WORKLOADS.get(workload)
-
-        configs = list(self.configs) if self.configs is not None else [("", None)]
-        overrides_axis = _overrides_axis(self.overrides)
-        arrival_axis = _arrival_axis(self.arrival)
-        faults_axis = _faults_axis(self.faults)
-        clients_axis = (
-            _axis(self.clients, "clients") if self.clients is not None else [None]
-        )
-        read_ratio_axis = (
-            [float(v) for v in _axis(self.read_ratios, "read_ratios")]
-            if self.read_ratios is not None
-            else [None]
-        )
+        grid = [(axis, self._points(axis)) for axis in _AXES]
+        points = {axis.key: axis_points for axis, axis_points in grid}
+        for platform in points["platforms"]:
+            for overrides in points["overrides"]:
+                if overrides:
+                    PLATFORMS.get(platform).make_config(overrides=overrides)
+        shared = {name: getattr(self, name) for name in _SHARED}
         specs: list[ExperimentSpec] = []
-        for platform, workload, (label, config), overrides, arrival, \
-                fault_spec, servers, clients, rate, duration, seed, \
-                poll_interval, threads, retry_interval, \
-                read_ratio in itertools.product(
-            _axis(self.platforms, "platforms"),
-            _axis(self.workloads, "workloads"),
-            configs,
-            overrides_axis,
-            arrival_axis,
-            faults_axis,
-            _axis(self.servers, "servers"),
-            clients_axis,
-            _axis(self.rates, "rates"),
-            _axis(self.durations, "durations"),
-            _axis(self.seeds, "seeds"),
-            _axis(self.poll_intervals, "poll_intervals"),
-            _axis(self.threads_per_client, "threads_per_client"),
-            _axis(self.retry_intervals, "retry_intervals"),
-            read_ratio_axis,
-        ):
-            # The overrides label only disambiguates when overrides
-            # actually form an axis; a single campaign-wide dict would
-            # just repeat the same text on every row.
-            point_label = label
-            if overrides and len(overrides_axis) > 1:
-                olabel = _overrides_label(overrides)
-                point_label = f"{label},{olabel}" if label else olabel
-            if arrival is not None and len(arrival_axis) > 1:
-                alabel = _overrides_label({"arrival": arrival})
-                point_label = (
-                    f"{point_label},{alabel}" if point_label else alabel
-                )
-            if fault_spec is not None and len(faults_axis) > 1:
-                flabel = _faults_label(fault_spec)
-                point_label = (
-                    f"{point_label},{flabel}" if point_label else flabel
-                )
-            if read_ratio is not None and len(read_ratio_axis) > 1:
-                rlabel = f"rr={read_ratio:g}"
-                point_label = (
-                    f"{point_label},{rlabel}" if point_label else rlabel
-                )
+        for combo in itertools.product(*points.values()):
+            kwargs = dict(shared)
+            labels = []
+            for (axis, axis_points), point in zip(grid, combo):
+                # An unset axis leaves the spec field at its default.
+                if point is None:
+                    continue
+                kwargs[axis.field] = point
+                if axis.label is not None and len(axis_points) > 1:
+                    labels.append(axis.label(point))
+            kwargs.setdefault("n_clients", kwargs["n_servers"])
             specs.append(
                 ExperimentSpec(
-                    platform=platform,
-                    workload=workload,
-                    workload_params=dict(self.workload_params),
-                    n_servers=int(servers),
-                    n_clients=int(servers if clients is None else clients),
-                    request_rate_tx_s=float(rate),
-                    duration_s=float(duration),
-                    seed=int(seed),
-                    poll_interval_s=float(poll_interval),
-                    threads_per_client=int(threads),
-                    retry_interval_s=float(retry_interval),
-                    failover=self.failover,
-                    max_backoff_s=self.max_backoff_s,
-                    blocking=self.blocking,
-                    subscribe=self.subscribe,
-                    with_monitor=self.with_monitor,
-                    faults=(
-                        build_fault_schedule(fault_spec)
-                        if fault_spec is not None
-                        else None
-                    ),
-                    config=config,
-                    config_overrides=dict(overrides),
-                    arrival=dict(arrival) if arrival is not None else None,
-                    stats_reservoir=self.stats_reservoir,
-                    read_ratio=read_ratio,
-                    trace_stages=self.trace_stages,
-                    drain_s=self.drain_s,
+                    # No two grid points share a mutable value: a fault
+                    # schedule in particular is armed per run.
+                    **copy.deepcopy(kwargs),
                     scenario=self.name,
-                    label=point_label,
+                    label=",".join(filter(None, labels)),
                 )
             )
         return specs
 
 
-#: Axis aliases accepted by SuiteResult.lookup()/one(), mapping the
-#: scenario-file vocabulary onto ExperimentSpec attribute names.
-_LOOKUP_ALIASES = {
-    "servers": "n_servers",
-    "clients": "n_clients",
-    "rate": "request_rate_tx_s",
-    "duration": "duration_s",
-    "poll_interval": "poll_interval_s",
-    "threads": "threads_per_client",
-    "retry_interval": "retry_interval_s",
-}
+#: Scenario fields copied verbatim into every grid point: those named
+#: like an ExperimentSpec field that are not an axis.
+_SHARED = tuple(
+    f.name for f in fields(ScenarioSpec)
+    if f.name in {g.name for g in fields(ExperimentSpec)}
+    and f.name not in {axis.key for axis in _AXES}
+)
 
 GRID_HEADERS = [
     "scenario",
@@ -512,11 +452,12 @@ class SuiteResult:
         for result in self.results:
             spec = result.spec
             for key, expected in criteria.items():
-                attr = _LOOKUP_ALIASES.get(key, key)
+                attr = _LOOKUP.get(key, key)
                 if not hasattr(spec, attr):
+                    names = {f.name for f in fields(ExperimentSpec)} | set(_LOOKUP)
                     raise BenchmarkError(
                         f"unknown lookup axis {key!r}; expected one of "
-                        f"{sorted([f.name for f in fields(ExperimentSpec)] + list(_LOOKUP_ALIASES))}"
+                        f"{sorted(names)}"
                     )
                 if getattr(spec, attr) != expected:
                     break
@@ -613,7 +554,7 @@ class SuiteResult:
             breakdown = summary.stage_breakdown
             if breakdown is not None:
                 runs[-1]["dominant_stage"] = breakdown.dominant_stage()
-                runs[-1]["stage_breakdown"] = dataclasses.asdict(breakdown)
+                runs[-1]["stage_breakdown"] = asdict(breakdown)
             if summary.recovery_time_s:
                 runs[-1]["recovery_time_s"] = summary.recovery_time_s
                 runs[-1]["sync_requests"] = summary.sync_requests

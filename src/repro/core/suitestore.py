@@ -35,7 +35,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import asdict, fields, is_dataclass
+from dataclasses import asdict, fields
 from pathlib import Path
 from typing import TYPE_CHECKING, Any
 
@@ -66,33 +66,6 @@ MANIFEST_SCHEMA = "blockbench-suite/1"
 # ---------------------------------------------------------------------------
 # Canonical spec serialization and hashing
 # ---------------------------------------------------------------------------
-def _canonical_config(config: Any) -> Any:
-    """JSON-stable form of a platform config for hashing/bookkeeping.
-
-    Dataclass configs (the presets) serialize as their field tree plus
-    a type tag, so two classes with coincidentally equal fields hash
-    apart. Plain JSON values pass through. Anything else has no stable
-    textual form (default ``repr`` embeds object identity), so it is
-    rejected — resumable suites should express knobs as JSON
-    ``overrides`` instead.
-    """
-    if config is None:
-        return None
-    if is_dataclass(config) and not isinstance(config, type):
-        return {"__type__": type(config).__qualname__, **asdict(config)}
-    if isinstance(config, (str, int, float, bool)):
-        return config
-    if isinstance(config, dict):
-        return {str(k): _canonical_config(v) for k, v in config.items()}
-    if isinstance(config, (list, tuple)):
-        return [_canonical_config(v) for v in config]
-    raise BenchmarkError(
-        f"config of type {type(config).__name__!r} has no stable "
-        "serialization; resumable suites need dataclass configs or "
-        "JSON 'overrides'"
-    )
-
-
 def _canonical_faults(faults: Any) -> dict[str, Any] | None:
     """JSON-shaped fault schedule, minus runtime state."""
     if faults is None:
@@ -123,21 +96,6 @@ def _canonical_faults(faults: Any) -> dict[str, Any] | None:
     return data
 
 
-#: Spec fields added after the run-file schema shipped. At their
-#: defaults they are *omitted* from the canonical dict, so every spec
-#: hash computed before they existed stays valid (committed baselines,
-#: resumable result directories); a non-default value enters the dict
-#: and hashes the run apart, as any real axis must.
-_OPTIONAL_SPEC_FIELDS: dict[str, Any] = {
-    "arrival": None,
-    "stats_reservoir": 0,
-    "read_ratio": None,
-    "trace_stages": True,
-    "failover": False,
-    "max_backoff_s": 2.0,
-}
-
-
 def spec_to_dict(spec: ExperimentSpec) -> dict[str, Any]:
     """Every field of ``spec`` as JSON-serializable values.
 
@@ -149,19 +107,17 @@ def spec_to_dict(spec: ExperimentSpec) -> dict[str, Any]:
         value = getattr(spec, field_.name)
         if field_.name == "faults":
             value = _canonical_faults(value)
-        elif field_.name == "config":
-            value = _canonical_config(value)
-        if (
-            field_.name in _OPTIONAL_SPEC_FIELDS
-            and value == _OPTIONAL_SPEC_FIELDS[field_.name]
-        ):
+        if field_.metadata.get("omit_at_default") and value == field_.default:
             continue
         data[field_.name] = value
+        # Run-file schema/1 constants, each at the position its field
+        # held: there is one client implementation and no platform
+        # config object any more, but every spec hash, committed
+        # baseline and pinned digest includes these pairs.
         if field_.name == "retry_interval_s":
-            # Run-file schema/1 constant (there is one client
-            # implementation): every spec hash, committed baseline and
-            # pinned digest includes this pair, at this position.
             data["client_mode"] = "coroutine"
+        elif field_.name == "faults":
+            data["config"] = None
     return data
 
 
@@ -241,10 +197,10 @@ def result_from_dict(
 
     ``spec`` is the *live* spec the suite expanded (the file was found
     by its hash), so lookups over a resumed ``SuiteResult`` compare
-    against real objects — including config instances and fault
-    schedules the JSON form only approximates. The rebuilt stats
-    collector carries the counters but not per-transaction latencies
-    (see :func:`result_to_dict`).
+    against real objects — including fault schedules, which the JSON
+    form only approximates. The rebuilt stats collector carries the
+    counters but not per-transaction latencies (see
+    :func:`result_to_dict`).
     """
     summary_data = dict(data["summary"])
     breakdown = summary_data.get("stage_breakdown")

@@ -13,7 +13,7 @@ from repro.core import (
     run_experiment,
     spec_hash,
 )
-from repro.core.scenario import ScenarioSpec, _faults_axis, _faults_label
+from repro.core.scenario import ScenarioSpec, _faults_label, build_fault_schedule
 from repro.core.suitestore import _canonical_faults
 from repro.errors import BenchmarkError
 from repro.platforms import build_cluster
@@ -251,30 +251,39 @@ def test_byzantine_runs_are_deterministic():
 # Scenario axis + labels, spec-hash stability
 # ---------------------------------------------------------------------------
 def test_faults_label_shapes():
-    assert _faults_label({}) == "no-faults"
+    def label(faults):
+        return _faults_label(build_fault_schedule(faults))
+
+    assert label({}) == "no-faults"
+    window = {"at_time": 1.0, "until_time": 2.0}
     assert (
-        _faults_label({"byzantines": [{"behavior": "equivocate", "count": 2}]})
+        label({"byzantines": [{**window, "behavior": "equivocate", "count": 2}]})
         == "byz=equivocate:2"
     )
     assert (
-        _faults_label({"byzantines": [{"nodes": ["server-0", "server-1"]}]})
+        label({"byzantines": [{**window, "nodes": ["server-0", "server-1"]}]})
         == "byz=equivocate:2"
     )
     assert (
-        _faults_label({"crashes": [{"count": 1}], "delays": [{"extra_s": 0.5}]})
+        label({"crashes": [{"at_time": 1.0, "count": 1}],
+               "delays": [{**window, "extra_s": 0.5}]})
         == "crash=1,delay=0.5s"
     )
 
 
 def test_faults_axis_validation():
-    assert _faults_axis(None) == [None]
-    assert _faults_axis({"crashes": []}) == [{"crashes": []}]
+    def expand(faults):
+        return ScenarioSpec(servers=4, rates=10, faults=faults).expand()
+
+    assert [spec.faults for spec in expand(None)] == [None]
+    assert [spec.faults for spec in expand({"crashes": []})] == [FaultSchedule()]
     with pytest.raises(BenchmarkError):
-        _faults_axis([])
+        expand([])
     with pytest.raises(BenchmarkError):
-        _faults_axis(["not-a-dict"])
+        expand(["not-a-dict"])
     with pytest.raises(BenchmarkError):
-        _faults_axis([{"byzantines": [{"behavior": "bogus"}]}])
+        expand([{"byzantines": [{"at_time": 1.0, "until_time": 2.0,
+                                 "behavior": "bogus"}]}])
 
 
 def test_scenario_faults_axis_expands_to_grid_points():

@@ -1,6 +1,9 @@
 """Scenario-engine tests: grid expansion, suite execution, merging."""
 
 import json
+import re
+from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
@@ -68,12 +71,14 @@ def test_seed_axis_produces_one_run_per_seed():
 
 
 def test_config_axis_carries_labels():
+    """A platform-config sweep (Figure 15's block size) is an overrides
+    axis: each point is labelled with its flattened knob."""
     spec = ScenarioSpec(
         platforms="hyperledger", servers=4, rates=10,
-        configs=[("knob-a", None), ("knob-b", None)],
+        overrides=[{"pbft": {"batch_size": batch}} for batch in (250, 500)],
     )
     labels = [s.label for s in spec.expand()]
-    assert labels == ["knob-a", "knob-b"]
+    assert labels == ["pbft.batch_size=250", "pbft.batch_size=500"]
 
 
 def test_overrides_axis_expands_with_labels():
@@ -125,16 +130,40 @@ def test_overrides_axis_rejects_bad_points():
         ScenarioSpec(overrides=[]).expand()
     with pytest.raises(BenchmarkError, match="must be an object"):
         ScenarioSpec(overrides=["batch_size=100"]).expand()
+    # Each point is resolved against every platform of the grid at
+    # expand time, so a bad knob fails before any run, by its path.
+    for overrides, error in (
+        ({"pbft": {"batch_sise": 5}},
+         r"overrides\.pbft\.batch_sise: unknown config field 'batch_sise'"),
+        ({"pbft": {"batch_size": "500"}},
+         r"overrides\.pbft\.batch_size: expected int, got '500'"),
+        ({"pbft": 7}, r"overrides\.pbft: expected PBFTConfig, got 7"),
+    ):
+        with pytest.raises(BenchmarkError, match=error):
+            ScenarioSpec(platforms="hyperledger", overrides=overrides).expand()
+    # Valid on one platform of the grid is not enough.
+    with pytest.raises(BenchmarkError, match="for EthereumConfig"):
+        ScenarioSpec(
+            platforms=["hyperledger", "ethereum"],
+            overrides={"pbft": {"batch_size": 250}},
+        ).expand()
+    # None is a value only where the knob declares it (unbounded inbox).
+    ScenarioSpec(platforms="hyperledger", overrides={"inbox_capacity": None}).expand()
 
 
-def test_overrides_combine_with_configs_axis_labels():
+def test_overrides_label_combines_with_faults_axis_label():
     spec = ScenarioSpec(
         platforms="hyperledger", servers=4, rates=10,
-        configs=[("base", None)],
         overrides=[{"inbox_capacity": 650}, {"inbox_capacity": 1300}],
+        faults=[{}, {"crashes": [{"at_time": 5.0, "count": 1}]}],
     )
     labels = [s.label for s in spec.expand()]
-    assert labels == ["base,inbox_capacity=650", "base,inbox_capacity=1300"]
+    assert labels == [
+        "inbox_capacity=650,no-faults",
+        "inbox_capacity=650,crash=1",
+        "inbox_capacity=1300,no-faults",
+        "inbox_capacity=1300,crash=1",
+    ]
 
 
 def test_fault_dict_expands_to_fresh_schedule_per_point():
@@ -201,21 +230,75 @@ def test_empty_axis_rejected():
         ScenarioSpec(rates=[]).expand()
 
 
+@pytest.mark.parametrize(
+    "key, value, error",
+    [
+        ("rates", "fast", "scenario axis 'rates': expected float, got 'fast'"),
+        ("seeds", 1.5, "scenario axis 'seeds': expected int, got 1.5"),
+        ("servers", [4, 2.5], "scenario axis 'servers': expected int, got 2.5"),
+        ("durations", True, "scenario axis 'durations': expected float, got True"),
+        ("platforms", 7, "scenario axis 'platforms': expected str, got 7"),
+    ],
+)
+def test_mistyped_scalar_axes_fail_at_expand(key, value, error):
+    """Neither a raw ValueError from a coercion nor a silent int()
+    truncation: the axis is named."""
+    with pytest.raises(BenchmarkError, match=error):
+        ScenarioSpec.from_dict({key: value}).expand()
+
+
 def test_from_dict_rejects_unknown_keys():
     with pytest.raises(BenchmarkError, match="unknown scenario keys"):
         ScenarioSpec.from_dict({"platfroms": ["hyperledger"]})
 
 
-def test_from_dict_rejects_python_only_configs_axis():
-    with pytest.raises(BenchmarkError, match="only available from the Python API"):
-        ScenarioSpec.from_dict({"configs": [["knob", {"batch_size": 100}]]})
-
-
 def test_build_fault_schedule_rejects_unknown_kinds():
     with pytest.raises(BenchmarkError, match="unknown fault kinds"):
         build_fault_schedule({"meteors": []})
-    with pytest.raises(BenchmarkError, match="bad crashes entry"):
+    with pytest.raises(BenchmarkError, match=r"faults\.crashes\[0\]: bad crashes entry"):
         build_fault_schedule({"crashes": [{"at": 1}]})
+
+
+@pytest.mark.parametrize(
+    "faults, error",
+    [
+        ({"crashes": [{"at_time": "0.5", "count": 1}]},
+         r"faults\.crashes\[0\]\.at_time: expected float, got '0\.5'"),
+        ({"crashes": [{"at_time": 1.0, "count": 1.5}]},
+         r"faults\.crashes\[0\]\.count: expected int \| None, got 1\.5"),
+        ({"crashes": [{"at_time": 1.0, "nodes": "server-0"}]},
+         r"faults\.crashes\[0\]\.nodes: expected list\[str\] \| None"),
+        ({"byzantines": [{"at_time": 1, "until_time": 2}, {"at_time": 1, "until_time": "2"}]},
+         r"faults\.byzantines\[1\]\.until_time: expected float"),
+        ({"delays": {"at_time": 1}}, r"faults\.delays: expected list"),
+        ({"partitions": [3]}, r"faults\.partitions\[0\]: expected dict, got 3"),
+    ],
+)
+def test_build_fault_schedule_type_checks_entries(faults, error):
+    """A mistyped entry fails with its path, not later in the scheduler
+    (``'<' not supported between 'str' and 'float'``)."""
+    with pytest.raises(BenchmarkError, match=error):
+        build_fault_schedule(faults)
+    with pytest.raises(BenchmarkError, match=error):
+        ScenarioSpec(faults=[{}, faults]).expand()
+
+
+def test_build_fault_schedule_accepts_ints_and_nulls():
+    schedule = build_fault_schedule(
+        {"crashes": [{"at_time": 5, "count": None, "nodes": ["server-1"],
+                      "recover_at": 9, "recovery_mode": "cold"}]}
+    )
+    assert schedule.crashes[0].nodes == ["server-1"]
+    assert schedule.crashes[0].recover_at == 9
+
+
+def test_readme_scenario_key_table_lists_every_key():
+    """The README's scenario-key table documents exactly the JSON keys
+    ``ScenarioSpec.from_dict`` accepts (the ScenarioSpec fields)."""
+    readme = (Path(__file__).resolve().parents[2] / "README.md").read_text()
+    section = readme.split("\n## Scenario suites\n", 1)[1].split("\n### ", 1)[0]
+    documented = set(re.findall(r"^\| `(\w+)` \|", section, re.MULTILINE))
+    assert documented == {f.name for f in fields(ScenarioSpec)}
 
 
 # ----------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Suite lifecycle tests: spec hashing, the result store, and resume."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -17,7 +18,6 @@ from repro.core import (
 )
 from repro.core.faults import CrashFault, FaultSchedule
 from repro.core.suitestore import RUN_SCHEMA, spec_to_dict
-from repro.config import hyperledger_config
 from repro.errors import BenchmarkError
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
@@ -90,19 +90,91 @@ def test_spec_hash_ignores_fault_runtime_state():
     )
 
 
-def test_spec_hash_covers_dataclass_configs():
-    small = ExperimentSpec(config=hyperledger_config())
-    big = ExperimentSpec(
-        config=hyperledger_config(inbox_capacity=1300)
-    )
-    assert spec_hash(small) != spec_hash(big)
-    # The canonical dict carries a type tag alongside the fields.
-    assert spec_to_dict(small)["config"]["__type__"] == "HyperledgerConfig"
+def test_spec_dict_keeps_the_config_constant():
+    """Platform knobs travel as ``config_overrides`` only; the
+    ``"config": null`` pair right after ``faults`` is a run-file
+    schema/1 constant, so every spec hash and run file stands."""
+    keys = list(spec_to_dict(ExperimentSpec()))
+    assert keys[keys.index("faults") + 1] == "config"
+    assert spec_to_dict(ExperimentSpec())["config"] is None
+    assert not hasattr(ExperimentSpec(), "config")
 
 
-def test_spec_hash_rejects_unserializable_config():
-    with pytest.raises(BenchmarkError, match="no stable serialization"):
-        spec_hash(ExperimentSpec(config=object()))
+#: (name, spec, spec_hash, sha256 of the spec dict's JSON in insertion
+#: order — the byte order of run files), captured before the platform
+#: config object left ExperimentSpec.
+SPEC_PINS = [
+    ("default", ExperimentSpec(),
+     "9f9e36779f700672",
+     "5750c7986acabadd77fa50ef81156deeaadfb1bcbe57c80983d87153f77eb5c3"),
+    ("arrival", ExperimentSpec(arrival={"process": "poisson", "rate": 500.0}),
+     "726bf4432346f5e5",
+     "fb450fb2d9cdccd1a2f70c4dd6e456d5cfc3baefa87d1a34a752e621ec415a6b"),
+    ("stats_reservoir", ExperimentSpec(stats_reservoir=1000),
+     "3086a8f5c80e3e11",
+     "d5698bf776d48d38b81af832384c64071c3942b5e8c9cbdc5c072f418c7aa941"),
+    ("read_ratio", ExperimentSpec(read_ratio=0.25),
+     "d1d799d0ce677840",
+     "7fad8ac72d7df69af12404114f2c122dafd16ba9f5baff6cdfc3f857affe4bfb"),
+    ("trace_stages", ExperimentSpec(trace_stages=False),
+     "c2494738c62a1f8b",
+     "02673ff94e40100442269517672ed23a11416de66115d67d24b9373dc4da7753"),
+    ("failover", ExperimentSpec(failover=True),
+     "026998cd56e4895e",
+     "147e252a77693ceb9332fe6b896f02bde0b1ec883210dfc92a88089b0f556f4e"),
+    ("max_backoff_s", ExperimentSpec(max_backoff_s=4.0),
+     "10b1aff7aa354e97",
+     "fd7329da94ad41c9cd57ea6d622aa8b266c8422781f0367e53d93de8f0ff6757"),
+    ("config_overrides", ExperimentSpec(
+        config_overrides={"pbft": {"batch_size": 250}, "inbox_capacity": 1300}),
+     "90fd3fe1fc21d4d2",
+     "c06ac45fd317f3a02ddd9a9e6e76603091a5d9c54f0e44da4756b81b6f7171f0"),
+    ("crash_recovery", ExperimentSpec(
+        n_servers=4, failover=True,
+        faults=FaultSchedule(crashes=[CrashFault(
+            at_time=5.0, count=1, recover_at=9.0, recovery_mode="cold")])),
+     "e0422d747b88ecad",
+     "86d61b2910105abfd03a834c904b91d50da361e84ece82b3753353b839bc30e7"),
+]
+
+
+@pytest.mark.parametrize(
+    "spec, hash_, body", [pin[1:] for pin in SPEC_PINS],
+    ids=[pin[0] for pin in SPEC_PINS],
+)
+def test_spec_shape_is_pinned(spec, hash_, body):
+    assert spec_hash(spec) == hash_
+    assert hashlib.sha256(json.dumps(spec_to_dict(spec)).encode()).hexdigest() == body
+
+
+#: sha256 over each example scenario file's expanded ``[[spec_hash,
+#: label], ...]`` list, captured before the axis table replaced the
+#: hand-written expansion.
+EXAMPLE_PINS = {
+    "blocksize_overrides.json": "233b927e38c47675acf9d860ff88311ae420cda17dda55fa538976d301c436cc",
+    "bottleneck_sweep.json": "6eaa4290f1bd69993f674df25da8708d8fcb7b4bda883a555633280d4daa4aef",
+    "byzantine_smoke.json": "d14c38ffa09563843de5150dba5297dc8d15b9907129b4ac7c164e74dc530761",
+    "byzantine_sweep.json": "0df06356ecb9e6a62c02cc947ce6eeb1cd305ce533d58dc66c31b59de7341f40",
+    "ci_smoke.json": "8ff259438c3f6f2f6162de94289f5b4e079db630d2f580203c25523e729862d9",
+    "crash_recovery_sweep.json": "a6cf24728f983e2a6777413699fd78ea3162b18b4a436e69499289ddc19c63ad",
+    "determinism_smoke.json": "b6ba3530cbf6fc7e73e48a24d72423ea0354760046d5bd9bf3c1a50eea0020aa",
+    "fault_tolerance.json": "dc47a8c3677808cffaf352cac6af554dc479fc18f3566020acbaac3a7323d9b6",
+    "openloop_100k.json": "2feb85e6b3fe759766320d404747359d920abdbb09793a516702dd9f554aeb46",
+    "parallel_exec_sweep.json": "6977fce504c98b6af1abc9ac2409948061bc5bf485adc31430520bece6d34a1c",
+    "peak_sweep.json": "dad356198f1c8e1a2d004d57b7187ceb71737447232376d0161eeaaacd7db095",
+}
+
+
+def test_every_example_scenario_is_pinned():
+    names = {path.name for path in (REPO_ROOT / "examples" / "scenarios").glob("*.json")}
+    assert names == set(EXAMPLE_PINS)
+
+
+@pytest.mark.parametrize("name", sorted(EXAMPLE_PINS))
+def test_example_scenario_expansion_is_pinned(name):
+    suite = ScenarioSuite.from_file(REPO_ROOT / "examples" / "scenarios" / name)
+    points = [[spec_hash(spec), spec.label] for spec in suite.expand()]
+    assert hashlib.sha256(json.dumps(points).encode()).hexdigest() == EXAMPLE_PINS[name]
 
 
 def test_override_axis_points_hash_apart():

@@ -269,6 +269,35 @@ def test_suite_missing_file_fails_cleanly(tmp_path, capsys):
     assert "scenario file not found" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "scenario, where",
+    [
+        ({"rates": "fast"}, "scenario axis 'rates'"),
+        ({"seeds": 1.5}, "scenario axis 'seeds'"),
+        ({"servers": 2.5}, "scenario axis 'servers'"),
+        ({"overrides": {"pbft": {"batch_size": "500"}}},
+         "overrides.pbft.batch_size"),
+        ({"overrides": {"pbft": 7}}, "overrides.pbft"),
+        ({"faults": {"crashes": [{"at_time": "0.5", "count": 1}]}},
+         "faults.crashes[0].at_time"),
+    ],
+)
+def test_suite_mistyped_values_fail_cleanly(tmp_path, capsys, scenario, where):
+    """A mistyped scenario value exits 2 with one ``error:`` line naming
+    it, before anything runs — no traceback, no mid-run TypeError."""
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(
+        {"platforms": "hyperledger", "workloads": "donothing", **scenario}
+    ))
+    assert main(["suite", str(path)]) == 2
+    captured = capsys.readouterr()
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1, captured.err
+    assert lines[0].startswith("error: ")
+    assert where in lines[0]
+    assert captured.out == ""
+
+
 def _write_quick_suite_file(path, rates=(20, 40)):
     """A donothing-based grid: faster than _write_suite_file's ycsb."""
     path.write_text(
