@@ -25,6 +25,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import os
 import shutil
 import statistics
 import subprocess
@@ -150,11 +151,17 @@ def snapshot(source: str, into: Path) -> Path:
 
 
 def run_child(tree: Path, workload: str, seed: int) -> dict:
-    """One repetition in a fresh interpreter; its JSON line, parsed."""
+    """One repetition in a fresh interpreter; its JSON line, parsed.
+
+    Bytecode writing is off, so every child compiles what it imports:
+    a cache left by the first child would drop compile time from the
+    ``setup_s`` of every later one, on one side more than the other.
+    """
     done = subprocess.run(
         [sys.executable, str(tree / CHILD), "--workload", workload,
          "--seed", str(seed)],
         capture_output=True, text=True, timeout=CHILD_TIMEOUT_S,
+        env=dict(os.environ, PYTHONDONTWRITEBYTECODE="1"),
     )
     if done.returncode != 0:
         raise RuntimeError(

@@ -40,52 +40,31 @@ See ``DESIGN.md`` for the system inventory and ``EXPERIMENTS.md`` for
 the paper-vs-measured record.
 """
 
-from .core import (
-    BlockSubscription,
-    Driver,
-    DriverConfig,
-    ExperimentResult,
-    ExperimentSpec,
-    FaultSchedule,
-    IBlockchainConnector,
-    RPCClient,
-    SimChainConnector,
-    StatsCollector,
-    StatsSummary,
-    Workload,
-    format_table,
-    run_experiment,
-    run_partition_attack,
-)
-from .errors import ReproError
-from .platforms import build_cluster
-from .sim import SimCoroutine, SimFuture, gather, spawn
-from .workloads import make_workload
+from .util.lazy import lazy_exports
 
 __version__ = "1.1.0"
 
-__all__ = [
-    "BlockSubscription",
-    "Driver",
-    "DriverConfig",
-    "ExperimentResult",
-    "ExperimentSpec",
-    "FaultSchedule",
-    "IBlockchainConnector",
-    "RPCClient",
-    "SimChainConnector",
-    "SimCoroutine",
-    "SimFuture",
-    "StatsCollector",
-    "StatsSummary",
-    "Workload",
-    "format_table",
-    "gather",
-    "run_experiment",
-    "run_partition_attack",
-    "spawn",
-    "ReproError",
-    "build_cluster",
-    "make_workload",
-    "__version__",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "core": (
+        "BlockSubscription",
+        "Driver",
+        "DriverConfig",
+        "ExperimentResult",
+        "ExperimentSpec",
+        "FaultSchedule",
+        "IBlockchainConnector",
+        "RPCClient",
+        "SimChainConnector",
+        "StatsCollector",
+        "StatsSummary",
+        "Workload",
+        "format_table",
+        "run_experiment",
+        "run_partition_attack",
+    ),
+    "errors": ("ReproError",),
+    "platforms": ("build_cluster",),
+    "sim": ("SimCoroutine", "SimFuture", "gather", "spawn"),
+    "workloads": ("make_workload",),
+})
+__all__ += ["__version__"]

@@ -10,10 +10,12 @@ charge CPU for signature work where their real counterparts do.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from ..crypto.hashing import hash_items
-from ..crypto.signatures import Signature
+
+if TYPE_CHECKING:  # pragma: no cover
+    from ..crypto.signatures import Signature
 
 
 def _encode_args(args: tuple[Any, ...]) -> bytes:

@@ -71,11 +71,6 @@ from .core import (
 from .errors import ReproError
 from .registry import CONSENSUS, PLATFORMS, WORKLOADS
 
-# Importing these populates the registries with the built-ins.
-from . import consensus as _consensus  # noqa: F401
-from . import platforms as _platforms  # noqa: F401
-from . import workloads as _workloads  # noqa: F401
-
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(

@@ -24,11 +24,94 @@ import types
 import typing
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 
-from .consensus.pbft import PBFTConfig
-from .consensus.poa import PoAConfig
-from .consensus.pow import PoWConfig
-from .consensus.tendermint import TendermintConfig
 from .errors import BenchmarkError
+
+
+# ---------------------------------------------------------------------------
+# Consensus tuning (each protocol module re-exports its own)
+# ---------------------------------------------------------------------------
+@dataclass
+class PBFTConfig:
+    """Tuning for one PBFT network (Fabric v0.6 defaults)."""
+
+    batch_size: int = 500
+    #: How often the leader checks whether a batch is worth proposing.
+    batch_interval: float = 0.25
+    #: No-progress window before a replica starts a view change.
+    view_timeout: float = 2.0
+    #: Extra timeout per failed view-change attempt.
+    view_timeout_backoff: float = 1.0
+    #: Per-request watchdog (Fabric v0.6's request timeout): if the
+    #: oldest pending request has waited longer than this, the replica
+    #: suspects the primary and starts a view change — even when the
+    #: primary is merely drowning. Under sustained overload every
+    #: replica fires repeatedly, views diverge, and throughput
+    #: collapses: the paper's >16-node failure mode (Section 4.1.2).
+    request_timeout: float = 2.5
+
+
+@dataclass
+class PoWConfig:
+    """Tuning for a PoW network."""
+
+    #: Network-wide mean seconds per block at the reference size.
+    base_block_interval: float = 2.5
+    #: Node count the base interval was tuned for (the paper used 8).
+    reference_nodes: int = 8
+    #: Super-linear difficulty growth: interval scales with
+    #: ``(n / reference) ** difficulty_exponent`` for n > reference,
+    #: reproducing "the difficulty level increases at higher rate than
+    #: the number of nodes" (Section 4.1.2).
+    difficulty_exponent: float = 1.45
+    #: Retarget step per block (Ethereum uses bounded 1/2048 steps;
+    #: we use a coarser step because our runs are minutes, not weeks).
+    retarget_step: float = 0.05
+    #: Blocks behind tip before a block counts as confirmed.
+    confirmation_depth: int = 5
+    #: Max transactions per block (the gasLimit analogue is enforced
+    #: by the platform's assemble_block; this caps count outright).
+    max_txs_per_block: int = 800
+    #: CPU cores saturated by mining (Figure 16 shows 8).
+    mining_cores: int = 8
+
+    def network_interval(self, n_nodes: int) -> float:
+        """Target network block interval for ``n_nodes`` miners."""
+        if n_nodes <= self.reference_nodes:
+            return self.base_block_interval
+        scale = (n_nodes / self.reference_nodes) ** self.difficulty_exponent
+        return self.base_block_interval * scale
+
+
+@dataclass
+class PoAConfig:
+    """Tuning for an Aura-style authority round."""
+
+    step_duration: float = 1.0
+    confirmation_depth: int = 2
+    max_txs_per_block: int = 1000
+    #: CPU cost of sealing one block (header signature).
+    seal_cost_s: float = 0.002
+
+
+@dataclass
+class TendermintConfig:
+    """Tuning for one Tendermint network (ErisDB-style defaults)."""
+
+    #: Transactions per proposed block (ErisDB's block_size analogue).
+    max_txs_per_block: int = 500
+    #: Cadence at which an idle validator checks for new work.
+    tick_interval: float = 0.25
+    #: Pacing between a commit and the next proposal (commit timeout).
+    commit_interval: float = 0.25
+    #: Base timeout of the propose step.
+    propose_timeout: float = 1.5
+    #: Timeout of the prevote step (waiting for +2/3 prevotes).
+    prevote_timeout: float = 1.0
+    #: Timeout of the precommit step (waiting for +2/3 precommits).
+    precommit_timeout: float = 1.0
+    #: Extra timeout added per failed round, keeping liveness under
+    #: asynchrony (Tendermint's timeout increment).
+    round_timeout_delta: float = 0.5
 
 
 @dataclass(frozen=True)

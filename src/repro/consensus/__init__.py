@@ -1,21 +1,12 @@
 """Consensus layer: PoW (Ethereum), PoA (Parity), PBFT (Hyperledger),
 Tendermint (ErisDB)."""
 
-from .base import ConsensusHost, ConsensusProtocol
-from .pbft import PBFT, PBFTConfig
-from .poa import PoAConfig, ProofOfAuthority
-from .pow import PoWConfig, ProofOfWork
-from .tendermint import Tendermint, TendermintConfig
+from ..util.lazy import lazy_exports
 
-__all__ = [
-    "ConsensusHost",
-    "ConsensusProtocol",
-    "PBFT",
-    "PBFTConfig",
-    "PoAConfig",
-    "ProofOfAuthority",
-    "PoWConfig",
-    "ProofOfWork",
-    "Tendermint",
-    "TendermintConfig",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "base": ("ConsensusHost", "ConsensusProtocol"),
+    "pbft": ("PBFT", "PBFTConfig"),
+    "poa": ("PoAConfig", "ProofOfAuthority"),
+    "pow": ("PoWConfig", "ProofOfWork"),
+    "tendermint": ("Tendermint", "TendermintConfig"),
+})

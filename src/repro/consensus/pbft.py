@@ -28,6 +28,7 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from ..chain.block import Block
+from ..config import PBFTConfig
 from ..crypto.hashing import Hash
 from ..registry import register_consensus
 from .base import ConsensusHost, ConsensusProtocol
@@ -41,26 +42,6 @@ SYNC_REQ = "pbft/sync-req"
 SYNC_RESP = "pbft/sync-resp"
 
 _CONTROL_MSG_BYTES = 96
-
-
-@dataclass
-class PBFTConfig:
-    """Tuning for one PBFT network (Fabric v0.6 defaults)."""
-
-    batch_size: int = 500
-    #: How often the leader checks whether a batch is worth proposing.
-    batch_interval: float = 0.25
-    #: No-progress window before a replica starts a view change.
-    view_timeout: float = 2.0
-    #: Extra timeout per failed view-change attempt.
-    view_timeout_backoff: float = 1.0
-    #: Per-request watchdog (Fabric v0.6's request timeout): if the
-    #: oldest pending request has waited longer than this, the replica
-    #: suspects the primary and starts a view change — even when the
-    #: primary is merely drowning. Under sustained overload every
-    #: replica fires repeatedly, views diverge, and throughput
-    #: collapses: the paper's >16-node failure mode (Section 4.1.2).
-    request_timeout: float = 2.5
 
 
 @dataclass

@@ -20,26 +20,15 @@ heal — Parity forks in Figure 10 just like Ethereum.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any
 
 from ..chain.block import Block
+from ..config import PoAConfig
 from ..registry import register_consensus
 from .base import ConsensusHost, ConsensusProtocol
 from .gossip import AncestorFetcher
 
 BLOCK_MSG = "poa/block"
-
-
-@dataclass
-class PoAConfig:
-    """Tuning for an Aura-style authority round."""
-
-    step_duration: float = 1.0
-    confirmation_depth: int = 2
-    max_txs_per_block: int = 1000
-    #: CPU cost of sealing one block (header signature).
-    seal_cost_s: float = 0.002
 
 
 @register_consensus("poa")

@@ -17,47 +17,15 @@ behaviours the paper measures:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any
 
 from ..chain.block import Block
+from ..config import PoWConfig
 from ..registry import register_consensus
 from .base import ConsensusHost, ConsensusProtocol
 from .gossip import AncestorFetcher
 
 BLOCK_MSG = "pow/block"
-
-
-@dataclass
-class PoWConfig:
-    """Tuning for a PoW network."""
-
-    #: Network-wide mean seconds per block at the reference size.
-    base_block_interval: float = 2.5
-    #: Node count the base interval was tuned for (the paper used 8).
-    reference_nodes: int = 8
-    #: Super-linear difficulty growth: interval scales with
-    #: ``(n / reference) ** difficulty_exponent`` for n > reference,
-    #: reproducing "the difficulty level increases at higher rate than
-    #: the number of nodes" (Section 4.1.2).
-    difficulty_exponent: float = 1.45
-    #: Retarget step per block (Ethereum uses bounded 1/2048 steps;
-    #: we use a coarser step because our runs are minutes, not weeks).
-    retarget_step: float = 0.05
-    #: Blocks behind tip before a block counts as confirmed.
-    confirmation_depth: int = 5
-    #: Max transactions per block (the gasLimit analogue is enforced
-    #: by the platform's assemble_block; this caps count outright).
-    max_txs_per_block: int = 800
-    #: CPU cores saturated by mining (Figure 16 shows 8).
-    mining_cores: int = 8
-
-    def network_interval(self, n_nodes: int) -> float:
-        """Target network block interval for ``n_nodes`` miners."""
-        if n_nodes <= self.reference_nodes:
-            return self.base_block_interval
-        scale = (n_nodes / self.reference_nodes) ** self.difficulty_exponent
-        return self.base_block_interval * scale
 
 
 @register_consensus("pow")

@@ -42,6 +42,7 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from ..chain.block import Block
+from ..config import TendermintConfig
 from ..crypto.hashing import Hash
 from ..registry import register_consensus
 from .base import ConsensusHost, ConsensusProtocol
@@ -66,27 +67,6 @@ STEP_IDLE = "idle"
 STEP_PROPOSE = "propose"
 STEP_PREVOTE = "prevote"
 STEP_PRECOMMIT = "precommit"
-
-
-@dataclass
-class TendermintConfig:
-    """Tuning for one Tendermint network (ErisDB-style defaults)."""
-
-    #: Transactions per proposed block (ErisDB's block_size analogue).
-    max_txs_per_block: int = 500
-    #: Cadence at which an idle validator checks for new work.
-    tick_interval: float = 0.25
-    #: Pacing between a commit and the next proposal (commit timeout).
-    commit_interval: float = 0.25
-    #: Base timeout of the propose step.
-    propose_timeout: float = 1.5
-    #: Timeout of the prevote step (waiting for +2/3 prevotes).
-    prevote_timeout: float = 1.0
-    #: Timeout of the precommit step (waiting for +2/3 precommits).
-    precommit_timeout: float = 1.0
-    #: Extra timeout added per failed round, keeping liveness under
-    #: asynchrony (Tendermint's timeout increment).
-    round_timeout_delta: float = 0.5
 
 
 @dataclass

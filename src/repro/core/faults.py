@@ -19,10 +19,12 @@ lives here, so any protocol that declares its kinds is attackable.
 from __future__ import annotations
 
 import hashlib
+import typing
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable
 
 from ..chain.block import Block
+from ..config import check_value
 from ..errors import BenchmarkError
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -378,3 +380,51 @@ class FaultSchedule:
         auditor = getattr(cluster, "auditor", None)
         if auditor is not None:
             auditor.fault_ended(label)
+
+
+_FAULT_TYPES = {
+    "crashes": CrashFault,
+    "delays": DelayFault,
+    "corruptions": CorruptionFault,
+    "partitions": PartitionFault,
+    "byzantines": ByzantineFault,
+}
+
+
+def build_fault_schedule(spec: dict[str, Any]) -> FaultSchedule:
+    """Turn a JSON-shaped fault dict into a fresh :class:`FaultSchedule`.
+
+    ``{"crashes": [{"at_time": 15, "count": 2}]}`` and friends. Every
+    entry value must fit its fault field's declared type; an error
+    names it by path (``faults.crashes[0].at_time``), so a mistyped
+    schedule fails here instead of inside the scheduler.
+    """
+    unknown = set(spec) - set(_FAULT_TYPES)
+    if unknown:
+        raise BenchmarkError(
+            f"unknown fault kinds {sorted(unknown)}; "
+            f"expected {sorted(_FAULT_TYPES)}"
+        )
+    kwargs: dict[str, list] = {}
+    for key, fault_type in _FAULT_TYPES.items():
+        entries = spec.get(key, [])
+        check_value(entries, list, f"faults.{key}")
+        hints = typing.get_type_hints(fault_type)
+        kwargs[key] = []
+        for index, entry in enumerate(entries):
+            where = f"faults.{key}[{index}]"
+            check_value(entry, dict, where)
+            for name, value in entry.items():
+                if name in hints:
+                    check_value(value, hints[name], f"{where}.{name}")
+            try:
+                kwargs[key].append(fault_type(**entry))
+            except TypeError as exc:
+                raise BenchmarkError(f"{where}: bad {key} entry: {exc}") from None
+    for byzantine in kwargs["byzantines"]:
+        if byzantine.behavior not in BYZANTINE_BEHAVIORS:
+            raise BenchmarkError(
+                f"unknown byzantine behavior {byzantine.behavior!r}; "
+                f"expected one of {sorted(BYZANTINE_BEHAVIORS)}"
+            )
+    return FaultSchedule(**kwargs)

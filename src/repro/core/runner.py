@@ -8,13 +8,18 @@ benchmark harnesses need — the whole Figure 4 pipeline in one function.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
+from ..errors import BenchmarkError
 from ..platforms.cluster import build_cluster
+from ..registry import WORKLOADS
+from ..workloads import make_workload
 from .driver import Driver, DriverConfig, OpenLoopDriver
-from .faults import FaultSchedule
 from .stats import StatsCollector, StatsSummary
 from .workload import ArrivalSpec
+
+if TYPE_CHECKING:  # pragma: no cover
+    from .faults import FaultSchedule
 
 
 def _since_schema(default: Any) -> Any:
@@ -143,9 +148,6 @@ def _read_ratio_params(
     operation mix raise. Explicit ``workload_params`` that would be
     overwritten are a spec error, not a silent override.
     """
-    from ..errors import BenchmarkError
-    from ..registry import WORKLOADS
-
     if not 0.0 <= ratio <= 1.0:
         raise BenchmarkError(f"read_ratio must be in [0, 1], got {ratio}")
     extra = WORKLOADS.get(workload).workload_type.read_ratio_params(ratio)
@@ -160,11 +162,6 @@ def _read_ratio_params(
 
 def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
     """Execute one macro-benchmark run end to end."""
-    # Imported here: repro.workloads imports repro.core for the
-    # Workload/connector interfaces, so a module-level import would be
-    # circular.
-    from ..workloads import make_workload
-
     # Built first: DriverConfig validates the driver knobs, so a bad
     # spec fails before the (comparatively expensive) cluster build.
     knobs = {name: getattr(spec, name) for name in _DRIVER_KNOBS}

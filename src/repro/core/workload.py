@@ -22,13 +22,16 @@ from __future__ import annotations
 
 import itertools
 import random
+import typing
 from abc import ABC, abstractmethod
+from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import accumulate
 from typing import TYPE_CHECKING, Iterator
 
 from ..chain import Transaction
+from ..config import check_value
 from ..errors import BenchmarkError
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -79,31 +82,38 @@ class ArrivalSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ArrivalSpec":
+        """Build a spec from its JSON shape. Each value must fit its
+        field's declared type; an error names it by path
+        (``arrival.rate``)."""
         if not isinstance(data, dict):
             raise BenchmarkError(
                 f"arrival must be an object, got {type(data).__name__}"
             )
-        known = {"process", "rate", "accounts", "zipf_s"}
-        unknown = set(data) - known
+        unknown = set(data) - set(_ARRIVAL_KEYS)
         if unknown:
             raise BenchmarkError(
                 f"unknown arrival key(s): {', '.join(sorted(unknown))}; "
-                f"expected {', '.join(sorted(known))}"
+                f"expected {', '.join(sorted(_ARRIVAL_KEYS))}"
             )
-        return cls(
-            process=data.get("process", "poisson"),
-            rate_tx_s=float(data.get("rate", 1000.0)),
-            accounts=int(data.get("accounts", 1000)),
-            zipf_s=float(data.get("zipf_s", 0.0)),
-        )
+        hints = typing.get_type_hints(cls)
+        kwargs = {}
+        for key, value in data.items():
+            name = _ARRIVAL_KEYS[key]
+            check_value(value, hints[name], f"arrival.{key}")
+            kwargs[name] = hints[name](value)
+        return cls(**kwargs)
 
     def to_dict(self) -> dict:
-        return {
-            "process": self.process,
-            "rate": self.rate_tx_s,
-            "accounts": self.accounts,
-            "zipf_s": self.zipf_s,
-        }
+        return {key: getattr(self, name) for key, name in _ARRIVAL_KEYS.items()}
+
+
+#: Scenario-JSON key -> ArrivalSpec field.
+_ARRIVAL_KEYS = {
+    "process": "process",
+    "rate": "rate_tx_s",
+    "accounts": "accounts",
+    "zipf_s": "zipf_s",
+}
 
 
 class ArrivalGenerator:
@@ -120,11 +130,13 @@ class ArrivalGenerator:
     def __init__(self, spec: ArrivalSpec, rng: random.Random) -> None:
         self.spec = spec
         self.rng = rng
-        self._cumulative: list[float] | None = None
+        # Cumulative sender weights as packed doubles: 8 bytes an
+        # account instead of a float object each.
+        self._cumulative: array | None = None
         if spec.zipf_s > 0:
             s = spec.zipf_s
-            self._cumulative = list(
-                accumulate(1.0 / (k + 1) ** s for k in range(spec.accounts))
+            self._cumulative = array(
+                "d", accumulate(1.0 / (k + 1) ** s for k in range(spec.accounts))
             )
 
     def next_gap(self) -> float:

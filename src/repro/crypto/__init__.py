@@ -1,49 +1,33 @@
 """Cryptographic substrate: hashing, signatures, and Merkle structures."""
 
-from .bucket_tree import BucketTree
-from .hashing import (
-    EMPTY_HASH,
-    Hash,
-    hash_items,
-    hash_text,
-    hex_digest,
-    sha256,
-    short_hex,
-)
-from .merkle import MerkleTree, ProofStep, merkle_root
-from .signatures import (
-    SIGN_COST_S,
-    VERIFY_COST_S,
-    KeyPair,
-    KeyRegistry,
-    PublicKey,
-    Signature,
-    transaction_digest,
-)
-from .trie import DictNodeStore, PatriciaTrie, StateTrie, from_nibbles, to_nibbles
+from ..util.lazy import lazy_exports
 
-__all__ = [
-    "BucketTree",
-    "EMPTY_HASH",
-    "Hash",
-    "hash_items",
-    "hash_text",
-    "hex_digest",
-    "sha256",
-    "short_hex",
-    "MerkleTree",
-    "ProofStep",
-    "merkle_root",
-    "SIGN_COST_S",
-    "VERIFY_COST_S",
-    "KeyPair",
-    "KeyRegistry",
-    "PublicKey",
-    "Signature",
-    "transaction_digest",
-    "DictNodeStore",
-    "PatriciaTrie",
-    "StateTrie",
-    "from_nibbles",
-    "to_nibbles",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "bucket_tree": ("BucketTree",),
+    "hashing": (
+        "EMPTY_HASH",
+        "Hash",
+        "hash_items",
+        "hash_text",
+        "hex_digest",
+        "sha256",
+        "short_hex",
+    ),
+    "merkle": ("MerkleTree", "ProofStep", "merkle_root"),
+    "signatures": (
+        "SIGN_COST_S",
+        "VERIFY_COST_S",
+        "KeyPair",
+        "KeyRegistry",
+        "PublicKey",
+        "Signature",
+        "transaction_digest",
+    ),
+    "trie": (
+        "DictNodeStore",
+        "PatriciaTrie",
+        "StateTrie",
+        "from_nibbles",
+        "to_nibbles",
+    ),
+})

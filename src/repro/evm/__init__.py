@@ -1,54 +1,38 @@
 """Execution layer: the miniature EVM, gas schedule, and assembler."""
 
-from .assembler import assemble
-from .gas import INTRINSIC_TX_GAS, OPCODE_GAS, SLOAD_COST, SSTORE_RESET, SSTORE_SET, sstore_cost
-from .programs import (
-    CPUHEAVY_ASM,
-    DONOTHING_ASM,
-    cpuheavy_code,
-    donothing_code,
-    kvstore_read_code,
-    kvstore_write_code,
-)
-from .program import (
-    Program,
-    clear_program_cache,
-    decode_program,
-    program_cache_stats,
-)
-from .vm import (
-    EVM,
-    CallContext,
-    DictStorage,
-    StateStorage,
-    ExecutionResult,
-    Profile,
-    StorageBackend,
-)
+from ..util.lazy import lazy_exports
 
-__all__ = [
-    "assemble",
-    "INTRINSIC_TX_GAS",
-    "OPCODE_GAS",
-    "SLOAD_COST",
-    "SSTORE_RESET",
-    "SSTORE_SET",
-    "sstore_cost",
-    "CPUHEAVY_ASM",
-    "DONOTHING_ASM",
-    "cpuheavy_code",
-    "donothing_code",
-    "kvstore_read_code",
-    "kvstore_write_code",
-    "Program",
-    "clear_program_cache",
-    "decode_program",
-    "program_cache_stats",
-    "EVM",
-    "CallContext",
-    "DictStorage",
-    "StateStorage",
-    "ExecutionResult",
-    "Profile",
-    "StorageBackend",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "assembler": ("assemble",),
+    "gas": (
+        "INTRINSIC_TX_GAS",
+        "OPCODE_GAS",
+        "SLOAD_COST",
+        "SSTORE_RESET",
+        "SSTORE_SET",
+        "sstore_cost",
+    ),
+    "programs": (
+        "CPUHEAVY_ASM",
+        "DONOTHING_ASM",
+        "cpuheavy_code",
+        "donothing_code",
+        "kvstore_read_code",
+        "kvstore_write_code",
+    ),
+    "program": (
+        "Program",
+        "clear_program_cache",
+        "decode_program",
+        "program_cache_stats",
+    ),
+    "vm": (
+        "EVM",
+        "CallContext",
+        "DictStorage",
+        "StateStorage",
+        "ExecutionResult",
+        "Profile",
+        "StorageBackend",
+    ),
+})

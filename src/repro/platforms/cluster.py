@@ -18,10 +18,6 @@ from ..registry import PLATFORMS
 from ..sim import Network, ResourceMonitor, RngRegistry, Scheduler
 from .base import ExecutionCache, PlatformNode
 
-# Importing the platform modules runs their @register_platform
-# decorators, populating the registry with the built-in backends.
-from . import erisdb, ethereum, hyperledger, parity  # noqa: F401
-
 DEFAULT_CONTRACTS = (
     "kvstore",
     "smallbank",

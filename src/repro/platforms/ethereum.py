@@ -12,6 +12,7 @@ with a bounded gossip fan-out.
 from __future__ import annotations
 
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from ..chain import Transaction
 from ..config import EthereumConfig, ethereum_config
@@ -20,9 +21,11 @@ from ..crypto.hashing import Hash, sha256
 from ..crypto.trie import NodeStore, StateTrie
 from ..registry import register_platform
 from ..sim import Network, RngRegistry, Scheduler
-from ..storage import LSMStore, leveldb_config
 from ..util.lru import LRUCache
 from .base import TX_GOSSIP, JournaledState, PlatformNode
+
+if TYPE_CHECKING:  # pragma: no cover
+    from ..storage.lsm.db import LSMStore
 
 #: geth's state-cache sizing (entries, not bytes, for simplicity).
 NODE_CACHE_ENTRIES = 120_000
@@ -66,6 +69,9 @@ class EthereumState(JournaledState):
         super().__init__()
         self._store: LSMStore | None = None
         if storage_dir is not None:
+            # Only disk-backed runs load the LSM engine.
+            from ..storage.lsm.db import LSMStore, leveldb_config
+
             self._store = LSMStore(Path(storage_dir), leveldb_config())
             # The trie keeps no cache of its own, so every logical node
             # read reaches _CachedNodeStore, which *models* geth's state

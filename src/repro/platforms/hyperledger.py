@@ -16,6 +16,7 @@ paper's >16-node collapse (Section 4.1.2).
 from __future__ import annotations
 
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from ..config import HyperledgerConfig, hyperledger_config
 from ..consensus.pbft import PBFT
@@ -23,8 +24,10 @@ from ..crypto.bucket_tree import BucketTree
 from ..crypto.hashing import Hash
 from ..registry import register_platform
 from ..sim import Network, RngRegistry, Scheduler
-from ..storage import LSMStore, rocksdb_config
 from .base import JournaledState, PlatformNode
+
+if TYPE_CHECKING:  # pragma: no cover
+    from ..storage.lsm.db import LSMStore
 
 #: Fabric v0.6's default bucket-tree size class.
 N_BUCKETS = 1024
@@ -49,6 +52,9 @@ class HyperledgerState(JournaledState):
         self.tree = BucketTree(n_buckets=N_BUCKETS)
         self._store: LSMStore | None = None
         if storage_dir is not None:
+            # Only disk-backed runs load the LSM engine.
+            from ..storage.lsm.db import LSMStore, rocksdb_config
+
             self._store = LSMStore(Path(storage_dir), rocksdb_config())
         self._sealed_root = self.tree.root_hash()
 

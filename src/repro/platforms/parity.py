@@ -34,7 +34,7 @@ from ..crypto.trie import StateTrie
 from ..errors import StorageError
 from ..registry import register_platform
 from ..sim import Message, Network, RngRegistry, Scheduler
-from ..storage import MemKVStore
+from ..storage.kv import MemKVStore
 from .base import TX_GOSSIP, JournaledState, PlatformNode
 
 SIGN_REQ = "parity/sign-req"

@@ -18,18 +18,25 @@ After that, ``build_cluster("instantchain", ...)``, ``blockbench run
 --platform instantchain`` and scenario files all resolve the new name
 through the same lookup path as the built-ins.
 
-This module is a leaf: it imports nothing but the error hierarchy, so
-any layer (platforms, workloads, consensus, CLI, scenario engine) can
-depend on it without cycles. Registration happens at class/function
-definition time, i.e. importing ``repro.platforms`` or
-``repro.workloads`` populates the corresponding registry.
+This module imports nothing but the error hierarchy and the config
+module (itself a leaf), so any layer (platforms, workloads, consensus,
+CLI, scenario engine) can depend on it without cycles. Registration
+happens at class/function definition time, i.e. importing a plugin's
+module adds it. A registry finds the built-ins by name: the first
+lookup of ``hyperledger`` imports ``repro.platforms.hyperledger``, and
+a name no module is called after (the contract workloads) imports the
+whole package once. Listing a registry imports its whole package, so a
+run loads only the plugins it names.
 """
 
 from __future__ import annotations
 
+import importlib
+import pkgutil
 from dataclasses import dataclass
 from typing import Any, Callable, Iterator
 
+from .config import apply_overrides
 from .errors import BenchmarkError
 
 __all__ = [
@@ -52,15 +59,26 @@ class Registry:
     ...) so error messages read naturally. Duplicate registration is an
     error unless ``replace=True`` — silently shadowing a built-in is
     exactly the kind of spooky action a plugin system must not allow.
+
+    ``package`` holds the built-ins, each registered by importing its
+    module: a lookup that misses imports ``<package>.<name>``, then,
+    if the name is still missing, every module of the package (once).
+    Anything that lists the registry imports the whole package first.
     """
 
-    def __init__(self, kind: str) -> None:
+    def __init__(self, kind: str, package: str | None = None) -> None:
         self.kind = kind
+        self.package = package
         self._entries: dict[str, Any] = {}
+        self._complete = package is None
 
     def register(self, name: str, entry: Any, *, replace: bool = False) -> Any:
         if not name or not isinstance(name, str):
             raise BenchmarkError(f"{self.kind} name must be a non-empty string")
+        if replace:
+            # The built-in goes in first, so it cannot displace the
+            # replacement when it loads later.
+            self._find(name)
         if name in self._entries and not replace:
             raise BenchmarkError(
                 f"{self.kind} {name!r} is already registered; "
@@ -73,28 +91,55 @@ class Registry:
         """Remove an entry (primarily for tests and REPL experiments)."""
         self._entries.pop(name, None)
 
+    def _find(self, name: str) -> Any:
+        """The entry for ``name``, importing built-ins to find it; None
+        when no module of the package registers it."""
+        entry = self._entries.get(name)
+        if entry is None and not self._complete:
+            if name in self._modules():
+                importlib.import_module(f"{self.package}.{name}")
+                entry = self._entries.get(name)
+            if entry is None:
+                self._load_all()
+                entry = self._entries.get(name)
+        return entry
+
+    def _modules(self) -> list[str]:
+        package = importlib.import_module(self.package)
+        return [info.name for info in pkgutil.iter_modules(package.__path__)]
+
+    def _load_all(self) -> None:
+        if not self._complete:
+            for module in self._modules():
+                importlib.import_module(f"{self.package}.{module}")
+            self._complete = True
+
     def get(self, name: str) -> Any:
-        try:
-            return self._entries[name]
-        except KeyError:
+        entry = self._find(name)
+        if entry is None:
             raise BenchmarkError(
                 f"unknown {self.kind} {name!r}; available: {self.names()}"
-            ) from None
+            )
+        return entry
 
     def names(self) -> list[str]:
         """Registered names, sorted for stable CLI/help output."""
+        self._load_all()
         return sorted(self._entries)
 
     def items(self) -> list[tuple[str, Any]]:
+        self._load_all()
         return sorted(self._entries.items())
 
     def __contains__(self, name: object) -> bool:
+        self._load_all()
         return name in self._entries
 
     def __iter__(self) -> Iterator[str]:
         return iter(self.names())
 
     def __len__(self) -> int:
+        self._load_all()
         return len(self._entries)
 
 
@@ -133,11 +178,6 @@ class PlatformSpec:
         if config is None and self.default_config is not None:
             config = self.default_config()
         if overrides:
-            # Imported lazily: repro.config pulls in the consensus
-            # modules, which register themselves through this module —
-            # a module-level import would be circular.
-            from .config import apply_overrides
-
             if config is None:
                 raise BenchmarkError(
                     f"platform {self.name!r} has no config to override; "
@@ -176,9 +216,9 @@ class WorkloadSpec:
         return self.workload_type(config)
 
 
-PLATFORMS = Registry("platform")
-WORKLOADS = Registry("workload")
-CONSENSUS = Registry("consensus protocol")
+PLATFORMS = Registry("platform", "repro.platforms")
+WORKLOADS = Registry("workload", "repro.workloads")
+CONSENSUS = Registry("consensus protocol", "repro.consensus")
 
 
 def register_platform(

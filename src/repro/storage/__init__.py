@@ -1,26 +1,13 @@
 """Storage substrate: KV interfaces, the LSM engine, and metrics."""
 
-from .kv import KVStore, MemKVStore
-from .lsm.bloom import BloomFilter
-from .lsm.db import LSMConfig, LSMStore, leveldb_config, rocksdb_config
-from .lsm.memtable import TOMBSTONE, MemTable
-from .lsm.sstable import SSTableReader, write_sstable
-from .lsm.wal import WriteAheadLog
-from .metrics import StorageReport, report_for
+from ..util.lazy import lazy_exports
 
-__all__ = [
-    "KVStore",
-    "MemKVStore",
-    "BloomFilter",
-    "LSMConfig",
-    "LSMStore",
-    "leveldb_config",
-    "rocksdb_config",
-    "TOMBSTONE",
-    "MemTable",
-    "SSTableReader",
-    "write_sstable",
-    "WriteAheadLog",
-    "StorageReport",
-    "report_for",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "kv": ("KVStore", "MemKVStore"),
+    "lsm.bloom": ("BloomFilter",),
+    "lsm.db": ("LSMConfig", "LSMStore", "leveldb_config", "rocksdb_config"),
+    "lsm.memtable": ("TOMBSTONE", "MemTable"),
+    "lsm.sstable": ("SSTableReader", "write_sstable"),
+    "lsm.wal": ("WriteAheadLog",),
+    "metrics": ("StorageReport", "report_for"),
+})

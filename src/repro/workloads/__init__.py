@@ -3,30 +3,17 @@ micro (DoNothing, IOHeavy, CPUHeavy, Analytics).
 
 Workload classes register themselves with
 :data:`repro.registry.WORKLOADS` via :func:`~repro.registry.
-register_workload`; ``make_workload`` resolves names through that
-registry, so plugin workloads become available to the driver, CLI, and
-scenario files the moment their module is imported.
+register_workload`; the registry imports ``repro.workloads.<name>`` (or
+failing that, every workload module) the first time a name is looked
+up, and ``make_workload`` resolves names through it, so plugin
+workloads become available to the driver, CLI, and scenario files the
+moment their module is imported.
 """
 
 from __future__ import annotations
 
 from ..registry import WORKLOADS
-from .analytics import (
-    AnalyticsPreload,
-    QueryResult,
-    preload_history,
-    run_q1,
-    run_q2,
-)
-from .contracts import (
-    DoNothingWorkload,
-    DoublerWorkload,
-    EtherIdConfig,
-    EtherIdWorkload,
-    WavesPresaleWorkload,
-)
-from .smallbank import SmallbankConfig, SmallbankWorkload
-from .ycsb import YCSBConfig, YCSBWorkload, ZipfianGenerator
+from ..util.lazy import lazy_exports
 
 
 def make_workload(name: str, **kwargs):
@@ -43,22 +30,22 @@ def available_workloads() -> list[str]:
     return WORKLOADS.names()
 
 
-__all__ = [
-    "AnalyticsPreload",
-    "QueryResult",
-    "preload_history",
-    "run_q1",
-    "run_q2",
-    "DoNothingWorkload",
-    "DoublerWorkload",
-    "EtherIdConfig",
-    "EtherIdWorkload",
-    "WavesPresaleWorkload",
-    "SmallbankConfig",
-    "SmallbankWorkload",
-    "YCSBConfig",
-    "YCSBWorkload",
-    "ZipfianGenerator",
-    "available_workloads",
-    "make_workload",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "analytics": (
+        "AnalyticsPreload",
+        "QueryResult",
+        "preload_history",
+        "run_q1",
+        "run_q2",
+    ),
+    "contracts": (
+        "DoNothingWorkload",
+        "DoublerWorkload",
+        "EtherIdConfig",
+        "EtherIdWorkload",
+        "WavesPresaleWorkload",
+    ),
+    "smallbank": ("SmallbankConfig", "SmallbankWorkload"),
+    "ycsb": ("YCSBConfig", "YCSBWorkload", "ZipfianGenerator"),
+})
+__all__ += ["available_workloads", "make_workload"]

@@ -64,6 +64,29 @@ def test_from_dict_rejects_unknown_keys():
         ArrivalSpec.from_dict({"process": "poisson", "rate": 1.0, "lambda": 2})
 
 
+@pytest.mark.parametrize(
+    "data, where",
+    [
+        ({"rate": "fast"}, "arrival.rate: expected float"),
+        ({"accounts": 1.5}, "arrival.accounts: expected int"),
+        ({"accounts": True}, "arrival.accounts: expected int"),
+        ({"zipf_s": "x"}, "arrival.zipf_s: expected float"),
+        ({"process": 1}, "arrival.process: expected str"),
+    ],
+)
+def test_from_dict_type_checks_values(data, where):
+    """A mistyped value is named by path instead of failing in float()
+    or being truncated by int()."""
+    with pytest.raises(BenchmarkError, match=where):
+        ArrivalSpec.from_dict(data)
+
+
+def test_from_dict_coerces_json_ints_to_float_fields():
+    spec = ArrivalSpec.from_dict({"rate": 500, "zipf_s": 1})
+    assert spec == ArrivalSpec(rate_tx_s=500.0, zipf_s=1.0)
+    assert type(spec.rate_tx_s) is float and type(spec.zipf_s) is float
+
+
 def test_process_registry_is_exported():
     assert "poisson" in ARRIVAL_PROCESSES
     assert "uniform" in ARRIVAL_PROCESSES
@@ -141,6 +164,23 @@ def test_zipf_skew_concentrates_on_low_ranks():
     top_uniform = sum(uniform[i] for i in range(10)) / 20_000
     assert top_skewed > 0.4  # head-heavy
     assert top_uniform < 0.05  # 10/1000 of a uniform draw, with slack
+
+
+def test_zipf_draws_match_a_float_list_table():
+    """The packed sender table draws exactly what a list of the same
+    cumulative floats would."""
+    from bisect import bisect_left
+    from itertools import accumulate
+
+    gen = _gen(seed=3, zipf_s=1.1, accounts=5000)
+    rng = random.Random(3)
+    table = list(accumulate(1.0 / (k + 1) ** 1.1 for k in range(5000)))
+    expected = []
+    for _ in range(2000):
+        gap = rng.expovariate(100.0)
+        u = rng.random() * table[-1]
+        expected.append((gap, min(bisect_left(table, u), 4999)))
+    assert gen.take(2000) == expected
 
 
 def test_take_returns_exactly_n_and_advances():

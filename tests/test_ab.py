@@ -1,11 +1,14 @@
 """The alternating-pairs runner's bookkeeping (benchmarks/ab.py).
 
 Only the pure parts: which side runs first, how pairs fold into
-medians, wins and the ``clear`` verdict, and what a tree snapshot
-copies. Running children is hostbench's own business.
+medians, wins and the ``clear`` verdict, what a tree snapshot copies
+and the environment a child gets. Running children is hostbench's own
+business.
 """
 
 import importlib.util
+import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -110,3 +113,23 @@ def test_snapshot_copies_what_a_child_needs(tmp_path):
 def test_metrics_come_from_the_benchmark_of_record():
     names = [m["name"] for m in ab.end_to_end_metrics()]
     assert names == ["setup_s", "sim_s_per_loop", "peak_rss_mb"]
+
+
+def test_children_run_without_writing_bytecode(tmp_path, monkeypatch):
+    """Every child compiles its imports: no ``__pycache__`` left by an
+    earlier child shortens a later child's ``setup_s``."""
+    calls = []
+
+    def fake_run(argv, **kwargs):
+        calls.append((argv, kwargs))
+        return subprocess.CompletedProcess(argv, 0, json.dumps({"ok": 1}), "")
+
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "")
+    monkeypatch.setenv("AB_TEST_MARKER", "kept")
+    monkeypatch.setattr(ab.subprocess, "run", fake_run)
+    assert ab.run_child(tmp_path, "hl_ycsb_peak", 601) == {"ok": 1}
+    (argv, kwargs), = calls
+    assert argv[-4:] == ["--workload", "hl_ycsb_peak", "--seed", "601"]
+    assert kwargs["env"]["PYTHONDONTWRITEBYTECODE"] == "1"
+    assert kwargs["env"]["AB_TEST_MARKER"] == "kept"
+    assert ab.os.environ["PYTHONDONTWRITEBYTECODE"] == ""

@@ -280,6 +280,9 @@ def test_suite_missing_file_fails_cleanly(tmp_path, capsys):
         ({"overrides": {"pbft": 7}}, "overrides.pbft"),
         ({"faults": {"crashes": [{"at_time": "0.5", "count": 1}]}},
          "faults.crashes[0].at_time"),
+        ({"arrival": {"rate": "fast"}}, "arrival.rate"),
+        ({"arrival": {"accounts": 1.5}}, "arrival.accounts"),
+        ({"arrival": [{"zipf_s": 1.1}, {"zipf_s": "x"}]}, "arrival.zipf_s"),
     ],
 )
 def test_suite_mistyped_values_fail_cleanly(tmp_path, capsys, scenario, where):

@@ -1,5 +1,7 @@
 """Plugin-registry tests: registration, lookup, and failure modes."""
 
+import sys
+
 import pytest
 
 from repro.errors import BenchmarkError
@@ -12,11 +14,6 @@ from repro.registry import (
     register_platform,
     register_workload,
 )
-
-# Importing these populates the registries with the built-ins.
-import repro.consensus  # noqa: F401
-import repro.platforms  # noqa: F401
-import repro.workloads  # noqa: F401
 
 
 def test_builtin_platforms_registered():
@@ -63,6 +60,58 @@ def test_registry_container_protocol():
     assert list(registry) == ["a", "b"]
     assert len(registry) == 2
     assert registry.items() == [("a", 1), ("b", 2)]
+
+
+@pytest.fixture
+def gizmos(tmp_path, monkeypatch):
+    """A registry over a throwaway package: ``alpha.py`` registers
+    ``alpha``, ``several.py`` registers ``beta`` and ``gamma``."""
+    (tmp_path / "gizmo_registry.py").write_text(
+        "from repro.registry import Registry\n"
+        "GIZMOS = Registry('gizmo', 'gizmo_plugins')\n"
+    )
+    package = tmp_path / "gizmo_plugins"
+    package.mkdir()
+    (package / "__init__.py").write_text("")
+    (package / "alpha.py").write_text(
+        "from gizmo_registry import GIZMOS\nGIZMOS.register('alpha', 'a')\n"
+    )
+    (package / "several.py").write_text(
+        "from gizmo_registry import GIZMOS\n"
+        "GIZMOS.register('beta', 'b')\nGIZMOS.register('gamma', 'g')\n"
+    )
+    monkeypatch.syspath_prepend(str(tmp_path))
+    yield __import__("gizmo_registry").GIZMOS
+    for name in [m for m in sys.modules if m.startswith("gizmo_")]:
+        del sys.modules[name]
+
+
+def test_lookup_imports_the_module_named_after_the_entry(gizmos):
+    assert gizmos.get("alpha") == "a"
+    assert "gizmo_plugins.alpha" in sys.modules
+    assert "gizmo_plugins.several" not in sys.modules
+
+
+def test_lookup_of_a_name_no_module_has_imports_the_package(gizmos):
+    assert gizmos.get("gamma") == "g"
+    assert "gizmo_plugins.alpha" in sys.modules
+
+
+def test_listing_imports_the_whole_package(gizmos):
+    assert len(gizmos) == 3
+    assert gizmos.names() == ["alpha", "beta", "gamma"]
+    assert "beta" in gizmos
+
+
+def test_unknown_name_lists_every_builtin(gizmos):
+    with pytest.raises(BenchmarkError, match=r"'delta'.*alpha.*beta.*gamma"):
+        gizmos.get("delta")
+
+
+def test_replacing_a_builtin_before_it_loads_sticks(gizmos):
+    gizmos.register("alpha", "mine", replace=True)
+    assert gizmos.names() == ["alpha", "beta", "gamma"]
+    assert gizmos.get("alpha") == "mine"
 
 
 def test_register_platform_decorator_roundtrip():
