@@ -8,7 +8,6 @@ block size (Figure 15).
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from typing import Callable, Iterable
 
 from .transaction import Transaction
@@ -18,7 +17,8 @@ class Mempool:
     """Ordered pool of not-yet-committed transactions."""
 
     def __init__(self, capacity: int | None = None) -> None:
-        self._pool: "OrderedDict[str, Transaction]" = OrderedDict()
+        #: Insertion-ordered: iteration is FIFO arrival order.
+        self._pool: dict[str, Transaction] = {}
         self._arrivals: dict[str, float] = {}
         self.capacity = capacity
         self.rejected_full = 0

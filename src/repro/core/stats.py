@@ -8,11 +8,11 @@ the fault-tolerance timelines.
 
 from __future__ import annotations
 
-import math
 import random
+from array import array
 from dataclasses import dataclass, field
 
-from .trace import StageBreakdown
+from .trace import StageBreakdown, _percentile
 
 
 @dataclass
@@ -78,8 +78,10 @@ class StatsCollector:
         self.workload = workload
         self.submitted = 0
         self.rejected = 0
-        self.latencies: list[float] = []
-        self.confirm_times: list[float] = []
+        # Packed doubles: 8 B per sample instead of a float object plus
+        # a list slot.
+        self.latencies = array("d")
+        self.confirm_times = array("d")
         self.queue_samples: list[tuple[float, int]] = []
         #: Per-stage backlog samples ``(t, mempool, consensus,
         #: execution)`` from the tracer's gauges — recorded by exactly
@@ -101,7 +103,7 @@ class StatsCollector:
         # every percentile/CDF call: summary() alone needs three
         # percentiles, and report/export code asks for CDFs on top —
         # one sort per batch of appends instead of one per query.
-        self._sorted_latencies_cache: list[float] | None = None
+        self._sorted_latencies_cache: array | None = None
 
     # ------------------------------------------------------------------
     # Recording
@@ -162,16 +164,16 @@ class StatsCollector:
     # ------------------------------------------------------------------
     # Derived metrics
     # ------------------------------------------------------------------
-    def _sorted_latencies(self) -> list[float]:
+    def _sorted_latencies(self) -> array:
         """Sorted latencies, re-sorted only after new recordings.
 
-        ``latencies`` is a public list (``merge_collectors`` extends it
+        ``latencies`` is a public array (``merge_collectors`` extends it
         in place), so staleness is detected by length rather than by
         intercepting every mutation path.
         """
         cache = self._sorted_latencies_cache
         if cache is None or len(cache) != len(self.latencies):
-            cache = sorted(self.latencies)
+            cache = array("d", sorted(self.latencies))
             self._sorted_latencies_cache = cache
         return cache
 
@@ -204,11 +206,7 @@ class StatsCollector:
 
     def latency_percentile(self, pct: float) -> float:
         """Order-statistic percentile of confirmation latency."""
-        if not self.latencies:
-            return 0.0
-        ordered = self._sorted_latencies()
-        rank = min(len(ordered) - 1, max(0, math.ceil(pct / 100 * len(ordered)) - 1))
-        return ordered[rank]
+        return _percentile(self._sorted_latencies(), pct)
 
     def latency_cdf(self, points: int = 50) -> list[tuple[float, float]]:
         """(latency, cumulative fraction) pairs — Figure 17's curves."""

@@ -60,6 +60,7 @@ driver's existing queue sampler (no new events):
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 __all__ = [
@@ -98,8 +99,9 @@ _N_STAGES = len(STAGES)
 _TOP = _N_STAGES
 
 
-def _percentile(ordered: list[float], pct: float) -> float:
-    """Order-statistic percentile (same convention as StatsCollector)."""
+def _percentile(ordered: Sequence[float], pct: float) -> float:
+    """Order-statistic percentile of an ascending sequence (the one
+    rank rule: StatsCollector's latency percentiles use it too)."""
     if not ordered:
         return 0.0
     rank = min(len(ordered) - 1, max(0, math.ceil(pct / 100 * len(ordered)) - 1))
@@ -293,35 +295,36 @@ class StageTracer:
 
         ``stage_queue_samples`` is the driver-sampled ``(t, mempool,
         consensus, execution)`` series from the StatsCollector.
+
+        One interval's values are alive at a time: this runs after the
+        simulation with every stamp row still held, so six value lists
+        at once would set the run's memory high-water mark.
         """
-        intervals: list[list[float]] = [[] for _ in STAGE_INTERVALS]
+        complete = []
         e2e_total = 0.0
-        traced = 0
-        partial = 0
         for slots in self._stamps.values():
             # The row is 7 stage slots + the running max (never None).
-            if None in slots:
-                partial += 1
-                continue
-            traced += 1
-            e2e_total += slots[NOTIFY] - slots[SUBMIT]
-            for idx, (_, start, end) in enumerate(STAGE_INTERVALS):
-                intervals[idx].append(slots[end] - slots[start])
+            if None not in slots:
+                complete.append(slots)
+                e2e_total += slots[NOTIFY] - slots[SUBMIT]
+        traced = len(complete)
+        partial = len(self._stamps) - traced
         stages = []
-        for idx, (name, _, _) in enumerate(STAGE_INTERVALS):
-            values = sorted(intervals[idx])
-            count = len(values)
+        for name, start, end in STAGE_INTERVALS:
+            values = [slots[end] - slots[start] for slots in complete]
+            values.sort()
             stages.append(
                 StageStat(
                     stage=name,
-                    count=count,
-                    avg_s=(sum(values) / count) if count else 0.0,
+                    count=traced,
+                    avg_s=(sum(values) / traced) if traced else 0.0,
                     p50_s=_percentile(values, 50),
                     p95_s=_percentile(values, 95),
                     p99_s=_percentile(values, 99),
-                    max_s=values[-1] if count else 0.0,
+                    max_s=values[-1] if traced else 0.0,
                 )
             )
+            del values  # free before the next interval's list is built
         depth_avg: dict[str, float] = {}
         depth_peak: dict[str, int] = {}
         samples = stage_queue_samples or []

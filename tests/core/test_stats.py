@@ -1,5 +1,11 @@
 """Unit tests for the stats collector."""
 
+import math
+import random
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from repro.core import StatsCollector, merge_collectors
 
 
@@ -90,3 +96,84 @@ def test_merge_collectors():
 def test_merge_empty_list():
     merged = merge_collectors([])
     assert merged.confirmed == 0
+
+
+# ---------------------------------------------------------------------------
+# Samples are packed doubles; every derived figure equals the one a plain
+# list of floats gives.
+# ---------------------------------------------------------------------------
+def _reference_samples(pairs, reservoir=0, seed=0):
+    """The latency sample set as a list: every latency, or Algorithm R
+    with the collector's seeded draws."""
+    rng = random.Random(seed)
+    samples = []
+    for n, (submitted, confirmed) in enumerate(pairs, start=1):
+        latency = confirmed - submitted
+        if not reservoir or len(samples) < reservoir:
+            samples.append(latency)
+        else:
+            slot = rng.randrange(n)
+            if slot < reservoir:
+                samples[slot] = latency
+    return samples
+
+
+def _reference_figures(samples, points):
+    """(avg, p50, p95, p99, cdf) computed over a list of floats."""
+    if not samples:
+        return 0.0, 0.0, 0.0, 0.0, []
+    ordered = sorted(samples)
+    n = len(ordered)
+
+    def percentile(pct):
+        return ordered[min(n - 1, max(0, math.ceil(pct / 100 * n) - 1))]
+
+    step = max(1, n // points)
+    cdf = [(ordered[i], (i + 1) / n) for i in range(0, n, step)]
+    if cdf[-1][1] < 1.0:
+        cdf.append((ordered[-1], 1.0))
+    return sum(samples) / n, percentile(50), percentile(95), percentile(99), cdf
+
+
+def _figures(collector, points):
+    return (
+        collector.latency_avg(),
+        collector.latency_percentile(50),
+        collector.latency_percentile(95),
+        collector.latency_percentile(99),
+        collector.latency_cdf(points),
+    )
+
+
+_instants = st.floats(min_value=0.0, max_value=100.0, allow_nan=False)
+_pairs = st.lists(st.tuples(_instants, _instants), max_size=60)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    groups=st.lists(_pairs, min_size=1, max_size=4),
+    reservoir=st.sampled_from([0, 1, 5, 20]),
+    points=st.integers(1, 60),
+)
+def test_packed_samples_match_a_list_reference(groups, reservoir, points):
+    collectors = []
+    for seed, pairs in enumerate(groups):
+        collector = StatsCollector("p", "w", reservoir=reservoir, reservoir_seed=seed)
+        for i, (submitted, confirmed) in enumerate(pairs):
+            collector.record_confirmation(submitted, confirmed)
+            if i == len(pairs) // 2:
+                collector.latency_percentile(50)  # warm the sorted cache
+        assert collector.latencies.typecode == "d"
+        assert collector.confirm_times.typecode == "d"
+        reference = _reference_samples(pairs, reservoir, seed)
+        assert list(collector.latencies) == reference
+        assert _figures(collector, points) == _reference_figures(reference, points)
+        collectors.append(collector)
+    merged = merge_collectors(collectors)
+    assert merged.latencies.typecode == "d"
+    merged_reference = [
+        lat
+        for seed, pairs in enumerate(groups)
+        for lat in _reference_samples(pairs, reservoir, seed)
+    ]
+    assert _figures(merged, points) == _reference_figures(merged_reference, points)

@@ -10,6 +10,7 @@ matches the StatsCollector's latency figure exactly.
 """
 
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -17,7 +18,14 @@ from hypothesis import strategies as st
 
 from repro.core import ExperimentSpec, StageBreakdown, StageTracer, run_experiment
 from repro.core.driver import Driver, DriverConfig, OpenLoopDriver
-from repro.core.trace import STAGE_INTERVALS, STAGES
+from repro.core.trace import (
+    NOTIFY,
+    QUEUE_GAUGES,
+    STAGE_INTERVALS,
+    STAGES,
+    SUBMIT,
+    StageStat,
+)
 from repro.platforms import build_cluster
 from repro.workloads import make_workload
 
@@ -156,6 +164,105 @@ def test_property_record_block_once_equals_the_per_tx_loop(blocks, ops):
         assert memoized._stamps == plain._stamps
         assert memoized.queue_depths() == plain.queue_depths()
     assert memoized.breakdown() == plain.breakdown()
+
+
+# ---------------------------------------------------------------------------
+# breakdown builds one interval's values at a time. The oracle is the
+# earlier six-lists-at-once aggregation, kept verbatim.
+# ---------------------------------------------------------------------------
+def _reference_percentile(ordered, pct):
+    if not ordered:
+        return 0.0
+    rank = min(len(ordered) - 1, max(0, math.ceil(pct / 100 * len(ordered)) - 1))
+    return ordered[rank]
+
+
+def _reference_breakdown(tracer, stage_queue_samples=None):
+    intervals = [[] for _ in STAGE_INTERVALS]
+    e2e_total = 0.0
+    traced = 0
+    partial = 0
+    for slots in tracer._stamps.values():
+        if None in slots:
+            partial += 1
+            continue
+        traced += 1
+        e2e_total += slots[NOTIFY] - slots[SUBMIT]
+        for idx, (_, start, end) in enumerate(STAGE_INTERVALS):
+            intervals[idx].append(slots[end] - slots[start])
+    stages = []
+    for idx, (name, _, _) in enumerate(STAGE_INTERVALS):
+        values = sorted(intervals[idx])
+        count = len(values)
+        stages.append(
+            StageStat(
+                stage=name,
+                count=count,
+                avg_s=(sum(values) / count) if count else 0.0,
+                p50_s=_reference_percentile(values, 50),
+                p95_s=_reference_percentile(values, 95),
+                p99_s=_reference_percentile(values, 99),
+                max_s=values[-1] if count else 0.0,
+            )
+        )
+    depth_avg = {}
+    depth_peak = {}
+    samples = stage_queue_samples or []
+    for col, gauge in enumerate(QUEUE_GAUGES, start=1):
+        series = [sample[col] for sample in samples]
+        depth_avg[gauge] = (sum(series) / len(series)) if series else 0.0
+        depth_peak[gauge] = max(series) if series else 0
+    return StageBreakdown(
+        traced=traced,
+        partial=partial,
+        end_to_end_avg_s=(e2e_total / traced) if traced else 0.0,
+        stages=stages,
+        queue_depth_avg=depth_avg,
+        queue_depth_peak=depth_peak,
+    )
+
+
+#: A few shared instants make tied interval values common.
+_stamp_times = st.one_of(st.sampled_from([0.0, 0.5, 1.0, 2.5]), _times)
+#: One tx: a time or None (never recorded) per stage, recorded in any
+#: order, so out-of-order stamps get clamped and some rows stay partial.
+_tx_rows = st.tuples(
+    st.lists(st.one_of(st.none(), _stamp_times, _stamp_times),
+             min_size=len(STAGES), max_size=len(STAGES)),
+    st.permutations(range(len(STAGES))),
+)
+_depth = st.integers(0, 1000)
+_queue_samples = st.lists(st.tuples(_times, _depth, _depth, _depth), max_size=8)
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=st.lists(_tx_rows, max_size=12), samples=st.one_of(st.none(), _queue_samples))
+def test_property_breakdown_equals_the_six_list_reference(rows, samples):
+    tracer = StageTracer()
+    for i, (times, order) in enumerate(rows):
+        for stage in order:
+            if times[stage] is not None:
+                tracer.record(f"tx{i}", stage, times[stage])
+    # == on the dataclasses compares every float bit for bit.
+    assert tracer.breakdown(samples) == _reference_breakdown(tracer, samples)
+
+
+def test_breakdown_peak_memory_is_one_interval():
+    """Six interval lists at once cost ~216 B per complete row; one at
+    a time, ~45 B (a float plus a list slot, and the row list)."""
+    rows = 20_000
+    tracer = StageTracer()
+    for i in range(rows):
+        base = i * 0.001
+        tracer._stamps[f"tx{i}"] = [base + 0.1 * s for s in range(len(STAGES))] + [0.0]
+    tracemalloc.start()
+    try:
+        breakdown = tracer.breakdown()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert breakdown.traced == rows
+    assert peak / rows < 60, f"{peak / rows:.0f} B per row"
 
 
 def test_record_block_takes_any_iterable_and_walks_fork_blocks():
