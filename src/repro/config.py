@@ -151,8 +151,6 @@ class PlatformConfig:
     mempool_capacity: int | None
     #: Gas budget per block (None = count-limited only).
     block_gas_limit: int | None
-    #: Storage backend: "memory" for macro runs, "lsm" for IOHeavy.
-    storage_backend: str = "memory"
     #: In-memory state cap in bytes (Parity's OOM behaviour); None = off.
     memory_cap_bytes: int | None = None
     #: Cross-replica execution memoization: the deterministic sim means
@@ -332,14 +330,6 @@ def erisdb_config(**overrides) -> ErisDBConfig:
     )
     defaults.update(overrides)
     return ErisDBConfig(**defaults)
-
-
-PLATFORM_PRESETS = {
-    "ethereum": ethereum_config,
-    "parity": parity_config,
-    "hyperledger": hyperledger_config,
-    "erisdb": erisdb_config,
-}
 
 
 def _fits(value, hint) -> bool:

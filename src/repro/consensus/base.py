@@ -105,6 +105,11 @@ class ConsensusProtocol(ABC):
     #: Kinds whose payload is a proposed :class:`Block` — the targets of
     #: equivocation and digest corruption (adversary hook API).
     proposal_kinds: tuple[str, ...] = ()
+    #: Kinds whose payload is a :class:`Block` the receiving node
+    #: verifies transaction by transaction (the platform prices them per
+    #: transaction). Not ``proposal_kinds``: a PoW block is verified on
+    #: receipt but is no target of the proposal forgeries.
+    block_kinds: tuple[str, ...] = ()
     #: Kinds carrying votes as ``{"digest": Hash, ...}`` dicts — the
     #: targets of vote withholding and digest rewriting.
     vote_kinds: tuple[str, ...] = ()

@@ -71,6 +71,7 @@ class PBFT(ConsensusProtocol):
         SYNC_RESP,
     )
     proposal_kinds = (PRE_PREPARE,)
+    block_kinds = (PRE_PREPARE,)
     vote_kinds = (PREPARE, COMMIT)
 
     def __init__(

@@ -37,6 +37,7 @@ class ProofOfAuthority(ConsensusProtocol):
 
     message_kinds = (BLOCK_MSG,) + AncestorFetcher.message_kinds
     proposal_kinds = (BLOCK_MSG,)
+    block_kinds = (BLOCK_MSG,)
 
     def __init__(
         self,

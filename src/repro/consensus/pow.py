@@ -33,6 +33,7 @@ class ProofOfWork(ConsensusProtocol):
     """One miner's view of the PoW protocol."""
 
     message_kinds = (BLOCK_MSG,) + AncestorFetcher.message_kinds
+    block_kinds = (BLOCK_MSG,)
 
     def __init__(self, host: ConsensusHost, config: PoWConfig) -> None:
         super().__init__(host)

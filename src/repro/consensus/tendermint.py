@@ -117,6 +117,7 @@ class Tendermint(ConsensusProtocol):
 
     message_kinds = (PROPOSAL, PREVOTE, PRECOMMIT, SYNC_REQ, SYNC_RESP)
     proposal_kinds = (PROPOSAL,)
+    block_kinds = (PROPOSAL,)
     vote_kinds = (PREVOTE, PRECOMMIT)
 
     def __init__(

@@ -26,16 +26,12 @@ from typing import TYPE_CHECKING, Any, Callable
 from ..chain.block import Block
 from ..config import check_value
 from ..errors import BenchmarkError
+from ..platforms.base import RECOVERY_MODES
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..platforms.base import PlatformNode
     from ..platforms.cluster import Cluster
     from ..sim.network import Network, SendFilter
-
-
-#: Valid CrashFault.recovery_mode values (mirrors the platform layer's
-#: RECOVERY_MODES; duplicated to avoid importing platforms here).
-CRASH_RECOVERY_MODES = ("warm", "cold")
 
 
 @dataclass
@@ -264,10 +260,10 @@ class FaultSchedule:
         """
         scheduler = cluster.scheduler
         for crash in self.crashes:
-            if crash.recovery_mode not in CRASH_RECOVERY_MODES:
+            if crash.recovery_mode not in RECOVERY_MODES:
                 raise BenchmarkError(
                     f"unknown recovery_mode {crash.recovery_mode!r} "
-                    f"(known: {', '.join(CRASH_RECOVERY_MODES)})"
+                    f"(known: {', '.join(RECOVERY_MODES)})"
                 )
             if crash.recover_at is not None and crash.recover_at <= crash.at_time:
                 raise BenchmarkError(

@@ -4,9 +4,10 @@ A :class:`PlatformNode` is one server in the private testnet. It wires
 together every layer the paper identifies:
 
 * **consensus** — a :class:`~repro.consensus.base.ConsensusProtocol`
-  attached after construction (PoW / PoA / PBFT);
+  (PoW / PoA / PBFT / Tendermint) built by ``_new_protocol``;
 * **data model** — a :class:`PlatformState` (Patricia trie or bucket
-  tree over a storage backend) committed once per executed block;
+  tree over a storage backend) built by ``_new_state`` and committed
+  once per executed block;
 * **execution** — the Table-1 contracts, invoked natively with gas
   metering; gas converts to CPU seconds through the platform's
   execution-cost model, and that CPU time *occupies the node* (via
@@ -480,7 +481,15 @@ class ExecutionCache:
 
 
 class PlatformNode(SimNode):
-    """One server of a private blockchain deployment."""
+    """One server of a private blockchain deployment.
+
+    A platform is one subclass registered with
+    :func:`repro.registry.register_platform`: its constructor is the
+    registry's node factory, ``(node_id, scheduler, network, rng,
+    config, all_ids)``, and it supplies two layers through hooks —
+    ``_new_state()`` (also called by cold recovery) and
+    ``_new_protocol(all_ids)``.
+    """
 
     #: Whether the platform offers the publish/subscribe block feed the
     #: paper attributes to ErisDB (Section 3.2). Polling via
@@ -494,21 +503,20 @@ class PlatformNode(SimNode):
         network: Network,
         rng_registry: RngRegistry,
         config: PlatformConfig,
-        state: PlatformState,
-        chain_id: str = "testnet",
+        all_ids: list[str],
     ) -> None:
         super().__init__(
             node_id, scheduler, network, inbox_capacity=config.inbox_capacity
         )
         self.config = config
-        self.state = state
+        self.state = self._new_state()
         #: Cluster-shared execution memoization; attached by
         #: ``build_cluster`` when the platform config enables it.
         self.execution_cache: ExecutionCache | None = None
         self._rng = rng_registry.stream(node_id)
-        self._chain = Blockchain(chain_id)
+        # The chain id is hashed into the genesis block.
+        self._chain = Blockchain("testnet")
         self.mempool = Mempool(config.mempool_capacity)
-        self.protocol: ConsensusProtocol | None = None
         self.peers: list[str] = []
         self.contracts: dict[str, Contract] = {}
         #: Read-only ``tx id → receipt`` view of the executed blocks.
@@ -550,14 +558,23 @@ class PlatformNode(SimNode):
         self.sync_bytes_received = 0
         self.sync_blocks_served = 0
         self.sync_bytes_served = 0
+        self.protocol: ConsensusProtocol = self._new_protocol(all_ids)
+
+    def _new_state(self) -> PlatformState:
+        """An empty state store: at construction and on cold recovery."""
+        raise NotImplementedError
+
+    def _new_protocol(self, all_ids: list[str]) -> ConsensusProtocol:
+        """This node's consensus protocol over the replica list."""
+        raise NotImplementedError
+
+    def start(self) -> None:
+        """Begin consensus participation (once, after peering)."""
+        self.protocol.start()
 
     # ------------------------------------------------------------------
     # Wiring
     # ------------------------------------------------------------------
-    def attach_protocol(self, protocol: ConsensusProtocol) -> None:
-        """Wire the consensus protocol driving this node."""
-        self.protocol = protocol
-
     def set_peers(self, peer_ids: list[str]) -> None:
         """Install the deployment's node list (self excluded)."""
         self.peers = [p for p in peer_ids if p != self.node_id]
@@ -672,8 +689,6 @@ class PlatformNode(SimNode):
     # ------------------------------------------------------------------
     def confirmed_height(self) -> int:
         """Highest height the protocol treats as final."""
-        if self.protocol is None:
-            return 0
         return self.protocol.confirmed_height()
 
     def _advance_execution(self) -> None:
@@ -860,15 +875,8 @@ class PlatformNode(SimNode):
             return costs.tx_gossip_cost_s
         if kind == RPC_SEND_TX:
             return costs.tx_ingress_cost_s
-        if kind == "pbft/pre-prepare":
+        if kind in self.protocol.block_kinds:
             block: Block = message.payload
-            return costs.consensus_msg_cost_s + costs.verify_cost_s * len(
-                block.transactions
-            )
-        if kind.startswith("pbft/") or kind.startswith("gossip/"):
-            return costs.consensus_msg_cost_s
-        if kind in ("pow/block", "poa/block"):
-            block = message.payload
             return costs.consensus_msg_cost_s + costs.verify_cost_s * len(
                 block.transactions
             )
@@ -905,12 +913,12 @@ class PlatformNode(SimNode):
             self._on_sync_request(message)
         elif kind == SYNC_BLOCKS:
             self._on_sync_blocks(message)
-        elif self.protocol is not None and kind in self.protocol.message_kinds:
+        elif kind in self.protocol.message_kinds:
             self.protocol.on_message(kind, message.payload, message.sender)
 
     # -- transaction admission -------------------------------------------
     def _on_tx_gossip(self, tx: Transaction) -> None:
-        if self.mempool.add(tx, self.now) and self.protocol is not None:
+        if self.mempool.add(tx, self.now):
             self.protocol.on_new_pending_tx()
 
     def has_receipt(self, tx_id: str) -> bool:
@@ -952,8 +960,7 @@ class PlatformNode(SimNode):
             self._charge(
                 len(self.peers) * self.config.execution.tx_broadcast_send_cost_s
             )
-            if self.protocol is not None:
-                self.protocol.on_new_pending_tx()
+            self.protocol.on_new_pending_tx()
         else:
             self.rejected_submissions += 1
         self._reply(message, {"accepted": accepted, "tx_id": tx.tx_id})
@@ -1030,18 +1037,6 @@ class PlatformNode(SimNode):
     # ------------------------------------------------------------------
     # Crash recovery: restart, chain catch-up, consensus rejoin
     # ------------------------------------------------------------------
-    def _fresh_state(self) -> PlatformState:
-        """Build an empty replacement state store (cold recovery).
-
-        Platform subclasses override this with their own state
-        constructor; the base class cannot know which tree/backing the
-        platform uses.
-        """
-        raise ConnectorError(
-            f"{type(self).__name__} does not support cold recovery "
-            "(no _fresh_state implementation)"
-        )
-
     def bootstrap_apply(self, write_set: WriteSet) -> None:
         """Write pre-run (genesis) records, remembering the write-set so
         cold recovery can re-seed a wiped state before chain replay —
@@ -1090,7 +1085,7 @@ class PlatformNode(SimNode):
             self.auditor.node_recovering(self.node_id, cold=(mode == "cold"))
         if mode == "cold":
             self.state.close()
-            self.state = self._fresh_state()
+            self.state = self._new_state()
             # Wires the fresh state and starts an empty receipt map; the
             # chain replay below files and counts every block again.
             self.attach_execution_cache(self.execution_cache)
@@ -1171,9 +1166,7 @@ class PlatformNode(SimNode):
         blocks = self._chain.blocks_in_range(
             from_height, min(confirmed, from_height + count)
         )
-        view_hint = (
-            self.protocol.sync_hint() if self.protocol is not None else 0
-        )
+        view_hint = self.protocol.sync_hint()
         size = 96 + sum(b.size_bytes() for b in blocks)
         self.sync_blocks_served += len(blocks)
         self.sync_bytes_served += size
@@ -1219,11 +1212,10 @@ class PlatformNode(SimNode):
             self.auditor.node_recovered(
                 self.node_id, self._chain.height, self.now
             )
-        if self.protocol is not None:
-            view_hint = self._sync_view_hint
-            if not self.peers:
-                view_hint = max(view_hint, self.protocol.sync_hint())
-            self.protocol.restart(self._chain.height, view_hint)
+        view_hint = self._sync_view_hint
+        if not self.peers:
+            view_hint = max(view_hint, self.protocol.sync_hint())
+        self.protocol.restart(self._chain.height, view_hint)
 
     # ------------------------------------------------------------------
     def crash(self) -> None:
@@ -1232,8 +1224,7 @@ class PlatformNode(SimNode):
         # An in-progress recovery dies with the process; a later
         # recover() starts a fresh cycle.
         self._recovering = False
-        if self.protocol is not None:
-            self.protocol.stop()
+        self.protocol.stop()
 
     def close(self) -> None:
         """Release storage resources (LSM files, caches)."""

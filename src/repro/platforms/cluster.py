@@ -8,7 +8,6 @@ of the paper's 48-node commodity cluster on a 1 Gb switch.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Iterable
 
 from ..core.audit import ChainAuditor
@@ -170,22 +169,16 @@ def build_cluster(
     platform: str,
     n_nodes: int,
     seed: int = 42,
-    contracts: Iterable[str] = DEFAULT_CONTRACTS,
-    config=None,
     config_overrides: dict | None = None,
-    storage_dir: str | Path | None = None,
     with_monitor: bool = False,
-    monitor_interval: float = 1.0,
     trace_stages: bool = True,
 ) -> Cluster:
     """Build and start an N-node testnet of ``platform``.
 
     ``config_overrides`` is a JSON-shaped knob dict (scenario-file
-    ``overrides``) applied to the platform's config — the explicit
-    ``config`` if given, the registered default otherwise — via
-    :func:`repro.config.apply_overrides`. ``storage_dir`` switches
-    state persistence to the real LSM engine (one subdirectory per
-    node) — used by the IOHeavy experiment.
+    ``overrides``) applied to the platform's registered default config
+    via :func:`repro.config.apply_overrides`. Every node deploys the
+    :data:`DEFAULT_CONTRACTS`.
     """
     if n_nodes < 1:
         raise BenchmarkError("cluster needs at least one node")
@@ -193,23 +186,12 @@ def build_cluster(
     rng = RngRegistry(seed)
     network = Network(scheduler, rng)
     ids = [f"server-{i}" for i in range(n_nodes)]
-    nodes: list[PlatformNode] = []
-
-    def node_dir(node_id: str) -> Path | None:
-        if storage_dir is None:
-            return None
-        path = Path(storage_dir) / node_id
-        path.mkdir(parents=True, exist_ok=True)
-        return path
-
     spec = PLATFORMS.get(platform)
-    config = spec.make_config(config, config_overrides)
-    for node_id in ids:
-        nodes.append(
-            spec.factory(
-                node_id, scheduler, network, rng, config, ids, node_dir(node_id)
-            )
-        )
+    config = spec.make_config(config_overrides)
+    nodes: list[PlatformNode] = [
+        spec.factory(node_id, scheduler, network, rng, config, ids)
+        for node_id in ids
+    ]
 
     # One shared execution-memoization cache per cluster: the first
     # replica to execute a block records its write-set, the rest
@@ -241,16 +223,14 @@ def build_cluster(
 
     for node in nodes:
         node.set_peers(ids)
-        for contract_name in contracts:
+        for contract_name in DEFAULT_CONTRACTS:
             node.deploy(contract_name)
     for node in nodes:
         node.start()
 
     monitor = None
     if with_monitor:
-        monitor = ResourceMonitor(
-            scheduler, network, nodes, interval=monitor_interval, cores=8
-        )
+        monitor = ResourceMonitor(scheduler, network, nodes, cores=8)
         monitor.start()
     return Cluster(
         platform=platform,

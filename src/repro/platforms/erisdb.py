@@ -24,36 +24,27 @@ from __future__ import annotations
 
 from ..chain import Block
 from ..config import ErisDBConfig, erisdb_config
-from ..consensus.tendermint import PROPOSAL, Tendermint
+from ..consensus.tendermint import Tendermint
 from ..registry import register_platform
 from ..sim import Message, Network, RngRegistry, Scheduler
 from .base import PlatformNode
-from .ethereum import EthereumState
+from .triestate import TrieState
 
 RPC_SUBSCRIBE = "rpc/subscribe"
 RPC_UNSUBSCRIBE = "rpc/unsubscribe"
 RPC_EVENT = "rpc/event"
 
 
-class ErisDBState(EthereumState):
-    """Account trie held in memory — ErisDB's IAVL-tree analogue.
-
-    Same structure and snapshot semantics as the Ethereum state, but
-    never backed by the LSM store: eris-db v0.x kept its merkle state
-    in memory and persisted through Tendermint's block store. The
-    journaled overlay and batched per-block trie flush are inherited
-    from :class:`EthereumState`, so Tendermint commits pay one shared
-    path rewrite per block too.
-    """
-
-    def __init__(self) -> None:
-        super().__init__(storage_dir=None)
-
-
+@register_platform(
+    "erisdb",
+    default_config=erisdb_config,
+    description="ErisDB: Tendermint BFT with a pub/sub block feed",
+)
 class ErisDBNode(PlatformNode):
     """eris-db validator: Tendermint + EVM + pub/sub block events."""
 
     supports_subscription = True
+    config: ErisDBConfig
 
     def __init__(
         self,
@@ -61,40 +52,19 @@ class ErisDBNode(PlatformNode):
         scheduler: Scheduler,
         network: Network,
         rng_registry: RngRegistry,
-        config: ErisDBConfig | None = None,
-        validators: list[str] | None = None,
+        config: ErisDBConfig,
+        all_ids: list[str],
     ) -> None:
-        config = config or erisdb_config()
-        super().__init__(
-            node_id, scheduler, network, rng_registry, config, ErisDBState()
-        )
-        self.eris_config = config
-        self.attach_protocol(
-            Tendermint(self, config.tendermint, validators or [node_id])
-        )
+        super().__init__(node_id, scheduler, network, rng_registry, config, all_ids)
         #: subscriber client id -> subscription id (one sub per client).
         self._subscribers: dict[str, int] = {}
         self.events_published = 0
 
-    def start(self) -> None:
-        self.protocol.start()
+    def _new_state(self) -> TrieState:
+        return TrieState()
 
-    def _fresh_state(self) -> ErisDBState:
-        """Empty in-memory trie for cold recovery."""
-        return ErisDBState()
-
-    # ------------------------------------------------------------------
-    # Message costs: a Tendermint proposal carries a block and pays
-    # per-transaction verification, like a PBFT pre-prepare.
-    # ------------------------------------------------------------------
-    def message_cost(self, message: Message) -> float:
-        if message.kind == PROPOSAL:
-            block: Block = message.payload
-            costs = self.config.execution
-            return costs.consensus_msg_cost_s + costs.verify_cost_s * len(
-                block.transactions
-            )
-        return super().message_cost(message)
+    def _new_protocol(self, all_ids: list[str]) -> Tendermint:
+        return Tendermint(self, self.config.tendermint, all_ids)
 
     # ------------------------------------------------------------------
     # Publish/subscribe (the Section 3.2 interface)
@@ -157,21 +127,3 @@ class ErisDBNode(PlatformNode):
             {"sub_id": sub_id, "block": summary},
             64 + 40 * len(summary["tx_ids"]),
         )
-
-
-@register_platform(
-    "erisdb",
-    default_config=erisdb_config,
-    description="ErisDB: Tendermint BFT with a pub/sub block feed",
-)
-def build_erisdb_node(
-    node_id: str,
-    scheduler: Scheduler,
-    network: Network,
-    rng: RngRegistry,
-    config: ErisDBConfig,
-    all_ids: list[str],
-    storage_dir=None,
-) -> ErisDBNode:
-    """Node factory used by ``build_cluster`` (see ``repro.registry``)."""
-    return ErisDBNode(node_id, scheduler, network, rng, config, validators=all_ids)

@@ -17,12 +17,12 @@ from typing import TYPE_CHECKING
 from ..chain import Transaction
 from ..config import EthereumConfig, ethereum_config
 from ..consensus.pow import ProofOfWork
-from ..crypto.hashing import Hash, sha256
-from ..crypto.trie import NodeStore, StateTrie
+from ..crypto.hashing import sha256
+from ..crypto.trie import NodeStore
 from ..registry import register_platform
-from ..sim import Network, RngRegistry, Scheduler
 from ..util.lru import LRUCache
-from .base import TX_GOSSIP, JournaledState, PlatformNode
+from .base import TX_GOSSIP, PlatformNode
+from .triestate import TrieState
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..storage.lsm.db import LSMStore
@@ -55,19 +55,12 @@ class _CachedNodeStore:
         self.cache.put(key, value)
 
 
-class EthereumState(JournaledState):
-    """Patricia-Merkle trie over LevelDB (or memory for macro runs).
-
-    Intra-block writes buffer in the journaled overlay
-    (:class:`~repro.platforms.base.JournaledState`); ``commit_block``
-    flushes the net write-set through the trie's batched ``update`` so
-    shared path segments are rewritten once per block, not once per
-    logical put.
-    """
+class EthereumState(TrieState):
+    """Patricia-Merkle trie over LevelDB (or memory for macro runs)."""
 
     def __init__(self, storage_dir: str | Path | None = None) -> None:
-        super().__init__()
         self._store: LSMStore | None = None
+        store = None
         if storage_dir is not None:
             # Only disk-backed runs load the LSM engine.
             from ..storage.lsm.db import LSMStore, leveldb_config
@@ -77,34 +70,8 @@ class EthereumState(JournaledState):
             # read reaches _CachedNodeStore, which *models* geth's state
             # cache; its misses reach the LSM read counters that feed
             # the IOHeavy figures.
-            self.trie = StateTrie(_CachedNodeStore(self._store))
-        else:
-            self.trie = StateTrie()
-        self._snapshots: dict[int, int] = {}
-        self._sealed_root = self.trie.root_hash()
-
-    def _backing_get(self, key: bytes) -> bytes | None:
-        return self.trie.get(key)
-
-    def _flush(self, items, journal: bool = False):
-        return self.trie.update(items, journal)
-
-    def _install(self, items, record) -> None:
-        self.trie.adopt(*record)
-
-    def _seal(self, height: int) -> Hash:
-        self._snapshots[height] = self.trie.snapshot()
-        return self.trie.root_hash()
-
-    def get_at(self, height: int, key: bytes) -> bytes | None:
-        snapshot = self._snapshots.get(height)
-        if snapshot is None:
-            # Before the first commit at/after `height`: walk back.
-            candidates = [h for h in self._snapshots if h <= height]
-            if not candidates:
-                return None
-            snapshot = self._snapshots[max(candidates)]
-        return self.trie.get_at(snapshot, key)
+            store = _CachedNodeStore(self._store)
+        super().__init__(store)
 
     def disk_usage_bytes(self) -> int:
         return self._store.disk_usage_bytes() if self._store is not None else 0
@@ -114,44 +81,21 @@ class EthereumState(JournaledState):
             self._store.close()
 
 
+@register_platform(
+    "ethereum",
+    default_config=ethereum_config,
+    description="geth v1.4.18: PoW, Patricia-Merkle trie, EVM costs",
+)
 class EthereumNode(PlatformNode):
     """geth-style full node: PoW miner + trie state + EVM cost model."""
 
-    def __init__(
-        self,
-        node_id: str,
-        scheduler: Scheduler,
-        network: Network,
-        rng_registry: RngRegistry,
-        config: EthereumConfig | None = None,
-        storage_dir: str | Path | None = None,
-    ) -> None:
-        config = config or ethereum_config()
-        super().__init__(
-            node_id,
-            scheduler,
-            network,
-            rng_registry,
-            config,
-            EthereumState(storage_dir),
-        )
-        self.eth_config = config
-        self._storage_dir = storage_dir
-        self._recovery_epoch = 0
-        self.attach_protocol(ProofOfWork(self, config.pow))
+    config: EthereumConfig
 
-    def start(self) -> None:
-        self.protocol.start()
+    def _new_state(self) -> EthereumState:
+        return EthereumState()
 
-    def _fresh_state(self) -> EthereumState:
-        """Empty trie for cold recovery. Disk-backed nodes get a fresh
-        LSM directory — the wiped store's files are gone, and reusing
-        the old path would collide with the closed store's artifacts."""
-        path = self._storage_dir
-        if path is not None:
-            self._recovery_epoch += 1
-            path = Path(path) / f"recovery-{self._recovery_epoch}"
-        return EthereumState(path)
+    def _new_protocol(self, all_ids: list[str]) -> ProofOfWork:
+        return ProofOfWork(self, self.config.pow)
 
     def _on_send_tx(self, message) -> None:
         """geth admission: pool locally, gossip to a few static peers."""
@@ -164,8 +108,7 @@ class EthereumNode(PlatformNode):
             fanout = self._gossip_targets(tx)
             for peer in fanout:
                 self.network.send(self.node_id, peer, TX_GOSSIP, tx, tx.size_bytes())
-            if self.protocol is not None:
-                self.protocol.on_new_pending_tx()
+            self.protocol.on_new_pending_tx()
         else:
             self.rejected_submissions += 1
         self._reply(message, {"accepted": accepted, "tx_id": tx.tx_id})
@@ -179,21 +122,3 @@ class EthereumNode(PlatformNode):
         return [
             self.peers[(start + i) % len(self.peers)] for i in range(TX_GOSSIP_FANOUT)
         ]
-
-
-@register_platform(
-    "ethereum",
-    default_config=ethereum_config,
-    description="geth v1.4.18: PoW, Patricia-Merkle trie, EVM costs",
-)
-def build_ethereum_node(
-    node_id: str,
-    scheduler: Scheduler,
-    network: Network,
-    rng: RngRegistry,
-    config: EthereumConfig,
-    all_ids: list[str],
-    storage_dir: Path | None,
-) -> EthereumNode:
-    """Node factory used by ``build_cluster`` (see ``repro.registry``)."""
-    return EthereumNode(node_id, scheduler, network, rng, config, storage_dir)

@@ -23,7 +23,6 @@ from ..consensus.pbft import PBFT
 from ..crypto.bucket_tree import BucketTree
 from ..crypto.hashing import Hash
 from ..registry import register_platform
-from ..sim import Network, RngRegistry, Scheduler
 from .base import JournaledState, PlatformNode
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -93,69 +92,18 @@ class HyperledgerState(JournaledState):
             self._store.close()
 
 
-class HyperledgerNode(PlatformNode):
-    """Fabric v0.6 validating peer."""
-
-    def __init__(
-        self,
-        node_id: str,
-        scheduler: Scheduler,
-        network: Network,
-        rng_registry: RngRegistry,
-        config: HyperledgerConfig | None = None,
-        replicas: list[str] | None = None,
-        storage_dir: str | Path | None = None,
-    ) -> None:
-        config = config or hyperledger_config()
-        super().__init__(
-            node_id,
-            scheduler,
-            network,
-            rng_registry,
-            config,
-            HyperledgerState(storage_dir),
-        )
-        self.hlf_config = config
-        self._storage_dir = storage_dir
-        self._recovery_epoch = 0
-        self.attach_protocol(
-            PBFT(self, config.pbft, replicas=replicas or [node_id])
-        )
-
-    def start(self) -> None:
-        self.protocol.start()
-
-    def _fresh_state(self) -> HyperledgerState:
-        """Empty bucket tree for cold recovery (fresh LSM directory for
-        disk-backed nodes; see EthereumNode._fresh_state)."""
-        path = self._storage_dir
-        if path is not None:
-            self._recovery_epoch += 1
-            path = Path(path) / f"recovery-{self._recovery_epoch}"
-        return HyperledgerState(path)
-
-
 @register_platform(
     "hyperledger",
     default_config=hyperledger_config,
     description="Hyperledger Fabric v0.6: PBFT over a bucket-Merkle tree",
 )
-def build_hyperledger_node(
-    node_id: str,
-    scheduler: Scheduler,
-    network: Network,
-    rng: RngRegistry,
-    config: HyperledgerConfig,
-    all_ids: list[str],
-    storage_dir: Path | None,
-) -> HyperledgerNode:
-    """Node factory used by ``build_cluster`` (see ``repro.registry``)."""
-    return HyperledgerNode(
-        node_id,
-        scheduler,
-        network,
-        rng,
-        config,
-        replicas=all_ids,
-        storage_dir=storage_dir,
-    )
+class HyperledgerNode(PlatformNode):
+    """Fabric v0.6 validating peer."""
+
+    config: HyperledgerConfig
+
+    def _new_state(self) -> HyperledgerState:
+        return HyperledgerState()
+
+    def _new_protocol(self, all_ids: list[str]) -> PBFT:
+        return PBFT(self, self.config.pbft, replicas=all_ids)

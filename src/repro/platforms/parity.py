@@ -29,18 +29,17 @@ from collections import deque
 from ..chain import Transaction
 from ..config import ParityConfig, parity_config
 from ..consensus.poa import ProofOfAuthority
-from ..crypto.hashing import Hash
-from ..crypto.trie import StateTrie
 from ..errors import StorageError
 from ..registry import register_platform
 from ..sim import Message, Network, RngRegistry, Scheduler
 from ..storage.kv import MemKVStore
-from .base import TX_GOSSIP, JournaledState, PlatformNode
+from .base import TX_GOSSIP, PlatformNode
+from .triestate import TrieState
 
 SIGN_REQ = "parity/sign-req"
 
 
-class ParityState(JournaledState):
+class ParityState(TrieState):
     """Patricia trie whose nodes live entirely in process memory.
 
     ``memory_cap_bytes`` reproduces the paper's Figure 12 finding that
@@ -54,12 +53,9 @@ class ParityState(JournaledState):
     """
 
     def __init__(self, memory_cap_bytes: int | None = None) -> None:
-        super().__init__()
         self._store = MemKVStore(memory_cap_bytes=memory_cap_bytes)
-        self.trie = StateTrie(self._store)
-        self._snapshots: dict[int, int] = {}
+        super().__init__(self._store)
         self._overlay_bytes = 0
-        self._sealed_root = self.trie.root_hash()
 
     def put(self, key: bytes, value: bytes) -> None:
         # Net accounting: an overwrite of a journaled key replaces its
@@ -86,38 +82,29 @@ class ParityState(JournaledState):
             self._overlay_bytes -= len(key) + len(old)
         super().delete(key)
 
-    def _backing_get(self, key: bytes) -> bytes | None:
-        return self.trie.get(key)
-
     def _flush(self, items, journal: bool = False):
-        record = self.trie.update(items, journal)
+        record = super()._flush(items, journal)
         self._overlay_bytes = 0
         return record
 
     def _install(self, items, record) -> None:
         # Same store puts, same order: the cap trips at the same put.
-        self.trie.adopt(*record)
+        super()._install(items, record)
         self._overlay_bytes = 0
-
-    def _seal(self, height: int) -> Hash:
-        self._snapshots[height] = self.trie.snapshot()
-        return self.trie.root_hash()
-
-    def get_at(self, height: int, key: bytes) -> bytes | None:
-        snapshot = self._snapshots.get(height)
-        if snapshot is None:
-            candidates = [h for h in self._snapshots if h <= height]
-            if not candidates:
-                return None
-            snapshot = self._snapshots[max(candidates)]
-        return self.trie.get_at(snapshot, key)
 
     def memory_bytes(self) -> int:
         return self._store.approx_bytes() + self._overlay_bytes
 
 
+@register_platform(
+    "parity",
+    default_config=parity_config,
+    description="Parity v1.6.0: PoA with a single round-robin signer",
+)
 class ParityNode(PlatformNode):
     """Parity authority node with the signing-stage bottleneck."""
+
+    config: ParityConfig
 
     def __init__(
         self,
@@ -125,25 +112,12 @@ class ParityNode(PlatformNode):
         scheduler: Scheduler,
         network: Network,
         rng_registry: RngRegistry,
-        config: ParityConfig | None = None,
-        authorities: list[str] | None = None,
-        signer_id: str | None = None,
+        config: ParityConfig,
+        all_ids: list[str],
     ) -> None:
-        config = config or parity_config()
-        super().__init__(
-            node_id,
-            scheduler,
-            network,
-            rng_registry,
-            config,
-            ParityState(config.memory_cap_bytes),
-        )
-        self.parity_config = config
-        self.authorities = authorities or [node_id]
-        self.signer_id = signer_id or self.authorities[0]
-        self.attach_protocol(
-            ProofOfAuthority(self, config.poa, authorities=self.authorities)
-        )
+        super().__init__(node_id, scheduler, network, rng_registry, config, all_ids)
+        #: The one node holding the unlocked authority account.
+        self.signer_id = all_ids[0]
         # Signing stage (active only on the signer node).
         self._sign_queue: deque[dict] = deque()
         self._signing_busy = False
@@ -153,12 +127,11 @@ class ParityNode(PlatformNode):
         self._tokens = 8.0
         self._tokens_updated = 0.0
 
-    def start(self) -> None:
-        self.protocol.start()
+    def _new_state(self) -> ParityState:
+        return ParityState(self.config.memory_cap_bytes)
 
-    def _fresh_state(self) -> ParityState:
-        """Empty in-memory trie for cold recovery."""
-        return ParityState(self.parity_config.memory_cap_bytes)
+    def _new_protocol(self, all_ids: list[str]) -> ProofOfAuthority:
+        return ProofOfAuthority(self, self.config.poa, authorities=all_ids)
 
     def crash(self) -> None:
         """The signing queue and its busy flag are process state."""
@@ -178,7 +151,7 @@ class ParityNode(PlatformNode):
     # Intake throttle
     # ------------------------------------------------------------------
     def _take_token(self) -> bool:
-        rate = self.parity_config.intake_rate_tx_s
+        rate = self.config.intake_rate_tx_s
         elapsed = self.now - self._tokens_updated
         self._tokens = min(16.0, self._tokens + elapsed * rate)
         self._tokens_updated = self.now
@@ -220,7 +193,7 @@ class ParityNode(PlatformNode):
     # The signing stage
     # ------------------------------------------------------------------
     def _enqueue_signing(self, item: dict) -> None:
-        if len(self._sign_queue) >= self.parity_config.signing_queue_capacity:
+        if len(self._sign_queue) >= self.config.signing_queue_capacity:
             self.rejected_sign_queue_full += 1
             self._reject_to_client(item)
             return
@@ -242,7 +215,7 @@ class ParityNode(PlatformNode):
             return
         self._signing_busy = True
         item = self._sign_queue.popleft()
-        cost = self.parity_config.signing_cost_s
+        cost = self.config.signing_cost_s
         self.consume_cpu(cost)
         self.set_timer(cost, self._finish_signing, item)
 
@@ -253,8 +226,7 @@ class ParityNode(PlatformNode):
         if accepted:
             for peer in self.peers:
                 self.network.send(self.node_id, peer, TX_GOSSIP, tx, tx.size_bytes())
-            if self.protocol is not None:
-                self.protocol.on_new_pending_tx()
+            self.protocol.on_new_pending_tx()
         reply = {"accepted": accepted, "tx_id": tx.tx_id, "req_id": item["req_id"]}
         if not accepted and (self.has_receipt(tx.tx_id) or tx.tx_id in self.mempool):
             reply["dup"] = True
@@ -269,29 +241,3 @@ class ParityNode(PlatformNode):
             # In-memory state exhausted: the node dies (Figure 12's 'X').
             self.crash()
             raise
-
-
-@register_platform(
-    "parity",
-    default_config=parity_config,
-    description="Parity v1.6.0: PoA with a single round-robin signer",
-)
-def build_parity_node(
-    node_id: str,
-    scheduler: Scheduler,
-    network: Network,
-    rng: RngRegistry,
-    config: ParityConfig,
-    all_ids: list[str],
-    storage_dir=None,
-) -> ParityNode:
-    """Node factory used by ``build_cluster`` (see ``repro.registry``)."""
-    return ParityNode(
-        node_id,
-        scheduler,
-        network,
-        rng,
-        config,
-        authorities=all_ids,
-        signer_id=all_ids[0],
-    )

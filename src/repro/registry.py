@@ -10,9 +10,13 @@ so a third-party backend registers itself without touching core:
 >>> from repro.registry import register_platform
 >>> @register_platform("instantchain")
 ... def build_instantchain(node_id, scheduler, network, rng, config,
-...                        all_ids, storage_dir):
+...                        all_ids):
 ...     return InstantChainNode(node_id, scheduler, network, rng)
 ...                                                   # doctest: +SKIP
+
+A node factory is any callable of those six arguments; each built-in
+platform registers its :class:`~repro.platforms.base.PlatformNode`
+subclass itself, whose constructor takes exactly them.
 
 After that, ``build_cluster("instantchain", ...)``, ``blockbench run
 --platform instantchain`` and scenario files all resolve the new name
@@ -146,11 +150,11 @@ class Registry:
 # ---------------------------------------------------------------------------
 # Platforms
 # ---------------------------------------------------------------------------
-#: Builds one node of a platform's testnet. Called once per node id
-#: with the shared simulation plumbing; ``all_ids`` is the full replica
-#: list (for protocols that need the membership up front) and
-#: ``storage_dir`` is a per-node directory when the run persists state
-#: to the LSM engine (None for in-memory runs).
+#: Builds one node of a platform's testnet: ``(node_id, scheduler,
+#: network, rng, config, all_ids)``. Called once per node id with the
+#: shared simulation plumbing; ``all_ids`` is the full replica list (for
+#: protocols that need the membership up front). A built-in platform's
+#: factory is its node class.
 NodeFactory = Callable[..., Any]
 
 
@@ -160,31 +164,24 @@ class PlatformSpec:
 
     name: str
     factory: NodeFactory
-    #: Zero-argument callable producing the platform's default config;
-    #: ``build_cluster(config=...)`` overrides it per run.
+    #: Zero-argument callable producing the platform's default config.
     default_config: Callable[[], Any] | None = None
     description: str = ""
 
-    def make_config(
-        self, config: Any = None, overrides: dict | None = None
-    ) -> Any:
-        """Resolve the config one run of this platform should use.
-
-        ``config`` (a Python config object) wins over the registered
-        default; ``overrides`` is the scenario-JSON knob dict applied
-        on top of whichever base was picked — the path that lets a
-        scenario file retune a platform without touching its code.
+    def make_config(self, overrides: dict | None = None) -> Any:
+        """Resolve the config one run of this platform should use:
+        the registered default with ``overrides``, the scenario-JSON
+        knob dict, applied on top — the path that lets a scenario file
+        retune a platform without touching its code.
         """
-        if config is None and self.default_config is not None:
-            config = self.default_config()
+        if self.default_config is not None:
+            return apply_overrides(self.default_config(), overrides)
         if overrides:
-            if config is None:
-                raise BenchmarkError(
-                    f"platform {self.name!r} has no config to override; "
-                    "it was registered without a default_config"
-                )
-            config = apply_overrides(config, overrides)
-        return config
+            raise BenchmarkError(
+                f"platform {self.name!r} has no config to override; "
+                "it was registered without a default_config"
+            )
+        return None
 
 
 @dataclass(frozen=True)
@@ -228,7 +225,8 @@ def register_platform(
     description: str = "",
     replace: bool = False,
 ) -> Callable[[NodeFactory], NodeFactory]:
-    """Class/function decorator adding a platform node factory."""
+    """Class/function decorator adding a platform node factory (a
+    built-in platform decorates its node class)."""
 
     def decorator(factory: NodeFactory) -> NodeFactory:
         PLATFORMS.register(

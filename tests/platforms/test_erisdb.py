@@ -7,7 +7,7 @@ from repro.core import Driver, DriverConfig
 from repro.core.connector import RPCClient, SimChainConnector
 from repro.errors import ConnectorError
 from repro.platforms import build_cluster
-from repro.platforms.erisdb import ErisDBState
+from repro.platforms.triestate import TrieState
 from repro.workloads import YCSBConfig, YCSBWorkload
 
 
@@ -71,7 +71,7 @@ def test_all_nodes_agree_no_forks():
 
 def test_historical_state_queries_work():
     """ErisDB's trie snapshots support get_at, like Ethereum's."""
-    state = ErisDBState()
+    state = TrieState()
     state.put(b"k", b"v1")
     state.commit_block(1)
     state.put(b"k", b"v2")

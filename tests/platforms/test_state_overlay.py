@@ -14,10 +14,10 @@ import pytest
 from repro.crypto.bucket_tree import BucketTree
 from repro.crypto.trie import StateTrie
 from repro.errors import StorageError
-from repro.platforms.erisdb import ErisDBState
 from repro.platforms.ethereum import EthereumState
 from repro.platforms.hyperledger import N_BUCKETS, HyperledgerState
 from repro.platforms.parity import ParityState
+from repro.platforms.triestate import TrieState
 
 #: Write scripts, one list per block: (key, value) puts, value=None
 #: deletes. Exercises hot-key overwrite collapse, delete-then-put,
@@ -88,7 +88,7 @@ def _bucket_reference():
 
 @pytest.mark.parametrize(
     "state_factory",
-    [EthereumState, ParityState, ErisDBState],
+    [EthereumState, ParityState, TrieState],
     ids=["ethereum", "parity", "erisdb"],
 )
 def test_trie_states_match_unbuffered_roots(state_factory):
@@ -227,7 +227,7 @@ def _memo_pair(factory):
     [
         (EthereumState, _trie_reference),
         (ParityState, _trie_reference),
-        (ErisDBState, _trie_reference),
+        (TrieState, _trie_reference),
         (HyperledgerState, _bucket_reference),
     ],
     ids=["ethereum", "parity", "erisdb", "hyperledger"],
@@ -282,7 +282,7 @@ def test_memo_is_keyed_on_the_sealed_root():
 
 @pytest.mark.parametrize(
     "state_factory",
-    [EthereumState, ParityState, ErisDBState, HyperledgerState],
+    [EthereumState, ParityState, TrieState, HyperledgerState],
     ids=["ethereum", "parity", "erisdb", "hyperledger"],
 )
 def test_pre_state_root_is_the_sealed_root(state_factory):

@@ -24,6 +24,12 @@ timeouts stopped arming a timer per request: a leader crash with no
 recovery, so submit and poll timeouts both fire and drive the clients'
 failover.
 
+``eth_cold_recovery``, ``parity_cold_recovery`` and
+``eris_cold_recovery`` were captured on the commit before each platform
+became one node class built from ``_new_state`` / ``_new_protocol``:
+the cold path rebuilds a node's state from that hook, and before them
+only ``hl_crash_failover`` reached it.
+
 A drifting digest means an elided event was *not* the next one the
 scheduler would have dispatched anyway (or an RNG draw moved): a model
 change, not an optimisation. Recapture only for a change that
@@ -161,6 +167,21 @@ PINNED = {
         dict(HL, request_rate_tx_s=40, failover=True, duration_s=12,
              faults={"crashes": [{"at_time": 2.0, "count": 1}]}),
         "eb92bf8cbb4b5f5bba334e0e4c14263f2fa03cfac65bf46c2240a85a19371e62",
+    ),
+    "eth_cold_recovery": (
+        dict(HL, platform="ethereum", request_rate_tx_s=20, duration_s=30,
+             faults=COLD_CRASH),
+        "59b2cd89c6f443a1554f8bd2e14289e3720c87b35174db038bfe42e026800b7d",
+    ),
+    "parity_cold_recovery": (
+        dict(HL, platform="parity", workload="smallbank",
+             request_rate_tx_s=20, duration_s=10, faults=COLD_CRASH),
+        "4afe9457b7c524f4ae5be77bab2737e30db70449f8a8a3b68d0288b8ec17b817",
+    ),
+    "eris_cold_recovery": (
+        dict(HL, platform="erisdb", request_rate_tx_s=40, duration_s=8,
+             faults=COLD_CRASH),
+        "6ebbc8fd5733d87dfa6d989084bb0609fcb4a18e73217b1dc7b15767eec21ff0",
     ),
     "drawn_hyp_1c_30_s0": (
         dict(HL, n_clients=1, request_rate_tx_s=30, duration_s=8, seed=0),

@@ -3,23 +3,23 @@
 import pytest
 
 from repro.config import (
-    PLATFORM_PRESETS,
     erisdb_config,
     ethereum_config,
     hyperledger_config,
     parity_config,
 )
+from repro.registry import PLATFORMS
 
 
 def test_presets_registry():
-    assert set(PLATFORM_PRESETS) == {
-        "ethereum",
-        "parity",
-        "hyperledger",
+    assert [name for name, _ in PLATFORMS.items()] == [
         "erisdb",
-    }
-    for name, factory in PLATFORM_PRESETS.items():
-        assert factory().name == name
+        "ethereum",
+        "hyperledger",
+        "parity",
+    ]
+    for name, spec in PLATFORMS.items():
+        assert spec.default_config().name == name
 
 
 def test_ethereum_defaults_match_paper_setup():
@@ -101,6 +101,18 @@ def test_apply_overrides_unknown_field_errors():
         apply_overrides(hyperledger_config(), {"batchsize": 250})
     with pytest.raises(BenchmarkError, match="unknown config field 'batchsize'"):
         apply_overrides(hyperledger_config(), {"pbft": {"batchsize": 250}})
+
+
+def test_storage_backend_is_no_knob():
+    """No node reads a storage backend field: a run given ``"lsm"`` would
+    stay in memory, so the override must fail like any unknown knob."""
+    from repro.errors import BenchmarkError
+
+    for name, spec in PLATFORMS.items():
+        with pytest.raises(
+            BenchmarkError, match="unknown config field 'storage_backend'"
+        ):
+            spec.make_config(overrides={"storage_backend": "lsm"})
 
 
 def test_apply_overrides_requires_dataclass():

@@ -37,10 +37,10 @@ PUBLIC_NAMES = {
         export_summary format_table merge_collectors preload_state
         register_behavior run_experiment run_partition_attack spec_hash
         summary_row write_csv""",
-    "repro.platforms": """Cluster DEFAULT_CONTRACTS ErisDBNode ErisDBState
+    "repro.platforms": """Cluster DEFAULT_CONTRACTS ErisDBNode
         EthereumNode EthereumState ExecutionCache HyperledgerNode
         HyperledgerState JournaledState ParityNode ParityState PlatformNode
-        PlatformState available_platforms build_cluster""",
+        PlatformState TrieState available_platforms build_cluster""",
     "repro.workloads": """AnalyticsPreload DoNothingWorkload DoublerWorkload
         EtherIdConfig EtherIdWorkload QueryResult SmallbankConfig
         SmallbankWorkload WavesPresaleWorkload YCSBConfig YCSBWorkload
@@ -133,6 +133,21 @@ def test_a_lookup_imports_only_the_named_builtin():
     for other in ("ethereum", "erisdb", "hyperledger"):
         assert f"repro.platforms.{other}" not in loaded
     assert "repro.consensus.tendermint" not in loaded
+
+
+def test_an_erisdb_lookup_loads_neither_ethereum_nor_pow():
+    loaded = _fresh(
+        "import json, sys\n"
+        "from repro.registry import PLATFORMS\n"
+        "PLATFORMS.get('erisdb')\n"
+        "print(json.dumps(sorted(m for m in sys.modules"
+        " if m.startswith(('repro.platforms.', 'repro.consensus.')))))\n"
+    )
+    assert "repro.platforms.erisdb" in loaded
+    assert "repro.consensus.tendermint" in loaded
+    for other in ("ethereum", "hyperledger", "parity"):
+        assert f"repro.platforms.{other}" not in loaded
+    assert "repro.consensus.pow" not in loaded
 
 
 @pytest.mark.parametrize("package", sorted(PUBLIC_NAMES))

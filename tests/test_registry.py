@@ -183,18 +183,15 @@ def test_invalid_registration_name_rejected():
 
 
 def test_platform_spec_make_config_applies_overrides():
-    from repro.config import hyperledger_config
     from repro.registry import PLATFORMS
 
     spec = PLATFORMS.get("hyperledger")
     assert spec.make_config().pbft.batch_size == 500
     tuned = spec.make_config(overrides={"pbft": {"batch_size": 123}})
     assert tuned.pbft.batch_size == 123
-    # An explicit config is the override base, not the preset.
-    explicit = spec.make_config(
-        hyperledger_config(inbox_capacity=99), {"pbft": {"batch_size": 7}}
-    )
-    assert explicit.inbox_capacity == 99 and explicit.pbft.batch_size == 7
+    # The registered default is the one override base.
+    both = spec.make_config({"inbox_capacity": 99, "pbft": {"batch_size": 7}})
+    assert both.inbox_capacity == 99 and both.pbft.batch_size == 7
 
 
 def test_platform_spec_make_config_without_default_rejects_overrides():
@@ -213,6 +210,6 @@ def test_build_cluster_applies_config_overrides():
         "hyperledger", 2, config_overrides={"pbft": {"batch_size": 123}}
     )
     try:
-        assert cluster.nodes[0].hlf_config.pbft.batch_size == 123
+        assert cluster.nodes[0].config.pbft.batch_size == 123
     finally:
         cluster.close()
