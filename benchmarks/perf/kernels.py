@@ -196,7 +196,7 @@ def bench_replica_execute(quick: bool = False) -> BenchResult:
     replicas = 4
     blocks = 6 if quick else 20
     txs_per_block = 100
-    cache = ExecutionCache()
+    cache = ExecutionCache(replicas)
     states = [EthereumState() for _ in range(replicas)]
     contract = create_contract("smallbank")
     for state in states:

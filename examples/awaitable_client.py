@@ -65,7 +65,7 @@ def main() -> None:
         node.deploy("smallbank")
     preload_state(
         cluster, "smallbank",
-        [(b"chk:" + name.encode(), encode_int(10_000)) for name in ACCOUNTS]
+        lambda: [(b"chk:" + name.encode(), encode_int(10_000)) for name in ACCOUNTS]
         + [(b"sav:" + name.encode(), encode_int(0)) for name in ACCOUNTS],
     )
     rpc = RPCClient("probe", cluster.scheduler, cluster.network)

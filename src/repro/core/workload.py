@@ -28,7 +28,7 @@ from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
 from ..chain import Transaction
 from ..config import check_value
@@ -190,7 +190,10 @@ class Workload(ABC):
 
         Preloading writes directly into every node's state (bypassing
         consensus), mirroring how the paper populates stores before the
-        measured window.
+        measured window. A workload hands :func:`preload_state` a
+        deterministic record source rather than the records, so the
+        nodes keep the source as their genesis and no copy of the data
+        outlives set-up.
         """
 
     @classmethod
@@ -215,19 +218,32 @@ class Workload(ABC):
         numbered with :meth:`next_nonce`."""
 
 
-def preload_state(cluster: "Cluster", contract: str, items) -> int:
+def preload_state(
+    cluster: "Cluster",
+    contract: str,
+    records: Callable[[], Iterable[tuple[bytes, bytes]]],
+) -> int:
     """Helper: write (key, value) byte pairs into a contract's namespace
     on every node. Returns the number of records written per node.
 
-    The records become one sorted net write-set (a repeated key keeps
-    its last value), built once and shared: every node applies the same
-    tuple through ``PlatformNode.bootstrap_apply`` and keeps it — cold
-    crash-recovery wipes the state store and must re-seed these
-    consensus-bypassing records before chain replay.
+    ``records`` is the deterministic record source: a zero-argument
+    callable yielding the same pairs on every call. They become one
+    sorted net write-set (a repeated key keeps its last value), built
+    once and applied on every node through
+    ``PlatformNode.bootstrap_apply``. The nodes keep only the recipe:
+    cold crash-recovery wipes the state store and re-derives these
+    consensus-bypassing records from it before chain replay, so the
+    write-set dies once the last replica has installed its commit.
     """
     prefix = contract.encode() + b"/"
-    write_set = tuple(sorted({prefix + key: value for key, value in items}.items()))
+
+    def genesis():
+        return tuple(
+            sorted({prefix + key: value for key, value in records()}.items())
+        )
+
+    write_set = genesis()
     for node in cluster.nodes:
-        node.bootstrap_apply(write_set)
+        node.bootstrap_apply(write_set, genesis)
         node.bootstrap_commit()
     return len(write_set)

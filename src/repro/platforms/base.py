@@ -26,7 +26,7 @@ the shallow reorgs PoW naturally produces.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from collections.abc import Mapping
+from collections.abc import Callable, Mapping
 from typing import Any
 
 from dataclasses import dataclass
@@ -69,9 +69,10 @@ RECOVERY_MODES = ("warm", "cold")
 #: One net write per key: ``(key, value)`` with ``value=None`` a delete.
 WriteSet = tuple[tuple[bytes, "bytes | None"], ...]
 
-#: Commit records a cluster keeps: sized for replica skew, not history
-#: (a record pins its block's digests or node blobs). A replica further
-#: behind — recovery replaying a long chain — recomputes.
+#: Commit records a cluster keeps that some replica has not installed
+#: yet. A record retires on its last install, so the bound only meets
+#: records a replica never installs — a crashed replica's, a fork
+#: branch's; such a replica, once it replays, recomputes past it.
 COMMIT_MEMO_ENTRIES = 64
 
 
@@ -81,7 +82,7 @@ class PlatformState(ABC):
     #: The cluster's :attr:`ExecutionCache.commits` (set by
     #: ``attach_execution_cache``); None for a stand-alone state or with
     #: the knob off. States that do not journal writes ignore it.
-    commit_memo: "LRUCache[tuple[Hash | None, WriteSet], Any] | None" = None
+    commit_memo: "CommitMemo | None" = None
 
     @abstractmethod
     def get(self, key: bytes) -> bytes | None:
@@ -149,8 +150,9 @@ class JournaledState(PlatformState):
     the first replica to commit a pair flushes and records what that
     produced, and the others install the record — the same tree and
     store writes in the same order, nothing sorted, traversed, encoded
-    or hashed. A miss (no memo, or a replica outside its window) is the
-    compute path, with the same result.
+    or hashed; the last of them retires the record. A miss (no memo, or
+    a record evicted or retired) is the compute path, with the same
+    result.
 
     Subclasses implement four hooks — ``_backing_get`` (committed
     read), ``_flush`` (apply one sorted net write-set to the tree),
@@ -215,7 +217,7 @@ class JournaledState(PlatformState):
                 self._flush(items)
             else:
                 key = (self._sealed_root, items)
-                record = memo.get(key)
+                record = memo.take(key)
                 if record is None:
                     memo.put(key, self._flush(items, journal=True))
                 else:
@@ -242,6 +244,36 @@ class JournaledState(PlatformState):
     @abstractmethod
     def _seal(self, height: int) -> Hash:
         """Record the committed root for ``height`` and return it."""
+
+
+class CommitMemo(LRUCache):
+    """A cluster's commit records: ``(sealed root, write-set) → record``.
+
+    The replica that computes a commit puts its record; each of the
+    other ``replicas - 1`` takes it once, and the last take retires it:
+    a record lives until its last reader has read it. The LRU bound
+    (:data:`COMMIT_MEMO_ENTRIES`) holds the records some replica never
+    takes. ``hits`` / ``misses`` count lookups, as on any
+    :class:`LRUCache`; a value is ``[record, takes left]``.
+    """
+
+    def __init__(self, replicas: int) -> None:
+        super().__init__(COMMIT_MEMO_ENTRIES)
+        self.readers = replicas - 1
+
+    def put(self, key: tuple[Hash | None, WriteSet], record: Any) -> None:
+        super().put(key, [record, self.readers])
+
+    def take(self, key: tuple[Hash | None, WriteSet]) -> Any:
+        """The record under ``key``, or None; the last reader's take
+        retires it."""
+        entry = self.get(key)
+        if entry is None:
+            return None
+        entry[1] -= 1
+        if entry[1] <= 0:
+            del self._data[key]
+        return entry[0]
 
 
 class _NamespacedState:
@@ -437,25 +469,26 @@ class ExecutionCache:
     ``execution_cache`` knob (default on).
 
     The same object and knob carry the cluster's commit memo:
-    :attr:`commits` maps ``(pre_state_root, write_set)`` to the record
-    of the first replica's state commit, which every other
-    :class:`JournaledState` installs instead of re-hashing. Forks and
-    stale executions commit other write-sets or start from other
-    roots, hence other keys; keying on the write-set rather than the
-    block also covers the commits no block carries (preload, cold
-    recovery's re-seed). ``hits`` / ``misses`` count execution lookups
-    only; ``commits`` keeps its own.
+    :attr:`commits` (a :class:`CommitMemo` over the cluster's
+    ``replicas``) maps ``(pre_state_root, write_set)`` to the record of
+    the first replica's state commit, which every other
+    :class:`JournaledState` installs instead of re-hashing, the last of
+    them retiring it. Forks and stale executions commit other
+    write-sets or start from other roots, hence other keys; keying on
+    the write-set rather than the block also covers the one commit no
+    block carries (the preload). ``hits`` / ``misses`` count execution
+    lookups only; ``commits`` keeps its own.
 
     :attr:`tx_index` is the cluster's one :class:`TxIndex`: every
     replica's :class:`ExecutedReceipts` looks transactions up in it, so
     a replica stores one entry per executed block, not per transaction.
     """
 
-    def __init__(self, capacity: int = 4096) -> None:
+    def __init__(self, replicas: int, capacity: int = 4096) -> None:
         self._entries: LRUCache[tuple[Hash, Hash], CachedExecution] = (
             LRUCache(capacity)
         )
-        self.commits: LRUCache = LRUCache(COMMIT_MEMO_ENTRIES)
+        self.commits = CommitMemo(replicas)
         self.tx_index = TxIndex()
 
     @property
@@ -548,10 +581,11 @@ class PlatformNode(SimNode):
         #: One entry per completed crash/recover cycle: simulated
         #: seconds from restart to caught-up-and-voting.
         self.recovery_times: list[float] = []
-        # Pre-run (genesis) write-sets, re-applied by cold recovery: they
-        # live in no block, so a wiped state cannot replay them. Each is
-        # the cluster's one tuple (see ``preload_state``), not a copy.
-        self._genesis_writes: list[WriteSet] = []
+        # Recipes of the pre-run (genesis) write-sets, re-derived by cold
+        # recovery: they live in no block, so a wiped state cannot replay
+        # them. The write-sets themselves are not kept (see
+        # ``preload_state``).
+        self._genesis: list[Callable[[], WriteSet]] = []
         self._genesis_sealed = False
         self.sync_requests_sent = 0
         self.sync_blocks_received = 0
@@ -1037,16 +1071,21 @@ class PlatformNode(SimNode):
     # ------------------------------------------------------------------
     # Crash recovery: restart, chain catch-up, consensus rejoin
     # ------------------------------------------------------------------
-    def bootstrap_apply(self, write_set: WriteSet) -> None:
-        """Write pre-run (genesis) records, remembering the write-set so
-        cold recovery can re-seed a wiped state before chain replay —
-        preloading bypasses consensus, so no block carries these."""
-        self._genesis_writes.append(write_set)
+    def bootstrap_apply(
+        self, write_set: WriteSet, genesis: Callable[[], WriteSet]
+    ) -> None:
+        """Write pre-run (genesis) records: ``write_set``, which
+        ``genesis()`` rebuilds. The node keeps the recipe, not the
+        write-set, and cold recovery calls it to re-seed a wiped state
+        before chain replay, the way a real node re-reads its genesis
+        file — preloading bypasses consensus, so no block carries these."""
+        self._genesis.append(genesis)
         self.state.apply_write_set(write_set)
 
     def bootstrap_put(self, key: bytes, value: bytes) -> None:
         """:meth:`bootstrap_apply` for one record."""
-        self.bootstrap_apply(((key, value),))
+        write_set = ((key, value),)
+        self.bootstrap_apply(write_set, lambda: write_set)
 
     def bootstrap_commit(self) -> None:
         """Seal the pre-run writes as the height-0 state commit."""
@@ -1096,8 +1135,8 @@ class PlatformNode(SimNode):
             self.failed_tx_count = 0
             # Re-seed the consensus-bypassing genesis writes; without
             # them every replayed root diverges from the live replicas.
-            for write_set in self._genesis_writes:
-                self.state.apply_write_set(write_set)
+            for genesis in self._genesis:
+                self.state.apply_write_set(genesis())
             if self._genesis_sealed:
                 self.state.commit_block(0)
         # Replay whatever the local chain already holds (the full chain

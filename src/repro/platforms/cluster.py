@@ -195,10 +195,11 @@ def build_cluster(
 
     # One shared execution-memoization cache per cluster: the first
     # replica to execute a block records its write-set, the rest
-    # replay it (see repro.platforms.base.ExecutionCache). Gated by
-    # the platform-config knob so scenarios can A/B it.
+    # replay it (see repro.platforms.base.ExecutionCache). It knows
+    # the replica count, so a commit record retires on its last
+    # install. Gated by the platform-config knob so scenarios can A/B it.
     if getattr(config, "execution_cache", False):
-        cache = ExecutionCache()
+        cache = ExecutionCache(n_nodes)
         for node in nodes:
             if isinstance(node, PlatformNode):
                 node.attach_execution_cache(cache)

@@ -100,11 +100,12 @@ def preload_history(
         from ..contracts.base import encode_int
         from ..core.workload import preload_state
 
-        items = []
-        for account in accounts:
-            items.append((b"chk:" + account.encode(), encode_int(10_000_000)))
-            items.append((b"sav:" + account.encode(), encode_int(0)))
-        preload_state(cluster, "smallbank", items)
+        def records():
+            for account in accounts:
+                yield b"chk:" + account.encode(), encode_int(10_000_000)
+                yield b"sav:" + account.encode(), encode_int(0)
+
+        preload_state(cluster, "smallbank", records)
 
     transfers: list[list[Transaction]] = []
     transfer_log: list[tuple[int, str, str, int]] = []

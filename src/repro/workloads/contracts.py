@@ -37,17 +37,17 @@ class EtherIdWorkload(Workload):
 
     def preload(self, cluster) -> None:
         cfg = self.config
-        items = []
-        for i in range(cfg.n_users):
-            items.append(
-                (f"balance:user{i}".encode(), encode_int(cfg.initial_balance))
-            )
-        for i in range(cfg.n_seed_domains):
-            record = {"owner": f"user{i % cfg.n_users}", "value": "", "price": 50}
-            items.append(
-                (f"domain:seed{i}.eth".encode(), json.dumps(record).encode())
-            )
-        preload_state(cluster, "etherid", items)
+        n_users, n_domains = cfg.n_users, cfg.n_seed_domains
+        balance = encode_int(cfg.initial_balance)
+
+        def records():
+            for i in range(n_users):
+                yield f"balance:user{i}".encode(), balance
+            for i in range(n_domains):
+                record = {"owner": f"user{i % n_users}", "value": "", "price": 50}
+                yield f"domain:seed{i}.eth".encode(), json.dumps(record).encode()
+
+        preload_state(cluster, "etherid", records)
 
     def next_transaction(
         self, client_id: str, rng: random.Random, now: float

@@ -82,16 +82,17 @@ class SmallbankWorkload(Workload):
 
     def preload(self, cluster) -> None:
         cfg = self.config
-        items = []
-        for i in range(cfg.n_accounts):
-            customer = f"acct{i}"
-            items.append(
-                (b"sav:" + customer.encode(), encode_int(cfg.initial_savings))
-            )
-            items.append(
-                (b"chk:" + customer.encode(), encode_int(cfg.initial_checking))
-            )
-        preload_state(cluster, "smallbank", items)
+        n_accounts = cfg.n_accounts
+        savings = encode_int(cfg.initial_savings)
+        checking = encode_int(cfg.initial_checking)
+
+        def records():
+            for i in range(n_accounts):
+                customer = f"acct{i}".encode()
+                yield b"sav:" + customer, savings
+                yield b"chk:" + customer, checking
+
+        preload_state(cluster, "smallbank", records)
 
     def _account(self, rng: random.Random) -> str:
         cfg = self.config

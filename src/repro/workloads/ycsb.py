@@ -99,14 +99,13 @@ class YCSBWorkload(Workload):
         return {"read_proportion": ratio, "update_proportion": 1.0 - ratio}
 
     def preload(self, cluster) -> None:
-        items = (
-            (
-                f"user{i}".encode(),
-                _record_value(i, self.config.value_size).encode(),
-            )
-            for i in range(self.config.record_count)
-        )
-        preload_state(cluster, "kvstore", items)
+        count, size = self.config.record_count, self.config.value_size
+
+        def records():
+            for i in range(count):
+                yield f"user{i}".encode(), _record_value(i, size).encode()
+
+        preload_state(cluster, "kvstore", records)
 
     def _choose_key(self, rng: random.Random) -> str:
         cfg = self.config

@@ -9,6 +9,9 @@ cache off are byte-identical** — same StatsSummary, same chain height,
 same per-node state roots — on all four platforms.
 """
 
+import gc
+import hashlib
+import tracemalloc
 from dataclasses import FrozenInstanceError, asdict
 
 import pytest
@@ -29,6 +32,7 @@ from repro.errors import StorageError
 from repro.platforms import ExecutionCache, build_cluster
 from repro.platforms import base as platform_base
 from repro.platforms.base import CachedExecution
+from repro.platforms.parity import ParityState
 from repro.workloads import YCSBConfig, YCSBWorkload, make_workload
 
 #: Kept small: the differential runs every platform twice.
@@ -135,7 +139,7 @@ def test_cache_is_per_cluster_not_global():
 # Unit behaviour
 # ---------------------------------------------------------------------------
 def test_execution_cache_lookup_and_counters():
-    cache = ExecutionCache(capacity=2)
+    cache = ExecutionCache(2, capacity=2)
     entry = CachedExecution(
         write_set=((b"k", b"v"),),
         receipts=(Receipt("tx1", 1, True, 21_000),),
@@ -150,7 +154,7 @@ def test_execution_cache_lookup_and_counters():
 
 
 def test_execution_cache_evicts_beyond_capacity():
-    cache = ExecutionCache(capacity=2)
+    cache = ExecutionCache(2, capacity=2)
     entry = CachedExecution(write_set=(), receipts=(), tally=(0, 0, 0.0))
     for i in range(3):
         cache.store(b"root%d" % i, b"block", entry)
@@ -207,7 +211,7 @@ def test_cache_entries_cross_worker_counts(populate_workers, replay_workers):
     the executing replica's worker count: a parallel-populated entry
     replayed by a serial replica (and vice versa) yields byte-identical
     roots and receipts."""
-    shared = ExecutionCache()
+    shared = ExecutionCache(2)
     pop_cluster, populator = _cached_node(populate_workers, shared)
     block = _mixed_block(populator)
     pre_root = populator.state.pre_state_root()
@@ -240,7 +244,7 @@ def test_cache_entries_identical_whoever_executes():
     """Serially- and parallel-executed caches hold byte-identical
     write-sets and receipts for the same block; only the optional
     schedule annotation differs."""
-    serial_cache, parallel_cache = ExecutionCache(), ExecutionCache()
+    serial_cache, parallel_cache = ExecutionCache(1), ExecutionCache(1)
     s_cluster, serial_node = _cached_node(1, serial_cache)
     p_cluster, parallel_node = _cached_node(4, parallel_cache)
     block = _mixed_block(serial_node)
@@ -264,7 +268,7 @@ def test_parallel_replayer_charges_the_shared_schedule():
     """Two parallel replicas sharing a cache charge identical CPU: the
     replayer recomputes the makespan from the cached levels instead of
     falling back to the serial sum."""
-    shared = ExecutionCache()
+    shared = ExecutionCache(2)
     a_cluster, node_a = _cached_node(4, shared)
     b_cluster, node_b = _cached_node(4, shared)
     block = _mixed_block(node_a)
@@ -281,7 +285,7 @@ def test_replayed_receipts_are_the_first_executors_objects():
     """A receipt is a pure function of (pre-state, block): replicas on a
     shared cache file the same immutable objects; without one (the knob
     off) each builds its own, equal field for field."""
-    shared = ExecutionCache()
+    shared = ExecutionCache(2)
     a_cluster, node_a = _cached_node(1, shared)
     b_cluster, node_b = _cached_node(4, shared)
     c_cluster, node_c = _cached_node(1, None)
@@ -320,7 +324,7 @@ class ChurnWorkload(Workload):
 
     def preload(self, cluster):
         preload_state(
-            cluster, "kvstore", ((b"k%d" % i, b"seed") for i in range(24))
+            cluster, "kvstore", lambda: ((b"k%d" % i, b"seed") for i in range(24))
         )
 
     def next_transaction(self, client_id, rng, now):
@@ -451,21 +455,154 @@ def test_lock_step_replicas_install_every_commit_but_the_first():
     cluster.close()
 
 
-def test_preload_builds_each_key_once_for_all_replicas():
-    """One sorted net write-set per cluster: every node applies the same
-    tuple and keeps that object — not a copy — as its genesis record
-    (N copies of a 20k-record preload were an RSS bug, not a
-    correctness one)."""
-    cluster = build_cluster("hyperledger", 3, seed=1)
-    count = preload_state(
-        cluster, "kvstore", ((b"k%d" % i, b"v%d" % i) for i in reversed(range(5)))
+# ---------------------------------------------------------------------------
+# Nothing outlives its last reader: a commit record retires on the last
+# replica's install, and the genesis is kept as a recipe.
+# ---------------------------------------------------------------------------
+def _commit_everywhere(states, write_set, height):
+    """Commit ``write_set`` on each state in turn; the roots."""
+    roots = []
+    for state in states:
+        state.apply_write_set(write_set)
+        roots.append(state.commit_block(height))
+    return roots
+
+
+def test_a_record_retires_on_its_last_install():
+    cluster = build_cluster("erisdb", 4, seed=1)
+    states = [node.state for node in cluster.nodes]
+    memo = cluster.nodes[0].execution_cache.commits
+    assert memo.readers == 3
+    write_set = ((b"kvstore/a", b"1"), (b"kvstore/b", b"2"))
+    key = (states[0].pre_state_root(), write_set)
+    held = []
+    for state in states:
+        state.apply_write_set(write_set)
+        state.commit_block(1)
+        held.append(key in memo)
+    # Computed by the first replica, installed by the other three: the
+    # third install retires it.
+    assert held == [True, True, True, False]
+    assert (memo.hits, memo.misses) == (3, 1)
+    assert len({state.pre_state_root() for state in states}) == 1
+    cluster.close()
+
+
+def test_a_record_a_replica_never_installs_waits_for_the_bound(monkeypatch):
+    """The records a crashed replica has not installed stay in the memo,
+    and only the LRU bound evicts them; once one is evicted, the
+    replica's replay recomputes it, with the same root."""
+    monkeypatch.setattr(platform_base, "COMMIT_MEMO_ENTRIES", 3)
+    cluster = build_cluster("erisdb", 4, seed=1)
+    *live, crashed = [node.state for node in cluster.nodes]
+    memo = cluster.nodes[0].execution_cache.commits
+    write_sets = [((b"kvstore/k%d" % h, b"v%d" % h),) for h in range(1, 5)]
+    first = (live[0].pre_state_root(), write_sets[0])
+    root = _commit_everywhere(live, write_sets[0], 1)[0]
+    assert first in memo and len(memo) == 1  # two installs of three
+    for height, write_set in enumerate(write_sets[1:3], start=2):
+        _commit_everywhere(live, write_set, height)
+    assert first in memo and len(memo) == 3
+    _commit_everywhere(live, write_sets[3], 4)
+    assert first not in memo and len(memo) == 3  # the bound evicted it
+    misses = memo.misses
+    assert _commit_everywhere([crashed], write_sets[0], 1) == [root]
+    assert memo.misses == misses + 1
+    cluster.close()
+
+
+#: A driven churn run (``_drive``, cache on, seed 5) as the code before
+#: retirement ran it: sha256 of every replica's per-height roots, trie
+#: node writes summed over replicas, and commit-memo (hits, misses).
+CHURN_BEFORE_RETIREMENT = {
+    "hyperledger": (
+        "352d1c89a4abbcd8aa64d111b5682bc801bd9b7ba5009268023f0d0da92e9ed9",
+        0, (291, 97),
+    ),
+    "ethereum": (
+        "126bd94d6fc0c1e47f2ce2fb9ce123fd55e86df942bf2d930fcc7bd7858e32bd",
+        308, (6, 2),
+    ),
+    "parity": (
+        "1e5402474e47984bd55f10c31cf065405e9fbff474f3d54f04da709582e282c5",
+        1996, (45, 15),
+    ),
+    "erisdb": (
+        "fd0cbd8fbf104eac61c5524484be8fca3c60e6864b9eecbe6392336f4208cb7d",
+        4628, (204, 68),
+    ),
+}
+
+
+@pytest.mark.parametrize("platform", PLATFORMS)
+def test_retirement_moves_no_root_write_or_memo_count(monkeypatch, platform):
+    """Retiring a record on its last install frees it early and changes
+    nothing else: roots, node writes and memo counts are the ones the
+    records-until-evicted memo produced."""
+    cluster = _drive(monkeypatch, platform, "churn", True)
+    roots = hashlib.sha256(
+        repr([sorted(r.items()) for r in _roots(cluster)]).encode()
+    ).hexdigest()
+    tries = [getattr(n.state, "trie", None) for n in cluster.nodes]
+    node_writes = sum(t.trie.node_writes for t in tries if t is not None)
+    memo = cluster.nodes[0].execution_cache.commits
+    assert (roots, node_writes, (memo.hits, memo.misses)) == (
+        CHURN_BEFORE_RETIREMENT[platform]
     )
-    assert count == 5
-    logs = [node._genesis_writes for node in cluster.nodes]
-    assert logs[0] == [tuple((b"kvstore/k%d" % i, b"v%d" % i) for i in range(5))]
-    assert all(len(log) == 1 and log[0] is logs[0][0] for log in logs)
+    assert len(memo) == 0  # every record met its last reader
+    cluster.close()
+
+
+def test_preload_retains_no_copy_of_the_records():
+    """A 4-replica erisdb cluster after a 20k-record YCSB preload: ~575 B
+    a record stay (the shared trie's nodes). Keeping the write-set on
+    every node and the commit record in the memo held ~890 B."""
+    rows = 20_000
+    cluster = build_cluster("erisdb", 4, seed=1)
+    workload = YCSBWorkload(YCSBConfig(record_count=rows))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        workload.preload(cluster)
+        gc.collect()
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len({n.state.pre_state_root() for n in cluster.nodes}) == 1
+    assert retained / rows < 700, f"{retained / rows:.0f} B per record"
+    cluster.close()
+
+
+class Source:
+    """A deterministic record source that counts its calls."""
+
+    def __init__(self, records):
+        self.records = list(records)
+        self.calls = 0
+
+    def __call__(self):
+        self.calls += 1
+        return iter(self.records)
+
+
+def test_preload_builds_each_key_once_for_all_replicas():
+    """One sorted net write-set per cluster, built from one call of the
+    record source and applied on every node. Nodes keep the recipe, not
+    the write-set, and the commit record retires on the last install,
+    so nothing of the preload outlives set-up but the trie."""
+    cluster = build_cluster("hyperledger", 3, seed=1)
+    source = Source((b"k%d" % i, b"v%d" % i) for i in reversed(range(5)))
+    assert preload_state(cluster, "kvstore", source) == 5
+    assert source.calls == 1
+    recipes = [node._genesis for node in cluster.nodes]
+    assert all(len(recipe) == 1 for recipe in recipes)
+    assert recipes[0][0]() == tuple(
+        (b"kvstore/k%d" % i, b"v%d" % i) for i in range(5)
+    )
+    assert source.calls == 2  # the recipe re-reads the source
     memo = cluster.nodes[0].execution_cache.commits
     assert (memo.hits, memo.misses) == (2, 1)  # the preload is memoized too
+    assert len(memo) == 0  # and retired by its last install
     assert len({node.state.pre_state_root() for node in cluster.nodes}) == 1
     cluster.close()
 
@@ -475,8 +612,8 @@ def test_preload_with_duplicate_keys_is_last_write_wins(platform):
     gross = build_cluster(platform, 2, seed=1)
     net = build_cluster(platform, 2, seed=1)
     records = [(b"k", b"old"), (b"j", b"1"), (b"k", b"newer"), (b"k", b"new")]
-    assert preload_state(gross, "kvstore", records) == 2
-    assert preload_state(net, "kvstore", [(b"k", b"new"), (b"j", b"1")]) == 2
+    assert preload_state(gross, "kvstore", lambda: records) == 2
+    assert preload_state(net, "kvstore", lambda: [(b"k", b"new"), (b"j", b"1")]) == 2
     for node in gross.nodes:
         assert node.state.get(b"kvstore/k") == b"new"
         assert node.state.pre_state_root() == net.nodes[0].state.pre_state_root()
@@ -486,7 +623,7 @@ def test_preload_with_duplicate_keys_is_last_write_wins(platform):
     one.bootstrap_put(b"kvstore/j", b"1")
     one.bootstrap_put(b"kvstore/k", b"new")
     one.bootstrap_commit()
-    assert one._genesis_writes == [
+    assert [genesis() for genesis in one._genesis] == [
         ((b"kvstore/j", b"1"),), ((b"kvstore/k", b"new"),)
     ]
     assert one.state.pre_state_root() == net.nodes[0].state.pre_state_root()
@@ -509,11 +646,11 @@ def test_parity_memory_cap_trips_on_an_oversized_preload(cache_on):
 
     records = [(b"key%04d" % i, b"x" * 50) for i in range(2_000)]
     with pytest.raises(StorageError, match="out of memory"):
-        preload_state(cluster(), "kvstore", records)
+        preload_state(cluster(), "kvstore", lambda: records)
     fits = cluster()
-    assert preload_state(fits, "kvstore", records[:100]) == 100
+    assert preload_state(fits, "kvstore", lambda: records[:100]) == 100
     hot = [(b"hot", b"%050d" % i) for i in range(2_000)]  # 100 KB gross
-    assert preload_state(fits, "kvstore", hot) == 1
+    assert preload_state(fits, "kvstore", lambda: hot) == 1
     assert all(n.state.get(b"kvstore/hot") == hot[-1][1] for n in fits.nodes)
     fits.close()
 
@@ -538,30 +675,58 @@ def test_parity_memory_cap_trips_on_an_oversized_preload(cache_on):
 
 
 @pytest.mark.parametrize("platform", PLATFORMS)
-def test_cold_recovery_reseeds_from_the_shared_write_sets(platform):
+def test_cold_recovery_reseeds_from_the_shared_write_sets(monkeypatch, platform):
     """Two preloads, the second overwriting a key of the first: a wiped
-    replica re-applies the cluster's write-sets in order and seals the
-    same genesis root, still holding the shared objects."""
+    replica re-derives the write-sets from the record sources, applies
+    them in order, seals the same genesis root and reads what the live
+    replicas read. Parity's memory cap is charged for every regenerated
+    put, so a cap the genesis outgrows kills the re-seed."""
     cluster = build_cluster(platform, 4, seed=3)
-    preload_state(cluster, "kvstore", [(b"a", b"1"), (b"b", b"2")])
-    preload_state(cluster, "kvstore", [(b"c", b"4"), (b"b", b"3")])
+    first = Source([(b"a", b"1"), (b"b", b"2")])
+    second = Source([(b"c", b"4"), (b"b", b"3")])
+    preload_state(cluster, "kvstore", first)
+    preload_state(cluster, "kvstore", second)
     witness, victim = cluster.nodes[0], cluster.nodes[-1]
-    shared = list(witness._genesis_writes)
-    assert len(shared) == 2
+    assert len(victim._genesis) == 2
     sealed = witness.state.pre_state_root()
+    puts = []
+    if platform == "parity":
+        put = ParityState.put
+
+        def counted(state, key, value):
+            puts.append(key)
+            put(state, key, value)
+
+        monkeypatch.setattr(ParityState, "put", counted)
     wiped = victim.state
     victim.crash()
     victim.recover("cold")
     assert victim.state is not wiped
+    assert (first.calls, second.calls) == (2, 2)
     assert victim.state.pre_state_root() == sealed
+    for key in (b"kvstore/a", b"kvstore/b", b"kvstore/c"):
+        assert victim.state.get(key) == witness.state.get(key)
     assert victim.state.get(b"kvstore/b") == b"3"
-    assert all(a is b for a, b in zip(victim._genesis_writes, shared))
-    assert len(victim._genesis_writes) == 2
+    if platform == "parity":
+        assert puts == [b"kvstore/a", b"kvstore/b", b"kvstore/b", b"kvstore/c"]
+        starved = cluster.nodes[1]
+        monkeypatch.setattr(
+            starved, "_new_state", lambda: ParityState(memory_cap_bytes=20)
+        )
+        starved.crash()
+        with pytest.raises(StorageError, match="out of memory"):
+            starved.recover("cold")
     cluster.close()
 
 
 def test_memo_never_exceeds_its_capacity(monkeypatch):
-    cluster = _drive(monkeypatch, "erisdb", "churn", True, window=3)
+    """One replica stays crashed for the whole run, so no record reaches
+    its last install; the bound alone keeps the memo small."""
+    cluster = _drive(
+        monkeypatch, "erisdb", "churn", True, window=3,
+        probe=lambda cluster: cluster.nodes[-1].crash(),
+    )
+    assert cluster.nodes[-1].executed_height == 0
     memo = cluster.nodes[0].execution_cache.commits
     assert memo.capacity == 3 and len(memo) == 3
     assert memo.misses > 3

@@ -216,7 +216,7 @@ def _memo_pair(factory):
     """Two states sharing one commit memo, as replicas of a cluster do."""
     from repro.platforms.base import ExecutionCache
 
-    memo = ExecutionCache().commits
+    memo = ExecutionCache(2).commits
     first, second = factory(), factory()
     first.commit_memo = second.commit_memo = memo
     return memo, first, second

@@ -21,7 +21,7 @@ def test_list_output_is_registry_driven(capsys):
     from repro.registry import register_platform
 
     @register_platform("listedchain")
-    def build_listed(node_id, scheduler, network, rng, config, ids, storage):
+    def build_listed(node_id, scheduler, network, rng, config, all_ids):
         raise NotImplementedError
 
     try:

@@ -116,7 +116,7 @@ def test_replacing_a_builtin_before_it_loads_sticks(gizmos):
 
 def test_register_platform_decorator_roundtrip():
     @register_platform("testchain", default_config=lambda: "conf")
-    def build_node(node_id, scheduler, network, rng, config, all_ids, storage_dir):
+    def build_node(node_id, scheduler, network, rng, config, all_ids):
         return (node_id, config)
 
     try:
