@@ -170,6 +170,12 @@ class PlatformConfig:
     #: via ``{"exec_workers": 4}`` or the CLI's ``--exec-workers``.
     exec_workers: int = 1
 
+    def __post_init__(self) -> None:
+        if self.exec_workers < 1:
+            raise BenchmarkError(
+                f"exec_workers must be >= 1, got {self.exec_workers}"
+            )
+
 
 # ---------------------------------------------------------------------------
 # Ethereum (geth v1.4.18)

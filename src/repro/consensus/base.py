@@ -16,7 +16,6 @@ from typing import Any, Protocol
 
 from ..chain.block import Block
 from ..chain.blockchain import Blockchain
-from ..sim.events import Event
 
 
 class ConsensusHost(Protocol):
@@ -29,12 +28,14 @@ class ConsensusHost(Protocol):
         """Current simulated time in seconds."""
         ...
 
-    def set_timer(self, delay: float, fn: Any, *args: Any) -> Event:
-        """Schedule ``fn(*args)`` after ``delay`` seconds; returns the
-        event handle (cancellable)."""
+    def set_timer(self, delay: float, fn: Any, *args: Any) -> None:
+        """Schedule ``fn(*args)`` after ``delay`` seconds. There is no
+        cancelling it: a callback that may be overtaken checks on firing
+        whether it still matters (a serial passed in ``args`` is the
+        usual way). A timer armed before the node crashed never fires."""
         ...
 
-    def set_timer_at(self, when: float, fn: Any, *args: Any) -> Event:
+    def set_timer_at(self, when: float, fn: Any, *args: Any) -> None:
         """:meth:`set_timer` at the absolute simulated time ``when`` —
         for a deadline that must be hit to the exact float."""
         ...

@@ -91,7 +91,10 @@ class PBFT(ConsensusProtocol):
         self._view_change_votes: dict[int, set[str]] = {}
         self._view_changing = False
         self._pending_new_view: int | None = None
-        self._progress_timer = None
+        #: One watchdog chases the deadline: armed while its timer is
+        #: queued. stop() bumps the serial, which outdates that timer.
+        self._progress_armed = False
+        self._progress_serial = 0
         self._progress_deadline = 0.0
         # Statistics surfaced in experiment reports.
         self.view_changes_started = 0
@@ -136,6 +139,8 @@ class PBFT(ConsensusProtocol):
     def stop(self) -> None:
         """Stop participating (crash injection)."""
         self._running = False
+        self._progress_serial += 1
+        self._progress_armed = False
 
     def restart(self, height: int, view_hint: int = 0) -> None:
         """Rejoin after crash recovery: adopt the synced chain position
@@ -351,31 +356,32 @@ class PBFT(ConsensusProtocol):
 
         One watchdog timer per replica chases the deadline: arming only
         moves ``_progress_deadline``, and a timer is set just when none
-        is pending (none yet, fired, or cancelled by a crash).
+        is pending (none yet, fired, or outdated by stop()).
         """
         if self._running and self._has_work():
             self._push_progress_deadline()
 
     def _push_progress_deadline(self) -> None:
         self._progress_deadline = self.host.now + self.config.view_timeout
-        timer = self._progress_timer
-        if timer is None or timer.cancelled:
-            self._progress_timer = self.host.set_timer(
-                self.config.view_timeout, self._progress_check
+        if not self._progress_armed:
+            self._progress_armed = True
+            self.host.set_timer(
+                self.config.view_timeout, self._progress_check,
+                self._progress_serial,
             )
 
-    def _progress_check(self) -> None:
-        self._progress_timer = None
-        if not self._running:
-            return
+    def _progress_check(self, serial: int) -> None:
+        if serial != self._progress_serial:
+            return  # outdated by stop(); restart() armed a fresh one
         if self._progress_deadline > self.host.now:
             # Progress since this timer was set. Follow the deadline to
             # its exact instant: now + (deadline - now) can be another
             # float, and a view change's time flows into latencies.
-            self._progress_timer = self.host.set_timer_at(
-                self._progress_deadline, self._progress_check
+            self.host.set_timer_at(
+                self._progress_deadline, self._progress_check, serial
             )
             return
+        self._progress_armed = False
         if not self._view_changing and self._has_work():
             self._start_view_change(self.view + 1)
 

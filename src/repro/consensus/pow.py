@@ -39,7 +39,9 @@ class ProofOfWork(ConsensusProtocol):
         super().__init__(host)
         self.config = config
         self.fetcher = AncestorFetcher(host)
-        self._mining_event = None
+        #: Names the current search; _restart_mining and stop() bump it,
+        #: so a solution timer armed for an abandoned search is ignored.
+        self._mining_serial = 0
         self._mining_started_at: float | None = None
         self._current_parent_hash: bytes | None = None
         self._running = False
@@ -59,9 +61,7 @@ class ProofOfWork(ConsensusProtocol):
     def stop(self) -> None:
         self._running = False
         self._account_mining_cpu()
-        if self._mining_event is not None:
-            self._mining_event.cancel()
-            self._mining_event = None
+        self._mining_serial += 1
 
     def restart(self, height: int, view_hint: int = 0) -> None:
         """Resume mining on the synced tip after crash recovery.
@@ -92,12 +92,11 @@ class ProofOfWork(ConsensusProtocol):
         if not self._running:
             return
         self._account_mining_cpu()
-        if self._mining_event is not None:
-            self._mining_event.cancel()
+        self._mining_serial = serial = self._mining_serial + 1
         delay = self.host.rng().expovariate(1.0 / self._expected_solo_interval())
         self._mining_started_at = self.host.now
         self._current_parent_hash = self.host.chain().tip.hash
-        self._mining_event = self.host.set_timer(delay, self._found_block)
+        self.host.set_timer(delay, self._found_block, serial)
 
     def _account_mining_cpu(self) -> None:
         """Mining burns all cores for the whole search window."""
@@ -106,9 +105,9 @@ class ProofOfWork(ConsensusProtocol):
             self.host.consume_cpu(elapsed * self.config.mining_cores)
             self._mining_started_at = None
 
-    def _found_block(self) -> None:
-        if not self._running:
-            return
+    def _found_block(self, serial: int) -> None:
+        if serial != self._mining_serial:
+            return  # the search was restarted or stopped since
         self._account_mining_cpu()
         parent = self.host.chain().tip
         # A solution only counts against the tip we were mining on.

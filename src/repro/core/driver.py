@@ -94,10 +94,20 @@ class DriverConfig:
 
         These knobs are reachable from the CLI and scenario JSON, so
         bad values arrive from outside the codebase: a non-positive
-        poll or sample interval reschedules its tick at the same
-        simulated instant forever (time never advances), zero threads
-        can never submit, and a negative backoff is an invalid timer.
+        duration has no window to divide throughput by, zero
+        closed-loop clients offer no load, a non-positive poll or
+        sample interval reschedules its tick at the same simulated
+        instant forever (time never advances), zero threads can never
+        submit, and a negative backoff is an invalid timer.
         """
+        if self.duration_s <= 0:
+            raise BenchmarkError(
+                f"duration_s must be positive, got {self.duration_s}"
+            )
+        if self.arrival is None and self.n_clients < 1:
+            raise BenchmarkError(
+                f"n_clients must be >= 1 for a closed-loop run, got {self.n_clients}"
+            )
         if self.request_rate_tx_s <= 0:
             raise BenchmarkError(
                 f"request_rate_tx_s must be positive, got {self.request_rate_tx_s}"

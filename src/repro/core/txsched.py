@@ -166,7 +166,6 @@ def level_makespan(
         raise ValueError(
             f"{len(durations)} durations vs {len(levels)} levels"
         )
-    workers = max(1, workers)
     by_level: dict[int, list[int]] = {}
     for index, level in enumerate(levels):
         by_level.setdefault(level, []).append(index)
@@ -178,17 +177,3 @@ def level_makespan(
             loads[slot] += durations[index]
         total += max(loads)
     return total
-
-
-def schedule_summary(levels: Sequence[int]) -> dict:
-    """Shape of one block's schedule, for benchmarks and reports."""
-    if not levels:
-        return {"txs": 0, "levels": 0, "widest_level": 0}
-    counts: dict[int, int] = {}
-    for level in levels:
-        counts[level] = counts.get(level, 0) + 1
-    return {
-        "txs": len(levels),
-        "levels": max(levels),
-        "widest_level": max(counts.values()),
-    }

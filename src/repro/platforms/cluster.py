@@ -198,18 +198,16 @@ def build_cluster(
     # replay it (see repro.platforms.base.ExecutionCache). It knows
     # the replica count, so a commit record retires on its last
     # install. Gated by the platform-config knob so scenarios can A/B it.
-    if getattr(config, "execution_cache", False):
+    if config.execution_cache:
         cache = ExecutionCache(n_nodes)
         for node in nodes:
-            if isinstance(node, PlatformNode):
-                node.attach_execution_cache(cache)
+            node.attach_execution_cache(cache)
 
     # Always-on safety auditor: every node's finalized blocks feed the
     # fork/digest/monotonicity checks (ISSUE: adversarial fault axis).
     auditor = ChainAuditor(network)
     for node in nodes:
-        if isinstance(node, PlatformNode):
-            node.attach_auditor(auditor)
+        node.attach_auditor(auditor)
 
     # Lifecycle stage tracer (repro.core.trace): one shared recorder
     # stamps admit/propose/decide/execute/commit for every transaction
@@ -219,8 +217,7 @@ def build_cluster(
     if trace_stages:
         tracer = StageTracer()
         for node in nodes:
-            if isinstance(node, PlatformNode):
-                node.attach_tracer(tracer)
+            node.attach_tracer(tracer)
 
     for node in nodes:
         node.set_peers(ids)

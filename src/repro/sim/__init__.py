@@ -7,7 +7,7 @@ figures.
 """
 
 from .clock import NEVER, SimTime, Stopwatch, format_time
-from .events import Event, Scheduler
+from .events import Scheduler
 from .futures import SimCoroutine, SimFuture, gather, spawn
 from .monitor import ResourceMonitor, ResourceSample, ResourceSeries
 from .network import Message, Network, NetworkStats
@@ -19,7 +19,6 @@ __all__ = [
     "SimTime",
     "Stopwatch",
     "format_time",
-    "Event",
     "Scheduler",
     "SimCoroutine",
     "SimFuture",

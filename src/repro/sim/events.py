@@ -11,11 +11,10 @@ Several things keep the scheduler from being the layer that is measured:
 
 * Entries are handle-free: a heap entry is the tuple ``(time, seq, fn,
   args)`` and a run-queue entry ``(seq, fn, args)``, so scheduling
-  allocates nothing but the tuple. Only a caller that may cancel asks
-  for a handle — :meth:`Scheduler.timer` and :meth:`Scheduler.timer_at`
-  return an :class:`Event`. Cancelling puts the entry's sequence number
-  in a dead set that the dispatch loop consults only while it is
-  non-empty.
+  allocates nothing but the tuple. Nothing is ever cancelled: a
+  callback that may have been overtaken (a mining search the tip moved
+  past, a timer armed before its node crashed) checks on firing whether
+  it still matters, and returns if not.
 * Events scheduled at *exactly the current instant* go to a FIFO run
   queue instead of the heap. Dispatch order is unchanged (the run queue
   is consumed in sequence order, interleaved with any same-timestamp
@@ -41,10 +40,6 @@ Several things keep the scheduler from being the layer that is measured:
   A deadline that does expire fires at exactly the ``(time, seq)`` a
   timer set at the same moment would have had, and every other event
   keeps its number — without an event per deadline.
-
-Cancelled entries stay buried until popped; when they outnumber the
-live ones the containers are compacted *in place*, because the
-dispatch loop works on local aliases of them.
 """
 
 from __future__ import annotations
@@ -66,38 +61,6 @@ HeapEntry = tuple[SimTime, int, Callable[..., Any], tuple[Any, ...]]
 RunEntry = tuple[int, Callable[..., Any], tuple[Any, ...]]
 
 
-class Event:
-    """Handle for a cancellable callback (:meth:`Scheduler.timer`)."""
-
-    #: ``timer_id`` is set only on timers a ``SimNode`` tracks.
-    __slots__ = ("fn", "args", "seq", "cancelled", "_scheduler", "timer_id")
-
-    def __init__(
-        self, fn: Callable[..., Any], args: tuple[Any, ...], scheduler: "Scheduler"
-    ) -> None:
-        self.fn = fn
-        self.args = args
-        self.seq = 0
-        self.cancelled = False
-        self._scheduler: Scheduler | None = scheduler
-
-    def _fire(self) -> None:
-        # Detach before firing so a later cancel() is a no-op.
-        self._scheduler = None
-        self.fn(*self.args)
-
-    def cancel(self) -> None:
-        """Prevent the callback from firing. Idempotent; cancelling an
-        event that already fired is a no-op."""
-        if self.cancelled:
-            return
-        self.cancelled = True
-        scheduler = self._scheduler
-        if scheduler is not None:
-            self._scheduler = None
-            scheduler._bury(self.seq)
-
-
 class Scheduler:
     """Single-threaded event loop over simulated time.
 
@@ -110,11 +73,6 @@ class Scheduler:
     ['a', 'b']
     """
 
-    #: Compact the heap when at least this many cancelled entries are
-    #: buried in it *and* they outnumber the live ones; below the
-    #: floor, popping them lazily is cheaper than a rebuild.
-    COMPACT_FLOOR = 64
-
     def __init__(self) -> None:
         self._queue: list[HeapEntry] = []
         # Events scheduled at exactly ``now`` while the clock already
@@ -125,9 +83,6 @@ class Scheduler:
         self._seq = 0
         self.now: SimTime = 0.0
         self.events_processed = 0
-        # Sequence numbers of cancelled entries still buried in the heap
-        # or run queue. pending() is the container sizes minus its size.
-        self._dead: set[int] = set()
 
     def schedule(self, delay: SimTime, fn: Callable[..., Any], *args: Any) -> None:
         """Schedule ``fn(*args)`` to run ``delay`` seconds from now."""
@@ -151,20 +106,6 @@ class Scheduler:
             self._runq.append((seq, fn, args))
         else:
             heapq.heappush(self._queue, (when, seq, fn, args))
-
-    def timer(self, delay: SimTime, fn: Callable[..., Any], *args: Any) -> Event:
-        """:meth:`schedule` that returns a handle able to cancel it."""
-        event = Event(fn, args, self)
-        self.schedule(delay, event._fire)
-        event.seq = self._seq
-        return event
-
-    def timer_at(self, when: SimTime, fn: Callable[..., Any], *args: Any) -> Event:
-        """:meth:`schedule_at` that returns a handle able to cancel it."""
-        event = Event(fn, args, self)
-        self.schedule_at(when, event._fire)
-        event.seq = self._seq
-        return event
 
     def reserve(self) -> int:
         """Take the next sequence number without scheduling anything.
@@ -225,52 +166,20 @@ class Scheduler:
             for entry in entries:
                 heapq.heappush(queue, entry)
 
-    def _bury(self, seq: int) -> None:
-        """Bookkeeping for Event.cancel(): mark the still-queued entry
-        ``seq`` dead; compacts tombstones lazily."""
-        dead = self._dead
-        dead.add(seq)
-        queue = self._queue
-        runq = self._runq
-        if len(dead) >= self.COMPACT_FLOOR and len(dead) > (len(queue) + len(runq)) // 2:
-            # In place: the dispatch loop holds local aliases of all
-            # three containers, so rebinding them mid-run would hide
-            # every event scheduled afterwards.
-            queue[:] = [entry for entry in queue if entry[1] not in dead]
-            heapq.heapify(queue)
-            live = [entry for entry in runq if entry[0] not in dead]
-            runq.clear()
-            runq.extend(live)
-            dead.clear()
-
     def idle_now(self) -> bool:
         """True when nothing else is due at the current instant, so a
         zero-delay event scheduled now would be dispatched next (see the
-        module docstring). O(1): a cancelled head at ``now`` counts as
-        busy — falling back to scheduling is always safe."""
+        module docstring). O(1): a stale timer at the head counts as busy
+        like any other entry — falling back to scheduling is always safe."""
         queue = self._queue
         return not self._runq and (not queue or queue[0][0] > self.now)
 
-    def peek_time(self) -> SimTime:
-        """Time of the next pending event, or ``NEVER`` if queue is empty."""
-        dead = self._dead
-        runq = self._runq
-        while runq and runq[0][0] in dead:
-            dead.remove(runq.popleft()[0])
-        queue = self._queue
-        while queue and queue[0][1] in dead:
-            dead.remove(heapq.heappop(queue)[1])
-        if runq:
-            return self.now  # run-queue entries live at the current instant
-        return queue[0][0] if queue else NEVER
-
     def _dispatch(self, deadline: SimTime, budget: int) -> None:
-        """The dispatch loop: fire live events in ``(time, seq)`` order
+        """The dispatch loop: fire events in ``(time, seq)`` order
         while their time is <= ``deadline``, at most ``budget`` of them
         (a negative budget never runs out)."""
         queue = self._queue
         runq = self._runq
-        dead = self._dead
         pop = heapq.heappop
         popleft = runq.popleft
         while budget:
@@ -280,21 +189,14 @@ class Scheduler:
                 # instant with a smaller seq was scheduled earlier and
                 # goes first.
                 if queue and queue[0][0] == self.now and queue[0][1] < runq[0][0]:
-                    when, seq, fn, args = pop(queue)
+                    when, _, fn, args = pop(queue)
                 else:
-                    seq, fn, args = popleft()
+                    _, fn, args = popleft()
                     when = self.now
-            elif queue:
-                when, seq, fn, args = pop(queue)
-                if when > deadline:
-                    # Past the horizon: put it back (once per call).
-                    heapq.heappush(queue, (when, seq, fn, args))
-                    return
+            elif queue and queue[0][0] <= deadline:
+                when, _, fn, args = pop(queue)
             else:
                 return
-            if dead and seq in dead:
-                dead.remove(seq)
-                continue
             self.now = when
             self.events_processed += 1
             fn(*args)
@@ -324,9 +226,8 @@ class Scheduler:
         self.now = deadline
 
     def pending(self) -> int:
-        """Number of live (non-cancelled) events still queued. O(1):
-        derived from the container sizes minus buried tombstones."""
-        return len(self._queue) + len(self._runq) - len(self._dead)
+        """Number of events still queued. O(1)."""
+        return len(self._queue) + len(self._runq)
 
     # ------------------------------------------------------------------
     # Coroutine support (see repro.sim.futures)

@@ -17,6 +17,12 @@ something else is due at that very instant; when
 ``Scheduler.idle_now()`` says the hand-off would be the next event
 dispatched anyway, it is done inline. Same ``(time, seq)`` order either
 way, so simulated output is byte-identical; see ``sim/events.py``.
+
+A timer is a plain scheduler entry and is never cancelled. It carries
+the node's crash epoch from when it was armed: :meth:`SimNode.crash`
+bumps the epoch, so no timer armed before a crash fires after the
+restart, and anything finer (a superseded mining search, a watchdog a
+protocol replaced) is the callback's own check.
 """
 
 from __future__ import annotations
@@ -25,7 +31,7 @@ from collections import deque
 from typing import Any, Callable
 
 from .clock import SimTime
-from .events import Event, Scheduler
+from .events import Scheduler
 from .network import Message, Network
 
 
@@ -48,10 +54,8 @@ class SimNode:
         self._processing = False
         self.cpu_time: SimTime = 0.0
         self.dropped_messages = 0
-        #: Pending timers by arming order; a handle leaves when its timer
-        #: fires or is cancelled, so crash() cancels exactly the live ones.
-        self._timers: dict[int, Event] = {}
-        self._timer_seq = 0
+        #: Crash epoch: bumped by crash(), carried by every timer.
+        self._epoch = 0
         self._deferred_cost: SimTime = 0.0
         network.register(self)
 
@@ -141,34 +145,20 @@ class SimNode:
     # ------------------------------------------------------------------
     # Timers
     # ------------------------------------------------------------------
-    def set_timer(self, delay: SimTime, fn: Callable[..., Any], *args: Any) -> Event:
-        """Schedule a callback that is suppressed if the node has crashed."""
-        return self._arm(self.scheduler.timer, delay, fn, args)
+    def set_timer(self, delay: SimTime, fn: Callable[..., Any], *args: Any) -> None:
+        """Schedule ``fn(*args)``; it does not run if the node crashed
+        in the meantime, even if it has recovered since."""
+        self.scheduler.schedule(delay, self._fire_timer, self._epoch, fn, args)
 
-    def set_timer_at(self, when: SimTime, fn: Callable[..., Any], *args: Any) -> Event:
+    def set_timer_at(self, when: SimTime, fn: Callable[..., Any], *args: Any) -> None:
         """:meth:`set_timer` at an absolute instant. Not the same as a
         delay of ``when - now``: in floats ``now + (when - now)`` need
         not equal ``when``, and a re-armed deadline must not drift."""
-        return self._arm(self.scheduler.timer_at, when, fn, args)
+        self.scheduler.schedule_at(when, self._fire_timer, self._epoch, fn, args)
 
-    def _arm(
-        self, schedule: Callable[..., Event], when: SimTime, fn: Any, args: tuple
-    ) -> Event:
-        self._timer_seq = timer_id = self._timer_seq + 1
-        event = schedule(when, self._fire_timer, timer_id, fn, args)
-        event.timer_id = timer_id
-        self._timers[timer_id] = event
-        return event
-
-    def _fire_timer(self, timer_id: int, fn: Any, args: tuple) -> None:
-        del self._timers[timer_id]
-        if not self.crashed:
+    def _fire_timer(self, epoch: int, fn: Any, args: tuple) -> None:
+        if epoch == self._epoch and not self.crashed:
             fn(*args)
-
-    def cancel_timer(self, timer: Event) -> None:
-        """Cancel a timer armed on this node and forget its handle."""
-        timer.cancel()
-        self._timers.pop(timer.timer_id, None)
 
     # ------------------------------------------------------------------
     # CPU accounting / fault injection
@@ -190,7 +180,7 @@ class SimNode:
             self._deferred_cost += seconds
 
     def crash(self) -> None:
-        """Stop the node: drop inbox, cancel timers, ignore future traffic."""
+        """Stop the node: drop inbox, outdate timers, ignore future traffic."""
         self.crashed = True
         self.inbox.clear()
         self._processing = False
@@ -198,9 +188,7 @@ class SimNode:
         # recovered later must not charge the interrupted handler's
         # deferred CPU to its first post-recovery message.
         self._deferred_cost = 0.0
-        for timer in self._timers.values():
-            timer.cancel()
-        self._timers.clear()
+        self._epoch += 1
 
     def recover(self) -> None:
         """Restart a crashed node (subclasses re-arm their timers)."""

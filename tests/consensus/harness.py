@@ -101,6 +101,19 @@ def build_cluster(n, protocol_factory, seed=42, inbox_capacity=None):
     return scheduler, network, nodes
 
 
+def queued_timers(node):
+    """``(when, fn, args)`` of every timer of ``node`` still queued and
+    armed in its current crash epoch. Timers are never cancelled, so a
+    test finds them on the scheduler's queues."""
+    sched = node.scheduler
+    queued = [(when, fn, args) for when, _, fn, args in sched._queue]
+    queued += [(sched.now, fn, args) for _, fn, args in sched._runq]
+    return [
+        (when, args[1], args[2]) for when, fn, args in queued
+        if fn == node._fire_timer and args[0] == node._epoch
+    ]
+
+
 def make_tx(i, contract="kv", function="write"):
     return Transaction.create(f"client-{i % 4}", contract, function, (i,), nonce=i)
 

@@ -26,7 +26,7 @@ from repro.core.suitestore import result_to_dict
 from repro.platforms import build_cluster as build_platform_cluster
 from repro.workloads import make_workload
 
-from .harness import build_cluster, make_tx, submit_everywhere
+from .harness import build_cluster, make_tx, queued_timers, submit_everywhere
 
 # The request-timeout watchdog is parked far away so that only the
 # no-progress watchdog can start a view change in the harness tests.
@@ -40,10 +40,12 @@ def pbft_factory(node, all_ids):
 
 
 def live_watchdogs(node):
-    """Pending timers of ``node`` that will run its progress check."""
+    """Queued timers of ``node`` that will run its progress check: the
+    node's current crash epoch and the protocol's current serial."""
+    protocol = node.protocol
     return [
-        timer for timer in node._timers.values()
-        if not timer.cancelled and node.protocol._progress_check in timer.args
+        when for when, fn, args in queued_timers(node)
+        if fn == protocol._progress_check and args == (protocol._progress_serial,)
     ]
 
 
@@ -159,6 +161,27 @@ def test_restart_rearms_the_watchdog(monkeypatch):
     assert started == [(2.5 + 2.0, node.node_id, 1)]
 
 
+def test_stop_and_restart_without_a_crash_leave_one_watchdog():
+    """stop() outdates the queued watchdog even though the node never
+    crashed (its epoch stands), and restart() arms exactly one."""
+    sched, net, nodes = build_cluster(4, pbft_factory)
+    node = nodes[3]
+    submit_everywhere(nodes, [make_tx(i) for i in range(10)])
+    sched.run_until(1.0)
+    node.submit_tx(make_tx(50))
+    assert len(live_watchdogs(node)) == 1
+    node.protocol.stop()
+    assert live_watchdogs(node) == []
+    node.protocol.restart(node.chain().height)
+    assert len(live_watchdogs(node)) == 1
+    node.protocol.stop()
+    node.protocol.restart(node.chain().height)
+    assert len(live_watchdogs(node)) == 1
+    for _ in range(40):
+        sched.run_until(sched.now + 0.25)
+        assert len(live_watchdogs(node)) <= 1
+
+
 @pytest.mark.parametrize("mode", ["warm", "cold"])
 def test_one_watchdog_per_replica_through_a_crash_cycle(mode):
     cluster = build_platform_cluster("hyperledger", 4, seed=29)
@@ -187,7 +210,7 @@ def test_one_watchdog_per_replica_through_a_crash_cycle(mode):
     assert victim.recovery_times
     assert all(max(per_node) <= 1 for _, per_node in counts)
     down = [per_node[3] for when, per_node in counts if 3.0 < when < 6.0]
-    assert set(down) == {0}  # the crash cancelled it
+    assert set(down) == {0}  # the crash outdated it
     rejoined = victim.recovery_times[0] + 6.0
     after = [per_node[3] for when, per_node in counts if rejoined + 0.5 < when < 11]
     assert after and max(after) == 1  # restart() re-armed it

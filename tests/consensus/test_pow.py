@@ -3,7 +3,7 @@
 
 from repro.consensus import PoWConfig, ProofOfWork
 
-from .harness import build_cluster, make_tx, submit_everywhere
+from .harness import build_cluster, make_tx, queued_timers, submit_everywhere
 
 
 def pow_factory(config=None):
@@ -101,3 +101,34 @@ def test_deterministic_with_seed():
         return [node.chain().tip.hash for node in nodes]
 
     assert run() == run()
+
+
+def queued_solutions(node):
+    """``(when, serial)`` of every queued ``_found_block`` timer of
+    ``node`` armed in its current crash epoch."""
+    return [
+        (when, args[0]) for when, fn, args in queued_timers(node)
+        if fn == node.protocol._found_block
+    ]
+
+
+def test_a_moved_tip_outdates_the_search_it_replaced():
+    sched, net, nodes = build_cluster(4, pow_factory())
+    while min(node.chain().height for node in nodes) < 1:
+        sched.step()
+    stale = []
+    for node in nodes:
+        serial = node.protocol._mining_serial
+        solutions = queued_solutions(node)
+        assert [s for _, s in solutions].count(serial) == 1
+        stale += [(when, node) for when, s in solutions if s != serial]
+    # The miners that received the block restarted; their old searches
+    # are still queued, due later.
+    assert stale
+    when, node = min(stale, key=lambda item: item[0])
+    sched.run_until(when)
+    assert when not in [w for w, _ in queued_solutions(node)]  # dispatched
+    assert not [
+        block for block in node.committed_blocks
+        if block.header.proposer == node.node_id and block.header.timestamp == when
+    ]

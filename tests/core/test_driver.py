@@ -113,11 +113,9 @@ def test_answered_rpcs_leave_at_most_one_watchdog_and_no_timers(cluster):
             "server-0", "rpc/get_blocks", {"from_height": 0}, replies.append,
             timeout_s=5.0,
         )
-    # No timer per request: 100 requests in flight, one watchdog event.
-    assert client._timers == {}
     cluster.run_until(1.0)
     assert len(replies) == 100 and not any(r.get("timeout") for r in replies)
-    assert client._timers == {}
+    # No timer per request: 100 requests were in flight, one watchdog event.
     assert cluster.scheduler.pending() - idle <= 1
     cluster.run_until(10.0)
     # The watchdog fired on answered requests only: nothing re-armed.
@@ -185,7 +183,7 @@ def _tied_timeouts(with_rpc: bool) -> list[str]:
     sched.schedule_at(0.5, burst, "a")
     sched.schedule_at(0.5, burst, "b")
     cluster.run_until(5.0)
-    assert client._timers == {} and client.outstanding_requests() == 0
+    assert client.outstanding_requests() == 0
     cluster.close()
     return order
 
@@ -314,10 +312,20 @@ def test_run_prepares_exactly_once(cluster, open_loop, prepare_first):
         {"request_rate_tx_s": 0.0},
         {"queue_sample_interval_s": 0.0},  # sampling at the same instant forever
         {"queue_sample_interval_s": -1.0},
+        {"duration_s": 0.0},  # throughput over the 1e-9 s duration floor
+        {"duration_s": -1.0},
+        {"n_clients": 0},  # a closed loop with no load
     ],
 )
 def test_driver_config_rejects_degenerate_knobs(bad_knobs):
     """Knob values reachable from the CLI / scenario JSON that would
-    hang or starve a run must fail at construction, not mid-suite."""
-    with pytest.raises(BenchmarkError):
+    hang or starve a run must fail at construction, not mid-suite, and
+    say which knob."""
+    with pytest.raises(BenchmarkError, match=next(iter(bad_knobs))):
         DriverConfig(**bad_knobs)
+
+
+def test_an_open_loop_run_needs_no_clients():
+    """The arrival process is the load; n_clients is ignored."""
+    arrival = ArrivalSpec(process="poisson", rate_tx_s=10.0, accounts=10)
+    assert DriverConfig(n_clients=0, arrival=arrival).n_clients == 0

@@ -14,7 +14,6 @@ from repro.core.txsched import (
     TxView,
     dependency_levels,
     level_makespan,
-    schedule_summary,
 )
 from repro.platforms.base import _NamespacedState
 from repro.platforms.ethereum import EthereumState
@@ -203,14 +202,3 @@ def test_txview_capture_through_evm_state_storage():
     assert reads == {slot9}
     assert view.writes[slot5] is None  # net effect of the zero-store
 
-
-# ---------------------------------------------------------------------------
-# schedule_summary
-# ---------------------------------------------------------------------------
-def test_schedule_summary_shapes():
-    assert schedule_summary(()) == {"txs": 0, "levels": 0, "widest_level": 0}
-    assert schedule_summary((1, 1, 2, 1)) == {
-        "txs": 4,
-        "levels": 2,
-        "widest_level": 3,
-    }

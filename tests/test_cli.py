@@ -142,6 +142,22 @@ def test_run_recovery_table_has_recovery_rows(capsys):
     assert "sync traffic" in out
 
 
+@pytest.mark.parametrize(
+    "flags, field",
+    [
+        (["--duration", "0"], "duration_s"),
+        (["--duration", "-1"], "duration_s"),
+        (["--clients", "0"], "n_clients"),
+        (["--exec-workers", "0"], "exec_workers"),
+    ],
+)
+def test_run_rejects_out_of_range_knobs_before_running(flags, field, capsys):
+    code = main(["run", "--servers", "4", "--rate", "10", *flags])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and field in err
+
+
 def test_run_recover_at_requires_crash(capsys):
     code = main(["run", "--recover-at", "5"])
     assert code == 2

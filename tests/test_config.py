@@ -121,3 +121,16 @@ def test_apply_overrides_requires_dataclass():
 
     with pytest.raises(BenchmarkError, match="must be a dataclass"):
         apply_overrides({"not": "a dataclass"}, {"x": 1})
+
+
+def test_exec_workers_below_one_is_rejected():
+    """Zero workers used to run serial without a word."""
+    from repro.config import apply_overrides
+    from repro.errors import BenchmarkError
+
+    with pytest.raises(BenchmarkError, match="exec_workers must be >= 1"):
+        apply_overrides(hyperledger_config(), {"exec_workers": 0})
+    for name, spec in PLATFORMS.items():
+        with pytest.raises(BenchmarkError, match="exec_workers"):
+            spec.make_config(overrides={"exec_workers": -2})
+    assert apply_overrides(hyperledger_config(), {"exec_workers": 4}).exec_workers == 4
