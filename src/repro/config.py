@@ -49,6 +49,19 @@ class PBFTConfig:
     #: collapses: the paper's >16-node failure mode (Section 4.1.2).
     request_timeout: float = 2.5
 
+    def __post_init__(self) -> None:
+        if self.batch_size < 1:
+            raise BenchmarkError(f"batch_size: must be >= 1, got {self.batch_size}")
+        for name in ("batch_interval", "view_timeout", "request_timeout"):
+            if getattr(self, name) <= 0:
+                raise BenchmarkError(
+                    f"{name}: must be > 0, got {getattr(self, name)}"
+                )
+        if self.view_timeout_backoff < 0:
+            raise BenchmarkError(
+                f"view_timeout_backoff: must be >= 0, got {self.view_timeout_backoff}"
+            )
+
 
 @dataclass
 class PoWConfig:
@@ -379,7 +392,8 @@ def apply_overrides(config, overrides: dict, path: str = "overrides"):
 
     Unknown field names are an error listing the fields that exist:
     a silently ignored knob would make a sweep measure the default.
-    Errors name the knob by its dotted ``path``.
+    Errors name the knob by its dotted ``path``, range checks in a
+    config's ``__post_init__`` included.
     """
     if not overrides:
         return config
@@ -405,4 +419,7 @@ def apply_overrides(config, overrides: dict, path: str = "overrides"):
         else:
             check_value(value, hints[key], where)
         changes[key] = value
-    return replace(config, **changes)
+    try:
+        return replace(config, **changes)
+    except BenchmarkError as exc:
+        raise BenchmarkError(f"{path}.{exc}") from None

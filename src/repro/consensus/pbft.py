@@ -46,7 +46,9 @@ _CONTROL_MSG_BYTES = 96
 
 @dataclass
 class _LogEntry:
-    """Per-sequence bookkeeping for the three phases."""
+    """Per-sequence bookkeeping for the three phases of a sequence not
+    yet executed. Executing a sequence deletes its entry: a replica that
+    is behind is served blocks from the chain, never from the log."""
 
     view: int
     block: Block | None = None
@@ -54,7 +56,6 @@ class _LogEntry:
     prepares: set[str] = field(default_factory=set)
     commits: set[str] = field(default_factory=set)
     sent_commit: bool = False
-    executed: bool = False
 
 
 @register_consensus("pbft")
@@ -85,6 +86,7 @@ class PBFT(ConsensusProtocol):
         self.replicas = list(replicas)
         self.view = 0
         self.last_executed = 0
+        #: Un-executed sequences only, all above ``last_executed``.
         self.log: dict[int, _LogEntry] = {}
         self.in_flight = False
         self._running = False
@@ -98,8 +100,6 @@ class PBFT(ConsensusProtocol):
         self._progress_deadline = 0.0
         # Statistics surfaced in experiment reports.
         self.view_changes_started = 0
-        self.views_entered = 0
-        self.batches_committed = 0
 
     # ------------------------------------------------------------------
     # Identity helpers
@@ -151,6 +151,10 @@ class PBFT(ConsensusProtocol):
         cluster through a cascade of view changes to drag it forward;
         with it the replica slots straight into the active view (the
         real protocol's NEW-VIEW/checkpoint transfer, simplified).
+
+        The log starts empty: pre-crash phase state is gone with the
+        process, and anything not yet executed will be re-proposed from
+        the mempool.
         """
         self.last_executed = max(self.last_executed, height)
         if view_hint > self.view:
@@ -158,12 +162,7 @@ class PBFT(ConsensusProtocol):
         self._view_changing = False
         self._pending_new_view = None
         self.in_flight = False
-        # Pre-crash phase state is gone with the process; anything not
-        # yet executed will be re-proposed from the mempool.
-        self.log = {
-            seq: entry for seq, entry in self.log.items()
-            if entry.executed and seq <= self.last_executed
-        }
+        self.log = {}
         self._view_change_votes = {
             view: votes
             for view, votes in self._view_change_votes.items()
@@ -281,7 +280,7 @@ class PBFT(ConsensusProtocol):
         self._check_phase_transitions(seq)
 
     def _on_prepare(self, payload: dict, sender: str) -> None:
-        if payload["view"] != self.view:
+        if payload["view"] != self.view or payload["seq"] <= self.last_executed:
             return
         self._record_prepare(payload["seq"], sender, payload["digest"])
         self._check_phase_transitions(payload["seq"])
@@ -293,7 +292,7 @@ class PBFT(ConsensusProtocol):
         entry.prepares.add(node)
 
     def _on_commit(self, payload: dict, sender: str) -> None:
-        if payload["view"] != self.view:
+        if payload["view"] != self.view or payload["seq"] <= self.last_executed:
             return
         entry = self._entry(payload["seq"], self.view)
         if entry.digest is not None and entry.digest != payload["digest"]:
@@ -321,7 +320,6 @@ class PBFT(ConsensusProtocol):
         # Committed: quorum of commits -> execute in order.
         if (
             entry.block is not None
-            and not entry.executed
             and entry.sent_commit
             and len(entry.commits) >= self.quorum
         ):
@@ -333,15 +331,13 @@ class PBFT(ConsensusProtocol):
             entry = self.log.get(self.last_executed + 1)
             if (
                 entry is None
-                or entry.executed
                 or entry.block is None
                 or not entry.sent_commit
                 or len(entry.commits) < self.quorum
             ):
                 return
-            entry.executed = True
             self.last_executed += 1
-            self.batches_committed += 1
+            del self.log[self.last_executed]
             self.host.deliver_block(entry.block)
             if self.leader_of(entry.view) == self.host.node_id:
                 self.in_flight = False
@@ -419,9 +415,7 @@ class PBFT(ConsensusProtocol):
         self._start_view_change(attempted_view + 1)
 
     def _has_work(self) -> bool:
-        return self.host.pending_count() > 0 or any(
-            not e.executed for e in self.log.values()
-        )
+        return self.host.pending_count() > 0 or bool(self.log)
 
     def _on_view_change(self, payload: dict, sender: str) -> None:
         new_view = payload["new_view"]
@@ -470,16 +464,14 @@ class PBFT(ConsensusProtocol):
         if new_view <= self.view:
             return
         self.view = new_view
-        self.views_entered += 1
         self._view_changing = False
         self._pending_new_view = None
         self.in_flight = False
         # Drop un-executed entries from older views; their transactions
         # are still in the mempool and will be re-proposed.
         self.log = {
-            seq: entry
-            for seq, entry in self.log.items()
-            if entry.executed or entry.view >= new_view
+            seq: entry for seq, entry in self.log.items()
+            if entry.view >= new_view
         }
         self._view_change_votes = {
             view: votes
@@ -513,7 +505,7 @@ class PBFT(ConsensusProtocol):
             if block.height == self.last_executed + 1:
                 self.host.deliver_block(block)
                 self.last_executed = block.height
-                self.batches_committed += 1
+                self.log.pop(block.height, None)
         self._arm_progress_timer()
 
     def confirmed_height(self) -> int:

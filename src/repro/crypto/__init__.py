@@ -13,7 +13,7 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
         "sha256",
         "short_hex",
     ),
-    "merkle": ("MerkleTree", "ProofStep", "merkle_root"),
+    "merkle": ("merkle_root",),
     "signatures": (
         "SIGN_COST_S",
         "VERIFY_COST_S",

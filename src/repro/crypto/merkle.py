@@ -1,79 +1,25 @@
-"""Classic binary Merkle tree.
+"""Classic binary Merkle root.
 
 Used for block transaction lists ("the hash tree for transaction list
 is a classic Merkle tree, as the list is not large", Section 3.1.2).
-Odd levels duplicate the trailing node, Bitcoin-style. Supports audit
-proofs so light clients can verify inclusion against a block header.
+Odd levels duplicate the trailing node, Bitcoin-style.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from ..errors import ChainError
 from .hashing import EMPTY_HASH, Hash, hash_items, sha256
 
 
-@dataclass(frozen=True)
-class ProofStep:
-    """One level of an audit path: sibling digest and its side."""
-
-    sibling: Hash
-    sibling_on_left: bool
-
-
-class MerkleTree:
-    """Binary hash tree over a list of leaf payloads.
-
-    >>> tree = MerkleTree([b"a", b"b", b"c"])
-    >>> proof = tree.prove(1)
-    >>> MerkleTree.verify_proof(b"b", proof, tree.root)
-    True
-    """
-
-    def __init__(self, leaves: list[bytes]) -> None:
-        self.leaf_count = len(leaves)
-        self._levels: list[list[Hash]] = []
-        if not leaves:
-            self.root = EMPTY_HASH
-            return
-        level = [sha256(b"leaf:" + leaf) for leaf in leaves]
-        self._levels.append(level)
-        while len(level) > 1:
-            if len(level) % 2 == 1:
-                level = level + [level[-1]]
-                self._levels[-1] = level
-            level = [
-                hash_items(b"node", level[i], level[i + 1])
-                for i in range(0, len(level), 2)
-            ]
-            self._levels.append(level)
-        self.root = level[0]
-
-    def prove(self, index: int) -> list[ProofStep]:
-        """Audit path for the leaf at ``index``."""
-        if not 0 <= index < self.leaf_count:
-            raise ChainError(f"leaf index {index} out of range")
-        path: list[ProofStep] = []
-        for level in self._levels[:-1]:
-            sibling_index = index ^ 1
-            sibling = level[min(sibling_index, len(level) - 1)]
-            path.append(ProofStep(sibling=sibling, sibling_on_left=index % 2 == 1))
-            index //= 2
-        return path
-
-    @staticmethod
-    def verify_proof(leaf: bytes, proof: list[ProofStep], root: Hash) -> bool:
-        """Check an audit path against an expected root."""
-        digest = sha256(b"leaf:" + leaf)
-        for step in proof:
-            if step.sibling_on_left:
-                digest = hash_items(b"node", step.sibling, digest)
-            else:
-                digest = hash_items(b"node", digest, step.sibling)
-        return digest == root
-
-
 def merkle_root(leaves: list[bytes]) -> Hash:
-    """Root digest without retaining the tree."""
-    return MerkleTree(leaves).root
+    """Root digest of the tree over ``leaves``, one level at a time."""
+    if not leaves:
+        return EMPTY_HASH
+    level = [sha256(b"leaf:" + leaf) for leaf in leaves]
+    while len(level) > 1:
+        if len(level) % 2 == 1:
+            level.append(level[-1])
+        level = [
+            hash_items(b"node", level[i], level[i + 1])
+            for i in range(0, len(level), 2)
+        ]
+    return level[0]

@@ -25,10 +25,6 @@ class StorageError(ReproError):
     """Base class for storage-engine failures."""
 
 
-class KeyNotFound(StorageError, KeyError):
-    """Lookup for a missing key where absence is an error."""
-
-
 class CorruptionError(StorageError):
     """An on-disk structure failed its checksum or framing check."""
 
@@ -39,14 +35,6 @@ class ChainError(ReproError):
 
 class InvalidBlock(ChainError):
     """A block failed validation (bad parent, bad roots, bad signature)."""
-
-
-class InvalidTransaction(ChainError):
-    """A transaction failed validation (bad nonce, bad signature, funds)."""
-
-
-class ConsensusError(ReproError):
-    """A consensus protocol reached an illegal state."""
 
 
 class ExecutionError(ReproError):
@@ -63,10 +51,6 @@ class OutOfMemory(ExecutionError):
 
 class ContractRevert(ExecutionError):
     """The contract aborted explicitly; state changes are reverted."""
-
-
-class VMError(ExecutionError):
-    """Bytecode-level fault: stack underflow, bad jump, bad opcode."""
 
 
 class AssemblerError(ExecutionError):

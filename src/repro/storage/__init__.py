@@ -1,4 +1,4 @@
-"""Storage substrate: KV interfaces, the LSM engine, and metrics."""
+"""Storage substrate: KV interfaces and the LSM engine."""
 
 from ..util.lazy import lazy_exports
 
@@ -9,5 +9,4 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "lsm.memtable": ("TOMBSTONE", "MemTable"),
     "lsm.sstable": ("SSTableReader", "write_sstable"),
     "lsm.wal": ("WriteAheadLog",),
-    "metrics": ("StorageReport", "report_for"),
 })

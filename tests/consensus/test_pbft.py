@@ -1,6 +1,12 @@
 """Unit tests for PBFT: three-phase commit, view changes, quorum math."""
 
+import pytest
+
 from repro.consensus import PBFT, PBFTConfig
+from repro.consensus.pbft import COMMIT, PREPARE, SYNC_RESP
+from repro.core import Driver, DriverConfig
+from repro.platforms import build_cluster as build_platform_cluster
+from repro.workloads import make_workload
 
 from .harness import build_cluster, make_tx, submit_everywhere
 
@@ -163,3 +169,97 @@ def test_sync_catches_up_lagging_replica():
     submit_everywhere(nodes, [make_tx(i) for i in range(100, 125)])
     sched.run_until(40.0)
     assert lagging.chain().height == nodes[0].chain().height
+
+
+# ----------------------------------------------------------------------
+# The log holds only what it has not executed
+# ----------------------------------------------------------------------
+def stale_entries(protocol):
+    """Log sequences a replica has already executed."""
+    return [seq for seq in protocol.log if seq <= protocol.last_executed]
+
+
+def test_sync_catch_up_leaves_no_phantom_work():
+    """Entries that early PREPAREs created for sequences a replica then
+    receives by sync go with the sync: no view change for work that
+    is already on its chain."""
+    sched, net, nodes = build_cluster(4, pbft_factory())
+    lagging = nodes[3]
+    lagging.crash()
+    submit_everywhere(nodes[:3], [make_tx(i) for i in range(25)])
+    sched.run_until(10.0)
+    blocks = nodes[0].chain().blocks_in_range(0, nodes[0].chain().height)
+    assert len(blocks) == 3
+    lagging.recover()
+    lagging.protocol._running = True
+    protocol = lagging.protocol
+    for block in blocks:
+        for voter in ("n1", "n2"):
+            protocol.on_message(
+                PREPARE,
+                {"view": 0, "seq": block.height, "digest": block.hash},
+                voter,
+            )
+    assert sorted(protocol.log) == [1, 2, 3]
+    protocol.on_message(SYNC_RESP, blocks, "n0")
+    assert protocol.last_executed == 3
+    assert lagging.chain().height == 3
+    assert stale_entries(protocol) == []
+    assert lagging.pending_count() == 0
+    assert not protocol._has_work()
+
+
+@pytest.mark.parametrize("later_view", [False, True])
+def test_late_votes_for_an_executed_sequence_create_no_entry(later_view):
+    sched, net, nodes = build_cluster(4, pbft_factory())
+    submit_everywhere(nodes, [make_tx(i) for i in range(5)])
+    sched.run_until(3.0)
+    if later_view:
+        nodes[0].crash()  # the view-0 primary
+        submit_everywhere(nodes[1:], [make_tx(i) for i in range(100, 105)])
+        sched.run_until(30.0)
+    node = nodes[2]
+    protocol = node.protocol
+    assert (protocol.view > 0) == later_view
+    executed = nodes[1].chain().blocks_in_range(0, 1)[0]
+    assert protocol.last_executed >= executed.height
+    assert protocol.log == {}
+    vote = {"view": protocol.view, "seq": executed.height,
+            "digest": executed.hash}
+    for sender in ("n1", "n3"):
+        protocol.on_message(PREPARE, vote, sender)
+        protocol.on_message(COMMIT, vote, sender)
+    assert protocol.log == {}
+    assert node.pending_count() == 0
+    assert not protocol._has_work()
+
+
+#: Un-executed sequences a replica may hold: the batch in flight plus
+#: votes that ran ahead of it.
+LOG_BOUND = 2
+
+
+def test_no_replica_logs_an_executed_sequence_at_sixteen_servers():
+    cluster = build_platform_cluster("hyperledger", 16, seed=31)
+    driver = Driver(
+        cluster,
+        make_workload("ycsb"),
+        DriverConfig(n_clients=4, request_rate_tx_s=64, duration_s=4),
+    )
+    driver.prepare()
+    samples = []
+
+    def sample():
+        for node in cluster.nodes:
+            protocol = node.protocol
+            samples.append((len(protocol.log), len(stale_entries(protocol))))
+
+    for i in range(1, 80):
+        cluster.scheduler.schedule_at(i * 0.05 + 0.003, sample)
+    driver.run()
+    assert max(node.chain().height for node in cluster.nodes) > 10
+    assert max(size for size, _ in samples) <= LOG_BOUND
+    assert all(stale == 0 for _, stale in samples)
+    assert all(node.protocol.log == {} for node in cluster.nodes)
+    cluster.close()
+

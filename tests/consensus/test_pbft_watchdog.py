@@ -5,6 +5,12 @@ when it fires early, re-arms at the *absolute* deadline. The observable
 contract is unchanged from the timer-per-arm implementation: the check
 body runs at exactly ``last arm + view_timeout``. The pinned values at
 the bottom were captured on the commit before the change.
+
+The crashed-primary pin was recaptured once, when the PBFT log stopped
+holding executed sequences: a deliberate model change. The recovered
+``server-0`` used to start a view change at 11.252835764186376 s for
+entries it had caught up on by sync and never marked; the run's JSON
+differs from the old capture only in ``view_changes`` (7 -> 6).
 """
 
 import hashlib
@@ -107,7 +113,7 @@ def test_watchdog_fires_at_exactly_last_arm_plus_view_timeout(monkeypatch):
 
 def test_an_admitted_tx_moves_the_deadline_without_scanning_for_work(monkeypatch):
     """The mempool has just grown, so that arm site skips ``_has_work``
-    (a log scan per admitted transaction); every other site still asks."""
+    (a call per admitted transaction); every other site still asks."""
     scans = []
     has_work = PBFT._has_work
     monkeypatch.setattr(
@@ -304,9 +310,8 @@ CRASHED_PRIMARY_VIEW_CHANGES = [
     ("4.25", "server-4", 1),
     ("4.25", "server-5", 1),
     ("4.25", "server-6", 1),
-    ("11.252835764186376", "server-0", 2),
 ]
 CRASHED_PRIMARY_RECOVERY_TIME_S = {"server-0": "0.7726742867803464"}
 CRASHED_PRIMARY_DIGEST = (
-    "c32710787d135553d6640934e6e40ed515652dfe4d117b3b9a9e1dc8fd70e145"
+    "310f0b215803f115bae3dfe97528ac6c28f165341775cf636491e21b76e47454"
 )

@@ -299,6 +299,10 @@ def test_suite_missing_file_fails_cleanly(tmp_path, capsys):
         ({"arrival": {"rate": "fast"}}, "arrival.rate"),
         ({"arrival": {"accounts": 1.5}}, "arrival.accounts"),
         ({"arrival": [{"zipf_s": 1.1}, {"zipf_s": "x"}]}, "arrival.zipf_s"),
+        ({"overrides": {"pbft": {"view_timeout": -1}}},
+         "overrides.pbft.view_timeout: must be > 0"),
+        ({"overrides": {"pbft": {"batch_size": 0}}},
+         "overrides.pbft.batch_size: must be >= 1"),
     ],
 )
 def test_suite_mistyped_values_fail_cleanly(tmp_path, capsys, scenario, where):

@@ -134,3 +134,26 @@ def test_exec_workers_below_one_is_rejected():
         with pytest.raises(BenchmarkError, match="exec_workers"):
             spec.make_config(overrides={"exec_workers": -2})
     assert apply_overrides(hyperledger_config(), {"exec_workers": 4}).exec_workers == 4
+
+
+@pytest.mark.parametrize(
+    "knob, value",
+    [
+        ("batch_size", 0),
+        ("batch_interval", 0),
+        ("view_timeout", -1),
+        ("request_timeout", 0.0),
+        ("view_timeout_backoff", -0.5),
+    ],
+)
+def test_out_of_range_pbft_knobs_are_rejected_by_dotted_path(knob, value):
+    """``view_timeout: -1`` used to die mid-run in the scheduler, and
+    ``batch_size: 0`` to exit 0 after confirming nothing."""
+    from repro.config import PBFTConfig, apply_overrides
+    from repro.errors import BenchmarkError
+
+    with pytest.raises(BenchmarkError, match=f"^{knob}: must be"):
+        PBFTConfig(**{knob: value})
+    with pytest.raises(BenchmarkError, match=f"^overrides.pbft.{knob}: must be"):
+        apply_overrides(hyperledger_config(), {"pbft": {knob: value}})
+    assert apply_overrides(hyperledger_config(), {"pbft": {"view_timeout_backoff": 0}})

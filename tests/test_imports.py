@@ -50,7 +50,7 @@ PUBLIC_NAMES = {
         PoAConfig PoWConfig ProofOfAuthority ProofOfWork Tendermint
         TendermintConfig""",
     "repro.crypto": """BucketTree DictNodeStore EMPTY_HASH Hash KeyPair
-        KeyRegistry MerkleTree PatriciaTrie ProofStep PublicKey SIGN_COST_S
+        KeyRegistry PatriciaTrie PublicKey SIGN_COST_S
         Signature StateTrie VERIFY_COST_S from_nibbles hash_items hash_text
         hex_digest merkle_root sha256 short_hex to_nibbles
         transaction_digest""",
@@ -61,8 +61,8 @@ PUBLIC_NAMES = {
         donothing_code kvstore_read_code kvstore_write_code
         program_cache_stats sstore_cost""",
     "repro.storage": """BloomFilter KVStore LSMConfig LSMStore MemKVStore
-        MemTable SSTableReader StorageReport TOMBSTONE WriteAheadLog
-        leveldb_config report_for rocksdb_config write_sstable""",
+        MemTable SSTableReader TOMBSTONE WriteAheadLog leveldb_config
+        rocksdb_config write_sstable""",
 }
 
 #: Optional layers a hyperledger/ycsb run never executes.
