@@ -16,7 +16,6 @@ from typing import Iterator
 from ..crypto.hashing import Hash
 from ..errors import InvalidBlock
 from .block import Block, genesis_block
-from .transaction import Transaction
 
 
 class Blockchain:
@@ -26,7 +25,6 @@ class Blockchain:
         self.genesis = genesis_block(chain_id)
         genesis_hash = self.genesis.hash
         self._blocks: dict[Hash, Block] = {genesis_hash: self.genesis}
-        self._children: dict[Hash, list[Hash]] = {genesis_hash: []}
         self._main: list[Hash] = [genesis_hash]
         self._main_set: set[Hash] = {genesis_hash}
         self._orphans: dict[Hash, list[Block]] = {}
@@ -75,11 +73,6 @@ class Blockchain:
         """Genesis-to-tip iteration over the current main branch."""
         for block_hash in self._main:
             yield self._blocks[block_hash]
-
-    def transactions_in_range(self, start: int, end: int) -> Iterator[Transaction]:
-        """Transactions in main-branch blocks with start < height <= end."""
-        for block in self.blocks_in_range(start, end):
-            yield from block.transactions
 
     # ------------------------------------------------------------------
     # Fork / security metrics (Figure 10)
@@ -132,8 +125,6 @@ class Blockchain:
                 f"height {parent.height}"
             )
         self._blocks[block_hash] = block
-        self._children[block_hash] = []
-        self._children[parent_hash].append(block_hash)
         reorganized = self._maybe_reorg(block)
         # Connect any orphans waiting on this block.
         for orphan in self._orphans.pop(block_hash, []):

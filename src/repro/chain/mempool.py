@@ -1,14 +1,15 @@
 """Pending-transaction pool.
 
-FIFO with id-deduplication. Proposers draw batches bounded either by a
-transaction count (Hyperledger's ``batchSize``) or by a gas budget
-(Ethereum's ``gasLimit``), both of which the paper tunes to control
-block size (Figure 15).
+FIFO with id-deduplication. Proposers draw batches bounded by a
+transaction count: Hyperledger's ``batchSize``, or Ethereum's
+``gasLimit`` converted to a count by the platform node; the paper tunes
+both to control block size (Figure 15).
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable
+from itertools import islice
+from typing import Iterable
 
 from .transaction import Transaction
 
@@ -23,10 +24,9 @@ class Mempool:
         self.capacity = capacity
         self.rejected_full = 0
         #: Cluster-wide lifecycle tracer (attached by the platform node).
-        #: Admission is stamped here rather than in ``_on_send_tx``
-        #: because Parity's signing queue and every platform's gossip
-        #: path admit transactions without going through the default
-        #: ingress handler.
+        #: Admission is stamped here rather than in the node's
+        #: ``_admit`` because the gossip path admits transactions
+        #: without it.
         self.tracer = None
 
     def add(self, tx: Transaction, now: float = 0.0) -> bool:
@@ -41,9 +41,6 @@ class Mempool:
         if self.tracer is not None:
             self.tracer.record_admit(tx.tx_id, now)
         return True
-
-    def add_many(self, txs: Iterable[Transaction], now: float = 0.0) -> int:
-        return sum(self.add(tx, now) for tx in txs)
 
     def oldest_pending_age(self, now: float) -> float:
         """Age of the longest-waiting transaction (0 when empty).
@@ -65,25 +62,9 @@ class Mempool:
     def __contains__(self, tx_id: str) -> bool:
         return tx_id in self._pool
 
-    def peek_batch(
-        self,
-        max_count: int,
-        gas_budget: int | None = None,
-        gas_estimate: Callable[[Transaction], int] | None = None,
-    ) -> list[Transaction]:
-        """First transactions respecting count and optional gas budget."""
-        batch: list[Transaction] = []
-        remaining_gas = gas_budget
-        for tx in self._pool.values():
-            if len(batch) >= max_count:
-                break
-            if remaining_gas is not None and gas_estimate is not None:
-                cost = gas_estimate(tx)
-                if cost > remaining_gas and batch:
-                    break
-                remaining_gas -= cost
-            batch.append(tx)
-        return batch
+    def peek_batch(self, max_count: int) -> list[Transaction]:
+        """The first ``max_count`` transactions, in arrival order."""
+        return list(islice(self._pool.values(), max_count))
 
     def remove(self, tx_ids: Iterable[str]) -> int:
         """Drop committed transactions; returns how many were present."""

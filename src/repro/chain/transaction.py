@@ -81,10 +81,6 @@ class Transaction:
         )
         return tx
 
-    def signing_payload(self) -> bytes:
-        """Bytes covered by the sender's signature."""
-        return self.tx_id.encode()
-
     def encode(self) -> bytes:
         """Canonical encoding used for Merkle leaves."""
         return self.tx_id.encode()

@@ -30,6 +30,24 @@ from .errors import BenchmarkError
 # ---------------------------------------------------------------------------
 # Consensus tuning (each protocol module re-exports its own)
 # ---------------------------------------------------------------------------
+_RANGES = {
+    "> 0": lambda value: value > 0,
+    ">= 0": lambda value: value >= 0,
+    ">= 1": lambda value: value >= 1,
+    "in [0, 1)": lambda value: 0 <= value < 1,
+}
+
+
+def _require(config, rule: str, *names: str) -> None:
+    """Raise unless every named field of ``config`` is ``rule``; the
+    message starts with the field name, so ``apply_overrides`` can put
+    the knob's dotted path in front of it."""
+    for name in names:
+        value = getattr(config, name)
+        if not _RANGES[rule](value):
+            raise BenchmarkError(f"{name}: must be {rule}, got {value}")
+
+
 @dataclass
 class PBFTConfig:
     """Tuning for one PBFT network (Fabric v0.6 defaults)."""
@@ -50,17 +68,9 @@ class PBFTConfig:
     request_timeout: float = 2.5
 
     def __post_init__(self) -> None:
-        if self.batch_size < 1:
-            raise BenchmarkError(f"batch_size: must be >= 1, got {self.batch_size}")
-        for name in ("batch_interval", "view_timeout", "request_timeout"):
-            if getattr(self, name) <= 0:
-                raise BenchmarkError(
-                    f"{name}: must be > 0, got {getattr(self, name)}"
-                )
-        if self.view_timeout_backoff < 0:
-            raise BenchmarkError(
-                f"view_timeout_backoff: must be >= 0, got {self.view_timeout_backoff}"
-            )
+        _require(self, ">= 1", "batch_size")
+        _require(self, "> 0", "batch_interval", "view_timeout", "request_timeout")
+        _require(self, ">= 0", "view_timeout_backoff")
 
 
 @dataclass
@@ -87,6 +97,14 @@ class PoWConfig:
     #: CPU cores saturated by mining (Figure 16 shows 8).
     mining_cores: int = 8
 
+    def __post_init__(self) -> None:
+        _require(self, "> 0", "base_block_interval")
+        _require(self, ">= 1", "reference_nodes")
+        _require(self, ">= 0", "difficulty_exponent")
+        _require(self, "in [0, 1)", "retarget_step")
+        _require(self, ">= 0", "confirmation_depth")
+        _require(self, ">= 1", "max_txs_per_block", "mining_cores")
+
     def network_interval(self, n_nodes: int) -> float:
         """Target network block interval for ``n_nodes`` miners."""
         if n_nodes <= self.reference_nodes:
@@ -104,6 +122,12 @@ class PoAConfig:
     max_txs_per_block: int = 1000
     #: CPU cost of sealing one block (header signature).
     seal_cost_s: float = 0.002
+
+    def __post_init__(self) -> None:
+        _require(self, "> 0", "step_duration")
+        _require(self, ">= 0", "confirmation_depth")
+        _require(self, ">= 1", "max_txs_per_block")
+        _require(self, ">= 0", "seal_cost_s")
 
 
 @dataclass
@@ -125,6 +149,14 @@ class TendermintConfig:
     #: Extra timeout added per failed round, keeping liveness under
     #: asynchrony (Tendermint's timeout increment).
     round_timeout_delta: float = 0.5
+
+    def __post_init__(self) -> None:
+        _require(self, ">= 1", "max_txs_per_block")
+        _require(
+            self, "> 0", "tick_interval", "commit_interval",
+            "propose_timeout", "prevote_timeout", "precommit_timeout",
+        )
+        _require(self, ">= 0", "round_timeout_delta")
 
 
 @dataclass(frozen=True)
@@ -202,8 +234,8 @@ def ethereum_config(**overrides) -> EthereumConfig:
     """geth v1.4.18 private-testnet preset.
 
     Difficulty tuned for ~2.5 s blocks at 8 nodes (Section 4); the
-    gasLimit bounds blocks at roughly 700 YCSB transactions, giving the
-    ~284 tx/s peak.
+    gasLimit bounds blocks at 769 YCSB transactions (20,000,000 //
+    ``TX_GAS_ESTIMATE``), giving the ~284 tx/s peak.
     """
     defaults = dict(
         name="ethereum",
@@ -212,7 +244,7 @@ def ethereum_config(**overrides) -> EthereumConfig:
             verify_cost_s=0.0001,
             tx_ingress_cost_s=0.00015,
             tx_gossip_cost_s=0.00008,
-            tx_broadcast_send_cost_s=0.00002,
+            tx_broadcast_send_cost_s=0.0,
             consensus_msg_cost_s=0.0002,
         ),
         inbox_capacity=None,  # geth queues; latency grows instead of dropping
@@ -257,7 +289,7 @@ def parity_config(**overrides) -> ParityConfig:
             verify_cost_s=0.00008,
             tx_ingress_cost_s=0.0001,
             tx_gossip_cost_s=0.00006,
-            tx_broadcast_send_cost_s=0.00002,
+            tx_broadcast_send_cost_s=0.0,
             consensus_msg_cost_s=0.00015,
         ),
         inbox_capacity=None,

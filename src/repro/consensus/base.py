@@ -181,7 +181,3 @@ class ConsensusProtocol(ABC):
         node (fed back as ``view_hint`` to :meth:`restart`). Protocols
         without a view concept return 0."""
         return 0
-
-    def describe(self) -> str:
-        """Human-readable protocol name for reports."""
-        return type(self).__name__

@@ -62,7 +62,7 @@ class TxView:
     deletes, recorded as ``None``) stay buffered here until
     :meth:`merge_into` folds the net set into the block state.
 
-    The surface matches :class:`~repro.platforms.base.PlatformState`'s
+    The surface matches :class:`~repro.platforms.base.JournaledState`'s
     key-value trio, so ``_NamespacedState`` — and through it both the
     native contracts' ``StateAccess`` facade and the EVM's
     ``StateStorage`` backend — capture transparently.

@@ -24,7 +24,7 @@ def available_platforms() -> list[str]:
 
 
 __all__, __getattr__, __dir__ = lazy_exports(__name__, {
-    "base": ("ExecutionCache", "JournaledState", "PlatformNode", "PlatformState"),
+    "base": ("ExecutionCache", "JournaledState", "PlatformNode"),
     "cluster": ("DEFAULT_CONTRACTS", "Cluster", "build_cluster"),
     "erisdb": ("ErisDBNode",),
     "ethereum": ("EthereumNode", "EthereumState"),

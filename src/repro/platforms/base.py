@@ -5,7 +5,7 @@ together every layer the paper identifies:
 
 * **consensus** — a :class:`~repro.consensus.base.ConsensusProtocol`
   (PoW / PoA / PBFT / Tendermint) built by ``_new_protocol``;
-* **data model** — a :class:`PlatformState` (Patricia trie or bucket
+* **data model** — a :class:`JournaledState` (Patricia trie or bucket
   tree over a storage backend) built by ``_new_state`` and committed
   once per executed block;
 * **execution** — the Table-1 contracts, invoked natively with gas
@@ -26,8 +26,8 @@ the shallow reorgs PoW naturally produces.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from collections.abc import Callable, Mapping
-from typing import Any
+from collections.abc import Callable
+from typing import TYPE_CHECKING, Any
 
 from dataclasses import dataclass
 
@@ -39,6 +39,9 @@ from ..crypto.hashing import EMPTY_HASH, Hash
 from ..errors import ConnectorError, ContractRevert, ExecutionError
 from ..sim import Message, Network, RngRegistry, Scheduler, SimNode
 from ..util.lru import LRUCache
+
+if TYPE_CHECKING:  # pragma: no cover
+    from ..core.txsched import TxView
 
 TX_GOSSIP = "tx/gossip"
 RPC_SEND_TX = "rpc/send_tx"
@@ -66,6 +69,10 @@ SYNC_RETRY_S = 1.0
 RECOVERY_MODES = ("warm", "cold")
 
 
+#: Gas a block packer assumes per transaction: ``block_gas_limit`` is a
+#: count of at least one transaction (Ethereum's 20,000,000 packs 769).
+TX_GAS_ESTIMATE = 26_000
+
 #: One net write per key: ``(key, value)`` with ``value=None`` a delete.
 WriteSet = tuple[tuple[bytes, "bytes | None"], ...]
 
@@ -76,64 +83,9 @@ WriteSet = tuple[tuple[bytes, "bytes | None"], ...]
 COMMIT_MEMO_ENTRIES = 64
 
 
-class PlatformState(ABC):
-    """State layer: key-value facade plus per-block commitment."""
-
-    #: The cluster's :attr:`ExecutionCache.commits` (set by
-    #: ``attach_execution_cache``); None for a stand-alone state or with
-    #: the knob off. States that do not journal writes ignore it.
-    commit_memo: "CommitMemo | None" = None
-
-    @abstractmethod
-    def get(self, key: bytes) -> bytes | None:
-        """Read one key from the current state."""
-
-    @abstractmethod
-    def put(self, key: bytes, value: bytes) -> None:
-        """Write one key into the current (uncommitted) state."""
-
-    @abstractmethod
-    def delete(self, key: bytes) -> None:
-        """Remove one key from the current state."""
-
-    @abstractmethod
-    def commit_block(self, height: int) -> Hash:
-        """Seal the state for one block; returns the state root."""
-
-    def get_at(self, height: int, key: bytes) -> bytes | None:
-        """Historical read at a block height; not every platform can."""
-        raise ConnectorError(
-            f"{type(self).__name__} does not support historical state queries"
-        )
-
-    def pre_state_root(self) -> Hash | None:
-        """Root of the last *committed* state, or None when the state
-        cannot name one — returning None opts the platform out of
-        cross-replica execution memoization (see
-        :class:`ExecutionCache`)."""
-        return None
-
-    def pending_writes(self) -> "WriteSet | None":
-        """The net uncommitted write-set (sorted), or None when the
-        state does not journal writes — returning None opts out of
-        execution memoization the same way ``pre_state_root`` does."""
-        return None
-
-    def apply_write_set(self, items: "WriteSet") -> None:
-        """Install a recorded write-set (replica replay path). Only
-        reachable on states whose ``pending_writes`` produced the
-        entry, so the base implementation is deliberately absent."""
-        raise ConnectorError(
-            f"{type(self).__name__} does not journal writes; "
-            "nothing can have recorded a write-set to replay"
-        )
-
-    def close(self) -> None:
-        """Release storage resources."""
-
-
-class JournaledState(PlatformState):
-    """Write-buffering state base: the block-commit fast path.
+class JournaledState(ABC):
+    """State layer: the key-value facade, per-block commitment and the
+    block-commit fast path. Every platform's state is one.
 
     All intra-block writes land in an in-memory overlay dict with
     last-write-wins semantics; reads are read-your-writes (overlay
@@ -154,21 +106,26 @@ class JournaledState(PlatformState):
     a record evicted or retired) is the compute path, with the same
     result.
 
-    Subclasses implement four hooks — ``_backing_get`` (committed
-    read), ``_flush`` (apply one sorted net write-set to the tree),
+    Subclasses pass the empty tree's root to the constructor and
+    implement four hooks — ``_backing_get`` (committed read),
+    ``_flush`` (apply one sorted net write-set to the tree),
     ``_install`` (apply it from another replica's record) and ``_seal``
-    (record the per-height root and return it) — and set
-    ``_sealed_root`` to the empty tree's root when constructed.
+    (record the per-height root and return it).
     """
 
-    def __init__(self) -> None:
+    #: The cluster's :attr:`ExecutionCache.commits` (set by
+    #: ``attach_execution_cache``); None for a stand-alone state or with
+    #: the knob off.
+    commit_memo: "CommitMemo | None" = None
+
+    def __init__(self, empty_root: Hash) -> None:
         #: key -> value, with None recording an uncommitted delete.
         self._overlay: dict[bytes, bytes | None] = {}
         #: Memoized sorted write-set; invalidated by every write so
         #: the cache-store path and commit_block share one sort.
         self._pending: WriteSet | None = None
         #: What ``_seal`` last returned: the committed state's name.
-        self._sealed_root: Hash | None = None
+        self._sealed_root = empty_root
 
     def get(self, key: bytes) -> bytes | None:
         overlay = self._overlay
@@ -184,7 +141,8 @@ class JournaledState(PlatformState):
         self._overlay[key] = None
         self._pending = None
 
-    def pre_state_root(self) -> Hash | None:
+    def pre_state_root(self) -> Hash:
+        """Root of the last *committed* state (the execution-cache key)."""
         return self._sealed_root
 
     def pending_writes(self) -> WriteSet:
@@ -245,6 +203,15 @@ class JournaledState(PlatformState):
     def _seal(self, height: int) -> Hash:
         """Record the committed root for ``height`` and return it."""
 
+    def get_at(self, height: int, key: bytes) -> bytes | None:
+        """Historical read at a block height; not every platform can."""
+        raise ConnectorError(
+            f"{type(self).__name__} does not support historical state queries"
+        )
+
+    def close(self) -> None:
+        """Release storage resources."""
+
 
 class CommitMemo(LRUCache):
     """A cluster's commit records: ``(sealed root, write-set) → record``.
@@ -261,10 +228,10 @@ class CommitMemo(LRUCache):
         super().__init__(COMMIT_MEMO_ENTRIES)
         self.readers = replicas - 1
 
-    def put(self, key: tuple[Hash | None, WriteSet], record: Any) -> None:
+    def put(self, key: tuple[Hash, WriteSet], record: Any) -> None:
         super().put(key, [record, self.readers])
 
-    def take(self, key: tuple[Hash | None, WriteSet]) -> Any:
+    def take(self, key: tuple[Hash, WriteSet]) -> Any:
         """The record under ``key``, or None; the last reader's take
         retires it."""
         entry = self.get(key)
@@ -287,7 +254,7 @@ class _NamespacedState:
 
     __slots__ = ("_state", "_prefix")
 
-    def __init__(self, state: PlatformState, contract_name: str) -> None:
+    def __init__(self, state: "JournaledState | TxView", contract_name: str) -> None:
         self._state = state
         self._prefix = contract_name.encode() + b"/"
 
@@ -383,76 +350,47 @@ class TxIndex(dict):
         return held if type(held) is tuple else (held,)
 
 
-class ExecutedReceipts(Mapping):
-    """One replica's receipts, read as ``tx id → receipt``.
-
-    Stored as ``block hash → receipts tuple`` for the blocks the replica
-    executed — with the execution cache on, a replayed block's tuple is
-    the :class:`CachedExecution`'s own — and looked up through a
-    :class:`TxIndex`. Reads like the dict it replaces: iteration in
-    first-filing order, the value from the latest filing.
+class ExecutedReceipts:
+    """One replica's receipts: :attr:`blocks` maps the hash of each
+    block the replica executed to its receipts tuple — with the
+    execution cache on, a replayed block's tuple is the
+    :class:`CachedExecution`'s own — and transactions are looked up
+    through a :class:`TxIndex`.
     """
 
-    __slots__ = ("index", "_blocks", "_latest")
+    __slots__ = ("index", "blocks")
 
     def __init__(self, index: TxIndex) -> None:
         self.index = index
-        #: block hash -> its receipts, in first-filing order.
-        self._blocks: dict[Hash, tuple[Receipt, ...]] = {}
-        #: The same hashes in latest-filing order.
-        self._latest: dict[Hash, None] = {}
+        #: block hash -> its receipts, in latest-filing order.
+        self.blocks: dict[Hash, tuple[Receipt, ...]] = {}
 
     def file(self, block_hash: Hash, receipts: tuple[Receipt, ...]) -> None:
         """Record that this replica executed ``block_hash``."""
         self.index.add(block_hash, receipts)
-        self._blocks[block_hash] = receipts
-        latest = self._latest
-        latest.pop(block_hash, None)
-        latest[block_hash] = None
+        blocks = self.blocks
+        blocks.pop(block_hash, None)
+        blocks[block_hash] = receipts
 
     def __contains__(self, tx_id: object) -> bool:
         held = self.index.get(tx_id)
         if held is None:
             return False
         if type(held) is tuple:
-            return any(block_hash in self._blocks for block_hash in held)
-        return held in self._blocks
+            return any(block_hash in self.blocks for block_hash in held)
+        return held in self.blocks
 
-    def __getitem__(self, tx_id: str) -> Receipt:
+    def get(self, tx_id: str) -> Receipt | None:
+        """``tx_id``'s receipt from the latest-filed block holding it."""
         held = self.index.blocks_of(tx_id)
+        blocks = self.blocks
         # One candidate (the common case) or the latest filing of many.
-        for block_hash in held if len(held) < 2 else reversed(self._latest):
-            if block_hash in held and block_hash in self._blocks:
-                for receipt in reversed(self._blocks[block_hash]):
+        for block_hash in held if len(held) < 2 else reversed(blocks):
+            if block_hash in held and block_hash in blocks:
+                for receipt in reversed(blocks[block_hash]):
                     if receipt.tx_id == tx_id:
                         return receipt
-        raise KeyError(tx_id)
-
-    def _as_dict(self) -> dict[str, Receipt]:
-        merged: dict[str, Receipt] = dict.fromkeys(
-            receipt.tx_id
-            for receipts in self._blocks.values()
-            for receipt in receipts
-        )
-        for block_hash in self._latest:
-            for receipt in self._blocks[block_hash]:
-                merged[receipt.tx_id] = receipt
-        return merged
-
-    def __iter__(self):
-        return iter(self._as_dict())
-
-    def __len__(self) -> int:
-        return len(self._as_dict())
-
-    def items(self):
-        return self._as_dict().items()
-
-    def values(self):
-        return self._as_dict().values()
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}({self._as_dict()!r})"
+        return None
 
 
 class ExecutionCache:
@@ -552,7 +490,7 @@ class PlatformNode(SimNode):
         self.mempool = Mempool(config.mempool_capacity)
         self.peers: list[str] = []
         self.contracts: dict[str, Contract] = {}
-        #: Read-only ``tx id → receipt`` view of the executed blocks.
+        #: The receipts of the blocks this replica executed.
         self.receipts = ExecutedReceipts(TxIndex())
         self.executed_height = 0
         self._height_roots: dict[int, Hash] = {}
@@ -570,7 +508,6 @@ class PlatformNode(SimNode):
         # Statistics.
         self.committed_tx_count = 0
         self.failed_tx_count = 0
-        self.corrupted_dropped = 0
         self.rejected_submissions = 0
         # Crash-recovery state and counters.
         self._recovering = False
@@ -590,11 +527,9 @@ class PlatformNode(SimNode):
         self.sync_requests_sent = 0
         self.sync_blocks_received = 0
         self.sync_bytes_received = 0
-        self.sync_blocks_served = 0
-        self.sync_bytes_served = 0
         self.protocol: ConsensusProtocol = self._new_protocol(all_ids)
 
-    def _new_state(self) -> PlatformState:
+    def _new_state(self) -> JournaledState:
         """An empty state store: at construction and on cold recovery."""
         raise NotImplementedError
 
@@ -686,11 +621,9 @@ class PlatformNode(SimNode):
     ) -> Block:
         limit = max_txs if max_txs is not None else 10_000
         gas_limit = self.config.block_gas_limit
-        txs = self.mempool.peek_batch(
-            limit,
-            gas_budget=gas_limit,
-            gas_estimate=self.gas_estimate if gas_limit else None,
-        )
+        if gas_limit:
+            limit = min(limit, max(1, gas_limit // TX_GAS_ESTIMATE))
+        txs = self.mempool.peek_batch(limit)
         block = Block.build(
             height=parent.height + 1,
             parent_hash=parent.hash,
@@ -713,10 +646,6 @@ class PlatformNode(SimNode):
         if execute:
             self._advance_execution()
         return changed
-
-    def gas_estimate(self, tx: Transaction) -> int:
-        """Rough per-transaction gas used for block packing."""
-        return 26_000
 
     # ------------------------------------------------------------------
     # Execution (at confirmation)
@@ -741,12 +670,10 @@ class PlatformNode(SimNode):
             # time for the whole cluster (later replicas are no-ops).
             tracer.record_decide(block.tx_ids, self.now)
         cache = self.execution_cache
-        pre_root: Hash | None = None
         entry: CachedExecution | None = None
         if cache is not None:
             pre_root = self.state.pre_state_root()
-            if pre_root is not None:
-                entry = cache.lookup(pre_root, block.hash)
+            entry = cache.lookup(pre_root, block.hash)
         workers = self.config.exec_workers
         seconds_per_gas = self.config.execution.seconds_per_gas
         levels: tuple[int, ...] | None = None
@@ -770,14 +697,12 @@ class PlatformNode(SimNode):
             committed, failed, seconds = tally_receipts(
                 receipts, seconds_per_gas
             )
-            if cache is not None and pre_root is not None:
-                write_set = self.state.pending_writes()
-                if write_set is not None:
-                    entry = CachedExecution(
-                        write_set, receipts, (committed, failed, seconds),
-                        levels,
-                    )
-                    cache.store(pre_root, block.hash, entry)
+            if cache is not None:
+                entry = CachedExecution(
+                    self.state.pending_writes(), receipts,
+                    (committed, failed, seconds), levels,
+                )
+                cache.store(pre_root, block.hash, entry)
         self.receipts.file(block.hash, receipts)
         self.committed_tx_count += committed
         self.failed_tx_count += failed
@@ -847,7 +772,7 @@ class PlatformNode(SimNode):
         self,
         tx: Transaction,
         block: Block,
-        state: "PlatformState | None" = None,
+        state: "JournaledState | TxView | None" = None,
     ) -> Receipt:
         height = block.height
         contract = self.contracts.get(tx.contract)
@@ -928,7 +853,6 @@ class PlatformNode(SimNode):
     def handle_message(self, message: Message) -> None:
         """Route one message: RPC, gossip, or consensus."""
         if message.corrupted:
-            self.corrupted_dropped += 1
             return
         kind = message.kind
         if kind == TX_GOSSIP:
@@ -977,25 +901,31 @@ class PlatformNode(SimNode):
             return True
         return False
 
+    def _admit(self, tx: Transaction) -> bool:
+        """Pool ``tx``, gossip it and wake consensus; False when the
+        pool refuses it (duplicate or full)."""
+        if not self.mempool.add(tx, self.now):
+            return False
+        targets = self._gossip_targets(tx)
+        for peer in targets:
+            self.network.send(self.node_id, peer, TX_GOSSIP, tx, tx.size_bytes())
+        # Serializing one copy per peer is sender-side CPU work that
+        # grows with the fan-out (O(N) per admitted transaction).
+        self._charge(len(targets) * self.config.execution.tx_broadcast_send_cost_s)
+        self.protocol.on_new_pending_tx()
+        return True
+
+    def _gossip_targets(self, tx: Transaction) -> list[str]:
+        """The peers an admitted transaction is forwarded to: all."""
+        return self.peers
+
     def _on_send_tx(self, message: Message) -> None:
-        """Default admission (Ethereum/Hyperledger): pool + gossip."""
-        request = message.payload
-        tx: Transaction = request["tx"]
+        """Client submission: dedup, admit, reply."""
+        tx: Transaction = message.payload["tx"]
         if self._dup_reply(message, tx):
             return
-        accepted = self.mempool.add(tx, self.now)
-        if accepted:
-            for peer in self.peers:
-                self.network.send(
-                    self.node_id, peer, TX_GOSSIP, tx, tx.size_bytes()
-                )
-            # Serializing one copy per peer is sender-side CPU work that
-            # grows with cluster size (O(N) per admitted transaction).
-            self._charge(
-                len(self.peers) * self.config.execution.tx_broadcast_send_cost_s
-            )
-            self.protocol.on_new_pending_tx()
-        else:
+        accepted = self._admit(tx)
+        if not accepted:
             self.rejected_submissions += 1
         self._reply(message, {"accepted": accepted, "tx_id": tx.tx_id})
 
@@ -1207,8 +1137,6 @@ class PlatformNode(SimNode):
         )
         view_hint = self.protocol.sync_hint()
         size = 96 + sum(b.size_bytes() for b in blocks)
-        self.sync_blocks_served += len(blocks)
-        self.sync_bytes_served += size
         self.send(
             message.sender,
             SYNC_BLOCKS,

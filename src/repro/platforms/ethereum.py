@@ -21,7 +21,7 @@ from ..crypto.hashing import sha256
 from ..crypto.trie import NodeStore
 from ..registry import register_platform
 from ..util.lru import LRUCache
-from .base import TX_GOSSIP, PlatformNode
+from .base import PlatformNode
 from .triestate import TrieState
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -97,25 +97,10 @@ class EthereumNode(PlatformNode):
     def _new_protocol(self, all_ids: list[str]) -> ProofOfWork:
         return ProofOfWork(self, self.config.pow)
 
-    def _on_send_tx(self, message) -> None:
-        """geth admission: pool locally, gossip to a few static peers."""
-        request = message.payload
-        tx: Transaction = request["tx"]
-        if self._dup_reply(message, tx):
-            return
-        accepted = self.mempool.add(tx, self.now)
-        if accepted:
-            fanout = self._gossip_targets(tx)
-            for peer in fanout:
-                self.network.send(self.node_id, peer, TX_GOSSIP, tx, tx.size_bytes())
-            self.protocol.on_new_pending_tx()
-        else:
-            self.rejected_submissions += 1
-        self._reply(message, {"accepted": accepted, "tx_id": tx.tx_id})
-
     def _gossip_targets(self, tx: Transaction) -> list[str]:
+        """geth forwards a pending transaction to a few static peers."""
         if len(self.peers) <= TX_GOSSIP_FANOUT:
-            return list(self.peers)
+            return self.peers
         # Deterministic per-transaction peer choice (static peering).
         seed = int.from_bytes(sha256(tx.tx_id.encode())[:4], "big")
         start = seed % len(self.peers)

@@ -47,15 +47,14 @@ class HyperledgerState(JournaledState):
     """
 
     def __init__(self, storage_dir: str | Path | None = None) -> None:
-        super().__init__()
         self.tree = BucketTree(n_buckets=N_BUCKETS)
+        super().__init__(self.tree.root_hash())
         self._store: LSMStore | None = None
         if storage_dir is not None:
             # Only disk-backed runs load the LSM engine.
             from ..storage.lsm.db import LSMStore, rocksdb_config
 
             self._store = LSMStore(Path(storage_dir), rocksdb_config())
-        self._sealed_root = self.tree.root_hash()
 
     def _backing_get(self, key: bytes) -> bytes | None:
         if self._store is not None:

@@ -33,7 +33,7 @@ from ..errors import StorageError
 from ..registry import register_platform
 from ..sim import Message, Network, RngRegistry, Scheduler
 from ..storage.kv import MemKVStore
-from .base import TX_GOSSIP, PlatformNode
+from .base import PlatformNode
 from .triestate import TrieState
 
 SIGN_REQ = "parity/sign-req"
@@ -122,7 +122,6 @@ class ParityNode(PlatformNode):
         self._sign_queue: deque[dict] = deque()
         self._signing_busy = False
         self.signed_count = 0
-        self.rejected_sign_queue_full = 0
         # Intake throttle (token bucket).
         self._tokens = 8.0
         self._tokens_updated = 0.0
@@ -194,7 +193,6 @@ class ParityNode(PlatformNode):
     # ------------------------------------------------------------------
     def _enqueue_signing(self, item: dict) -> None:
         if len(self._sign_queue) >= self.config.signing_queue_capacity:
-            self.rejected_sign_queue_full += 1
             self._reject_to_client(item)
             return
         self._sign_queue.append(item)
@@ -222,11 +220,7 @@ class ParityNode(PlatformNode):
     def _finish_signing(self, item: dict) -> None:
         tx: Transaction = item["tx"]
         self.signed_count += 1
-        accepted = self.mempool.add(tx, self.now)
-        if accepted:
-            for peer in self.peers:
-                self.network.send(self.node_id, peer, TX_GOSSIP, tx, tx.size_bytes())
-            self.protocol.on_new_pending_tx()
+        accepted = self._admit(tx)
         reply = {"accepted": accepted, "tx_id": tx.tx_id, "req_id": item["req_id"]}
         if not accepted and (self.has_receipt(tx.tx_id) or tx.tx_id in self.mempool):
             reply["dup"] = True

@@ -24,10 +24,9 @@ class TrieState(JournaledState):
     """
 
     def __init__(self, store: NodeStore | None = None) -> None:
-        super().__init__()
         self.trie = StateTrie(store)
+        super().__init__(self.trie.root_hash())
         self._snapshots: dict[int, int] = {}
-        self._sealed_root = self.trie.root_hash()
 
     def _backing_get(self, key: bytes) -> bytes | None:
         return self.trie.get(key)

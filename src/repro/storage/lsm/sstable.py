@@ -23,7 +23,6 @@ from typing import Iterator
 
 from ...errors import CorruptionError
 from .bloom import BloomFilter
-from .memtable import TOMBSTONE
 
 _MAGIC = b"SST1"
 _U16 = struct.Struct(">H")
@@ -152,12 +151,6 @@ class SSTableReader:
     def items(self) -> Iterator[tuple[bytes, bytes]]:
         """All records in key order, tombstones included."""
         yield from self._iter_from(0)
-
-    def live_items(self) -> Iterator[tuple[bytes, bytes]]:
-        """All records except tombstones."""
-        for key, value in self.items():
-            if value != TOMBSTONE:
-                yield key, value
 
     def delete_file(self) -> None:
         self.path.unlink(missing_ok=True)

@@ -32,26 +32,18 @@ def test_capacity_enforced():
 def test_peek_batch_fifo_order():
     pool = Mempool()
     txs = [_tx(i) for i in range(5)]
-    pool.add_many(txs)
+    for tx in txs:
+        pool.add(tx)
     batch = pool.peek_batch(3)
     assert [t.tx_id for t in batch] == [t.tx_id for t in txs[:3]]
     assert len(pool) == 5  # peek does not remove
 
 
-def test_peek_batch_respects_gas_budget():
-    pool = Mempool()
-    pool.add_many(_tx(i) for i in range(10))
-    batch = pool.peek_batch(10, gas_budget=25, gas_estimate=lambda tx: 10)
-    assert len(batch) == 2  # 10+10 fits; the third would cross the budget
-    # First tx always admitted even if it alone exceeds the budget.
-    batch_single = pool.peek_batch(10, gas_budget=5, gas_estimate=lambda tx: 10)
-    assert len(batch_single) == 1
-
-
 def test_remove_committed():
     pool = Mempool()
     txs = [_tx(i) for i in range(4)]
-    pool.add_many(txs)
+    for tx in txs:
+        pool.add(tx)
     removed = pool.remove([txs[0].tx_id, txs[2].tx_id, "unknown"])
     assert removed == 2
     assert len(pool) == 2
@@ -67,6 +59,7 @@ def test_contains():
 
 def test_clear():
     pool = Mempool()
-    pool.add_many(_tx(i) for i in range(3))
+    for i in range(3):
+        pool.add(_tx(i))
     pool.clear()
     assert len(pool) == 0

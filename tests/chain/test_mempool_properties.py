@@ -56,26 +56,6 @@ def test_mempool_matches_ordered_dict_model(operations, capacity):
 
 @settings(max_examples=60, deadline=None)
 @given(
-    n=st.integers(0, 60),
-    budget=st.integers(1_000, 200_000),
-    limit=st.integers(1, 30),
-)
-def test_peek_batch_never_exceeds_gas_budget(n, budget, limit):
-    pool = Mempool()
-    for i in range(n):
-        pool.add(tx(i))
-    estimate = lambda t: 26_000  # noqa: E731 - the platform default
-    batch = pool.peek_batch(limit, gas_budget=budget, gas_estimate=estimate)
-    assert len(batch) <= limit
-    assert sum(estimate(t) for t in batch) <= max(budget, 26_000)
-    # FIFO prefix: the batch is exactly the head of the queue.
-    assert [b.tx_id for b in batch] == [
-        t.tx_id for t in pool.peek_batch(len(batch))
-    ]
-
-
-@settings(max_examples=60, deadline=None)
-@given(
     arrivals=st.lists(
         st.floats(min_value=0.0, max_value=100.0), min_size=1, max_size=30
     ),

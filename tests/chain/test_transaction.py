@@ -48,7 +48,7 @@ def test_size_is_memoized_but_still_sees_a_late_signature():
         repr(tx.args).encode()
     )
     assert tx.size_bytes() == unsigned
-    tx.signature = KeyPair.from_seed("alice").sign(tx.signing_payload())
+    tx.signature = KeyPair.from_seed("alice").sign(tx.encode())
     assert tx.size_bytes() == unsigned + 65
     # A fresh object with the same fields agrees: the cache holds only
     # what tx_id already freezes.

@@ -229,13 +229,7 @@ def test_cache_entries_cross_worker_counts(populate_workers, replay_workers):
     replayer._execute_block(block)
     assert shared.hits >= 2  # replayer's lookup (plus the assert above)
     assert replayer._height_roots[1] == populator._height_roots[1]
-    assert {
-        t: (r.success, r.gas_used, r.output, r.error)
-        for t, r in replayer.receipts.items()
-    } == {
-        t: (r.success, r.gas_used, r.output, r.error)
-        for t, r in populator.receipts.items()
-    }
+    assert replayer.receipts.blocks == populator.receipts.blocks
     pop_cluster.close()
     rep_cluster.close()
 
@@ -292,11 +286,15 @@ def test_replayed_receipts_are_the_first_executors_objects():
     block = _mixed_block(node_a)
     for node in (node_a, node_b, node_c):
         node._execute_block(block)
-    assert list(node_a.receipts) == list(block.tx_ids)
-    assert all(node_b.receipts[t] is r for t, r in node_a.receipts.items())
-    assert node_c.receipts == node_a.receipts
-    assert all(node_c.receipts[t] is not r for t, r in node_a.receipts.items())
-    receipt = node_a.receipts[block.tx_ids[0]]
+    receipts = node_a.receipts.blocks[block.hash]
+    assert [r.tx_id for r in receipts] == list(block.tx_ids)
+    assert node_b.receipts.blocks[block.hash] is receipts
+    assert node_c.receipts.blocks == node_a.receipts.blocks
+    assert all(
+        c is not a for c, a in zip(node_c.receipts.blocks[block.hash], receipts)
+    )
+    receipt = node_a.receipts.get(block.tx_ids[0])
+    assert receipt is receipts[0]
     assert not hasattr(receipt, "committed_at")
     for field in ("tx_id", "success", "gas_used", "output"):
         with pytest.raises(FrozenInstanceError):
@@ -382,8 +380,11 @@ def test_installed_commits_match_computed_roots(monkeypatch, platform, workload)
     off = _drive(monkeypatch, platform, workload, False)
     assert _roots(on) == _roots(off)
     assert all(_roots(on))
-    # Shared receipts read like the ones each replica builds for itself.
-    assert [n.receipts for n in on.nodes] == [n.receipts for n in off.nodes]
+    # Shared receipts equal the ones each replica builds for itself,
+    # block by block and in filing order.
+    assert [list(n.receipts.blocks.items()) for n in on.nodes] == [
+        list(n.receipts.blocks.items()) for n in off.nodes
+    ]
     memo = on.nodes[0].execution_cache.commits
     assert memo.hits > 0 and memo.misses > 0
     assert all(node.state.commit_memo is memo for node in on.nodes)
@@ -838,8 +839,7 @@ def test_parity_memory_cap_trips_at_the_same_put(monkeypatch):
 # ---------------------------------------------------------------------------
 # Receipts by reference: a replica stores one receipts tuple per executed
 # block and finds transactions through a tx -> block index, one per
-# cluster with the cache on. node.receipts still reads like the dict it
-# replaced.
+# cluster with the cache on.
 # ---------------------------------------------------------------------------
 _TX_IDS = [f"t{i}" for i in range(6)]
 
@@ -862,20 +862,22 @@ _TX_IDS = [f"t{i}" for i in range(6)]
 )
 def test_receipt_map_matches_a_dict(cache_on, blocks, ops):
     """Two replicas file, replay, re-file (another block holding the same
-    tx; the same block again) and cold-reset; each one's ``receipts``
-    and ``has_receipt`` answer exactly like a dict filed tx by tx."""
+    tx; the same block again) and cold-reset; each one's ``has_receipt``
+    and ``receipts.get`` answer exactly like a dict filed tx by tx, and
+    ``receipts.blocks`` holds each filed tuple in latest-filing order."""
     cluster = build_cluster(
         "hyperledger", 2, seed=1,
         config_overrides={"execution_cache": cache_on},
     )
     nodes = cluster.nodes
     reference: list[dict] = [{}, {}]
+    filed: list[dict] = [{}, {}]  # block hash -> tuple, latest filing last
     cached: dict[int, tuple] = {}  # block -> the tuple a replay would take
     for op, who, block, variant in ops:
         node, block = nodes[who], block % len(blocks)
         if op == "reset":
             node.attach_execution_cache(node.execution_cache)
-            reference[who] = {}
+            reference[who], filed[who] = {}, {}
             continue
         receipts = cached.get(block) if op == "replay" else None
         if receipts is None:
@@ -883,15 +885,18 @@ def test_receipt_map_matches_a_dict(cache_on, blocks, ops):
                 Receipt(tx_id, block, variant % 2 == 0, variant)
                 for tx_id in blocks[block]
             )
-        node.receipts.file(b"block%d" % block, receipts)
+        block_hash = b"block%d" % block
+        node.receipts.file(block_hash, receipts)
+        filed[who].pop(block_hash, None)
+        filed[who][block_hash] = receipts
         for receipt in receipts:
             reference[who][receipt.tx_id] = receipt
-    for node, expected in zip(nodes, reference):
+    for node, expected, blocks_filed in zip(nodes, reference, filed):
         receipts = node.receipts
-        assert receipts == expected and expected == receipts
-        assert list(receipts) == list(expected)
-        assert list(receipts.items()) == list(expected.items())
-        assert len(receipts) == len(expected)
+        assert list(receipts.blocks) == list(blocks_filed)
+        assert all(
+            receipts.blocks[h] is blocks_filed[h] for h in blocks_filed
+        )
         for tx_id in _TX_IDS:
             assert node.has_receipt(tx_id) == (tx_id in expected)
             assert receipts.get(tx_id) is expected.get(tx_id)
@@ -908,14 +913,14 @@ def test_replicas_share_receipt_tuples_only_with_the_cache_on(monkeypatch):
     for cluster, shared in ((on, True), (off, False)):
         first = cluster.nodes[0].receipts
         for node in cluster.nodes:
-            executed = node.receipts._blocks
+            executed = node.receipts.blocks
             assert list(executed) == list(node.executed_block_hashes.values())
         for node in cluster.nodes[1:]:
             mine = node.receipts
-            common = first._blocks.keys() & mine._blocks.keys()
-            assert sum(len(first._blocks[h]) for h in common) > 100
+            common = first.blocks.keys() & mine.blocks.keys()
+            assert sum(len(first.blocks[h]) for h in common) > 100
             for block_hash in common:
-                theirs, ours = first._blocks[block_hash], mine._blocks[block_hash]
+                theirs, ours = first.blocks[block_hash], mine.blocks[block_hash]
                 assert (theirs is ours) == shared and theirs == ours
             assert (mine.index is first.index) == shared
         if shared:
@@ -938,7 +943,7 @@ def test_cold_recovery_recounts_from_an_empty_map(monkeypatch, cache_on):
     )
     assert cluster.nodes[-1].recovery_times
     for node in cluster.nodes:
-        receipts = list(node.receipts.values())
+        receipts = [r for rs in node.receipts.blocks.values() for r in rs]
         assert node.committed_tx_count == sum(r.success for r in receipts) > 0
         assert node.failed_tx_count == sum(not r.success for r in receipts)
     cluster.close()

@@ -76,7 +76,8 @@ def test_receipts_agree_across_replicas(platform):
         }
         assert ids == ref_ids
         for tx_id in ids:
-            assert node.receipts[tx_id].success == reference.receipts[tx_id].success
+            mine, theirs = node.receipts.get(tx_id), reference.receipts.get(tx_id)
+            assert mine.success == theirs.success
     cluster.close()
 
 

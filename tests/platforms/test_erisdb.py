@@ -3,6 +3,7 @@
 import pytest
 
 from repro.config import erisdb_config
+from repro.consensus.tendermint import Tendermint
 from repro.core import Driver, DriverConfig
 from repro.core.connector import RPCClient, SimChainConnector
 from repro.errors import ConnectorError
@@ -47,7 +48,7 @@ def test_cluster_builds_with_tendermint():
     cluster = build_cluster("erisdb", 4, seed=3)
     assert len(cluster.nodes) == 4
     for node in cluster.nodes:
-        assert node.protocol.describe() == "Tendermint"
+        assert isinstance(node.protocol, Tendermint)
         assert node.supports_subscription
     cluster.close()
 

@@ -81,7 +81,7 @@ def _execute_direct(platform, workers, txs, seed=7):
     root = node._height_roots[1]
     receipts = tuple(
         (r.tx_id, r.success, r.gas_used, r.output, r.error)
-        for r in (node.receipts[tx.tx_id] for tx in txs)
+        for r in (node.receipts.get(tx.tx_id) for tx in txs)
     )
     cpu = node.cpu_time
     cluster.close()

@@ -2,12 +2,15 @@
 
 import pytest
 
+from repro.chain import Transaction
 from repro.core import Driver, DriverConfig
 from repro.errors import BenchmarkError, ConnectorError
 from repro.platforms import build_cluster
+from repro.platforms.base import RPC_SEND_TX
 from repro.platforms.ethereum import EthereumState
 from repro.platforms.hyperledger import HyperledgerState
 from repro.platforms.parity import ParityState
+from repro.sim import Message
 from repro.workloads import YCSBConfig, YCSBWorkload
 
 
@@ -104,9 +107,9 @@ def test_execution_receipts_recorded():
     small_driver(cluster).run()
     node = cluster.nodes[0]
     assert node.committed_tx_count > 0
-    assert len(node.receipts) >= node.committed_tx_count
-    sample = next(iter(node.receipts.values()))
-    assert sample.gas_used > 0
+    receipts = [r for rs in node.receipts.blocks.values() for r in rs]
+    assert len(receipts) >= node.committed_tx_count
+    assert receipts[0].gas_used > 0
     cluster.close()
 
 
@@ -116,6 +119,73 @@ def test_contract_state_consistent_across_replicas():
     key = b"kvstore/user1"
     values = {node.state.get(key) for node in cluster.nodes}
     assert len(values) == 1  # replicated state machine
+    cluster.close()
+
+
+def _txs(count):
+    return [
+        Transaction.create("alice", "kvstore", "write", (f"k{i}", "v"), nonce=i)
+        for i in range(count)
+    ]
+
+
+def _per_transaction_gas_batch(pool, max_count, gas_budget):
+    """Block packing as it was when every transaction was charged an
+    estimated 26,000 gas against the budget, one at a time."""
+    batch = []
+    remaining = gas_budget
+    for tx in pool:
+        if len(batch) >= max_count:
+            break
+        if 26_000 > remaining and batch:
+            break
+        remaining -= 26_000
+        batch.append(tx)
+    return batch
+
+
+@pytest.mark.parametrize("gas_limit", [1, 25_999, 26_000, 52_000, 20_000_000])
+@pytest.mark.parametrize(
+    "pool_size, max_txs", [(0, 800), (1, 800), (3, 800), (900, 800), (900, None)]
+)
+def test_gas_limit_packs_what_the_per_transaction_loop_packed(
+    gas_limit, pool_size, max_txs
+):
+    """A gas limit is a transaction count: ``gas_limit // 26,000``, at
+    least one, under the protocol's own cap (10,000 when it has none)."""
+    cluster = build_cluster(
+        "ethereum", 1, seed=1, config_overrides={"block_gas_limit": gas_limit}
+    )
+    node = cluster.nodes[0]
+    txs = _txs(pool_size)
+    for tx in txs:
+        node.mempool.add(tx)
+    block = node.assemble_block(node.chain().tip, {}, max_txs)
+    expected = _per_transaction_gas_batch(
+        txs, 10_000 if max_txs is None else max_txs, gas_limit
+    )
+    assert block.tx_ids == tuple(tx.tx_id for tx in expected)
+    cluster.close()
+
+
+def test_admission_charges_the_broadcast_cost_per_gossip_copy():
+    """Every platform admits through one path, which charges
+    ``tx_broadcast_send_cost_s`` per gossip copy: Ethereum forwards to 3
+    of its 4 peers, so an admitted submission costs its node 3 s here and
+    a duplicate costs nothing."""
+    cluster = build_cluster(
+        "ethereum", 5, seed=1,
+        config_overrides={"execution": {"tx_broadcast_send_cost_s": 1.0}},
+    )
+    node = cluster.nodes[0]
+    txs = _txs(4)
+    before = node.cpu_time
+    for req_id, tx in enumerate(txs + txs[:1]):
+        node.handle_message(Message(
+            node.peers[0], node.node_id, RPC_SEND_TX, {"tx": tx, "req_id": req_id}
+        ))
+    assert len(node.mempool) == len(txs)
+    assert node.cpu_time - before == 3.0 * len(txs)
     cluster.close()
 
 

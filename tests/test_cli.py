@@ -303,6 +303,23 @@ def test_suite_missing_file_fails_cleanly(tmp_path, capsys):
          "overrides.pbft.view_timeout: must be > 0"),
         ({"overrides": {"pbft": {"batch_size": 0}}},
          "overrides.pbft.batch_size: must be >= 1"),
+        ({"platforms": "ethereum",
+          "overrides": {"pow": {"base_block_interval": 0}}},
+         "overrides.pow.base_block_interval: must be > 0"),
+        ({"platforms": "ethereum",
+          "overrides": {"pow": {"max_txs_per_block": 0}}},
+         "overrides.pow.max_txs_per_block: must be >= 1"),
+        ({"platforms": "parity", "overrides": {"poa": {"step_duration": 0}}},
+         "overrides.poa.step_duration: must be > 0"),
+        ({"platforms": "parity",
+          "overrides": {"poa": {"confirmation_depth": -1}}},
+         "overrides.poa.confirmation_depth: must be >= 0"),
+        ({"platforms": "erisdb",
+          "overrides": {"tendermint": {"tick_interval": 0}}},
+         "overrides.tendermint.tick_interval: must be > 0"),
+        ({"platforms": "erisdb",
+          "overrides": {"tendermint": {"max_txs_per_block": 0}}},
+         "overrides.tendermint.max_txs_per_block: must be >= 1"),
     ],
 )
 def test_suite_mistyped_values_fail_cleanly(tmp_path, capsys, scenario, where):

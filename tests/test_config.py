@@ -157,3 +157,75 @@ def test_out_of_range_pbft_knobs_are_rejected_by_dotted_path(knob, value):
     with pytest.raises(BenchmarkError, match=f"^overrides.pbft.{knob}: must be"):
         apply_overrides(hyperledger_config(), {"pbft": {knob: value}})
     assert apply_overrides(hyperledger_config(), {"pbft": {"view_timeout_backoff": 0}})
+
+
+#: (section, preset) of each consensus config a platform nests.
+_SECTIONS = {
+    "pow": ethereum_config, "poa": parity_config, "tendermint": erisdb_config,
+}
+
+
+@pytest.mark.parametrize(
+    "section, knob, value",
+    [
+        ("pow", "base_block_interval", 0),
+        ("pow", "reference_nodes", 0),
+        ("pow", "difficulty_exponent", -0.5),
+        ("pow", "retarget_step", -0.01),
+        ("pow", "retarget_step", 1.0),
+        ("pow", "confirmation_depth", -1),
+        ("pow", "max_txs_per_block", 0),
+        ("pow", "mining_cores", 0),
+        ("poa", "step_duration", 0),
+        ("poa", "confirmation_depth", -1),
+        ("poa", "max_txs_per_block", 0),
+        ("poa", "seal_cost_s", -0.001),
+        ("tendermint", "max_txs_per_block", 0),
+        ("tendermint", "tick_interval", 0),
+        ("tendermint", "commit_interval", 0),
+        ("tendermint", "propose_timeout", 0),
+        ("tendermint", "prevote_timeout", -1),
+        ("tendermint", "precommit_timeout", 0.0),
+        ("tendermint", "round_timeout_delta", -0.5),
+    ],
+)
+def test_out_of_range_consensus_knobs_are_rejected_by_dotted_path(
+    section, knob, value
+):
+    """``pow.base_block_interval: 0`` used to die in a ZeroDivisionError,
+    ``tendermint.tick_interval: 0`` to hang, and ``max_txs_per_block: 0``
+    to exit 0 after confirming nothing."""
+    from repro.config import apply_overrides
+    from repro.errors import BenchmarkError
+
+    preset = _SECTIONS[section]()
+    config_type = type(getattr(preset, section))
+    with pytest.raises(BenchmarkError, match=f"^{knob}: must be"):
+        config_type(**{knob: value})
+    with pytest.raises(
+        BenchmarkError, match=f"^overrides.{section}.{knob}: must be"
+    ):
+        apply_overrides(preset, {section: {knob: value}})
+
+
+def test_swept_consensus_knobs_still_construct():
+    """The values Fig. 15 and the confirmation-depth ablation sweep, and
+    each range's boundary, are accepted."""
+    from repro.config import apply_overrides
+
+    for step in (0.5, 1.0, 2.0):
+        config = apply_overrides(parity_config(), {"poa": {"step_duration": step}})
+        assert config.poa.step_duration == step
+    for depth in (0, 1, 2, 5, 10):
+        config = apply_overrides(
+            ethereum_config(), {"pow": {"confirmation_depth": depth}}
+        )
+        assert config.pow.confirmation_depth == depth
+    boundary = {
+        "pow": {"difficulty_exponent": 0, "retarget_step": 0,
+                "max_txs_per_block": 1},
+        "poa": {"seal_cost_s": 0, "max_txs_per_block": 1},
+        "tendermint": {"round_timeout_delta": 0, "max_txs_per_block": 1},
+    }
+    for section, knobs in boundary.items():
+        apply_overrides(_SECTIONS[section](), {section: knobs})

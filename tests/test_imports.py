@@ -40,7 +40,7 @@ PUBLIC_NAMES = {
     "repro.platforms": """Cluster DEFAULT_CONTRACTS ErisDBNode
         EthereumNode EthereumState ExecutionCache HyperledgerNode
         HyperledgerState JournaledState ParityNode ParityState PlatformNode
-        PlatformState TrieState available_platforms build_cluster""",
+        TrieState available_platforms build_cluster""",
     "repro.workloads": """AnalyticsPreload DoNothingWorkload DoublerWorkload
         EtherIdConfig EtherIdWorkload QueryResult SmallbankConfig
         SmallbankWorkload WavesPresaleWorkload YCSBConfig YCSBWorkload
