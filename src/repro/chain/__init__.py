@@ -3,7 +3,7 @@
 from .block import GENESIS_PARENT, Block, BlockHeader, genesis_block
 from .blockchain import Blockchain
 from .mempool import Mempool
-from .transaction import Receipt, Transaction, TxStatus
+from .transaction import Receipt, Transaction
 
 __all__ = [
     "GENESIS_PARENT",
@@ -14,5 +14,4 @@ __all__ = [
     "Mempool",
     "Receipt",
     "Transaction",
-    "TxStatus",
 ]

@@ -17,12 +17,10 @@ from .transaction import Transaction
 class Mempool:
     """Ordered pool of not-yet-committed transactions."""
 
-    def __init__(self, capacity: int | None = None) -> None:
+    def __init__(self) -> None:
         #: Insertion-ordered: iteration is FIFO arrival order.
         self._pool: dict[str, Transaction] = {}
         self._arrivals: dict[str, float] = {}
-        self.capacity = capacity
-        self.rejected_full = 0
         #: Cluster-wide lifecycle tracer (attached by the platform node).
         #: Admission is stamped here rather than in the node's
         #: ``_admit`` because the gossip path admits transactions
@@ -30,11 +28,8 @@ class Mempool:
         self.tracer = None
 
     def add(self, tx: Transaction, now: float = 0.0) -> bool:
-        """Queue ``tx``; returns False on duplicate or full pool."""
+        """Queue ``tx``; returns False on a duplicate."""
         if tx.tx_id in self._pool:
-            return False
-        if self.capacity is not None and len(self._pool) >= self.capacity:
-            self.rejected_full += 1
             return False
         self._pool[tx.tx_id] = tx
         self._arrivals[tx.tx_id] = now
@@ -74,7 +69,3 @@ class Mempool:
                 self._arrivals.pop(tx_id, None)
                 removed += 1
         return removed
-
-    def clear(self) -> None:
-        self._pool.clear()
-        self._arrivals.clear()

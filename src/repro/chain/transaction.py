@@ -3,33 +3,34 @@
 A blockchain transaction here matches the paper's definition — "a
 sequence of operations applied on some states" — encoded as a contract
 invocation: target contract, function name, arguments, and an optional
-money transfer. Every transaction is signed by its sender; platforms
-charge CPU for signature work where their real counterparts do.
+money transfer. Signing and verification are priced, not performed:
+platforms charge CPU where their real counterparts do, through
+``ParityConfig.signing_cost_s`` (server-side signing),
+``ExecutionCosts.verify_cost_s`` and ``tx_ingress_cost_s`` (checks on
+block validation and on admission) and ``PoAConfig.seal_cost_s`` (the
+block seal).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any
+from typing import Any
 
 from ..crypto.hashing import hash_items
-
-if TYPE_CHECKING:  # pragma: no cover
-    from ..crypto.signatures import Signature
 
 
 def _encode_args(args: tuple[Any, ...]) -> bytes:
     return repr(args).encode()
 
 
-def _unsigned_size(sender: str, contract: str, function: str, args: bytes) -> int:
+def _wire_size(sender: str, contract: str, function: str, args: bytes) -> int:
     # 110: fixed header (ids, nonce, value, framing).
     return 110 + len(sender) + len(contract) + len(function) + len(args)
 
 
 @dataclass
 class Transaction:
-    """One signed state transition request."""
+    """One state transition request."""
 
     tx_id: str
     sender: str
@@ -38,8 +39,6 @@ class Transaction:
     args: tuple[Any, ...]
     value: int = 0
     nonce: int = 0
-    signature: Signature | None = None
-    submitted_at: float = 0.0
 
     @classmethod
     def create(
@@ -51,7 +50,6 @@ class Transaction:
         value: int = 0,
         *,
         nonce: int,
-        submitted_at: float = 0.0,
     ) -> "Transaction":
         """Build a transaction with a content-derived id. The caller
         numbers its transactions (a workload draws ``nonce`` from its
@@ -73,12 +71,9 @@ class Transaction:
             args=args,
             value=value,
             nonce=nonce,
-            submitted_at=submitted_at,
         )
         # The args are encoded once, for the id and for the wire size.
-        tx._unsigned_size = _unsigned_size(
-            sender, contract, function, encoded_args
-        )
+        tx._size = _wire_size(sender, contract, function, encoded_args)
         return tx
 
     def encode(self) -> bytes:
@@ -86,20 +81,20 @@ class Transaction:
         return self.tx_id.encode()
 
     def size_bytes(self) -> int:
-        """Approximate wire size (fields + signature).
+        """Approximate wire size of the fields.
 
-        The unsigned part is computed once (by :meth:`create`, or here
-        for a directly constructed object): ``tx_id`` is derived from
-        those fields, so they never change.
+        Computed once (by :meth:`create`, or here for a directly
+        constructed object): ``tx_id`` is derived from those fields, so
+        they never change.
         """
         try:
-            unsigned = self._unsigned_size
+            return self._size
         except AttributeError:
-            unsigned = self._unsigned_size = _unsigned_size(
+            self._size = _wire_size(
                 self.sender, self.contract, self.function,
                 _encode_args(self.args),
             )
-        return unsigned + (self.signature.size_bytes() if self.signature else 0)
+            return self._size
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Tx {self.tx_id[:8]} {self.contract}.{self.function}>"
@@ -120,19 +115,3 @@ class Receipt:
     gas_used: int = 0
     output: Any = None
     error: str = ""
-
-
-@dataclass
-class TxStatus:
-    """Client-side view of a submitted transaction's lifecycle."""
-
-    tx: Transaction
-    submitted_at: float
-    confirmed_at: float | None = None
-    receipt: Receipt | None = None
-
-    @property
-    def latency(self) -> float | None:
-        if self.confirmed_at is None:
-            return None
-        return self.confirmed_at - self.submitted_at

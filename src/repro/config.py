@@ -192,8 +192,6 @@ class PlatformConfig:
     execution: ExecutionCosts
     #: Bounded message channel; None = unbounded.
     inbox_capacity: int | None
-    #: Mempool capacity (transactions).
-    mempool_capacity: int | None
     #: Gas budget per block (None = count-limited only).
     block_gas_limit: int | None
     #: In-memory state cap in bytes (Parity's OOM behaviour); None = off.
@@ -248,7 +246,6 @@ def ethereum_config(**overrides) -> EthereumConfig:
             consensus_msg_cost_s=0.0002,
         ),
         inbox_capacity=None,  # geth queues; latency grows instead of dropping
-        mempool_capacity=None,
         block_gas_limit=20_000_000,
         pow=PoWConfig(
             base_block_interval=2.5,
@@ -293,7 +290,6 @@ def parity_config(**overrides) -> ParityConfig:
             consensus_msg_cost_s=0.00015,
         ),
         inbox_capacity=None,
-        mempool_capacity=None,
         block_gas_limit=None,  # "gasLimit is not applicable to local transactions"
         poa=PoAConfig(
             step_duration=1.0,
@@ -327,7 +323,6 @@ def hyperledger_config(**overrides) -> HyperledgerConfig:
             consensus_msg_cost_s=0.0002,
         ),
         inbox_capacity=650,  # the fatal bounded channel (Section 4.1.2)
-        mempool_capacity=None,
         block_gas_limit=None,
         pbft=PBFTConfig(
             batch_size=500,
@@ -372,7 +367,6 @@ def erisdb_config(**overrides) -> ErisDBConfig:
         # Tendermint's Go channels are bounded but generous; the PBFT
         # collapse ablation is where channel pressure is studied.
         inbox_capacity=4096,
-        mempool_capacity=None,
         block_gas_limit=None,
         tendermint=TendermintConfig(
             max_txs_per_block=500,

@@ -30,7 +30,6 @@ class AncestorFetcher:
 
     def __init__(self, host: ConsensusHost) -> None:
         self.host = host
-        self.fetch_rounds = 0
 
     def maybe_fetch(self, block: Block, sender: str) -> None:
         """Request ancestors if ``block`` failed to connect."""
@@ -39,7 +38,6 @@ class AncestorFetcher:
             return
         if chain.contains(block.header.parent_hash):
             return
-        self.fetch_rounds += 1
         self.host.send_to(
             sender,
             FETCH_REQ,

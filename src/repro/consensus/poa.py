@@ -50,7 +50,6 @@ class ProofOfAuthority(ConsensusProtocol):
         self.fetcher = AncestorFetcher(host)
         self.authorities = list(authorities)
         self._running = False
-        self.blocks_sealed = 0
 
     # ------------------------------------------------------------------
     def start(self) -> None:
@@ -88,7 +87,6 @@ class ProofOfAuthority(ConsensusProtocol):
             max_txs=self.config.max_txs_per_block,
         )
         self.host.consume_cpu(self.config.seal_cost_s)
-        self.blocks_sealed += 1
         self.host.deliver_block(block)
         self.host.broadcast_to_peers(BLOCK_MSG, block, block.size_bytes())
 

@@ -47,7 +47,6 @@ class ProofOfWork(ConsensusProtocol):
         self._running = False
         # Difficulty expressed as the network-wide mean seconds/block.
         self.difficulty_interval = config.base_block_interval
-        self.blocks_mined = 0
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -122,7 +121,6 @@ class ProofOfWork(ConsensusProtocol):
             },
             max_txs=self.config.max_txs_per_block,
         )
-        self.blocks_mined += 1
         self._retarget(parent, block)
         self.host.deliver_block(block)
         self.host.broadcast_to_peers(BLOCK_MSG, block, block.size_bytes())

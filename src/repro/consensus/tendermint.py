@@ -80,35 +80,22 @@ class _RoundState:
     prevote_sent: bool = False
     precommit_sent: bool = False
 
-    def prevote_count(self, digest: Hash | None) -> int:
-        """Prevotes recorded for ``digest`` (None counts nil votes)."""
-        return sum(1 for d in self.prevotes.values() if d == digest)
 
-    def precommit_count(self, digest: Hash | None) -> int:
-        """Precommits recorded for ``digest`` (None counts nil votes)."""
-        return sum(1 for d in self.precommits.values() if d == digest)
+def _count(votes: dict[str, Hash | None], digest: Hash | None) -> int:
+    """Votes recorded for ``digest`` (None counts nil votes)."""
+    return sum(1 for d in votes.values() if d == digest)
 
-    def prevote_quorum_digest(self, quorum: int) -> Hash | None:
-        """The non-nil digest holding a prevote quorum, if any."""
-        counts: dict[Hash, int] = {}
-        for digest in self.prevotes.values():
-            if digest is not None:
-                counts[digest] = counts.get(digest, 0) + 1
-        for digest, count in counts.items():
-            if count >= quorum:
-                return digest
-        return None
 
-    def precommit_quorum_digest(self, quorum: int) -> Hash | None:
-        """The non-nil digest holding a precommit quorum, if any."""
-        counts: dict[Hash, int] = {}
-        for digest in self.precommits.values():
-            if digest is not None:
-                counts[digest] = counts.get(digest, 0) + 1
-        for digest, count in counts.items():
-            if count >= quorum:
-                return digest
-        return None
+def _quorum_digest(votes: dict[str, Hash | None], quorum: int) -> Hash | None:
+    """The non-nil digest holding a quorum of ``votes``, if any."""
+    counts: dict[Hash, int] = {}
+    for digest in votes.values():
+        if digest is not None:
+            counts[digest] = counts.get(digest, 0) + 1
+    for digest, count in counts.items():
+        if count >= quorum:
+            return digest
+    return None
 
 
 @register_consensus("tendermint")
@@ -143,7 +130,6 @@ class Tendermint(ConsensusProtocol):
         # Statistics surfaced in experiment reports.
         self.blocks_committed = 0
         self.rounds_started = 0
-        self.nil_prevotes_sent = 0
 
     # ------------------------------------------------------------------
     # Identity helpers
@@ -309,8 +295,6 @@ class Tendermint(ConsensusProtocol):
         if state.prevote_sent:
             return
         state.prevote_sent = True
-        if digest is None:
-            self.nil_prevotes_sent += 1
         self.step = STEP_PREVOTE
         self._step_serial += 1
         vote = {"height": self.height, "round": self.round, "digest": digest}
@@ -333,7 +317,7 @@ class Tendermint(ConsensusProtocol):
         if height != self.height or round_ != self.round:
             return
         state = self._round_state(height, round_)
-        digest = state.prevote_quorum_digest(self.quorum)
+        digest = _quorum_digest(state.prevotes, self.quorum)
         if digest is not None:
             # Proof-of-lock: a +2/3 prevote quorum for one block.
             if state.proposal is not None and state.proposal.hash == digest:
@@ -352,7 +336,7 @@ class Tendermint(ConsensusProtocol):
                 self.locked_block = None
                 self.locked_round = -1
         elif (
-            state.prevote_count(None) >= self.quorum
+            _count(state.prevotes, None) >= self.quorum
             and self.step in (STEP_PROPOSE, STEP_PREVOTE)
         ):
             self._cast_precommit(None)
@@ -388,7 +372,7 @@ class Tendermint(ConsensusProtocol):
         if height != self.height:
             return
         state = self._round_state(height, round_)
-        digest = state.precommit_quorum_digest(self.quorum)
+        digest = _quorum_digest(state.precommits, self.quorum)
         if digest is not None:
             if state.proposal is not None and state.proposal.hash == digest:
                 self._commit(state.proposal)
@@ -396,7 +380,7 @@ class Tendermint(ConsensusProtocol):
             # path (triggered by higher-height votes) will catch us up.
         elif (
             round_ == self.round
-            and state.precommit_count(None) >= self.quorum
+            and _count(state.precommits, None) >= self.quorum
             and self.step == STEP_PRECOMMIT
         ):
             # The round is dead for everyone: move on immediately.

@@ -34,16 +34,6 @@ def hash_items(*parts: bytes) -> Hash:
     return hasher.digest()
 
 
-def hash_text(text: str) -> Hash:
-    """Hash a unicode string (UTF-8 encoded)."""
-    return sha256(text.encode("utf-8"))
-
-
-def hex_digest(digest: Hash) -> str:
-    """Full lowercase hex rendering of a digest."""
-    return digest.hex()
-
-
 def short_hex(digest: Hash, length: int = 8) -> str:
     """Abbreviated hex rendering for logs and reprs."""
     return digest.hex()[:length]

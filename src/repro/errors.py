@@ -34,7 +34,7 @@ class ChainError(ReproError):
 
 
 class InvalidBlock(ChainError):
-    """A block failed validation (bad parent, bad roots, bad signature)."""
+    """A block failed validation (bad parent, bad roots)."""
 
 
 class ExecutionError(ReproError):

@@ -487,7 +487,7 @@ class PlatformNode(SimNode):
         self._rng = rng_registry.stream(node_id)
         # The chain id is hashed into the genesis block.
         self._chain = Blockchain("testnet")
-        self.mempool = Mempool(config.mempool_capacity)
+        self.mempool = Mempool()
         self.peers: list[str] = []
         self.contracts: dict[str, Contract] = {}
         #: The receipts of the blocks this replica executed.
@@ -508,7 +508,6 @@ class PlatformNode(SimNode):
         # Statistics.
         self.committed_tx_count = 0
         self.failed_tx_count = 0
-        self.rejected_submissions = 0
         # Crash-recovery state and counters.
         self._recovering = False
         self._recovery_started_at = 0.0
@@ -903,7 +902,7 @@ class PlatformNode(SimNode):
 
     def _admit(self, tx: Transaction) -> bool:
         """Pool ``tx``, gossip it and wake consensus; False when the
-        pool refuses it (duplicate or full)."""
+        pool refuses it (a duplicate)."""
         if not self.mempool.add(tx, self.now):
             return False
         targets = self._gossip_targets(tx)
@@ -924,10 +923,7 @@ class PlatformNode(SimNode):
         tx: Transaction = message.payload["tx"]
         if self._dup_reply(message, tx):
             return
-        accepted = self._admit(tx)
-        if not accepted:
-            self.rejected_submissions += 1
-        self._reply(message, {"accepted": accepted, "tx_id": tx.tx_id})
+        self._reply(message, {"accepted": self._admit(tx), "tx_id": tx.tx_id})
 
     # -- queries -----------------------------------------------------------
     def _on_get_blocks(self, message: Message) -> None:

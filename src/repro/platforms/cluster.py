@@ -54,19 +54,8 @@ class Cluster:
     def alive_nodes(self) -> list[PlatformNode]:
         return [node for node in self.nodes if not node.crashed]
 
-    def crash_nodes(self, count: int, include_leader: bool = True) -> list[str]:
-        """Crash ``count`` nodes (Figure 9's fault injection).
-
-        ``include_leader`` crashes from the head of the replica list,
-        which for PBFT includes the view-0 leader — the harder case.
-        """
-        victims = self.nodes[:count] if include_leader else self.nodes[-count:]
-        for node in victims:
-            node.crash()
-        return [node.node_id for node in victims]
-
     def crash_named(self, node_ids: Iterable[str]) -> list[str]:
-        """Crash an explicit set of nodes (CrashFault's ``nodes`` knob)."""
+        """Crash an explicit set of nodes (every CrashFault's victims)."""
         wanted = set(node_ids)
         victims = [node for node in self.nodes if node.node_id in wanted]
         for node in victims:

@@ -168,7 +168,6 @@ class ParityNode(PlatformNode):
         if self._dup_reply(message, tx):
             return
         if not self._take_token():
-            self.rejected_submissions += 1
             self._reply(message, {"accepted": False, "tx_id": tx.tx_id})
             return
         item = {"tx": tx, "client": message.sender, "req_id": request.get("req_id")}

@@ -75,7 +75,6 @@ class EtherIdWorkload(Workload):
             function=function,
             args=args,
             nonce=self.next_nonce(),
-            submitted_at=now,
         )
 
 
@@ -96,7 +95,6 @@ class DoublerWorkload(Workload):
             args=(),
             value=rng.randrange(10, 1000),
             nonce=self.next_nonce(),
-            submitted_at=now,
         )
 
 
@@ -127,7 +125,6 @@ class WavesPresaleWorkload(Workload):
                 function="new_sale",
                 args=(rng.randrange(1, 10_000),),
                 nonce=self.next_nonce(),
-                submitted_at=now,
             )
         if roll < 0.8:
             index = rng.randrange(len(self._sales))
@@ -140,7 +137,6 @@ class WavesPresaleWorkload(Workload):
                 function="transfer_sale",
                 args=(sale_id, new_owner),
                 nonce=self.next_nonce(),
-                submitted_at=now,
             )
         sale_id, _ = self._sales[rng.randrange(len(self._sales))]
         return Transaction.create(
@@ -149,7 +145,6 @@ class WavesPresaleWorkload(Workload):
             function="get_sale",
             args=(sale_id,),
             nonce=self.next_nonce(),
-            submitted_at=now,
         )
 
 
@@ -169,5 +164,4 @@ class DoNothingWorkload(Workload):
             function="nop",
             args=(),
             nonce=self.next_nonce(),
-            submitted_at=now,
         )

@@ -143,5 +143,4 @@ class SmallbankWorkload(Workload):
             args=args,
             value=value,
             nonce=self.next_nonce(),
-            submitted_at=now,
         )

@@ -149,5 +149,4 @@ class YCSBWorkload(Workload):
             function=function,
             args=args,
             nonce=self.next_nonce(),
-            submitted_at=now,
         )

@@ -21,14 +21,6 @@ def test_duplicates_rejected():
     assert len(pool) == 1
 
 
-def test_capacity_enforced():
-    pool = Mempool(capacity=2)
-    assert pool.add(_tx(1))
-    assert pool.add(_tx(2))
-    assert not pool.add(_tx(3))
-    assert pool.rejected_full == 1
-
-
 def test_peek_batch_fifo_order():
     pool = Mempool()
     txs = [_tx(i) for i in range(5)]
@@ -55,11 +47,3 @@ def test_contains():
     pool.add(tx)
     assert tx.tx_id in pool
     assert "nope" not in pool
-
-
-def test_clear():
-    pool = Mempool()
-    for i in range(3):
-        pool.add(_tx(i))
-    pool.clear()
-    assert len(pool) == 0

@@ -1,7 +1,7 @@
 """Property-based tests for the mempool against a model implementation.
 
 The mempool sits between admission and every consensus protocol, so
-its invariants (FIFO order, deduplication, capacity, batch bounds)
+its invariants (FIFO order, deduplication, batch bounds)
 must hold for arbitrary operation sequences, not just the happy paths
 the unit tests walk.
 """
@@ -27,19 +27,16 @@ ops = st.lists(
 
 
 @settings(max_examples=150, deadline=None)
-@given(operations=ops, capacity=st.one_of(st.none(), st.integers(1, 20)))
-def test_mempool_matches_ordered_dict_model(operations, capacity):
-    """The pool behaves as a FIFO dict with a size cap, always."""
-    pool = Mempool(capacity)
+@given(operations=ops)
+def test_mempool_matches_ordered_dict_model(operations):
+    """The pool behaves as a FIFO dict, always."""
+    pool = Mempool()
     model: dict[str, Transaction] = {}
     for op, arg in operations:
         t = tx(arg)
         if op == "add":
             accepted = pool.add(t, now=0.0)
-            should_accept = t.tx_id not in model and (
-                capacity is None or len(model) < capacity
-            )
-            assert accepted == should_accept
+            assert accepted == (t.tx_id not in model)
             if accepted:
                 model[t.tx_id] = t
         elif op == "remove":

@@ -2,8 +2,7 @@
 
 import dataclasses
 
-from repro.chain import Transaction, TxStatus, transaction
-from repro.crypto.signatures import KeyPair
+from repro.chain import Transaction, transaction
 
 
 def test_create_assigns_content_derived_id():
@@ -33,28 +32,18 @@ def test_negative_value_supported():
     assert tx.value == -5
 
 
-def test_tx_status_latency():
-    tx = Transaction.create("a", "c", "f", (), nonce=1)
-    status = TxStatus(tx=tx, submitted_at=10.0)
-    assert status.latency is None
-    status.confirmed_at = 12.5
-    assert status.latency == 2.5
-
-
-def test_size_is_memoized_but_still_sees_a_late_signature():
+def test_size_is_memoized():
     tx = Transaction.create("alice", "kv", "write", ("k" * 40, "v" * 90), nonce=1)
-    unsigned = tx.size_bytes()
-    assert unsigned == 110 + len("alice") + len("kv") + len("write") + len(
+    size = tx.size_bytes()
+    assert size == 110 + len("alice") + len("kv") + len("write") + len(
         repr(tx.args).encode()
     )
-    assert tx.size_bytes() == unsigned
-    tx.signature = KeyPair.from_seed("alice").sign(tx.encode())
-    assert tx.size_bytes() == unsigned + 65
+    assert tx.size_bytes() == size
     # A fresh object with the same fields agrees: the cache holds only
     # what tx_id already freezes.
     twin = dataclasses.replace(tx)
-    assert "_unsigned_size" not in vars(twin)
-    assert twin.size_bytes() == tx.size_bytes()
+    assert "_size" not in vars(twin)
+    assert twin.size_bytes() == size
     assert twin == tx
 
 

@@ -336,7 +336,7 @@ class ChurnWorkload(Workload):
             function, args = "read", (key,)
         return Transaction.create(
             sender=client_id, contract="kvstore", function=function,
-            args=args, nonce=self.next_nonce(), submitted_at=now,
+            args=args, nonce=self.next_nonce(),
         )
 
 

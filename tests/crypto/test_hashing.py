@@ -1,6 +1,6 @@
 """Unit tests for hashing helpers."""
 
-from repro.crypto import EMPTY_HASH, hash_items, hash_text, hex_digest, sha256, short_hex
+from repro.crypto import EMPTY_HASH, hash_items, sha256, short_hex
 
 
 def test_sha256_known_vector():
@@ -19,13 +19,8 @@ def test_hash_items_empty_parts_distinct():
     assert hash_items(b"") != hash_items(b"", b"")
 
 
-def test_hash_text_matches_utf8():
-    assert hash_text("abc") == sha256(b"abc")
-
-
-def test_hex_roundtrip_and_short():
+def test_short_hex():
     digest = sha256(b"x")
-    assert hex_digest(digest) == digest.hex()
     assert short_hex(digest, 6) == digest.hex()[:6]
     assert len(short_hex(digest)) == 8
 

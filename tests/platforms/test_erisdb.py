@@ -238,7 +238,7 @@ def test_crash_below_threshold_keeps_committing():
     cluster = build_cluster("erisdb", 7, seed=5)  # f = 2
     driver = small_driver(cluster, duration=30)
     driver.prepare()
-    cluster.scheduler.schedule(10.0, lambda: cluster.crash_nodes(2))
+    cluster.scheduler.schedule(10.0, lambda: cluster.crash_named(cluster.node_ids()[:2]))
     stats = driver.run()
     assert stats.confirmed > 50
     alive = cluster.alive_nodes()

@@ -244,7 +244,7 @@ def test_hyperledger_state_lsm_roundtrip(tmp_path):
 # ---------------------------------------------------------------------------
 def test_cluster_crash_nodes():
     cluster = build_cluster("hyperledger", 4, seed=5)
-    crashed = cluster.crash_nodes(1)
+    crashed = cluster.crash_named(cluster.node_ids()[:1])
     assert len(crashed) == 1
     assert len(cluster.alive_nodes()) == 3
     cluster.close()

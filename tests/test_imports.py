@@ -49,11 +49,9 @@ PUBLIC_NAMES = {
     "repro.consensus": """ConsensusHost ConsensusProtocol PBFT PBFTConfig
         PoAConfig PoWConfig ProofOfAuthority ProofOfWork Tendermint
         TendermintConfig""",
-    "repro.crypto": """BucketTree DictNodeStore EMPTY_HASH Hash KeyPair
-        KeyRegistry PatriciaTrie PublicKey SIGN_COST_S
-        Signature StateTrie VERIFY_COST_S from_nibbles hash_items hash_text
-        hex_digest merkle_root sha256 short_hex to_nibbles
-        transaction_digest""",
+    "repro.crypto": """BucketTree DictNodeStore EMPTY_HASH Hash PatriciaTrie
+        StateTrie from_nibbles hash_items merkle_root sha256 short_hex
+        to_nibbles""",
     "repro.evm": """CPUHEAVY_ASM CallContext DONOTHING_ASM DictStorage EVM
         ExecutionResult INTRINSIC_TX_GAS OPCODE_GAS Profile Program
         SLOAD_COST SSTORE_RESET SSTORE_SET StateStorage StorageBackend
