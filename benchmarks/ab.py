@@ -17,6 +17,10 @@ metric ``BENCHMARK.json`` lists, the report gives both medians, the
 change/base ratio, how many pairs the change won, and the base's
 quartile spread; ``clear`` marks a metric whose change won at least
 nine pairs in ten and whose median moved by more than that spread.
+Below them, marked informational and never gated, each side's median
+and quartile spread of the raw ``run_wall_s`` and the change's wins:
+``sim_s_per_loop`` divides by a calibration loop timed around each run,
+and the raw wall tells that loop's drift from a slower run.
 Exit status: 0, or 1 when a digest differs or a child fails.
 """
 
@@ -72,9 +76,27 @@ def change_wins(base: float, change: float, better: str) -> bool:
     return change < base if better == "lower" else change > base
 
 
+def compare(base: list[float], change: list[float], better: str) -> dict:
+    """Medians, ratio, the change's wins and the base's quartile spread
+    of one metric over pairs (``base[i]`` and ``change[i]`` are pair
+    ``i``)."""
+    base_median = statistics.median(base)
+    change_median = statistics.median(change)
+    return {
+        "better": better,
+        "base_median": base_median,
+        "change_median": change_median,
+        "ratio": change_median / base_median if base_median else None,
+        "wins": sum(map(change_wins, base, change, [better] * len(base))),
+        "pairs": len(base),
+        "base_quartile_spread": quartile_spread(base),
+    }
+
+
 def summarize(pairs: list[dict], metrics: list[dict]) -> dict:
     """Fold pairs (``{"seed", "base", "change"}``, each side a child's
-    JSON line) into per-metric statistics and the digest mismatches."""
+    JSON line) into per-metric statistics, the run wall's (no verdict)
+    and the digest mismatches."""
     mismatches = [
         pair["seed"]
         for pair in pairs
@@ -83,27 +105,28 @@ def summarize(pairs: list[dict], metrics: list[dict]) -> dict:
     rows = {}
     for metric in metrics:
         name, better = metric["name"], metric["better"]
-        base = [pair["base"]["end_to_end"][name] for pair in pairs]
-        change = [pair["change"]["end_to_end"][name] for pair in pairs]
-        base_median = statistics.median(base)
-        change_median = statistics.median(change)
-        wins = sum(map(change_wins, base, change, [better] * len(base)))
-        spread = quartile_spread(base)
-        rows[name] = {
-            "better": better,
-            "base_median": base_median,
-            "change_median": change_median,
-            "ratio": change_median / base_median if base_median else None,
-            "wins": wins,
-            "pairs": len(pairs),
-            "base_quartile_spread": spread,
-            "clear": (
-                wins >= CLEAR_WIN_SHARE * len(pairs)
-                and change_wins(base_median, change_median, better)
-                and abs(change_median - base_median) > spread
-            ),
-        }
-    return {"digest_mismatches": mismatches, "metrics": rows}
+        row = compare(
+            [pair["base"]["end_to_end"][name] for pair in pairs],
+            [pair["change"]["end_to_end"][name] for pair in pairs],
+            better,
+        )
+        row["clear"] = (
+            row["wins"] >= CLEAR_WIN_SHARE * len(pairs)
+            and change_wins(row["base_median"], row["change_median"], better)
+            and abs(row["change_median"] - row["base_median"])
+            > row["base_quartile_spread"]
+        )
+        rows[name] = row
+    change_wall = [pair["change"]["run_wall_s"] for pair in pairs]
+    wall = compare(
+        [pair["base"]["run_wall_s"] for pair in pairs], change_wall, "lower"
+    )
+    wall["change_quartile_spread"] = quartile_spread(change_wall)
+    return {
+        "digest_mismatches": mismatches,
+        "metrics": rows,
+        "informational": {"run_wall_s": wall},
+    }
 
 
 def render(workload: str, summary: dict) -> str:
@@ -116,6 +139,15 @@ def render(workload: str, summary: dict) -> str:
             f"wins {row['wins']}/{row['pairs']}  "
             f"base IQR {row['base_quartile_spread']:.4g}"
             + ("  clear" if row["clear"] else "")
+        )
+    for name, row in summary["informational"].items():
+        lines.append(
+            f"   {name:16s} {row['base_median']:10.4g} -> "
+            f"{row['change_median']:10.4g}  "
+            f"wins {row['wins']}/{row['pairs']}  "
+            f"IQR base {row['base_quartile_spread']:.4g} / "
+            f"change {row['change_quartile_spread']:.4g}  "
+            "(informational, not gated)"
         )
     mismatches = summary["digest_mismatches"]
     lines.append(

@@ -188,7 +188,9 @@ def bench_replica_execute(quick: bool = False) -> BenchResult:
     :class:`~repro.platforms.base.ExecutionCache` records the net
     write-set, and replicas 2..N replay it into their own overlays and
     commit by installing the first replica's commit record — the
-    cross-replica memoization fast path as ``build_cluster`` wires it.
+    cross-replica memoization fast path as ``build_cluster`` wires it,
+    through each state's ``attach_execution_cache``, so the four
+    in-memory tries share the cache's one node store.
     ops counts every (transaction, replica) application; equal roots on
     all replicas are asserted each block, and ``meta.commit_installs``
     counts the commits taken from the memo.
@@ -200,7 +202,7 @@ def bench_replica_execute(quick: bool = False) -> BenchResult:
     states = [EthereumState() for _ in range(replicas)]
     contract = create_contract("smallbank")
     for state in states:
-        state.commit_memo = cache.commits
+        state.attach_execution_cache(cache)
         facade = _NamespacedState(state, "smallbank")
         for account in range(32):
             contract.invoke(

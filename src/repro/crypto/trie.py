@@ -75,7 +75,9 @@ class NodeStore(Protocol):
 
 
 class DictNodeStore:
-    """In-memory node store; also usable as a write-through cache."""
+    """In-memory node store. Nodes are content-addressed (one digest,
+    one blob), so one store can hold the nodes of every replica of a
+    cluster (see :class:`~repro.platforms.triestate.TrieState`)."""
 
     def __init__(self) -> None:
         self._data: dict[bytes, bytes] = {}
@@ -85,9 +87,6 @@ class DictNodeStore:
 
     def put(self, key: bytes, value: bytes) -> None:
         self._data[key] = value
-
-    def __len__(self) -> int:
-        return len(self._data)
 
 
 def to_nibbles(key: bytes) -> Nibbles:
@@ -513,31 +512,53 @@ class StateTrie:
 
     def update(
         self, items: Iterable[tuple[bytes, bytes | None]], journal: bool = False
-    ) -> tuple[Hash | None, tuple[tuple[Hash, bytes], ...]] | None:
+    ) -> tuple[Hash | None, tuple[tuple[Hash, bytes], ...], NodeStore, int] | None:
         """Apply a net write-set in one batched pass (None = delete).
         With ``journal``, returns the commit record :meth:`adopt` takes:
-        ``(post_root, ((digest, blob), ...))``, every node saved, in
-        save order."""
+        ``(post_root, ((digest, blob), ...), store, bytes)`` — every node
+        saved, in save order, the store they were saved to, and the
+        ``bytes_written`` the update counted."""
         trie = self.trie
         trie.journal = [] if journal else None
+        counted = trie.bytes_written
         try:
             self.root = trie.update(self.root, items)
-            return (self.root, tuple(trie.journal)) if journal else None
+            if not journal:
+                return None
+            return (
+                self.root,
+                tuple(trie.journal),
+                trie.store,
+                trie.bytes_written - counted,
+            )
         finally:
             trie.journal = None
 
-    def adopt(self, root: Hash | None, saves: Iterable[tuple[Hash, bytes]]) -> None:
+    def adopt(
+        self,
+        root: Hash | None,
+        saves: tuple[tuple[Hash, bytes], ...],
+        store: NodeStore,
+        nbytes: int,
+    ) -> None:
         """Install the record of an update another trie ran on the same
-        root with the same write-set. An update saves the same nodes in
-        the same order whoever runs it, so these are exactly the store
-        writes (and counts) a local :meth:`update` would make, with no
-        traversal, encoding or hashing."""
+        root with the same write-set, with no traversal, encoding or
+        hashing; the counters move as a local :meth:`update` would move
+        them. An update saves the same nodes in the same order whoever
+        runs it, so into another store this makes exactly its puts, in
+        order. Into the store the record names, the nodes are already
+        there (content-addressed: one digest, one blob), so it makes no
+        store write at all."""
         trie = self.trie
-        put = trie.store.put
-        for digest, blob in saves:
-            put(digest, blob)
-            trie.node_writes += 1
-            trie.bytes_written += len(blob) + 32
+        if store is trie.store:
+            trie.node_writes += len(saves)
+            trie.bytes_written += nbytes
+        else:
+            put = trie.store.put
+            for digest, blob in saves:
+                put(digest, blob)
+                trie.node_writes += 1
+                trie.bytes_written += len(blob) + 32
         self.root = root
 
     def snapshot(self) -> int:

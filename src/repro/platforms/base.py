@@ -42,6 +42,7 @@ from ..util.lru import LRUCache
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..core.txsched import TxView
+    from ..crypto.trie import DictNodeStore
 
 TX_GOSSIP = "tx/gossip"
 RPC_SEND_TX = "rpc/send_tx"
@@ -100,11 +101,13 @@ class JournaledState(ABC):
     With a :attr:`commit_memo` the flush is computed once per cluster:
     the post-state is a pure function of (sealed root, write-set), so
     the first replica to commit a pair flushes and records what that
-    produced, and the others install the record — the same tree and
-    store writes in the same order, nothing sorted, traversed, encoded
-    or hashed; the last of them retires the record. A miss (no memo, or
-    a record evicted or retired) is the compute path, with the same
-    result.
+    produced, and the others install the record — the same root and
+    counters, nothing sorted, traversed, encoded or hashed; the last of
+    them retires the record. What an install writes is the subclass's
+    business: a store shared with the computing replica needs no write,
+    a replica's own store gets the same writes in the same order. A
+    miss (no memo, or a record evicted or retired) is the compute path,
+    with the same result.
 
     Subclasses pass the empty tree's root to the constructor and
     implement four hooks — ``_backing_get`` (committed read),
@@ -114,8 +117,8 @@ class JournaledState(ABC):
     """
 
     #: The cluster's :attr:`ExecutionCache.commits` (set by
-    #: ``attach_execution_cache``); None for a stand-alone state or with
-    #: the knob off.
+    #: :meth:`attach_execution_cache`); None for a stand-alone state or
+    #: with the knob off.
     commit_memo: "CommitMemo | None" = None
 
     def __init__(self, empty_root: Hash) -> None:
@@ -166,6 +169,12 @@ class JournaledState(ABC):
                 self.put(key, value)
         if whole:
             self._pending = items
+
+    def attach_execution_cache(self, cache: "ExecutionCache | None") -> None:
+        """Join a cluster's :class:`ExecutionCache` (None: stand alone):
+        take its commit memo, and whatever else of it a subclass shares.
+        Called on a fresh state, at build time and on a cold restart."""
+        self.commit_memo = cache.commits if cache is not None else None
 
     def commit_block(self, height: int) -> Hash:
         items = self.pending_writes()
@@ -411,7 +420,9 @@ class ExecutionCache:
     ``replicas``) maps ``(pre_state_root, write_set)`` to the record of
     the first replica's state commit, which every other
     :class:`JournaledState` installs instead of re-hashing, the last of
-    them retiring it. Forks and stale executions commit other
+    them retiring it. An install moves the replica's root and counters
+    as a local commit would; it writes only into a store the computing
+    replica did not write to. Forks and stale executions commit other
     write-sets or start from other roots, hence other keys; keying on
     the write-set rather than the block also covers the one commit no
     block carries (the preload). ``hits`` / ``misses`` count execution
@@ -420,6 +431,13 @@ class ExecutionCache:
     :attr:`tx_index` is the cluster's one :class:`TxIndex`: every
     replica's :class:`ExecutedReceipts` looks transactions up in it, so
     a replica stores one entry per executed block, not per transaction.
+
+    :attr:`trie_nodes` is the cluster's one in-memory trie node store,
+    which every replica whose trie state would own one writes to
+    instead; each keeps its own roots, snapshots and counters. The
+    first such state to attach creates it (see
+    :class:`~repro.platforms.triestate.TrieState`), so a cluster without
+    a trie never imports one.
     """
 
     def __init__(self, replicas: int, capacity: int = 4096) -> None:
@@ -428,6 +446,7 @@ class ExecutionCache:
         )
         self.commits = CommitMemo(replicas)
         self.tx_index = TxIndex()
+        self.trie_nodes: "DictNodeStore | None" = None
 
     @property
     def hits(self) -> int:
@@ -554,10 +573,11 @@ class PlatformNode(SimNode):
 
     def attach_execution_cache(self, cache: ExecutionCache | None) -> None:
         """Share one cluster-wide :class:`ExecutionCache` with this node
-        (its commit memo with the node's state, its tx index with a new,
-        empty receipt map): at build time, or on a cold restart."""
+        (what the node's state shares of it — the commit memo, a trie
+        state's node store — and its tx index with a new, empty receipt
+        map): at build time, or on a cold restart."""
         self.execution_cache = cache
-        self.state.commit_memo = cache.commits if cache is not None else None
+        self.state.attach_execution_cache(cache)
         self.receipts = ExecutedReceipts(
             cache.tx_index if cache is not None else TxIndex()
         )

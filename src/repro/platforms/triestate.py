@@ -11,8 +11,8 @@ historical reads (``get_at``) work on all three platforms.
 from __future__ import annotations
 
 from ..crypto.hashing import Hash
-from ..crypto.trie import NodeStore, StateTrie
-from .base import JournaledState
+from ..crypto.trie import DictNodeStore, NodeStore, StateTrie
+from .base import ExecutionCache, JournaledState
 
 
 class TrieState(JournaledState):
@@ -21,12 +21,30 @@ class TrieState(JournaledState):
     ErisDB uses it as it is — eris-db v0.x kept its merkle state (the
     IAVL-tree analogue) in memory and persisted through Tendermint's
     block store; Ethereum adds an LSM store and Parity a memory cap.
+
+    Replicas share trie nodes, not copies. Attached to a cluster's
+    execution cache, a state that owns its in-memory store (``store``
+    None) writes to the cluster's one store, ``trie_nodes``, instead:
+    nodes are content-addressed, and installing a commit record written
+    there costs no store write. Each replica keeps its own trie, roots,
+    snapshots and counters, and reads only from its own roots. A store
+    whose accounting is part of the model (Parity's cap, an LSM store)
+    stays the replica's own.
     """
 
     def __init__(self, store: NodeStore | None = None) -> None:
         self.trie = StateTrie(store)
         super().__init__(self.trie.root_hash())
         self._snapshots: dict[int, int] = {}
+        #: Whether the node store is this state's own in-memory one.
+        self._in_memory = store is None
+
+    def attach_execution_cache(self, cache: ExecutionCache | None) -> None:
+        super().attach_execution_cache(cache)
+        if cache is not None and self._in_memory:
+            if cache.trie_nodes is None:
+                cache.trie_nodes = DictNodeStore()
+            self.trie.trie.store = cache.trie_nodes
 
     def _backing_get(self, key: bytes) -> bytes | None:
         return self.trie.get(key)

@@ -431,6 +431,65 @@ def test_replicas_share_bucket_objects_only_with_the_cache_on(monkeypatch):
     off.close()
 
 
+def _node_stores(cluster):
+    return [node.state.trie.trie.store for node in cluster.nodes]
+
+
+@pytest.mark.parametrize("platform", ["ethereum", "erisdb", "parity"])
+def test_replicas_share_one_trie_node_store_only_with_the_cache_on(
+    monkeypatch, platform
+):
+    """Replicas share trie nodes, not copies: with the cache on, every
+    in-memory trie state of a cluster writes to the cache's one node
+    store; Parity's capped store is per-process accounting and stays
+    per replica, and with the knob off every replica has its own store.
+    Each replica keeps its own roots and write counters either way."""
+    on = _drive(monkeypatch, platform, "smallbank", True)
+    off = _drive(monkeypatch, platform, "smallbank", False)
+    assert _roots(on) == _roots(off)
+    shared = on.nodes[0].execution_cache.trie_nodes
+    if platform == "parity":
+        assert shared is None
+        assert len(set(map(id, _node_stores(on)))) == len(on.nodes)
+    else:
+        assert shared is not None
+        assert all(store is shared for store in _node_stores(on))
+    assert len(set(map(id, _node_stores(off)))) == len(off.nodes)
+    for counter in ("node_writes", "bytes_written"):
+        assert [getattr(n.state.trie.trie, counter) for n in on.nodes] == [
+            getattr(n.state.trie.trie, counter) for n in off.nodes
+        ]
+    on.close()
+    off.close()
+
+
+@pytest.mark.parametrize("platform", ["ethereum", "erisdb"])
+def test_a_cold_recovered_replica_is_back_on_the_shared_store(
+    monkeypatch, platform
+):
+    """A cold restart wipes the replica's state; the fresh state joins the
+    cluster's node store again and replays the chain to the live
+    replicas' roots, height by height."""
+    cluster = _drive(
+        monkeypatch, platform, "smallbank", True, duration=30.0,
+        faults=FaultSchedule(crashes=[CrashFault(
+            at_time=8.0, count=1, include_leader=False,
+            recover_at=12.0, recovery_mode="cold",
+        )]),
+    )
+    victim, = (node for node in cluster.nodes if node.recovery_times)
+    shared = cluster.nodes[0].execution_cache.trie_nodes
+    assert all(store is shared for store in _node_stores(cluster))
+    recovered = victim._height_roots
+    for node in cluster.nodes:
+        if node is not victim:
+            common = recovered.keys() & node._height_roots.keys()
+            assert len(common) >= 8
+            for height in common:
+                assert recovered[height] == node._height_roots[height]
+    cluster.close()
+
+
 def test_lock_step_replicas_install_every_commit_but_the_first():
     """N replicas, every commit with writes: one computes, N-1 install.
     The memo is per cluster, bounded, and separate from the execution
@@ -555,9 +614,10 @@ def test_retirement_moves_no_root_write_or_memo_count(monkeypatch, platform):
 
 
 def test_preload_retains_no_copy_of_the_records():
-    """A 4-replica erisdb cluster after a 20k-record YCSB preload: ~575 B
-    a record stay (the shared trie's nodes). Keeping the write-set on
-    every node and the commit record in the memo held ~890 B."""
+    """A 4-replica erisdb cluster after a 20k-record YCSB preload: ~378 B
+    a record stay (the cluster's one trie node store). Four per-replica
+    node stores over the same blobs held ~575 B; also keeping the
+    write-set on every node and the commit record in the memo, ~890 B."""
     rows = 20_000
     cluster = build_cluster("erisdb", 4, seed=1)
     workload = YCSBWorkload(YCSBConfig(record_count=rows))
@@ -570,7 +630,7 @@ def test_preload_retains_no_copy_of_the_records():
     finally:
         tracemalloc.stop()
     assert len({n.state.pre_state_root() for n in cluster.nodes}) == 1
-    assert retained / rows < 700, f"{retained / rows:.0f} B per record"
+    assert retained / rows < 460, f"{retained / rows:.0f} B per record"
     cluster.close()
 
 

@@ -307,23 +307,34 @@ _journal_write_sets = st.lists(
 @given(_journal_write_sets)
 def test_property_adopt_equals_update(write_sets):
     """Puts, overwrites, same-value rewrites, deletes and deletes of
-    missing keys: the adopting trie ends every step with the computing
-    trie's store (same puts, same order, same byte count), counters,
-    root and history — and a plain, unjournalled trie agrees."""
+    missing keys. The record names the store its update wrote to and
+    the bytes it counted. Adopted into another store it makes the
+    computing trie's puts (same contents, same order, same byte count);
+    adopted into the store it names, it makes no store write. Either
+    adopter ends every step with the computing trie's counters, root
+    and history — and a plain, unjournalled trie agrees."""
     from repro.storage import MemKVStore
 
     computing, adopting, plain = (StateTrie(MemKVStore()) for _ in range(3))
+    sharing = StateTrie(computing.trie.store)
     for height, items in enumerate(write_sets):
         assert plain.update(items) is None
         record = computing.update(items, journal=True)
         assert computing.trie.journal is None  # journalling ended
-        root, saves = record
+        root, saves, store, counted = record
         assert root == computing.root == plain.root
+        assert store is computing.trie.store
+        assert counted == sum(len(blob) + 32 for _, blob in saves)
         assert [d for d, _ in saves] == [sha256(blob) for _, blob in saves]
         adopting.adopt(*record)
-        for trie in (computing, adopting, plain):
+        writes = store.write_ops
+        sharing.adopt(*record)
+        assert store.write_ops == writes  # the nodes are already there
+        for trie in (computing, adopting, sharing, plain):
             trie.snapshot()
-        assert adopting.root_hash() == computing.root_hash()
+        assert (
+            adopting.root_hash() == sharing.root_hash() == computing.root_hash()
+        )
         # dict equality plus order: same puts in the same order.
         assert list(adopting.trie.store._data.items()) == list(
             computing.trie.store._data.items()
@@ -331,22 +342,28 @@ def test_property_adopt_equals_update(write_sets):
         for counter in ("node_writes", "bytes_written"):
             assert (
                 getattr(adopting.trie, counter)
+                == getattr(sharing.trie, counter)
                 == getattr(computing.trie, counter)
                 == getattr(plain.trie, counter)
             )
         a_store, c_store = adopting.trie.store, computing.trie.store
         assert a_store.approx_bytes() == c_store.approx_bytes()
         assert a_store.write_ops == c_store.write_ops == plain.trie.store.write_ops
-        assert dict(adopting.items()) == dict(computing.items())
-    assert adopting.history == computing.history
+        assert dict(adopting.items()) == dict(sharing.items()) == dict(
+            computing.items()
+        )
+    assert adopting.history == sharing.history == computing.history
     keys = {key for items in write_sets for key, _ in items}
     for height in range(len(write_sets)):
         for key in keys:
-            assert adopting.get_at(height, key) == computing.get_at(height, key)
+            expected = computing.get_at(height, key)
+            assert adopting.get_at(height, key) == expected
+            assert sharing.get_at(height, key) == expected
 
 
 def test_adopt_then_update_locally_and_back():
-    """A trie may alternate between adopting and computing."""
+    """A trie may alternate between adopting and computing; a local
+    update makes the record an adopted one would have been."""
     a, b = StateTrie(), StateTrie()
     for step in range(6):
         items = [(b"k%d" % (step * 3 + i), b"v%d" % step) for i in range(5)]
@@ -355,7 +372,9 @@ def test_adopt_then_update_locally_and_back():
         if step % 2:
             b.adopt(*record)
         else:
-            assert b.update(items, journal=True) == record
+            root, saves, store, counted = b.update(items, journal=True)
+            assert store is b.trie.store
+            assert (root, saves, counted) == (record[0], record[1], record[3])
         assert b.root == a.root
         assert b.trie.node_writes == a.trie.node_writes
     assert dict(b.items()) == dict(a.items())
@@ -447,7 +466,7 @@ def _golden_run(store):
     keys = sorted({key for batch in batches for key, _ in batch})
     h = hashlib.sha256()
     for items in batches:
-        root, saves = state.update(items, journal=True)
+        root, saves, _, _ = state.update(items, journal=True)
         h.update(root or b"-")
         for digest, blob in saves:
             h.update(digest + len(blob).to_bytes(4, "big") + blob)

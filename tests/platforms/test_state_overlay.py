@@ -213,13 +213,15 @@ def test_parity_memory_bytes_includes_overlay():
 # Commit memo (PR 17): a state that installs another's commit record
 # ---------------------------------------------------------------------------
 def _memo_pair(factory):
-    """Two states sharing one commit memo, as replicas of a cluster do."""
+    """Two states attached to one execution cache, as replicas of a
+    cluster are: one commit memo (and one in-memory trie node store)."""
     from repro.platforms.base import ExecutionCache
 
-    memo = ExecutionCache(2).commits
+    cache = ExecutionCache(2)
     first, second = factory(), factory()
-    first.commit_memo = second.commit_memo = memo
-    return memo, first, second
+    for state in (first, second):
+        state.attach_execution_cache(cache)
+    return cache.commits, first, second
 
 
 @pytest.mark.parametrize(

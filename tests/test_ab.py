@@ -24,18 +24,26 @@ METRICS = [
 ]
 
 
-def _run(digest, rss, speed):
+def _run(digest, rss, speed, wall=2.0):
     return {
         "sim_digest": digest,
+        "run_wall_s": wall,
         "end_to_end": {"peak_rss_mb": rss, "sim_s_per_loop": speed},
     }
 
 
-def _pairs(base_rss, change_rss, digests=None):
+def _pairs(base_rss, change_rss, digests=None, walls=None):
     digests = digests or ["d"] * len(base_rss)
+    walls = walls or [(2.0, 2.0)] * len(base_rss)
     return [
-        {"seed": 600 + i, "base": _run("d", b, 1.0), "change": _run(d, c, 1.0)}
-        for i, (b, c, d) in enumerate(zip(base_rss, change_rss, digests))
+        {
+            "seed": 600 + i,
+            "base": _run("d", b, 1.0, base_wall),
+            "change": _run(d, c, 1.0, change_wall),
+        }
+        for i, (b, c, d, (base_wall, change_wall)) in enumerate(
+            zip(base_rss, change_rss, digests, walls)
+        )
     ]
 
 
@@ -88,6 +96,34 @@ def test_a_move_inside_the_base_spread_is_not_clear():
     eight = [b - 9.0 for b in base[:8]] + base[8:]  # 8/10 wins
     rss = ab.summarize(_pairs(base, eight), METRICS)["metrics"]["peak_rss_mb"]
     assert rss["wins"] == 8 and not rss["clear"]
+
+
+def test_run_wall_is_reported_per_side_and_never_gated():
+    """Each side's raw ``run_wall_s`` median and quartile spread, and the
+    change's wins, are printed beside the metrics with no verdict: they
+    tell a drift of the calibration loop behind ``sim_s_per_loop`` from
+    a slower run."""
+    base = [2.30, 2.38, 2.41, 2.35, 2.39, 2.50, 2.36, 2.40, 2.33, 2.45]
+    change = [2.20, 2.34, 2.43, 2.31, 2.37, 2.44, 2.38, 2.36, 2.30, 2.42]
+    summary = ab.summarize(
+        _pairs([1.0] * 10, [1.0] * 10, walls=list(zip(base, change))), METRICS
+    )
+    wall = summary["informational"]["run_wall_s"]
+    assert wall["base_median"] == pytest.approx(2.385)
+    assert wall["change_median"] == pytest.approx(2.365)
+    assert wall["base_quartile_spread"] == pytest.approx(ab.quartile_spread(base))
+    assert wall["change_quartile_spread"] == pytest.approx(
+        ab.quartile_spread(change)
+    )
+    assert wall["wins"] == 8 and wall["pairs"] == 10
+    assert "clear" not in wall
+    assert "run_wall_s" not in summary["metrics"]
+    line, = (
+        line for line in ab.render("w", summary).splitlines()
+        if "run_wall_s" in line
+    )
+    assert "informational, not gated" in line and "wins 8/10" in line
+    assert "clear" not in line
 
 
 def test_digest_mismatches_name_their_seeds():
