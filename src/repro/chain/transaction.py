@@ -104,9 +104,9 @@ class Transaction:
 class Receipt:
     """Outcome of executing one transaction inside a committed block.
 
-    A pure function of (pre-state, block), hence immutable: with the
-    execution cache on, every replica's ``receipts`` map holds the first
-    executor's objects.
+    A pure function of (pre-state, block), hence immutable: through the
+    cluster's execution cache, every replica's ``receipts`` map holds the
+    first executor's objects.
     """
 
     tx_id: str

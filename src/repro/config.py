@@ -186,7 +186,12 @@ class ExecutionCosts:
 
 @dataclass(frozen=True)
 class PlatformConfig:
-    """Everything needed to instantiate one platform node."""
+    """Everything needed to instantiate one platform node.
+
+    Cross-replica execution memoization is not a setting: every cluster
+    shares one :class:`~repro.platforms.base.ExecutionCache`, which
+    changes no simulated quantity (see ``build_cluster``).
+    """
 
     name: str
     execution: ExecutionCosts
@@ -196,13 +201,6 @@ class PlatformConfig:
     block_gas_limit: int | None
     #: In-memory state cap in bytes (Parity's OOM behaviour); None = off.
     memory_cap_bytes: int | None = None
-    #: Cross-replica execution memoization: the deterministic sim means
-    #: replicas 2..N re-executing a block from the same pre-state root
-    #: must produce identical write-sets, so only the first replica
-    #: runs the contracts and the rest replay the recorded net writes
-    #: (byte-identical roots and stats). Overridable per scenario via
-    #: ``{"execution_cache": false}``.
-    execution_cache: bool = True
     #: Modeled execution-engine workers for intra-block parallelism.
     #: 1 (default) is the historical serial path, byte-for-byte. >1
     #: executes each transaction against an isolated captured view,

@@ -42,9 +42,8 @@ Everything here is a pure function of the captured access sets, so the
 schedule — and therefore the simulated timeline — is identical across
 runs, platforms, and repeated replays. The worker count only enters in
 :func:`level_makespan`; the levels themselves are worker-independent,
-which is what lets the :class:`~repro.platforms.base.ExecutionCache`
-share one entry between replicas configured with different
-``exec_workers``.
+so a replica replaying an :class:`~repro.platforms.base.ExecutionCache`
+entry charges the makespan its executor charged.
 """
 
 from __future__ import annotations

@@ -103,9 +103,6 @@ class ArrivalSpec:
             kwargs[name] = hints[name](value)
         return cls(**kwargs)
 
-    def to_dict(self) -> dict:
-        return {key: getattr(self, name) for key, name in _ARRIVAL_KEYS.items()}
-
 
 #: Scenario-JSON key -> ArrivalSpec field.
 _ARRIVAL_KEYS = {

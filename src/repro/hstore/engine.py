@@ -141,11 +141,3 @@ class HStoreEngine:
         if not self._latencies:
             return 0.0
         return sum(self._latencies) / len(self._latencies)
-
-    def reset_metrics(self) -> None:
-        self._busy_s = [0.0] * self.n_partitions
-        self.committed = 0
-        self.aborted = 0
-        self.single_partition_txns = 0
-        self.multi_partition_txns = 0
-        self._latencies.clear()

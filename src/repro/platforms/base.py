@@ -117,8 +117,8 @@ class JournaledState(ABC):
     """
 
     #: The cluster's :attr:`ExecutionCache.commits` (set by
-    #: :meth:`attach_execution_cache`); None for a stand-alone state or
-    #: with the knob off.
+    #: :meth:`attach_execution_cache`); None for a stand-alone state,
+    #: one built without a cluster.
     commit_memo: "CommitMemo | None" = None
 
     def __init__(self, empty_root: Hash) -> None:
@@ -170,11 +170,11 @@ class JournaledState(ABC):
         if whole:
             self._pending = items
 
-    def attach_execution_cache(self, cache: "ExecutionCache | None") -> None:
-        """Join a cluster's :class:`ExecutionCache` (None: stand alone):
-        take its commit memo, and whatever else of it a subclass shares.
-        Called on a fresh state, at build time and on a cold restart."""
-        self.commit_memo = cache.commits if cache is not None else None
+    def attach_execution_cache(self, cache: "ExecutionCache") -> None:
+        """Join a cluster's :class:`ExecutionCache`: take its commit
+        memo, and whatever else of it a subclass shares. Called on a
+        fresh state, at build time and on a cold restart."""
+        self.commit_memo = cache.commits
 
     def commit_block(self, height: int) -> Hash:
         items = self.pending_writes()
@@ -308,12 +308,11 @@ class CachedExecution:
 
     ``levels`` is the dependency-level schedule captured by the
     parallel execution path (``exec_workers > 1``), or ``None`` when
-    the block was executed serially. It is a pure function of the
-    block's data hazards — never of the executing replica's worker
-    count — so one entry serves replicas with any ``exec_workers``
-    setting: each replayer recomputes its own makespan from the shared
-    levels. ``write_set`` and ``receipts`` are identical whichever
-    path produced them; tests pin this.
+    the block was executed serially. Like ``tally`` it relies on the
+    cache serving one cluster, whose nodes share one config: a replica
+    replays levels exactly when it would have computed them, and
+    charges their makespan. ``write_set`` and ``receipts`` are
+    identical whichever path produced them; tests pin this.
     """
 
     write_set: WriteSet
@@ -327,9 +326,8 @@ class TxIndex(dict):
     """``tx id → hash`` of the executed block holding it, or a tuple of
     hashes for a transaction that forks put in several blocks.
 
-    Filled once per block, by the first replica to file it. With the
-    execution cache on one index serves the cluster (it hangs on the
-    :class:`ExecutionCache`); with it off every replica keeps its own.
+    Filled once per block, by the first replica to file it. One index
+    serves the cluster: it hangs on the :class:`ExecutionCache`.
     """
 
     __slots__ = ("_indexed",)
@@ -361,10 +359,9 @@ class TxIndex(dict):
 
 class ExecutedReceipts:
     """One replica's receipts: :attr:`blocks` maps the hash of each
-    block the replica executed to its receipts tuple — with the
-    execution cache on, a replayed block's tuple is the
-    :class:`CachedExecution`'s own — and transactions are looked up
-    through a :class:`TxIndex`.
+    block the replica executed to its receipts tuple — a replayed
+    block's tuple is the :class:`CachedExecution`'s own — and
+    transactions are looked up through the cluster's :class:`TxIndex`.
     """
 
     __slots__ = ("index", "blocks")
@@ -412,10 +409,11 @@ class ExecutionCache:
     commit — byte-identical roots, a fraction of the CPU. Keyed by
     ``(pre_state_root, block_hash)``: PoW forks execute different
     blocks at one height and hit different keys, so divergent branches
-    can never cross-contaminate. Toggleable via the platform config's
-    ``execution_cache`` knob (default on).
+    can never cross-contaminate. ``build_cluster`` gives every cluster
+    one; a replay charges the same simulated CPU as an execution, so
+    the cache changes no run's output.
 
-    The same object and knob carry the cluster's commit memo:
+    The same object carries the cluster's commit memo:
     :attr:`commits` (a :class:`CommitMemo` over the cluster's
     ``replicas``) maps ``(pre_state_root, write_set)`` to the record of
     the first replica's state commit, which every other
@@ -486,6 +484,12 @@ class PlatformNode(SimNode):
     #: ``rpc/get_blocks`` works everywhere.
     supports_subscription = False
 
+    #: The cluster's shared execution memoization, and the receipts of
+    #: the blocks this replica executed; both set by
+    #: :meth:`attach_execution_cache`, which ``build_cluster`` calls.
+    execution_cache: ExecutionCache
+    receipts: ExecutedReceipts
+
     def __init__(
         self,
         node_id: str,
@@ -500,17 +504,12 @@ class PlatformNode(SimNode):
         )
         self.config = config
         self.state = self._new_state()
-        #: Cluster-shared execution memoization; attached by
-        #: ``build_cluster`` when the platform config enables it.
-        self.execution_cache: ExecutionCache | None = None
         self._rng = rng_registry.stream(node_id)
         # The chain id is hashed into the genesis block.
         self._chain = Blockchain("testnet")
         self.mempool = Mempool()
         self.peers: list[str] = []
         self.contracts: dict[str, Contract] = {}
-        #: The receipts of the blocks this replica executed.
-        self.receipts = ExecutedReceipts(TxIndex())
         self.executed_height = 0
         self._height_roots: dict[int, Hash] = {}
         #: Which block this node executed at each height. On PoW a deep
@@ -571,16 +570,14 @@ class PlatformNode(SimNode):
         if contract_name not in self.contracts:
             self.contracts[contract_name] = create_contract(contract_name)
 
-    def attach_execution_cache(self, cache: ExecutionCache | None) -> None:
+    def attach_execution_cache(self, cache: ExecutionCache) -> None:
         """Share one cluster-wide :class:`ExecutionCache` with this node
         (what the node's state shares of it — the commit memo, a trie
         state's node store — and its tx index with a new, empty receipt
         map): at build time, or on a cold restart."""
         self.execution_cache = cache
         self.state.attach_execution_cache(cache)
-        self.receipts = ExecutedReceipts(
-            cache.tx_index if cache is not None else TxIndex()
-        )
+        self.receipts = ExecutedReceipts(cache.tx_index)
 
     def attach_auditor(self, auditor) -> None:
         """Subscribe a cluster-wide safety auditor to this node's commits."""
@@ -689,10 +686,8 @@ class PlatformNode(SimNode):
             # time for the whole cluster (later replicas are no-ops).
             tracer.record_decide(block.tx_ids, self.now)
         cache = self.execution_cache
-        entry: CachedExecution | None = None
-        if cache is not None:
-            pre_root = self.state.pre_state_root()
-            entry = cache.lookup(pre_root, block.hash)
+        pre_root = self.state.pre_state_root()
+        entry = cache.lookup(pre_root, block.hash)
         workers = self.config.exec_workers
         seconds_per_gas = self.config.execution.seconds_per_gas
         levels: tuple[int, ...] | None = None
@@ -716,22 +711,17 @@ class PlatformNode(SimNode):
             committed, failed, seconds = tally_receipts(
                 receipts, seconds_per_gas
             )
-            if cache is not None:
-                entry = CachedExecution(
-                    self.state.pending_writes(), receipts,
-                    (committed, failed, seconds), levels,
-                )
-                cache.store(pre_root, block.hash, entry)
+            cache.store(pre_root, block.hash, CachedExecution(
+                self.state.pending_writes(), receipts,
+                (committed, failed, seconds), levels,
+            ))
         self.receipts.file(block.hash, receipts)
         self.committed_tx_count += committed
         self.failed_tx_count += failed
-        if workers > 1 and levels is not None:
+        if levels is not None:
             # Charge the dependency-schedule makespan instead of the
             # serial sum: non-conflicting transactions overlap on the
-            # modeled execution workers. Replays of a serially-executed
-            # cache entry carry no levels and fall back to the serial
-            # sum above — conservative, and impossible in a uniformly
-            # configured cluster.
+            # modeled execution workers.
             from ..core.txsched import level_makespan
 
             seconds = level_makespan(

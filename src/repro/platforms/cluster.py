@@ -182,15 +182,15 @@ def build_cluster(
         for node_id in ids
     ]
 
-    # One shared execution-memoization cache per cluster: the first
-    # replica to execute a block records its write-set, the rest
-    # replay it (see repro.platforms.base.ExecutionCache). It knows
-    # the replica count, so a commit record retires on its last
-    # install. Gated by the platform-config knob so scenarios can A/B it.
-    if config.execution_cache:
-        cache = ExecutionCache(n_nodes)
-        for node in nodes:
-            node.attach_execution_cache(cache)
+    # One shared execution-memoization cache per cluster, always: the
+    # first replica to execute a block records its write-set, the rest
+    # replay it (see repro.platforms.base.ExecutionCache). Replays
+    # charge the same simulated CPU, so it changes no run's output. It
+    # knows the replica count, so a commit record retires on its last
+    # install.
+    cache = ExecutionCache(n_nodes)
+    for node in nodes:
+        node.attach_execution_cache(cache)
 
     # Always-on safety auditor: every node's finalized blocks feed the
     # fork/digest/monotonicity checks (ISSUE: adversarial fault axis).

@@ -39,9 +39,9 @@ class TrieState(JournaledState):
         #: Whether the node store is this state's own in-memory one.
         self._in_memory = store is None
 
-    def attach_execution_cache(self, cache: ExecutionCache | None) -> None:
+    def attach_execution_cache(self, cache: ExecutionCache) -> None:
         super().attach_execution_cache(cache)
-        if cache is not None and self._in_memory:
+        if self._in_memory:
             if cache.trie_nodes is None:
                 cache.trie_nodes = DictNodeStore()
             self.trie.trie.store = cache.trie_nodes

@@ -4,8 +4,10 @@ The simulator is deterministic, so replicas executing the same block
 from the same pre-state root must produce identical results; the
 :class:`~repro.platforms.base.ExecutionCache` makes replicas 2..N
 replay the first replica's recorded write-set instead of re-running
-the contracts. These tests pin the semantic contract: **cache on and
-cache off are byte-identical** — same StatsSummary, same chain height,
+the contracts. These tests pin the semantic contract against an oracle
+that gives every node a private cache which never hits, so every
+replica computes every block and every commit: **the shared cache and
+private caches are byte-identical** — same StatsSummary, same chain height,
 same per-node state roots — on all four platforms.
 """
 
@@ -26,6 +28,7 @@ from repro.core import (
     FaultSchedule,
     PartitionFault,
 )
+from repro.core import runner
 from repro.core.runner import ExperimentSpec, run_experiment
 from repro.core.workload import Workload, preload_state
 from repro.errors import StorageError
@@ -44,7 +47,44 @@ DURATION_S = {
 }
 
 
-def _run(platform: str, cache_on: bool):
+class _PrivateCache(ExecutionCache):
+    """The oracle's cache: one node's own, with no commit memo and no
+    entry a lookup can find, so the node computes every block and every
+    commit, as a stand-alone state does."""
+
+    def __init__(self) -> None:
+        super().__init__(1)
+        self.commits = None
+
+    def lookup(self, pre_state_root, block_hash):
+        return None
+
+    def store(self, pre_state_root, block_hash, entry):
+        pass
+
+
+def _build(*args, private=False, **kwargs):
+    """``build_cluster``; with ``private``, the oracle: every attach,
+    a cold restart's included, gives the node a new ``_PrivateCache``,
+    so every replica computes every block and every commit, with its
+    own trie node store and tx index, and nothing it held before a
+    restart outlives it."""
+    cluster = build_cluster(*args, **kwargs)
+    if private:
+        for node in cluster.nodes:
+            attach = node.attach_execution_cache
+            node.attach_execution_cache = (
+                lambda _cache, _attach=attach: _attach(_PrivateCache())
+            )
+            node.attach_execution_cache(None)
+    return cluster
+
+
+def _run(monkeypatch, platform: str, private: bool = False):
+    monkeypatch.setattr(
+        runner, "build_cluster",
+        lambda *args, **kwargs: _build(*args, private=private, **kwargs),
+    )
     spec = ExperimentSpec(
         platform=platform,
         workload="ycsb",
@@ -53,7 +93,6 @@ def _run(platform: str, cache_on: bool):
         request_rate_tx_s=40.0,
         duration_s=DURATION_S[platform],
         seed=5,
-        config_overrides={"execution_cache": cache_on},
     )
     return run_experiment(spec)
 
@@ -61,9 +100,9 @@ def _run(platform: str, cache_on: bool):
 @pytest.mark.parametrize(
     "platform", ["hyperledger", "ethereum", "parity", "erisdb"]
 )
-def test_cache_on_vs_off_is_byte_identical(platform):
-    on = _run(platform, True)
-    off = _run(platform, False)
+def test_cache_on_vs_off_is_byte_identical(monkeypatch, platform):
+    on = _run(monkeypatch, platform)
+    off = _run(monkeypatch, platform, private=True)
     assert asdict(on.summary) == asdict(off.summary)
     assert on.chain_height == off.chain_height
     assert on.total_blocks == off.total_blocks
@@ -73,14 +112,11 @@ def test_cache_on_vs_off_is_byte_identical(platform):
     "platform", ["hyperledger", "ethereum", "parity", "erisdb"]
 )
 def test_cache_replicas_agree_on_state_roots(platform):
-    """With the cache on, every node's committed roots match the
-    cache-off run of the same seed, height by height."""
+    """With the shared cache, every node's committed roots match the
+    private-cache run of the same seed, height by height."""
 
-    def roots(cache_on):
-        cluster = build_cluster(
-            platform, 4, seed=5,
-            config_overrides={"execution_cache": cache_on},
-        )
+    def roots(private=False):
+        cluster = _build(platform, 4, seed=5, private=private)
         driver = Driver(
             cluster,
             YCSBWorkload(YCSBConfig(record_count=50)),
@@ -94,7 +130,7 @@ def test_cache_replicas_agree_on_state_roots(platform):
         cluster.close()
         return per_node
 
-    on, off = roots(True), roots(False)
+    on, off = roots(), roots(private=True)
     assert on == off
     # And the run actually executed blocks on every node.
     assert all(node_roots for node_roots in on)
@@ -109,21 +145,11 @@ def test_cache_is_hit_by_replicas():
     )
     driver.run()
     cache = cluster.nodes[0].execution_cache
-    assert cache is not None
     assert all(node.execution_cache is cache for node in cluster.nodes)
     # 4 replicas execute every block: 1 miss (the first executor) and
     # 3 hits per block.
     assert cache.misses > 0
     assert cache.hits == 3 * cache.misses
-    cluster.close()
-
-
-def test_cache_knob_off_detaches_cache():
-    cluster = build_cluster(
-        "hyperledger", 2, seed=1,
-        config_overrides={"execution_cache": False},
-    )
-    assert all(node.execution_cache is None for node in cluster.nodes)
     cluster.close()
 
 
@@ -163,19 +189,14 @@ def test_execution_cache_evicts_beyond_capacity():
 
 
 # ---------------------------------------------------------------------------
-# Worker-count insensitivity (PR 9)
+# Parallel execution (PR 9): one cache serves one cluster, whose nodes
+# share one config, so a replayer takes the executor's schedule.
 # ---------------------------------------------------------------------------
-def _cached_node(workers, shared_cache):
-    """One node with the given exec_workers, wired to a shared cache."""
-    from repro.platforms import build_cluster as _build
-
-    cluster = _build(
-        "hyperledger", 1, seed=5,
-        config_overrides={"exec_workers": workers},
+def _cluster(n, workers):
+    """An ``n``-node hyperledger cluster with the given exec_workers."""
+    return build_cluster(
+        "hyperledger", n, seed=5, config_overrides={"exec_workers": workers}
     )
-    node = cluster.nodes[0]
-    node.execution_cache = shared_cache
-    return cluster, node
 
 
 def _mixed_block(node, n=24, hot_every=3):
@@ -200,55 +221,20 @@ def _mixed_block(node, n=24, hot_every=3):
     )
 
 
-@pytest.mark.parametrize(
-    "populate_workers,replay_workers",
-    [(4, 1), (1, 4)],
-    ids=["parallel-populates-serial-replays",
-         "serial-populates-parallel-replays"],
-)
-def test_cache_entries_cross_worker_counts(populate_workers, replay_workers):
-    """A cache entry is a pure function of (pre-state, block), never of
-    the executing replica's worker count: a parallel-populated entry
-    replayed by a serial replica (and vice versa) yields byte-identical
-    roots and receipts."""
-    shared = ExecutionCache(2)
-    pop_cluster, populator = _cached_node(populate_workers, shared)
-    block = _mixed_block(populator)
-    pre_root = populator.state.pre_state_root()
-    populator._execute_block(block)
-    assert shared.misses == 1 and shared.hits == 0
-    entry = shared.lookup(pre_root, block.hash)
-    assert entry is not None
-    # Parallel executors record the schedule; serial ones record None.
-    if populate_workers > 1:
-        assert entry.levels is not None and max(entry.levels) > 1
-    else:
-        assert entry.levels is None
-
-    rep_cluster, replayer = _cached_node(replay_workers, shared)
-    replayer._execute_block(block)
-    assert shared.hits >= 2  # replayer's lookup (plus the assert above)
-    assert replayer._height_roots[1] == populator._height_roots[1]
-    assert replayer.receipts.blocks == populator.receipts.blocks
-    pop_cluster.close()
-    rep_cluster.close()
-
-
 def test_cache_entries_identical_whoever_executes():
     """Serially- and parallel-executed caches hold byte-identical
     write-sets and receipts for the same block; only the optional
     schedule annotation differs."""
-    serial_cache, parallel_cache = ExecutionCache(1), ExecutionCache(1)
-    s_cluster, serial_node = _cached_node(1, serial_cache)
-    p_cluster, parallel_node = _cached_node(4, parallel_cache)
+    s_cluster, p_cluster = _cluster(1, 1), _cluster(1, 4)
+    serial_node, parallel_node = s_cluster.nodes[0], p_cluster.nodes[0]
     block = _mixed_block(serial_node)
     s_pre = serial_node.state.pre_state_root()
     p_pre = parallel_node.state.pre_state_root()
     assert s_pre == p_pre  # same seed, same genesis
     serial_node._execute_block(block)
     parallel_node._execute_block(block)
-    s_entry = serial_cache.lookup(s_pre, block.hash)
-    p_entry = parallel_cache.lookup(p_pre, block.hash)
+    s_entry = serial_node.execution_cache.lookup(s_pre, block.hash)
+    p_entry = parallel_node.execution_cache.lookup(p_pre, block.hash)
     assert s_entry is not None and p_entry is not None
     assert s_entry.write_set == p_entry.write_set
     assert s_entry.receipts == p_entry.receipts
@@ -259,30 +245,32 @@ def test_cache_entries_identical_whoever_executes():
 
 
 def test_parallel_replayer_charges_the_shared_schedule():
-    """Two parallel replicas sharing a cache charge identical CPU: the
-    replayer recomputes the makespan from the cached levels instead of
-    falling back to the serial sum."""
-    shared = ExecutionCache(2)
-    a_cluster, node_a = _cached_node(4, shared)
-    b_cluster, node_b = _cached_node(4, shared)
+    """In a 2-node ``exec_workers: 4`` cluster the replayer takes the
+    executor's levels and charges the same seconds for the block: the
+    makespan of the shared schedule, not the serial sum."""
+    cluster = _cluster(2, 4)
+    node_a, node_b = cluster.nodes
+    cache = node_a.execution_cache
     block = _mixed_block(node_a)
+    pre_root = node_a.state.pre_state_root()
     node_a._execute_block(block)  # executes for real
+    entry = cache.lookup(pre_root, block.hash)
+    assert entry.levels is not None and max(entry.levels) > 1
     node_b._execute_block(block)  # replays the entry
-    assert shared.hits >= 1
+    assert (cache.hits, cache.misses) == (2, 1)
     assert node_b._height_roots[1] == node_a._height_roots[1]
-    assert node_b.cpu_time == node_a.cpu_time
-    a_cluster.close()
-    b_cluster.close()
+    assert node_b.receipts.blocks == node_a.receipts.blocks
+    assert node_b.cpu_time == node_a.cpu_time < entry.tally[2]
+    cluster.close()
 
 
 def test_replayed_receipts_are_the_first_executors_objects():
-    """A receipt is a pure function of (pre-state, block): replicas on a
-    shared cache file the same immutable objects; without one (the knob
-    off) each builds its own, equal field for field."""
-    shared = ExecutionCache(2)
-    a_cluster, node_a = _cached_node(1, shared)
-    b_cluster, node_b = _cached_node(4, shared)
-    c_cluster, node_c = _cached_node(1, None)
+    """A receipt is a pure function of (pre-state, block): replicas of
+    one cluster file the same immutable objects; a replica of another
+    cluster builds its own, equal field for field."""
+    cluster, other = _cluster(2, 1), _cluster(1, 1)
+    node_a, node_b = cluster.nodes
+    node_c = other.nodes[0]
     block = _mixed_block(node_a)
     for node in (node_a, node_b, node_c):
         node._execute_block(block)
@@ -299,14 +287,14 @@ def test_replayed_receipts_are_the_first_executors_objects():
     for field in ("tx_id", "success", "gas_used", "output"):
         with pytest.raises(FrozenInstanceError):
             setattr(receipt, field, None)
-    for cluster in (a_cluster, b_cluster, c_cluster):
-        cluster.close()
+    cluster.close()
+    other.close()
 
 
 # ---------------------------------------------------------------------------
 # Commit once per cluster (PR 17): replicas install the first replica's
-# state commit. The knob that turns the execution memo off turns this
-# off too, so cache-off is the differential oracle for both.
+# state commit. Private caches hold no commit memo either, so they are
+# the differential oracle for both.
 # ---------------------------------------------------------------------------
 PLATFORMS = ["hyperledger", "ethereum", "parity", "erisdb"]
 DEFAULT_WINDOW = platform_base.COMMIT_MEMO_ENTRIES
@@ -340,15 +328,16 @@ class ChurnWorkload(Workload):
         )
 
 
-def _drive(monkeypatch, platform, workload, cache_on, *, n=4, duration=None,
-           overrides=None, faults=None, window=None, probe=None):
-    """One driver run; returns the cluster (caller closes it)."""
+def _drive(monkeypatch, platform, workload, *, private=False, n=4,
+           duration=None, overrides=None, faults=None, window=None,
+           probe=None):
+    """One driver run; returns the cluster (caller closes it). With
+    ``private``, on the private-cache oracle."""
     monkeypatch.setattr(
         platform_base, "COMMIT_MEMO_ENTRIES", window or DEFAULT_WINDOW
     )
-    cluster = build_cluster(
-        platform, n, seed=5,
-        config_overrides={"execution_cache": cache_on, **(overrides or {})},
+    cluster = _build(
+        platform, n, seed=5, config_overrides=overrides, private=private
     )
     if probe is not None:
         probe(cluster)
@@ -376,8 +365,8 @@ def _roots(cluster):
 @pytest.mark.parametrize("workload", ["smallbank", "churn"])
 @pytest.mark.parametrize("platform", PLATFORMS)
 def test_installed_commits_match_computed_roots(monkeypatch, platform, workload):
-    on = _drive(monkeypatch, platform, workload, True)
-    off = _drive(monkeypatch, platform, workload, False)
+    on = _drive(monkeypatch, platform, workload)
+    off = _drive(monkeypatch, platform, workload, private=True)
     assert _roots(on) == _roots(off)
     assert all(_roots(on))
     # Shared receipts equal the ones each replica builds for itself,
@@ -400,12 +389,12 @@ def test_installed_commits_match_computed_roots(monkeypatch, platform, workload)
 
 def test_replicas_share_bucket_objects_only_with_the_cache_on(monkeypatch):
     """Build once, reference N-1 times, applied to the bucket tree: with
-    the cache on, replicas at one sealed root hold the very same bucket
-    objects — one copy of the state per cluster; with it off each holds
-    its own copy, equal bucket for bucket. Per-height roots are the same
-    either way."""
-    on = _drive(monkeypatch, "hyperledger", "smallbank", True)
-    off = _drive(monkeypatch, "hyperledger", "smallbank", False)
+    the shared cache, replicas at one sealed root hold the very same
+    bucket objects — one copy of the state per cluster; with private
+    caches each holds its own copy, equal bucket for bucket. Per-height
+    roots are the same either way."""
+    on = _drive(monkeypatch, "hyperledger", "smallbank")
+    off = _drive(monkeypatch, "hyperledger", "smallbank", private=True)
     assert _roots(on) == _roots(off)
 
     def in_step(cluster):
@@ -439,13 +428,13 @@ def _node_stores(cluster):
 def test_replicas_share_one_trie_node_store_only_with_the_cache_on(
     monkeypatch, platform
 ):
-    """Replicas share trie nodes, not copies: with the cache on, every
-    in-memory trie state of a cluster writes to the cache's one node
-    store; Parity's capped store is per-process accounting and stays
-    per replica, and with the knob off every replica has its own store.
-    Each replica keeps its own roots and write counters either way."""
-    on = _drive(monkeypatch, platform, "smallbank", True)
-    off = _drive(monkeypatch, platform, "smallbank", False)
+    """Replicas share trie nodes, not copies: every in-memory trie state
+    of a cluster writes to the cache's one node store; Parity's capped
+    store is per-process accounting and stays per replica, and on
+    private caches every replica has its own store. Each replica keeps
+    its own roots and write counters either way."""
+    on = _drive(monkeypatch, platform, "smallbank")
+    off = _drive(monkeypatch, platform, "smallbank", private=True)
     assert _roots(on) == _roots(off)
     shared = on.nodes[0].execution_cache.trie_nodes
     if platform == "parity":
@@ -471,7 +460,7 @@ def test_a_cold_recovered_replica_is_back_on_the_shared_store(
     cluster's node store again and replays the chain to the live
     replicas' roots, height by height."""
     cluster = _drive(
-        monkeypatch, platform, "smallbank", True, duration=30.0,
+        monkeypatch, platform, "smallbank", duration=30.0,
         faults=FaultSchedule(crashes=[CrashFault(
             at_time=8.0, count=1, include_leader=False,
             recover_at=12.0, recovery_mode="cold",
@@ -571,7 +560,7 @@ def test_a_record_a_replica_never_installs_waits_for_the_bound(monkeypatch):
     cluster.close()
 
 
-#: A driven churn run (``_drive``, cache on, seed 5) as the code before
+#: A driven churn run (``_drive``, shared cache, seed 5) as the code before
 #: retirement ran it: sha256 of every replica's per-height roots, trie
 #: node writes summed over replicas, and commit-memo (hits, misses).
 CHURN_BEFORE_RETIREMENT = {
@@ -599,7 +588,7 @@ def test_retirement_moves_no_root_write_or_memo_count(monkeypatch, platform):
     """Retiring a record on its last install frees it early and changes
     nothing else: roots, node writes and memo counts are the ones the
     records-until-evicted memo produced."""
-    cluster = _drive(monkeypatch, platform, "churn", True)
+    cluster = _drive(monkeypatch, platform, "churn")
     roots = hashlib.sha256(
         repr([sorted(r.items()) for r in _roots(cluster)]).encode()
     ).hexdigest()
@@ -692,17 +681,16 @@ def test_preload_with_duplicate_keys_is_last_write_wins(platform):
         cluster.close()
 
 
-@pytest.mark.parametrize("cache_on", [True, False])
-def test_parity_memory_cap_trips_on_an_oversized_preload(cache_on):
+@pytest.mark.parametrize("shared", [True, False])
+def test_parity_memory_cap_trips_on_an_oversized_preload(shared):
     """Fig. 12's 'X': the shared write-set goes through every replica's
     own put accounting, so a preload the cap cannot hold still dies —
     and rewrites of one key still count net, not gross."""
     def cluster():
-        return build_cluster(
+        return _build(
             "parity", 2, seed=1,
-            config_overrides={
-                "memory_cap_bytes": 20_000, "execution_cache": cache_on,
-            },
+            config_overrides={"memory_cap_bytes": 20_000},
+            private=not shared,
         )
 
     records = [(b"key%04d" % i, b"x" * 50) for i in range(2_000)]
@@ -784,7 +772,7 @@ def test_memo_never_exceeds_its_capacity(monkeypatch):
     """One replica stays crashed for the whole run, so no record reaches
     its last install; the bound alone keeps the memo small."""
     cluster = _drive(
-        monkeypatch, "erisdb", "churn", True, window=3,
+        monkeypatch, "erisdb", "churn", window=3,
         probe=lambda cluster: cluster.nodes[-1].crash(),
     )
     assert cluster.nodes[-1].executed_height == 0
@@ -798,16 +786,16 @@ def test_pow_forks_and_stale_executions_unchanged(monkeypatch):
     """Depth-1 confirmation under a partition: replicas execute blocks a
     reorg later replaces. Fork blocks commit other write-sets from other
     roots — other memo keys — so nothing crosses branches."""
-    def run(cache_on):
+    def run(private=False):
         return _drive(
-            monkeypatch, "ethereum", "churn", cache_on, duration=60.0,
+            monkeypatch, "ethereum", "churn", private=private, duration=60.0,
             overrides={"pow": {"confirmation_depth": 1}},
             faults=FaultSchedule(
                 partitions=[PartitionFault(at_time=5.0, until_time=45.0)]
             ),
         )
 
-    on, off = run(True), run(False)
+    on, off = run(), run(private=True)
     assert on.stale_executions() == off.stale_executions() > 0
     assert _roots(on) == _roots(off)
     assert [dict(n.executed_block_hashes) for n in on.nodes] == [
@@ -824,18 +812,18 @@ def test_recovery_inside_and_outside_the_window(monkeypatch, platform, mode):
     """A recovering replica replays far behind the cluster. With a
     one-entry window every commit it replays misses and is recomputed
     (the fallback path); at the default some are installed. Same roots
-    either way, and the same as with the knob off."""
-    def run(cache_on, window=None):
+    either way, and the same as on private caches."""
+    def run(private=False, window=None):
         return _drive(
-            monkeypatch, platform, "smallbank", cache_on, duration=20.0,
-            window=window,
+            monkeypatch, platform, "smallbank", private=private,
+            duration=20.0, window=window,
             faults=FaultSchedule(crashes=[CrashFault(
                 at_time=8.0, count=1, include_leader=False,
                 recover_at=12.0, recovery_mode=mode,
             )]),
         )
 
-    narrow, default, off = run(True, 1), run(True), run(False)
+    narrow, default, off = run(window=1), run(), run(private=True)
     for on in (narrow, default):
         assert on.nodes[-1].recovery_times == off.nodes[-1].recovery_times != []
         assert _roots(on) == _roots(off)
@@ -854,7 +842,7 @@ def test_parity_memory_cap_trips_at_the_same_put(monkeypatch):
     """Installs are real store puts: per-replica memory accounting is
     what it was, and a cap too small for the run kills the same node
     at the same block with the same byte count."""
-    def run(cache_on, cap):
+    def run(cap, private=False):
         memory: dict[tuple[int, int], int] = {}
 
         def probe(cluster):
@@ -873,7 +861,7 @@ def test_parity_memory_cap_trips_at_the_same_put(monkeypatch):
         error = None
         try:
             cluster = _drive(
-                monkeypatch, "parity", "smallbank", cache_on,
+                monkeypatch, "parity", "smallbank", private=private,
                 overrides={"memory_cap_bytes": cap}, probe=probe,
             )
             cluster.close()
@@ -881,16 +869,16 @@ def test_parity_memory_cap_trips_at_the_same_put(monkeypatch):
             error = str(exc)
         return memory, error
 
-    roomy_on, no_error = run(True, 50_000_000)
-    roomy_off, _ = run(False, 50_000_000)
+    roomy_on, no_error = run(50_000_000)
+    roomy_off, _ = run(50_000_000, private=True)
     assert no_error is None
     assert roomy_on == roomy_off
     heights = {height for _, height in roomy_on}
     assert len(heights) > 5 and {index for index, _ in roomy_on} == {0, 1, 2, 3}
     # A cap the run outgrows half-way.
     cap = sorted(roomy_on.values())[len(roomy_on) // 2]
-    tight_on, error_on = run(True, cap)
-    tight_off, error_off = run(False, cap)
+    tight_on, error_on = run(cap)
+    tight_off, error_off = run(cap, private=True)
     assert error_on is not None and "out of memory" in error_on
     assert error_on == error_off  # same byte count at the failing put
     assert tight_on == tight_off and 0 < len(tight_on) < len(roomy_on)
@@ -899,14 +887,14 @@ def test_parity_memory_cap_trips_at_the_same_put(monkeypatch):
 # ---------------------------------------------------------------------------
 # Receipts by reference: a replica stores one receipts tuple per executed
 # block and finds transactions through a tx -> block index, one per
-# cluster with the cache on.
+# cluster.
 # ---------------------------------------------------------------------------
 _TX_IDS = [f"t{i}" for i in range(6)]
 
 
 @settings(max_examples=150, deadline=None)
 @given(
-    cache_on=st.booleans(),
+    shared=st.booleans(),
     blocks=st.lists(
         st.lists(st.sampled_from(_TX_IDS), max_size=4), min_size=1, max_size=5
     ),
@@ -920,15 +908,12 @@ _TX_IDS = [f"t{i}" for i in range(6)]
         max_size=30,
     ),
 )
-def test_receipt_map_matches_a_dict(cache_on, blocks, ops):
+def test_receipt_map_matches_a_dict(shared, blocks, ops):
     """Two replicas file, replay, re-file (another block holding the same
     tx; the same block again) and cold-reset; each one's ``has_receipt``
     and ``receipts.get`` answer exactly like a dict filed tx by tx, and
     ``receipts.blocks`` holds each filed tuple in latest-filing order."""
-    cluster = build_cluster(
-        "hyperledger", 2, seed=1,
-        config_overrides={"execution_cache": cache_on},
-    )
+    cluster = _build("hyperledger", 2, seed=1, private=not shared)
     nodes = cluster.nodes
     reference: list[dict] = [{}, {}]
     filed: list[dict] = [{}, {}]  # block hash -> tuple, latest filing last
@@ -964,12 +949,12 @@ def test_receipt_map_matches_a_dict(cache_on, blocks, ops):
 
 
 def test_replicas_share_receipt_tuples_only_with_the_cache_on(monkeypatch):
-    """One receipts tuple per executed block, taken by reference: with the
-    cache on every replica holds the first executor's tuple and looks
-    transactions up in the cluster's one index; with it off each holds
-    its own tuple (equal) and its own index."""
-    on = _drive(monkeypatch, "hyperledger", "smallbank", True)
-    off = _drive(monkeypatch, "hyperledger", "smallbank", False)
+    """One receipts tuple per executed block, taken by reference: every
+    replica holds the first executor's tuple and looks transactions up
+    in the cluster's one index; on private caches each holds its own
+    tuple (equal) and its own index."""
+    on = _drive(monkeypatch, "hyperledger", "smallbank")
+    off = _drive(monkeypatch, "hyperledger", "smallbank", private=True)
     for cluster, shared in ((on, True), (off, False)):
         first = cluster.nodes[0].receipts
         for node in cluster.nodes:
@@ -989,13 +974,14 @@ def test_replicas_share_receipt_tuples_only_with_the_cache_on(monkeypatch):
     off.close()
 
 
-@pytest.mark.parametrize("cache_on", [True, False])
-def test_cold_recovery_recounts_from_an_empty_map(monkeypatch, cache_on):
+@pytest.mark.parametrize("shared", [True, False])
+def test_cold_recovery_recounts_from_an_empty_map(monkeypatch, shared):
     """A cold restart replays the chain from scratch: the replica's
     commit counters restart with its receipt map, so every replica's
     counters equal its successful and failed receipts."""
     cluster = _drive(
-        monkeypatch, "hyperledger", "ycsb", cache_on, duration=12.0,
+        monkeypatch, "hyperledger", "ycsb", private=not shared,
+        duration=12.0,
         faults=FaultSchedule(crashes=[CrashFault(
             at_time=4.0, count=1, include_leader=False,
             recover_at=8.0, recovery_mode="cold",

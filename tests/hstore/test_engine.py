@@ -139,10 +139,3 @@ def test_ycsb_generator_mix():
     names = {ycsb_txn(rng, 100).name for _ in range(100)}
     assert names == {"ycsb-read", "ycsb-write"}
 
-
-def test_reset_metrics():
-    engine = HStoreEngine(4)
-    engine.execute(HStoreTxn(ops=[TxnOp("read", "x")]))
-    engine.reset_metrics()
-    assert engine.committed == 0
-    assert engine.elapsed_s() == 0.0

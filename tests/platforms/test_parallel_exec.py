@@ -65,7 +65,7 @@ def _execute_direct(platform, workers, txs, seed=7):
     """Execute one constructed block on a single node, off-scheduler."""
     cluster = build_cluster(
         platform, 1, seed=seed,
-        config_overrides={"exec_workers": workers, "execution_cache": False},
+        config_overrides={"exec_workers": workers},
     )
     node = cluster.nodes[0]
     genesis = node.chain().block_by_height(0)
@@ -138,7 +138,7 @@ def test_single_hot_key_degrades_to_serial(platform):
 def test_single_hot_key_schedule_is_the_serial_chain():
     cluster = build_cluster(
         "hyperledger", 1, seed=7,
-        config_overrides={"exec_workers": 4, "execution_cache": False},
+        config_overrides={"exec_workers": 4},
     )
     node = cluster.nodes[0]
     txs = tuple(
@@ -161,7 +161,7 @@ def test_single_hot_key_schedule_is_the_serial_chain():
 def test_disjoint_keys_schedule_flat():
     cluster = build_cluster(
         "hyperledger", 1, seed=7,
-        config_overrides={"exec_workers": 4, "execution_cache": False},
+        config_overrides={"exec_workers": 4},
     )
     node = cluster.nodes[0]
     txs = tuple(

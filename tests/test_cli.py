@@ -320,6 +320,8 @@ def test_suite_missing_file_fails_cleanly(tmp_path, capsys):
         ({"platforms": "erisdb",
           "overrides": {"tendermint": {"max_txs_per_block": 0}}},
          "overrides.tendermint.max_txs_per_block: must be >= 1"),
+        ({"overrides": {"execution_cache": False}},
+         "overrides.execution_cache"),
     ],
 )
 def test_suite_mistyped_values_fail_cleanly(tmp_path, capsys, scenario, where):
