@@ -13,7 +13,7 @@ block seal).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any
 
 from ..crypto.hashing import hash_items
@@ -28,9 +28,15 @@ def _wire_size(sender: str, contract: str, function: str, args: bytes) -> int:
     return 110 + len(sender) + len(contract) + len(function) + len(args)
 
 
-@dataclass
+@dataclass(slots=True)
 class Transaction:
-    """One state transition request."""
+    """One state transition request.
+
+    Every confirmed transaction stays alive until the run's report, so
+    the object keeps only what a later reader needs: slotted (no
+    per-instance ``__dict__``), and without the nonce, which only
+    :meth:`create` reads, to make the id unique.
+    """
 
     tx_id: str
     sender: str
@@ -38,7 +44,8 @@ class Transaction:
     function: str
     args: tuple[Any, ...]
     value: int = 0
-    nonce: int = 0
+    #: Memoized wire size; 0 until measured (a size is never 0).
+    _size: int = field(default=0, init=False, repr=False, compare=False)
 
     @classmethod
     def create(
@@ -70,7 +77,6 @@ class Transaction:
             function=function,
             args=args,
             value=value,
-            nonce=nonce,
         )
         # The args are encoded once, for the id and for the wire size.
         tx._size = _wire_size(sender, contract, function, encoded_args)
@@ -87,14 +93,13 @@ class Transaction:
         constructed object): ``tx_id`` is derived from those fields, so
         they never change.
         """
-        try:
-            return self._size
-        except AttributeError:
-            self._size = _wire_size(
+        size = self._size
+        if not size:
+            size = self._size = _wire_size(
                 self.sender, self.contract, self.function,
                 _encode_args(self.args),
             )
-            return self._size
+        return size
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Tx {self.tx_id[:8]} {self.contract}.{self.function}>"

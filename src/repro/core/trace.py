@@ -9,6 +9,11 @@ every transaction carries per-stage timestamps recorded at a handful of
 protocol-neutral hook points, so no platform or protocol ships its own
 tracing code (mirroring the PR 7 adversary-hooks pattern).
 
+A transaction's stamp row is a small list while it is in flight; once
+its seventh stamp lands it is packed into one flat ``array('d')``
+shared by every finished row, since nothing but the end-of-run
+breakdown reads it again.
+
 Stage points (one timestamp each, first occurrence wins cluster-wide)::
 
     submit   client handed the tx to the backend (backdated to the
@@ -60,6 +65,7 @@ driver's existing queue sampler (no new events):
 from __future__ import annotations
 
 import math
+from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
@@ -92,11 +98,14 @@ QUEUE_GAUGES = ("mempool", "consensus", "execution")
 
 _N_STAGES = len(STAGES)
 
-#: Extra slot per stamp row holding the running max of the clamped
-#: stages — makes the monotone clamp O(1) instead of a scan. SUBMIT is
-#: excluded: it is backdated to the submission instant after the admit
-#: reply, so clamping it would zero out the admission interval.
+#: Extra slot per in-flight stamp row holding the running max of the
+#: clamped stages — makes the monotone clamp O(1) instead of a scan.
+#: SUBMIT is excluded: it is backdated to the submission instant after
+#: the admit reply, so clamping it would zero out the admission interval.
 _TOP = _N_STAGES
+#: Extra slot per in-flight stamp row counting the stages not yet
+#: stamped; the stamp that brings it to 0 packs the row.
+_LEFT = _N_STAGES + 1
 
 
 def _percentile(ordered: Sequence[float], pct: float) -> float:
@@ -173,13 +182,19 @@ class StageBreakdown:
 
 class StageTracer:
     """Cluster-wide lifecycle recorder (one per cluster, like the
-    ChainAuditor). Hot-path methods are dict/list operations only."""
+    ChainAuditor). Hot-path methods are dict/list operations only; the
+    stamp that completes a row also packs it, once per transaction."""
 
-    __slots__ = ("_stamps", "_depths", "_block_stages")
+    __slots__ = ("_stamps", "_packed", "_depths", "_block_stages")
 
     def __init__(self) -> None:
-        #: tx_id -> 7 stamp slots (None until recorded) + running max.
-        self._stamps: dict[str, list[float | None]] = {}
+        #: tx_id -> its row. In flight: a list of 7 stamp slots (None
+        #: until recorded), the running max and the stages left. Finished:
+        #: the row's index in ``_packed``, replacing the list in place, so
+        #: the dict stays in creation order.
+        self._stamps: dict[str, list[float | None] | int] = {}
+        #: The 7 stamps of every finished row, back to back.
+        self._packed = array("d")
         #: (stage, tx ids) pairs ``record_block`` has stamped.
         self._block_stages: set[tuple[int, tuple[str, ...]]] = set()
         #: Live backlog gauges, pipeline order (QUEUE_GAUGES).
@@ -193,10 +208,10 @@ class StageTracer:
         wins; clamped so stamps never precede an earlier stage)."""
         slots = self._stamps.get(tx_id)
         if slots is None:
-            slots = [None] * _N_STAGES + [0.0]
+            slots = [None] * _N_STAGES + [0.0, _N_STAGES]
             self._stamps[tx_id] = slots
-        if slots[stage] is not None:
-            return
+        elif type(slots) is int or slots[stage] is not None:
+            return  # a packed row has every stage stamped
         if stage:
             top = slots[_TOP]
             if top > now:
@@ -219,6 +234,17 @@ class StageTracer:
         elif stage == NOTIFY:
             if slots[DECIDE] is not None:
                 self._depths[2] -= 1
+        left = slots[_LEFT] - 1
+        if left:
+            slots[_LEFT] = left
+        else:
+            self._pack(tx_id, slots)
+
+    def _pack(self, tx_id: str, slots: list) -> None:
+        """Move a row whose seventh stamp just landed into ``_packed``."""
+        packed = self._packed
+        self._stamps[tx_id] = len(packed)
+        packed.fromlist(slots[:_N_STAGES])
 
     def record_block(self, tx_ids, stage: int, now: float) -> None:
         """Stamp every tx in a block at once (propose/decide/commit) —
@@ -243,19 +269,24 @@ class StageTracer:
         slots = self._stamps.get(tx_id)
         if slots is None:
             self._stamps[tx_id] = [
-                now, None, None, None, None, None, None, 0.0,
+                now, None, None, None, None, None, None, 0.0, _N_STAGES - 1,
             ]
-        elif slots[SUBMIT] is None:
+        elif type(slots) is not int and slots[SUBMIT] is None:
             slots[SUBMIT] = now
+            left = slots[_LEFT] - 1
+            if left:
+                slots[_LEFT] = left
+            else:
+                self._pack(tx_id, slots)
 
     def record_admit(self, tx_id: str, now: float) -> None:
         # Inlined record(): every node's mempool calls this for every
         # gossiped copy, so most calls are first-occurrence early-outs.
         slots = self._stamps.get(tx_id)
         if slots is None:
-            slots = [None] * _N_STAGES + [0.0]
+            slots = [None] * _N_STAGES + [0.0, _N_STAGES]
             self._stamps[tx_id] = slots
-        elif slots[ADMIT] is not None:
+        elif type(slots) is int or slots[ADMIT] is not None:
             return
         top = slots[_TOP]
         if top > now:
@@ -264,6 +295,11 @@ class StageTracer:
             slots[_TOP] = now
         slots[ADMIT] = now
         self._depths[0] += 1
+        left = slots[_LEFT] - 1
+        if left:
+            slots[_LEFT] = left
+        else:
+            self._pack(tx_id, slots)
 
     def record_propose(self, tx_ids, now: float) -> None:
         self.record_block(tx_ids, PROPOSE, now)
@@ -300,18 +336,18 @@ class StageTracer:
         simulation with every stamp row still held, so six value lists
         at once would set the run's memory high-water mark.
         """
-        complete = []
+        # Exactly the packed rows are complete; walking them in the
+        # dict's creation order keeps every sum's order what it was.
+        packed = self._packed
+        complete = [row for row in self._stamps.values() if type(row) is int]
         e2e_total = 0.0
-        for slots in self._stamps.values():
-            # The row is 7 stage slots + the running max (never None).
-            if None not in slots:
-                complete.append(slots)
-                e2e_total += slots[NOTIFY] - slots[SUBMIT]
+        for row in complete:
+            e2e_total += packed[row + NOTIFY] - packed[row + SUBMIT]
         traced = len(complete)
         partial = len(self._stamps) - traced
         stages = []
         for name, start, end in STAGE_INTERVALS:
-            values = [slots[end] - slots[start] for slots in complete]
+            values = [packed[row + end] - packed[row + start] for row in complete]
             values.sort()
             stages.append(
                 StageStat(

@@ -60,6 +60,10 @@ from .futures import SimCoroutine, SimFuture, spawn
 HeapEntry = tuple[SimTime, int, Callable[..., Any], tuple[Any, ...]]
 RunEntry = tuple[int, Callable[..., Any], tuple[Any, ...]]
 
+#: Events :meth:`Scheduler.run_until` dispatches between livelock
+#: checks: a chunk that leaves the clock where it found it is a livelock.
+_CHUNK = 1_000_000
+
 
 class Scheduler:
     """Single-threaded event loop over simulated time.
@@ -217,12 +221,30 @@ class Scheduler:
 
         The clock always lands exactly on ``deadline`` so callers can
         interleave ``run_until`` calls with direct inspection.
+
+        Events are dispatched in chunks of ``_CHUNK``, so a livelock
+        (events that keep scheduling one another at one instant) raises
+        :class:`SimulationError` instead of hanging, at one check per
+        chunk rather than per event.
         """
         if deadline < self.now:
             raise SimulationError(
                 f"deadline {deadline:.6f}s is before current time {self.now:.6f}s"
             )
-        self._dispatch(deadline, -1)
+        while True:
+            start = self.now
+            before = self.events_processed
+            self._dispatch(deadline, _CHUNK)
+            if self.events_processed - before < _CHUNK:
+                break
+            if self.now == start:
+                runq, queue = self._runq, self._queue
+                head = runq[0][1] if runq else queue[0][2] if queue else None
+                raise SimulationError(
+                    f"livelock: {_CHUNK} events dispatched at {start:.6f}s "
+                    f"without the clock moving; next: "
+                    f"{getattr(head, '__qualname__', repr(head))}"
+                )
         self.now = deadline
 
     def pending(self) -> int:

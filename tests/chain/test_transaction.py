@@ -1,6 +1,9 @@
 """Unit tests for transactions and receipts."""
 
 import dataclasses
+import tracemalloc
+
+import pytest
 
 from repro.chain import Transaction, transaction
 
@@ -42,7 +45,7 @@ def test_size_is_memoized():
     # A fresh object with the same fields agrees: the cache holds only
     # what tx_id already freezes.
     twin = dataclasses.replace(tx)
-    assert "_size" not in vars(twin)
+    assert twin._size == 0
     assert twin.size_bytes() == size
     assert twin == tx
 
@@ -60,3 +63,39 @@ def test_create_encodes_the_args_once(monkeypatch):
     # A directly constructed twin measures itself, and agrees.
     assert dataclasses.replace(tx).size_bytes() == size
     assert encoded == [tx.args, tx.args]
+
+
+def test_instance_has_no_dict():
+    tx = Transaction.create("alice", "kv", "write", ("k", "v"), nonce=1)
+    assert not hasattr(tx, "__dict__")
+    with pytest.raises(AttributeError):
+        tx.nonce = 1
+
+
+def test_instance_is_small():
+    """Every confirmed transaction lives until the report: slotted and
+    without a nonce, an instance is ~88 B (an unslotted one with its
+    nonce, 144 B plus the nonce int, on CPython 3.11)."""
+    fields = [("ab" * 32, "client-0", "kv", "write", ("key", "value"), 0)
+              for _ in range(1000)]
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        txs = [Transaction(*f) for f in fields]
+        after, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # The list holding the instances is 8 B per slot.
+    per_tx = (after - before) / len(txs) - 8
+    assert per_tx < 112, f"{per_tx:.0f} B per transaction"
+
+
+def test_direct_and_replaced_twins_measure_their_own_size():
+    tx = Transaction.create("alice", "kv", "write", ("k" * 40, "v" * 90), nonce=1)
+    direct = Transaction(tx.tx_id, tx.sender, tx.contract, tx.function, tx.args)
+    replaced = dataclasses.replace(tx, value=0)
+    for twin in (direct, replaced):
+        assert twin._size == 0
+        assert twin.size_bytes() == tx.size_bytes()
+        assert twin._size == tx.size_bytes()
+        assert twin == tx

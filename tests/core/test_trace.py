@@ -32,6 +32,20 @@ from repro.workloads import make_workload
 PLATFORMS = ("ethereum", "parity", "hyperledger", "erisdb")
 
 
+def _row(tracer, tx_id):
+    """``tx_id``'s 7 stage stamps (None where unrecorded), whether its
+    row is still an in-flight list or already packed."""
+    row = tracer._stamps[tx_id]
+    if type(row) is int:
+        return list(tracer._packed[row:row + len(STAGES)])
+    return row[: len(STAGES)]
+
+
+def _rows(tracer):
+    """Every row, decoded by :func:`_row`, in the tracer's dict order."""
+    return {tx_id: _row(tracer, tx_id) for tx_id in tracer._stamps}
+
+
 # ---------------------------------------------------------------------------
 # StageTracer unit behavior
 # ---------------------------------------------------------------------------
@@ -39,7 +53,7 @@ def test_first_occurrence_wins():
     tracer = StageTracer()
     tracer.record_admit("tx", 1.0)
     tracer.record_admit("tx", 5.0)  # gossip copy arriving later
-    assert tracer._stamps["tx"][STAGES.index("admit")] == 1.0
+    assert _row(tracer, "tx")[STAGES.index("admit")] == 1.0
 
 
 def test_stamps_are_clamped_monotone():
@@ -47,8 +61,7 @@ def test_stamps_are_clamped_monotone():
     tracer.record_decide(["tx"], 4.0)
     # A raced notification carrying an earlier raw clock is clamped up.
     tracer.record_notify("tx", 3.0)
-    slots = tracer._stamps["tx"]
-    assert slots[STAGES.index("notify")] == 4.0
+    assert _row(tracer, "tx")[STAGES.index("notify")] == 4.0
 
 
 def test_queue_gauges_track_pipeline_transitions():
@@ -161,7 +174,7 @@ def test_property_record_block_once_equals_the_per_tx_loop(blocks, ops):
                 getattr(tracer, f"record_{stage}")(tx_ids, now)
             else:
                 getattr(tracer, f"record_{stage}")(target, now)
-        assert memoized._stamps == plain._stamps
+        assert _rows(memoized) == _rows(plain)
         assert memoized.queue_depths() == plain.queue_depths()
     assert memoized.breakdown() == plain.breakdown()
 
@@ -182,7 +195,7 @@ def _reference_breakdown(tracer, stage_queue_samples=None):
     e2e_total = 0.0
     traced = 0
     partial = 0
-    for slots in tracer._stamps.values():
+    for slots in _rows(tracer).values():
         if None in slots:
             partial += 1
             continue
@@ -225,10 +238,14 @@ def _reference_breakdown(tracer, stage_queue_samples=None):
 #: A few shared instants make tied interval values common.
 _stamp_times = st.one_of(st.sampled_from([0.0, 0.5, 1.0, 2.5]), _times)
 #: One tx: a time or None (never recorded) per stage, recorded in any
-#: order, so out-of-order stamps get clamped and some rows stay partial.
+#: order, so out-of-order stamps get clamped. Half the rows get every
+#: stage and are packed; the rest mostly stay partial lists.
 _tx_rows = st.tuples(
-    st.lists(st.one_of(st.none(), _stamp_times, _stamp_times),
-             min_size=len(STAGES), max_size=len(STAGES)),
+    st.one_of(
+        st.lists(_stamp_times, min_size=len(STAGES), max_size=len(STAGES)),
+        st.lists(st.one_of(st.none(), _stamp_times, _stamp_times),
+                 min_size=len(STAGES), max_size=len(STAGES)),
+    ),
     st.permutations(range(len(STAGES))),
 )
 _depth = st.integers(0, 1000)
@@ -247,14 +264,32 @@ def test_property_breakdown_equals_the_six_list_reference(rows, samples):
     assert tracer.breakdown(samples) == _reference_breakdown(tracer, samples)
 
 
+def _tx_ids(rows):
+    return tuple(f"tx{i}" for i in range(rows))
+
+
+def _complete_rows(tracer, tx_ids):
+    """Record a full lifecycle for each of ``tx_ids`` through the hook
+    helpers; the block stages stamp every row at once, as one block
+    would."""
+    rows = len(tx_ids)
+    for i, tx_id in enumerate(tx_ids):
+        tracer.record_submit(tx_id, i * 0.001)
+        tracer.record_admit(tx_id, i * 0.001 + 0.1)
+    tracer.record_propose(tx_ids, rows * 0.001 + 0.2)
+    tracer.record_decide(tx_ids, rows * 0.001 + 0.3)
+    tracer.record_execute(tx_ids, rows * 0.001 + 0.4)
+    tracer.record_commit(tx_ids, rows * 0.001 + 0.4)
+    for i, tx_id in enumerate(tx_ids):
+        tracer.record_notify(tx_id, rows * 0.001 + 0.5 + i * 0.001)
+
+
 def test_breakdown_peak_memory_is_one_interval():
     """Six interval lists at once cost ~216 B per complete row; one at
-    a time, ~45 B (a float plus a list slot, and the row list)."""
+    a time, ~43 B (a float plus a list slot, and the row's offset)."""
     rows = 20_000
     tracer = StageTracer()
-    for i in range(rows):
-        base = i * 0.001
-        tracer._stamps[f"tx{i}"] = [base + 0.1 * s for s in range(len(STAGES))] + [0.0]
+    _complete_rows(tracer, _tx_ids(rows))
     tracemalloc.start()
     try:
         breakdown = tracer.breakdown()
@@ -265,19 +300,93 @@ def test_breakdown_peak_memory_is_one_interval():
     assert peak / rows < 60, f"{peak / rows:.0f} B per row"
 
 
+def test_complete_rows_are_packed_small():
+    """A finished row keeps its 7 stamps in the shared array and its
+    offset in the dict: ~106 B retained, where a list row of boxed
+    floats retained ~213 B."""
+    rows = 20_000
+    tx_ids = _tx_ids(rows)  # the ids outlive the tracer
+    tracemalloc.start()
+    try:
+        tracer = StageTracer()
+        _complete_rows(tracer, tx_ids)
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert tracer.breakdown().traced == rows
+    assert all(type(tracer._stamps[tx_id]) is int for tx_id in tx_ids)
+    assert retained / rows < 130, f"{retained / rows:.0f} B per row"
+
+
+@pytest.mark.parametrize("last", STAGES)
+def test_a_row_packs_whichever_stage_lands_seventh(last):
+    tracer = StageTracer()
+    stage = {name: index for index, name in enumerate(STAGES)}
+    for name in STAGES:
+        if name != last:
+            tracer.record("tx", stage[name], 1.0 + stage[name])
+    assert type(tracer._stamps["tx"]) is list
+    tracer.record("tx", stage[last], 1.0 + stage[last])
+    assert type(tracer._stamps["tx"]) is int
+    expected = [1.0 + i for i in range(len(STAGES))]
+    if last != "submit":
+        # Stamped last, any stage but submit is clamped up to the
+        # running max of the others.
+        top = max(t for i, t in enumerate(expected) if i not in (0, stage[last]))
+        expected[stage[last]] = max(expected[stage[last]], top)
+    assert _row(tracer, "tx") == expected
+    assert tracer.breakdown().traced == 1
+
+
+def test_packing_keeps_creation_order():
+    """``breakdown`` sums the end-to-end total in the dict's order, so a
+    row finishing before an older one must not move in the dict."""
+    tracer = StageTracer()
+    for tx in ("old", "new"):
+        tracer.record_submit(tx, 0.0)
+    for tx in ("new", "old"):
+        for stage in range(1, len(STAGES)):
+            tracer.record(tx, stage, float(stage))
+    assert [type(tracer._stamps[tx]) for tx in ("old", "new")] == [int, int]
+    assert list(tracer._stamps) == ["old", "new"]
+
+
+def test_a_packed_row_ignores_late_stamps():
+    """A late gossip admit and a fork block's propose are first-wins
+    no-ops on packed rows: stamps, gauges and counts stay put."""
+    tracer = StageTracer()
+    _complete_rows(tracer, _tx_ids(2))
+    tracer.record_submit("open", 0.0)
+    tracer.record_admit("open", 0.5)
+    rows, depths = _rows(tracer), tracer.queue_depths()
+    before = tracer.breakdown()
+    assert [type(tracer._stamps[tx]) for tx in ("tx0", "tx1", "open")] == [
+        int, int, list,
+    ]
+    tracer.record_admit("tx0", 9.0)  # a gossip copy arriving late
+    tracer.record_propose(("tx1", "tx0"), 9.0)  # a fork block, same txs
+    tracer.record_submit("tx1", 9.0)
+    tracer.record_notify("tx0", 9.0)
+    assert _rows(tracer) == rows
+    assert tracer.queue_depths() == depths == (1, 0, 0)
+    after = tracer.breakdown()
+    assert (after.traced, after.partial) == (before.traced, before.partial) == (2, 1)
+    assert after == before
+
+
 def test_record_block_takes_any_iterable_and_walks_fork_blocks():
     tracer = StageTracer()
     decide = STAGES.index("decide")
     tracer.record_decide(["a", "b"], 1.0)  # a list: copied, never aliased
     tracer.record_decide(("a", "b"), 2.0)  # equal ids: already stamped
     tracer.record_decide(iter(["b", "c"]), 3.0)  # a fork block sharing b
-    assert [tracer._stamps[tx][decide] for tx in "abc"] == [1.0, 1.0, 3.0]
+    assert [_row(tracer, tx)[decide] for tx in "abc"] == [1.0, 1.0, 3.0]
     assert tracer.queue_depths() == (0, 0, 3)
     body = ["d"]
     tracer.record_decide(body, 4.0)
     body.append("e")  # the caller's list grew: not the pair stamped before
     tracer.record_decide(body, 5.0)
-    assert [tracer._stamps[tx][decide] for tx in "de"] == [4.0, 5.0]
+    assert [_row(tracer, tx)[decide] for tx in "de"] == [4.0, 5.0]
 
 
 # ---------------------------------------------------------------------------
@@ -305,12 +414,7 @@ def _drive(platform: str, open_loop: bool = False):
     stats = driver.run(extra_drain_s=5.0)
     tracer = cluster.tracer
     breakdown = tracer.breakdown(stats.stage_queue_samples)
-    # Each stamp row is the 7 stage slots plus a running-max scratch
-    # slot the clamp uses; only the stage slots matter here.
-    stamps = {
-        tx: list(slots[: len(STAGES)])
-        for tx, slots in tracer._stamps.items()
-    }
+    stamps = _rows(tracer)
     summary = stats.summary()
     cluster.close()
     return stamps, breakdown, summary

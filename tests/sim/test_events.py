@@ -89,6 +89,35 @@ def test_run_until_backwards_rejected():
         sched.run_until(1.0)
 
 
+def test_run_until_fails_fast_on_a_same_instant_livelock():
+    sched = Scheduler()
+
+    def spin():
+        sched.schedule(0.0, spin)
+
+    sched.schedule(2.0, spin)
+    with pytest.raises(SimulationError, match=r"livelock.* at 2\.000000s.*spin"):
+        sched.run_until(5.0)
+    assert sched.now == 2.0
+
+
+def test_run_until_lets_a_long_run_keep_moving():
+    """More events than one livelock-check chunk, each at a later
+    instant: no false alarm, and every event fires."""
+    sched = Scheduler()
+    fired = []
+
+    def tick():
+        fired.append(sched.now)
+        if len(fired) < 1_200_000:
+            sched.schedule(1e-6, tick)
+
+    sched.schedule(0.0, tick)
+    sched.run_until(10.0)
+    assert len(fired) == 1_200_000
+    assert sched.now == 10.0
+
+
 def test_pending_counts_live_events():
     sched = Scheduler()
     sched.schedule(1.0, lambda: None)

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from repro.chain import Transaction
 from repro.errors import BenchmarkError
 from repro.workloads import (
     DoNothingWorkload,
@@ -167,7 +168,12 @@ def test_workload_nonces_distinguish_identical_calls(workload_type):
     stream id for id, whatever ran before it in this interpreter."""
     first, second = workload_type(), workload_type()
     nops = [first.next_transaction("c0", random.Random(3), 0.0) for _ in range(3)]
-    assert [tx.nonce for tx in nops] == [0, 1, 2]
+    assert [tx.tx_id for tx in nops] == [
+        Transaction.create(
+            tx.sender, tx.contract, tx.function, tx.args, tx.value, nonce=nonce
+        ).tx_id
+        for nonce, tx in enumerate(nops)
+    ]
     assert len({tx.tx_id for tx in nops}) == 3
     replay = [second.next_transaction("c0", random.Random(3), 0.0) for _ in range(3)]
     assert [tx.tx_id for tx in replay] == [tx.tx_id for tx in nops]
