@@ -21,11 +21,6 @@ class Mempool:
         #: Insertion-ordered: iteration is FIFO arrival order.
         self._pool: dict[str, Transaction] = {}
         self._arrivals: dict[str, float] = {}
-        #: Cluster-wide lifecycle tracer (attached by the platform node).
-        #: Admission is stamped here rather than in the node's
-        #: ``_admit`` because the gossip path admits transactions
-        #: without it.
-        self.tracer = None
 
     def add(self, tx: Transaction, now: float = 0.0) -> bool:
         """Queue ``tx``; returns False on a duplicate."""
@@ -33,8 +28,6 @@ class Mempool:
             return False
         self._pool[tx.tx_id] = tx
         self._arrivals[tx.tx_id] = now
-        if self.tracer is not None:
-            self.tracer.record_admit(tx.tx_id, now)
         return True
 
     def oldest_pending_age(self, now: float) -> float:

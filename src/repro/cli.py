@@ -51,7 +51,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import fields
+from dataclasses import asdict, fields
 from typing import Sequence
 
 from .core import (
@@ -193,12 +193,6 @@ def _build_parser() -> argparse.ArgumentParser:
              "byte-identical across W, only execution time shrinks)",
     )
     run.add_argument(
-        "--no-trace-stages", action="store_false", dest="trace_stages",
-        help="disable per-transaction lifecycle stage tracing (drops "
-             "the stage breakdown from the output; the simulated "
-             "timeline is identical either way)",
-    )
-    run.add_argument(
         "--stats-reservoir", type=int, metavar="K", default=0,
         help="cap per-collector latency samples at K via reservoir "
              "sampling (0 = unbounded, the default; see "
@@ -289,8 +283,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--bottleneck", action="store_true",
         help="per-run lifecycle stage breakdown: where each "
              "transaction's end-to-end latency was spent, with the "
-             "dominant stage marked (requires runs recorded with "
-             "trace_stages on, the default)",
+             "dominant stage marked",
     )
     report.add_argument(
         "--json", action="store_true", help="machine-readable output"
@@ -422,11 +415,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
             payload["sync_requests"] = summary.sync_requests
             payload["sync_blocks"] = summary.sync_blocks
             payload["sync_bytes"] = summary.sync_bytes
-        if breakdown is not None:
-            import dataclasses
-
-            payload["dominant_stage"] = breakdown.dominant_stage()
-            payload["stage_breakdown"] = dataclasses.asdict(breakdown)
+        payload["dominant_stage"] = breakdown.dominant_stage()
+        payload["stage_breakdown"] = asdict(breakdown)
         print(json.dumps(payload))
         return 0
     rows = [
@@ -479,7 +469,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
             ),
         )
     )
-    if breakdown is not None and breakdown.traced:
+    if breakdown.traced:
         from .core import bottleneck_table
 
         print()
@@ -509,8 +499,6 @@ def _cmd_report(args: argparse.Namespace) -> int:
         breakdown = StageBreakdown.from_dict(raw) if raw is not None else None
         entries.append((hash_, name, breakdown))
     if args.json:
-        import dataclasses
-
         payload = {
             "dir": args.dir,
             "runs": [
@@ -521,7 +509,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
                         breakdown.dominant_stage() if breakdown else None
                     ),
                     "stage_breakdown": (
-                        dataclasses.asdict(breakdown) if breakdown else None
+                        asdict(breakdown) if breakdown else None
                     ),
                 }
                 for hash_, name, breakdown in entries
@@ -538,8 +526,9 @@ def _cmd_report(args: argparse.Namespace) -> int:
         print()
     if untraced:
         print(
-            f"{untraced} run(s) without a stage breakdown (recorded with "
-            "trace_stages off, or by an older build)",
+            f"{untraced} run(s) without a stage breakdown to show (a run "
+            "file written before stage tracing, or no transaction traced "
+            "end to end)",
             file=sys.stderr,
         )
     return 0

@@ -118,7 +118,8 @@ def _delta(spec_hash: str, base: dict, current: dict, threshold: float) -> RunDe
         base_safety=base_summary.get("safety_violations", 0),
         current_safety=cur_summary.get("safety_violations", 0),
     )
-    # Stage attribution: when both sides were traced, pin the movement
+    # Stage attribution: when both sides carry a breakdown (run files
+    # written before tracing existed have none), pin the movement
     # to lifecycle stages so a regression names *where* it happened,
     # not just that the top line moved.
     base_bd = base_summary.get("stage_breakdown")

@@ -45,6 +45,7 @@ from ..sim import Scheduler, SimCoroutine, SimFuture, spawn
 from ..util.names import IndexedNames
 from .connector import RPCClient, SimChainConnector
 from .stats import StatsCollector, merge_collectors
+from .trace import StageTracer
 from .workload import ArrivalGenerator, ArrivalSpec, Workload
 
 
@@ -156,8 +157,8 @@ class _LoadDriver:
         self.workload = workload
         self.config = config
         self.scheduler: Scheduler = cluster.scheduler
-        #: Cluster lifecycle tracer (None when trace_stages is off).
-        self.tracer = getattr(cluster, "tracer", None)
+        #: The cluster's lifecycle tracer.
+        self.tracer: StageTracer = cluster.tracer
         self.connectors: list[SimChainConnector] = []
         self.stats_slots: list[StatsCollector] = []
         # Outstanding = submitted, awaiting confirmation.
@@ -258,8 +259,7 @@ class _LoadDriver:
             # submitted and the poller will confirm it.
             self.backoffs[slot] = self.config.retry_interval_s
             self.outstanding[slot][tx.tx_id] = submit_time
-            if self.tracer is not None:
-                self.tracer.record_submit(tx.tx_id, submit_time)
+            self.tracer.record_submit(tx.tx_id, submit_time)
             self._accepted(slot)
         else:
             self.stats_slots[slot].record_rejection()
@@ -309,13 +309,13 @@ class _LoadDriver:
                 if submitted_at <= self._deadline:
                     confirmed_at = self.scheduler.now
                     stats.record_confirmation(submitted_at, confirmed_at)
-                    if self.tracer is not None:
-                        self.tracer.record_notify(tx_id, confirmed_at)
+                    self.tracer.record_notify(tx_id, confirmed_at)
                 self._confirmed(slot)
 
     def _tick_sample(self) -> None:
         if not self._running:
             return
+        self.tracer.sample()
         self._sample(self.scheduler.now)
         self.scheduler.schedule(
             self.config.queue_sample_interval_s, self._tick_sample
@@ -470,17 +470,8 @@ class Driver(_LoadDriver):
 
     def _sample(self, now: float) -> None:
         for slot, stats in enumerate(self.stats_slots):
-            # Stage-depth gauges are cluster-global; exactly one client
-            # samples them so the merge doesn't multiply the series.
-            depths = (
-                self.tracer.queue_depths()
-                if slot == 0 and self.tracer is not None
-                else None
-            )
             stats.record_queue_length(
-                now,
-                len(self.outstanding[slot]) + len(self.backlogs[slot]),
-                stage_depths=depths,
+                now, len(self.outstanding[slot]) + len(self.backlogs[slot])
             )
 
     def _collect(self) -> StatsCollector:
@@ -586,10 +577,7 @@ class OpenLoopDriver(_LoadDriver):
         return sum(len(o) for o in self.outstanding) + self._retries_pending
 
     def _sample(self, now: float) -> None:
-        depths = self.tracer.queue_depths() if self.tracer is not None else None
-        self.stats.record_queue_length(
-            now, self.queue_length(), stage_depths=depths
-        )
+        self.stats.record_queue_length(now, self.queue_length())
 
     def _collect(self) -> StatsCollector:
         return self.stats

@@ -351,7 +351,7 @@ class FaultSchedule:
         shared: dict[str, Any] = {}
         armed: list[str] = []
         for node in targets:
-            if node.crashed or node.protocol is None:
+            if node.crashed:
                 continue
             cluster.network.set_send_filter(
                 node.node_id, factory(node, cluster.network, fault, shared)
@@ -361,9 +361,7 @@ class FaultSchedule:
             n for n in armed if n not in self.byzantine_node_ids
         )
         label = f"{fault.behavior} x{len(armed)}"
-        auditor = getattr(cluster, "auditor", None)
-        if auditor is not None:
-            auditor.fault_started(label)
+        cluster.auditor.fault_started(label)
         cluster.scheduler.schedule_at(
             fault.until_time, self._stop_byzantine, cluster, armed, label
         )
@@ -373,9 +371,7 @@ class FaultSchedule:
     ) -> None:
         for node_id in armed:
             cluster.network.clear_send_filter(node_id)
-        auditor = getattr(cluster, "auditor", None)
-        if auditor is not None:
-            auditor.fault_ended(label)
+        cluster.auditor.fault_ended(label)
 
 
 _FAULT_TYPES = {

@@ -75,10 +75,6 @@ class ExperimentSpec:
     #: Bound the latency sample set in memory (reservoir size; 0 keeps
     #: every sample). See StatsCollector for the accuracy tradeoff.
     stats_reservoir: int = _since_schema(DriverConfig.stats_reservoir)
-    #: Record per-transaction lifecycle stage timestamps
-    #: (repro.core.trace) and attach a StageBreakdown to the summary.
-    #: Off produces byte-identical output to a build without tracing.
-    trace_stages: bool = _since_schema(True)
     with_monitor: bool = False
     faults: FaultSchedule | None = None
     #: JSON-shaped platform-knob overrides (scenario-file ``overrides``)
@@ -174,7 +170,6 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
         seed=spec.seed,
         config_overrides=spec.config_overrides or None,
         with_monitor=spec.with_monitor,
-        trace_stages=spec.trace_stages,
     )
     workload_params = dict(spec.workload_params)
     if spec.read_ratio is not None:
@@ -194,16 +189,10 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
     view_changes = 0
     for node in cluster.nodes:
         view_changes += getattr(node.protocol, "view_changes_started", 0)
-    audit_report = (
-        cluster.auditor.report() if cluster.auditor is not None else None
-    )
+    audit_report = cluster.auditor.report()
     summary = stats.summary()
-    if audit_report is not None:
-        summary.safety_violations = len(audit_report.violations)
-    if cluster.tracer is not None:
-        summary.stage_breakdown = cluster.tracer.breakdown(
-            stats.stage_queue_samples
-        )
+    summary.safety_violations = len(audit_report.violations)
+    summary.stage_breakdown = cluster.tracer.breakdown()
     summary.recovery_time_s = cluster.recovery_times()
     sync = cluster.sync_traffic()
     summary.sync_requests = sync["requests"]
@@ -222,7 +211,7 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
         view_changes=view_changes,
         stale_executions=cluster.stale_executions(),
         safety_violations=summary.safety_violations,
-        safety_report=audit_report.to_json() if audit_report else None,
+        safety_report=audit_report.to_json(),
     )
     cluster.close()
     return result

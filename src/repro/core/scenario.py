@@ -267,11 +267,6 @@ class ScenarioSpec:
     #: Latency-sample reservoir bound for every grid point (0 = keep
     #: every sample). See StatsCollector.
     stats_reservoir: int = ExperimentSpec.stats_reservoir
-    #: Record lifecycle stage timestamps (repro.core.trace) and attach
-    #: a StageBreakdown to every grid point's summary. Not an axis: the
-    #: timeline is identical either way, so sweeping it would duplicate
-    #: grid points.
-    trace_stages: bool = ExperimentSpec.trace_stages
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "ScenarioSpec":

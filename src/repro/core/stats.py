@@ -35,9 +35,10 @@ class StatsSummary:
     #: (fork / garbage digest / height regression). Defaulted so
     #: summaries persisted before the auditor existed still load.
     safety_violations: int = 0
-    #: Per-stage lifecycle breakdown (repro.core.trace). None when the
-    #: ``trace_stages`` knob is off — and omitted from persisted run
-    #: JSON in that case, keeping pre-tracing output byte-identical.
+    #: Per-stage lifecycle breakdown (repro.core.trace), attached by
+    #: ``run_experiment`` from the cluster's tracer. None on a bare
+    #: ``StatsCollector.summary()`` and on run files written before
+    #: tracing existed, which carry no such key.
     stage_breakdown: StageBreakdown | None = field(default=None)
     #: Per-node crash-recovery duration (crash -> caught up and voting
     #: again), keyed by node id. Empty — and omitted from persisted run
@@ -64,7 +65,9 @@ class StatsCollector:
     unbounded: every sample kept, byte-identical to the pre-reservoir
     collector. Confirmation *counts* are exact either way — only the
     latency sample set is bounded (``confirm_times`` collapses into
-    exact one-second buckets in reservoir mode).
+    exact one-second buckets in reservoir mode). ``queue_samples`` is
+    the client side's outstanding queue only; the cluster's per-stage
+    backlog gauges are sampled and summed by its ``StageTracer``.
     """
 
     def __init__(
@@ -83,12 +86,6 @@ class StatsCollector:
         self.latencies = array("d")
         self.confirm_times = array("d")
         self.queue_samples: list[tuple[float, int]] = []
-        #: Per-stage backlog samples ``(t, mempool, consensus,
-        #: execution)`` from the tracer's gauges — recorded by exactly
-        #: one collector per run (the sampling client), alongside the
-        #: legacy scalar series which stays the client's outstanding
-        #: queue so existing figure harnesses are untouched.
-        self.stage_queue_samples: list[tuple[float, int, int, int]] = []
         self.start_time = 0.0
         self.end_time = 0.0
         self.reservoir = reservoir
@@ -145,21 +142,9 @@ class StatsCollector:
         bucket = int(confirmed_at)
         self._confirm_buckets[bucket] = self._confirm_buckets.get(bucket, 0) + 1
 
-    def record_queue_length(
-        self,
-        now: float,
-        length: int,
-        stage_depths: tuple[int, int, int] | None = None,
-    ) -> None:
-        """Sample the client's outstanding-transaction queue.
-
-        ``stage_depths`` optionally carries the tracer's per-stage
-        backlog gauges (mempool, consensus in-flight, execution) taken
-        at the same instant.
-        """
+    def record_queue_length(self, now: float, length: int) -> None:
+        """Sample the client's outstanding-transaction queue."""
         self.queue_samples.append((now, length))
-        if stage_depths is not None:
-            self.stage_queue_samples.append((now, *stage_depths))
 
     # ------------------------------------------------------------------
     # Derived metrics
@@ -293,16 +278,4 @@ def merge_collectors(collectors: list[StatsCollector]) -> StatsCollector:
         for t, length in collector.queue_samples:
             by_time[t] = by_time.get(t, 0) + length
     merged.queue_samples = sorted(by_time.items())
-    # Stage backlog samples: the gauges are cluster-global, so summing
-    # across collectors would multiply them — but only one collector
-    # per run records them, making the per-timestamp merge a no-op
-    # passthrough that still tolerates future multi-sampler setups by
-    # keeping the latest sample per timestamp.
-    by_time_stages: dict[float, tuple[int, int, int]] = {}
-    for collector in collectors:
-        for t, mempool, consensus, execution in collector.stage_queue_samples:
-            by_time_stages[t] = (mempool, consensus, execution)
-    merged.stage_queue_samples = [
-        (t, *depths) for t, depths in sorted(by_time_stages.items())
-    ]
     return merged

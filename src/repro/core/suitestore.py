@@ -141,10 +141,10 @@ def spec_hash(spec: ExperimentSpec) -> str:
 # Result (de)serialization
 # ---------------------------------------------------------------------------
 def _summary_to_dict(summary: StatsSummary) -> dict[str, Any]:
-    """``asdict`` with the stage breakdown omitted when tracing was
-    off — run files then stay byte-identical to the pre-tracing
-    schema. Recovery metrics are likewise omitted when nothing
-    recovered during the run."""
+    """``asdict`` with the stage breakdown omitted when the summary has
+    none (one loaded from a run file written before tracing existed
+    re-serializes to the same bytes). Recovery metrics are omitted when
+    nothing recovered during the run."""
     data = asdict(summary)
     if data.get("stage_breakdown") is None:
         data.pop("stage_breakdown", None)

@@ -42,17 +42,18 @@ Derived intervals (what the bottleneck table shows)::
     notification  commit -> notify     result propagation back to client
 
 Recording is append-only bookkeeping: the tracer never charges CPU and
-never schedules events, so the simulated timeline with tracing on is
-*identical* to tracing off — the ``trace_stages`` knob only controls
-whether the bookkeeping happens (pinned byte-identical by
+never schedules events, so the simulated timeline is the one a build
+without it ran — which is why every cluster has one and nothing turns
+it off (pinned against pre-tracing digests by
 ``tests/core/test_trace_differential.py``). Stamps are clamped to be
 monotone per transaction (a stage never precedes an earlier stage);
 the only path where the raw clock would run backwards is a pub/sub
 event raced against the block's charged execution window, an artifact
 of charging CPU after the publish rather than before.
 
-The tracer also maintains O(1) per-stage backlog gauges sampled by the
-driver's existing queue sampler (no new events):
+The tracer also maintains O(1) per-stage backlog gauges. The driver's
+queue-sampling tick calls :meth:`StageTracer.sample` (no new events),
+which folds them into running integer sums, a sample count and peaks:
 
     mempool    admitted, not yet proposed
     consensus  proposed, not yet decided
@@ -185,7 +186,10 @@ class StageTracer:
     ChainAuditor). Hot-path methods are dict/list operations only; the
     stamp that completes a row also packs it, once per transaction."""
 
-    __slots__ = ("_stamps", "_packed", "_depths", "_block_stages")
+    __slots__ = (
+        "_stamps", "_packed", "_depths", "_block_stages",
+        "_depth_sums", "_depth_peaks", "_samples",
+    )
 
     def __init__(self) -> None:
         #: tx_id -> its row. In flight: a list of 7 stamp slots (None
@@ -199,6 +203,11 @@ class StageTracer:
         self._block_stages: set[tuple[int, tuple[str, ...]]] = set()
         #: Live backlog gauges, pipeline order (QUEUE_GAUGES).
         self._depths = [0, 0, 0]
+        #: Per gauge, the sum and the peak of its sampled depths; and
+        #: how many samples :meth:`sample` has taken.
+        self._depth_sums = [0, 0, 0]
+        self._depth_peaks = [0, 0, 0]
+        self._samples = 0
 
     # ------------------------------------------------------------------
     # Recording (hot path)
@@ -321,16 +330,24 @@ class StageTracer:
         depths = self._depths
         return (depths[0], depths[1], depths[2])
 
+    def sample(self) -> None:
+        """Fold the current gauges into the sampled sums and peaks (once
+        per driver queue-sampling tick). The peaks start from the first
+        sample, as ``max`` over the series would."""
+        sums, peaks = self._depth_sums, self._depth_peaks
+        first = not self._samples
+        for gauge, depth in enumerate(self._depths):
+            sums[gauge] += depth
+            if first or depth > peaks[gauge]:
+                peaks[gauge] = depth
+        self._samples += 1
+
     # ------------------------------------------------------------------
     # Aggregation (end of run)
     # ------------------------------------------------------------------
-    def breakdown(
-        self, stage_queue_samples: list[tuple[float, int, int, int]] | None = None
-    ) -> StageBreakdown:
-        """Aggregate recorded lifecycles into a :class:`StageBreakdown`.
-
-        ``stage_queue_samples`` is the driver-sampled ``(t, mempool,
-        consensus, execution)`` series from the StatsCollector.
+    def breakdown(self) -> StageBreakdown:
+        """Aggregate recorded lifecycles and the sampled gauges into a
+        :class:`StageBreakdown`.
 
         One interval's values are alive at a time: this runs after the
         simulation with every stamp row still held, so six value lists
@@ -361,18 +378,15 @@ class StageTracer:
                 )
             )
             del values  # free before the next interval's list is built
-        depth_avg: dict[str, float] = {}
-        depth_peak: dict[str, int] = {}
-        samples = stage_queue_samples or []
-        for col, gauge in enumerate(QUEUE_GAUGES, start=1):
-            series = [sample[col] for sample in samples]
-            depth_avg[gauge] = (sum(series) / len(series)) if series else 0.0
-            depth_peak[gauge] = max(series) if series else 0
+        samples = self._samples
         return StageBreakdown(
             traced=traced,
             partial=partial,
             end_to_end_avg_s=(e2e_total / traced) if traced else 0.0,
             stages=stages,
-            queue_depth_avg=depth_avg,
-            queue_depth_peak=depth_peak,
+            queue_depth_avg={
+                gauge: (total / samples) if samples else 0.0
+                for gauge, total in zip(QUEUE_GAUGES, self._depth_sums)
+            },
+            queue_depth_peak=dict(zip(QUEUE_GAUGES, self._depth_peaks)),
         )

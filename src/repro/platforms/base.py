@@ -41,6 +41,8 @@ from ..sim import Message, Network, RngRegistry, Scheduler, SimNode
 from ..util.lru import LRUCache
 
 if TYPE_CHECKING:  # pragma: no cover
+    from ..core.audit import ChainAuditor
+    from ..core.trace import StageTracer
     from ..core.txsched import TxView
     from ..crypto.trie import DictNodeStore
 
@@ -489,6 +491,12 @@ class PlatformNode(SimNode):
     #: :meth:`attach_execution_cache`, which ``build_cluster`` calls.
     execution_cache: ExecutionCache
     receipts: ExecutedReceipts
+    #: The cluster's safety auditor, which sees every block this node
+    #: finalizes, and its lifecycle tracer, which this node stamps
+    #: admit/propose/decide/execute/commit into; set by
+    #: :meth:`attach_auditor` and :meth:`attach_tracer`.
+    auditor: ChainAuditor
+    tracer: StageTracer
 
     def __init__(
         self,
@@ -517,12 +525,6 @@ class PlatformNode(SimNode):
         #: mismatch count is exactly the double-spend exposure a
         #: depth-d client had (used by the confirmation-depth ablation).
         self.executed_block_hashes: dict[int, Hash] = {}
-        #: Cluster-wide safety auditor (attached by build_cluster);
-        #: sees every block this node finalizes.
-        self.auditor = None
-        #: Cluster-wide lifecycle tracer (attached by build_cluster);
-        #: stamps propose/decide/execute/commit for every transaction.
-        self.tracer = None
         # Statistics.
         self.committed_tx_count = 0
         self.failed_tx_count = 0
@@ -579,19 +581,13 @@ class PlatformNode(SimNode):
         self.state.attach_execution_cache(cache)
         self.receipts = ExecutedReceipts(cache.tx_index)
 
-    def attach_auditor(self, auditor) -> None:
+    def attach_auditor(self, auditor: ChainAuditor) -> None:
         """Subscribe a cluster-wide safety auditor to this node's commits."""
         self.auditor = auditor
 
-    def attach_tracer(self, tracer) -> None:
-        """Share one cluster-wide :class:`StageTracer` with this node.
-
-        The mempool gets its own reference because admission happens
-        inside ``Mempool.add`` (the only point common to direct
-        ingress, Parity's signing queue, and gossip).
-        """
+    def attach_tracer(self, tracer: StageTracer) -> None:
+        """Share one cluster-wide :class:`StageTracer` with this node."""
         self.tracer = tracer
-        self.mempool.tracer = tracer
 
     # ------------------------------------------------------------------
     # ConsensusHost interface
@@ -649,7 +645,7 @@ class PlatformNode(SimNode):
             timestamp=self.now,
             consensus_meta=consensus_meta,
         )
-        if self.tracer is not None and txs:
+        if txs:
             self.tracer.record_propose(block.tx_ids, self.now)
         return block
 
@@ -680,11 +676,10 @@ class PlatformNode(SimNode):
             self.executed_height = block.height
 
     def _execute_block(self, block: Block) -> None:
-        tracer = self.tracer if block.transactions else None
-        if tracer is not None:
+        if block.transactions:
             # The first replica to reach this point stamps the decide
             # time for the whole cluster (later replicas are no-ops).
-            tracer.record_decide(block.tx_ids, self.now)
+            self.tracer.record_decide(block.tx_ids, self.now)
         cache = self.execution_cache
         pre_root = self.state.pre_state_root()
         entry = cache.lookup(pre_root, block.hash)
@@ -732,17 +727,16 @@ class PlatformNode(SimNode):
         root = self.state.commit_block(block.height)
         self._height_roots[block.height] = root
         self.executed_block_hashes[block.height] = block.hash
-        if self.auditor is not None:
-            self.auditor.record_commit(self.node_id, block, self.now)
-        if tracer is not None:
+        self.auditor.record_commit(self.node_id, block, self.now)
+        if block.transactions:
             # Execution completes once the charged CPU below has been
             # paid; stamping at now + seconds attributes that cost to
             # the execution interval instead of hiding it in result
             # propagation. The state commit itself carries no separate
             # charge in the cost model, so commit == execute.
             done = self.now + seconds
-            tracer.record_execute(block.tx_ids, done)
-            tracer.record_commit(block.tx_ids, done)
+            self.tracer.record_execute(block.tx_ids, done)
+            self.tracer.record_commit(block.tx_ids, done)
         self._charge(seconds)
 
     def _execute_block_parallel(self, block: Block):
@@ -886,6 +880,7 @@ class PlatformNode(SimNode):
     # -- transaction admission -------------------------------------------
     def _on_tx_gossip(self, tx: Transaction) -> None:
         if self.mempool.add(tx, self.now):
+            self.tracer.record_admit(tx.tx_id, self.now)
             self.protocol.on_new_pending_tx()
 
     def has_receipt(self, tx_id: str) -> bool:
@@ -915,6 +910,7 @@ class PlatformNode(SimNode):
         pool refuses it (a duplicate)."""
         if not self.mempool.add(tx, self.now):
             return False
+        self.tracer.record_admit(tx.tx_id, self.now)
         targets = self._gossip_targets(tx)
         for peer in targets:
             self.network.send(self.node_id, peer, TX_GOSSIP, tx, tx.size_bytes())
@@ -1056,8 +1052,7 @@ class PlatformNode(SimNode):
         self._recovering = True
         self._recovery_started_at = self.now
         self._sync_view_hint = 0
-        if self.auditor is not None:
-            self.auditor.node_recovering(self.node_id, cold=(mode == "cold"))
+        self.auditor.node_recovering(self.node_id, cold=(mode == "cold"))
         if mode == "cold":
             self.state.close()
             self.state = self._new_state()
@@ -1181,10 +1176,7 @@ class PlatformNode(SimNode):
         """Caught up: record the cycle and rejoin consensus."""
         self._recovering = False
         self.recovery_times.append(self.now - self._recovery_started_at)
-        if self.auditor is not None:
-            self.auditor.node_recovered(
-                self.node_id, self._chain.height, self.now
-            )
+        self.auditor.node_recovered(self.node_id, self._chain.height, self.now)
         view_hint = self._sync_view_hint
         if not self.peers:
             view_hint = max(view_hint, self.protocol.sync_hint())

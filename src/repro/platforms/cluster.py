@@ -39,11 +39,11 @@ class Cluster:
     network: Network
     rng: RngRegistry
     nodes: list[PlatformNode]
+    #: The chain safety auditor (fork/digest/monotonicity checks).
+    auditor: ChainAuditor
+    #: The lifecycle stage tracer (repro.core.trace).
+    tracer: StageTracer
     monitor: ResourceMonitor | None = None
-    #: Always-on chain safety auditor (fork/digest/monotonicity checks).
-    auditor: ChainAuditor | None = None
-    #: Lifecycle stage tracer (``trace_stages`` knob; None when off).
-    tracer: StageTracer | None = None
 
     def node_ids(self) -> list[str]:
         return [node.node_id for node in self.nodes]
@@ -160,7 +160,6 @@ def build_cluster(
     seed: int = 42,
     config_overrides: dict | None = None,
     with_monitor: bool = False,
-    trace_stages: bool = True,
 ) -> Cluster:
     """Build and start an N-node testnet of ``platform``.
 
@@ -192,21 +191,17 @@ def build_cluster(
     for node in nodes:
         node.attach_execution_cache(cache)
 
-    # Always-on safety auditor: every node's finalized blocks feed the
-    # fork/digest/monotonicity checks (ISSUE: adversarial fault axis).
+    # One safety auditor per cluster, always: every node's finalized
+    # blocks feed the fork/digest/monotonicity checks.
     auditor = ChainAuditor(network)
+    # One lifecycle stage tracer per cluster, always (repro.core.trace):
+    # it stamps admit/propose/decide/execute/commit for every
+    # transaction through protocol-neutral hooks, and never charges CPU
+    # or schedules events, so it changes no run's output.
+    tracer = StageTracer()
     for node in nodes:
         node.attach_auditor(auditor)
-
-    # Lifecycle stage tracer (repro.core.trace): one shared recorder
-    # stamps admit/propose/decide/execute/commit for every transaction
-    # through protocol-neutral hooks. Recording never charges CPU or
-    # schedules events, so the timeline is identical with it off.
-    tracer = None
-    if trace_stages:
-        tracer = StageTracer()
-        for node in nodes:
-            node.attach_tracer(tracer)
+        node.attach_tracer(tracer)
 
     for node in nodes:
         node.set_peers(ids)
@@ -225,7 +220,7 @@ def build_cluster(
         network=network,
         rng=rng,
         nodes=nodes,
-        monitor=monitor,
         auditor=auditor,
         tracer=tracer,
+        monitor=monitor,
     )

@@ -269,7 +269,7 @@ def test_clean_compare_reports_stage_deltas_without_attribution(tmp_path):
 
 
 def test_runs_without_breakdowns_compare_without_attribution(tmp_path):
-    """Stores written with trace_stages off still compare cleanly."""
+    """Stores written before stage tracing existed still compare cleanly."""
     base = _run_store(tmp_path, "base")
     current = _run_store(tmp_path, "current")
     for store in (base, current):

@@ -85,7 +85,6 @@ def test_scenario_axis_expands_and_labels():
     ).expand()
     assert [spec.read_ratio for spec in specs] == [0.1, 0.9]
     assert [spec.label for spec in specs] == ["rr=0.1", "rr=0.9"]
-    assert all(spec.trace_stages for spec in specs)
 
 
 def test_scenario_single_ratio_has_no_label():
@@ -97,10 +96,3 @@ def test_scenario_single_ratio_has_no_label():
     assert specs[0].read_ratio == 0.5
     assert specs[0].label == ""
 
-
-def test_scenario_trace_stages_knob_reaches_the_spec():
-    specs = ScenarioSpec(
-        platforms="hyperledger", workloads="ycsb", servers=2, clients=2,
-        rates=20, durations=5, seeds=3, trace_stages=False,
-    ).expand()
-    assert [spec.trace_stages for spec in specs] == [False]

@@ -116,9 +116,6 @@ SPEC_PINS = [
     ("read_ratio", ExperimentSpec(read_ratio=0.25),
      "d1d799d0ce677840",
      "7fad8ac72d7df69af12404114f2c122dafd16ba9f5baff6cdfc3f857affe4bfb"),
-    ("trace_stages", ExperimentSpec(trace_stages=False),
-     "c2494738c62a1f8b",
-     "02673ff94e40100442269517672ed23a11416de66115d67d24b9373dc4da7753"),
     ("failover", ExperimentSpec(failover=True),
      "026998cd56e4895e",
      "147e252a77693ceb9332fe6b896f02bde0b1ec883210dfc92a88089b0f556f4e"),

@@ -46,6 +46,17 @@ def _rows(tracer):
     return {tx_id: _row(tracer, tx_id) for tx_id in tracer._stamps}
 
 
+def _sample_series(tracer, series):
+    """Feed ``(mempool, consensus, execution)`` depths through the
+    tracer's sampler, as if its live gauges read each in turn; the live
+    gauges are restored afterwards."""
+    live = list(tracer._depths)
+    for depths in series:
+        tracer._depths[:] = depths
+        tracer.sample()
+    tracer._depths[:] = live
+
+
 # ---------------------------------------------------------------------------
 # StageTracer unit behavior
 # ---------------------------------------------------------------------------
@@ -78,6 +89,25 @@ def test_queue_gauges_track_pipeline_transitions():
     assert tracer.queue_depths() == (1, 0, 0)
 
 
+def test_sample_folds_the_live_gauges_into_avg_and_peak():
+    tracer = StageTracer()
+    tracer.record_admit("a", 1.0)
+    tracer.record_admit("b", 1.0)
+    tracer.sample()  # (2, 0, 0)
+    tracer.record_propose(["a"], 2.0)
+    tracer.sample()  # (1, 1, 0)
+    tracer.record_decide(["a"], 3.0)
+    tracer.sample()  # (1, 0, 1)
+    breakdown = tracer.breakdown()
+    assert breakdown.queue_depth_avg == {
+        "mempool": 4 / 3, "consensus": 1 / 3, "execution": 1 / 3,
+    }
+    assert breakdown.queue_depth_peak == {
+        "mempool": 2, "consensus": 1, "execution": 1,
+    }
+    assert tracer.queue_depths() == (1, 0, 1)  # sampling moves no gauge
+
+
 def test_skipped_stages_never_drive_gauges_negative():
     tracer = StageTracer()
     # decide without admit/propose (e.g. a replayed block's tx).
@@ -97,7 +127,8 @@ def test_breakdown_aggregates_and_counts_partials():
         tracer.record_commit([tx], base + 4.0)
         tracer.record_notify(tx, base + 5.0)
     tracer.record_submit("unfinished", 20.0)
-    breakdown = tracer.breakdown([(0.5, 3, 1, 2), (1.0, 5, 0, 4)])
+    _sample_series(tracer, [(3, 1, 2), (5, 0, 4)])
+    breakdown = tracer.breakdown()
     assert breakdown.traced == 2
     assert breakdown.partial == 1
     assert breakdown.end_to_end_avg_s == pytest.approx(5.0)
@@ -117,7 +148,8 @@ def test_breakdown_dict_round_trip():
         helper("a", 1.0)
     import dataclasses
 
-    breakdown = tracer.breakdown([(0.0, 1, 2, 3)])
+    _sample_series(tracer, [(1, 2, 3)])
+    breakdown = tracer.breakdown()
     rebuilt = StageBreakdown.from_dict(dataclasses.asdict(breakdown))
     assert rebuilt == breakdown
 
@@ -248,7 +280,10 @@ _tx_rows = st.tuples(
     ),
     st.permutations(range(len(STAGES))),
 )
-_depth = st.integers(0, 1000)
+#: A run's gauges never go negative; negative depths here pin that the
+#: sampled peak starts from the first sample, as ``max`` over the series
+#: does, not from 0.
+_depth = st.integers(-1000, 1000)
 _queue_samples = st.lists(st.tuples(_times, _depth, _depth, _depth), max_size=8)
 
 
@@ -260,8 +295,10 @@ def test_property_breakdown_equals_the_six_list_reference(rows, samples):
         for stage in order:
             if times[stage] is not None:
                 tracer.record(f"tx{i}", stage, times[stage])
-    # == on the dataclasses compares every float bit for bit.
-    assert tracer.breakdown(samples) == _reference_breakdown(tracer, samples)
+    _sample_series(tracer, [sample[1:] for sample in samples or []])
+    # == on the dataclasses compares every float bit for bit, the
+    # sampled queue_depth_avg / queue_depth_peak included.
+    assert tracer.breakdown() == _reference_breakdown(tracer, samples)
 
 
 def _tx_ids(rows):
@@ -413,7 +450,10 @@ def _drive(platform: str, open_loop: bool = False):
     driver.prepare()
     stats = driver.run(extra_drain_s=5.0)
     tracer = cluster.tracer
-    breakdown = tracer.breakdown(stats.stage_queue_samples)
+    # The driver samples the gauges once per queue-sampling tick, not
+    # once per client.
+    assert tracer._samples == len(stats.queue_samples) > 0
+    breakdown = tracer.breakdown()
     stamps = _rows(tracer)
     summary = stats.summary()
     cluster.close()
@@ -480,6 +520,33 @@ def test_stage_averages_telescope_to_end_to_end(platform):
     ]
 
 
+@pytest.mark.parametrize("platform", PLATFORMS)
+def test_one_admit_stamp_per_pooled_transaction(platform, monkeypatch):
+    """The node stamps admission wherever it pools a transaction —
+    direct ingress, Parity's signing queue and gossip alike — so every
+    ``Mempool.add`` that returns True is followed by one
+    ``record_admit``, and no other call reaches it."""
+    from repro.chain import Mempool
+
+    assert not hasattr(Mempool(), "tracer")
+    counts = {"pooled": 0, "stamped": 0}
+    add, record_admit = Mempool.add, StageTracer.record_admit
+
+    def counting_add(self, tx, now=0.0):
+        pooled = add(self, tx, now)
+        counts["pooled"] += pooled
+        return pooled
+
+    def counting_record_admit(self, tx_id, now):
+        counts["stamped"] += 1
+        record_admit(self, tx_id, now)
+
+    monkeypatch.setattr(Mempool, "add", counting_add)
+    monkeypatch.setattr(StageTracer, "record_admit", counting_record_admit)
+    _drive(platform)
+    assert counts["stamped"] == counts["pooled"] > 0
+
+
 def test_subscribe_path_stamps_notify():
     """ErisDB's pub/sub confirmation feed reaches the notify hook."""
     result = run_experiment(
@@ -498,12 +565,6 @@ def test_run_experiment_attaches_breakdown_only_when_tracing():
         platform="hyperledger", workload="ycsb", n_servers=2, n_clients=2,
         request_rate_tx_s=20.0, duration_s=5.0, seed=3,
     )
-    traced = run_experiment(spec)
-    assert traced.summary.stage_breakdown is not None
-    from dataclasses import replace
-
-    untraced = run_experiment(replace(spec, trace_stages=False))
-    assert untraced.summary.stage_breakdown is None
-    # The simulated outcome is identical either way.
-    assert untraced.summary.confirmed == traced.summary.confirmed
-    assert untraced.summary.latency_avg_s == traced.summary.latency_avg_s
+    breakdown = run_experiment(spec).summary.stage_breakdown
+    assert breakdown is not None and breakdown.traced > 0
+    assert set(breakdown.queue_depth_peak) == set(QUEUE_GAUGES)

@@ -2,18 +2,12 @@
 
 The digests below were captured on the commit *before* the tracing
 subsystem existed, over the canonical JSON of ``result_to_dict`` for one
-short run per platform. Two claims are pinned against them:
+short run per platform. Every cluster has a tracer, so every run file
+is the pre-tracing file plus exactly one new key —
+``summary.stage_breakdown``. Dropping that key reproduces the old
+bytes, so every metric, series, and the spec hash itself are untouched.
 
-1. With tracing ON (the default), the run file is the pre-tracing file
-   plus exactly one new key — ``summary.stage_breakdown``. Dropping that
-   key reproduces the old bytes, so every metric, series, and the spec
-   hash itself are untouched.
-2. With tracing OFF, the only difference is the (non-default)
-   ``trace_stages: false`` knob recorded in the spec; dropping the knob
-   and re-keying the hash reproduces the old bytes, and the summary
-   carries no ``stage_breakdown`` key at all.
-
-If either digest drifts, tracing leaked into the simulation (a charged
+If a digest drifts, tracing leaked into the simulation (a charged
 cost, a scheduled event, a perturbed RNG stream) — exactly the bug class
 this test exists to catch. Recapture the constants only for a change
 that intentionally alters run output.
@@ -21,7 +15,6 @@ that intentionally alters run output.
 
 import hashlib
 import json
-from dataclasses import replace
 
 import pytest
 
@@ -76,16 +69,3 @@ def test_tracing_on_adds_only_the_breakdown(platform):
     data["summary"].pop("stage_breakdown")
     assert _digest(data) == expected_digest
 
-
-@pytest.mark.parametrize("platform", sorted(PRE_TRACING))
-def test_tracing_off_is_byte_identical(platform):
-    expected_hash, expected_digest = PRE_TRACING[platform]
-    spec = replace(_spec(platform), trace_stages=False)
-    data = result_to_dict(run_experiment(spec))
-    assert "stage_breakdown" not in data["summary"]
-    # The knob itself is the one legitimate spec difference; strip it
-    # and the run file must be the pre-tracing bytes.
-    assert data["spec"].pop("trace_stages") is False
-    data["spec_hash"] = spec_hash(replace(spec, trace_stages=True))
-    assert data["spec_hash"] == expected_hash
-    assert _digest(data) == expected_digest

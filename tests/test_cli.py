@@ -322,6 +322,7 @@ def test_suite_missing_file_fails_cleanly(tmp_path, capsys):
          "overrides.tendermint.max_txs_per_block: must be >= 1"),
         ({"overrides": {"execution_cache": False}},
          "overrides.execution_cache"),
+        ({"trace_stages": False}, "unknown scenario keys ['trace_stages']"),
     ],
 )
 def test_suite_mistyped_values_fail_cleanly(tmp_path, capsys, scenario, where):
@@ -526,11 +527,12 @@ def test_run_prints_bottleneck_table_by_default(capsys):
     assert "<--" in out  # the dominant-stage marker
 
 
-def test_run_no_trace_stages_drops_the_breakdown(capsys):
-    assert main(list(_SHORT_RUN) + ["--no-trace-stages"]) == 0
-    out = capsys.readouterr().out
-    assert "lifecycle stage breakdown" not in out
-    assert "throughput (tx/s)" in out  # the summary itself is untouched
+def test_run_no_trace_stages_is_rejected(capsys):
+    """Every run traces: the flag that turned tracing off is gone."""
+    with pytest.raises(SystemExit) as exit_info:
+        main(list(_SHORT_RUN) + ["--no-trace-stages"])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --no-trace-stages" in capsys.readouterr().err
 
 
 def test_run_json_carries_the_breakdown_and_dominant_stage(capsys):
@@ -543,13 +545,6 @@ def test_run_json_carries_the_breakdown_and_dominant_stage(capsys):
     breakdown = payload["stage_breakdown"]
     assert breakdown["traced"] > 0
     assert len(breakdown["stages"]) == 6
-
-
-def test_run_json_omits_breakdown_when_tracing_off(capsys):
-    assert main(list(_SHORT_RUN) + ["--no-trace-stages", "--json"]) == 0
-    payload = json.loads(capsys.readouterr().out)
-    assert "stage_breakdown" not in payload
-    assert "dominant_stage" not in payload
 
 
 def test_run_read_ratio_flag_reaches_the_workload(capsys):
