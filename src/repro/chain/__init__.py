@@ -3,11 +3,12 @@
 from .block import GENESIS_PARENT, Block, BlockHeader, genesis_block
 from .blockchain import Blockchain
 from .mempool import Mempool
-from .transaction import Receipt, Transaction
+from .transaction import BlockReceipts, Receipt, Transaction
 
 __all__ = [
     "GENESIS_PARENT",
     "Block",
+    "BlockReceipts",
     "BlockHeader",
     "genesis_block",
     "Blockchain",

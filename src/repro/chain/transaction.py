@@ -13,6 +13,8 @@ block seal).
 
 from __future__ import annotations
 
+from array import array
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -109,9 +111,9 @@ class Transaction:
 class Receipt:
     """Outcome of executing one transaction inside a committed block.
 
-    A pure function of (pre-state, block), hence immutable: through the
-    cluster's execution cache, every replica's ``receipts`` map holds the
-    first executor's objects.
+    A pure function of (pre-state, block), hence immutable. Replicas do
+    not keep these: a block's outcome is one :class:`BlockReceipts`
+    record, which builds a receipt when a reader asks for one.
     """
 
     tx_id: str
@@ -120,3 +122,73 @@ class Receipt:
     gas_used: int = 0
     output: Any = None
     error: str = ""
+
+
+#: One transaction's execution outcome as the executor hands it to
+#: :meth:`BlockReceipts.pack`: ``(gas_used, output, error)``, where
+#: ``error`` is None exactly when the transaction succeeded.
+Outcome = tuple[int, Any, "str | None"]
+
+
+@dataclass(frozen=True, slots=True)
+class BlockReceipts:
+    """One block's receipts, stored as columns in block order.
+
+    Every replica keeps the receipts of each block it executed until
+    the report, so the record builds no object of its own per
+    transaction: ``tx_ids`` is the block's own ``Block.tx_ids`` tuple
+    (shared, not copied), ``gas_used`` an ``array('q')``, ``success``
+    one 0/1 byte per transaction, ``outputs`` one tuple, and ``errors``
+    maps the index of each failed transaction to its message. Through the
+    cluster's execution cache every replica files the first executor's
+    record. A :class:`Receipt`, equal field for field to the one the
+    executor would have built, is made only for a reader: by index
+    (:meth:`receipt`), by id (:meth:`find`) or by iteration.
+    """
+
+    tx_ids: tuple[str, ...]
+    height: int
+    gas_used: array
+    success: bytes
+    outputs: tuple[Any, ...]
+    errors: dict[int, str]
+
+    @classmethod
+    def pack(
+        cls, tx_ids: tuple[str, ...], height: int, outcomes: list[Outcome]
+    ) -> "BlockReceipts":
+        """The record of ``outcomes``, one per transaction of ``tx_ids``."""
+        gas_used, outputs, errors = zip(*outcomes) if outcomes else ((), (), ())
+        return cls(
+            tx_ids,
+            height,
+            array("q", gas_used),
+            bytes([error is None for error in errors]),
+            outputs,
+            {i: error for i, error in enumerate(errors) if error is not None},
+        )
+
+    def __len__(self) -> int:
+        return len(self.tx_ids)
+
+    def __iter__(self) -> Iterator[Receipt]:
+        return map(self.receipt, range(len(self.tx_ids)))
+
+    def receipt(self, index: int) -> Receipt:
+        """The receipt of the block's ``index``-th transaction."""
+        return Receipt(
+            self.tx_ids[index],
+            self.height,
+            self.success[index] == 1,
+            self.gas_used[index],
+            self.outputs[index],
+            self.errors.get(index, ""),
+        )
+
+    def find(self, tx_id: str) -> Receipt | None:
+        """``tx_id``'s receipt (its last, should the block hold it twice)."""
+        tx_ids = self.tx_ids
+        for index in range(len(tx_ids) - 1, -1, -1):
+            if tx_ids[index] == tx_id:
+                return self.receipt(index)
+        return None

@@ -227,6 +227,10 @@ class PBFT(ConsensusProtocol):
             _CONTROL_MSG_BYTES,
         )
         self._arm_progress_timer()
+        # With n >= 2 one prepare is short of the quorum (n - f >= 2);
+        # a one-replica cluster commits on its own, with no peer
+        # message to trigger the check.
+        self._check_phase_transitions(seq)
 
     # ------------------------------------------------------------------
     # Message handling

@@ -259,7 +259,8 @@ class FaultSchedule:
         fault's reset clobbering an earlier, still-active one.
         """
         scheduler = cluster.scheduler
-        for crash in self.crashes:
+        for index, crash in enumerate(self.crashes):
+            _check_victims(cluster, f"faults.crashes[{index}]", crash)
             if crash.recovery_mode not in RECOVERY_MODES:
                 raise BenchmarkError(
                     f"unknown recovery_mode {crash.recovery_mode!r} "
@@ -277,7 +278,8 @@ class FaultSchedule:
                 scheduler.schedule_at(
                     crash.recover_at, self._do_recover, cluster, crash
                 )
-        for delay in self.delays:
+        for index, delay in enumerate(self.delays):
+            _check_victims(cluster, f"faults.delays[{index}]", delay)
             scheduler.schedule_at(
                 delay.at_time, self._open_delay, cluster, delay
             )
@@ -290,7 +292,8 @@ class FaultSchedule:
                 partition.at_time, lambda c=cluster: c.partition_halves()
             )
             scheduler.schedule_at(partition.until_time, cluster.network.heal)
-        for byzantine in self.byzantines:
+        for index, byzantine in enumerate(self.byzantines):
+            _check_victims(cluster, f"faults.byzantines[{index}]", byzantine)
             if byzantine.behavior not in BYZANTINE_BEHAVIORS:
                 known = ", ".join(sorted(BYZANTINE_BEHAVIORS))
                 raise BenchmarkError(
@@ -310,7 +313,7 @@ class FaultSchedule:
         count = crash.count if crash.count is not None else 1
         chosen = (
             cluster.nodes[:count] if crash.include_leader
-            else cluster.nodes[-count:]
+            else cluster.nodes[len(cluster.nodes) - count:]
         )
         return [n.node_id for n in chosen]
 
@@ -372,6 +375,23 @@ class FaultSchedule:
         for node_id in armed:
             cluster.network.clear_send_filter(node_id)
         cluster.auditor.fault_ended(label)
+
+
+def _check_victims(cluster: "Cluster", where: str, fault: Any) -> None:
+    """Reject a fault whose ``count`` or ``nodes`` names victims the
+    cluster lacks, instead of silently arming fewer (or none)."""
+    count, size = getattr(fault, "count", None), len(cluster.nodes)
+    if count is not None and count > size:
+        raise BenchmarkError(
+            f"{where}.count: {count} exceeds the cluster's {size} nodes"
+        )
+    if count is not None and count < 0:
+        raise BenchmarkError(f"{where}.count: {count} is negative")
+    if fault.nodes is not None:
+        known = set(cluster.node_ids())
+        for node_id in fault.nodes:
+            if node_id not in known:
+                raise BenchmarkError(f"{where}.nodes: unknown node {node_id!r}")
 
 
 _FAULT_TYPES = {

@@ -19,7 +19,8 @@ Stage points (one timestamp each, first occurrence wins cluster-wide)::
     submit   client handed the tx to the backend (backdated to the
              submission instant, so submit -> notify equals the
              latency the StatsCollector reports)
-    admit    a mempool accepted the tx (any node: direct or gossip)
+    admit    the entry node's mempool accepted the tx (a gossiped copy
+             stamps nothing)
     propose  the tx was batched into a candidate block (assemble_block)
     decide   the block holding the tx reached the platform's commit
              point (PBFT/Tendermint: consensus commit; PoW/PoA: the
@@ -33,7 +34,7 @@ Stage points (one timestamp each, first occurrence wins cluster-wide)::
 
 Derived intervals (what the bottleneck table shows)::
 
-    admission     submit -> admit      ingress + signing + gossip
+    admission     submit -> admit      ingress + signing
     mempool_wait  admit -> propose     queueing before a proposer
     consensus     propose -> decide    ordering (incl. PoW confirmations)
     execution     decide -> execute    charged transaction execution CPU
@@ -289,8 +290,9 @@ class StageTracer:
                 self._pack(tx_id, slots)
 
     def record_admit(self, tx_id: str, now: float) -> None:
-        # Inlined record(): every node's mempool calls this for every
-        # gossiped copy, so most calls are first-occurrence early-outs.
+        # Inlined record(): the entry node calls this once per pooled
+        # transaction; a resubmission pooled at a second entry node
+        # (client failover) is a first-occurrence early-out.
         slots = self._stamps.get(tx_id)
         if slots is None:
             slots = [None] * _N_STAGES + [0.0, _N_STAGES]

@@ -31,7 +31,8 @@ from typing import TYPE_CHECKING, Any
 
 from dataclasses import dataclass
 
-from ..chain import Block, Blockchain, Mempool, Receipt, Transaction
+from ..chain import Block, BlockReceipts, Blockchain, Mempool, Receipt, Transaction
+from ..chain.transaction import Outcome
 from ..config import PlatformConfig
 from ..consensus.base import ConsensusProtocol
 from ..contracts import Contract, TxContext, create_contract
@@ -280,19 +281,17 @@ class _NamespacedState:
 
 
 def tally_receipts(
-    receipts: tuple[Receipt, ...], seconds_per_gas: float
+    receipts: BlockReceipts, seconds_per_gas: float
 ) -> tuple[int, int, float]:
     """``(committed, failed, serial CPU seconds)`` of one block's
-    receipts. The seconds are summed in receipt order, so every replica
+    receipts. The seconds are summed in block order, so every replica
     that adds a shared tally charges the float it would have summed."""
-    committed = 0
     seconds = 0.0
-    for receipt in receipts:
-        # Signature verification was already charged when the block
-        # arrived (message_cost); only execution is charged here.
-        seconds += receipt.gas_used * seconds_per_gas
-        if receipt.success:
-            committed += 1
+    # Signature verification was already charged when the block
+    # arrived (message_cost); only execution is charged here.
+    for gas_used in receipts.gas_used:
+        seconds += gas_used * seconds_per_gas
+    committed = receipts.success.count(1)
     return committed, len(receipts) - committed, seconds
 
 
@@ -300,9 +299,9 @@ def tally_receipts(
 class CachedExecution:
     """Time-independent outcome of executing one block once.
 
-    ``receipts`` holds the first executor's (immutable)
-    :class:`~repro.chain.Receipt` objects, in block order; a replica
-    replaying the entry files that tuple and charges its own simulated
+    ``receipts`` is the first executor's
+    :class:`~repro.chain.BlockReceipts` record; a replica replaying
+    the entry files that record and charges its own simulated
     CPU from ``tally`` — the executor's :func:`tally_receipts`, at the
     ``seconds_per_gas`` every node of the cache's one cluster shares —
     so the simulated timeline is untouched and a replayed block is
@@ -318,7 +317,7 @@ class CachedExecution:
     """
 
     write_set: WriteSet
-    receipts: tuple[Receipt, ...]
+    receipts: BlockReceipts
     #: ``(committed, failed, serial CPU seconds)`` of ``receipts``.
     tally: tuple[int, int, float]
     levels: tuple[int, ...] | None = None
@@ -338,12 +337,11 @@ class TxIndex(dict):
         super().__init__()
         self._indexed: set[Hash] = set()
 
-    def add(self, block_hash: Hash, receipts: tuple[Receipt, ...]) -> None:
+    def add(self, block_hash: Hash, tx_ids: tuple[str, ...]) -> None:
         if block_hash in self._indexed:
             return
         self._indexed.add(block_hash)
-        for receipt in receipts:
-            tx_id = receipt.tx_id
+        for tx_id in tx_ids:
             held = self.setdefault(tx_id, block_hash)
             if held is not block_hash:
                 self[tx_id] = (
@@ -361,9 +359,10 @@ class TxIndex(dict):
 
 class ExecutedReceipts:
     """One replica's receipts: :attr:`blocks` maps the hash of each
-    block the replica executed to its receipts tuple — a replayed
-    block's tuple is the :class:`CachedExecution`'s own — and
-    transactions are looked up through the cluster's :class:`TxIndex`.
+    block the replica executed to its :class:`~repro.chain.BlockReceipts`
+    record — a replayed block's record is the :class:`CachedExecution`'s
+    own — and transactions are looked up through the cluster's
+    :class:`TxIndex`.
     """
 
     __slots__ = ("index", "blocks")
@@ -371,11 +370,11 @@ class ExecutedReceipts:
     def __init__(self, index: TxIndex) -> None:
         self.index = index
         #: block hash -> its receipts, in latest-filing order.
-        self.blocks: dict[Hash, tuple[Receipt, ...]] = {}
+        self.blocks: dict[Hash, BlockReceipts] = {}
 
-    def file(self, block_hash: Hash, receipts: tuple[Receipt, ...]) -> None:
+    def file(self, block_hash: Hash, receipts: BlockReceipts) -> None:
         """Record that this replica executed ``block_hash``."""
-        self.index.add(block_hash, receipts)
+        self.index.add(block_hash, receipts.tx_ids)
         blocks = self.blocks
         blocks.pop(block_hash, None)
         blocks[block_hash] = receipts
@@ -389,15 +388,16 @@ class ExecutedReceipts:
         return held in self.blocks
 
     def get(self, tx_id: str) -> Receipt | None:
-        """``tx_id``'s receipt from the latest-filed block holding it."""
+        """``tx_id``'s receipt from the latest-filed block holding it,
+        built from that block's record."""
         held = self.index.blocks_of(tx_id)
         blocks = self.blocks
         # One candidate (the common case) or the latest filing of many.
         for block_hash in held if len(held) < 2 else reversed(blocks):
             if block_hash in held and block_hash in blocks:
-                for receipt in reversed(blocks[block_hash]):
-                    if receipt.tx_id == tx_id:
-                        return receipt
+                receipt = blocks[block_hash].find(tx_id)
+                if receipt is not None:
+                    return receipt
         return None
 
 
@@ -697,12 +697,11 @@ class PlatformNode(SimNode):
             committed, failed, seconds = entry.tally
         else:
             if workers > 1:
-                executed, levels = self._execute_block_parallel(block)
+                receipts, levels = self._execute_block_parallel(block)
             else:
-                executed = [
+                receipts = BlockReceipts.pack(block.tx_ids, block.height, [
                     self._execute_tx(tx, block) for tx in block.transactions
-                ]
-            receipts = tuple(executed)
+                ])
             committed, failed, seconds = tally_receipts(
                 receipts, seconds_per_gas
             )
@@ -720,7 +719,7 @@ class PlatformNode(SimNode):
             from ..core.txsched import level_makespan
 
             seconds = level_makespan(
-                [receipt.gas_used * seconds_per_gas for receipt in receipts],
+                [gas_used * seconds_per_gas for gas_used in receipts.gas_used],
                 levels,
                 workers,
             )
@@ -748,8 +747,9 @@ class PlatformNode(SimNode):
         execution would show it — and whose writes stay buffered until
         the view merges in block order (last writer wins, so the block
         overlay ends byte-identical to the serial path). The captured
-        read/write sets feed the dependency scheduler; the returned
-        levels drive the makespan charge and ride along in the
+        read/write sets feed the dependency scheduler. Returns the
+        block's :class:`~repro.chain.BlockReceipts` and its levels,
+        which drive the makespan charge and ride along in the
         :class:`ExecutionCache` entry.
 
         The serial path (``exec_workers=1``) deliberately bypasses all
@@ -759,16 +759,17 @@ class PlatformNode(SimNode):
         from ..core.txsched import TxView, dependency_levels
 
         state = self.state
-        receipts = []
+        outcomes = []
         accesses = []
         for tx in block.transactions:
             view = TxView(state)
-            receipts.append(self._execute_tx(tx, block, state=view))
+            outcomes.append(self._execute_tx(tx, block, state=view))
             accesses.append(view.access_sets())
             # Merge even after a revert: partial writes made before the
             # revert persisted on the serial path (the facade wrote
             # straight through), so they must persist here too.
             view.merge_into(state)
+        receipts = BlockReceipts.pack(block.tx_ids, block.height, outcomes)
         return receipts, dependency_levels(accesses)
 
     def _execute_tx(
@@ -776,16 +777,12 @@ class PlatformNode(SimNode):
         tx: Transaction,
         block: Block,
         state: "JournaledState | TxView | None" = None,
-    ) -> Receipt:
-        height = block.height
+    ) -> Outcome:
+        """Run one transaction: ``(gas_used, output, error)``, with
+        ``error`` None on success (see :meth:`BlockReceipts.pack`)."""
         contract = self.contracts.get(tx.contract)
         if contract is None:
-            return Receipt(
-                tx_id=tx.tx_id,
-                block_height=height,
-                success=False,
-                error=f"contract {tx.contract!r} not deployed",
-            )
+            return 0, None, f"contract {tx.contract!r} not deployed"
         facade = _NamespacedState(
             self.state if state is None else state, tx.contract
         )
@@ -797,26 +794,14 @@ class PlatformNode(SimNode):
         ctx = TxContext(
             sender=tx.sender,
             value=tx.value,
-            block_height=height,
+            block_height=block.height,
             timestamp=block.header.timestamp,
         )
         try:
             result = contract.invoke(facade, tx.function, tx.args, ctx)
         except ContractRevert as exc:
-            return Receipt(
-                tx_id=tx.tx_id,
-                block_height=height,
-                success=False,
-                gas_used=21_000,
-                error=str(exc),
-            )
-        return Receipt(
-            tx_id=tx.tx_id,
-            block_height=height,
-            success=True,
-            gas_used=result.gas_used,
-            output=result.output,
-        )
+            return 21_000, None, str(exc)
+        return result.gas_used, result.output, None
 
     def _charge(self, seconds: float) -> None:
         """Charge CPU so heavy work occupies the node."""
@@ -879,8 +864,9 @@ class PlatformNode(SimNode):
 
     # -- transaction admission -------------------------------------------
     def _on_tx_gossip(self, tx: Transaction) -> None:
+        # No admit stamp: the entry node stamped it in _admit before
+        # gossiping, and the tracer keeps the first stamp.
         if self.mempool.add(tx, self.now):
-            self.tracer.record_admit(tx.tx_id, self.now)
             self.protocol.on_new_pending_tx()
 
     def has_receipt(self, tx_id: str) -> bool:

@@ -67,6 +67,32 @@ def test_no_forks_ever():
     assert all(node.chain().fork_blocks == 0 for node in nodes)
 
 
+def test_a_single_replica_commits_alone():
+    """n = 1: the quorum is the primary's own prepare and commit, so its
+    proposals commit with no peer message and no view change."""
+    sched, net, nodes = build_cluster(1, pbft_factory())
+    protocol = nodes[0].protocol
+    assert (protocol.f, protocol.quorum) == (0, 1)
+    submit_everywhere(nodes, [make_tx(i) for i in range(55)])
+    sched.run_until(10.0)
+    chain = nodes[0].chain()
+    assert chain.height == 6
+    assert sum(len(b.transactions) for b in chain.main_branch()) == 55
+    assert protocol.view_changes_started == 0 and protocol.view == 0
+
+
+def test_a_one_server_hyperledger_run_confirms_everything():
+    from repro.core import ExperimentSpec, run_experiment
+
+    result = run_experiment(ExperimentSpec(
+        platform="hyperledger", workload="ycsb", n_servers=1, n_clients=2,
+        request_rate_tx_s=20.0, duration_s=4.0,
+    ))
+    summary = result.summary
+    assert summary.confirmed == summary.submitted > 0
+    assert result.view_changes == 0
+
+
 def test_leader_crash_triggers_view_change():
     sched, net, nodes = build_cluster(4, pbft_factory())
     leader = next(n for n in nodes if n.protocol.is_leader())

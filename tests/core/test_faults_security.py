@@ -12,6 +12,8 @@ from repro.core import (
     PartitionFault,
     run_partition_attack,
 )
+from repro.core.scenario import build_fault_schedule
+from repro.errors import BenchmarkError
 from repro.platforms import build_cluster
 from repro.workloads import DoNothingWorkload
 
@@ -132,6 +134,73 @@ def test_partition_fault_window():
     assert cluster.network.partitioned("server-0", "server-3")
     cluster.run_until(7.0)
     assert not cluster.network.partitioned("server-0", "server-3")
+    cluster.close()
+
+
+#: Every fault type whose entries name victims by ``count`` or ``nodes``,
+#: with a valid entry of that type.
+_VICTIM_FAULTS = {
+    "crashes": {"at_time": 1.0},
+    "delays": {"at_time": 1.0, "until_time": 2.0, "extra_s": 0.1},
+    "byzantines": {"at_time": 1.0, "until_time": 2.0},
+}
+
+
+@pytest.mark.parametrize(
+    "kind, field, value, message",
+    [
+        (kind, "count", count, message)
+        for kind in ("crashes", "byzantines")
+        for count, message in (
+            (5, "5 exceeds the cluster's 4 nodes"),
+            (-1, "-1 is negative"),
+        )
+    ]
+    + [
+        (kind, "nodes", ["server-0", "n9"], "unknown node 'n9'")
+        for kind in _VICTIM_FAULTS
+    ],
+)
+def test_a_fault_naming_victims_the_cluster_lacks_fails_on_arm(
+    kind, field, value, message
+):
+    """A victim count beyond the cluster or an unknown node id is
+    rejected when the schedule is armed, naming the entry's path,
+    instead of arming fewer victims (or none) without a word."""
+    valid = _VICTIM_FAULTS[kind]
+    schedule = build_fault_schedule({kind: [valid, {**valid, field: value}]})
+    cluster = build_cluster("hyperledger", 4, seed=11)
+    with pytest.raises(BenchmarkError) as raised:
+        schedule.arm(cluster)
+    assert str(raised.value) == f"faults.{kind}[1].{field}: {message}"
+    cluster.close()
+
+
+@pytest.mark.parametrize("kind", ["crashes", "byzantines"])
+def test_a_fault_may_name_every_node(kind):
+    valid = _VICTIM_FAULTS[kind]
+    cluster = build_cluster("hyperledger", 4, seed=11)
+    schedule = build_fault_schedule({kind: [
+        {**valid, "count": 4},
+        {**valid, "nodes": cluster.node_ids()},
+    ]})
+    schedule.arm(cluster)
+    cluster.run_until(1.5)
+    victims = (
+        schedule.crashed_node_ids if kind == "crashes"
+        else schedule.byzantine_node_ids
+    )
+    assert victims == cluster.node_ids()
+    cluster.close()
+
+
+def test_a_zero_count_crash_from_the_tail_crashes_no_one():
+    cluster = build_cluster("hyperledger", 4, seed=11)
+    FaultSchedule(crashes=[
+        CrashFault(at_time=1.0, count=0, include_leader=False)
+    ]).arm(cluster)
+    cluster.run_until(1.5)
+    assert len(cluster.alive_nodes()) == 4
     cluster.close()
 
 

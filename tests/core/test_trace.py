@@ -522,29 +522,65 @@ def test_stage_averages_telescope_to_end_to_end(platform):
 
 @pytest.mark.parametrize("platform", PLATFORMS)
 def test_one_admit_stamp_per_pooled_transaction(platform, monkeypatch):
-    """The node stamps admission wherever it pools a transaction —
-    direct ingress, Parity's signing queue and gossip alike — so every
-    ``Mempool.add`` that returns True is followed by one
-    ``record_admit``, and no other call reaches it."""
+    """The entry node stamps admission where it pools a transaction —
+    direct ingress and Parity's signing queue alike, both through
+    ``_admit`` — so every ``_admit`` that pools is followed by one
+    ``record_admit`` and no other call reaches it: a peer pooling a
+    gossiped copy stamps nothing."""
     from repro.chain import Mempool
+    from repro.platforms.base import PlatformNode
 
     assert not hasattr(Mempool(), "tracer")
-    counts = {"pooled": 0, "stamped": 0}
-    add, record_admit = Mempool.add, StageTracer.record_admit
+    counts = {"pooled": 0, "admitted": 0, "stamped": 0}
+    add, admit = Mempool.add, PlatformNode._admit
+    record_admit = StageTracer.record_admit
 
     def counting_add(self, tx, now=0.0):
         pooled = add(self, tx, now)
         counts["pooled"] += pooled
         return pooled
 
+    def counting_admit(self, tx):
+        admitted = admit(self, tx)
+        counts["admitted"] += admitted
+        return admitted
+
     def counting_record_admit(self, tx_id, now):
         counts["stamped"] += 1
         record_admit(self, tx_id, now)
 
     monkeypatch.setattr(Mempool, "add", counting_add)
+    monkeypatch.setattr(PlatformNode, "_admit", counting_admit)
     monkeypatch.setattr(StageTracer, "record_admit", counting_record_admit)
     _drive(platform)
-    assert counts["stamped"] == counts["pooled"] > 0
+    assert counts["stamped"] == counts["admitted"] > 0
+    assert counts["pooled"] > counts["admitted"]  # gossiped copies
+
+
+@pytest.mark.parametrize("platform", PLATFORMS)
+def test_admit_stamp_is_the_entry_nodes_admission(platform, monkeypatch):
+    """Every transaction's admit stamp is the instant its entry node
+    pooled it, however many peers pool a gossiped copy later."""
+    from repro.platforms.base import PlatformNode
+
+    admitted: dict[str, float] = {}
+    admit = PlatformNode._admit
+
+    def recording_admit(self, tx):
+        pooled = admit(self, tx)
+        if pooled:
+            admitted.setdefault(tx.tx_id, self.now)
+        return pooled
+
+    monkeypatch.setattr(PlatformNode, "_admit", recording_admit)
+    stamps, _, _ = _drive(platform)
+    admit_slot = STAGES.index("admit")
+    assert admitted
+    assert {
+        tx_id: row[admit_slot]
+        for tx_id, row in stamps.items()
+        if row[admit_slot] is not None
+    } == admitted
 
 
 def test_subscribe_path_stamps_notify():

@@ -158,6 +158,24 @@ def test_run_rejects_out_of_range_knobs_before_running(flags, field, capsys):
     assert err.startswith("error: ") and field in err
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--crash", "5"], "faults.crashes[0].count: 5 exceeds the cluster's 4 nodes"),
+        (
+            ["--byzantine", "9"],
+            "faults.byzantines[0].count: 9 exceeds the cluster's 4 nodes",
+        ),
+    ],
+)
+def test_run_rejects_more_fault_victims_than_servers(flags, message, capsys):
+    code = main(
+        ["run", "--servers", "4", "--rate", "10", "--duration", "2", *flags]
+    )
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_run_recover_at_requires_crash(capsys):
     code = main(["run", "--recover-at", "5"])
     assert code == 2
