@@ -20,15 +20,31 @@ identical node.
 
 A node *is* its stored bytes; nothing is decoded into objects. Paths
 are nibble ``bytes`` (one byte, 0..15, per nibble), and the three node
-kinds are::
+kinds are stored as::
 
     leaf       00 | len | path | value
     extension  01 | len | path | child hash (32 bytes)
+    branch     02 | child mask | present child hashes | 00
+    branch     02 | child mask | present child hashes | 01 | value
+
+A branch's mask is two big-endian bytes with bit ``n`` set when child
+``n`` is present; the present children follow in ascending nibble
+order, so child ``n`` starts at ``3 + 32 * popcount(mask & (2**n - 1))``.
+That is the stored layout only. A node is named by the SHA-256 of its
+canonical (hashed) layout, in which a branch keeps all 16 slots::
+
     branch     02 | 16 child hashes (32 zero bytes when empty) | 00
     branch     02 | 16 child hashes | 01 | value
 
-A read walks the blobs (slicing only the one child hash it follows);
-a write builds blobs straight from a sorted write-set, addressed by
+Leaves and extensions are stored as they are hashed. Stored compact,
+hashed and charged canonical: every byte count the model charges
+(``bytes_written``, Parity's capped memory, the LSM store's disk) is
+the canonical size (:func:`canonical_size`), so the compact form moves
+no root, save order or figure; :func:`canonical_node` and
+:func:`stored_node` convert a node for a store that keeps canonical
+bytes. A read walks the stored blobs (slicing only the one child hash
+it follows, found by mask and popcount) and never expands a branch; a
+write builds both layouts from a branch's children list, addressed by
 index ranges and a nibble depth rather than re-sliced paths.
 """
 
@@ -36,6 +52,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from hashlib import sha256 as _sha256
+from struct import Struct
 from typing import Iterable, Iterator, Protocol
 
 from ..errors import CorruptionError
@@ -57,10 +74,23 @@ _NIBBLE = tuple(bytes((n,)) for n in range(17))
 
 _EMPTY_CHILD = b"\x00" * 32
 _BRANCH_TAG = bytes((_BRANCH,))
-#: Offset of a branch's value flag; its value (if any) follows.
+#: Offset of a canonical branch's value flag; its value (if any) follows.
 _FLAG = 1 + 16 * 32
+#: Offset of a stored branch's first child hash (after tag and mask).
+_CHILDREN = 3
 _NO_VALUE = b"\x00"
 _HAS_VALUE = b"\x01"
+#: Per nibble ``n``: the mask bits below ``n``, whose popcount is the
+#: index of child ``n`` among a branch's present children.
+_BELOW = tuple((1 << n) - 1 for n in range(16))
+#: Per child count ``k``: the ``k`` hashes at an offset, as a tuple.
+_UNPACK_CHILDREN = tuple(Struct("32s" * k).unpack_from for k in range(17))
+#: Per 8-bit half of a mask: that half's 8 canonical slots from its
+#: present children (absent slots packed as 32 zero bytes).
+_PACK_SLOTS = tuple(
+    Struct("".join("32s" if half >> n & 1 else "32x" for n in range(8))).pack
+    for half in range(256)
+)
 
 _HEX_TO_NIBBLE = bytes.maketrans(b"0123456789abcdef", bytes(range(16)))
 _NIBBLE_TO_HEX = bytes.maketrans(bytes(range(16)), b"0123456789abcdef")
@@ -74,10 +104,18 @@ class NodeStore(Protocol):
     def put(self, key: bytes, value: bytes) -> None: ...
 
 
+#: A commit record (see :meth:`StateTrie.update`): post root, the saved
+#: ``(digest, stored blob)`` pairs or only their count, store, bytes.
+CommitRecord = tuple[
+    Hash | None, int | tuple[tuple[Hash, bytes], ...], NodeStore, int
+]
+
+
 class DictNodeStore:
     """In-memory node store. Nodes are content-addressed (one digest,
     one blob), so one store can hold the nodes of every replica of a
-    cluster (see :class:`~repro.platforms.triestate.TrieState`)."""
+    cluster (see :class:`~repro.platforms.triestate.TrieState`). It
+    keeps each node's stored form as the trie hands it over."""
 
     def __init__(self) -> None:
         self._data: dict[bytes, bytes] = {}
@@ -111,9 +149,64 @@ def _common_prefix_len(a: bytes, a_at: int, b: bytes, b_at: int) -> int:
     return n - (diff.bit_length() + 7) // 8
 
 
-def _branch(children: list[bytes], value: bytes | None) -> bytes:
+def _branch(
+    mask: int, children: list[Hash], value: bytes | None
+) -> tuple[bytes, bytes]:
+    """A branch's stored and canonical forms: ``children`` are its
+    present child hashes in ascending nibble order, ``mask`` their bits."""
     tail = _NO_VALUE if value is None else _HAS_VALUE + value
-    return _BRANCH_TAG + b"".join(children) + tail
+    low = mask & 0xFF
+    split = low.bit_count()
+    return (
+        _BRANCH_TAG + mask.to_bytes(2, "big") + b"".join(children) + tail,
+        b"".join((
+            _BRANCH_TAG,
+            _PACK_SLOTS[low](*children[:split]),
+            _PACK_SLOTS[mask >> 8](*children[split:]),
+            tail,
+        )),
+    )
+
+
+def _stored_children(blob: bytes) -> tuple[int, list[Hash], int]:
+    """A stored branch's mask, present children and value-flag offset."""
+    mask = blob[1] << 8 | blob[2]
+    count = mask.bit_count()
+    children = list(_UNPACK_CHILDREN[count](blob, _CHILDREN))
+    return mask, children, _CHILDREN + 32 * count
+
+
+def canonical_node(blob: bytes) -> bytes:
+    """The canonical bytes of a stored node: what its digest hashes and
+    what a store that models real storage keeps."""
+    if blob[0] != _BRANCH:
+        return blob
+    mask, children, flag = _stored_children(blob)
+    return _branch(mask, children, blob[flag + 1 :] if blob[flag] else None)[1]
+
+
+def stored_node(blob: bytes) -> bytes:
+    """Inverse of :func:`canonical_node`: the stored form of a node
+    given in canonical bytes."""
+    if blob[0] != _BRANCH:
+        return blob
+    mask = 0
+    children = []
+    for nibble in range(16):
+        child = blob[1 + 32 * nibble : 33 + 32 * nibble]
+        if child != _EMPTY_CHILD:
+            mask |= 1 << nibble
+            children.append(child)
+    return _BRANCH_TAG + mask.to_bytes(2, "big") + b"".join(children) + blob[_FLAG:]
+
+
+def canonical_size(blob: bytes) -> int:
+    """``len(canonical_node(blob))``, without building it: the bytes a
+    stored node is charged as."""
+    if blob[0] != _BRANCH:
+        return len(blob)
+    # 16 slots in place of the 2-byte mask and the present children.
+    return len(blob) + 16 * 32 - 2 - 32 * (blob[1] << 8 | blob[2]).bit_count()
 
 
 def _split(
@@ -160,19 +253,23 @@ class PatriciaTrie:
         self.node_writes = 0
         self.node_reads = 0
         self.bytes_written = 0
-        #: While a list, ``_save`` appends each ``(digest, blob)`` to it.
+        #: While a list, ``_save`` appends each ``(digest, stored blob)``.
         self.journal: list[tuple[Hash, bytes]] | None = None
 
     # ------------------------------------------------------------------
     # Node persistence
     # ------------------------------------------------------------------
-    def _save(self, blob: bytes) -> Hash:
+    def _save(self, blob: bytes, canonical: bytes | None = None) -> Hash:
+        """Store ``blob`` under the digest of its canonical form (given
+        for a branch; a leaf or an extension is its own)."""
+        if canonical is None:
+            canonical = blob
         # hashlib called directly: the wrapper costs a Python frame per
         # saved node, and every write saves the whole leaf-to-root path.
-        digest = _sha256(blob).digest()
+        digest = _sha256(canonical).digest()
         self.store.put(digest, blob)
         self.node_writes += 1
-        self.bytes_written += len(blob) + 32
+        self.bytes_written += len(canonical) + 32
         if self.journal is not None:
             self.journal.append((digest, blob))
         return digest
@@ -200,12 +297,15 @@ class PatriciaTrie:
             blob = load(node)
             tag = blob[0]
             if tag == _BRANCH:
+                mask = blob[1] << 8 | blob[2]
                 if depth == end:
-                    return blob[_FLAG + 1 :] if blob[_FLAG] else None
-                at = 1 + 32 * path[depth]
-                node = blob[at : at + 32]
-                if node == _EMPTY_CHILD:
+                    at = _CHILDREN + 32 * mask.bit_count()
+                    return blob[at + 1 :] if blob[at] else None
+                nibble = path[depth]
+                if not mask >> nibble & 1:
                     return None
+                at = _CHILDREN + 32 * (mask & _BELOW[nibble]).bit_count()
+                node = blob[at : at + 32]
                 depth += 1
             elif tag == _LEAF:
                 n = blob[1]
@@ -280,10 +380,12 @@ class PatriciaTrie:
 
     def _build_branch(self, items: _Puts, lo: int, hi: int, depth: int) -> Hash:
         value, groups = _split(items, lo, hi, depth)
-        children = [_EMPTY_CHILD] * 16
+        mask = 0
+        children = []
         for nibble, start, stop in groups:
-            children[nibble] = self._build(items, start, stop, depth + 1)
-        return self._save(_branch(children, value))
+            mask |= 1 << nibble
+            children.append(self._build(items, start, stop, depth + 1))
+        return self._save(*_branch(mask, children, value))
 
     def _merge(
         self, node_hash: Hash, items: _Puts, lo: int, hi: int, depth: int
@@ -312,30 +414,31 @@ class PatriciaTrie:
             return self._merge_extension(
                 blob[2 : 2 + n], blob[2 + n :], items, lo, hi, depth, node_hash
             )
-        old_value = blob[_FLAG + 1 :] if blob[_FLAG] else None
+        # _stored_children, inlined: this is the hot write path.
+        mask = blob[1] << 8 | blob[2]
+        count = mask.bit_count()
+        children = list(_UNPACK_CHILDREN[count](blob, _CHILDREN))
+        flag = _CHILDREN + 32 * count
+        old_value = blob[flag + 1 :] if blob[flag] else None
         value, groups = _split(items, lo, hi, depth)
         if value is None:
             value = old_value
-        edited = None
+        edited = value != old_value
         for nibble, start, stop in groups:
-            at = 1 + 32 * nibble
-            child = blob[at : at + 32]
-            new_child = (
-                self._build(items, start, stop, depth + 1)
-                if child == _EMPTY_CHILD
-                else self._merge(child, items, start, stop, depth + 1)
-            )
-            if new_child != child:
-                if edited is None:
-                    edited = bytearray(blob)
-                edited[at : at + 32] = new_child
-        if value != old_value:
-            if edited is None:
-                edited = bytearray(blob)
-            edited[_FLAG:] = _HAS_VALUE + value
-        elif edited is None:
+            index = (mask & _BELOW[nibble]).bit_count()
+            if mask >> nibble & 1:
+                child = children[index]
+                new_child = self._merge(child, items, start, stop, depth + 1)
+                if new_child != child:
+                    children[index] = new_child
+                    edited = True
+            else:
+                children.insert(index, self._build(items, start, stop, depth + 1))
+                mask |= 1 << nibble
+                edited = True
+        if not edited:
             return node_hash  # every write was a same-value overwrite
-        return self._save(bytes(edited))
+        return self._save(*_branch(mask, children, value))
 
     def _merge_extension(
         self,
@@ -371,12 +474,11 @@ class PatriciaTrie:
         # the segment's own child slot is filled first.
         at = depth + divergence
         value, groups = _split(items, lo, hi, at)
-        children = [_EMPTY_CHILD] * 16
         ext_nibble = ext_path[divergence]
         ext_rest = ext_path[divergence + 1 :]
         for nibble, start, stop in groups:
             if nibble == ext_nibble:
-                children[nibble] = (
+                ext_slot = (
                     self._merge_extension(
                         ext_rest, ext_child, items, start, stop, at + 1
                     )
@@ -385,15 +487,19 @@ class PatriciaTrie:
                 )
                 break
         else:
-            children[ext_nibble] = (
+            ext_slot = (
                 self._save(_EXTENSION_HEAD[len(ext_rest)] + ext_rest + ext_child)
                 if ext_rest
                 else ext_child
             )
+        mask = 1 << ext_nibble
+        children = []
         for nibble, start, stop in groups:
             if nibble != ext_nibble:
-                children[nibble] = self._build(items, start, stop, at + 1)
-        branch = self._save(_branch(children, value))
+                mask |= 1 << nibble
+                children.append(self._build(items, start, stop, at + 1))
+        children.insert((mask & _BELOW[ext_nibble]).bit_count(), ext_slot)
+        branch = self._save(*_branch(mask, children, value))
         if divergence:
             return self._save(
                 _EXTENSION_HEAD[divergence] + ext_path[:divergence] + branch
@@ -423,28 +529,31 @@ class PatriciaTrie:
             if new_child == child:
                 return node_hash
             return self._prefixed(ext_path, new_child)
-        children = [blob[at : at + 32] for at in range(1, _FLAG, 32)]
-        value = blob[_FLAG + 1 :] if blob[_FLAG] else None
+        mask, children, flag = _stored_children(blob)
+        value = blob[flag + 1 :] if blob[flag] else None
         if depth == len(path):
             if value is None:
                 return node_hash  # key absent
             value = None
         else:
             nibble = path[depth]
-            child = children[nibble]
-            if child == _EMPTY_CHILD:
+            if not mask >> nibble & 1:
                 return node_hash  # key absent
+            index = (mask & _BELOW[nibble]).bit_count()
+            child = children[index]
             new_child = self._delete(child, path, depth + 1)
             if new_child == child:
                 return node_hash
-            children[nibble] = new_child or _EMPTY_CHILD
-        live = [i for i, c in enumerate(children) if c != _EMPTY_CHILD]
-        if not live:
+            if new_child is None:
+                del children[index]
+                mask ^= 1 << nibble
+            else:
+                children[index] = new_child
+        if not children:
             return None if value is None else self._save(_LEAF_HEAD[0] + value)
-        if value is None and len(live) == 1:
-            index = live[0]
-            return self._prefixed(_NIBBLE[index], children[index])
-        return self._save(_branch(children, value))
+        if value is None and len(children) == 1:
+            return self._prefixed(_NIBBLE[mask.bit_length() - 1], children[0])
+        return self._save(*_branch(mask, children, value))
 
     def _prefixed(self, prefix: Nibbles, child_hash: Hash) -> Hash:
         """``prefix`` in front of a subtree: absorbed by a leaf or an
@@ -469,13 +578,17 @@ class PatriciaTrie:
         blob = self._load(node_hash)
         tag = blob[0]
         if tag == _BRANCH:
-            if blob[_FLAG]:
-                yield from_nibbles(prefix), blob[_FLAG + 1 :]
+            mask = blob[1] << 8 | blob[2]
+            at = _CHILDREN + 32 * mask.bit_count()
+            if blob[at]:
+                yield from_nibbles(prefix), blob[at + 1 :]
+            at = _CHILDREN
             for nibble in range(16):
-                at = 1 + 32 * nibble
-                child = blob[at : at + 32]
-                if child != _EMPTY_CHILD:
-                    yield from self._walk(child, prefix + _NIBBLE[nibble])
+                if mask >> nibble & 1:
+                    yield from self._walk(
+                        blob[at : at + 32], prefix + _NIBBLE[nibble]
+                    )
+                    at += 32
             return
         n = blob[1]
         if tag == _LEAF:
@@ -511,23 +624,31 @@ class StateTrie:
         self.root = self.trie.delete(self.root, key)
 
     def update(
-        self, items: Iterable[tuple[bytes, bytes | None]], journal: bool = False
-    ) -> tuple[Hash | None, tuple[tuple[Hash, bytes], ...], NodeStore, int] | None:
+        self,
+        items: Iterable[tuple[bytes, bytes | None]],
+        journal: bool = False,
+        shared: bool = False,
+    ) -> CommitRecord | None:
         """Apply a net write-set in one batched pass (None = delete).
         With ``journal``, returns the commit record :meth:`adopt` takes:
-        ``(post_root, ((digest, blob), ...), store, bytes)`` — every node
-        saved, in save order, the store they were saved to, and the
-        ``bytes_written`` the update counted."""
+        ``(post_root, saves, store, bytes)`` — the store the update
+        saved to, the ``bytes_written`` it counted, and as ``saves``
+        every ``(digest, stored blob)`` saved, in save order. With
+        ``shared`` too (every adopter's trie writes to this one's
+        store, so the nodes will be there already), ``saves`` is only
+        their count: a record names its nodes only for a reader that
+        needs them."""
         trie = self.trie
-        trie.journal = [] if journal else None
-        counted = trie.bytes_written
+        if not journal:
+            self.root = trie.update(self.root, items)
+            return None
+        writes, counted = trie.node_writes, trie.bytes_written
+        trie.journal = None if shared else []
         try:
             self.root = trie.update(self.root, items)
-            if not journal:
-                return None
             return (
                 self.root,
-                tuple(trie.journal),
+                trie.node_writes - writes if shared else tuple(trie.journal),
                 trie.store,
                 trie.bytes_written - counted,
             )
@@ -537,28 +658,34 @@ class StateTrie:
     def adopt(
         self,
         root: Hash | None,
-        saves: tuple[tuple[Hash, bytes], ...],
+        saves: int | tuple[tuple[Hash, bytes], ...],
         store: NodeStore,
         nbytes: int,
     ) -> None:
         """Install the record of an update another trie ran on the same
         root with the same write-set, with no traversal, encoding or
         hashing; the counters move as a local :meth:`update` would move
-        them. An update saves the same nodes in the same order whoever
-        runs it, so into another store this makes exactly its puts, in
-        order. Into the store the record names, the nodes are already
+        them. Into the store the record names, the nodes are already
         there (content-addressed: one digest, one blob), so it makes no
-        store write at all."""
+        store write at all. An update saves the same nodes in the same
+        order whoever runs it, so into another store this makes exactly
+        its puts, in order — which a record that only counts its nodes
+        cannot, and refuses."""
         trie = self.trie
         if store is trie.store:
-            trie.node_writes += len(saves)
+            trie.node_writes += saves if isinstance(saves, int) else len(saves)
             trie.bytes_written += nbytes
+        elif isinstance(saves, int):
+            raise CorruptionError(
+                "a commit record that counts its nodes installs only into "
+                "the store it names"
+            )
         else:
             put = trie.store.put
             for digest, blob in saves:
                 put(digest, blob)
                 trie.node_writes += 1
-                trie.bytes_written += len(blob) + 32
+                trie.bytes_written += canonical_size(blob) + 32
         self.root = root
 
     def snapshot(self) -> int:

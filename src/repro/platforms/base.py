@@ -519,7 +519,6 @@ class PlatformNode(SimNode):
         self.peers: list[str] = []
         self.contracts: dict[str, Contract] = {}
         self.executed_height = 0
-        self._height_roots: dict[int, Hash] = {}
         #: Which block this node executed at each height. On PoW a deep
         #: reorg can later replace a height with a different block; the
         #: mismatch count is exactly the double-spend exposure a
@@ -723,8 +722,7 @@ class PlatformNode(SimNode):
                 levels,
                 workers,
             )
-        root = self.state.commit_block(block.height)
-        self._height_roots[block.height] = root
+        self.state.commit_block(block.height)
         self.executed_block_hashes[block.height] = block.hash
         self.auditor.record_commit(self.node_id, block, self.now)
         if block.transactions:
@@ -1046,7 +1044,6 @@ class PlatformNode(SimNode):
             # chain replay below files and counts every block again.
             self.attach_execution_cache(self.execution_cache)
             self.executed_height = 0
-            self._height_roots = {}
             self.executed_block_hashes = {}
             self.committed_tx_count = 0
             self.failed_tx_count = 0

@@ -18,7 +18,7 @@ from ..chain import Transaction
 from ..config import EthereumConfig, ethereum_config
 from ..consensus.pow import ProofOfWork
 from ..crypto.hashing import sha256
-from ..crypto.trie import NodeStore
+from ..crypto.trie import NodeStore, canonical_node, stored_node
 from ..registry import register_platform
 from ..util.lru import LRUCache
 from .base import PlatformNode
@@ -35,7 +35,11 @@ TX_GOSSIP_FANOUT = 3
 
 
 class _CachedNodeStore:
-    """LRU read cache in front of a persistent node store."""
+    """LRU read cache in front of a persistent node store.
+
+    The backing store keeps each node's canonical bytes — what geth
+    writes to LevelDB, and what the IOHeavy disk figures measure — and
+    the cache, like the trie, the stored form."""
 
     def __init__(self, backing: NodeStore, capacity: int = NODE_CACHE_ENTRIES) -> None:
         self._backing = backing
@@ -47,11 +51,12 @@ class _CachedNodeStore:
             return cached
         value = self._backing.get(key)
         if value is not None:
+            value = stored_node(value)
             self.cache.put(key, value)
         return value
 
     def put(self, key: bytes, value: bytes) -> None:
-        self._backing.put(key, value)
+        self._backing.put(key, canonical_node(value))
         self.cache.put(key, value)
 
 

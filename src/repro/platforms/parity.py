@@ -29,6 +29,7 @@ from collections import deque
 from ..chain import Transaction
 from ..config import ParityConfig, parity_config
 from ..consensus.poa import ProofOfAuthority
+from ..crypto.trie import canonical_size
 from ..errors import StorageError
 from ..registry import register_platform
 from ..sim import Message, Network, RngRegistry, Scheduler
@@ -37,6 +38,14 @@ from .base import PlatformNode
 from .triestate import TrieState
 
 SIGN_REQ = "parity/sign-req"
+
+
+class _NodeMemory(MemKVStore):
+    """Parity's process memory holding trie nodes: each is kept in its
+    compact stored form and charged at its canonical size, so the cap
+    trips where the canonical encoding would."""
+
+    value_bytes = staticmethod(canonical_size)
 
 
 class ParityState(TrieState):
@@ -53,7 +62,7 @@ class ParityState(TrieState):
     """
 
     def __init__(self, memory_cap_bytes: int | None = None) -> None:
-        self._store = MemKVStore(memory_cap_bytes=memory_cap_bytes)
+        self._store = _NodeMemory(memory_cap_bytes=memory_cap_bytes)
         super().__init__(self._store)
         self._overlay_bytes = 0
 

@@ -26,17 +26,19 @@ class TrieState(JournaledState):
     execution cache, a state that owns its in-memory store (``store``
     None) writes to the cluster's one store, ``trie_nodes``, instead:
     nodes are content-addressed, and installing a commit record written
-    there costs no store write. Each replica keeps its own trie, roots,
-    snapshots and counters, and reads only from its own roots. A store
-    whose accounting is part of the model (Parity's cap, an LSM store)
-    stays the replica's own.
+    there costs no store write, so such a record carries a node count
+    and no node list. Each replica keeps its own trie, roots, snapshots
+    and counters, and reads only from its own roots. A store whose
+    accounting is part of the model (Parity's cap, an LSM store) stays
+    the replica's own, and its records list the nodes saved.
     """
 
     def __init__(self, store: NodeStore | None = None) -> None:
         self.trie = StateTrie(store)
         super().__init__(self.trie.root_hash())
         self._snapshots: dict[int, int] = {}
-        #: Whether the node store is this state's own in-memory one.
+        #: Whether the node store is this state's own in-memory one,
+        #: hence, once attached, the cluster's shared one.
         self._in_memory = store is None
 
     def attach_execution_cache(self, cache: ExecutionCache) -> None:
@@ -50,7 +52,7 @@ class TrieState(JournaledState):
         return self.trie.get(key)
 
     def _flush(self, items, journal: bool = False):
-        return self.trie.update(items, journal)
+        return self.trie.update(items, journal, shared=self._in_memory)
 
     def _install(self, items, record) -> None:
         self.trie.adopt(*record)

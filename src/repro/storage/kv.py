@@ -51,8 +51,13 @@ class MemKVStore(KVStore):
     The cap models process-memory exhaustion: Parity "holds all the
     state information in memory ... but fails to handle large data"
     (Section 4.2.2, Figure 12's OOM cells). Exceeding the cap raises
-    :class:`StorageError` tagged as out-of-memory.
+    :class:`StorageError` tagged as out-of-memory. An entry is charged
+    ``len(key) + value_bytes(value)``.
     """
+
+    #: The bytes a value is charged as. A store whose values are kept
+    #: in a compact form overrides it with the size they stand for.
+    value_bytes = staticmethod(len)
 
     def __init__(self, memory_cap_bytes: int | None = None) -> None:
         self._data: dict[bytes, bytes] = {}
@@ -69,9 +74,9 @@ class MemKVStore(KVStore):
         self.write_ops += 1
         old = self._data.get(key)
         if old is not None:
-            self._bytes -= len(key) + len(old)
+            self._bytes -= len(key) + self.value_bytes(old)
         self._data[key] = value
-        self._bytes += len(key) + len(value)
+        self._bytes += len(key) + self.value_bytes(value)
         if self.memory_cap_bytes is not None and self._bytes > self.memory_cap_bytes:
             raise StorageError(
                 f"out of memory: {self._bytes} bytes exceeds cap "
@@ -82,7 +87,7 @@ class MemKVStore(KVStore):
         self.write_ops += 1
         old = self._data.pop(key, None)
         if old is not None:
-            self._bytes -= len(key) + len(old)
+            self._bytes -= len(key) + self.value_bytes(old)
 
     def scan(self, prefix: bytes = b"") -> Iterator[tuple[bytes, bytes]]:
         for key in sorted(self._data):

@@ -111,7 +111,7 @@ def test_cache_on_vs_off_is_byte_identical(monkeypatch, platform):
 @pytest.mark.parametrize(
     "platform", ["hyperledger", "ethereum", "parity", "erisdb"]
 )
-def test_cache_replicas_agree_on_state_roots(platform):
+def test_cache_replicas_agree_on_state_roots(platform, height_roots):
     """With the shared cache, every node's committed roots match the
     private-cache run of the same seed, height by height."""
 
@@ -126,7 +126,7 @@ def test_cache_replicas_agree_on_state_roots(platform):
             ),
         )
         driver.run()
-        per_node = [dict(node._height_roots) for node in cluster.nodes]
+        per_node = height_roots(cluster)
         cluster.close()
         return per_node
 
@@ -260,7 +260,7 @@ def test_parallel_replayer_charges_the_shared_schedule():
     assert entry.levels is not None and max(entry.levels) > 1
     node_b._execute_block(block)  # replays the entry
     assert (cache.hits, cache.misses) == (2, 1)
-    assert node_b._height_roots[1] == node_a._height_roots[1]
+    assert node_b.state.pre_state_root() == node_a.state.pre_state_root()
     assert node_b.receipts.blocks == node_a.receipts.blocks
     assert node_b.cpu_time == node_a.cpu_time < entry.tally[2]
     cluster.close()
@@ -367,17 +367,15 @@ def _drive(monkeypatch, platform, workload, *, private=False, n=4,
     return cluster
 
 
-def _roots(cluster):
-    return [dict(node._height_roots) for node in cluster.nodes]
-
-
 @pytest.mark.parametrize("workload", ["smallbank", "churn"])
 @pytest.mark.parametrize("platform", PLATFORMS)
-def test_installed_commits_match_computed_roots(monkeypatch, platform, workload):
+def test_installed_commits_match_computed_roots(
+    monkeypatch, height_roots, platform, workload
+):
     on = _drive(monkeypatch, platform, workload)
     off = _drive(monkeypatch, platform, workload, private=True)
-    assert _roots(on) == _roots(off)
-    assert all(_roots(on))
+    assert height_roots(on) == height_roots(off)
+    assert all(height_roots(on))
     # Shared receipts equal the ones each replica builds for itself,
     # block by block and in filing order.
     assert [list(n.receipts.blocks.items()) for n in on.nodes] == [
@@ -396,7 +394,9 @@ def test_installed_commits_match_computed_roots(monkeypatch, platform, workload)
     off.close()
 
 
-def test_replicas_share_bucket_objects_only_with_the_cache_on(monkeypatch):
+def test_replicas_share_bucket_objects_only_with_the_cache_on(
+    monkeypatch, height_roots
+):
     """Build once, reference N-1 times, applied to the bucket tree: with
     the shared cache, replicas at one sealed root hold the very same
     bucket objects — one copy of the state per cluster; with private
@@ -404,7 +404,7 @@ def test_replicas_share_bucket_objects_only_with_the_cache_on(monkeypatch):
     roots are the same either way."""
     on = _drive(monkeypatch, "hyperledger", "smallbank")
     off = _drive(monkeypatch, "hyperledger", "smallbank", private=True)
-    assert _roots(on) == _roots(off)
+    assert height_roots(on) == height_roots(off)
 
     def in_step(cluster):
         """The bucket lists of the largest group of replicas at one root."""
@@ -435,7 +435,7 @@ def _node_stores(cluster):
 
 @pytest.mark.parametrize("platform", ["ethereum", "erisdb", "parity"])
 def test_replicas_share_one_trie_node_store_only_with_the_cache_on(
-    monkeypatch, platform
+    monkeypatch, height_roots, platform
 ):
     """Replicas share trie nodes, not copies: every in-memory trie state
     of a cluster writes to the cache's one node store; Parity's capped
@@ -444,7 +444,7 @@ def test_replicas_share_one_trie_node_store_only_with_the_cache_on(
     its own roots and write counters either way."""
     on = _drive(monkeypatch, platform, "smallbank")
     off = _drive(monkeypatch, platform, "smallbank", private=True)
-    assert _roots(on) == _roots(off)
+    assert height_roots(on) == height_roots(off)
     shared = on.nodes[0].execution_cache.trie_nodes
     if platform == "parity":
         assert shared is None
@@ -463,7 +463,7 @@ def test_replicas_share_one_trie_node_store_only_with_the_cache_on(
 
 @pytest.mark.parametrize("platform", ["ethereum", "erisdb"])
 def test_a_cold_recovered_replica_is_back_on_the_shared_store(
-    monkeypatch, platform
+    monkeypatch, height_roots, platform
 ):
     """A cold restart wipes the replica's state; the fresh state joins the
     cluster's node store again and replays the chain to the live
@@ -478,13 +478,13 @@ def test_a_cold_recovered_replica_is_back_on_the_shared_store(
     victim, = (node for node in cluster.nodes if node.recovery_times)
     shared = cluster.nodes[0].execution_cache.trie_nodes
     assert all(store is shared for store in _node_stores(cluster))
-    recovered = victim._height_roots
-    for node in cluster.nodes:
-        if node is not victim:
-            common = recovered.keys() & node._height_roots.keys()
-            assert len(common) >= 8
-            for height in common:
-                assert recovered[height] == node._height_roots[height]
+    roots = height_roots(cluster)
+    recovered = roots.pop(cluster.nodes.index(victim))
+    for node_roots in roots:
+        common = recovered.keys() & node_roots.keys()
+        assert len(common) >= 8
+        for height in common:
+            assert recovered[height] == node_roots[height]
     cluster.close()
 
 
@@ -593,13 +593,15 @@ CHURN_BEFORE_RETIREMENT = {
 
 
 @pytest.mark.parametrize("platform", PLATFORMS)
-def test_retirement_moves_no_root_write_or_memo_count(monkeypatch, platform):
+def test_retirement_moves_no_root_write_or_memo_count(
+    monkeypatch, height_roots, platform
+):
     """Retiring a record on its last install frees it early and changes
     nothing else: roots, node writes and memo counts are the ones the
     records-until-evicted memo produced."""
     cluster = _drive(monkeypatch, platform, "churn")
     roots = hashlib.sha256(
-        repr([sorted(r.items()) for r in _roots(cluster)]).encode()
+        repr([sorted(r.items()) for r in height_roots(cluster)]).encode()
     ).hexdigest()
     tries = [getattr(n.state, "trie", None) for n in cluster.nodes]
     node_writes = sum(t.trie.node_writes for t in tries if t is not None)
@@ -612,10 +614,11 @@ def test_retirement_moves_no_root_write_or_memo_count(monkeypatch, platform):
 
 
 def test_preload_retains_no_copy_of_the_records():
-    """A 4-replica erisdb cluster after a 20k-record YCSB preload: ~378 B
-    a record stay (the cluster's one trie node store). Four per-replica
-    node stores over the same blobs held ~575 B; also keeping the
-    write-set on every node and the commit record in the memo, ~890 B."""
+    """A 4-replica erisdb cluster after a 20k-record YCSB preload: ~311 B
+    a record stay (the cluster's one trie node store, branches stored
+    compact; ~378 B as 16-slot arrays). Four per-replica node stores
+    over the same blobs held ~575 B; also keeping the write-set on
+    every node and the commit record in the memo, ~890 B."""
     rows = 20_000
     cluster = build_cluster("erisdb", 4, seed=1)
     workload = YCSBWorkload(YCSBConfig(record_count=rows))
@@ -628,7 +631,7 @@ def test_preload_retains_no_copy_of_the_records():
     finally:
         tracemalloc.stop()
     assert len({n.state.pre_state_root() for n in cluster.nodes}) == 1
-    assert retained / rows < 460, f"{retained / rows:.0f} B per record"
+    assert retained / rows < 360, f"{retained / rows:.0f} B per record"
     cluster.close()
 
 
@@ -791,7 +794,7 @@ def test_memo_never_exceeds_its_capacity(monkeypatch):
     cluster.close()
 
 
-def test_pow_forks_and_stale_executions_unchanged(monkeypatch):
+def test_pow_forks_and_stale_executions_unchanged(monkeypatch, height_roots):
     """Depth-1 confirmation under a partition: replicas execute blocks a
     reorg later replaces. Fork blocks commit other write-sets from other
     roots — other memo keys — so nothing crosses branches."""
@@ -806,7 +809,7 @@ def test_pow_forks_and_stale_executions_unchanged(monkeypatch):
 
     on, off = run(), run(private=True)
     assert on.stale_executions() == off.stale_executions() > 0
-    assert _roots(on) == _roots(off)
+    assert height_roots(on) == height_roots(off)
     assert [dict(n.executed_block_hashes) for n in on.nodes] == [
         dict(n.executed_block_hashes) for n in off.nodes
     ]
@@ -817,7 +820,9 @@ def test_pow_forks_and_stale_executions_unchanged(monkeypatch):
 
 @pytest.mark.parametrize("mode", ["warm", "cold"])
 @pytest.mark.parametrize("platform", ["hyperledger", "parity"])
-def test_recovery_inside_and_outside_the_window(monkeypatch, platform, mode):
+def test_recovery_inside_and_outside_the_window(
+    monkeypatch, height_roots, platform, mode
+):
     """A recovering replica replays far behind the cluster. With a
     one-entry window every commit it replays misses and is recomputed
     (the fallback path); at the default some are installed. Same roots
@@ -835,7 +840,7 @@ def test_recovery_inside_and_outside_the_window(monkeypatch, platform, mode):
     narrow, default, off = run(window=1), run(), run(private=True)
     for on in (narrow, default):
         assert on.nodes[-1].recovery_times == off.nodes[-1].recovery_times != []
-        assert _roots(on) == _roots(off)
+        assert height_roots(on) == height_roots(off)
         # Cold recovery swapped the state; the replacement rejoined.
         memo = on.nodes[0].execution_cache.commits
         assert on.nodes[-1].state.commit_memo is memo

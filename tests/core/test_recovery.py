@@ -49,19 +49,20 @@ def _run_with_crash(platform, mode, crash_at=8.0, recover_at=12.0,
 
 @pytest.mark.parametrize("platform", PLATFORMS)
 @pytest.mark.parametrize("mode", ["warm", "cold"])
-def test_recovered_roots_match_uninterrupted_peer(platform, mode):
+def test_recovered_roots_match_uninterrupted_peer(platform, mode, height_roots):
     """Catch-up replays through the normal execution path, so the
     recovered node's roots are indistinguishable from never crashing."""
     cluster = _run_with_crash(platform, mode)
     recovered = cluster.nodes[-1]
     witness = cluster.nodes[1]  # never crashed, never the leader
+    roots = height_roots(cluster)
     assert recovered.recovery_times, "recovery never completed"
     assert not recovered._recovering
     common = min(recovered.executed_height, witness.executed_height)
     assert common > 0
     for height in range(1, common + 1):
         assert (
-            recovered._height_roots[height] == witness._height_roots[height]
+            roots[-1][height] == roots[1][height]
         ), f"{platform}/{mode}: state root diverges at height {height}"
         assert (
             recovered.executed_block_hashes[height]

@@ -15,6 +15,7 @@ from repro.crypto import (
     sha256,
     to_nibbles,
 )
+from repro.crypto.trie import canonical_node, canonical_size, stored_node
 from repro.errors import CorruptionError
 
 
@@ -312,25 +313,36 @@ def test_property_adopt_equals_update(write_sets):
     computing trie's puts (same contents, same order, same byte count);
     adopted into the store it names, it makes no store write. Either
     adopter ends every step with the computing trie's counters, root
-    and history — and a plain, unjournalled trie agrees."""
+    and history — and a plain, unjournalled trie agrees. A record made
+    for a shared store counts the saves instead of listing them, and
+    installs the same way into that store."""
     from repro.storage import MemKVStore
 
-    computing, adopting, plain = (StateTrie(MemKVStore()) for _ in range(3))
+    computing, adopting, plain, counting = (
+        StateTrie(MemKVStore()) for _ in range(4)
+    )
     sharing = StateTrie(computing.trie.store)
+    counted_sharing = StateTrie(counting.trie.store)
     for height, items in enumerate(write_sets):
         assert plain.update(items) is None
         record = computing.update(items, journal=True)
+        count_only = counting.update(items, journal=True, shared=True)
+        assert count_only == (
+            record[0], len(record[1]), counting.trie.store, record[3]
+        )
+        counted_sharing.adopt(*count_only)
         assert computing.trie.journal is None  # journalling ended
         root, saves, store, counted = record
         assert root == computing.root == plain.root
         assert store is computing.trie.store
-        assert counted == sum(len(blob) + 32 for _, blob in saves)
-        assert [d for d, _ in saves] == [sha256(blob) for _, blob in saves]
+        canonical = [canonical_node(blob) for _, blob in saves]
+        assert counted == sum(len(blob) + 32 for blob in canonical)
+        assert [d for d, _ in saves] == [sha256(blob) for blob in canonical]
         adopting.adopt(*record)
         writes = store.write_ops
         sharing.adopt(*record)
         assert store.write_ops == writes  # the nodes are already there
-        for trie in (computing, adopting, sharing, plain):
+        for trie in (computing, adopting, sharing, plain, counted_sharing):
             trie.snapshot()
         assert (
             adopting.root_hash() == sharing.root_hash() == computing.root_hash()
@@ -345,6 +357,7 @@ def test_property_adopt_equals_update(write_sets):
                 == getattr(sharing.trie, counter)
                 == getattr(computing.trie, counter)
                 == getattr(plain.trie, counter)
+                == getattr(counted_sharing.trie, counter)
             )
         a_store, c_store = adopting.trie.store, computing.trie.store
         assert a_store.approx_bytes() == c_store.approx_bytes()
@@ -352,7 +365,12 @@ def test_property_adopt_equals_update(write_sets):
         assert dict(adopting.items()) == dict(sharing.items()) == dict(
             computing.items()
         )
-    assert adopting.history == sharing.history == computing.history
+    assert (
+        adopting.history
+        == sharing.history
+        == computing.history
+        == counted_sharing.history
+    )
     keys = {key for items in write_sets for key, _ in items}
     for height in range(len(write_sets)):
         for key in keys:
@@ -378,6 +396,41 @@ def test_adopt_then_update_locally_and_back():
         assert b.root == a.root
         assert b.trie.node_writes == a.trie.node_writes
     assert dict(b.items()) == dict(a.items())
+
+
+def test_a_counted_record_installs_only_into_the_store_it_names():
+    """A record that counts its nodes cannot make another store's puts:
+    installing it there raises instead of leaving that store without
+    the nodes its new root needs."""
+    computing = StateTrie()
+    items = [(b"k%02d" % i, b"v%d" % i) for i in range(20)]
+    record = computing.update(items, journal=True, shared=True)
+    assert record[1] == computing.trie.node_writes > 20
+    elsewhere = StateTrie()
+    with pytest.raises(CorruptionError, match="the store it names"):
+        elsewhere.adopt(*record)
+    assert elsewhere.root is None
+    assert elsewhere.trie.node_writes == elsewhere.trie.bytes_written == 0
+    sharing = StateTrie(computing.trie.store)
+    sharing.adopt(*record)
+    assert dict(sharing.items()) == dict(items)
+
+
+def test_stored_branches_convert_to_their_canonical_bytes():
+    """Each stored node converts to the canonical bytes its digest
+    hashes and back, and is charged at that size."""
+    trie = PatriciaTrie(DictNodeStore())
+    trie.update(None, [(bytes([i, j]), b"v") for i in range(16) for j in (0, 7)])
+    stored = trie.store._data
+    assert {blob[0] for blob in stored.values()} == {0, 1, 2}
+    for digest, blob in stored.items():
+        canonical = canonical_node(blob)
+        assert sha256(canonical) == digest
+        assert stored_node(canonical) == blob
+        assert canonical_size(blob) == len(canonical)
+        if blob[0] == 2:  # the same flag and value after 16 slots
+            present = int.from_bytes(blob[1:3], "big").bit_count()
+            assert canonical[1 + 16 * 32 :] == blob[3 + 32 * present :]
 
 
 def test_journal_is_dropped_when_the_store_refuses_a_put():
@@ -459,8 +512,8 @@ def _golden_batches():
 
 
 def _golden_run(store):
-    """Every saved ``(digest, blob)`` in order, every root, and the
-    counters after the script plus reads at every height."""
+    """Every saved ``(digest, canonical blob)`` in order, every root,
+    and the counters after the script plus reads at every height."""
     state = StateTrie(store)
     batches = _golden_batches()
     keys = sorted({key for batch in batches for key, _ in batch})
@@ -469,6 +522,7 @@ def _golden_run(store):
         root, saves, _, _ = state.update(items, journal=True)
         h.update(root or b"-")
         for digest, blob in saves:
+            blob = canonical_node(blob)
             h.update(digest + len(blob).to_bytes(4, "big") + blob)
         state.snapshot()
     for height in range(len(batches)):

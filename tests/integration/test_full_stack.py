@@ -43,16 +43,13 @@ def run_driver(cluster, workload_name="ycsb", rate=40, duration=20, clients=2):
 # Replicated state machine: every layer must agree
 # ---------------------------------------------------------------------------
 @pytest.mark.parametrize("platform", ALL_PLATFORMS)
-def test_state_roots_identical_across_replicas(platform):
+def test_state_roots_identical_across_replicas(platform, height_roots):
     """After a run, executed state commits to the same root everywhere."""
     cluster = build_cluster(platform, 4, seed=17)
     run_driver(cluster)
     floor = min(node.executed_height for node in cluster.nodes)
     assert floor > 0
-    roots = {
-        node._height_roots[floor]  # noqa: SLF001 - integration probe
-        for node in cluster.nodes
-    }
+    roots = {node_roots[floor] for node_roots in height_roots(cluster)}
     assert len(roots) == 1
     cluster.close()
 

@@ -78,7 +78,7 @@ def _execute_direct(platform, workers, txs, seed=7):
         timestamp=1.0,
     )
     node._execute_block(block)
-    root = node._height_roots[1]
+    root = node.state.pre_state_root()
     receipts = tuple(
         (r.tx_id, r.success, r.gas_used, r.output, r.error)
         for r in (node.receipts.get(tx.tx_id) for tx in txs)
