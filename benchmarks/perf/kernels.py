@@ -16,8 +16,8 @@ benchmarks to hostbench's *macro* ones:
   contention-heavy writes into the overlay, net write-set flushed by
   ``commit_block``.
 * ``replica_execute`` — cluster-wide block application: one replica
-  executes SmallBank transactions, N-1 replay the memoized write-set
-  and install the first replica's commit record.
+  executes SmallBank transactions, N-1 commit the memoized write-set
+  as it is by installing the first replica's commit record.
 * ``parallel_execute`` — the ``exec_workers > 1`` capture-and-schedule
   path, with the simulated 4-worker speedup in ``meta``.
 * ``scheduler_events`` — discrete-event scheduler events/s through the
@@ -186,8 +186,8 @@ def bench_replica_execute(quick: bool = False) -> BenchResult:
     everywhere: the first replica executes the SmallBank transactions
     for real (contract dispatch, gas metering, overlay writes), the
     :class:`~repro.platforms.base.ExecutionCache` records the net
-    write-set, and replicas 2..N replay it into their own overlays and
-    commit by installing the first replica's commit record — the
+    write-set, and replicas 2..N commit it as it is, by installing the
+    first replica's commit record, with no overlay copy — the
     cross-replica memoization fast path as ``build_cluster`` wires it,
     through each state's ``attach_execution_cache``, so the four
     in-memory tries share the cache's one node store.
@@ -227,8 +227,7 @@ def bench_replica_execute(quick: bool = False) -> BenchResult:
         write_set = primary.pending_writes()
         roots = {primary.commit_block(height)}
         for state in states[1:]:
-            state.apply_write_set(write_set)
-            roots.add(state.commit_block(height))
+            roots.add(state.commit_block(height, write_set))
         if len(roots) != 1:
             raise RuntimeError("replica state roots diverged")
     wall = time.perf_counter() - start

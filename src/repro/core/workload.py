@@ -226,11 +226,14 @@ def preload_state(
     ``records`` is the deterministic record source: a zero-argument
     callable yielding the same pairs on every call. They become one
     sorted net write-set (a repeated key keeps its last value), built
-    once and applied on every node through
-    ``PlatformNode.bootstrap_apply``. The nodes keep only the recipe:
-    cold crash-recovery wipes the state store and re-derives these
-    consensus-bypassing records from it before chain replay, so the
-    write-set dies once the last replica has installed its commit.
+    once and sealed on every node through
+    ``PlatformNode.bootstrap_apply`` / ``bootstrap_commit``, which
+    commit that tuple as it is: no replica copies it into its overlay
+    (Parity alone puts it through its overlay, charging its cap). The
+    nodes keep only the recipe: cold crash-recovery wipes the state
+    store and re-derives these consensus-bypassing records from it
+    before chain replay, so the write-set dies once the last replica
+    has installed its commit.
     """
     prefix = contract.encode() + b"/"
 

@@ -112,6 +112,14 @@ class JournaledState(ABC):
     miss (no memo, or a record evicted or retired) is the compute path,
     with the same result.
 
+    A recorded write-set — the genesis, an execution-cache replay, a
+    single-recipe re-seed — is committed as it is: ``commit_block``
+    takes it as ``write_set`` and hands that tuple to the memo, the
+    flush or the install, with no overlay copy and no ``put``. Into an
+    overlay that already holds writes it merges through
+    :meth:`apply_write_set`, as does every write-set on a subclass
+    whose ``put`` is part of the model (Parity charges its cap there).
+
     Subclasses pass the empty tree's root to the constructor and
     implement four hooks — ``_backing_get`` (committed read),
     ``_flush`` (apply one sorted net write-set to the tree),
@@ -158,8 +166,10 @@ class JournaledState(ABC):
         return self._pending
 
     def apply_write_set(self, items: WriteSet) -> None:
-        """Install a recorded write-set into the overlay (replica
-        replay path of :class:`ExecutionCache`). Routed through
+        """Merge a recorded write-set into the overlay, for a write-set
+        that meets other uncommitted writes (a ``bootstrap_put`` chain,
+        a multi-recipe re-seed) and for Parity's per-put charge; a lone
+        one goes to :meth:`commit_block` as it is. Routed through
         ``put``/``delete`` so subclass accounting (Parity's memory cap)
         sees every write. Into an empty overlay ``items`` (recorded net
         and sorted) *is* the pending write-set and is kept: no re-sort,
@@ -179,8 +189,14 @@ class JournaledState(ABC):
         fresh state, at build time and on a cold restart."""
         self.commit_memo = cache.commits
 
-    def commit_block(self, height: int) -> Hash:
-        items = self.pending_writes()
+    def commit_block(self, height: int, write_set: WriteSet | None = None) -> Hash:
+        """Commit the overlay's net write-set as the state at ``height``,
+        or ``write_set``, a recorded one (net and sorted), as it is."""
+        items = write_set
+        if items is None or self._overlay:
+            if items:
+                self.apply_write_set(items)
+            items = self.pending_writes()
         if items:
             memo = self.commit_memo
             if memo is None:
@@ -536,12 +552,13 @@ class PlatformNode(SimNode):
         #: One entry per completed crash/recover cycle: simulated
         #: seconds from restart to caught-up-and-voting.
         self.recovery_times: list[float] = []
-        # Recipes of the pre-run (genesis) write-sets, re-derived by cold
-        # recovery: they live in no block, so a wiped state cannot replay
-        # them. The write-sets themselves are not kept (see
-        # ``preload_state``).
+        # Recipes of the sealed pre-run (genesis) write-sets, re-derived
+        # by cold recovery: they live in no block, so a wiped state
+        # cannot replay them. The write-sets themselves are not kept
+        # past the seal (see ``preload_state``).
         self._genesis: list[Callable[[], WriteSet]] = []
-        self._genesis_sealed = False
+        #: ``(write-set, recipe)`` pairs ``bootstrap_commit`` will seal.
+        self._unsealed: list[tuple[WriteSet, Callable[[], WriteSet]]] = []
         self.sync_requests_sent = 0
         self.sync_blocks_received = 0
         self.sync_bytes_received = 0
@@ -685,12 +702,13 @@ class PlatformNode(SimNode):
         workers = self.config.exec_workers
         seconds_per_gas = self.config.execution.seconds_per_gas
         levels: tuple[int, ...] | None = None
+        write_set: WriteSet | None = None
         if entry is not None:
             # Another replica already executed this exact block from
-            # this exact pre-state: replay its net write-set into our
-            # overlay and file its receipts. Simulated CPU is still
-            # charged below — only the redundant Python work is skipped.
-            self.state.apply_write_set(entry.write_set)
+            # this exact pre-state: commit its net write-set as it is
+            # and file its receipts. Simulated CPU is still charged
+            # below — only the redundant Python work is skipped.
+            write_set = entry.write_set
             levels = entry.levels
             receipts = entry.receipts
             committed, failed, seconds = entry.tally
@@ -722,7 +740,7 @@ class PlatformNode(SimNode):
                 levels,
                 workers,
             )
-        self.state.commit_block(block.height)
+        self.state.commit_block(block.height, write_set)
         self.executed_block_hashes[block.height] = block.hash
         self.auditor.record_commit(self.node_id, block, self.now)
         if block.transactions:
@@ -990,13 +1008,13 @@ class PlatformNode(SimNode):
     def bootstrap_apply(
         self, write_set: WriteSet, genesis: Callable[[], WriteSet]
     ) -> None:
-        """Write pre-run (genesis) records: ``write_set``, which
-        ``genesis()`` rebuilds. The node keeps the recipe, not the
-        write-set, and cold recovery calls it to re-seed a wiped state
-        before chain replay, the way a real node re-reads its genesis
-        file — preloading bypasses consensus, so no block carries these."""
-        self._genesis.append(genesis)
-        self.state.apply_write_set(write_set)
+        """Stage pre-run (genesis) records: ``write_set``, which
+        ``genesis()`` rebuilds; :meth:`bootstrap_commit` writes them.
+        The node keeps the recipe, not the write-set, and cold recovery
+        calls it to re-seed a wiped state before chain replay, the way a
+        real node re-reads its genesis file — preloading bypasses
+        consensus, so no block carries these."""
+        self._unsealed.append((write_set, genesis))
 
     def bootstrap_put(self, key: bytes, value: bytes) -> None:
         """:meth:`bootstrap_apply` for one record."""
@@ -1004,9 +1022,18 @@ class PlatformNode(SimNode):
         self.bootstrap_apply(write_set, lambda: write_set)
 
     def bootstrap_commit(self) -> None:
-        """Seal the pre-run writes as the height-0 state commit."""
-        self._genesis_sealed = True
-        self.state.commit_block(0)
+        """Seal the staged pre-run writes as the height-0 state commit."""
+        staged, self._unsealed = self._unsealed, []
+        self._genesis.extend(genesis for _, genesis in staged)
+        self._commit_genesis([write_set for write_set, _ in staged])
+
+    def _commit_genesis(self, write_sets: list[WriteSet]) -> None:
+        """Commit pre-run write-sets at height 0. A lone one is committed
+        as it is; several merge through the overlay (a later key wins),
+        the last one in ``commit_block``."""
+        for write_set in write_sets[:-1]:
+            self.state.apply_write_set(write_set)
+        self.state.commit_block(0, write_sets[-1] if write_sets else None)
 
     def recover(self, mode: str = "warm") -> None:
         """Restart a crashed node and begin chain catch-up.
@@ -1049,10 +1076,8 @@ class PlatformNode(SimNode):
             self.failed_tx_count = 0
             # Re-seed the consensus-bypassing genesis writes; without
             # them every replayed root diverges from the live replicas.
-            for genesis in self._genesis:
-                self.state.apply_write_set(genesis())
-            if self._genesis_sealed:
-                self.state.commit_block(0)
+            if self._genesis:
+                self._commit_genesis([genesis() for genesis in self._genesis])
         # Replay whatever the local chain already holds (the full chain
         # for cold, nothing for warm unless execution lagged the crash).
         # The replay's CPU cost becomes a real delay before the node

@@ -29,12 +29,13 @@ from collections import deque
 from ..chain import Transaction
 from ..config import ParityConfig, parity_config
 from ..consensus.poa import ProofOfAuthority
+from ..crypto.hashing import Hash
 from ..crypto.trie import canonical_size
 from ..errors import StorageError
 from ..registry import register_platform
 from ..sim import Message, Network, RngRegistry, Scheduler
 from ..storage.kv import MemKVStore
-from .base import PlatformNode
+from .base import PlatformNode, WriteSet
 from .triestate import TrieState
 
 SIGN_REQ = "parity/sign-req"
@@ -58,7 +59,9 @@ class ParityState(TrieState):
     process memory too, so uncommitted writes count against the cap at
     ``put`` time (key + value payload bytes); the trie nodes the
     commit-time flush materializes are charged by the backing
-    :class:`MemKVStore` itself.
+    :class:`MemKVStore` itself. A recorded write-set (a replay, the
+    genesis) is no exception: ``commit_block`` puts it through the
+    overlay, write by write, where the base class commits it as it is.
     """
 
     def __init__(self, memory_cap_bytes: int | None = None) -> None:
@@ -90,6 +93,13 @@ class ParityState(TrieState):
         if old is not None:
             self._overlay_bytes -= len(key) + len(old)
         super().delete(key)
+
+    def commit_block(self, height: int, write_set: WriteSet | None = None) -> Hash:
+        # A recorded write-set is charged put by put, in order, like the
+        # executing replica's writes: the cap trips at the same put.
+        if write_set is not None:
+            self.apply_write_set(write_set)
+        return super().commit_block(height)
 
     def _flush(self, items, journal: bool = False):
         record = super()._flush(items, journal)
