@@ -3,7 +3,7 @@
 from .block import GENESIS_PARENT, Block, BlockHeader, genesis_block
 from .blockchain import Blockchain
 from .mempool import Mempool
-from .transaction import BlockReceipts, Receipt, Transaction
+from .transaction import BlockReceipts, Transaction
 
 __all__ = [
     "GENESIS_PARENT",
@@ -13,6 +13,5 @@ __all__ = [
     "genesis_block",
     "Blockchain",
     "Mempool",
-    "Receipt",
     "Transaction",
 ]

@@ -14,7 +14,6 @@ block seal).
 from __future__ import annotations
 
 from array import array
-from collections.abc import Iterator
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -107,23 +106,6 @@ class Transaction:
         return f"<Tx {self.tx_id[:8]} {self.contract}.{self.function}>"
 
 
-@dataclass(frozen=True, slots=True)
-class Receipt:
-    """Outcome of executing one transaction inside a committed block.
-
-    A pure function of (pre-state, block), hence immutable. Replicas do
-    not keep these: a block's outcome is one :class:`BlockReceipts`
-    record, which builds a receipt when a reader asks for one.
-    """
-
-    tx_id: str
-    block_height: int
-    success: bool
-    gas_used: int = 0
-    output: Any = None
-    error: str = ""
-
-
 #: One transaction's execution outcome as the executor hands it to
 #: :meth:`BlockReceipts.pack`: ``(gas_used, output, error)``, where
 #: ``error`` is None exactly when the transaction succeeded.
@@ -141,9 +123,9 @@ class BlockReceipts:
     one 0/1 byte per transaction, ``outputs`` one tuple, and ``errors``
     maps the index of each failed transaction to its message. Through the
     cluster's execution cache every replica files the first executor's
-    record. A :class:`Receipt`, equal field for field to the one the
-    executor would have built, is made only for a reader: by index
-    (:meth:`receipt`), by id (:meth:`find`) or by iteration.
+    record. Readers read the columns: the ``i``-th transaction's outcome
+    is ``gas_used[i]``, ``success[i] == 1``, ``outputs[i]`` and
+    ``errors.get(i, "")``.
     """
 
     tx_ids: tuple[str, ...]
@@ -170,25 +152,3 @@ class BlockReceipts:
 
     def __len__(self) -> int:
         return len(self.tx_ids)
-
-    def __iter__(self) -> Iterator[Receipt]:
-        return map(self.receipt, range(len(self.tx_ids)))
-
-    def receipt(self, index: int) -> Receipt:
-        """The receipt of the block's ``index``-th transaction."""
-        return Receipt(
-            self.tx_ids[index],
-            self.height,
-            self.success[index] == 1,
-            self.gas_used[index],
-            self.outputs[index],
-            self.errors.get(index, ""),
-        )
-
-    def find(self, tx_id: str) -> Receipt | None:
-        """``tx_id``'s receipt (its last, should the block hold it twice)."""
-        tx_ids = self.tx_ids
-        for index in range(len(tx_ids) - 1, -1, -1):
-            if tx_ids[index] == tx_id:
-                return self.receipt(index)
-        return None

@@ -97,6 +97,9 @@ class ConsensusHost(Protocol):
 #: hash check cannot catch — only the cross-replica safety auditor can.
 BYZ_META_KEY = "byz"
 
+#: Wire size of a chain-tail sync request (a control message).
+_SYNC_REQ_BYTES = 96
+
 
 class ConsensusProtocol(ABC):
     """Base class for PoW, PoA, PBFT, and Tendermint."""
@@ -114,6 +117,10 @@ class ConsensusProtocol(ABC):
     #: Kinds carrying votes as ``{"digest": Hash, ...}`` dicts — the
     #: targets of vote withholding and digest rewriting.
     vote_kinds: tuple[str, ...] = ()
+    #: ``(request, response)`` kinds of the chain-tail sync
+    #: (:meth:`_request_sync`, :meth:`_on_sync_req`), for the protocols
+    #: that use it; each handles the response itself.
+    sync_kinds: tuple[str, str] = ("", "")
 
     def __init__(self, host: ConsensusHost) -> None:
         self.host = host
@@ -175,6 +182,27 @@ class ConsensusProtocol(ABC):
         alone: it simply re-arms via :meth:`start`.
         """
         self.start()
+
+    # ------------------------------------------------------------------
+    # Chain-tail sync (catch-up after drops, crashes, partitions)
+    # ------------------------------------------------------------------
+    def _request_sync(self, peer: str) -> None:
+        """Ask ``peer`` for the blocks above our chain height."""
+        self.host.send_to(
+            peer,
+            self.sync_kinds[0],
+            {"from_height": self.host.chain().height},
+            _SYNC_REQ_BYTES,
+        )
+
+    def _on_sync_req(self, payload: dict, sender: str) -> None:
+        """Answer a sync request with every block above its height."""
+        chain = self.host.chain()
+        blocks = chain.blocks_in_range(payload["from_height"], chain.height)
+        if not blocks:
+            return
+        size = sum(b.size_bytes() for b in blocks)
+        self.host.send_to(sender, self.sync_kinds[1], blocks, size)
 
     def sync_hint(self) -> int:
         """The view/round number a sync peer reports to a recovering

@@ -74,6 +74,7 @@ class PBFT(ConsensusProtocol):
     proposal_kinds = (PRE_PREPARE,)
     block_kinds = (PRE_PREPARE,)
     vote_kinds = (PREPARE, COMMIT)
+    sync_kinds = (SYNC_REQ, SYNC_RESP)
 
     def __init__(
         self,
@@ -488,22 +489,6 @@ class PBFT(ConsensusProtocol):
     # ------------------------------------------------------------------
     # State sync (catch-up after drops, crashes, partitions)
     # ------------------------------------------------------------------
-    def _request_sync(self, peer: str) -> None:
-        self.host.send_to(
-            peer,
-            SYNC_REQ,
-            {"from_height": self.host.chain().height},
-            _CONTROL_MSG_BYTES,
-        )
-
-    def _on_sync_req(self, payload: dict, sender: str) -> None:
-        chain = self.host.chain()
-        blocks = chain.blocks_in_range(payload["from_height"], chain.height)
-        if not blocks:
-            return
-        size = sum(b.size_bytes() for b in blocks)
-        self.host.send_to(sender, SYNC_RESP, blocks, size)
-
     def _on_sync_resp(self, blocks: list[Block], sender: str) -> None:
         for block in blocks:
             if block.height == self.last_executed + 1:

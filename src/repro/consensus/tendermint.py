@@ -106,6 +106,7 @@ class Tendermint(ConsensusProtocol):
     proposal_kinds = (PROPOSAL,)
     block_kinds = (PROPOSAL,)
     vote_kinds = (PREVOTE, PRECOMMIT)
+    sync_kinds = (SYNC_REQ, SYNC_RESP)
 
     def __init__(
         self,
@@ -494,22 +495,6 @@ class Tendermint(ConsensusProtocol):
     # ------------------------------------------------------------------
     # State sync (catch-up after partitions, crashes, drops)
     # ------------------------------------------------------------------
-    def _request_sync(self, peer: str) -> None:
-        self.host.send_to(
-            peer,
-            SYNC_REQ,
-            {"from_height": self.host.chain().height},
-            _VOTE_MSG_BYTES,
-        )
-
-    def _on_sync_req(self, payload: dict, sender: str) -> None:
-        chain = self.host.chain()
-        blocks = chain.blocks_in_range(payload["from_height"], chain.height)
-        if not blocks:
-            return
-        size = sum(b.size_bytes() for b in blocks)
-        self.host.send_to(sender, SYNC_RESP, blocks, size)
-
     def _on_sync_resp(self, blocks: list[Block], sender: str) -> None:
         for block in blocks:
             if block.height == self.height:

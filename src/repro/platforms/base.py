@@ -31,7 +31,7 @@ from typing import TYPE_CHECKING, Any
 
 from dataclasses import dataclass
 
-from ..chain import Block, BlockReceipts, Blockchain, Mempool, Receipt, Transaction
+from ..chain import Block, BlockReceipts, Blockchain, Mempool, Transaction
 from ..chain.transaction import Outcome
 from ..config import PlatformConfig
 from ..consensus.base import ConsensusProtocol
@@ -366,12 +366,6 @@ class TxIndex(dict):
                     else (held, block_hash)
                 )
 
-    def blocks_of(self, tx_id: str) -> tuple[Hash, ...]:
-        held = self.get(tx_id)
-        if held is None:
-            return ()
-        return held if type(held) is tuple else (held,)
-
 
 class ExecutedReceipts:
     """One replica's receipts: :attr:`blocks` maps the hash of each
@@ -402,19 +396,6 @@ class ExecutedReceipts:
         if type(held) is tuple:
             return any(block_hash in self.blocks for block_hash in held)
         return held in self.blocks
-
-    def get(self, tx_id: str) -> Receipt | None:
-        """``tx_id``'s receipt from the latest-filed block holding it,
-        built from that block's record."""
-        held = self.index.blocks_of(tx_id)
-        blocks = self.blocks
-        # One candidate (the common case) or the latest filing of many.
-        for block_hash in held if len(held) < 2 else reversed(blocks):
-            if block_hash in held and block_hash in blocks:
-                receipt = blocks[block_hash].find(tx_id)
-                if receipt is not None:
-                    return receipt
-        return None
 
 
 class ExecutionCache:
@@ -621,8 +602,7 @@ class PlatformNode(SimNode):
         """Broadcast a consensus message to every peer (ConsensusHost)."""
         if self.crashed:
             return
-        for peer in self.peers:
-            self.network.send(self.node_id, peer, kind, payload, size_bytes)
+        self.network.broadcast(self.node_id, self.peers, kind, payload, size_bytes)
 
     def peer_ids(self) -> list[str]:
         """Peer node ids (ConsensusHost)."""
@@ -914,8 +894,7 @@ class PlatformNode(SimNode):
             return False
         self.tracer.record_admit(tx.tx_id, self.now)
         targets = self._gossip_targets(tx)
-        for peer in targets:
-            self.network.send(self.node_id, peer, TX_GOSSIP, tx, tx.size_bytes())
+        self.network.broadcast(self.node_id, targets, TX_GOSSIP, tx, tx.size_bytes())
         # Serializing one copy per peer is sender-side CPU work that
         # grows with the fan-out (O(N) per admitted transaction).
         self._charge(len(targets) * self.config.execution.tx_broadcast_send_cost_s)

@@ -247,19 +247,16 @@ class Network:
     def broadcast(
         self,
         sender: str,
+        recipients: Iterable[str],
         kind: str,
         payload: Any,
-        size_bytes: int = 256,
-        include_self: bool = False,
-    ) -> int:
-        """Send to every registered node; returns number of sends."""
-        count = 0
-        for node_id in self.nodes:
-            if node_id == sender and not include_self:
-                continue
-            self.send(sender, node_id, kind, payload, size_bytes)
-            count += 1
-        return count
+        size_bytes: int,
+    ) -> None:
+        """Send one message to each of ``recipients``, in their order:
+        one :meth:`send` apiece, so each draws and counts as a send."""
+        send = self.send
+        for recipient in recipients:
+            send(sender, recipient, kind, payload, size_bytes)
 
     def _delivery_delay(self, sender: str, recipient: str, size: int) -> SimTime:
         latency = self.base_latency + self._rng.random() * self.jitter

@@ -69,11 +69,6 @@ class SimNode:
             return
         self.network.send(self.node_id, recipient, kind, payload, size_bytes)
 
-    def broadcast(self, kind: str, payload: Any, size_bytes: int = 256) -> None:
-        if self.crashed:
-            return
-        self.network.broadcast(self.node_id, kind, payload, size_bytes)
-
     def deliver(self, message: Message) -> None:
         """Called by the network when a message arrives."""
         if self.crashed:

@@ -32,7 +32,11 @@ class HarnessNode(SimNode):
         self.send(recipient, kind, payload, size_bytes)
 
     def broadcast_to_peers(self, kind, payload, size_bytes):
-        self.broadcast(kind, payload, size_bytes)
+        if self.crashed:
+            return
+        self.network.broadcast(
+            self.node_id, self.peer_ids(), kind, payload, size_bytes
+        )
 
     def peer_ids(self):
         return [n for n in self.network.node_ids() if n != self.node_id]

@@ -20,7 +20,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.chain.transaction import BlockReceipts, Receipt, Transaction
+import repro.chain as chain_package
+import repro.chain.transaction as transaction_module
+from repro.chain.transaction import BlockReceipts, Transaction
 from repro.core import (
     CrashFault,
     Driver,
@@ -37,6 +39,8 @@ from repro.platforms import base as platform_base
 from repro.platforms.base import CachedExecution
 from repro.platforms.parity import ParityState
 from repro.workloads import YCSBConfig, YCSBWorkload, make_workload
+
+from ..receipts import ReceiptRow, receipt_of
 
 #: Kept small: the differential runs every platform twice.
 DURATION_S = {
@@ -266,12 +270,16 @@ def test_parallel_replayer_charges_the_shared_schedule():
     cluster.close()
 
 
+#: Every column of a :class:`BlockReceipts` record.
+_COLUMNS = ("tx_ids", "height", "gas_used", "success", "outputs", "errors")
+
+
 def test_replayed_receipts_are_the_first_executors_objects():
     """A block's receipts are a pure function of (pre-state, block):
     replicas of one cluster file the executor's immutable record; a
     replica of another cluster packs its own, equal column for column.
-    A :class:`Receipt` is built from the record when a reader asks, so
-    receipts compare by value."""
+    Nothing builds a per-transaction receipt: a reader reads the
+    columns."""
     cluster, other = _cluster(2, 1), _cluster(1, 1)
     node_a, node_b = cluster.nodes
     node_c = other.nodes[0]
@@ -279,21 +287,27 @@ def test_replayed_receipts_are_the_first_executors_objects():
     for node in (node_a, node_b, node_c):
         node._execute_block(block)
     receipts = node_a.receipts.blocks[block.hash]
-    assert [r.tx_id for r in receipts] == list(block.tx_ids)
+    assert list(receipts.tx_ids) == list(block.tx_ids)
     assert receipts.tx_ids is block.tx_ids  # shared, not copied
     # Record level: the executor's record, by reference.
     assert node_b.receipts.blocks[block.hash] is receipts
     assert node_c.receipts.blocks == node_a.receipts.blocks
-    assert node_c.receipts.blocks[block.hash] is not receipts
-    # Receipt level: equal field for field, whoever built them.
-    assert list(node_c.receipts.blocks[block.hash]) == list(receipts)
-    receipt = node_a.receipts.get(block.tx_ids[0])
-    assert receipt == receipts.receipt(0) == node_c.receipts.get(block.tx_ids[0])
-    assert not hasattr(receipt, "committed_at")
-    for field in ("tx_id", "success", "gas_used", "output"):
-        with pytest.raises(FrozenInstanceError):
-            setattr(receipt, field, None)
-    for column in ("tx_ids", "gas_used", "success", "outputs", "errors"):
+    own = node_c.receipts.blocks[block.hash]
+    assert own is not receipts
+    # Column level: equal column for column, whoever packed them.
+    for column in _COLUMNS:
+        assert getattr(own, column) == getattr(receipts, column), column
+    first = block.tx_ids[0]
+    assert receipt_of(node_a.receipts, first) == ReceiptRow(
+        first, receipts.height, receipts.success[0] == 1,
+        receipts.gas_used[0], receipts.outputs[0], receipts.errors.get(0, ""),
+    ) == receipt_of(node_c.receipts, first)
+    assert not hasattr(receipts, "committed_at")
+    # Readers share the columns: the record is frozen, and its ids,
+    # flags and outputs are immutable.
+    assert type(receipts.tx_ids) is type(receipts.outputs) is tuple
+    assert type(receipts.success) is bytes
+    for column in _COLUMNS:
         with pytest.raises(FrozenInstanceError):
             setattr(receipts, column, None)
     cluster.close()
@@ -925,15 +939,15 @@ _TX_IDS = [f"t{i}" for i in range(6)]
 def test_receipt_map_matches_a_dict(shared, blocks, ops):
     """Two replicas file, replay, re-file (another block holding the same
     tx; the same block again) and cold-reset; each one's ``has_receipt``
-    and ``receipts.get`` answer exactly like a dict of receipts filed tx
-    by tx, and ``receipts.blocks`` holds each filed record in
-    latest-filing order."""
+    and the reference reader over its columns answer exactly like a dict
+    of receipts filed tx by tx, and ``receipts.blocks`` holds each filed
+    record in latest-filing order."""
     cluster = _build("hyperledger", 2, seed=1, private=not shared)
     nodes = cluster.nodes
     reference: list[dict] = [{}, {}]
     filed: list[dict] = [{}, {}]  # block hash -> record, latest filing last
     # block -> (the record a replay takes, the receipts it stands for)
-    cached: dict[int, tuple[BlockReceipts, list[Receipt]]] = {}
+    cached: dict[int, tuple[BlockReceipts, list[ReceiptRow]]] = {}
     for op, who, block, variant in ops:
         node, block = nodes[who], block % len(blocks)
         if op == "reset":
@@ -952,7 +966,7 @@ def test_receipt_map_matches_a_dict(shared, blocks, ops):
                     tx_ids, block, [(variant, out, error) for out in outputs]
                 ),
                 [
-                    Receipt(tx_id, block, ok, variant, out, error or "")
+                    ReceiptRow(tx_id, block, ok, variant, out, error or "")
                     for tx_id, out in zip(tx_ids, outputs)
                 ],
             )
@@ -971,7 +985,7 @@ def test_receipt_map_matches_a_dict(shared, blocks, ops):
         )
         for tx_id in _TX_IDS:
             assert node.has_receipt(tx_id) == (tx_id in expected)
-            assert receipts.get(tx_id) == expected.get(tx_id)
+            assert receipt_of(receipts, tx_id) == expected.get(tx_id)
     cluster.close()
 
 
@@ -1004,9 +1018,9 @@ def test_replicas_share_receipt_records_only_with_the_cache_on(monkeypatch):
 def test_a_replayed_blocks_receipts_retain_under_32_bytes_per_tx():
     """A 500-transaction block executed once and replayed by three
     replicas keeps one packed record: dropping it from every replica
-    and from the cache frees under 32 B per transaction (a ``Receipt``
-    and its gas int took ~112 B). Every kvstore write outputs ``True``,
-    so outputs free nothing."""
+    and from the cache frees under 32 B per transaction (a
+    per-transaction receipt object and its gas int took ~112 B). Every
+    kvstore write outputs ``True``, so outputs free nothing."""
     from dataclasses import replace
 
     cluster = _cluster(4, 1)
@@ -1021,7 +1035,7 @@ def test_a_replayed_blocks_receipts_retain_under_32_bytes_per_tx():
             node._execute_block(block)
         record = node_a.receipts.blocks[block.hash]
         assert all(n.receipts.blocks[block.hash] is record for n in cluster.nodes)
-        assert {receipt.output for receipt in record} == {True}
+        assert set(record.outputs) == {True}
         entry = cache.lookup(pre_root, block.hash)
         gc.collect()
         held, _ = tracemalloc.get_traced_memory()
@@ -1037,10 +1051,13 @@ def test_a_replayed_blocks_receipts_retain_under_32_bytes_per_tx():
     cluster.close()
 
 
-#: sha256 (first 16 hex digits) of every replica's main-branch receipts
-#: read through ``receipts.get``, one 4-server smallbank ``_drive`` run
-#: per platform. Pinned from the tree that still stored one ``Receipt``
-#: per transaction; serial and parallel execution give the same.
+#: sha256 (first 16 hex digits) of every replica's main-branch receipts,
+#: one 4-server smallbank ``_drive`` run per platform: each transaction's
+#: ``repr`` of the per-transaction ``Receipt`` dataclass that replicas
+#: once stored (``None`` when not found), now rendered from the columns
+#: by :func:`_receipt_text`. Pinned from the tree that still stored one
+#: ``Receipt`` per transaction; serial and parallel execution give the
+#: same.
 _RECEIPT_DIGESTS = {
     "hyperledger": "c71dc8c83f3b64c6",
     "ethereum": "5dc6f7fdc0136804",
@@ -1049,31 +1066,36 @@ _RECEIPT_DIGESTS = {
 }
 
 
+def _receipt_text(row: ReceiptRow | None) -> str:
+    """The ``repr`` the stored ``Receipt`` dataclass gave ``row``."""
+    if row is None:
+        return "None"
+    fields = ", ".join(f"{name}={value!r}" for name, value in zip(row._fields, row))
+    return f"Receipt({fields})"
+
+
 @pytest.mark.parametrize("workers", [1, 4])
 @pytest.mark.parametrize("platform", PLATFORMS)
 def test_execution_builds_no_receipt_and_get_answers_as_before(
     monkeypatch, platform, workers
 ):
-    """A run packs receipts without building one ``Receipt``; a reader
-    asking ``receipts.get`` gets the ones each replica used to store."""
-    built = []
-    init = Receipt.__init__
-
-    def counting_init(self, *args, **kwargs):
-        built.append(args)
-        init(self, *args, **kwargs)
-
-    monkeypatch.setattr(Receipt, "__init__", counting_init)
+    """A run packs receipts and has no per-transaction receipt class to
+    build; read from the columns, every replica's receipts render as the
+    ones it used to store."""
+    assert not hasattr(transaction_module, "Receipt")
+    assert "Receipt" not in chain_package.__all__
     cluster = _drive(
         monkeypatch, platform, "smallbank", overrides={"exec_workers": workers}
     )
-    assert not built
     digest = hashlib.sha256()
+    found = 0
     for node in cluster.nodes:
         for block in node.chain().main_branch():
             for tx_id in block.tx_ids:
-                digest.update(repr(node.receipts.get(tx_id)).encode())
-    assert built
+                row = receipt_of(node.receipts, tx_id)
+                found += row is not None
+                digest.update(_receipt_text(row).encode())
+    assert found
     assert digest.hexdigest()[:16] == _RECEIPT_DIGESTS[platform]
     cluster.close()
 
@@ -1093,9 +1115,9 @@ def test_cold_recovery_recounts_from_an_empty_map(monkeypatch, shared):
     )
     assert cluster.nodes[-1].recovery_times
     for node in cluster.nodes:
-        receipts = [r for rs in node.receipts.blocks.values() for r in rs]
-        assert node.committed_tx_count == sum(r.success for r in receipts) > 0
-        assert node.failed_tx_count == sum(not r.success for r in receipts)
+        success = b"".join(r.success for r in node.receipts.blocks.values())
+        assert node.committed_tx_count == success.count(1) > 0
+        assert node.failed_tx_count == success.count(0)
     cluster.close()
 
 

@@ -23,6 +23,8 @@ from repro.core.suitestore import result_to_dict
 from repro.platforms import build_cluster
 from repro.workloads import SmallbankConfig, SmallbankWorkload, make_workload
 
+from ..receipts import receipt_of
+
 ALL_PLATFORMS = ("ethereum", "parity", "hyperledger", "erisdb")
 BFT_PLATFORMS = ("hyperledger", "erisdb")
 
@@ -72,8 +74,16 @@ def test_receipts_agree_across_replicas(platform):
             for tx in node.chain().block_by_height(h).transactions
         }
         assert ids == ref_ids
+        # One cluster shares one execution cache: every replica files the
+        # first executor's record of a block.
+        for h in range(1, floor + 1):
+            block_hash = node.chain().block_by_height(h).hash
+            assert block_hash == reference.chain().block_by_height(h).hash
+            record = node.receipts.blocks[block_hash]
+            assert record is reference.receipts.blocks[block_hash]
         for tx_id in ids:
-            mine, theirs = node.receipts.get(tx_id), reference.receipts.get(tx_id)
+            mine = receipt_of(node.receipts, tx_id)
+            theirs = receipt_of(reference.receipts, tx_id)
             assert mine.success == theirs.success
     cluster.close()
 

@@ -25,6 +25,8 @@ from repro.chain.transaction import Transaction
 from repro.core.runner import ExperimentSpec, run_experiment
 from repro.platforms import build_cluster
 
+from ..receipts import receipt_of
+
 PLATFORMS = ["hyperledger", "ethereum", "parity", "erisdb"]
 
 #: One kvstore invocation: (op, key index, payload). Small key space so
@@ -81,7 +83,7 @@ def _execute_direct(platform, workers, txs, seed=7):
     root = node.state.pre_state_root()
     receipts = tuple(
         (r.tx_id, r.success, r.gas_used, r.output, r.error)
-        for r in (node.receipts.get(tx.tx_id) for tx in txs)
+        for r in (receipt_of(node.receipts, tx.tx_id) for tx in txs)
     )
     cpu = node.cpu_time
     cluster.close()

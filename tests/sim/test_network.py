@@ -48,11 +48,21 @@ def test_larger_messages_take_longer():
     assert large > small
 
 
-def test_broadcast_excludes_sender_by_default():
+def test_broadcast_sends_to_the_recipients_in_order():
     sched, net, nodes = make_net(n=4)
-    count = net.broadcast("n0", "gossip", "hello")
+    sent = []
+    send = net.send
+
+    def logged(sender, recipient, kind, payload, size_bytes):
+        sent.append(recipient)
+        return send(sender, recipient, kind, payload, size_bytes)
+
+    net.send = logged
+    net.broadcast("n0", ["n3", "n1", "n2"], "gossip", "hello", 100)
     sched.run()
-    assert count == 3
+    assert sent == ["n3", "n1", "n2"]
+    assert net.stats.messages_sent == 3
+    assert net.stats.bytes_sent == {"n0": 300}
     assert nodes[0].received == []
     assert all(len(n.received) == 1 for n in nodes[1:])
 
