@@ -259,6 +259,7 @@ class FaultSchedule:
         fault's reset clobbering an earlier, still-active one.
         """
         scheduler = cluster.scheduler
+        cold_restarts = 0
         for index, crash in enumerate(self.crashes):
             _check_victims(cluster, f"faults.crashes[{index}]", crash)
             if crash.recovery_mode not in RECOVERY_MODES:
@@ -278,6 +279,11 @@ class FaultSchedule:
                 scheduler.schedule_at(
                     crash.recover_at, self._do_recover, cluster, crash
                 )
+                if crash.recovery_mode == "cold":
+                    cold_restarts += len(self._crash_victims(cluster, crash))
+        # Each cold restart replays its replica's chain through the
+        # execution cache: one more reader of every execution record.
+        cluster.nodes[0].execution_cache.add_cold_restarts(cold_restarts)
         for index, delay in enumerate(self.delays):
             _check_victims(cluster, f"faults.delays[{index}]", delay)
             scheduler.schedule_at(

@@ -60,8 +60,6 @@ from .hashing import Hash, sha256
 
 #: A key as nibbles: one byte (0..15) per nibble, high nibble first.
 Nibbles = bytes
-#: Sorted, distinct ``(path, value)`` puts, addressed by index ranges.
-_Puts = list[tuple[Nibbles, bytes]]
 
 _LEAF = 0
 _EXTENSION = 1
@@ -210,27 +208,25 @@ def canonical_size(blob: bytes) -> int:
 
 
 def _split(
-    items: _Puts, lo: int, hi: int, depth: int
+    paths: list[Nibbles], values: list[bytes], lo: int, hi: int, depth: int
 ) -> tuple[bytes | None, list[tuple[int, int, int]]]:
-    """A branch's view of the sorted, distinct ``items[lo:hi]``, which
-    share their first ``depth`` nibbles: the value of the one item that
+    """A branch's view of the sorted, distinct puts ``lo:hi``, which
+    share their first ``depth`` nibbles: the value of the one put that
     ends there (it sorts first), and ``(nibble, lo, hi)`` per child in
     ascending nibble order."""
     value = None
-    if len(items[lo][0]) == depth:
-        value = items[lo][1]
+    if len(paths[lo]) == depth:
+        value = values[lo]
         lo += 1
     groups = []
     while lo < hi:
-        path = items[lo][0]
+        path = paths[lo]
         nibble = path[depth]
         end = lo + 1
-        if end < hi and items[end][0][depth] == nibble:
+        if end < hi and paths[end][depth] == nibble:
             # The first path past this child's: the prefix, nibble + 1
             # (16 sorts after every nibble).
-            end = bisect_left(
-                items, (path[:depth] + _NIBBLE[nibble + 1],), end, hi
-            )
+            end = bisect_left(paths, path[:depth] + _NIBBLE[nibble + 1], end, hi)
         groups.append((nibble, lo, end))
         lo = end
     return value, groups
@@ -348,71 +344,92 @@ class PatriciaTrie:
         root of a Patricia trie is canonical for the final key-to-value
         map, so the order of the batch never changes it.
         """
-        puts: _Puts = []
-        for key, value in sorted(dict(items).items()):
+        # The puts as two parallel lists, sorted by path, with no tuple
+        # per put: a large batch (a genesis) is held once while it builds.
+        net = dict(items)
+        paths: list[Nibbles] = []
+        values: list[bytes] = []
+        for key in sorted(net):
+            value = net[key]
             path = to_nibbles(key)
             if value is not None:
-                puts.append((path, value))
+                paths.append(path)
+                values.append(value)
             elif root is not None:
                 root = self._delete(root, path, 0)
-        if not puts:
+        del net
+        if not paths:
             return root
         if root is None:
-            return self._build(puts, 0, len(puts), 0)
-        return self._merge(root, puts, 0, len(puts), 0)
+            return self._build(paths, values, 0, len(paths), 0)
+        return self._merge(root, paths, values, 0, len(paths), 0)
 
-    def _build(self, items: _Puts, lo: int, hi: int, depth: int) -> Hash:
-        """A new subtree for the sorted, distinct ``items[lo:hi]``, whose
+    def _build(
+        self, paths: list[Nibbles], values: list[bytes], lo: int, hi: int,
+        depth: int,
+    ) -> Hash:
+        """A new subtree for the sorted, distinct puts ``lo:hi``, whose
         first ``depth`` nibbles are already consumed."""
         if hi - lo == 1:
-            path, value = items[lo]
-            return self._save(_LEAF_HEAD[len(path) - depth] + path[depth:] + value)
-        # Sorted paths: the common prefix of all items is the common
+            path = paths[lo]
+            return self._save(
+                _LEAF_HEAD[len(path) - depth] + path[depth:] + values[lo]
+            )
+        # Sorted paths: the common prefix of all puts is the common
         # prefix of the first and last.
-        first = items[lo][0]
-        common = _common_prefix_len(first, depth, items[hi - 1][0], depth)
+        first = paths[lo]
+        common = _common_prefix_len(first, depth, paths[hi - 1], depth)
         if not common:
-            return self._build_branch(items, lo, hi, depth)
-        branch = self._build_branch(items, lo, hi, depth + common)
+            return self._build_branch(paths, values, lo, hi, depth)
+        branch = self._build_branch(paths, values, lo, hi, depth + common)
         return self._save(
             _EXTENSION_HEAD[common] + first[depth : depth + common] + branch
         )
 
-    def _build_branch(self, items: _Puts, lo: int, hi: int, depth: int) -> Hash:
-        value, groups = _split(items, lo, hi, depth)
+    def _build_branch(
+        self, paths: list[Nibbles], values: list[bytes], lo: int, hi: int,
+        depth: int,
+    ) -> Hash:
+        value, groups = _split(paths, values, lo, hi, depth)
         mask = 0
         children = []
         for nibble, start, stop in groups:
             mask |= 1 << nibble
-            children.append(self._build(items, start, stop, depth + 1))
+            children.append(self._build(paths, values, start, stop, depth + 1))
         return self._save(*_branch(mask, children, value))
 
     def _merge(
-        self, node_hash: Hash, items: _Puts, lo: int, hi: int, depth: int
+        self, node_hash: Hash, paths: list[Nibbles], values: list[bytes],
+        lo: int, hi: int, depth: int,
     ) -> Hash:
-        """Merge sorted, distinct put items into an existing subtree."""
+        """Merge the sorted, distinct puts ``lo:hi`` into an existing
+        subtree."""
         blob = self._load(node_hash)
         tag = blob[0]
         if tag == _LEAF:
             n = blob[1]
-            first, value = items[lo]
+            first = paths[lo]
             if hi - lo == 1 and len(first) - depth == n and first.endswith(
                 blob[2 : 2 + n]
             ):
-                if value == blob[2 + n :]:
+                if values[lo] == blob[2 + n :]:
                     return node_hash  # unchanged subtree: no rewrite
-                return self._save(blob[: 2 + n] + value)
+                return self._save(blob[: 2 + n] + values[lo])
             leaf_path = first[:depth] + blob[2 : 2 + n]
-            at = bisect_left(items, (leaf_path,), lo, hi)
-            if at < hi and items[at][0] == leaf_path:
-                return self._build(items, lo, hi, depth)  # value replaced
-            merged = items[lo:hi]
-            merged.insert(at - lo, (leaf_path, blob[2 + n :]))
-            return self._build(merged, 0, len(merged), depth)
+            at = bisect_left(paths, leaf_path, lo, hi)
+            if at < hi and paths[at] == leaf_path:
+                return self._build(paths, values, lo, hi, depth)  # value replaced
+            merged_paths, merged_values = paths[lo:hi], values[lo:hi]
+            merged_paths.insert(at - lo, leaf_path)
+            merged_values.insert(at - lo, blob[2 + n :])
+            return self._build(
+                merged_paths, merged_values, 0, len(merged_paths), depth
+            )
         if tag == _EXTENSION:
             n = blob[1]
             return self._merge_extension(
-                blob[2 : 2 + n], blob[2 + n :], items, lo, hi, depth, node_hash
+                blob[2 : 2 + n], blob[2 + n :], paths, values, lo, hi, depth,
+                node_hash,
             )
         # _stored_children, inlined: this is the hot write path.
         mask = blob[1] << 8 | blob[2]
@@ -420,7 +437,7 @@ class PatriciaTrie:
         children = list(_UNPACK_CHILDREN[count](blob, _CHILDREN))
         flag = _CHILDREN + 32 * count
         old_value = blob[flag + 1 :] if blob[flag] else None
-        value, groups = _split(items, lo, hi, depth)
+        value, groups = _split(paths, values, lo, hi, depth)
         if value is None:
             value = old_value
         edited = value != old_value
@@ -428,12 +445,16 @@ class PatriciaTrie:
             index = (mask & _BELOW[nibble]).bit_count()
             if mask >> nibble & 1:
                 child = children[index]
-                new_child = self._merge(child, items, start, stop, depth + 1)
+                new_child = self._merge(
+                    child, paths, values, start, stop, depth + 1
+                )
                 if new_child != child:
                     children[index] = new_child
                     edited = True
             else:
-                children.insert(index, self._build(items, start, stop, depth + 1))
+                children.insert(
+                    index, self._build(paths, values, start, stop, depth + 1)
+                )
                 mask |= 1 << nibble
                 edited = True
         if not edited:
@@ -444,13 +465,14 @@ class PatriciaTrie:
         self,
         ext_path: Nibbles,
         ext_child: Hash,
-        items: _Puts,
+        paths: list[Nibbles],
+        values: list[bytes],
         lo: int,
         hi: int,
         depth: int,
         node_hash: Hash | None = None,
     ) -> Hash:
-        """Merge items into an extension segment over ``ext_child``.
+        """Merge puts into an extension segment over ``ext_child``.
 
         ``node_hash`` is the stored hash of that extension when the
         node exists (enables the unchanged short-circuit); None when
@@ -458,32 +480,36 @@ class PatriciaTrie:
         is being split.
         """
         n = len(ext_path)
-        # Sorted items: the one sharing the least with the segment is
+        # Sorted puts: the one sharing the least with the segment is
         # the first or the last.
         divergence = min(
-            _common_prefix_len(ext_path, 0, items[lo][0], depth),
-            _common_prefix_len(ext_path, 0, items[hi - 1][0], depth),
+            _common_prefix_len(ext_path, 0, paths[lo], depth),
+            _common_prefix_len(ext_path, 0, paths[hi - 1], depth),
         )
         if divergence == n:
-            # Every item lives under the extension: one recursive merge.
-            new_child = self._merge(ext_child, items, lo, hi, depth + n)
+            # Every put lives under the extension: one recursive merge.
+            new_child = self._merge(
+                ext_child, paths, values, lo, hi, depth + n
+            )
             if new_child == ext_child and node_hash is not None:
                 return node_hash  # unchanged subtree: no path rewrite
             return self._save(_EXTENSION_HEAD[n] + ext_path + new_child)
-        # Split at the first nibble where some item leaves the segment;
+        # Split at the first nibble where some put leaves the segment;
         # the segment's own child slot is filled first.
         at = depth + divergence
-        value, groups = _split(items, lo, hi, at)
+        value, groups = _split(paths, values, lo, hi, at)
         ext_nibble = ext_path[divergence]
         ext_rest = ext_path[divergence + 1 :]
         for nibble, start, stop in groups:
             if nibble == ext_nibble:
                 ext_slot = (
                     self._merge_extension(
-                        ext_rest, ext_child, items, start, stop, at + 1
+                        ext_rest, ext_child, paths, values, start, stop, at + 1
                     )
                     if ext_rest
-                    else self._merge(ext_child, items, start, stop, at + 1)
+                    else self._merge(
+                        ext_child, paths, values, start, stop, at + 1
+                    )
                 )
                 break
         else:
@@ -497,7 +523,9 @@ class PatriciaTrie:
         for nibble, start, stop in groups:
             if nibble != ext_nibble:
                 mask |= 1 << nibble
-                children.append(self._build(items, start, stop, at + 1))
+                children.append(
+                    self._build(paths, values, start, stop, at + 1)
+                )
         children.insert((mask & _BELOW[ext_nibble]).bit_count(), ext_slot)
         branch = self._save(*_branch(mask, children, value))
         if divergence:

@@ -26,7 +26,7 @@ the shallow reorgs PoW naturally produces.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from collections.abc import Callable
+from collections.abc import Callable, Hashable
 from typing import TYPE_CHECKING, Any
 
 from dataclasses import dataclass
@@ -242,27 +242,40 @@ class JournaledState(ABC):
 
 
 class CommitMemo(LRUCache):
-    """A cluster's commit records: ``(sealed root, write-set) → record``.
+    """A counted memo: ``key → record``, each record read by a known
+    number of readers. It holds a cluster's commit records
+    (:attr:`ExecutionCache.commits`, ``(sealed root, write-set) →
+    record``) and its execution records (``(pre-state root, block hash)
+    → CachedExecution``).
 
-    The replica that computes a commit puts its record; each of the
-    other ``replicas - 1`` takes it once, and the last take retires it:
-    a record lives until its last reader has read it. The LRU bound
-    (:data:`COMMIT_MEMO_ENTRIES`) holds the records some replica never
-    takes. ``hits`` / ``misses`` count lookups, as on any
-    :class:`LRUCache`; a value is ``[record, takes left]``.
+    The replica that computes a record puts it; each of the other
+    ``replicas - 1`` (plus any :attr:`readers` added later) takes it
+    once, and the last take retires it: a record lives until its last
+    reader has read it, and a put with no reader left stores nothing.
+    The LRU bound (``capacity``, :data:`COMMIT_MEMO_ENTRIES` when not
+    given, read when the memo is built) holds the records some reader
+    never takes. ``hits`` / ``misses`` count reads, as on any
+    :class:`LRUCache`; :meth:`get` reads a record without taking it.
     """
 
-    def __init__(self, replicas: int) -> None:
-        super().__init__(COMMIT_MEMO_ENTRIES)
+    def __init__(self, replicas: int, capacity: int | None = None) -> None:
+        super().__init__(COMMIT_MEMO_ENTRIES if capacity is None else capacity)
+        #: Reads a record is put with.
         self.readers = replicas - 1
 
-    def put(self, key: tuple[Hash, WriteSet], record: Any) -> None:
-        super().put(key, [record, self.readers])
+    def put(self, key: Hashable, record: Any) -> None:
+        if self.readers > 0:
+            super().put(key, [record, self.readers])
 
-    def take(self, key: tuple[Hash, WriteSet]) -> Any:
+    def get(self, key: Hashable) -> Any:
+        """The record under ``key``, or None; a read that takes nothing."""
+        entry = super().get(key)
+        return None if entry is None else entry[0]
+
+    def take(self, key: Hashable) -> Any:
         """The record under ``key``, or None; the last reader's take
         retires it."""
-        entry = self.get(key)
+        entry = LRUCache.get(self, key)
         if entry is None:
             return None
         entry[1] -= 1
@@ -404,13 +417,22 @@ class ExecutionCache:
     The simulation is deterministic: replicas 2..N executing the same
     block from the same pre-state root must produce identical write
     sets and receipts. Only the first replica runs the contracts; the
-    rest replay the recorded net write-set into their own overlay and
-    commit — byte-identical roots, a fraction of the CPU. Keyed by
+    rest commit the recorded net write-set as it is — byte-identical
+    roots, a fraction of the CPU. Keyed by
     ``(pre_state_root, block_hash)``: PoW forks execute different
     blocks at one height and hit different keys, so divergent branches
     can never cross-contaminate. ``build_cluster`` gives every cluster
     one; a replay charges the same simulated CPU as an execution, so
     the cache changes no run's output.
+
+    The execution records are a :class:`CommitMemo` too: the executing
+    replica stores a record for the other ``replicas - 1``, plus one
+    reader per cold restart a fault schedule armed
+    (:meth:`add_cold_restarts`), and the last :meth:`lookup` retires
+    it. The LRU bound (``capacity``) holds what some replica never
+    reads: a fork block's record, a crashed replica's. A replica that
+    finds no record — retired, evicted, or a cold restart no schedule
+    armed — executes the block itself, with the same result.
 
     The same object carries the cluster's commit memo:
     :attr:`commits` (a :class:`CommitMemo` over the cluster's
@@ -438,9 +460,7 @@ class ExecutionCache:
     """
 
     def __init__(self, replicas: int, capacity: int = 4096) -> None:
-        self._entries: LRUCache[tuple[Hash, Hash], CachedExecution] = (
-            LRUCache(capacity)
-        )
+        self._entries = CommitMemo(replicas, capacity)
         self.commits = CommitMemo(replicas)
         self.tx_index = TxIndex()
         self.trie_nodes: "DictNodeStore | None" = None
@@ -456,7 +476,9 @@ class ExecutionCache:
     def lookup(
         self, pre_state_root: Hash, block_hash: Hash
     ) -> CachedExecution | None:
-        return self._entries.get((pre_state_root, block_hash))
+        """Take the record of ``block_hash`` executed from
+        ``pre_state_root``, or None: the last reader's lookup retires it."""
+        return self._entries.take((pre_state_root, block_hash))
 
     def store(
         self,
@@ -465,6 +487,12 @@ class ExecutionCache:
         entry: CachedExecution,
     ) -> None:
         self._entries.put((pre_state_root, block_hash), entry)
+
+    def add_cold_restarts(self, count: int) -> None:
+        """Give every execution record ``count`` more readers: the cold
+        restarts a fault schedule armed, each replaying its replica's
+        whole chain through :meth:`lookup`."""
+        self._entries.readers += count
 
 
 class PlatformNode(SimNode):
@@ -678,6 +706,7 @@ class PlatformNode(SimNode):
             self.tracer.record_decide(block.tx_ids, self.now)
         cache = self.execution_cache
         pre_root = self.state.pre_state_root()
+        # Taken, not peeked: this replica's read may be the record's last.
         entry = cache.lookup(pre_root, block.hash)
         workers = self.config.exec_workers
         seconds_per_gas = self.config.execution.seconds_per_gas

@@ -198,6 +198,12 @@ def test_execution_cache_evicts_beyond_capacity():
 # Parallel execution (PR 9): one cache serves one cluster, whose nodes
 # share one config, so a replayer takes the executor's schedule.
 # ---------------------------------------------------------------------------
+def _peek(cache, pre_state_root, block_hash):
+    """The execution record a replica's lookup would take, read without
+    taking it (a read counts as a hit or a miss all the same)."""
+    return cache._entries.get((pre_state_root, block_hash))
+
+
 def _cluster(n, workers):
     """An ``n``-node hyperledger cluster with the given exec_workers."""
     return build_cluster(
@@ -230,8 +236,9 @@ def _mixed_block(node, n=24, hot_every=3):
 def test_cache_entries_identical_whoever_executes():
     """Serially- and parallel-executed caches hold byte-identical
     write-sets and receipts for the same block; only the optional
-    schedule annotation differs."""
-    s_cluster, p_cluster = _cluster(1, 1), _cluster(1, 4)
+    schedule annotation differs. Two replicas each, so the executor's
+    record has a reader to be kept for."""
+    s_cluster, p_cluster = _cluster(2, 1), _cluster(2, 4)
     serial_node, parallel_node = s_cluster.nodes[0], p_cluster.nodes[0]
     block = _mixed_block(serial_node)
     s_pre = serial_node.state.pre_state_root()
@@ -239,8 +246,8 @@ def test_cache_entries_identical_whoever_executes():
     assert s_pre == p_pre  # same seed, same genesis
     serial_node._execute_block(block)
     parallel_node._execute_block(block)
-    s_entry = serial_node.execution_cache.lookup(s_pre, block.hash)
-    p_entry = parallel_node.execution_cache.lookup(p_pre, block.hash)
+    s_entry = _peek(serial_node.execution_cache, s_pre, block.hash)
+    p_entry = _peek(parallel_node.execution_cache, p_pre, block.hash)
     assert s_entry is not None and p_entry is not None
     assert s_entry.write_set == p_entry.write_set
     assert s_entry.receipts == p_entry.receipts
@@ -260,7 +267,7 @@ def test_parallel_replayer_charges_the_shared_schedule():
     block = _mixed_block(node_a)
     pre_root = node_a.state.pre_state_root()
     node_a._execute_block(block)  # executes for real
-    entry = cache.lookup(pre_root, block.hash)
+    entry = _peek(cache, pre_root, block.hash)
     assert entry.levels is not None and max(entry.levels) > 1
     node_b._execute_block(block)  # replays the entry
     assert (cache.hits, cache.misses) == (2, 1)
@@ -913,6 +920,173 @@ def test_parity_memory_cap_trips_at_the_same_put(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# Nothing outlives its last reader, executions too: an execution record
+# retires on the last replica's lookup, a cold restart a fault schedule
+# armed included, and the LRU bound holds only what some replica never
+# reads.
+# ---------------------------------------------------------------------------
+def _empty_entry():
+    return CachedExecution(
+        write_set=(), receipts=BlockReceipts.pack((), 1, []), tally=(0, 0, 0.0)
+    )
+
+
+def _held_blocks(cache):
+    """The block hashes of the execution records ``cache`` holds."""
+    return {block_hash for _, block_hash in cache._entries._data}
+
+
+def test_a_record_with_no_reader_is_not_kept():
+    """A put with no reader left stores nothing, on either memo: a
+    one-replica cache keeps no execution and no commit record. A cold
+    restart a schedule arms is a reader of every execution record."""
+    cache = ExecutionCache(1)
+    entry = _empty_entry()
+    for memo, key, record in (
+        (cache._entries, (b"root", b"block"), entry),
+        (cache.commits, (b"root", ((b"k", b"v"),)), ("record",)),
+    ):
+        assert memo.readers == 0
+        memo.put(key, record)
+        assert len(memo) == 0 and memo.get(key) is None
+    cache.add_cold_restarts(1)
+    assert (cache._entries.readers, cache.commits.readers) == (1, 0)
+    cache.store(b"root", b"block", entry)
+    assert cache.lookup(b"root", b"block") is entry
+    assert cache.lookup(b"root", b"block") is None  # its one reader took it
+
+
+def test_a_lone_replica_keeps_no_record(monkeypatch):
+    cluster = _drive(monkeypatch, "hyperledger", "smallbank", n=1)
+    cache = cluster.nodes[0].execution_cache
+    assert cluster.nodes[0].executed_height > 0
+    assert cache.misses > 0 and cache.hits == 0
+    assert len(cache._entries) == len(cache.commits) == 0
+    cluster.close()
+
+
+@pytest.mark.parametrize("platform", PLATFORMS)
+def test_a_fault_free_run_keeps_no_record_every_replica_took(
+    monkeypatch, platform
+):
+    """Each of the four replicas reads every record it did not store, so
+    at the end the cache holds only the records of blocks some replica
+    has yet to execute (the run's last blocks, a fork block)."""
+    cluster = _drive(
+        monkeypatch, platform, "smallbank",
+        duration=60.0 if platform == "ethereum" else None,  # PoW is slow
+    )
+    cache = cluster.nodes[0].execution_cache
+    everywhere = set.intersection(
+        *(set(node.receipts.blocks) for node in cluster.nodes)
+    )
+    assert len(everywhere) > 5 and cache.hits > 0
+    assert not _held_blocks(cache) & everywhere
+    assert len(cache._entries) < len(everywhere)
+    cluster.close()
+
+
+def test_a_record_a_replica_never_reads_waits_for_its_bound(monkeypatch):
+    """One replica stays crashed for the whole run and never restarts: no
+    record meets its last reader, so the cache keeps every one until its
+    LRU bound evicts the least recently read."""
+
+    def small_cache(cluster):
+        cluster.nodes[-1].crash()
+        cache = ExecutionCache(len(cluster.nodes), capacity=8)
+        for node in cluster.nodes:
+            node.attach_execution_cache(cache)
+
+    cluster = _drive(monkeypatch, "hyperledger", "smallbank", probe=small_cache)
+    *live, crashed = cluster.nodes
+    assert crashed.executed_height == 0
+    cache = live[0].execution_cache
+    assert cache.misses > 8 and len(cache._entries) == 8
+    executed = live[0].executed_block_hashes
+    held = _held_blocks(cache)
+    assert held <= set(executed.values())
+    assert executed[1] not in held  # the bound evicted the oldest
+    assert executed[live[0].executed_height] in held
+    # Below the bound nothing is evicted: every record the run stored
+    # is still there, waiting for the crashed replica.
+    kept = _drive(
+        monkeypatch, "hyperledger", "smallbank",
+        probe=lambda cluster: cluster.nodes[-1].crash(),
+    )
+    cache = kept.nodes[0].execution_cache
+    assert len(cache._entries) == cache.misses > 8
+    cluster.close()
+    kept.close()
+
+
+def test_an_armed_cold_restart_replays_every_block_from_the_cache(
+    monkeypatch, height_roots
+):
+    """A cold restart a fault schedule armed replays the victim's whole
+    pre-crash chain from records kept for it: every replayed block hits,
+    and the run's hits and misses equal a reference cache that never
+    retires a record. A cold restart no schedule armed finds the
+    retired records gone and recomputes, to the same roots."""
+    replays = []
+
+    def record_replay(cluster):
+        victim = cluster.nodes[-1]
+        recover = victim.recover
+
+        def recording(mode="warm"):
+            cache = victim.execution_cache
+            hits, misses = cache.hits, cache.misses
+            recover(mode)
+            replays.append((
+                victim.executed_height,
+                cache.hits - hits,
+                cache.misses - misses,
+            ))
+
+        victim.recover = recording
+
+    def run():
+        return _drive(
+            monkeypatch, "hyperledger", "smallbank", duration=20.0,
+            probe=record_replay,
+            faults=FaultSchedule(crashes=[CrashFault(
+                at_time=8.0, count=1, include_leader=False,
+                recover_at=12.0, recovery_mode="cold",
+            )]),
+        )
+
+    retiring = run()
+    with monkeypatch.context() as patch:
+        patch.setattr(
+            ExecutionCache, "lookup",
+            lambda cache, root, block_hash: cache._entries.get((root, block_hash)),
+        )
+        reference = run()
+    (height, hits, misses), reference_replay = replays
+    assert height > 5 and (hits, misses) == (height, 0)
+    assert reference_replay == replays[0]
+    cache = retiring.nodes[0].execution_cache
+    reference_cache = reference.nodes[0].execution_cache
+    assert cache._entries.readers == 4
+    assert (cache.hits, cache.misses) == (
+        reference_cache.hits, reference_cache.misses
+    )
+    assert len(cache._entries) < len(reference_cache._entries)
+    assert height_roots(retiring) == height_roots(reference)
+    # Unarmed: the replay misses what retired, recomputes it, and
+    # reaches the roots the live replicas committed.
+    witness, other = retiring.nodes[0], retiring.nodes[1]
+    other.crash()
+    misses = cache.misses
+    other.recover("cold")
+    assert other.executed_height == witness.executed_height
+    assert cache.misses > misses
+    assert other.state.pre_state_root() == witness.state.pre_state_root()
+    retiring.close()
+    reference.close()
+
+
+# ---------------------------------------------------------------------------
 # Receipts by reference: a replica stores one packed receipts record per
 # executed block and finds transactions through a tx -> block index, one
 # per cluster.
@@ -1017,12 +1191,11 @@ def test_replicas_share_receipt_records_only_with_the_cache_on(monkeypatch):
 
 def test_a_replayed_blocks_receipts_retain_under_32_bytes_per_tx():
     """A 500-transaction block executed once and replayed by three
-    replicas keeps one packed record: dropping it from every replica
-    and from the cache frees under 32 B per transaction (a
-    per-transaction receipt object and its gas int took ~112 B). Every
-    kvstore write outputs ``True``, so outputs free nothing."""
-    from dataclasses import replace
-
+    replicas keeps one packed record: the third replay retired the
+    cache's entry, and dropping the record from every replica frees
+    under 32 B per transaction (a per-transaction receipt object and
+    its gas int took ~112 B). Every kvstore write outputs ``True``, so
+    outputs free nothing."""
     cluster = _cluster(4, 1)
     node_a = cluster.nodes[0]
     cache = node_a.execution_cache
@@ -1036,13 +1209,12 @@ def test_a_replayed_blocks_receipts_retain_under_32_bytes_per_tx():
         record = node_a.receipts.blocks[block.hash]
         assert all(n.receipts.blocks[block.hash] is record for n in cluster.nodes)
         assert set(record.outputs) == {True}
-        entry = cache.lookup(pre_root, block.hash)
+        assert _peek(cache, pre_root, block.hash) is None
         gc.collect()
         held, _ = tracemalloc.get_traced_memory()
-        cache.store(pre_root, block.hash, replace(entry, receipts=None))
         for node in cluster.nodes:
             del node.receipts.blocks[block.hash]
-        del record, entry
+        del record
         gc.collect()
         freed = held - tracemalloc.get_traced_memory()[0]
     finally:
