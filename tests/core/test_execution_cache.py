@@ -925,12 +925,6 @@ def test_parity_memory_cap_trips_at_the_same_put(monkeypatch):
 # armed included, and the LRU bound holds only what some replica never
 # reads.
 # ---------------------------------------------------------------------------
-def _empty_entry():
-    return CachedExecution(
-        write_set=(), receipts=BlockReceipts.pack((), 1, []), tally=(0, 0, 0.0)
-    )
-
-
 def _held_blocks(cache):
     """The block hashes of the execution records ``cache`` holds."""
     return {block_hash for _, block_hash in cache._entries._data}
@@ -941,7 +935,9 @@ def test_a_record_with_no_reader_is_not_kept():
     one-replica cache keeps no execution and no commit record. A cold
     restart a schedule arms is a reader of every execution record."""
     cache = ExecutionCache(1)
-    entry = _empty_entry()
+    entry = CachedExecution(
+        write_set=(), receipts=BlockReceipts.pack((), 1, []), tally=(0, 0, 0.0)
+    )
     for memo, key, record in (
         (cache._entries, (b"root", b"block"), entry),
         (cache.commits, (b"root", ((b"k", b"v"),)), ("record",)),
