@@ -13,6 +13,7 @@ block seal).
 
 from __future__ import annotations
 
+import hashlib
 from array import array
 from dataclasses import dataclass, field
 from typing import Any
@@ -120,11 +121,15 @@ class BlockReceipts:
     the report, so the record builds no object of its own per
     transaction: ``tx_ids`` is the block's own ``Block.tx_ids`` tuple
     (shared, not copied), ``gas_used`` an ``array('q')``, ``success``
-    one 0/1 byte per transaction, ``outputs`` one tuple, and ``errors``
-    maps the index of each failed transaction to its message. Through the
+    one 0/1 byte per transaction, and ``errors`` maps the index of each
+    failed transaction to its message. The contracts' return values
+    are kept as ``outputs_digest``, a 32-byte commitment to them (see
+    :meth:`pack`), the way a real chain commits a block's receipts
+    under one root: the driver confirms a transaction from its block's
+    ids and never reads what the contract returned. Through the
     cluster's execution cache every replica files the first executor's
-    record. Readers read the columns: the ``i``-th transaction's outcome
-    is ``gas_used[i]``, ``success[i] == 1``, ``outputs[i]`` and
+    record. Readers read the columns: the ``i``-th transaction's
+    outcome is ``gas_used[i]``, ``success[i] == 1`` and
     ``errors.get(i, "")``.
     """
 
@@ -132,21 +137,31 @@ class BlockReceipts:
     height: int
     gas_used: array
     success: bytes
-    outputs: tuple[Any, ...]
+    outputs_digest: bytes
     errors: dict[int, str]
 
     @classmethod
     def pack(
         cls, tx_ids: tuple[str, ...], height: int, outcomes: list[Outcome]
     ) -> "BlockReceipts":
-        """The record of ``outcomes``, one per transaction of ``tx_ids``."""
+        """The record of ``outcomes``, one per transaction of ``tx_ids``.
+
+        ``outputs_digest`` is the SHA-256 of ``repr`` of the tuple of
+        outputs in block order: outputs are ``str``, ``int``, ``bool``,
+        ``None`` or JSON-decoded dicts and lists (floats among them),
+        whose ``repr`` is the same in every process, so equal outputs
+        give equal digests and one changed output changes it.
+        ``hashlib`` is called directly, as the bucket tree's leaf
+        digests are, so the commitment adds no counted
+        ``crypto.hashing`` call.
+        """
         gas_used, outputs, errors = zip(*outcomes) if outcomes else ((), (), ())
         return cls(
             tx_ids,
             height,
             array("q", gas_used),
             bytes([error is None for error in errors]),
-            outputs,
+            hashlib.sha256(repr(outputs).encode()).digest(),
             {i: error for i, error in enumerate(errors) if error is not None},
         )
 

@@ -328,6 +328,11 @@ class FaultSchedule:
         self.crashed_node_ids.extend(
             v for v in victims if v not in self.crashed_node_ids
         )
+        if crash.recover_at is not None and crash.recovery_mode == "cold":
+            # A cold restart replays only what its chain held at the
+            # crash: withdraw the read ``arm`` added from every record
+            # stored from now on.
+            cluster.nodes[0].execution_cache.add_cold_restarts(-len(victims))
 
     def _do_recover(self, cluster: "Cluster", crash: CrashFault) -> None:
         cluster.recover_nodes(

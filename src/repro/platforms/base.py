@@ -131,6 +131,10 @@ class JournaledState(ABC):
     #: :meth:`attach_execution_cache`); None for a stand-alone state,
     #: one built without a cluster.
     commit_memo: "CommitMemo | None" = None
+    #: Set while the owning replica catches up after a restart: it
+    #: commits after every live replica, so it takes the memo's records
+    #: but stores none, as no reader is left to take them.
+    catching_up: bool = False
 
     def __init__(self, empty_root: Hash) -> None:
         #: key -> value, with None recording an uncommitted delete.
@@ -204,10 +208,12 @@ class JournaledState(ABC):
             else:
                 key = (self._sealed_root, items)
                 record = memo.take(key)
-                if record is None:
-                    memo.put(key, self._flush(items, journal=True))
-                else:
+                if record is not None:
                     self._install(items, record)
+                elif self.catching_up:
+                    self._flush(items)
+                else:
+                    memo.put(key, self._flush(items, journal=True))
             self._overlay.clear()
             self._pending = None
         self._sealed_root = self._seal(height)
@@ -427,12 +433,14 @@ class ExecutionCache:
 
     The execution records are a :class:`CommitMemo` too: the executing
     replica stores a record for the other ``replicas - 1``, plus one
-    reader per cold restart a fault schedule armed
-    (:meth:`add_cold_restarts`), and the last :meth:`lookup` retires
-    it. The LRU bound (``capacity``) holds what some replica never
-    reads: a fork block's record, a crashed replica's. A replica that
-    finds no record — retired, evicted, or a cold restart no schedule
-    armed — executes the block itself, with the same result.
+    reader per cold restart a fault schedule armed whose replica has
+    not crashed yet (:meth:`add_cold_restarts`), and the last
+    :meth:`lookup` retires it. A replica catching up after a restart
+    executes after every live one, so it stores nothing on a miss, in
+    either memo. The LRU bound (``capacity``) holds what some replica
+    never reads: a fork block's record, a crashed replica's. A replica
+    that finds no record — retired, evicted, or a cold restart no
+    schedule armed — executes the block itself, with the same result.
 
     The same object carries the cluster's commit memo:
     :attr:`commits` (a :class:`CommitMemo` over the cluster's
@@ -489,9 +497,11 @@ class ExecutionCache:
         self._entries.put((pre_state_root, block_hash), entry)
 
     def add_cold_restarts(self, count: int) -> None:
-        """Give every execution record ``count`` more readers: the cold
-        restarts a fault schedule armed, each replaying its replica's
-        whole chain through :meth:`lookup`."""
+        """Give every execution record stored from now on ``count`` more
+        readers: the cold restarts a fault schedule armed, each
+        replaying its replica's pre-crash chain through :meth:`lookup`.
+        The schedule withdraws each one (a negative ``count``) at its
+        replica's crash."""
         self._entries.readers += count
 
 
@@ -553,7 +563,6 @@ class PlatformNode(SimNode):
         self.committed_tx_count = 0
         self.failed_tx_count = 0
         # Crash-recovery state and counters.
-        self._recovering = False
         self._recovery_started_at = 0.0
         self._sync_serial = 0
         self._sync_peer_index = 0
@@ -572,6 +581,16 @@ class PlatformNode(SimNode):
         self.sync_blocks_received = 0
         self.sync_bytes_received = 0
         self.protocol: ConsensusProtocol = self._new_protocol(all_ids)
+
+    @property
+    def _recovering(self) -> bool:
+        """Whether the node is catching up after a restart: held by its
+        state, which stores no memo record meanwhile."""
+        return self.state.catching_up
+
+    @_recovering.setter
+    def _recovering(self, value: bool) -> None:
+        self.state.catching_up = value
 
     def _new_state(self) -> JournaledState:
         """An empty state store: at construction and on cold recovery."""
@@ -731,10 +750,13 @@ class PlatformNode(SimNode):
             committed, failed, seconds = tally_receipts(
                 receipts, seconds_per_gas
             )
-            cache.store(pre_root, block.hash, CachedExecution(
-                self.state.pending_writes(), receipts,
-                (committed, failed, seconds), levels,
-            ))
+            if not self._recovering:
+                # A replica catching up executes after every live one:
+                # a record it stored would have no reader.
+                cache.store(pre_root, block.hash, CachedExecution(
+                    self.state.pending_writes(), receipts,
+                    (committed, failed, seconds), levels,
+                ))
         self.receipts.file(block.hash, receipts)
         self.committed_tx_count += committed
         self.failed_tx_count += failed
@@ -1068,13 +1090,15 @@ class PlatformNode(SimNode):
         # honest. The network's ever_byzantine taint survives, so the
         # auditor still treats its pre-crash blocks with suspicion.
         self.network.clear_send_filter(self.node_id)
+        if mode == "cold":
+            self.state.close()
+            self.state = self._new_state()
+        # Set on the state the replay and catch-up below commit to.
         self._recovering = True
         self._recovery_started_at = self.now
         self._sync_view_hint = 0
         self.auditor.node_recovering(self.node_id, cold=(mode == "cold"))
         if mode == "cold":
-            self.state.close()
-            self.state = self._new_state()
             # Wires the fresh state and starts an empty receipt map; the
             # chain replay below files and counts every block again.
             self.attach_execution_cache(self.execution_cache)

@@ -1,11 +1,15 @@
 """Unit tests for transactions and receipts."""
 
+import copy
 import dataclasses
+import hashlib
 import tracemalloc
 
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
-from repro.chain import Transaction, transaction
+from repro.chain import BlockReceipts, Transaction, transaction
 
 
 def test_create_assigns_content_derived_id():
@@ -99,3 +103,41 @@ def test_direct_and_replaced_twins_measure_their_own_size():
         assert twin.size_bytes() == tx.size_bytes()
         assert twin._size == tx.size_bytes()
         assert twin == tx
+
+
+#: What a contract returns: ``str``, ``int``, ``bool``, ``None``, or
+#: JSON-decoded dicts and lists of them (floats among them).
+_OUTPUT = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(max_size=8)
+    | st.floats(allow_nan=False),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=4), children, max_size=3),
+    max_leaves=6,
+)
+
+
+def _outputs_digest(outputs):
+    tx_ids = tuple(f"t{i}" for i in range(len(outputs)))
+    return BlockReceipts.pack(
+        tx_ids, 1, [(21_000, output, None) for output in outputs]
+    ).outputs_digest
+
+
+@given(outputs=st.lists(_OUTPUT, min_size=2, max_size=6), data=st.data())
+def test_the_outputs_digest_commits_to_every_output_in_block_order(
+    outputs, data
+):
+    """A record keeps the SHA-256 of ``repr`` of its outputs tuple:
+    equal outputs give equal digests, and changing any one output or
+    swapping two different ones changes it."""
+    digest = _outputs_digest(outputs)
+    assert digest == hashlib.sha256(repr(tuple(outputs)).encode()).digest()
+    assert _outputs_digest(copy.deepcopy(outputs)) == digest
+    i = data.draw(st.integers(0, len(outputs) - 1))
+    changed = data.draw(_OUTPUT.filter(lambda out: repr(out) != repr(outputs[i])))
+    assert _outputs_digest(outputs[:i] + [changed] + outputs[i + 1:]) != digest
+    j = data.draw(st.integers(0, len(outputs) - 1))
+    assume(repr(outputs[i]) != repr(outputs[j]))
+    swapped = list(outputs)
+    swapped[i], swapped[j] = outputs[j], outputs[i]
+    assert _outputs_digest(swapped) != digest

@@ -38,7 +38,12 @@ from repro.platforms import ExecutionCache, build_cluster
 from repro.platforms import base as platform_base
 from repro.platforms.base import CachedExecution
 from repro.platforms.parity import ParityState
-from repro.workloads import YCSBConfig, YCSBWorkload, make_workload
+from repro.workloads import (
+    YCSBConfig,
+    YCSBWorkload,
+    available_workloads,
+    make_workload,
+)
 
 from ..receipts import ReceiptRow, receipt_of
 
@@ -211,12 +216,20 @@ def _cluster(n, workers):
     )
 
 
+def _block(node, txs):
+    """Block 1 of ``node``'s chain, holding ``txs``."""
+    from repro.chain.block import Block
+
+    genesis = node.chain().block_by_height(0)
+    return Block.build(
+        height=1, parent_hash=genesis.hash, transactions=txs,
+        state_root=b"", proposer=node.node_id, timestamp=1.0,
+    )
+
+
 def _mixed_block(node, n=24, hot_every=3):
     """A block mixing independent keys with a hot-key chain."""
-    from repro.chain.block import Block
-    from repro.chain.transaction import Transaction
-
-    txs = tuple(
+    return _block(node, tuple(
         Transaction.create(
             sender=f"acct{i % 4}",
             contract="kvstore",
@@ -225,12 +238,7 @@ def _mixed_block(node, n=24, hot_every=3):
             nonce=i,
         )
         for i in range(n)
-    )
-    genesis = node.chain().block_by_height(0)
-    return Block.build(
-        height=1, parent_hash=genesis.hash, transactions=txs,
-        state_root=b"", proposer=node.node_id, timestamp=1.0,
-    )
+    ))
 
 
 def test_cache_entries_identical_whoever_executes():
@@ -278,7 +286,7 @@ def test_parallel_replayer_charges_the_shared_schedule():
 
 
 #: Every column of a :class:`BlockReceipts` record.
-_COLUMNS = ("tx_ids", "height", "gas_used", "success", "outputs", "errors")
+_COLUMNS = ("tx_ids", "height", "gas_used", "success", "outputs_digest", "errors")
 
 
 def test_replayed_receipts_are_the_first_executors_objects():
@@ -307,13 +315,15 @@ def test_replayed_receipts_are_the_first_executors_objects():
     first = block.tx_ids[0]
     assert receipt_of(node_a.receipts, first) == ReceiptRow(
         first, receipts.height, receipts.success[0] == 1,
-        receipts.gas_used[0], receipts.outputs[0], receipts.errors.get(0, ""),
+        receipts.gas_used[0], receipts.errors.get(0, ""),
     ) == receipt_of(node_c.receipts, first)
     assert not hasattr(receipts, "committed_at")
+    assert not hasattr(receipts, "outputs")
     # Readers share the columns: the record is frozen, and its ids,
-    # flags and outputs are immutable.
-    assert type(receipts.tx_ids) is type(receipts.outputs) is tuple
-    assert type(receipts.success) is bytes
+    # flags and outputs digest are immutable.
+    assert type(receipts.tx_ids) is tuple
+    assert type(receipts.success) is type(receipts.outputs_digest) is bytes
+    assert len(receipts.outputs_digest) == 32
     for column in _COLUMNS:
         with pytest.raises(FrozenInstanceError):
             setattr(receipts, column, None)
@@ -1021,16 +1031,24 @@ def test_an_armed_cold_restart_replays_every_block_from_the_cache(
     """A cold restart a fault schedule armed replays the victim's whole
     pre-crash chain from records kept for it: every replayed block hits,
     and the run's hits and misses equal a reference cache that never
-    retires a record. A cold restart no schedule armed finds the
-    retired records gone and recomputes, to the same roots."""
+    retires a record. Records stored before the crash carry the
+    restart's read, those stored after it do not. A cold restart no
+    schedule armed finds the retired records gone and recomputes, to
+    the same roots."""
     replays = []
+    readers = []  # reads a record is stored with: at the crash, at the restart
 
     def record_replay(cluster):
         victim = cluster.nodes[-1]
-        recover = victim.recover
+        crash, recover = victim.crash, victim.recover
+
+        def crashing():
+            readers.append(victim.execution_cache._entries.readers)
+            crash()
 
         def recording(mode="warm"):
             cache = victim.execution_cache
+            readers.append(cache._entries.readers)
             hits, misses = cache.hits, cache.misses
             recover(mode)
             replays.append((
@@ -1039,7 +1057,7 @@ def test_an_armed_cold_restart_replays_every_block_from_the_cache(
                 cache.misses - misses,
             ))
 
-        victim.recover = recording
+        victim.crash, victim.recover = crashing, recording
 
     def run():
         return _drive(
@@ -1063,7 +1081,8 @@ def test_an_armed_cold_restart_replays_every_block_from_the_cache(
     assert reference_replay == replays[0]
     cache = retiring.nodes[0].execution_cache
     reference_cache = reference.nodes[0].execution_cache
-    assert cache._entries.readers == 4
+    assert readers == [4, 3, 4, 3]  # both runs: the crash withdrew it
+    assert cache._entries.readers == 3
     assert (cache.hits, cache.misses) == (
         reference_cache.hits, reference_cache.misses
     )
@@ -1080,6 +1099,35 @@ def test_an_armed_cold_restart_replays_every_block_from_the_cache(
     assert other.state.pre_state_root() == witness.state.pre_state_root()
     retiring.close()
     reference.close()
+
+
+def test_an_armed_cold_restart_run_ends_holding_no_record(
+    monkeypatch, height_roots
+):
+    """The fault path keeps no record its readers never take: the crash
+    withdraws the restart's read from every record stored after it,
+    and the replica catching up (its replay, then block sync) executes
+    and commits after every live replica, so it stores nothing on a
+    miss, in either memo. The run ends holding no execution record and
+    no commit record, at the private-cache oracle's roots."""
+    def run(private=False):
+        return _drive(
+            monkeypatch, "hyperledger", "smallbank", duration=20.0,
+            private=private,
+            faults=FaultSchedule(crashes=[CrashFault(
+                at_time=8.0, count=1, include_leader=False,
+                recover_at=12.0, recovery_mode="cold",
+            )]),
+        )
+
+    cluster, oracle = run(), run(private=True)
+    assert cluster.nodes[-1].recovery_times
+    cache = cluster.nodes[0].execution_cache
+    assert cache.hits > 0 and cache.commits.hits > 0
+    assert len(cache._entries) == len(cache.commits) == 0
+    assert height_roots(cluster) == height_roots(oracle)
+    cluster.close()
+    oracle.close()
 
 
 # ---------------------------------------------------------------------------
@@ -1126,18 +1174,18 @@ def test_receipt_map_matches_a_dict(shared, blocks, ops):
             continue
         entry = cached.get(block) if op == "replay" else None
         if entry is None:
-            # Odd variants fail; outputs differ by position, so a tx a
+            # Odd variants fail; gas differs by position, so a tx a
             # block holds twice answers with its last copy.
             ok, tx_ids = variant % 2 == 0, tuple(blocks[block])
             error = None if ok else f"revert {variant}"
-            outputs = [(block, i) if ok else None for i in range(len(tx_ids))]
+            gas = [8 * variant + i for i in range(len(tx_ids))]
             entry = cached[block] = (
                 BlockReceipts.pack(
-                    tx_ids, block, [(variant, out, error) for out in outputs]
+                    tx_ids, block, [(used, None, error) for used in gas]
                 ),
                 [
-                    ReceiptRow(tx_id, block, ok, variant, out, error or "")
-                    for tx_id, out in zip(tx_ids, outputs)
+                    ReceiptRow(tx_id, block, ok, used, error or "")
+                    for tx_id, used in zip(tx_ids, gas)
                 ],
             )
         receipts, expected_receipts = entry
@@ -1185,17 +1233,13 @@ def test_replicas_share_receipt_records_only_with_the_cache_on(monkeypatch):
     off.close()
 
 
-def test_a_replayed_blocks_receipts_retain_under_32_bytes_per_tx():
-    """A 500-transaction block executed once and replayed by three
-    replicas keeps one packed record: the third replay retired the
-    cache's entry, and dropping the record from every replica frees
-    under 32 B per transaction (a per-transaction receipt object and
-    its gas int took ~112 B). Every kvstore write outputs ``True``, so
-    outputs free nothing."""
-    cluster = _cluster(4, 1)
+def _freed_per_tx(cluster, block):
+    """Execute ``block`` on every replica of ``cluster`` (once, then
+    replayed), check they all filed one record and the cache retired
+    its entry, and return the bytes per transaction that dropping the
+    record from every replica frees."""
     node_a = cluster.nodes[0]
     cache = node_a.execution_cache
-    block = _mixed_block(node_a, n=500)
     pre_root = node_a.state.pre_state_root()
     gc.collect()
     tracemalloc.start()
@@ -1204,7 +1248,7 @@ def test_a_replayed_blocks_receipts_retain_under_32_bytes_per_tx():
             node._execute_block(block)
         record = node_a.receipts.blocks[block.hash]
         assert all(n.receipts.blocks[block.hash] is record for n in cluster.nodes)
-        assert set(record.outputs) == {True}
+        assert record.success == b"\x01" * len(block.tx_ids)
         assert _peek(cache, pre_root, block.hash) is None
         gc.collect()
         held, _ = tracemalloc.get_traced_memory()
@@ -1215,27 +1259,65 @@ def test_a_replayed_blocks_receipts_retain_under_32_bytes_per_tx():
         freed = held - tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    assert 0 < freed / 500 < 32, f"{freed / 500:.1f} B per tx"
+    return freed / len(block.tx_ids)
+
+
+def test_a_replayed_blocks_receipts_retain_under_32_bytes_per_tx():
+    """A 500-transaction block executed once and replayed by three
+    replicas keeps one packed record: the third replay retired the
+    cache's entry, and dropping the record from every replica frees
+    under 32 B per transaction (a per-transaction receipt object and
+    its gas int took ~112 B)."""
+    cluster = _cluster(4, 1)
+    freed = _freed_per_tx(cluster, _mixed_block(cluster.nodes[0], n=500))
+    assert 0 < freed < 32, f"{freed:.1f} B per tx"
+    cluster.close()
+
+
+def test_a_block_of_reads_retains_under_32_bytes_per_tx_outputs_included():
+    """A record keeps a digest of its block's outputs, not the outputs:
+    500 kvstore reads of preloaded 100-character records retain under
+    32 B per transaction, where a tuple of the reads' fresh strings
+    kept ~166 B per read."""
+    cluster = _cluster(4, 1)
+    node = cluster.nodes[0]
+    value = b"x" * 100
+    preload_state(
+        cluster, "kvstore", lambda: ((b"r%d" % i, value) for i in range(500))
+    )
+    block = _block(node, tuple(
+        Transaction.create(
+            sender=f"acct{i % 4}", contract="kvstore", function="read",
+            args=(f"r{i}",), nonce=i,
+        )
+        for i in range(500)
+    ))
+    freed = _freed_per_tx(cluster, block)
+    assert 0 < freed < 32, f"{freed:.1f} B per tx"
     cluster.close()
 
 
 #: sha256 (first 16 hex digits) of every replica's main-branch receipts,
-#: one 4-server smallbank ``_drive`` run per platform: each transaction's
-#: ``repr`` of the per-transaction ``Receipt`` dataclass that replicas
-#: once stored (``None`` when not found), now rendered from the columns
-#: by :func:`_receipt_text`. Pinned from the tree that still stored one
-#: ``Receipt`` per transaction; serial and parallel execution give the
-#: same.
+#: one 4-server smallbank ``_drive`` run per platform: for each block,
+#: its record's ``outputs_digest`` (``None`` when not filed), then each
+#: transaction's ``repr`` of the per-transaction ``Receipt`` dataclass
+#: that replicas once stored, without its ``output`` (``None`` when not
+#: found), rendered from the columns by :func:`_receipt_text`. Pinned
+#: from the tree that still stored each block's ``outputs`` tuple, with
+#: the same SHA-256 of its ``repr`` applied to it (CHANGES.md has the
+#: script), so every output is still the one it was; serial and
+#: parallel execution give the same.
 _RECEIPT_DIGESTS = {
-    "hyperledger": "c71dc8c83f3b64c6",
-    "ethereum": "5dc6f7fdc0136804",
-    "parity": "38f81e3d060cfd91",
-    "erisdb": "9e2969f32180e636",
+    "hyperledger": "42e23a8ccce9947e",
+    "ethereum": "88a73a4dc748b52d",
+    "parity": "d729040d774adf4a",
+    "erisdb": "af40d81d8cec39df",
 }
 
 
 def _receipt_text(row: ReceiptRow | None) -> str:
-    """The ``repr`` the stored ``Receipt`` dataclass gave ``row``."""
+    """The ``repr`` the stored ``Receipt`` dataclass gave ``row``, its
+    ``output`` left out."""
     if row is None:
         return "None"
     fields = ", ".join(f"{name}={value!r}" for name, value in zip(row._fields, row))
@@ -1259,6 +1341,10 @@ def test_execution_builds_no_receipt_and_get_answers_as_before(
     found = 0
     for node in cluster.nodes:
         for block in node.chain().main_branch():
+            record = node.receipts.blocks.get(block.hash)
+            digest.update(
+                b"None" if record is None else record.outputs_digest.hex().encode()
+            )
             for tx_id in block.tx_ids:
                 row = receipt_of(node.receipts, tx_id)
                 found += row is not None
@@ -1266,6 +1352,38 @@ def test_execution_builds_no_receipt_and_get_answers_as_before(
     assert found
     assert digest.hexdigest()[:16] == _RECEIPT_DIGESTS[platform]
     cluster.close()
+
+
+def _output_types(output):
+    """The type of ``output`` and of everything it holds."""
+    yield type(output)
+    if type(output) is dict:
+        for key, value in output.items():
+            yield type(key)
+            yield from _output_types(value)
+    elif type(output) is list:
+        for value in output:
+            yield from _output_types(value)
+
+
+@pytest.mark.parametrize("workload", available_workloads())
+def test_every_output_has_a_deterministic_repr(monkeypatch, workload):
+    """A record's ``outputs_digest`` hashes the ``repr`` of its outputs,
+    so every output a workload's contracts return is built from types
+    whose ``repr`` is the same in every process (a float's is its
+    shortest round-trip form): no set, no object that prints its
+    address."""
+    seen = set()
+    execute = platform_base.PlatformNode._execute_tx
+
+    def recording(node, tx, block, state=None):
+        outcome = execute(node, tx, block, state)
+        seen.update(_output_types(outcome[1]))
+        return outcome
+
+    monkeypatch.setattr(platform_base.PlatformNode, "_execute_tx", recording)
+    _drive(monkeypatch, "hyperledger", workload).close()
+    assert seen and seen <= {str, int, float, bool, type(None), dict, list}
 
 
 @pytest.mark.parametrize("shared", [True, False])

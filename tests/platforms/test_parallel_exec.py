@@ -14,6 +14,7 @@ one transaction); and the PR 8 stage breakdown must show the
 ``execution`` interval shrinking on a contention-light macro run.
 """
 
+import hashlib
 from dataclasses import asdict
 
 import pytest
@@ -81,8 +82,9 @@ def _execute_direct(platform, workers, txs, seed=7):
     )
     node._execute_block(block)
     root = node.state.pre_state_root()
-    receipts = tuple(
-        (r.tx_id, r.success, r.gas_used, r.output, r.error)
+    # The block's outputs digest beside its per-transaction rows.
+    receipts = node.receipts.blocks[block.hash].outputs_digest, tuple(
+        (r.tx_id, r.success, r.gas_used, r.error)
         for r in (receipt_of(node.receipts, tx.tx_id) for tx in txs)
     )
     cpu = node.cpu_time
@@ -135,6 +137,28 @@ def test_single_hot_key_degrades_to_serial(platform):
     assert par_root == serial_root
     assert par_receipts == serial_receipts
     assert par_cpu == serial_cpu  # exact: no overlap is possible
+
+
+@pytest.mark.parametrize("platform", PLATFORMS)
+def test_outputs_digest_is_the_same_serial_and_parallel(platform):
+    """A block's outputs digest commits to each transaction's return
+    value in block order, whichever path executed it: writes return
+    True, reads the value an earlier write stored (or None), a revert
+    None."""
+    txs = _make_txs(
+        [("write", i, i) for i in range(6)]
+        + [("read", i, 0) for i in range(8)]
+        + [("read_modify_write", 12, 0), ("write", 3, 99), ("read", 3, 0)]
+    )
+    outputs = (
+        (True,) * 6 + tuple(f"v{i}" for i in range(6)) + (None, None)
+        + (None, True, "v99")
+    )
+    expected = hashlib.sha256(repr(outputs).encode()).digest()
+    for workers in (1, 4):
+        _root, (digest, rows), _cpu = _execute_direct(platform, workers, txs)
+        assert digest == expected, workers
+        assert [row[1] for row in rows].count(False) == 1  # the revert
 
 
 def test_single_hot_key_schedule_is_the_serial_chain():

@@ -10,7 +10,7 @@ last copy should that block hold it twice.
 
 from __future__ import annotations
 
-from typing import Any, NamedTuple
+from typing import NamedTuple
 
 
 class ReceiptRow(NamedTuple):
@@ -20,7 +20,6 @@ class ReceiptRow(NamedTuple):
     block_height: int
     success: bool
     gas_used: int
-    output: Any
     error: str
 
 
@@ -45,7 +44,6 @@ def receipt_of(executed, tx_id: str) -> ReceiptRow | None:
                         record.height,
                         record.success[i] == 1,
                         record.gas_used[i],
-                        record.outputs[i],
                         record.errors.get(i, ""),
                     )
     return None
