@@ -152,7 +152,3 @@ class Blockchain:
         self._main.extend(suffix)
         self._main_set.update(suffix)
         return True
-
-    def orphan_count(self) -> int:
-        """Blocks parked while waiting for their parent to arrive."""
-        return sum(len(blocks) for blocks in self._orphans.values())

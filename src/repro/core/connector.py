@@ -108,10 +108,6 @@ class BlockSubscription:
         self._waiter = future
         return future
 
-    def pending_blocks(self) -> int:
-        """Events buffered but not yet consumed."""
-        return len(self._buffer)
-
     def cancel(self) -> None:
         """Tear the subscription down on both ends (idempotent).
 
@@ -303,11 +299,6 @@ class RPCClient(SimNode):
         callback = self._callbacks.pop(message.payload.get("req_id"), None)
         if callback is not None:
             callback(message.payload)
-
-    def outstanding_requests(self) -> int:
-        """RPCs sent but not yet answered."""
-        return len(self._callbacks)
-
 
 class SimChainConnector(IBlockchainConnector):
     """Connector binding one RPCClient to one server of a cluster."""

@@ -475,6 +475,8 @@ class Driver(_LoadDriver):
             )
 
     def _collect(self) -> StatsCollector:
+        # The merge moves the slots' samples out: the slots keep their
+        # counters, and the run-wide columns are held once.
         return merge_collectors(self.stats_slots)
 
 

@@ -12,7 +12,13 @@ import random
 from array import array
 from dataclasses import dataclass, field
 
-from .trace import StageBreakdown, _percentile
+from .trace import (
+    StageBreakdown,
+    _ascending,
+    _percentile,
+    _sorted_runs,
+    _summarise,
+)
 
 
 @dataclass
@@ -152,13 +158,13 @@ class StatsCollector:
     def _sorted_latencies(self) -> array:
         """Sorted latencies, re-sorted only after new recordings.
 
-        ``latencies`` is a public array (``merge_collectors`` extends it
-        in place), so staleness is detected by length rather than by
-        intercepting every mutation path.
+        ``latencies`` is a public array a caller may extend in place,
+        so staleness is detected by length rather than by intercepting
+        every mutation path.
         """
         cache = self._sorted_latencies_cache
         if cache is None or len(cache) != len(self.latencies):
-            cache = array("d", sorted(self.latencies))
+            cache = array("d", _ascending(_sorted_runs(self.latencies)))
             self._sorted_latencies_cache = cache
         return cache
 
@@ -235,7 +241,13 @@ class StatsCollector:
         return self.queue_samples[-1][1] if self.queue_samples else 0
 
     def summary(self) -> StatsSummary:
-        """Freeze the headline metrics into a StatsSummary."""
+        """Freeze the headline metrics into a StatsSummary.
+
+        The percentiles are summarised from sorted runs of the samples,
+        not from the sorted cache: the report runs while the whole run
+        is still held, so it builds no second whole column.
+        """
+        _, p50, p95, p99, _ = _summarise(_sorted_runs(self.latencies))
         return StatsSummary(
             platform=self.platform,
             workload=self.workload,
@@ -245,15 +257,22 @@ class StatsCollector:
             confirmed=self.confirmed,
             throughput_tx_s=self.throughput(),
             latency_avg_s=self.latency_avg(),
-            latency_p50_s=self.latency_percentile(50),
-            latency_p95_s=self.latency_percentile(95),
-            latency_p99_s=self.latency_percentile(99),
+            latency_p50_s=p50,
+            latency_p95_s=p95,
+            latency_p99_s=p99,
             final_queue_length=self.final_queue_length(),
         )
 
 
 def merge_collectors(collectors: list[StatsCollector]) -> StatsCollector:
-    """Combine per-client collectors into one network-wide view."""
+    """Combine per-client collectors into one network-wide view.
+
+    The merge is the inputs' last reader of their samples: each input's
+    ``latencies`` and ``confirm_times`` move into the merged collector
+    and the input is left with empty arrays, so no column is held
+    twice. Counters, window bounds, queue samples and confirmation
+    buckets stay on the inputs.
+    """
     merged = StatsCollector(
         platform=collectors[0].platform if collectors else "",
         workload=collectors[0].workload if collectors else "",
@@ -262,12 +281,16 @@ def merge_collectors(collectors: list[StatsCollector]) -> StatsCollector:
         merged.submitted += collector.submitted
         merged.rejected += collector.rejected
         merged._confirmed += collector._confirmed
-        merged.latencies.extend(collector.latencies)
-        merged.confirm_times.extend(collector.confirm_times)
         for second, count in collector._confirm_buckets.items():
             merged._confirm_buckets[second] = (
                 merged._confirm_buckets.get(second, 0) + count
             )
+    merged.latencies = _moved([c.latencies for c in collectors])
+    merged.confirm_times = _moved([c.confirm_times for c in collectors])
+    for collector in collectors:
+        collector.latencies = array("d")
+        collector.confirm_times = array("d")
+        collector._sorted_latencies_cache = None
     # Window bounds once over all collectors (this used to run inside
     # the loop above, making the merge quadratic in client count).
     merged.start_time = min((c.start_time for c in collectors), default=0.0)
@@ -279,3 +302,19 @@ def merge_collectors(collectors: list[StatsCollector]) -> StatsCollector:
             by_time[t] = by_time.get(t, 0) + length
     merged.queue_samples = sorted(by_time.items())
     return merged
+
+
+def _moved(columns: list[array]) -> array:
+    """``columns`` end to end. A lone non-empty column is returned as it
+    is; otherwise the result is allocated once, at its final size, and
+    each column's buffer is freed as soon as it is copied in."""
+    filled = [column for column in columns if column]
+    if len(filled) == 1:
+        return filled[0]
+    joined = array("d", [0.0]) * sum(map(len, filled))
+    at = 0
+    for column in filled:
+        joined[at:at + len(column)] = column
+        at += len(column)
+        del column[:]
+    return joined

@@ -68,8 +68,11 @@ from __future__ import annotations
 
 import math
 from array import array
-from collections.abc import Sequence
+from bisect import bisect_left, bisect_right
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
+from itertools import chain, repeat
+from operator import sub
 
 __all__ = [
     "STAGES",
@@ -110,13 +113,117 @@ _TOP = _N_STAGES
 _LEFT = _N_STAGES + 1
 
 
+#: Values sorted, and so boxed, at once when a column is cut into
+#: ascending runs.
+_RUN = 4096
+#: Every ``_STEP``-th value of a run is sampled; the merge of the runs
+#: is cut into pieces at every k-th of those samples (k runs), so a
+#: piece between two cuts holds at most ``(2k - 1) * _STEP`` values.
+_STEP = 64
+#: The percentiles :func:`_summarise` reports.
+_PCTS = (50, 95, 99)
+
+
+def _rank(count: int, pct: float) -> int:
+    """Index of the ``pct`` order statistic among ``count`` ascending
+    values (the one rank rule: StatsCollector's latency percentiles use
+    it too)."""
+    return min(count - 1, max(0, math.ceil(pct / 100 * count) - 1))
+
+
 def _percentile(ordered: Sequence[float], pct: float) -> float:
-    """Order-statistic percentile of an ascending sequence (the one
-    rank rule: StatsCollector's latency percentiles use it too)."""
+    """Order-statistic percentile of an ascending sequence."""
     if not ordered:
         return 0.0
-    rank = min(len(ordered) - 1, max(0, math.ceil(pct / 100 * len(ordered)) - 1))
-    return ordered[rank]
+    return ordered[_rank(len(ordered), pct)]
+
+
+def _sorted_runs(column: Sequence[float]) -> list[array]:
+    """``column`` cut into ascending runs of ``_RUN`` values; one run is
+    boxed at a time."""
+    return [
+        array("d", sorted(column[lo:lo + _RUN]))
+        for lo in range(0, len(column), _RUN)
+    ]
+
+
+def _pieces(runs: list[array]) -> Iterator[list[float] | tuple[float, int]]:
+    """The merge of ascending ``runs``, in ascending order, as pieces: a
+    sorted list of the values between two cuts, then a ``(value,
+    count)`` pair for a cut and its ties. The cuts are sampled run
+    values, located in every run with ``bisect``.
+
+    Concatenated, the pieces are the values ``sorted()`` of the whole
+    column gives, so a ``sum()`` over them adds the same floats in the
+    same order (on Python 3.12, where ``sum`` of floats is compensated,
+    too). Only the samples and one piece are boxed at a time.
+    """
+    samples = sorted(chain.from_iterable(run[_STEP - 1::_STEP] for run in runs))
+    every = len(runs) or 1
+    starts = [0] * len(runs)
+    for value in dict.fromkeys(samples[every - 1::every]):
+        gap: list[float] = []
+        ties = 0
+        for index, run in enumerate(runs):
+            start = starts[index]
+            lo = bisect_left(run, value, start)
+            hi = bisect_right(run, value, lo)
+            gap += run[start:lo]
+            ties += hi - lo
+            starts[index] = hi
+        if gap:
+            gap.sort()
+            yield gap
+        yield value, ties
+    tail: list[float] = []
+    for run, start in zip(runs, starts):
+        tail += run[start:]
+    if tail:
+        tail.sort()
+        yield tail
+
+
+def _ascending(runs: list[array]) -> Iterator[float]:
+    """Every value of ascending ``runs``, in ascending order."""
+    return chain.from_iterable(
+        piece if type(piece) is list else repeat(*piece) for piece in _pieces(runs)
+    )
+
+
+def _summarise(runs: list[array]) -> tuple[float, float, float, float, float]:
+    """``(sum, p50, p95, p99, max)`` of the column whose ascending runs
+    are ``runs``, in one pass over its pieces: the sum is ``sum()`` over
+    the ascending column and each percentile is :func:`_percentile`'s
+    order statistic (all 0.0 for an empty column)."""
+    count = sum(map(len, runs))
+    if not count:
+        return 0.0, 0.0, 0.0, 0.0, 0.0
+    # Ranks still to pick, the smallest last.
+    pending = [_rank(count, pct) for pct in reversed(_PCTS)]
+    picked: list[float] = []
+    top = 0.0
+
+    def walk() -> Iterator[Iterable[float]]:
+        nonlocal top
+        end = 0
+        for piece in _pieces(runs):
+            begin = end
+            if type(piece) is list:
+                end += len(piece)
+                while pending and pending[-1] < end:
+                    picked.append(piece[pending.pop() - begin])
+                top = piece[-1]
+                yield piece
+            else:
+                top, ties = piece
+                end += ties
+                while pending and pending[-1] < end:
+                    picked.append(top)
+                    pending.pop()
+                yield repeat(top, ties)
+
+    total = sum(chain.from_iterable(walk()))
+    return (total, *picked, top)
 
 
 @dataclass
@@ -351,35 +458,44 @@ class StageTracer:
         """Aggregate recorded lifecycles and the sampled gauges into a
         :class:`StageBreakdown`.
 
-        One interval's values are alive at a time: this runs after the
-        simulation with every stamp row still held, so six value lists
-        at once would set the run's memory high-water mark.
+        This runs after the simulation with every stamp row still held,
+        so it boxes no whole column: each interval is read from
+        ``_packed`` in strided slices, ``_RUN`` rows at a time, into
+        ascending runs that :func:`_summarise` merges piece by piece.
         """
-        # Exactly the packed rows are complete; walking them in the
-        # dict's creation order keeps every sum's order what it was.
         packed = self._packed
-        complete = [row for row in self._stamps.values() if type(row) is int]
+        # Exactly the packed rows are complete; the end-to-end total is
+        # summed in the dict's creation order, as it always was.
         e2e_total = 0.0
-        for row in complete:
-            e2e_total += packed[row + NOTIFY] - packed[row + SUBMIT]
-        traced = len(complete)
+        for row in self._stamps.values():
+            if type(row) is int:
+                e2e_total += packed[row + NOTIFY] - packed[row + SUBMIT]
+        traced = len(packed) // _N_STAGES
         partial = len(self._stamps) - traced
+        width = _RUN * _N_STAGES
         stages = []
         for name, start, end in STAGE_INTERVALS:
-            values = [packed[row + end] - packed[row + start] for row in complete]
-            values.sort()
+            runs = [
+                array("d", sorted(map(
+                    sub,
+                    packed[lo + end:lo + width:_N_STAGES],
+                    packed[lo + start:lo + width:_N_STAGES],
+                )))
+                for lo in range(0, len(packed), width)
+            ]
+            total, p50, p95, p99, top = _summarise(runs)
+            del runs  # free before the next interval's runs are built
             stages.append(
                 StageStat(
                     stage=name,
                     count=traced,
-                    avg_s=(sum(values) / traced) if traced else 0.0,
-                    p50_s=_percentile(values, 50),
-                    p95_s=_percentile(values, 95),
-                    p99_s=_percentile(values, 99),
-                    max_s=values[-1] if traced else 0.0,
+                    avg_s=(total / traced) if traced else 0.0,
+                    p50_s=p50,
+                    p95_s=p95,
+                    p99_s=p99,
+                    max_s=top,
                 )
             )
-            del values  # free before the next interval's list is built
         samples = self._samples
         return StageBreakdown(
             traced=traced,

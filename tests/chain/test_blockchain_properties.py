@@ -172,7 +172,9 @@ def test_main_set_tracks_the_branch_through_forks_and_extensions(
             assert chain.add_block(block) == reference.add_block(block)
             assert chain._main_set == set(chain._main)
             assert chain._main == reference._main
-            assert chain.orphan_count() == reference.orphan_count()
+            assert sum(map(len, chain._orphans.values())) == sum(
+                map(len, reference._orphans.values())
+            )
     assert all(
         chain.on_main_branch(b.hash) == (b.hash in reference._main_set)
         for b in blocks

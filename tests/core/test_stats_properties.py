@@ -114,7 +114,12 @@ def test_merge_preserves_totals_and_extremes(groups):
 @given(latencies=latency_lists)
 def test_merge_single_is_identity_on_metrics(latencies):
     collector = collector_with(latencies)
+    # The merge moves the input's samples out, so the expected figures
+    # are read before it.
+    confirmed = collector.confirmed
+    latency_avg = collector.latency_avg()
+    throughput = collector.throughput()
     merged = merge_collectors([collector])
-    assert merged.confirmed == collector.confirmed
-    assert merged.latency_avg() == collector.latency_avg()
-    assert merged.throughput() == collector.throughput()
+    assert merged.confirmed == confirmed
+    assert merged.latency_avg() == latency_avg
+    assert merged.throughput() == throughput

@@ -10,14 +10,19 @@ matches the StatsCollector's latency figure exactly.
 """
 
 import math
+import random
 import tracemalloc
+from array import array
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import ExperimentSpec, StageBreakdown, StageTracer, run_experiment
+from repro.core import trace
 from repro.core.driver import Driver, DriverConfig, OpenLoopDriver
+from repro.core.stats import StatsCollector
 from repro.core.trace import (
     NOTIFY,
     QUEUE_GAUGES,
@@ -298,7 +303,76 @@ def test_property_breakdown_equals_the_six_list_reference(rows, samples):
     _sample_series(tracer, [sample[1:] for sample in samples or []])
     # == on the dataclasses compares every float bit for bit, the
     # sampled queue_depth_avg / queue_depth_peak included.
-    assert tracer.breakdown() == _reference_breakdown(tracer, samples)
+    reference = _reference_breakdown(tracer, samples)
+    assert tracer.breakdown() == reference
+    with patch.multiple(trace, _RUN=3, _STEP=2):  # several runs, many cuts
+        assert tracer.breakdown() == reference
+
+
+# ---------------------------------------------------------------------------
+# A column is summarised from ascending runs merged piece by piece. The
+# oracle is the sorted list, every float bit for bit.
+# ---------------------------------------------------------------------------
+#: Column sizes at and around the sample-step and run boundaries.
+_BOUNDARY_SIZES = sorted({
+    max(0, size + delta)
+    for size in (0, trace._STEP, 2 * trace._STEP, trace._RUN, 2 * trace._RUN)
+    for delta in (-1, 0, 1)
+})
+
+
+def _column(size, seed, kind):
+    """``size`` non-negative floats: all equal (as the ``state_commit``
+    interval is), drawn from a handful of values (heavy ties), or
+    rounded draws (some ties)."""
+    rng = random.Random(seed)
+    if kind == "equal":
+        return [rng.choice([0.0, 0.25])] * size
+    if kind == "ties":
+        pool = [rng.expovariate(1.0) for _ in range(rng.randint(1, 5))]
+        return [rng.choice(pool) for _ in range(size)]
+    digits = rng.choice([1, 3, 17])
+    return [round(rng.expovariate(1.0), digits) for _ in range(size)]
+
+
+def _hex(values):
+    return [float(value).hex() for value in values]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    size=st.one_of(st.sampled_from(_BOUNDARY_SIZES), st.integers(0, 3 * trace._RUN)),
+    seed=st.integers(0, 2**32),
+    kind=st.sampled_from(["equal", "ties", "spread"]),
+    points=st.integers(1, 60),
+)
+def test_property_column_summary_equals_the_sorted_list(size, seed, kind, points):
+    column = _column(size, seed, kind)
+    ordered = sorted(column)
+    runs = trace._sorted_runs(array("d", column))
+    assert list(trace._ascending(runs)) == ordered
+    assert _hex(trace._summarise(runs)) == _hex([
+        sum(ordered),
+        *(trace._percentile(ordered, pct) for pct in (50, 95, 99)),
+        max(column, default=0.0),
+    ])
+
+    collector = StatsCollector()
+    for latency in column:
+        collector.record_confirmation(0.0, latency)
+    summary = collector.summary()
+    assert _hex([summary.latency_p50_s, summary.latency_p95_s, summary.latency_p99_s]) == (
+        _hex(_reference_percentile(ordered, pct) for pct in (50, 95, 99))
+    )
+    for pct in (1, 50, 95, 99, 100):
+        assert collector.latency_percentile(pct) == _reference_percentile(ordered, pct)
+    cdf = []
+    if ordered:
+        step = max(1, size // points)
+        cdf = [(ordered[i], (i + 1) / size) for i in range(0, size, step)]
+        if cdf[-1][1] < 1.0:
+            cdf.append((ordered[-1], 1.0))
+    assert collector.latency_cdf(points) == cdf
 
 
 def _tx_ids(rows):
@@ -321,9 +395,10 @@ def _complete_rows(tracer, tx_ids):
         tracer.record_notify(tx_id, rows * 0.001 + 0.5 + i * 0.001)
 
 
-def test_breakdown_peak_memory_is_one_interval():
-    """Six interval lists at once cost ~216 B per complete row; one at
-    a time, ~43 B (a float plus a list slot, and the row's offset)."""
+def test_breakdown_boxes_no_whole_interval():
+    """Six interval lists at once cost ~216 B per complete row and one
+    at a time ~43 B (a float plus a list slot, and the row's offset);
+    ascending runs of packed doubles merged piece by piece, ~15 B."""
     rows = 20_000
     tracer = StageTracer()
     _complete_rows(tracer, _tx_ids(rows))
@@ -334,7 +409,9 @@ def test_breakdown_peak_memory_is_one_interval():
     finally:
         tracemalloc.stop()
     assert breakdown.traced == rows
-    assert peak / rows < 60, f"{peak / rows:.0f} B per row"
+    assert peak / rows < 20, f"{peak / rows:.0f} B per row"
+    # Several runs per interval, every float as the reference gives it.
+    assert breakdown == _reference_breakdown(tracer)
 
 
 def test_complete_rows_are_packed_small():
