@@ -26,7 +26,6 @@ class Blockchain:
         genesis_hash = self.genesis.hash
         self._blocks: dict[Hash, Block] = {genesis_hash: self.genesis}
         self._main: list[Hash] = [genesis_hash]
-        self._main_set: set[Hash] = {genesis_hash}
         self._orphans: dict[Hash, list[Block]] = {}
 
     # ------------------------------------------------------------------
@@ -57,8 +56,14 @@ class Blockchain:
         return block_hash in self._blocks
 
     def on_main_branch(self, block_hash: Hash) -> bool:
-        """Whether the block is currently on the main branch."""
-        return block_hash in self._main_set
+        """Whether the block is currently on the main branch: a stored
+        block is when the branch holds its hash at its height."""
+        block = self._blocks.get(block_hash)
+        if block is None:
+            return False
+        height = block.header.height
+        main = self._main
+        return height < len(main) and main[height] == block_hash
 
     def blocks_in_range(self, start: int, end: int) -> list[Block]:
         """Main-branch blocks with start < height <= end (paper's (h, t])."""
@@ -143,12 +148,9 @@ class Blockchain:
             cursor = self._blocks.get(cursor.header.parent_hash)
         if cursor is None:
             raise InvalidBlock("branch does not connect to the main chain")
-        # Only the abandoned and the adopted suffix change membership
-        # (an extension of the tip abandons nothing): O(reorg depth).
-        fork_height = cursor.height
-        self._main_set.difference_update(self._main[fork_height + 1 :])
-        del self._main[fork_height + 1 :]
+        # Only the abandoned and the adopted suffix change (an extension
+        # of the tip abandons nothing): O(reorg depth).
+        del self._main[cursor.height + 1 :]
         suffix.reverse()
         self._main.extend(suffix)
-        self._main_set.update(suffix)
         return True

@@ -101,8 +101,11 @@ class ChainAuditor:
         self.network = network
         self.violations: list[SafetyViolation] = []
         self.commits_checked = 0
-        #: height -> block hash -> honest committers.
-        self._commits: dict[int, dict[bytes, set[str]]] = {}
+        #: height -> block hash -> its honest committers, as a bitmask
+        #: of their ``_bits``.
+        self._commits: dict[int, dict[bytes, int]] = {}
+        #: honest node id -> its bit, in first-commit order.
+        self._bits: dict[str, int] = {}
         self._executed_height: dict[str, int] = {}
         self._flagged_forks: set[tuple[int, bytes, bytes]] = set()
         self._active_faults: list[str] = []
@@ -167,13 +170,23 @@ class ChainAuditor:
                 "digest fails verification",
                 at_time,
             )
+        bit = self._bits.get(node_id)
+        if bit is None:
+            bit = self._bits[node_id] = 1 << len(self._bits)
         by_hash = self._commits.setdefault(block.height, {})
-        by_hash.setdefault(block.hash, set()).add(node_id)
+        block_hash = block.hash
+        by_hash[block_hash] = by_hash.get(block_hash, 0) | bit
         if len(by_hash) > 1:
             self._check_fork(block.height, by_hash, at_time)
 
+    def _nodes(self, committers: int) -> list[str]:
+        """The node ids in a committer bitmask, sorted."""
+        return sorted(
+            node_id for node_id, bit in self._bits.items() if committers & bit
+        )
+
     def _check_fork(
-        self, height: int, by_hash: dict[bytes, set[str]], at_time: float
+        self, height: int, by_hash: dict[bytes, int], at_time: float
     ) -> None:
         hashes = sorted(by_hash)
         for i, first in enumerate(hashes):
@@ -182,14 +195,13 @@ class ChainAuditor:
                 if key in self._flagged_forks:
                     continue
                 self._flagged_forks.add(key)
-                nodes = sorted(by_hash[first] | by_hash[second])
                 self._flag(
                     "fork",
                     height,
-                    nodes,
+                    self._nodes(by_hash[first] | by_hash[second]),
                     f"honest replicas disagree at height {height}: "
-                    f"{sorted(by_hash[first])} committed "
-                    f"{first.hex()[:12]}, {sorted(by_hash[second])} "
+                    f"{self._nodes(by_hash[first])} committed "
+                    f"{first.hex()[:12]}, {self._nodes(by_hash[second])} "
                     f"committed {second.hex()[:12]}",
                     at_time,
                 )

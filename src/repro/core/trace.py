@@ -12,7 +12,8 @@ tracing code (mirroring the PR 7 adversary-hooks pattern).
 A transaction's stamp row is a small list while it is in flight; once
 its seventh stamp lands it is packed into one flat ``array('d')``
 shared by every finished row, since nothing but the end-of-run
-breakdown reads it again.
+breakdown reads it again, and its offset there into an ``array('q')``
+kept in row creation order.
 
 Stage points (one timestamp each, first occurrence wins cluster-wide)::
 
@@ -111,6 +112,12 @@ _TOP = _N_STAGES
 #: Extra slot per in-flight stamp row counting the stages not yet
 #: stamped; the stamp that brings it to 0 packs the row.
 _LEFT = _N_STAGES + 1
+#: Extra slot per in-flight stamp row holding its creation index (its
+#: place in ``StageTracer._offsets``).
+_SEQ = _N_STAGES + 2
+
+#: A finished row's ``_stamps`` value, shared by every finished row.
+_DONE = object()
 
 
 #: Values sorted, and so boxed, at once when a column is cut into
@@ -295,20 +302,24 @@ class StageTracer:
     stamp that completes a row also packs it, once per transaction."""
 
     __slots__ = (
-        "_stamps", "_packed", "_depths", "_block_stages",
+        "_stamps", "_packed", "_offsets", "_depths", "_block_stages",
         "_depth_sums", "_depth_peaks", "_samples",
     )
 
     def __init__(self) -> None:
         #: tx_id -> its row. In flight: a list of 7 stamp slots (None
-        #: until recorded), the running max and the stages left. Finished:
-        #: the row's index in ``_packed``, replacing the list in place, so
-        #: the dict stays in creation order.
-        self._stamps: dict[str, list[float | None] | int] = {}
+        #: until recorded), the running max, the stages left and the
+        #: row's creation index. Finished: ``_DONE``, replacing the list
+        #: in place.
+        self._stamps: dict[str, list[float | None] | object] = {}
         #: The 7 stamps of every finished row, back to back.
         self._packed = array("d")
-        #: (stage, tx ids) pairs ``record_block`` has stamped.
-        self._block_stages: set[tuple[int, tuple[str, ...]]] = set()
+        #: Per row, in creation order: its offset in ``_packed`` once
+        #: finished, -1 while it is not.
+        self._offsets = array("q")
+        #: Per stage, the tx ids ``record_block`` stamped last (None
+        #: before its first call for that stage).
+        self._block_stages: list[tuple[str, ...] | None] = [None] * _N_STAGES
         #: Live backlog gauges, pipeline order (QUEUE_GAUGES).
         self._depths = [0, 0, 0]
         #: Per gauge, the sum and the peak of its sampled depths; and
@@ -325,9 +336,8 @@ class StageTracer:
         wins; clamped so stamps never precede an earlier stage)."""
         slots = self._stamps.get(tx_id)
         if slots is None:
-            slots = [None] * _N_STAGES + [0.0, _N_STAGES]
-            self._stamps[tx_id] = slots
-        elif type(slots) is int or slots[stage] is not None:
+            slots = self._open(tx_id)
+        elif slots is _DONE or slots[stage] is not None:
             return  # a packed row has every stage stamped
         if stage:
             top = slots[_TOP]
@@ -357,44 +367,55 @@ class StageTracer:
         else:
             self._pack(tx_id, slots)
 
+    def _open(self, tx_id: str) -> list:
+        """A new in-flight row for ``tx_id``, with nothing stamped."""
+        offsets = self._offsets
+        slots = [None] * _N_STAGES + [0.0, _N_STAGES, len(offsets)]
+        self._stamps[tx_id] = slots
+        offsets.append(-1)
+        return slots
+
     def _pack(self, tx_id: str, slots: list) -> None:
         """Move a row whose seventh stamp just landed into ``_packed``."""
         packed = self._packed
-        self._stamps[tx_id] = len(packed)
+        self._stamps[tx_id] = _DONE
+        self._offsets[slots[_SEQ]] = len(packed)
         packed.fromlist(slots[:_N_STAGES])
 
     def record_block(self, tx_ids, stage: int, now: float) -> None:
         """Stamp every tx in a block at once (propose/decide/commit) —
-        once per cluster: after the first call for a (stage, ids) pair
-        each of those slots is taken, so the replicas that follow would
-        be first-wins no-ops tx by tx. A fork block sharing transactions
-        is another pair and is walked."""
-        key = (stage, tuple(tx_ids))  # a Block.tx_ids tuple is not copied
-        if key in self._block_stages:
+        once per cluster: the replicas that follow the first call for a
+        block's ids at a stage would be first-wins no-ops tx by tx, so a
+        call repeating the stage's last ids returns at once. A fork block
+        sharing transactions is other ids and is walked; so is a block
+        whose ids a later block displaced, which stamps nothing new."""
+        ids = tuple(tx_ids)  # a Block.tx_ids tuple is not copied
+        last = self._block_stages
+        if ids == last[stage]:
             return
-        self._block_stages.add(key)
+        last[stage] = ids
         record = self.record
-        for tx_id in key[1]:
+        for tx_id in ids:
             record(tx_id, stage, now)
 
     # Named hook-site helpers: the chain and platform layers sit below
     # ``repro.core`` in the import graph, so they call these instead of
     # importing the stage-index constants.
     def record_submit(self, tx_id: str, now: float) -> None:
-        # Inlined record(): one submit per tx, usually the row-creating
-        # call, on the per-transaction client hot path.
+        # Inlined record(): one submit per tx, on the per-transaction
+        # client hot path. The driver stamps it on the admit reply, so
+        # the entry node's admit has usually opened the row.
         slots = self._stamps.get(tx_id)
         if slots is None:
-            self._stamps[tx_id] = [
-                now, None, None, None, None, None, None, 0.0, _N_STAGES - 1,
-            ]
-        elif type(slots) is not int and slots[SUBMIT] is None:
-            slots[SUBMIT] = now
-            left = slots[_LEFT] - 1
-            if left:
-                slots[_LEFT] = left
-            else:
-                self._pack(tx_id, slots)
+            slots = self._open(tx_id)
+        elif slots is _DONE or slots[SUBMIT] is not None:
+            return
+        slots[SUBMIT] = now
+        left = slots[_LEFT] - 1
+        if left:
+            slots[_LEFT] = left
+        else:
+            self._pack(tx_id, slots)
 
     def record_admit(self, tx_id: str, now: float) -> None:
         # Inlined record(): the entry node calls this once per pooled
@@ -402,9 +423,8 @@ class StageTracer:
         # (client failover) is a first-occurrence early-out.
         slots = self._stamps.get(tx_id)
         if slots is None:
-            slots = [None] * _N_STAGES + [0.0, _N_STAGES]
-            self._stamps[tx_id] = slots
-        elif type(slots) is int or slots[ADMIT] is not None:
+            slots = self._open(tx_id)
+        elif slots is _DONE or slots[ADMIT] is not None:
             return
         top = slots[_TOP]
         if top > now:
@@ -465,10 +485,10 @@ class StageTracer:
         """
         packed = self._packed
         # Exactly the packed rows are complete; the end-to-end total is
-        # summed in the dict's creation order, as it always was.
+        # summed in row creation order, as it always was.
         e2e_total = 0.0
-        for row in self._stamps.values():
-            if type(row) is int:
+        for row in self._offsets:
+            if row >= 0:
                 e2e_total += packed[row + NOTIFY] - packed[row + SUBMIT]
         traced = len(packed) // _N_STAGES
         partial = len(self._stamps) - traced

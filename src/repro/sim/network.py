@@ -48,7 +48,6 @@ class Message:
     payload: Any
     size_bytes: int = 256
     corrupted: bool = False
-    sent_at: SimTime = 0.0
 
 
 @dataclass
@@ -212,7 +211,6 @@ class Network:
         """Send one message; returns it (useful for tests and tracing)."""
         if recipient not in self.nodes:
             raise NetworkError(f"unknown recipient {recipient!r}")
-        now = self.scheduler.now
         filter_delay = 0.0
         # Fault state is empty on almost every send: each lookup below
         # is skipped unless its fault is active. The RNG draws (one for
@@ -225,11 +223,9 @@ class Network:
                     # The byzantine node chose not to transmit: nothing
                     # hits the wire, so no send is recorded.
                     self.stats.dropped_byzantine += 1
-                    return Message(
-                        sender, recipient, kind, payload, size_bytes, sent_at=now
-                    )
+                    return Message(sender, recipient, kind, payload, size_bytes)
                 payload, size_bytes, filter_delay = rewritten
-        message = Message(sender, recipient, kind, payload, size_bytes, sent_at=now)
+        message = Message(sender, recipient, kind, payload, size_bytes)
         stats = self.stats
         stats.messages_sent += 1
         stats.bytes_sent[sender] = stats.bytes_sent.get(sender, 0) + size_bytes

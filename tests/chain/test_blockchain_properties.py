@@ -131,8 +131,13 @@ def test_duplicate_insertion_is_idempotent(shape):
 
 
 class RebuildReference(Blockchain):
-    """The main-branch set rebuilt from the whole branch after every
-    change — O(height) per block, obviously right."""
+    """The main branch and a set of its hashes, both rebuilt from the
+    whole branch after every change — O(height) per block, obviously
+    right."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self._main_set = set(self._main)
 
     def _maybe_reorg(self, block: Block) -> bool:
         if block.height <= self.height:
@@ -156,26 +161,27 @@ class RebuildReference(Blockchain):
     order_seed=st.randoms(use_true_random=False),
     in_order=st.booleans(),
 )
-def test_main_set_tracks_the_branch_through_forks_and_extensions(
+def test_on_main_branch_tracks_the_branch_through_forks_and_extensions(
     shape, order_seed, in_order
 ):
     """Block by block — extensions of the tip, side branches, reorgs of
-    any depth, orphans connecting later — the incrementally kept set is
-    exactly the main branch, and the branch is the rebuilt reference's."""
+    any depth, orphans connecting later — ``on_main_branch``, answered
+    from the branch at each block's height, agrees with the rebuilt
+    reference's set for every block, fork blocks and orphans included,
+    and the branch is the reference's."""
     chain, blocks = make_tree(shape)
     reference = RebuildReference()
+    every = [chain.genesis, *blocks]
     if not in_order:
         blocks = list(blocks)
         order_seed.shuffle(blocks)
     for _ in range(2):  # a second pass re-offers every block: no-ops
         for block in blocks:
             assert chain.add_block(block) == reference.add_block(block)
-            assert chain._main_set == set(chain._main)
+            assert [chain.on_main_branch(b.hash) for b in every] == [
+                b.hash in reference._main_set for b in every
+            ]
             assert chain._main == reference._main
             assert sum(map(len, chain._orphans.values())) == sum(
                 map(len, reference._orphans.values())
             )
-    assert all(
-        chain.on_main_branch(b.hash) == (b.hash in reference._main_set)
-        for b in blocks
-    )

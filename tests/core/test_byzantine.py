@@ -1,5 +1,7 @@
 """Byzantine fault injection and the chain safety auditor."""
 
+import tracemalloc
+
 import pytest
 
 from repro.chain.block import Block
@@ -66,6 +68,57 @@ def test_auditor_flags_fork_between_honest_replicas():
     assert violation.kind == "fork"
     assert violation.height == 5
     assert violation.nodes == ["a", "b"]
+
+
+def test_auditor_fork_violations_are_the_ones_a_set_per_hash_gave():
+    """Committers kept as a bitmask over first-commit order still report
+    each fork's nodes sorted by id; every field below was captured from
+    the auditor that kept a set of node ids per block hash."""
+    auditor = ChainAuditor(_StubNetwork([f"server-{i}" for i in range(7)]))
+    left, right, third = _block(9, "a"), _block(9, "b"), _block(9, "c")
+    commits = [
+        ("server-4", left), ("server-1", left), ("server-5", right),
+        ("server-6", left), ("server-0", right), ("server-2", right),
+        ("server-3", third),
+    ]
+    for step, (node_id, block) in enumerate(commits):
+        auditor.record_commit(node_id, block, 1.0 + step / 4)
+    assert [
+        (v.kind, v.height, v.nodes, v.detail, v.at_time)
+        for v in auditor.report().violations
+    ] == [
+        ("fork", 9, ["server-1", "server-4", "server-5"],
+         "honest replicas disagree at height 9: ['server-5'] committed "
+         "915596b01af4, ['server-1', 'server-4'] committed a93d0acbadef", 1.5),
+        ("fork", 9, ["server-0", "server-2", "server-3", "server-5"],
+         "honest replicas disagree at height 9: ['server-3'] committed "
+         "543f6d98b5d3, ['server-0', 'server-2', 'server-5'] committed "
+         "915596b01af4", 2.5),
+        ("fork", 9, ["server-1", "server-3", "server-4", "server-6"],
+         "honest replicas disagree at height 9: ['server-3'] committed "
+         "543f6d98b5d3, ['server-1', 'server-4', 'server-6'] committed "
+         "a93d0acbadef", 2.5),
+    ]
+
+
+def test_auditor_keeps_a_height_small():
+    """Seven committers of one block: ~260 B retained per height, where a
+    set of node ids per block hash retained ~987 B."""
+    heights = 2000
+    blocks = [_block(height) for height in range(1, heights + 1)]
+    assert all(block.hash for block in blocks)  # cached, as a replica's are
+    nodes = [f"server-{i}" for i in range(7)]
+    tracemalloc.start()
+    try:
+        auditor = ChainAuditor(_StubNetwork(nodes))
+        for block in blocks:
+            for node_id in nodes:
+                auditor.record_commit(node_id, block, 1.0)
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert auditor.report().safe
+    assert retained / heights < 400, f"{retained / heights:.0f} B per height"
 
 
 def test_auditor_dedupes_repeated_fork_commits():

@@ -37,18 +37,25 @@ from repro.workloads import make_workload
 PLATFORMS = ("ethereum", "parity", "hyperledger", "erisdb")
 
 
-def _row(tracer, tx_id):
-    """``tx_id``'s 7 stage stamps (None where unrecorded), whether its
-    row is still an in-flight list or already packed."""
-    row = tracer._stamps[tx_id]
-    if type(row) is int:
-        return list(tracer._packed[row:row + len(STAGES)])
-    return row[: len(STAGES)]
-
-
 def _rows(tracer):
-    """Every row, decoded by :func:`_row`, in the tracer's dict order."""
-    return {tx_id: _row(tracer, tx_id) for tx_id in tracer._stamps}
+    """Every row's 7 stage stamps (None where unrecorded), in the
+    tracer's dict order, whether the row is still an in-flight list or
+    already packed: the n-th row created is the dict's n-th key, and a
+    packed row's offset is the n-th entry of the creation-order array."""
+    rows = {}
+    for index, (tx_id, row) in enumerate(tracer._stamps.items()):
+        offset = tracer._offsets[index]
+        if row is trace._DONE:
+            rows[tx_id] = list(tracer._packed[offset:offset + len(STAGES)])
+        else:
+            assert offset == -1 and row[trace._SEQ] == index
+            rows[tx_id] = row[: len(STAGES)]
+    return rows
+
+
+def _row(tracer, tx_id):
+    """``tx_id``'s row, decoded by :func:`_rows`."""
+    return _rows(tracer)[tx_id]
 
 
 def _sample_series(tracer, series):
@@ -415,9 +422,10 @@ def test_breakdown_boxes_no_whole_interval():
 
 
 def test_complete_rows_are_packed_small():
-    """A finished row keeps its 7 stamps in the shared array and its
-    offset in the dict: ~106 B retained, where a list row of boxed
-    floats retained ~213 B."""
+    """A finished row keeps its 7 stamps in the shared array, its offset
+    in the creation-order array and a shared sentinel in the dict: ~86 B
+    retained, where a boxed offset in the dict retained ~106 B and a
+    list row of boxed floats ~213 B."""
     rows = 20_000
     tx_ids = _tx_ids(rows)  # the ids outlive the tracer
     tracemalloc.start()
@@ -428,8 +436,8 @@ def test_complete_rows_are_packed_small():
     finally:
         tracemalloc.stop()
     assert tracer.breakdown().traced == rows
-    assert all(type(tracer._stamps[tx_id]) is int for tx_id in tx_ids)
-    assert retained / rows < 130, f"{retained / rows:.0f} B per row"
+    assert all(tracer._stamps[tx_id] is trace._DONE for tx_id in tx_ids)
+    assert retained / rows < 95, f"{retained / rows:.0f} B per row"
 
 
 @pytest.mark.parametrize("last", STAGES)
@@ -441,7 +449,7 @@ def test_a_row_packs_whichever_stage_lands_seventh(last):
             tracer.record("tx", stage[name], 1.0 + stage[name])
     assert type(tracer._stamps["tx"]) is list
     tracer.record("tx", stage[last], 1.0 + stage[last])
-    assert type(tracer._stamps["tx"]) is int
+    assert tracer._stamps["tx"] is trace._DONE
     expected = [1.0 + i for i in range(len(STAGES))]
     if last != "submit":
         # Stamped last, any stage but submit is clamped up to the
@@ -453,16 +461,18 @@ def test_a_row_packs_whichever_stage_lands_seventh(last):
 
 
 def test_packing_keeps_creation_order():
-    """``breakdown`` sums the end-to-end total in the dict's order, so a
-    row finishing before an older one must not move in the dict."""
+    """``breakdown`` sums the end-to-end total in row creation order, so
+    a row finishing before an older one must not move in the dict, and
+    its offset goes to its creation slot."""
     tracer = StageTracer()
     for tx in ("old", "new"):
         tracer.record_submit(tx, 0.0)
     for tx in ("new", "old"):
         for stage in range(1, len(STAGES)):
             tracer.record(tx, stage, float(stage))
-    assert [type(tracer._stamps[tx]) for tx in ("old", "new")] == [int, int]
+    assert [tracer._stamps[tx] for tx in ("old", "new")] == [trace._DONE] * 2
     assert list(tracer._stamps) == ["old", "new"]
+    assert list(tracer._offsets) == [len(STAGES), 0]  # "new" packed first
 
 
 def test_a_packed_row_ignores_late_stamps():
@@ -474,8 +484,8 @@ def test_a_packed_row_ignores_late_stamps():
     tracer.record_admit("open", 0.5)
     rows, depths = _rows(tracer), tracer.queue_depths()
     before = tracer.breakdown()
-    assert [type(tracer._stamps[tx]) for tx in ("tx0", "tx1", "open")] == [
-        int, int, list,
+    assert [tracer._stamps[tx] is trace._DONE for tx in ("tx0", "tx1", "open")] == [
+        True, True, False,
     ]
     tracer.record_admit("tx0", 9.0)  # a gossip copy arriving late
     tracer.record_propose(("tx1", "tx0"), 9.0)  # a fork block, same txs
@@ -501,6 +511,31 @@ def test_record_block_takes_any_iterable_and_walks_fork_blocks():
     body.append("e")  # the caller's list grew: not the pair stamped before
     tracer.record_decide(body, 5.0)
     assert [_row(tracer, tx)[decide] for tx in "de"] == [4.0, 5.0]
+
+
+def test_the_block_stage_memo_keeps_one_pair_per_stage():
+    """The memo is a CPU shortcut, not a record: after 1,000 blocks, each
+    reaching four stages on seven replicas, it holds each stage's last
+    ids (it held all 4,000 pairs), and every row is stamped as once."""
+    tracer = StageTracer()
+    blocks = [tuple(f"b{height}t{i}" for i in range(3)) for height in range(1000)]
+    for height, tx_ids in enumerate(blocks):
+        for tx_id in tx_ids:
+            tracer.record_submit(tx_id, float(height))
+            tracer.record_admit(tx_id, float(height))
+        for hook in ("propose", "decide", "execute", "commit"):
+            for replica in range(7):
+                getattr(tracer, f"record_{hook}")(list(tx_ids), height + replica / 10)
+        for tx_id in tx_ids:
+            tracer.record_notify(tx_id, height + 1.0)
+    stamped = [None if name in ("submit", "admit", "notify") else blocks[-1]
+               for name in STAGES]
+    assert tracer._block_stages == stamped
+    assert tracer.breakdown().traced == 3000
+    assert all(
+        _row(tracer, tx_id)[2:6] == [float(height)] * 4
+        for height, tx_id in ((999, "b999t0"), (0, "b0t2"))
+    )
 
 
 # ---------------------------------------------------------------------------
